@@ -19,8 +19,9 @@
 //! time. `--gate PREFIX,...` narrows which cases can fail the diff:
 //! regressions in matching cases exit non-zero, the rest print as
 //! advisory. CI uses a reduced sample count and gates only the
-//! CPU-bound crypto cases (`rsa_verify_*`, `poa_verify_e2e_50`), which
-//! stay stable on shared runners; the I/O-heavy cases remain advisory.
+//! CPU-bound cases (`rsa_verify_*`, `poa_verify_e2e_50`,
+//! `merkle_proof_*`), which stay stable on shared runners; the
+//! I/O-heavy cases remain advisory.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -329,8 +330,9 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
     });
 
     // --- Serving a transparency client at scale: one inclusion proof
-    // out of a 64k-leaf audit tree (~log2 n levels of node hashing
-    // over the cached leaf hashes).
+    // out of a 64k-leaf audit tree, assembled from the chain's stored
+    // complete-subtree hashes (O(log² n) node hashing at worst, none
+    // at all for a perfect tree like this one).
     run("merkle_proof_64k", &mut |b| {
         let mut chain = AuditChain::new();
         for i in 0..65_536u64 {

@@ -122,108 +122,10 @@ pub fn chain_step(prev: &Hash, seq: u64, payload: &[u8]) -> Hash {
     h.finalize()
 }
 
-/// Merkle root of `leaves[lo..hi)` (RFC 6962 `MTH`), recursing on the
-/// largest power of two strictly below the range length.
-fn subtree_root(leaves: &[Hash], lo: usize, hi: usize) -> Hash {
-    debug_assert!(lo < hi);
-    if hi - lo == 1 {
-        return leaves[lo];
-    }
-    let k = split_point(hi - lo);
-    node_hash(
-        &subtree_root(leaves, lo, lo + k),
-        &subtree_root(leaves, lo + k, hi),
-    )
-}
-
 /// Largest power of two strictly less than `n` (`n >= 2`).
-fn split_point(n: usize) -> usize {
-    let mut k = 1usize;
-    while k * 2 < n {
-        k *= 2;
-    }
-    k
-}
-
-/// Merkle root over the first `size` of `leaves` (`SHA-256("")` for an
-/// empty tree, per RFC 6962).
-pub fn merkle_root(leaves: &[Hash], size: usize) -> Hash {
-    if size == 0 {
-        return sha256(b"");
-    }
-    subtree_root(leaves, 0, size)
-}
-
-/// Inclusion proof (`PATH` in RFC 6962): the sibling hashes from leaf
-/// `index` up to the root of the first `size` leaves, leaf-to-root
-/// order.
-fn subtree_path(leaves: &[Hash], index: usize, lo: usize, hi: usize, out: &mut Vec<Hash>) {
-    if hi - lo == 1 {
-        return;
-    }
-    let k = split_point(hi - lo);
-    if index < lo + k {
-        subtree_path(leaves, index, lo, lo + k, out);
-        out.push(subtree_root(leaves, lo + k, hi));
-    } else {
-        subtree_path(leaves, index, lo + k, hi, out);
-        out.push(subtree_root(leaves, lo, lo + k));
-    }
-}
-
-/// Builds the inclusion proof for `leaves[index]` in the tree over the
-/// first `size` leaves.
-///
-/// # Errors
-///
-/// [`AuditError::IndexOutOfRange`] when `index >= size` or the slice
-/// is shorter than `size`.
-pub fn inclusion_path(leaves: &[Hash], index: u64, size: u64) -> Result<Vec<Hash>, AuditError> {
-    if index >= size || (size as usize) > leaves.len() {
-        return Err(AuditError::IndexOutOfRange { index, size });
-    }
-    let mut out = Vec::new();
-    subtree_path(leaves, index as usize, 0, size as usize, &mut out);
-    Ok(out)
-}
-
-/// Consistency proof (`PROOF`/`SUBPROOF` in RFC 6962): the node hashes
-/// a verifier needs to extend the tree of the first `old` leaves into
-/// the tree of the first `new` leaves.
-fn subproof(leaves: &[Hash], m: usize, lo: usize, hi: usize, whole: bool, out: &mut Vec<Hash>) {
-    let n = hi - lo;
-    if m == n {
-        if !whole {
-            out.push(subtree_root(leaves, lo, hi));
-        }
-        return;
-    }
-    let k = split_point(n);
-    if m <= k {
-        subproof(leaves, m, lo, lo + k, whole, out);
-        out.push(subtree_root(leaves, lo + k, hi));
-    } else {
-        subproof(leaves, m - k, lo + k, hi, false, out);
-        out.push(subtree_root(leaves, lo, lo + k));
-    }
-}
-
-/// Builds the consistency proof from the tree over the first `old`
-/// leaves to the tree over the first `new` leaves.
-///
-/// # Errors
-///
-/// [`AuditError::BadRange`] unless `0 < old <= new <= leaves.len()`.
-pub fn consistency_path(leaves: &[Hash], old: u64, new: u64) -> Result<Vec<Hash>, AuditError> {
-    if old == 0 || old > new || (new as usize) > leaves.len() {
-        return Err(AuditError::BadRange { old, new });
-    }
-    if old == new {
-        return Ok(Vec::new());
-    }
-    let mut out = Vec::new();
-    subproof(leaves, old as usize, 0, new as usize, true, &mut out);
-    Ok(out)
+fn split_point(n: u64) -> u64 {
+    debug_assert!(n >= 2);
+    1 << (63 - (n - 1).leading_zeros())
 }
 
 // ------------------------------------------------------- offline verifiers
@@ -419,14 +321,31 @@ pub struct ConsistencyProof {
 
 // ------------------------------------------------------------------ chain
 
-/// The auditor-side audit state: the hash chain head plus every leaf
-/// hash (32 bytes per audited record), enough to serve inclusion and
+/// The auditor-side audit state: the hash chain head, every leaf hash,
+/// and every complete subtree hash above them (RFC 6962 §2.1). That is
+/// about 64 bytes per audited record, enough to serve inclusion and
 /// consistency proofs for *any* historical size even after the journal
 /// itself was compacted away.
+///
+/// `levels[k][j]` is the root of the aligned subtree over leaves
+/// `[j * 2^(k+1), (j + 1) * 2^(k+1))`; level `k` holds exactly
+/// `size >> (k + 1)` nodes and no level is left empty. Every node a
+/// root or proof needs for a size up to [`size`](AuditChain::size) is
+/// therefore stored, so a root costs O(log n) node hashes and a proof
+/// O(log² n), where rebuilding from the leaves would cost O(n).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AuditChain {
     head: Hash,
     leaves: Vec<Hash>,
+    levels: Vec<Vec<Hash>>,
+}
+
+/// An earlier state of an [`AuditChain`] to roll back to: its size and
+/// chain head at the time [`AuditChain::mark`] was called.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct ChainMark {
+    size: u64,
+    head: Hash,
 }
 
 impl Default for AuditChain {
@@ -441,12 +360,30 @@ impl AuditChain {
         AuditChain {
             head: [0u8; HASH_LEN],
             leaves: Vec::new(),
+            levels: Vec::new(),
         }
     }
 
-    /// Rebuilds a chain from snapshot state.
+    /// Rebuilds a chain from snapshot state, hashing the subtree levels
+    /// once (about one node hash per leaf).
     pub fn from_parts(head: Hash, leaves: Vec<Hash>) -> AuditChain {
-        AuditChain { head, leaves }
+        let mut levels: Vec<Vec<Hash>> = Vec::new();
+        loop {
+            let below = levels.last().unwrap_or(&leaves);
+            if below.len() < 2 {
+                break;
+            }
+            let level = below
+                .chunks_exact(2)
+                .map(|pair| node_hash(&pair[0], &pair[1]))
+                .collect();
+            levels.push(level);
+        }
+        AuditChain {
+            head,
+            leaves,
+            levels,
+        }
     }
 
     /// Entries chained so far (== Merkle tree size).
@@ -465,16 +402,87 @@ impl AuditChain {
     }
 
     /// Appends one audited record payload: advances the chain head and
-    /// stores the Merkle leaf.
+    /// stores the Merkle leaf plus every subtree it completes. A leaf at
+    /// an odd index completes one subtree per trailing one bit of that
+    /// index, so an append costs one node hash amortized.
     pub fn append(&mut self, payload: &[u8]) {
-        let seq = self.leaves.len() as u64;
-        self.head = chain_step(&self.head, seq, payload);
-        self.leaves.push(leaf_hash(payload));
+        let mut index = self.leaves.len();
+        self.head = chain_step(&self.head, index as u64, payload);
+        let mut right = leaf_hash(payload);
+        self.leaves.push(right);
+        let mut k = 0;
+        while index & 1 == 1 {
+            right = node_hash(&self.node(k, index as u64 - 1), &right);
+            if k as usize == self.levels.len() {
+                self.levels.push(Vec::new());
+            }
+            self.levels[k as usize].push(right);
+            index >>= 1;
+            k += 1;
+        }
+    }
+
+    /// The current size and head, for a later [`rollback`](AuditChain::rollback).
+    pub(crate) fn mark(&self) -> ChainMark {
+        ChainMark {
+            size: self.size(),
+            head: self.head,
+        }
+    }
+
+    /// Rolls the chain back to a [`mark`](AuditChain::mark) taken
+    /// earlier on this chain: drops every later leaf and every subtree
+    /// hash that covers one. A mark beyond the current size is ignored.
+    pub(crate) fn rollback(&mut self, mark: ChainMark) {
+        if mark.size > self.size() {
+            return;
+        }
+        self.head = mark.head;
+        self.leaves.truncate(mark.size as usize);
+        for (k, level) in self.levels.iter_mut().enumerate() {
+            level.truncate((mark.size >> (k + 1)) as usize);
+        }
+        while self.levels.last().is_some_and(Vec::is_empty) {
+            self.levels.pop();
+        }
+    }
+
+    /// Root of the aligned perfect subtree of `2^k` leaves at position
+    /// `j` of its level.
+    fn node(&self, k: u32, j: u64) -> Hash {
+        if k == 0 {
+            self.leaves[j as usize]
+        } else {
+            self.levels[k as usize - 1][j as usize]
+        }
+    }
+
+    /// Merkle root of leaves `[lo, hi)` (RFC 6962 `MTH`), for the ranges
+    /// the RFC 6962 recursion visits: a power-of-two range there is
+    /// always aligned, so it is one stored node; any other range splits
+    /// on the largest power of two strictly below its length.
+    fn range_root(&self, lo: u64, hi: u64) -> Hash {
+        let n = hi - lo;
+        if n.is_power_of_two() {
+            let k = n.trailing_zeros();
+            return self.node(k, lo >> k);
+        }
+        let k = split_point(n);
+        node_hash(&self.range_root(lo, lo + k), &self.range_root(lo + k, hi))
     }
 
     /// Merkle root over the current entries.
     pub fn root(&self) -> Hash {
-        merkle_root(&self.leaves, self.leaves.len())
+        self.root_of(self.size())
+    }
+
+    /// Merkle root over the first `size <= self.size()` entries
+    /// (`SHA-256("")` for an empty tree, per RFC 6962).
+    fn root_of(&self, size: u64) -> Hash {
+        if size == 0 {
+            return sha256(b"");
+        }
+        self.range_root(0, size)
     }
 
     /// Merkle root over the first `size` entries.
@@ -489,7 +497,43 @@ impl AuditChain {
                 size: self.size(),
             });
         }
-        Ok(merkle_root(&self.leaves, size as usize))
+        Ok(self.root_of(size))
+    }
+
+    /// Inclusion path (`PATH` in RFC 6962) for leaf `index` within
+    /// `[lo, hi)`, sibling hashes in leaf-to-root order.
+    fn range_path(&self, index: u64, lo: u64, hi: u64, out: &mut Vec<Hash>) {
+        if hi - lo == 1 {
+            return;
+        }
+        let k = split_point(hi - lo);
+        if index < lo + k {
+            self.range_path(index, lo, lo + k, out);
+            out.push(self.range_root(lo + k, hi));
+        } else {
+            self.range_path(index, lo + k, hi, out);
+            out.push(self.range_root(lo, lo + k));
+        }
+    }
+
+    /// Consistency proof nodes (`SUBPROOF` in RFC 6962) extending the
+    /// first `m` leaves of `[lo, hi)` to the whole range.
+    fn range_subproof(&self, m: u64, lo: u64, hi: u64, whole: bool, out: &mut Vec<Hash>) {
+        let n = hi - lo;
+        if m == n {
+            if !whole {
+                out.push(self.range_root(lo, hi));
+            }
+            return;
+        }
+        let k = split_point(n);
+        if m <= k {
+            self.range_subproof(m, lo, lo + k, whole, out);
+            out.push(self.range_root(lo + k, hi));
+        } else {
+            self.range_subproof(m - k, lo + k, hi, false, out);
+            out.push(self.range_root(lo, lo + k));
+        }
     }
 
     /// Inclusion proof for leaf `index` against the tree of `size`
@@ -497,9 +541,13 @@ impl AuditChain {
     ///
     /// # Errors
     ///
-    /// [`AuditError::IndexOutOfRange`] for out-of-range indexes.
+    /// [`AuditError::IndexOutOfRange`] unless `index < size <= self.size()`.
     pub fn prove_inclusion(&self, index: u64, size: u64) -> Result<InclusionProof, AuditError> {
-        let path = inclusion_path(&self.leaves, index, size)?;
+        if index >= size || size > self.size() {
+            return Err(AuditError::IndexOutOfRange { index, size });
+        }
+        let mut path = Vec::new();
+        self.range_path(index, 0, size, &mut path);
         Ok(InclusionProof {
             index,
             size,
@@ -512,9 +560,15 @@ impl AuditChain {
     ///
     /// # Errors
     ///
-    /// [`AuditError::BadRange`] for invalid ranges.
+    /// [`AuditError::BadRange`] unless `0 < old <= new <= self.size()`.
     pub fn prove_consistency(&self, old: u64, new: u64) -> Result<ConsistencyProof, AuditError> {
-        let path = consistency_path(&self.leaves, old, new)?;
+        if old == 0 || old > new || new > self.size() {
+            return Err(AuditError::BadRange { old, new });
+        }
+        let mut path = Vec::new();
+        if old < new {
+            self.range_subproof(old, 0, new, true, &mut path);
+        }
         Ok(ConsistencyProof {
             old_size: old,
             new_size: new,
@@ -537,11 +591,7 @@ impl AuditChain {
                 what: "checkpoint claims entries the chain never saw",
             });
         }
-        let ours = self.root_at(size).map_err(|_| AuditError::Divergence {
-            size,
-            what: "checkpoint size out of range",
-        })?;
-        if ours != *root {
+        if self.root_of(size) != *root {
             return Err(AuditError::Divergence {
                 size,
                 what: "checkpoint root does not match recomputed history",
@@ -554,6 +604,80 @@ impl AuditChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    // ---- Reference oracles: RFC 6962 straight from a leaf slice, with
+    // no stored subtrees. Every chain-served root and proof must equal
+    // these.
+
+    /// Merkle root of `leaves[lo..hi)` (RFC 6962 `MTH`).
+    fn subtree_root(leaves: &[Hash], lo: usize, hi: usize) -> Hash {
+        if hi - lo == 1 {
+            return leaves[lo];
+        }
+        let k = split_point((hi - lo) as u64) as usize;
+        node_hash(
+            &subtree_root(leaves, lo, lo + k),
+            &subtree_root(leaves, lo + k, hi),
+        )
+    }
+
+    /// Merkle root over the first `size` of `leaves`.
+    fn merkle_root(leaves: &[Hash], size: usize) -> Hash {
+        if size == 0 {
+            return sha256(b"");
+        }
+        subtree_root(leaves, 0, size)
+    }
+
+    fn subtree_path(leaves: &[Hash], index: usize, lo: usize, hi: usize, out: &mut Vec<Hash>) {
+        if hi - lo == 1 {
+            return;
+        }
+        let k = split_point((hi - lo) as u64) as usize;
+        if index < lo + k {
+            subtree_path(leaves, index, lo, lo + k, out);
+            out.push(subtree_root(leaves, lo + k, hi));
+        } else {
+            subtree_path(leaves, index, lo + k, hi, out);
+            out.push(subtree_root(leaves, lo, lo + k));
+        }
+    }
+
+    /// Inclusion path (`PATH`) for `leaves[index]` in the tree over the
+    /// first `size` leaves.
+    fn inclusion_path(leaves: &[Hash], index: usize, size: usize) -> Vec<Hash> {
+        let mut out = Vec::new();
+        subtree_path(leaves, index, 0, size, &mut out);
+        out
+    }
+
+    fn subproof(leaves: &[Hash], m: usize, lo: usize, hi: usize, whole: bool, out: &mut Vec<Hash>) {
+        let n = hi - lo;
+        if m == n {
+            if !whole {
+                out.push(subtree_root(leaves, lo, hi));
+            }
+            return;
+        }
+        let k = split_point(n as u64) as usize;
+        if m <= k {
+            subproof(leaves, m, lo, lo + k, whole, out);
+            out.push(subtree_root(leaves, lo + k, hi));
+        } else {
+            subproof(leaves, m - k, lo + k, hi, false, out);
+            out.push(subtree_root(leaves, lo, lo + k));
+        }
+    }
+
+    /// Consistency proof (`PROOF`) from the first `old` leaves to the
+    /// first `new` leaves.
+    fn consistency_path(leaves: &[Hash], old: usize, new: usize) -> Vec<Hash> {
+        let mut out = Vec::new();
+        if old < new {
+            subproof(leaves, old, 0, new, true, &mut out);
+        }
+        out
+    }
 
     fn leaves(n: usize) -> Vec<Hash> {
         (0..n).map(|i| leaf_hash(&[i as u8, 0xA5])).collect()
@@ -576,6 +700,8 @@ mod tests {
             0x78, 0x52, 0xb8, 0x55,
         ];
         assert_eq!(merkle_root(&[], 0), expect);
+        assert_eq!(AuditChain::new().root(), expect);
+        assert_eq!(AuditChain::new().root_at(0).unwrap(), expect);
     }
 
     #[test]
@@ -744,6 +870,109 @@ mod tests {
         let rebuilt = AuditChain::from_parts(c.head(), c.leaves().to_vec());
         assert_eq!(rebuilt, c);
         assert_eq!(rebuilt.root(), c.root());
+    }
+
+    /// Sampled positions in `0..n`: both ends, the middle, either side
+    /// of the largest power of two below `n`, and `random` LCG picks.
+    fn picks(n: u64, random: usize) -> Vec<u64> {
+        let mut out = vec![0, n / 2, n - 1];
+        if n >= 2 {
+            let k = split_point(n);
+            out.extend([k - 1, k.min(n - 1)]);
+        }
+        let mut x = n;
+        for _ in 0..random {
+            x = (x.wrapping_mul(48_271) + 11) % 2_147_483_647;
+            out.push(x % n);
+        }
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// Asserts that every chain serves, for the tree of `size` leaves,
+    /// the oracle's root and the oracle's inclusion and consistency
+    /// proofs at the sampled positions, and that those proofs verify
+    /// offline. The oracle is O(size) per answer, so large trees take
+    /// fewer random picks.
+    fn assert_serves_oracle(chains: &[&AuditChain], leaves: &[Hash], size: u64) {
+        let n = size as usize;
+        let root = merkle_root(leaves, n);
+        for c in chains {
+            assert_eq!(c.root_at(size).unwrap(), root, "root size={size}");
+            c.check_checkpoint(size, &root).unwrap();
+        }
+        let random = if size > 4096 { 0 } else { 3 };
+        for index in picks(size, random) {
+            let path = inclusion_path(leaves, index as usize, n);
+            assert!(verify_inclusion(
+                &leaves[index as usize],
+                index,
+                size,
+                &path,
+                &root
+            ));
+            for c in chains {
+                let p = c.prove_inclusion(index, size).unwrap();
+                assert_eq!(p.leaf, leaves[index as usize]);
+                assert_eq!(p.path, path, "inclusion size={size} index={index}");
+            }
+            let old = index + 1;
+            let path = consistency_path(leaves, old as usize, n);
+            let old_root = merkle_root(leaves, old as usize);
+            assert!(verify_consistency(old, size, &path, &old_root, &root));
+            for c in chains {
+                let p = c.prove_consistency(old, size).unwrap();
+                assert_eq!(p.path, path, "consistency old={old} new={size}");
+            }
+        }
+    }
+
+    #[test]
+    fn stored_subtrees_serve_the_oracle_at_every_small_size() {
+        let mut c = AuditChain::new();
+        for size in 1..=300u64 {
+            c.append(&[size as u8, (size >> 8) as u8, 0x5A]);
+            let rebuilt = AuditChain::from_parts(c.head(), c.leaves().to_vec());
+            assert_eq!(rebuilt, c, "size={size}");
+            assert_serves_oracle(&[&c, &rebuilt], c.leaves(), size);
+        }
+    }
+
+    #[test]
+    fn stored_subtrees_serve_the_oracle_near_powers_of_two() {
+        let top = (1u64 << 16) + 1;
+        let c = chain_of(top as usize);
+        let rebuilt = AuditChain::from_parts(c.head(), c.leaves().to_vec());
+        assert_eq!(rebuilt, c);
+        let mut sizes = vec![top - 2, top - 1, top];
+        for k in [9u32, 12] {
+            sizes.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+        }
+        for size in sizes {
+            // Historical sizes are served from the top-size chain.
+            assert_serves_oracle(&[&c, &rebuilt], c.leaves(), size);
+        }
+        // A chain rebuilt at exactly 2^16 leaves (a perfect tree).
+        let perfect = AuditChain::from_parts(c.head(), c.leaves()[..1 << 16].to_vec());
+        assert_eq!(perfect.root(), c.root_at(1 << 16).unwrap());
+        assert_eq!(perfect.levels.len(), 16);
+    }
+
+    #[test]
+    fn rollback_restores_the_exact_earlier_chain() {
+        for (at, grow) in [(0usize, 5usize), (1, 1), (7, 9), (8, 8), (13, 50), (64, 1)] {
+            let mut c = chain_of(at);
+            let mark = c.mark();
+            for i in 0..grow {
+                c.append(&[0xEE, i as u8]);
+            }
+            c.rollback(mark);
+            assert_eq!(c, chain_of(at), "at={at} grow={grow}");
+            // And it keeps growing exactly like a chain that never forked.
+            c.append(&[at as u8, 0xA5]);
+            assert_eq!(c, chain_of(at + 1), "at={at} grow={grow}");
+        }
     }
 
     #[test]

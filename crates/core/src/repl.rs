@@ -61,7 +61,7 @@ use std::time::Duration;
 
 use alidrone_obs::{Counter, Gauge, Histogram, Level, Obs};
 
-use crate::audit::AuditChain;
+use crate::audit::{AuditChain, ChainMark};
 use crate::journal::{crc32, Journal, MemBackend, Record};
 use crate::journal::{
     JournalError, ShipSource, StorageBackend, FRAME_OVERHEAD, HEADER_LEN, JOURNAL_MAGIC,
@@ -366,14 +366,43 @@ fn count_records(mut slice: &[u8]) -> u64 {
     n
 }
 
-/// Recomputes the audit chain across the raw journal bytes of one
+/// How to undo an in-place [`verify_shipped`]: the chain's size and
+/// head before the frame, plus the whole earlier chain if a shipped
+/// `Snapshot` record re-seeded it.
+struct ChainUndo {
+    mark: ChainMark,
+    reseeded: Option<AuditChain>,
+}
+
+impl ChainUndo {
+    fn new(chain: &AuditChain) -> ChainUndo {
+        ChainUndo {
+            mark: chain.mark(),
+            reseeded: None,
+        }
+    }
+
+    /// Puts `chain` back exactly as it was when this undo was taken.
+    fn restore(self, chain: &mut AuditChain) {
+        if let Some(earlier) = self.reseeded {
+            *chain = earlier;
+        }
+        chain.rollback(self.mark);
+    }
+}
+
+/// Extends `chain` in place across the raw journal bytes of one
 /// shipped frame (a leading file header is skipped; a `Snapshot` record
-/// re-seeds the chain from its audit section). Returns the extended
-/// chain on success; any structural damage, CRC mismatch, or Merkle
+/// re-seeds the chain from its audit section, stashing the earlier
+/// chain in `undo`). Any structural damage, CRC mismatch, or Merkle
 /// checkpoint that contradicts the recomputed history is a
-/// [`ReplError::ChainDivergence`].
-fn verify_shipped(chain: &AuditChain, bytes: &[u8]) -> Result<AuditChain, ReplError> {
-    let mut chain = chain.clone();
+/// [`ReplError::ChainDivergence`]; the caller then restores the chain
+/// through `undo`.
+fn verify_shipped(
+    chain: &mut AuditChain,
+    undo: &mut ChainUndo,
+    bytes: &[u8],
+) -> Result<(), ReplError> {
     let mut slice = bytes;
     if slice.len() >= HEADER_LEN && slice[..4] == JOURNAL_MAGIC.to_be_bytes() {
         slice = &slice[HEADER_LEN..];
@@ -406,14 +435,15 @@ fn verify_shipped(chain: &AuditChain, bytes: &[u8]) -> Result<AuditChain, ReplEr
             Record::Snapshot(snap) => {
                 let (restored, _) = crate::auditor::snapshot_audit_state(snap)
                     .map_err(|_| diverged("snapshot audit section undecodable"))?;
-                chain = restored;
+                let earlier = std::mem::replace(chain, restored);
+                undo.reseeded.get_or_insert(earlier);
             }
             _ if record.is_audited() => chain.append(payload),
             _ => {}
         }
         slice = &slice[FRAME_OVERHEAD + len..];
     }
-    Ok(chain)
+    Ok(())
 }
 
 // ---------------------------------------------------------------- follower
@@ -488,17 +518,23 @@ impl Follower {
                     return Ok(ReplAck::Mismatch { expected: end });
                 }
                 if !bytes.is_empty() {
-                    // Verify-before-persist: recompute the audit chain
-                    // over the shipped records and refuse divergent
-                    // history before a single byte lands in the backend.
+                    // Verify-before-persist: extend the audit chain over
+                    // the shipped records and refuse divergent history
+                    // before a single byte lands in the backend. A
+                    // refused or unpersisted frame rolls the chain back.
                     let mut chain = self.chain.lock().unwrap_or_else(|p| p.into_inner());
-                    let verified = verify_shipped(&chain, bytes).inspect_err(|_| {
-                        self.divergence.inc();
-                    })?;
-                    self.backend
-                        .append(bytes)
-                        .map_err(|e| ReplError::Storage(e.to_string()))?;
-                    *chain = verified;
+                    let mut undo = ChainUndo::new(&chain);
+                    let persisted = verify_shipped(&mut chain, &mut undo, bytes)
+                        .inspect_err(|_| self.divergence.inc())
+                        .and_then(|()| {
+                            self.backend
+                                .append(bytes)
+                                .map_err(|e| ReplError::Storage(e.to_string()))
+                        });
+                    if let Err(e) = persisted {
+                        undo.restore(&mut chain);
+                        return Err(e);
+                    }
                     self.end.store(end + bytes.len() as u64, Ordering::Release);
                     self.records
                         .fetch_add(count_records(bytes), Ordering::Relaxed);
@@ -509,9 +545,10 @@ impl Follower {
             }
             ReplFrame::Snapshot { base, image, .. } => {
                 let mut chain = self.chain.lock().unwrap_or_else(|p| p.into_inner());
-                let verified = verify_shipped(&AuditChain::new(), image).inspect_err(|_| {
-                    self.divergence.inc();
-                })?;
+                let mut verified = AuditChain::new();
+                let mut undo = ChainUndo::new(&verified);
+                verify_shipped(&mut verified, &mut undo, image)
+                    .inspect_err(|_| self.divergence.inc())?;
                 self.backend
                     .replace(image)
                     .map_err(|e| ReplError::Storage(e.to_string()))?;
@@ -1605,11 +1642,54 @@ mod tests {
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
                 base: 0,
-                image: tampered,
+                image: tampered.clone(),
             })
             .unwrap_err();
         assert!(matches!(err, ReplError::ChainDivergence { .. }), "{err}");
         assert_eq!(obs.snapshot().counter("repl.chain_divergence"), 3);
+
+        // A follower already holding the first record extends its chain
+        // in place over the tampered tail (records 2 and 3) before the
+        // checkpoint refuses it: the refusal must roll the chain back
+        // to exactly its earlier size, head and root.
+        let prefix = second;
+        victim
+            .apply(&ReplFrame::Append {
+                epoch: 1,
+                offset: 0,
+                bytes: clean[..prefix].to_vec(),
+            })
+            .unwrap();
+        let state = |f: &Follower| {
+            let chain = f.chain.lock().unwrap();
+            (chain.size(), chain.head(), chain.root())
+        };
+        let before = state(&victim);
+        assert_eq!(before.0, 1);
+        let err = victim
+            .apply(&ReplFrame::Append {
+                epoch: 1,
+                offset: prefix as u64,
+                bytes: tampered[prefix..].to_vec(),
+            })
+            .unwrap_err();
+        assert!(
+            matches!(err, ReplError::ChainDivergence { size: 3, .. }),
+            "{err}"
+        );
+        assert_eq!(state(&victim), before, "refusal left the chain moved");
+        assert_eq!(victim.acked_offset(), prefix as u64);
+        assert_eq!(obs.snapshot().counter("repl.chain_divergence"), 4);
+        // The honest tail then lands on the restored chain.
+        victim
+            .apply(&ReplFrame::Append {
+                epoch: 1,
+                offset: prefix as u64,
+                bytes: clean[prefix..].to_vec(),
+            })
+            .unwrap();
+        assert_eq!(state(&victim), state(&honest));
+        assert_eq!(victim.image().unwrap(), clean);
     }
 
     #[test]
