@@ -1,7 +1,7 @@
 //! The persistent PoA performance baseline runner.
 //!
 //! Measures a fixed list of protocol-critical operations — RSA
-//! sign/verify, end-to-end PoA verification, zone queries over the wire
+//! sign/verify, one drone-side TEE sample, end-to-end PoA verification, zone queries over the wire
 //! codec, journal appends, a real loopback TCP round trip, the metrics
 //! exporter — and writes the quantiles to a schema-versioned
 //! `BENCH_poa.json` (see [`alidrone_bench::baseline`]). A committed
@@ -19,9 +19,9 @@
 //! time. `--gate PREFIX,...` narrows which cases can fail the diff:
 //! regressions in matching cases exit non-zero, the rest print as
 //! advisory. CI uses a reduced sample count and gates only the
-//! CPU-bound cases (`rsa_verify_*`, `poa_verify_e2e_50`,
-//! `merkle_proof_*`), which stay stable on shared runners; the
-//! I/O-heavy cases remain advisory.
+//! CPU-bound cases (`rsa_sign_*`, `rsa_verify_*`, `tee_sample_*`,
+//! `poa_verify_e2e_50`, `merkle_proof_*`), which stay stable on shared
+//! runners; the I/O-heavy cases remain advisory.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -41,9 +41,11 @@ use alidrone_core::{
     Auditor, AuditorConfig, DroneId, PoaSubmission, ProofOfAlibi, Submission, ZoneQuery,
 };
 use alidrone_crypto::rsa::HashAlg;
-use alidrone_geo::{Distance, GeoPoint, GpsSample, NoFlyZone, Timestamp};
+use alidrone_geo::trajectory::TrajectoryBuilder;
+use alidrone_geo::{Distance, GeoPoint, GpsSample, NoFlyZone, Speed, Timestamp};
+use alidrone_gps::{SimClock, SimulatedReceiver};
 use alidrone_obs::{prometheus_text, Obs, ToJson};
-use alidrone_tee::SignedSample;
+use alidrone_tee::{SecureWorldBuilder, SignedSample, TeeSession, GPS_SAMPLER_UUID};
 
 /// Default measurement samples per case (CI overrides this down).
 const DEFAULT_SAMPLES: usize = 20;
@@ -72,6 +74,29 @@ fn signed_trace(n: usize) -> ProofOfAlibi {
             SignedSample::from_parts(s, sig, HashAlg::Sha1)
         })
         .collect()
+}
+
+/// A GPS Sampler session over a secure world holding the cached bench
+/// key, reading a receiver with a fix on a 30 mph eastbound track.
+fn tee_session(bits: usize) -> (SimClock, TeeSession) {
+    let end = origin().destination(90.0, Distance::from_km(100.0));
+    let track = TrajectoryBuilder::start_at(origin())
+        .travel_to(end, Speed::from_mph(30.0))
+        .build()
+        .expect("bench trajectory");
+    let clock = SimClock::new();
+    let receiver = SimulatedReceiver::from_trajectory(track, clock.clone(), 5.0);
+    let world = SecureWorldBuilder::new()
+        .with_sign_key(bench_key(bits).clone())
+        .with_gps_device(Box::new(receiver))
+        .build()
+        .expect("bench secure world");
+    clock.advance(alidrone_geo::Duration::from_secs(1.0));
+    let session = world
+        .client()
+        .open_session(GPS_SAMPLER_UUID)
+        .expect("GPS Sampler session");
+    (clock, session)
 }
 
 fn case_from(name: &str, b: &Bencher) -> BenchCase {
@@ -127,10 +152,12 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
 
     // --- RSA primitives: the per-sample cost floor of the protocol.
     let msg = b"alidrone bench message: one GPS sample's signing payload";
-    run("rsa_sign_1024", &mut |b| {
-        let key = bench_key(1024);
-        b.iter(|| key.sign(msg, HashAlg::Sha1).expect("sign"));
-    });
+    for bits in [1024usize, 2048] {
+        run(&format!("rsa_sign_{bits}"), &mut |b| {
+            let key = bench_key(bits);
+            b.iter(|| key.sign(msg, HashAlg::Sha1).expect("sign"));
+        });
+    }
     for bits in [1024usize, 2048] {
         run(&format!("rsa_verify_{bits}"), &mut |b| {
             let key = bench_key(bits);
@@ -140,6 +167,18 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
                     .verify(msg, &sig, HashAlg::Sha1)
                     .expect("verify")
             });
+        });
+    }
+
+    // --- One drone-side sample: `GetGPSAuth` through the modelled
+    // secure world (world switch in, driver read, NMEA parse, sign,
+    // world switch out). The default cost model only keeps accounts,
+    // it never sleeps, so this is the wall-clock unit behind the drone
+    // side's per-sample latency.
+    for bits in [1024usize, 2048] {
+        run(&format!("tee_sample_{bits}"), &mut |b| {
+            let (_clock, session) = tee_session(bits);
+            b.iter(|| session.get_gps_auth().expect("GetGPSAuth"));
         });
     }
 

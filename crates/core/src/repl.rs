@@ -32,7 +32,7 @@
 //! Every shipped frame carries the primary's leadership epoch.
 //! Promotion fences the old epoch: the designated follower's epoch is
 //! bumped first, the recovered auditor appends a
-//! [`Record::Epoch`](crate::journal::Record::Epoch)
+//! [`Record::Epoch`]
 //! boundary (shipped to the remaining followers immediately), and from
 //! then on any frame from the deposed primary is answered with
 //! [`ReplAck::Stale`] — surfaced to it as [`ReplError::StaleEpoch`],

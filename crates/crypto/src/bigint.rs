@@ -412,9 +412,10 @@ impl BigUint {
 
     /// `self^exp mod m`.
     ///
-    /// Odd moduli (every RSA modulus and RSA prime) take the Montgomery
-    /// fast path via a one-shot [`MontgomeryContext`]; even moduli fall
-    /// back to [`mod_pow_classic`](Self::mod_pow_classic). Callers that
+    /// Odd moduli up to [`MontgomeryContext::MAX_BITS`] (every RSA
+    /// modulus and RSA prime) take the Montgomery fast path via a
+    /// one-shot [`MontgomeryContext`]; even or wider moduli fall back to
+    /// [`mod_pow_classic`](Self::mod_pow_classic). Callers that
     /// exponentiate repeatedly under the same modulus should build the
     /// context once and call [`MontgomeryContext::mod_pow`] directly.
     ///
@@ -532,12 +533,16 @@ fn signed_sub(a: &(BigUint, bool), b: &(BigUint, bool)) -> (BigUint, bool) {
 /// modulus, amortised across every multiplication and exponentiation
 /// under that modulus.
 ///
-/// With `R = 2^(32·k)` for `k` limbs of `n`, the context holds
-/// `n' = -n⁻¹ mod 2³²`, `R² mod n` (to enter the domain with one
-/// Montgomery multiplication) and `R mod n` (the domain image of 1).
-/// Reduction is word-level CIOS (Koç et al.), replacing the Knuth
-/// division in [`BigUint::mul_mod`] with shift-free carry chains — the
-/// difference between the classic and fast RSA verify paths.
+/// The modulus is zero-padded to the smallest kernel width of
+/// `K ∈ {4, 8, 16, 32, 64}` 64-bit words that holds it, and
+/// `R = 2^(64·K)`. The context holds `n' = -n⁻¹ mod 2⁶⁴` and `R² mod n`
+/// (to enter the domain with one Montgomery multiplication) at that
+/// width. Every product, squarings included, runs through one
+/// word-serial kernel monomorphised over `K` on `[u64; K]` stack arrays:
+/// the exponentiation ladder, its window table and its temporaries
+/// never touch the heap. The paper's key sizes fill a width exactly (a
+/// 1024-bit key's CRT primes are 8 words, its modulus 16, a 2048-bit
+/// modulus 32).
 ///
 /// Build one per key ([`crate::rsa::RsaVerifier`] does) and reuse it;
 /// [`BigUint::mod_pow`] builds a throwaway context per call, which still
@@ -546,51 +551,58 @@ fn signed_sub(a: &(BigUint, bool), b: &(BigUint, bool)) -> (BigUint, bool) {
 pub struct MontgomeryContext {
     /// The modulus.
     n: BigUint,
-    /// `n` as little-endian 64-bit words, exactly `k` of them (the top
-    /// word may be zero-extended when `n` has an odd number of 32-bit
-    /// limbs). Reduction runs at native word width — this is where the
-    /// speedup over 32-bit limbed division comes from.
-    n_words: Vec<u64>,
-    /// `-n⁻¹ mod 2⁶⁴`.
-    n0_inv: u64,
-    /// `R² mod n`, used to map values into the Montgomery domain.
-    r2: Vec<u64>,
-    /// `R mod n`: the Montgomery form of 1.
-    one: Vec<u64>,
+    /// The kernel parameters at the modulus's width.
+    kernel: Kernel,
+}
+
+/// One variant per kernel width. Boxed so a context stays pointer-sized
+/// whatever its width (the 64-word parameters alone are 1.5 KiB).
+#[derive(Clone, Debug)]
+enum Kernel {
+    W4(Box<Mont<4>>),
+    W8(Box<Mont<8>>),
+    W16(Box<Mont<16>>),
+    W32(Box<Mont<32>>),
+    W64(Box<Mont<64>>),
+}
+
+/// Runs `$body` with `$m` bound to the context's fixed-width kernel.
+macro_rules! with_kernel {
+    ($kernel:expr, $m:ident => $body:expr) => {
+        match $kernel {
+            Kernel::W4($m) => $body,
+            Kernel::W8($m) => $body,
+            Kernel::W16($m) => $body,
+            Kernel::W32($m) => $body,
+            Kernel::W64($m) => $body,
+        }
+    };
 }
 
 impl MontgomeryContext {
-    /// Builds a context for `m`, or `None` when `m` is even or `< 3`
-    /// (Montgomery reduction requires an odd modulus; callers fall back
-    /// to [`BigUint::mod_pow_classic`]).
+    /// The widest modulus a context accepts: the 64-word kernel.
+    pub const MAX_BITS: usize = 64 * 64;
+
+    /// Builds a context for `m`, or `None` when `m` is even, `< 3` or
+    /// wider than [`MAX_BITS`](Self::MAX_BITS) (Montgomery reduction
+    /// requires an odd modulus; callers fall back to
+    /// [`BigUint::mod_pow_classic`]).
     pub fn new(m: &BigUint) -> Option<Self> {
-        if m.is_even() || m.is_one() || m.is_zero() {
+        if m.is_even() || m.is_one() {
             return None;
         }
-        let n_words = to_words(m);
-        let k = n_words.len();
-        // n' = -n^{-1} mod 2^64 via Newton–Hensel lifting on the low
-        // word: inv *= 2 - n0*inv doubles the valid bit count each step.
-        let n0 = n_words[0];
-        let mut inv: u64 = 1;
-        for _ in 0..6 {
-            inv = inv.wrapping_mul(2u64.wrapping_sub(n0.wrapping_mul(inv)));
-        }
-        let n0_inv = inv.wrapping_neg();
-        // R² mod n costs one shift + one division (R is a power of two);
-        // R mod n then falls out of a reduction pass: REDC(R²) = R mod n.
-        let r2 = pad_words(&BigUint::one().shl(128 * k).rem(m), k);
-        let mut ctx = MontgomeryContext {
-            n: m.clone(),
-            n_words,
-            n0_inv,
-            r2,
-            one: Vec::new(),
+        let kernel = match m.bits().div_ceil(64) {
+            0..=4 => Kernel::W4(Box::new(Mont::new(m))),
+            5..=8 => Kernel::W8(Box::new(Mont::new(m))),
+            9..=16 => Kernel::W16(Box::new(Mont::new(m))),
+            17..=32 => Kernel::W32(Box::new(Mont::new(m))),
+            33..=64 => Kernel::W64(Box::new(Mont::new(m))),
+            _ => return None,
         };
-        let mut wide = ctx.r2.clone();
-        wide.resize(2 * k + 1, 0);
-        ctx.one = ctx.mont_reduce(wide);
-        Some(ctx)
+        Some(MontgomeryContext {
+            n: m.clone(),
+            kernel,
+        })
     }
 
     /// The modulus this context reduces by.
@@ -598,178 +610,150 @@ impl MontgomeryContext {
         &self.n
     }
 
-    /// CIOS Montgomery multiplication: returns `a·b·R⁻¹ mod n` for
-    /// `a`, `b` already padded to `k` words and `< n`.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.n_words.len();
-        let mut t = vec![0u64; k + 2];
-        for &ai in a.iter().take(k) {
-            let ai = ai as u128;
-            let mut carry: u128 = 0;
-            for (tj, &bj) in t[..k].iter_mut().zip(b) {
-                let s = *tj as u128 + ai * bj as u128 + carry;
-                *tj = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k] = s as u64;
-            t[k + 1] = (s >> 64) as u64;
-
-            let m = t[0].wrapping_mul(self.n0_inv) as u128;
-            let s = t[0] as u128 + m * self.n_words[0] as u128;
-            let mut carry = s >> 64;
-            for j in 1..k {
-                let s = t[j] as u128 + m * self.n_words[j] as u128 + carry;
-                t[j - 1] = s as u64;
-                carry = s >> 64;
-            }
-            let s = t[k] as u128 + carry;
-            t[k - 1] = s as u64;
-            t[k] = t[k + 1].wrapping_add((s >> 64) as u64);
-            t[k + 1] = 0;
-        }
-        // t < 2n here; one conditional subtraction restores t < n.
-        if t[k] != 0 || cmp_words(&t[..k], &self.n_words) != Ordering::Less {
-            sub_words_in_place(&mut t, &self.n_words);
-        }
-        t.truncate(k);
-        t
-    }
-
-    /// Montgomery squaring: returns `a²·R⁻¹ mod n`. Schoolbook squaring
-    /// computes each off-diagonal product once and doubles, then a
-    /// separate Montgomery reduction pass folds the 2k-word square —
-    /// ~25% fewer word multiplies than [`mont_mul`](Self::mont_mul),
-    /// and squarings dominate every exponentiation ladder.
-    fn mont_sqr(&self, a: &[u64]) -> Vec<u64> {
-        let k = self.n_words.len();
-        let mut t = vec![0u64; 2 * k + 1];
-        // Off-diagonal products, each computed once.
-        for i in 0..k {
-            let ai = a[i] as u128;
-            let mut carry: u128 = 0;
-            for j in i + 1..k {
-                let s = t[i + j] as u128 + ai * a[j] as u128 + carry;
-                t[i + j] = s as u64;
-                carry = s >> 64;
-            }
-            t[i + k] = carry as u64;
-        }
-        // Double, then add the diagonal squares.
-        let mut carry: u64 = 0;
-        for w in t.iter_mut().take(2 * k) {
-            let new_carry = *w >> 63;
-            *w = (*w << 1) | carry;
-            carry = new_carry;
-        }
-        let mut carry: u128 = 0;
-        for i in 0..k {
-            let sq = (a[i] as u128) * (a[i] as u128);
-            let s = t[2 * i] as u128 + (sq as u64) as u128 + carry;
-            t[2 * i] = s as u64;
-            let s2 = t[2 * i + 1] as u128 + ((sq >> 64) as u64) as u128 + (s >> 64);
-            t[2 * i + 1] = s2 as u64;
-            carry = s2 >> 64;
-        }
-        if carry > 0 {
-            t[2 * k] = t[2 * k].wrapping_add(carry as u64);
-        }
-        self.mont_reduce(t)
-    }
-
-    /// Folds a 2k-word (plus top carry word) value `t < n·R` down to
-    /// `t·R⁻¹ mod n` in `k` words.
-    fn mont_reduce(&self, mut t: Vec<u64>) -> Vec<u64> {
-        let k = self.n_words.len();
-        debug_assert_eq!(t.len(), 2 * k + 1);
-        for i in 0..k {
-            let m = t[i].wrapping_mul(self.n0_inv) as u128;
-            let mut carry: u128 = 0;
-            for (j, &nj) in self.n_words.iter().enumerate() {
-                let s = t[i + j] as u128 + m * nj as u128 + carry;
-                t[i + j] = s as u64;
-                carry = s >> 64;
-            }
-            let mut idx = i + k;
-            while carry > 0 {
-                let s = t[idx] as u128 + carry;
-                t[idx] = s as u64;
-                carry = s >> 64;
-                idx += 1;
-            }
-        }
-        // Result sits in t[k..=2k]; one conditional subtraction.
-        if t[2 * k] != 0 || cmp_words(&t[k..2 * k], &self.n_words) != Ordering::Less {
-            sub_words_in_place(&mut t[k..], &self.n_words);
-        }
-        t.drain(..k);
-        t.truncate(k);
-        t
-    }
-
-    /// Maps `x` (any magnitude) into the Montgomery domain.
-    fn to_mont(&self, x: &BigUint) -> Vec<u64> {
-        let k = self.n_words.len();
-        let reduced = if x.cmp_val(&self.n) == Ordering::Less {
-            x.clone()
-        } else {
-            x.rem(&self.n)
-        };
-        self.mont_mul(&pad_words(&reduced, k), &self.r2)
-    }
-
-    /// Maps a Montgomery-domain value back to the ordinary domain via a
-    /// bare reduction pass (half the multiplies of a `mont_mul` by 1).
-    /// The inverse of [`to_mont`](Self::to_mont).
-    fn mont_to_uint(&self, x: &[u64]) -> BigUint {
-        let k = self.n_words.len();
-        let mut wide = x.to_vec();
-        wide.resize(2 * k + 1, 0);
-        from_words(&self.mont_reduce(wide))
-    }
-
     /// `(a · b) mod n` through the Montgomery domain.
     pub fn mul_mod(&self, a: &BigUint, b: &BigUint) -> BigUint {
-        let am = self.to_mont(a);
-        let bm = self.to_mont(b);
-        self.mont_to_uint(&self.mont_mul(&am, &bm))
+        with_kernel!(&self.kernel, m => m.mul_mod(a, b, &self.n))
     }
 
     /// `base^exp mod n` by fixed-window exponentiation in the Montgomery
     /// domain. Matches [`BigUint::mod_pow_classic`] bit for bit on every
     /// input (property-tested), including `exp = 0 → 1` and base ≥ n.
     pub fn mod_pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        with_kernel!(&self.kernel, m => m.mod_pow(base, exp, &self.n))
+    }
+}
+
+/// The widest exponentiation window, sizing the ladder's stack table.
+const MAX_WINDOW: usize = 5;
+
+/// Montgomery parameters for a modulus zero-padded to `K` words.
+#[derive(Clone, Debug)]
+struct Mont<const K: usize> {
+    /// The modulus as little-endian words.
+    n: [u64; K],
+    /// `-n⁻¹ mod 2⁶⁴`.
+    n0_inv: u64,
+    /// `R² mod n`, used to map values into the Montgomery domain.
+    r2: [u64; K],
+}
+
+impl<const K: usize> Mont<K> {
+    /// Parameters for an odd `m ≥ 3` of at most `K` words.
+    fn new(m: &BigUint) -> Self {
+        let n = load::<K>(m);
+        // n' = -n^{-1} mod 2^64 via Newton–Hensel lifting on the low
+        // word: inv *= 2 - n0*inv doubles the valid bit count each step.
+        let mut inv: u64 = 1;
+        for _ in 0..6 {
+            inv = inv.wrapping_mul(2u64.wrapping_sub(n[0].wrapping_mul(inv)));
+        }
+        // R² mod n costs one shift + one division (R is a power of two).
+        Mont {
+            n,
+            n0_inv: inv.wrapping_neg(),
+            r2: load(&BigUint::one().shl(128 * K).rem(m)),
+        }
+    }
+
+    /// Montgomery multiplication `a·b·R⁻¹ mod n` for `a`, `b < n`: the
+    /// CIOS method of Koç, Acar and Kaliski (IEEE Micro 1996) with its
+    /// multiply and reduce inner loops fused into one pass (their FIOS),
+    /// which measured faster than the two-loop form at 32 words.
+    fn mul(&self, a: &[u64; K], b: &[u64; K]) -> [u64; K] {
+        let n = &self.n;
+        // t[0..K] plus one overflow word t_k; t < 2n throughout.
+        let mut t = [0u64; K];
+        let mut t_k: u64 = 0;
+        for &ai in a {
+            // One pass per word of a: add ai·b, pick m so the low word
+            // of t + ai·b + m·n cancels, and shift down one word, with
+            // the product and reduction carries chained side by side.
+            let ai = ai as u128;
+            let s = t[0] as u128 + ai * b[0] as u128;
+            let mut carry = (s >> 64) as u64;
+            let m = (s as u64).wrapping_mul(self.n0_inv) as u128;
+            let r = (s as u64) as u128 + m * n[0] as u128;
+            let mut red_carry = (r >> 64) as u64;
+            for j in 1..K {
+                let s = t[j] as u128 + ai * b[j] as u128 + carry as u128;
+                carry = (s >> 64) as u64;
+                let r = (s as u64) as u128 + m * n[j] as u128 + red_carry as u128;
+                red_carry = (r >> 64) as u64;
+                t[j - 1] = r as u64;
+            }
+            let s = t_k as u128 + carry as u128 + red_carry as u128;
+            t[K - 1] = s as u64;
+            t_k = (s >> 64) as u64;
+        }
+        // t < 2n here; one conditional subtraction restores t < n.
+        if t_k != 0 || !less_than(&t, n) {
+            let mut borrow = false;
+            for (tj, &nj) in t.iter_mut().zip(n) {
+                let (d1, b1) = tj.overflowing_sub(nj);
+                let (d2, b2) = d1.overflowing_sub(borrow as u64);
+                *tj = d2;
+                borrow = b1 || b2;
+            }
+        }
+        t
+    }
+
+    /// Maps `x` (any magnitude) into the Montgomery domain.
+    fn to_mont(&self, x: &BigUint, modulus: &BigUint) -> [u64; K] {
+        let words = if x.cmp_val(modulus) == Ordering::Less {
+            load(x)
+        } else {
+            load(&x.rem(modulus))
+        };
+        self.mul(&words, &self.r2)
+    }
+
+    /// Maps a Montgomery-domain value back to the ordinary domain: one
+    /// product by 1 strips the factor R.
+    fn mont_to_uint(&self, x: &[u64; K]) -> BigUint {
+        let mut one = [0; K];
+        one[0] = 1;
+        from_words(&self.mul(x, &one))
+    }
+
+    fn mul_mod(&self, a: &BigUint, b: &BigUint, modulus: &BigUint) -> BigUint {
+        let am = self.to_mont(a, modulus);
+        let bm = self.to_mont(b, modulus);
+        self.mont_to_uint(&self.mul(&am, &bm))
+    }
+
+    fn mod_pow(&self, base: &BigUint, exp: &BigUint, modulus: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one();
         }
         let bits = exp.bits();
-        let base_m = self.to_mont(base);
+        let base_m = self.to_mont(base, modulus);
         // Window width: the 2^w-entry table must amortise over bits/w
         // multiplies. Small exponents (RSA e = 65537) stay at w = 1 —
         // plain square-and-multiply beats paying for a table.
         let w = match bits {
             0..=96 => 1,
             97..=512 => 4,
-            _ => 5,
+            _ => MAX_WINDOW,
         };
         if w == 1 {
             // Seed from the (always-set) top bit: no squarings of 1.
-            let mut acc = base_m.clone();
+            let mut acc = base_m;
             for i in (0..bits - 1).rev() {
-                acc = self.mont_sqr(&acc);
+                acc = self.mul(&acc, &acc);
                 if exp.bit(i) {
-                    acc = self.mont_mul(&acc, &base_m);
+                    acc = self.mul(&acc, &base_m);
                 }
             }
             return self.mont_to_uint(&acc);
         }
-        // table[i] = base^i in Montgomery form, i in 0..2^w.
-        let mut table = Vec::with_capacity(1 << w);
-        table.push(self.one.clone());
-        table.push(base_m);
+        // table[i] = base^i in Montgomery form, i in 1..2^w. table[0]
+        // is never read: the first window holds the exponent's set top
+        // bit, and a zero window skips its multiply.
+        let mut table = [[0u64; K]; 1 << MAX_WINDOW];
+        table[1] = base_m;
         for i in 2..(1usize << w) {
-            let prev = self.mont_mul(&table[i - 1], &table[1]);
-            table.push(prev);
+            table[i] = self.mul(&table[i - 1], &base_m);
         }
         // Seed the accumulator from the first window instead of
         // squaring 1 up to it.
@@ -780,30 +764,30 @@ impl MontgomeryContext {
             i -= 1;
             window = (window << 1) | exp.bit(i) as usize;
         }
-        let mut acc = table[window].clone();
+        let mut acc = table[window];
         while i > 0 {
             let take = w.min(i);
             let mut window = 0usize;
             for _ in 0..take {
                 i -= 1;
-                acc = self.mont_sqr(&acc);
+                acc = self.mul(&acc, &acc);
                 window = (window << 1) | exp.bit(i) as usize;
             }
             if window != 0 {
-                acc = self.mont_mul(&acc, &table[window]);
+                acc = self.mul(&acc, &table[window]);
             }
         }
         self.mont_to_uint(&acc)
     }
 }
 
-/// `x` as little-endian 64-bit words (two 32-bit limbs each).
-fn to_words(x: &BigUint) -> Vec<u64> {
-    let mut out = Vec::with_capacity(x.limbs.len().div_ceil(2));
-    for pair in x.limbs.chunks(2) {
-        let lo = pair[0] as u64;
-        let hi = *pair.get(1).unwrap_or(&0) as u64;
-        out.push(lo | (hi << 32));
+/// `x` as `K` little-endian 64-bit words (two 32-bit limbs each),
+/// zero-padded. `x` must fit in `K` words.
+fn load<const K: usize>(x: &BigUint) -> [u64; K] {
+    debug_assert!(x.limbs.len() <= 2 * K, "value wider than the kernel");
+    let mut out = [0; K];
+    for (word, pair) in out.iter_mut().zip(x.limbs.chunks(2)) {
+        *word = pair[0] as u64 | (*pair.get(1).unwrap_or(&0) as u64) << 32;
     }
     out
 }
@@ -820,34 +804,14 @@ fn from_words(words: &[u64]) -> BigUint {
     r
 }
 
-/// `x`'s 64-bit words padded with high zeros to exactly `k` words.
-fn pad_words(x: &BigUint, k: usize) -> Vec<u64> {
-    let mut out = to_words(x);
-    out.resize(k, 0);
-    out
-}
-
-/// Compares two equal-length little-endian word slices.
-fn cmp_words(a: &[u64], b: &[u64]) -> Ordering {
-    for i in (0..a.len()).rev() {
-        match a[i].cmp(&b[i]) {
-            Ordering::Equal => continue,
-            ord => return ord,
+/// `a < b` over equal-width little-endian words.
+fn less_than<const K: usize>(a: &[u64; K], b: &[u64; K]) -> bool {
+    for i in (0..K).rev() {
+        if a[i] != b[i] {
+            return a[i] < b[i];
         }
     }
-    Ordering::Equal
-}
-
-/// `a -= b` in place over the low `b.len()` words, borrowing into the
-/// words above.
-fn sub_words_in_place(a: &mut [u64], b: &[u64]) {
-    let mut borrow = false;
-    for (i, word) in a.iter_mut().enumerate() {
-        let (d1, b1) = word.overflowing_sub(*b.get(i).unwrap_or(&0));
-        let (d2, b2) = d1.overflowing_sub(borrow as u64);
-        *word = d2;
-        borrow = b1 || b2;
-    }
+    false
 }
 
 impl fmt::Debug for BigUint {
@@ -1160,24 +1124,42 @@ mod tests {
         m
     }
 
+    /// Modulus word counts covering every kernel width: each width's
+    /// exact fit, and the counts just past one (padded up to the next).
+    const WORD_COUNTS: [usize; 12] = [1, 3, 4, 5, 8, 9, 16, 17, 31, 32, 33, 64];
+
+    /// The narrowest and the widest modulus size of `words` 64-bit words.
+    fn bit_sizes(words: usize) -> [usize; 2] {
+        [64 * (words - 1) + 2, 64 * words]
+    }
+
     #[test]
     fn montgomery_rejects_even_and_tiny_moduli() {
         assert!(MontgomeryContext::new(&BigUint::zero()).is_none());
         assert!(MontgomeryContext::new(&BigUint::one()).is_none());
         assert!(MontgomeryContext::new(&b(10)).is_none());
         assert!(MontgomeryContext::new(&b(3)).is_some());
+        // Wider than the 64-word kernel: no context.
+        let widest = BigUint::one()
+            .shl(MontgomeryContext::MAX_BITS)
+            .sub(&BigUint::one());
+        assert!(MontgomeryContext::new(&widest).is_some());
+        assert!(MontgomeryContext::new(&widest.shl(1).add(&BigUint::one())).is_none());
     }
 
     #[test]
     fn montgomery_mul_mod_matches_division() {
         let mut rng = XorShift64::seed_from_u64(11);
-        for bits in [32usize, 64, 96, 256, 1024] {
-            let m = random_odd_modulus(&mut rng, bits);
-            let ctx = MontgomeryContext::new(&m).expect("odd modulus");
-            for _ in 0..8 {
-                let a = random_bits(&mut rng, bits + 17);
-                let c = random_bits(&mut rng, bits / 2 + 1);
-                assert_eq!(ctx.mul_mod(&a, &c), a.mul_mod(&c, &m), "bits={bits}");
+        for words in WORD_COUNTS {
+            for bits in bit_sizes(words) {
+                let m = random_odd_modulus(&mut rng, bits);
+                let ctx = MontgomeryContext::new(&m).expect("odd modulus");
+                for _ in 0..4 {
+                    // Operands at and above the modulus width.
+                    let a = random_bits(&mut rng, bits + 17);
+                    let c = random_bits(&mut rng, bits);
+                    assert_eq!(ctx.mul_mod(&a, &c), a.mul(&c).rem(&m), "bits={bits}");
+                }
             }
         }
     }
@@ -1185,16 +1167,29 @@ mod tests {
     #[test]
     fn mod_pow_montgomery_matches_classic_random() {
         let mut rng = XorShift64::seed_from_u64(22);
-        for bits in [33usize, 64, 160, 256] {
-            let m = random_odd_modulus(&mut rng, bits);
-            for _ in 0..4 {
-                let base = random_bits(&mut rng, bits + 9);
-                let exp = random_bits(&mut rng, bits);
-                assert_eq!(
-                    base.mod_pow(&exp, &m),
-                    base.mod_pow_classic(&exp, &m),
-                    "bits={bits}"
-                );
+        for words in WORD_COUNTS {
+            for bits in bit_sizes(words) {
+                let m = random_odd_modulus(&mut rng, bits);
+                let ctx = MontgomeryContext::new(&m).expect("odd modulus");
+                // Every window width: 0 and 1 (no squarings), the small
+                // and RSA public exponents (w = 1), and a random
+                // full-width exponent (the widest window).
+                let exps = [
+                    BigUint::zero(),
+                    BigUint::one(),
+                    b(2),
+                    b(65537),
+                    random_bits(&mut rng, bits),
+                ];
+                for exp in exps {
+                    // Bases at or above the modulus.
+                    let base = random_bits(&mut rng, bits + 9);
+                    assert_eq!(
+                        ctx.mod_pow(&base, &exp),
+                        base.mod_pow_classic(&exp, &m),
+                        "bits={bits} exp={exp}"
+                    );
+                }
             }
         }
     }
@@ -1250,6 +1245,15 @@ mod tests {
         let m = b(4096);
         assert_eq!(b(3).mod_pow(&b(5), &m), b(3).mod_pow_classic(&b(5), &m));
         assert_eq!(b(3).mod_pow_classic(&b(5), &m), b(243));
+        // So must an odd modulus wider than the widest kernel.
+        let wide = BigUint::one()
+            .shl(MontgomeryContext::MAX_BITS + 1)
+            .add(&b(1));
+        let base = BigUint::one().shl(3000).add(&b(12345));
+        assert_eq!(
+            base.mod_pow(&b(65537), &wide),
+            base.mod_pow_classic(&b(65537), &wide)
+        );
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //!   division, modular inverse) with a Montgomery fast path for modular
 //!   exponentiation: [`bigint::MontgomeryContext`] precomputes the
 //!   domain parameters per modulus and runs a fixed-window ladder over
-//!   64-bit CIOS multiplication and dedicated squaring.
+//!   one allocation-free 64-bit CIOS kernel, fixed at the modulus's
+//!   width of 4 to 64 words.
 //! * [`prime`] — Miller–Rabin testing and RSA prime generation.
 //! * [`rsa`] — RSASSA-PKCS1-v1.5 (SHA-1/SHA-256) and RSAES-PKCS1-v1.5,
 //!   with [`rsa::RsaVerifier`] holding the per-key precomputation for

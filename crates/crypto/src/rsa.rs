@@ -10,7 +10,6 @@
 //! also what real TEE crypto stacks do; this matters for the benchmarks
 //! because CRT makes the 2048-bit/1024-bit signing cost ratio realistic.
 
-use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::rng::Rng;
@@ -72,16 +71,23 @@ impl RsaPublicKey {
     ///
     /// # Errors
     ///
-    /// Returns [`CryptoError::InvalidKey`] for a zero or even modulus
-    /// (an RSA modulus is a product of odd primes; rejecting even `n`
-    /// here also guarantees the Montgomery fast path applies to every
-    /// wire-supplied key) or an exponent less than 3.
+    /// Returns [`CryptoError::InvalidKey`] for a zero, one or even
+    /// modulus (an RSA modulus is a product of odd primes), a modulus
+    /// wider than [`MontgomeryContext::MAX_BITS`], or an exponent less
+    /// than 3. Together these guarantee the Montgomery kernel applies to
+    /// every wire-supplied key.
     pub fn new(n: BigUint, e: BigUint) -> Result<Self, CryptoError> {
         if n.is_zero() {
             return Err(CryptoError::InvalidKey("zero modulus"));
         }
+        if n.is_one() {
+            return Err(CryptoError::InvalidKey("modulus of one"));
+        }
         if n.is_even() {
             return Err(CryptoError::InvalidKey("even modulus"));
+        }
+        if n.bits() > MontgomeryContext::MAX_BITS {
+            return Err(CryptoError::InvalidKey("modulus wider than 4096 bits"));
         }
         if e < BigUint::from_u64(3) {
             return Err(CryptoError::InvalidKey("public exponent below 3"));
@@ -166,61 +172,30 @@ impl RsaPublicKey {
     }
 }
 
-/// How many prepared contexts each thread's modulus cache retains.
-const CTX_CACHE_CAP: usize = 8;
-
-/// Per-thread MRU cache of prepared Montgomery contexts, keyed by
-/// modulus. One-shot verifies that repeat a key without holding an
-/// [`RsaVerifier`] hit this instead of re-deriving `R² mod n` per call;
-/// thread-local storage keeps the hit path lock-free. Returns `None`
-/// for an even modulus (no Montgomery context exists), without caching
-/// the miss.
-fn cached_context(n: &BigUint) -> Option<Arc<MontgomeryContext>> {
-    thread_local! {
-        static CTX_CACHE: RefCell<Vec<Arc<MontgomeryContext>>> =
-            const { RefCell::new(Vec::new()) };
-    }
-    CTX_CACHE.with(|cache| {
-        let mut cache = cache.borrow_mut();
-        if let Some(i) = cache.iter().position(|c| c.modulus() == n) {
-            let ctx = cache.remove(i);
-            cache.push(Arc::clone(&ctx));
-            return Some(ctx);
-        }
-        let ctx = Arc::new(MontgomeryContext::new(n)?);
-        if cache.len() == CTX_CACHE_CAP {
-            cache.remove(0);
-        }
-        cache.push(Arc::clone(&ctx));
-        Some(ctx)
-    })
-}
-
 /// A verification context with per-key precomputation done once.
 ///
-/// Holds the Montgomery parameters (`n' = -n⁻¹ mod 2⁶⁴`, `R² mod n`,
-/// `R mod n`) for the key's modulus plus a stable key fingerprint, so
+/// Holds the Montgomery parameters (`n' = -n⁻¹ mod 2⁶⁴`, `R² mod n`)
+/// for the key's modulus plus a stable key fingerprint, so
 /// repeated verifies under the same key skip both the parameter setup
 /// and every Knuth division the classic path pays per multiplication.
 /// This is the type registration records and long-lived services should
-/// hold; [`RsaPublicKey::verify`] builds a throwaway one per call
-/// (softened by a small per-thread context cache for repeated keys).
+/// hold; [`RsaPublicKey::verify`] builds a throwaway one per call.
 #[derive(Debug, Clone)]
 pub struct RsaVerifier {
     key: RsaPublicKey,
-    /// `None` only for a (never-valid-RSA) even modulus, which falls
-    /// back to the classic exponentiation path.
-    ctx: Option<Arc<MontgomeryContext>>,
+    ctx: Arc<MontgomeryContext>,
     /// Computed on first use so one-shot verifies never pay for it.
     fingerprint: std::sync::OnceLock<[u8; 32]>,
 }
 
 impl RsaVerifier {
     /// Prepares a verifier for `key`, computing the Montgomery
-    /// parameters once (or adopting this thread's cached copy).
+    /// parameters once.
     pub fn new(key: RsaPublicKey) -> Self {
+        let ctx = MontgomeryContext::new(&key.n)
+            .expect("RsaPublicKey admits only odd moduli of 3..=4096 bits");
         RsaVerifier {
-            ctx: cached_context(&key.n),
+            ctx: Arc::new(ctx),
             fingerprint: std::sync::OnceLock::new(),
             key,
         }
@@ -260,12 +235,11 @@ impl RsaVerifier {
         if s.cmp_val(&self.key.n) != std::cmp::Ordering::Less {
             return Err(CryptoError::InvalidSignature);
         }
-        let em = match &self.ctx {
-            Some(ctx) => ctx.mod_pow(&s, &self.key.e),
-            None => s.mod_pow_classic(&self.key.e, &self.key.n),
-        }
-        .to_bytes_be_padded(k)
-        .ok_or(CryptoError::InvalidSignature)?;
+        let em = self
+            .ctx
+            .mod_pow(&s, &self.key.e)
+            .to_bytes_be_padded(k)
+            .ok_or(CryptoError::InvalidSignature)?;
         let expected = emsa_pkcs1_v15_encode(msg, k, alg)?;
         if em == expected {
             Ok(())
@@ -286,10 +260,9 @@ pub struct RsaPrivateKey {
     dq: BigUint,
     qinv: BigUint,
     /// Montgomery contexts for the CRT primes, prepared at key
-    /// construction so every sign/decrypt reuses them (`None` never
-    /// happens for real primes; kept as a fallback for robustness).
-    mont_p: Option<MontgomeryContext>,
-    mont_q: Option<MontgomeryContext>,
+    /// construction so every sign/decrypt reuses them.
+    mont_p: MontgomeryContext,
+    mont_q: MontgomeryContext,
 }
 
 impl RsaPrivateKey {
@@ -298,10 +271,11 @@ impl RsaPrivateKey {
     ///
     /// # Panics
     ///
-    /// Panics if `bits < 32` (each prime needs ≥ 16 bits) or `bits` is odd.
+    /// Panics if `bits < 32` (each prime needs ≥ 16 bits), `bits` is odd
+    /// or `bits` exceeds [`MontgomeryContext::MAX_BITS`].
     pub fn generate<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> Self {
         assert!(
-            bits >= 32 && bits.is_multiple_of(2),
+            (32..=MontgomeryContext::MAX_BITS).contains(&bits) && bits.is_multiple_of(2),
             "invalid RSA key size {bits}"
         );
         let e = BigUint::from_u64(65_537);
@@ -336,8 +310,12 @@ impl RsaPrivateKey {
                 };
                 (q.clone(), p.clone(), dq, dp, qinv2)
             };
-            let mont_p = MontgomeryContext::new(&p);
-            let mont_q = MontgomeryContext::new(&q);
+            // Odd primes of at most 2048 bits: both contexts exist.
+            let (Some(mont_p), Some(mont_q)) =
+                (MontgomeryContext::new(&p), MontgomeryContext::new(&q))
+            else {
+                continue;
+            };
             return RsaPrivateKey {
                 public: RsaPublicKey { n, e },
                 d,
@@ -384,14 +362,8 @@ impl RsaPrivateKey {
     /// Private-key operation `c^d mod n` via CRT, over the prepared
     /// per-prime Montgomery contexts.
     fn crt_exp(&self, c: &BigUint) -> BigUint {
-        let m1 = match &self.mont_p {
-            Some(ctx) => ctx.mod_pow(c, &self.dp),
-            None => c.rem(&self.p).mod_pow_classic(&self.dp, &self.p),
-        };
-        let m2 = match &self.mont_q {
-            Some(ctx) => ctx.mod_pow(c, &self.dq),
-            None => c.rem(&self.q).mod_pow_classic(&self.dq, &self.q),
-        };
+        let m1 = self.mont_p.mod_pow(c, &self.dp);
+        let m2 = self.mont_q.mod_pow(c, &self.dq);
         // h = qinv · (m1 − m2) mod p.
         let diff = if m1 >= m2 {
             m1.sub(&m2)
@@ -642,7 +614,38 @@ mod tests {
         // An RSA modulus is a product of odd primes; even n is rejected
         // at construction so every accepted key takes the Montgomery path.
         assert!(RsaPublicKey::new(BigUint::from_u64(16), BigUint::from_u64(3)).is_err());
+        assert!(RsaPublicKey::new(BigUint::one(), BigUint::from_u64(3)).is_err());
         assert!(RsaPublicKey::new(BigUint::from_u64(15), BigUint::from_u64(3)).is_ok());
+        // Wider than the widest Montgomery kernel.
+        let widest = BigUint::one()
+            .shl(MontgomeryContext::MAX_BITS)
+            .sub(&BigUint::one());
+        assert!(RsaPublicKey::new(widest.clone(), BigUint::from_u64(3)).is_ok());
+        assert_eq!(
+            RsaPublicKey::new(widest.shl(1).add(&BigUint::one()), BigUint::from_u64(3)),
+            Err(CryptoError::InvalidKey("modulus wider than 4096 bits"))
+        );
+    }
+
+    #[test]
+    fn crt_signature_equals_classic_exponentiation() {
+        // A fixed-seed key at the paper's size: the CRT path over the
+        // Montgomery kernel must produce exactly `m^d mod n`, byte for
+        // byte, as computed by the division-based reference.
+        let mut rng = XorShift64::seed_from_u64(1024);
+        let key = RsaPrivateKey::generate(1024, &mut rng);
+        let k = key.public_key().modulus_len();
+        let long = [0xA5u8; 300];
+        for msg in [&b""[..], b"GPS sample (40.1, -88.2) @ t=12.0", &long] {
+            for alg in [HashAlg::Sha1, HashAlg::Sha256] {
+                let em = BigUint::from_bytes_be(&emsa_pkcs1_v15_encode(msg, k, alg).unwrap());
+                let classic = em.mod_pow_classic(&key.d, key.public_key().modulus());
+                assert_eq!(
+                    key.sign(msg, alg).unwrap(),
+                    classic.to_bytes_be_padded(k).unwrap()
+                );
+            }
+        }
     }
 
     #[test]

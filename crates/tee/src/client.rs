@@ -46,11 +46,11 @@ impl TeeClient {
         self.world.inner.public_key()
     }
 
-    /// The prepared `T⁺` verifier. Call sites that check many signatures
-    /// under this key should hold this handle instead of re-preparing the
-    /// public key per check.
+    /// A prepared `T⁺` verifier, built on each call. Call sites that
+    /// check many signatures under this key should hold the handle
+    /// instead of re-preparing the public key per check.
     pub fn tee_verifier(&self) -> RsaVerifier {
-        self.world.inner.verifier().clone()
+        self.tee_public_key().verifier()
     }
 
     /// The cost ledger for this TEE instance.

@@ -6,38 +6,24 @@
 //! this crate can reach the private key, and the crate's public surface
 //! only ever returns signatures and the public key.
 
-use alidrone_crypto::rsa::{HashAlg, RsaPrivateKey, RsaPublicKey, RsaVerifier};
+use alidrone_crypto::rsa::{HashAlg, RsaPrivateKey, RsaPublicKey};
 use alidrone_crypto::CryptoError;
 
 /// The in-enclave key store. Not exported from the crate.
 pub(crate) struct KeyStore {
     sign_key: RsaPrivateKey,
     hash_alg: HashAlg,
-    /// The prepared public half `T⁺`, built once at installation so
-    /// export and self-checks never re-derive it from the private key.
-    verifier: RsaVerifier,
 }
 
 impl KeyStore {
-    /// Installs the manufacturing-time sign key, preparing the public
-    /// half once.
+    /// Installs the manufacturing-time sign key.
     pub(crate) fn new(sign_key: RsaPrivateKey, hash_alg: HashAlg) -> Self {
-        let verifier = sign_key.public_key().verifier();
-        KeyStore {
-            sign_key,
-            hash_alg,
-            verifier,
-        }
+        KeyStore { sign_key, hash_alg }
     }
 
     /// The verification key `T⁺`, exportable to the normal world.
     pub(crate) fn public_key(&self) -> RsaPublicKey {
-        self.verifier.public_key().clone()
-    }
-
-    /// The prepared `T⁺` verifier handle (borrow, no re-derivation).
-    pub(crate) fn verifier(&self) -> &RsaVerifier {
-        &self.verifier
+        self.sign_key.public_key().clone()
     }
 
     /// Key size in bits (drives the cost model).

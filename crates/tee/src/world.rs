@@ -220,11 +220,6 @@ impl WorldInner {
         self.keystore.public_key()
     }
 
-    /// The prepared `T⁺` verifier (built once at key installation).
-    pub(crate) fn verifier(&self) -> &alidrone_crypto::rsa::RsaVerifier {
-        self.keystore.verifier()
-    }
-
     /// The signature hash algorithm in force (labels `SignedSample`s on
     /// the client side).
     pub(crate) fn hash_alg(&self) -> HashAlg {
