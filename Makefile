@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: check fmt clippy doc build test examples experiments trace-smoke tcp-smoke stress chaos overload scrape-smoke soak-smoke failover tamper bench-json bench-diff
+.PHONY: check fmt clippy doc build test perfbench-test examples experiments trace-smoke tcp-smoke stress chaos overload scrape-smoke soak-smoke failover tamper bench-json bench-diff
 
-check: fmt clippy doc test trace-smoke tcp-smoke chaos overload soak-smoke failover tamper
+check: fmt clippy doc test perfbench-test trace-smoke tcp-smoke chaos overload soak-smoke failover tamper
 
 fmt:
 	$(CARGO) fmt --all -- --check
@@ -21,6 +21,12 @@ build:
 
 test:
 	$(CARGO) test --workspace --release --offline -q
+
+# perfbench is its own Cargo package, outside the workspace: build it
+# and run its self-tests so a library API change that breaks the
+# benchmark fails here rather than only in a benchmark run.
+perfbench-test:
+	$(CARGO) test --release --offline --manifest-path perfbench/Cargo.toml
 
 trace-smoke:
 	$(CARGO) run -p alidrone-sim --release --offline --bin exp_trace

@@ -58,7 +58,7 @@ impl Machine {
     }
 }
 
-/// A full baseline document: schema version, machine fingerprint, and
+/// A full baseline document: schema version, machine description, and
 /// the measured cases in run order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Baseline {

@@ -27,11 +27,11 @@ use alidrone_obs::{Counter, Histogram, Level, Obs};
 use alidrone_tee::SignedSample;
 
 use crate::audit::{AuditChain, ConsistencyProof, InclusionProof, SignedTreeHead};
-use crate::cache::{LruCache, VerifyResultCache};
+use crate::cache::LruCache;
 use crate::identity::Registration;
 use crate::journal::{Journal, JournalError, Record, StorageBackend};
 use crate::messages::{Accusation, PoaSubmission, Submission, ZoneQuery, ZoneResponse};
-use crate::poa::{EncryptedPoa, ProofOfAlibi};
+use crate::poa::ProofOfAlibi;
 use crate::repl::Replicator;
 use crate::verify_pool::VerifyPool;
 use crate::{DroneId, ProtocolError, ZoneId};
@@ -40,9 +40,6 @@ use crate::{DroneId, ProtocolError, ZoneId};
 /// above this size — below it, per-batch coordination costs more than
 /// the parallelism recovers.
 const MIN_BATCH: usize = 4;
-
-/// Bound on cached signature-check outcomes (~100 B each).
-const VERIFY_CACHE_CAP: usize = 4096;
 
 /// Bound on cached zone-query rectangle results.
 const ZONE_QUERY_CACHE_CAP: usize = 256;
@@ -297,9 +294,6 @@ pub struct Auditor {
     /// The shared batch-verification pool, installed once (normally by
     /// the server builder). `None` = every check runs serially inline.
     verify_pool: OnceLock<Arc<VerifyPool>>,
-    /// Bounded cache of signature-check outcomes; identical
-    /// resubmissions skip the RSA exponentiation.
-    verify_cache: Arc<VerifyResultCache>,
     /// Bumped on every zone-registry mutation (registration, journal
     /// replay, snapshot restore); generation-keyed caches below can
     /// then never serve a pre-mutation view.
@@ -367,7 +361,6 @@ impl Auditor {
             epoch: AtomicU64::new(0),
             replicator: OnceLock::new(),
             verify_pool: OnceLock::new(),
-            verify_cache: Arc::new(VerifyResultCache::new(VERIFY_CACHE_CAP, obs)),
             zone_generation: AtomicU64::new(0),
             zone_snapshot: Mutex::new(None),
             zone_query_cache: Mutex::new(LruCache::new(ZONE_QUERY_CACHE_CAP)),
@@ -389,12 +382,6 @@ impl Auditor {
     /// The installed batch-verification pool, if any.
     pub fn verify_pool(&self) -> Option<&Arc<VerifyPool>> {
         self.verify_pool.get()
-    }
-
-    /// The signature-outcome cache (exposed for hit-rate assertions and
-    /// chaos tests that prove verdicts are cache-independent).
-    pub fn verify_cache(&self) -> &VerifyResultCache {
-        &self.verify_cache
     }
 
     /// Invalidates every generation-keyed zone cache. Called on each
@@ -1186,10 +1173,15 @@ impl Auditor {
     /// Step 4 — the typed verification entry point: verifies a
     /// [`Submission`] (plaintext or encrypted) and retains it.
     ///
-    /// This is the single funnel every transport lands in; the
-    /// [`verify_submission`](Self::verify_submission) and
-    /// [`verify_encrypted_submission`](Self::verify_encrypted_submission)
-    /// wrappers delegate here.
+    /// This is the single funnel every transport lands in. The encrypted
+    /// arm decrypts with the auditor key first (paper §V-C — the Adapter
+    /// persists the PoA encrypted under the server's public key).
+    ///
+    /// Idempotent by construction: verification is a pure function of
+    /// the PoA and the zone registry, so a resubmission after a lost
+    /// response receives the same verdict and appends a byte-identical
+    /// [`StoredPoa`]; accusation handling scans for the *latest*
+    /// covering proof, so duplicates cannot change any later outcome.
     ///
     /// # Errors
     ///
@@ -1208,30 +1200,21 @@ impl Auditor {
                 window_start,
                 window_end,
                 poa,
-            } => self.decrypt_then_verify(*drone_id, *window_start, *window_end, poa, now),
+            } => {
+                let span = self
+                    .obs
+                    .enter_span_recording("auditor.decrypt", &self.decrypt_latency);
+                let poa = poa.decrypt(&self.encryption_key);
+                drop(span);
+                let submission = PoaSubmission {
+                    drone_id: *drone_id,
+                    window_start: *window_start,
+                    window_end: *window_end,
+                    poa: poa?,
+                };
+                self.verify_plain(&submission, now)
+            }
         }
-    }
-
-    /// Step 4 — verifies a plaintext submission and retains it. Thin
-    /// wrapper over [`verify`](Self::verify).
-    ///
-    /// Idempotent by construction: verification is a pure function of
-    /// the PoA and the zone registry, so a resubmission after a lost
-    /// response receives the same verdict and appends a byte-identical
-    /// [`StoredPoa`]; accusation handling scans for the *latest*
-    /// covering proof, so duplicates cannot change any later outcome.
-    ///
-    /// # Errors
-    ///
-    /// Only transport-level problems (unknown drone) are errors; every
-    /// judgement about the PoA itself is expressed in the returned
-    /// [`VerificationReport`].
-    pub fn verify_submission(
-        &self,
-        submission: &PoaSubmission,
-        now: Timestamp,
-    ) -> Result<VerificationReport, ProtocolError> {
-        self.verify_plain(submission, now)
     }
 
     fn verify_plain(
@@ -1290,50 +1273,6 @@ impl Auditor {
         Ok(report)
     }
 
-    /// Step 4, encrypted variant: decrypts with the auditor key first
-    /// (paper §V-C — the Adapter persists the PoA encrypted under the
-    /// server's public key). Thin wrapper over [`verify`](Self::verify).
-    ///
-    /// # Errors
-    ///
-    /// Adds decryption failures to the error set of
-    /// [`verify_submission`](Self::verify_submission).
-    pub fn verify_encrypted_submission(
-        &self,
-        drone_id: DroneId,
-        window_start: Timestamp,
-        window_end: Timestamp,
-        encrypted: &EncryptedPoa,
-        now: Timestamp,
-    ) -> Result<VerificationReport, ProtocolError> {
-        self.decrypt_then_verify(drone_id, window_start, window_end, encrypted, now)
-    }
-
-    fn decrypt_then_verify(
-        &self,
-        drone_id: DroneId,
-        window_start: Timestamp,
-        window_end: Timestamp,
-        encrypted: &EncryptedPoa,
-        now: Timestamp,
-    ) -> Result<VerificationReport, ProtocolError> {
-        let span = self
-            .obs
-            .enter_span_recording("auditor.decrypt", &self.decrypt_latency);
-        let poa = encrypted.decrypt(&self.encryption_key);
-        drop(span);
-        let poa = poa?;
-        self.verify_plain(
-            &PoaSubmission {
-                drone_id,
-                window_start,
-                window_end,
-                poa,
-            },
-            now,
-        )
-    }
-
     /// The 7-step verification pipeline, run against a `zones` snapshot
     /// taken by the caller — no auditor lock is held while this executes.
     fn verify_poa_inner(
@@ -1350,11 +1289,10 @@ impl Auditor {
                 sufficiency: None,
             };
         }
-        // 2. Every signature verifies under the registered T⁺ — through
-        // the verify-result cache, fanned across the shared pool for
-        // batches worth the coordination. Reports the *lowest* failing
-        // index either way, so the verdict is identical to the serial
-        // loop this replaces.
+        // 2. Every signature verifies under the registered T⁺, fanned
+        // across the shared pool for batches worth the coordination.
+        // Reports the *lowest* failing index either way, so the verdict
+        // is identical to the serial loop.
         if let Some(i) = self.check_entry_signatures(poa, record) {
             return VerificationReport {
                 verdict: Verdict::BadSignature { index: i },
@@ -1363,14 +1301,10 @@ impl Auditor {
         }
         // 2b. Declared GPS gaps verify under the same key — degraded-mode
         // outage declarations are evidence too, and must be TEE-attested.
-        // Gap lists are short (one per outage), so these stay serial but
-        // still go through the prepared verifier and the cache.
+        // Gap lists are short (one per outage), so these stay serial on
+        // the registration's prepared verifier.
         for (i, gap) in poa.gaps().iter().enumerate() {
-            let msg = alidrone_tee::SignedGapMarker::signing_bytes(gap.start(), gap.end());
-            if !self
-                .verify_cache
-                .check(record.tee(), &msg, gap.signature(), gap.hash_alg())
-            {
+            if gap.verify_with(record.tee()).is_err() {
                 return VerificationReport {
                     verdict: Verdict::BadGapMarker { index: i },
                     sufficiency: None,
@@ -1462,9 +1396,9 @@ impl Auditor {
     }
 
     /// Step 2 of the pipeline: returns the lowest entry index whose TEE
-    /// signature fails, or `None` when all verify. Every check goes
-    /// through the verify-result cache; batches of [`MIN_BATCH`] or more
-    /// fan out across the installed [`VerifyPool`].
+    /// signature fails, or `None` when all verify. Every check uses the
+    /// registration's prepared `T⁺` verifier; batches of [`MIN_BATCH`]
+    /// or more fan out across the installed [`VerifyPool`].
     fn check_entry_signatures(
         &self,
         poa: &ProofOfAlibi,
@@ -1477,28 +1411,17 @@ impl Auditor {
                 // nothing request-scoped; the clones are sample structs
                 // plus signature bytes — noise next to one RSA op.
                 let items = Arc::new(entries.to_vec());
-                let cache = Arc::clone(&self.verify_cache);
                 let record = Arc::clone(record);
                 pool.first_failure(
                     items,
                     Arc::new(move |_, entry: &SignedSample| {
-                        cache.check(
-                            record.tee(),
-                            &entry.sample().to_bytes(),
-                            entry.signature(),
-                            entry.hash_alg(),
-                        )
+                        entry.verify_with(record.tee()).is_ok()
                     }),
                 )
             }
-            _ => entries.iter().position(|entry| {
-                !self.verify_cache.check(
-                    record.tee(),
-                    &entry.sample().to_bytes(),
-                    entry.signature(),
-                    entry.hash_alg(),
-                )
-            }),
+            _ => entries
+                .iter()
+                .position(|entry| entry.verify_with(record.tee()).is_err()),
         }
     }
 
@@ -1839,42 +1762,22 @@ impl Auditor {
 
         // Observability handles are process-local, not durable state: a
         // restored auditor starts with a no-op handle (re-attach via
-        // `with_obs` at construction of the replacement process).
-        let obs = Obs::noop();
-        let verify_latency = obs.histogram("auditor.verify_latency_us");
-        let decrypt_latency = obs.histogram("auditor.decrypt_latency_us");
-        let journal_append_latency = obs.histogram("auditor.journal_append_latency_us");
+        // `with_obs` at construction of the replacement process), and
+        // with fresh journal, replicator and pool slots.
         Ok(Auditor {
-            config,
-            encryption_key,
             drones: RwLock::new(drones),
             zones: RwLock::new(zones),
             used_nonces: Mutex::new(used_nonces),
             stored: RwLock::new(stored),
             next_drone: AtomicU64::new(next_drone),
             next_zone: AtomicU64::new(next_zone),
-            verify_latency,
-            decrypt_latency,
-            journal_append_latency,
-            journal: Mutex::new(None),
-            journal_error: Mutex::new(None),
-            epoch: AtomicU64::new(0),
-            replicator: OnceLock::new(),
-            verify_pool: OnceLock::new(),
-            verify_cache: Arc::new(VerifyResultCache::new(VERIFY_CACHE_CAP, &obs)),
-            zone_generation: AtomicU64::new(0),
-            zone_snapshot: Mutex::new(None),
-            zone_query_cache: Mutex::new(LruCache::new(ZONE_QUERY_CACHE_CAP)),
-            zone_cache_hits: obs.counter("auditor.zone_query_cache.hits"),
-            zone_cache_misses: obs.counter("auditor.zone_query_cache.misses"),
-            obs,
             audit: Mutex::new(AuditState {
                 chain: AuditChain::from_parts(audit_head, audit_leaves),
                 checkpoint_size: audit_checkpoint_size,
                 verdict_leaves,
                 sth: None,
             }),
-            checkpoint_countersigner: OnceLock::new(),
+            ..Auditor::new(config, encryption_key)
         })
     }
 }
@@ -1934,7 +1837,10 @@ mod tests {
         let d = registered(&a);
         a.register_zone(far_zone());
         let rep = a
-            .verify_submission(&submission(d, 10), Timestamp::from_secs(100.0))
+            .verify(
+                &Submission::plain(submission(d, 10)),
+                Timestamp::from_secs(100.0),
+            )
             .unwrap();
         assert!(rep.is_compliant(), "verdict: {}", rep.verdict);
         assert!(rep.sufficiency.is_some());
@@ -1946,7 +1852,10 @@ mod tests {
     fn unknown_drone_is_error() {
         let a = auditor();
         let err = a
-            .verify_submission(&submission(DroneId::new(9), 3), Timestamp::EPOCH)
+            .verify(
+                &Submission::plain(submission(DroneId::new(9), 3)),
+                Timestamp::EPOCH,
+            )
             .unwrap_err();
         assert!(matches!(err, ProtocolError::UnknownDrone(_)));
     }
@@ -1961,7 +1870,7 @@ mod tests {
             window_end: Timestamp::from_secs(1.0),
             poa: ProofOfAlibi::new(),
         };
-        let rep = a.verify_submission(&s, Timestamp::EPOCH).unwrap();
+        let rep = a.verify(&Submission::plain(s), Timestamp::EPOCH).unwrap();
         assert_eq!(rep.verdict, Verdict::EmptyPoa);
     }
 
@@ -1986,7 +1895,7 @@ mod tests {
             window_end: Timestamp::from_secs(4.0),
             poa: ProofOfAlibi::from_entries(entries),
         };
-        let rep = a.verify_submission(&s, Timestamp::EPOCH).unwrap();
+        let rep = a.verify(&Submission::plain(s), Timestamp::EPOCH).unwrap();
         assert_eq!(rep.verdict, Verdict::BadSignature { index: 2 });
     }
 
@@ -2006,7 +1915,7 @@ mod tests {
         );
         // signed_samples() signs with tee_key(), not other_tee.
         let rep = a
-            .verify_submission(&submission(d, 3), Timestamp::EPOCH)
+            .verify(&Submission::plain(submission(d, 3)), Timestamp::EPOCH)
             .unwrap();
         assert_eq!(rep.verdict, Verdict::BadSignature { index: 0 });
     }
@@ -2024,7 +1933,7 @@ mod tests {
             window_end: Timestamp::from_secs(3.0),
             poa: ProofOfAlibi::from_entries(entries),
         };
-        let rep = a.verify_submission(&s, Timestamp::EPOCH).unwrap();
+        let rep = a.verify(&Submission::plain(s), Timestamp::EPOCH).unwrap();
         assert_eq!(rep.verdict, Verdict::NonMonotonic { index: 4 });
     }
 
@@ -2039,7 +1948,7 @@ mod tests {
             window_end: Timestamp::from_secs(1_000.0),
             poa: ProofOfAlibi::from_entries(signed_samples(5)),
         };
-        let rep = a.verify_submission(&s, Timestamp::EPOCH).unwrap();
+        let rep = a.verify(&Submission::plain(s), Timestamp::EPOCH).unwrap();
         assert_eq!(rep.verdict, Verdict::WindowNotCovered);
         // Window starting before the first sample likewise.
         let s2 = PoaSubmission {
@@ -2048,7 +1957,7 @@ mod tests {
             window_end: Timestamp::from_secs(4.0),
             poa: ProofOfAlibi::from_entries(signed_samples(5)),
         };
-        let rep2 = a.verify_submission(&s2, Timestamp::EPOCH).unwrap();
+        let rep2 = a.verify(&Submission::plain(s2), Timestamp::EPOCH).unwrap();
         assert_eq!(rep2.verdict, Verdict::WindowNotCovered);
     }
 
@@ -2076,7 +1985,7 @@ mod tests {
             window_end: Timestamp::from_secs(0.5),
             poa: ProofOfAlibi::from_entries(entries),
         };
-        let rep = a.verify_submission(&s, Timestamp::EPOCH).unwrap();
+        let rep = a.verify(&Submission::plain(s), Timestamp::EPOCH).unwrap();
         assert_eq!(rep.verdict, Verdict::ImpossibleTrace { index: 0 });
     }
 
@@ -2090,7 +1999,7 @@ mod tests {
             Distance::from_meters(15.0),
         ));
         let rep = a
-            .verify_submission(&submission(d, 5), Timestamp::EPOCH)
+            .verify(&Submission::plain(submission(d, 5)), Timestamp::EPOCH)
             .unwrap();
         match rep.verdict {
             Verdict::InsideZone { zone, .. } => assert_eq!(zone, zid),
@@ -2109,7 +2018,7 @@ mod tests {
             Distance::from_meters(10.0),
         ));
         let rep = a
-            .verify_submission(&submission(d, 5), Timestamp::EPOCH)
+            .verify(&Submission::plain(submission(d, 5)), Timestamp::EPOCH)
             .unwrap();
         match &rep.verdict {
             Verdict::InsufficientAlibi { pair_indices } => {
@@ -2194,11 +2103,8 @@ mod tests {
         let poa = ProofOfAlibi::from_entries(signed_samples(6));
         let enc = poa.encrypt(a.public_encryption_key(), &mut rng).unwrap();
         let rep = a
-            .verify_encrypted_submission(
-                d,
-                Timestamp::EPOCH,
-                Timestamp::from_secs(5.0),
-                &enc,
+            .verify(
+                &Submission::encrypted(d, Timestamp::EPOCH, Timestamp::from_secs(5.0), enc),
                 Timestamp::EPOCH,
             )
             .unwrap();
@@ -2210,7 +2116,7 @@ mod tests {
         let a = auditor();
         let d = registered(&a);
         let zid = a.register_zone(far_zone());
-        a.verify_submission(&submission(d, 10), Timestamp::EPOCH)
+        a.verify(&Submission::plain(submission(d, 10)), Timestamp::EPOCH)
             .unwrap();
         let outcome = a
             .handle_accusation(&Accusation {
@@ -2261,7 +2167,7 @@ mod tests {
             origin().destination(0.0, Distance::from_meters(25.0)),
             Distance::from_meters(10.0),
         ));
-        a.verify_submission(&submission(d, 10), Timestamp::EPOCH)
+        a.verify(&Submission::plain(submission(d, 10)), Timestamp::EPOCH)
             .unwrap();
         let outcome = a
             .handle_accusation(&Accusation {
@@ -2277,10 +2183,16 @@ mod tests {
     fn retention_purges_old_poas() {
         let a = auditor();
         let d = registered(&a);
-        a.verify_submission(&submission(d, 3), Timestamp::from_secs(0.0))
-            .unwrap();
-        a.verify_submission(&submission(d, 3), Timestamp::from_secs(86_400.0))
-            .unwrap();
+        a.verify(
+            &Submission::plain(submission(d, 3)),
+            Timestamp::from_secs(0.0),
+        )
+        .unwrap();
+        a.verify(
+            &Submission::plain(submission(d, 3)),
+            Timestamp::from_secs(86_400.0),
+        )
+        .unwrap();
         assert_eq!(a.stored_poa_count(), 2);
         // Three days later, only the second survives the 2-day retention.
         a.purge_expired(Timestamp::from_secs(3.0 * 86_400.0));
@@ -2293,8 +2205,11 @@ mod tests {
         let d = registered(&a);
         let z = a.register_zone(far_zone());
         // One completed flight + one consumed nonce.
-        a.verify_submission(&submission(d, 5), Timestamp::from_secs(7.0))
-            .unwrap();
+        a.verify(
+            &Submission::plain(submission(d, 5)),
+            Timestamp::from_secs(7.0),
+        )
+        .unwrap();
         let q = ZoneQuery::new_signed(d, origin(), origin(), [8u8; 16], operator_key()).unwrap();
         a.handle_zone_query(&q).unwrap();
 
@@ -2388,7 +2303,7 @@ mod tests {
             let d = registered(&a);
             a.register_zone(zone);
             let rep = a
-                .verify_submission(&submission(d, 5), Timestamp::EPOCH)
+                .verify(&Submission::plain(submission(d, 5)), Timestamp::EPOCH)
                 .unwrap();
             if criterion == Criterion::Exact {
                 // If paper accepted, exact must too — checked by running
@@ -2398,7 +2313,7 @@ mod tests {
                     let ap = Auditor::new(AuditorConfig::default(), auditor_key().clone());
                     let dp = registered(&ap);
                     ap.register_zone(zone);
-                    ap.verify_submission(&submission(dp, 5), Timestamp::EPOCH)
+                    ap.verify(&Submission::plain(submission(dp, 5)), Timestamp::EPOCH)
                         .unwrap()
                 };
                 if paper_rep.is_compliant() {
@@ -2424,8 +2339,11 @@ mod tests {
         assert!(a.journal_enabled());
         let d = registered(&a);
         let z = a.register_zone(far_zone());
-        a.verify_submission(&submission(d, 5), Timestamp::from_secs(50.0))
-            .unwrap();
+        a.verify(
+            &Submission::plain(submission(d, 5)),
+            Timestamp::from_secs(50.0),
+        )
+        .unwrap();
 
         let (b, rep) = recovered(backend);
         assert_eq!(rep.records_applied, 3);
@@ -2462,8 +2380,11 @@ mod tests {
         let (a, _) = recovered(Arc::clone(&backend));
         let d = registered(&a);
         a.register_zone(far_zone());
-        a.verify_submission(&submission(d, 5), Timestamp::from_secs(10.0))
-            .unwrap();
+        a.verify(
+            &Submission::plain(submission(d, 5)),
+            Timestamp::from_secs(10.0),
+        )
+        .unwrap();
         let before = backend.len();
         a.compact_journal().unwrap();
         // Post-compaction appends still land after the snapshot record.
@@ -2552,7 +2473,7 @@ mod tests {
             sig,
             HashAlg::Sha1,
         ));
-        let rep = a.verify_submission(&sub, Timestamp::EPOCH).unwrap();
+        let rep = a.verify(&Submission::plain(sub), Timestamp::EPOCH).unwrap();
         assert_eq!(rep.verdict, Verdict::BadGapMarker { index: 0 });
     }
 
@@ -2564,7 +2485,7 @@ mod tests {
         // Samples sit at t = 0..4; a declared outage over (1.5, 2.5)
         // contains the t = 2 sample.
         sub.poa.push_gap(crate::test_support::signed_gap(1.5, 2.5));
-        let rep = a.verify_submission(&sub, Timestamp::EPOCH).unwrap();
+        let rep = a.verify(&Submission::plain(sub), Timestamp::EPOCH).unwrap();
         assert_eq!(rep.verdict, Verdict::GapContradiction { index: 2 });
     }
 
@@ -2582,14 +2503,14 @@ mod tests {
                 .margin_m
         };
         let clean = a
-            .verify_submission(&submission(d, 5), Timestamp::EPOCH)
+            .verify(&Submission::plain(submission(d, 5)), Timestamp::EPOCH)
             .unwrap();
         assert!(clean.is_compliant());
         // Same trace with a declared outage strictly between two samples:
         // the overlapping pair's budget inflates by v_max · 0.8 s.
         let mut sub = submission(d, 5);
         sub.poa.push_gap(crate::test_support::signed_gap(1.1, 1.9));
-        let gapped = a.verify_submission(&sub, Timestamp::EPOCH).unwrap();
+        let gapped = a.verify(&Submission::plain(sub), Timestamp::EPOCH).unwrap();
         let penalty = pair1_margin(&clean) - pair1_margin(&gapped);
         let expected = FAA_MAX_SPEED.mps() * 0.8;
         assert!(
@@ -2608,15 +2529,15 @@ mod tests {
         let d1 = registered(&a);
         let d2 = registered(&a);
         a.register_zone(far_zone());
-        a.verify_submission(&submission(d1, 5), Timestamp::EPOCH)
+        a.verify(&Submission::plain(submission(d1, 5)), Timestamp::EPOCH)
             .unwrap();
         let sth1 = a.signed_tree_head().unwrap();
         assert!(sth1.verify(auditor_key().public_key()));
         assert_eq!(sth1.size, a.audit_tree_size());
 
-        a.verify_submission(&submission(d2, 5), Timestamp::EPOCH)
+        a.verify(&Submission::plain(submission(d2, 5)), Timestamp::EPOCH)
             .unwrap();
-        a.verify_submission(&submission(d1, 6), Timestamp::EPOCH)
+        a.verify(&Submission::plain(submission(d1, 6)), Timestamp::EPOCH)
             .unwrap();
         let sth2 = a.signed_tree_head().unwrap();
         assert!(sth2.verify(auditor_key().public_key()));
@@ -2684,7 +2605,7 @@ mod tests {
         );
 
         let d = registered(&a);
-        a.verify_submission(&submission(d, 5), Timestamp::EPOCH)
+        a.verify(&Submission::plain(submission(d, 5)), Timestamp::EPOCH)
             .unwrap();
         let sth = a.signed_tree_head().unwrap();
         assert!(sth.verify(auditor_key().public_key()));
@@ -2711,7 +2632,7 @@ mod tests {
         let d = registered(&a);
         a.register_zone(far_zone());
         for i in 0..4 {
-            a.verify_submission(&submission(d, 5 + i), Timestamp::EPOCH)
+            a.verify(&Submission::plain(submission(d, 5 + i)), Timestamp::EPOCH)
                 .unwrap();
         }
         let sth = a.signed_tree_head().unwrap();
@@ -2743,7 +2664,7 @@ mod tests {
         let before_checkpoint = backend.len();
         // Third audited record: crosses interval 2, so this append
         // carries a Merkle checkpoint record in the same batch.
-        a.verify_submission(&submission(d, 5), Timestamp::EPOCH)
+        a.verify(&Submission::plain(submission(d, 5)), Timestamp::EPOCH)
             .unwrap();
         let sth = a.signed_tree_head().unwrap();
         frontier.push((sth.size, sth.chain_head));
@@ -2773,12 +2694,12 @@ mod tests {
             Auditor::recover(backend.clone(), checkpoint_config(), auditor_key().clone()).unwrap();
         let d = registered(&a);
         a.register_zone(far_zone());
-        a.verify_submission(&submission(d, 5), Timestamp::EPOCH)
+        a.verify(&Submission::plain(submission(d, 5)), Timestamp::EPOCH)
             .unwrap();
         let sth1 = a.signed_tree_head().unwrap();
 
         a.compact_journal().unwrap();
-        a.verify_submission(&submission(d, 6), Timestamp::EPOCH)
+        a.verify(&Submission::plain(submission(d, 6)), Timestamp::EPOCH)
             .unwrap();
         let sth2 = a.signed_tree_head().unwrap();
 

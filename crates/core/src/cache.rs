@@ -1,15 +1,9 @@
-//! Bounded caches for the verification hot path.
+//! A bounded LRU map for the auditor's zone caches.
 //!
-//! Two users inside the auditor (DESIGN.md §12):
-//!
-//! * a verify-result cache mapping `(key fingerprint, message hash,
-//!   signature hash, hash alg)` to the signature verdict, so identical
-//!   resubmissions — retries after a lost response, duplicate PoA
-//!   uploads — skip the RSA exponentiation entirely;
-//! * zone-snapshot / zone-query caches keyed by a registry *generation*
-//!   that every zone mutation bumps, so invalidation is a single atomic
-//!   increment and stale entries can never be served (they simply stop
-//!   matching and age out of the LRU).
+//! The zone-snapshot and zone-query caches (DESIGN.md §12) are keyed by
+//! a registry *generation* that every zone mutation bumps, so
+//! invalidation is a single atomic increment and stale entries can
+//! never be served (they simply stop matching and age out of the LRU).
 //!
 //! Everything is `std`-only and bounded: a cache miss costs one map
 //! lookup, and the memory ceiling is `capacity × entry size` regardless
@@ -17,18 +11,12 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hash;
-use std::sync::{Arc, Mutex};
-
-use alidrone_crypto::rsa::{HashAlg, RsaVerifier};
-use alidrone_crypto::sha256::sha256;
-use alidrone_obs::{Counter, Obs};
 
 /// A bounded least-recently-used map.
 ///
 /// Recency is tracked with a monotonic tick per access; eviction removes
 /// the entry with the smallest tick. Both `get` and `insert` are
-/// `O(log capacity)`. Not thread-safe — wrap in a `Mutex` (see
-/// [`VerifyResultCache`]) to share.
+/// `O(log capacity)`. Not thread-safe — wrap in a `Mutex` to share.
 #[derive(Debug)]
 pub struct LruCache<K, V> {
     capacity: usize,
@@ -96,102 +84,15 @@ impl<K: Eq + Hash + Clone, V> LruCache<K, V> {
         self.map.insert(key, (value, tick));
     }
 
-    /// Drops every entry (capacity is kept).
-    pub fn clear(&mut self) {
-        self.map.clear();
-        self.order.clear();
-    }
-
     fn next_tick(&mut self) -> u64 {
         self.tick += 1;
         self.tick
     }
 }
 
-/// Cache key for one signature check: key fingerprint, SHA-256 of the
-/// message, SHA-256 of the signature, and the hash algorithm tag.
-type VerifyKey = ([u8; 32], [u8; 32], [u8; 32], u8);
-
-/// A shared, bounded cache of signature-check outcomes.
-///
-/// Keyed by the verifier's [fingerprint](RsaVerifier::fingerprint) plus
-/// hashes of message and signature, so a hit requires the *same* key,
-/// bytes, and algorithm — any tampering changes the key and misses.
-/// Both outcomes are cached: a forged signature resubmitted in a retry
-/// storm costs one lookup, not one exponentiation per attempt.
-#[derive(Debug)]
-pub struct VerifyResultCache {
-    inner: Mutex<LruCache<VerifyKey, bool>>,
-    hits: Arc<Counter>,
-    misses: Arc<Counter>,
-}
-
-impl VerifyResultCache {
-    /// Creates a cache bounded to `capacity` outcomes, with hit/miss
-    /// counters `auditor.verify_cache.{hits,misses}` on `obs`.
-    pub fn new(capacity: usize, obs: &Obs) -> Self {
-        VerifyResultCache {
-            inner: Mutex::new(LruCache::new(capacity)),
-            hits: obs.counter("auditor.verify_cache.hits"),
-            misses: obs.counter("auditor.verify_cache.misses"),
-        }
-    }
-
-    /// Checks `sig` over `msg` under `verifier`, consulting the cache
-    /// first. Returns `true` when the signature verifies.
-    pub fn check(&self, verifier: &RsaVerifier, msg: &[u8], sig: &[u8], alg: HashAlg) -> bool {
-        let key: VerifyKey = (
-            *verifier.fingerprint(),
-            sha256(msg),
-            sha256(sig),
-            match alg {
-                HashAlg::Sha1 => 1,
-                HashAlg::Sha256 => 2,
-            },
-        );
-        // Invariant: lock holders only touch the map, never panic
-        // mid-mutation of anything observable, so a poisoned lock still
-        // guards sound data.
-        if let Some(&hit) = self
-            .inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-        {
-            self.hits.add(1);
-            return hit;
-        }
-        self.misses.add(1);
-        let ok = verifier.verify(msg, sig, alg).is_ok();
-        self.inner
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(key, ok);
-        ok
-    }
-
-    /// Lifetime hit count.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Lifetime miss count.
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-
-    /// Drops every cached outcome (used by chaos tests to prove verdicts
-    /// do not depend on cache state).
-    pub fn clear(&self) {
-        self.inner.lock().unwrap_or_else(|p| p.into_inner()).clear();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use alidrone_crypto::rng::XorShift64;
-    use alidrone_crypto::rsa::RsaPrivateKey;
 
     #[test]
     fn lru_evicts_least_recently_used() {
@@ -226,33 +127,5 @@ mod tests {
         assert_eq!(c.len(), 1);
         assert!(c.get(&1).is_none());
         assert_eq!(c.get(&2), Some(&"y"));
-    }
-
-    #[test]
-    fn verify_cache_hits_on_resubmission_and_caches_failures() {
-        let mut rng = XorShift64::seed_from_u64(3);
-        let key = RsaPrivateKey::generate(512, &mut rng);
-        let verifier = key.public_key().verifier();
-        let sig = key.sign(b"msg", HashAlg::Sha1).unwrap();
-        let cache = VerifyResultCache::new(16, &Obs::noop());
-
-        assert!(cache.check(&verifier, b"msg", &sig, HashAlg::Sha1));
-        assert!(cache.check(&verifier, b"msg", &sig, HashAlg::Sha1));
-        assert_eq!((cache.hits(), cache.misses()), (1, 1));
-
-        // A tampered signature misses (different key) and caches `false`.
-        let mut bad = sig.clone();
-        bad[0] ^= 1;
-        assert!(!cache.check(&verifier, b"msg", &bad, HashAlg::Sha1));
-        assert!(!cache.check(&verifier, b"msg", &bad, HashAlg::Sha1));
-        assert_eq!((cache.hits(), cache.misses()), (2, 2));
-
-        // Same bytes under a different algorithm tag is a different key.
-        assert!(!cache.check(&verifier, b"msg", &sig, HashAlg::Sha256));
-        assert_eq!(cache.misses(), 3);
-
-        cache.clear();
-        assert!(cache.check(&verifier, b"msg", &sig, HashAlg::Sha1));
-        assert_eq!(cache.misses(), 4);
     }
 }

@@ -115,9 +115,7 @@ impl fmt::Display for PoaSubmission {
 ///
 /// Both protocol variants (plaintext PoA and the §V-C
 /// encrypted-under-the-server-key form) funnel through one verification
-/// path; this enum is the seam. The older
-/// `verify_submission`/`verify_encrypted_submission` methods remain as
-/// thin wrappers.
+/// path; this enum is the seam.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Submission {
     /// A plaintext Proof-of-Alibi submission.

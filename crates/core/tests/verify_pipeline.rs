@@ -6,17 +6,19 @@
 //! be observationally identical: same verdict, same failing index, for
 //! honest traces and for every signature-forgery strategy. This campaign
 //! drives both through 50 deterministic seeds, each seed picking a trace
-//! shape and an adversarial mutation.
+//! shape, an adversarial sample mutation, and a set of declared GPS-gap
+//! markers that are honest, signed under the operator key, or retimed
+//! after signing.
 
 use std::sync::{Arc, OnceLock};
 
 use alidrone_core::verify_pool::VerifyPool;
-use alidrone_core::{Auditor, AuditorConfig, PoaSubmission, ProofOfAlibi, Submission};
+use alidrone_core::{Auditor, AuditorConfig, PoaSubmission, ProofOfAlibi, Submission, Verdict};
 use alidrone_crypto::rng::{Rng, XorShift64};
 use alidrone_crypto::rsa::{HashAlg, RsaPrivateKey};
 use alidrone_geo::{Distance, GeoPoint, GpsSample, NoFlyZone, Timestamp};
 use alidrone_obs::Obs;
-use alidrone_tee::SignedSample;
+use alidrone_tee::{SignedGapMarker, SignedSample};
 
 const SEEDS: u64 = 50;
 
@@ -118,6 +120,76 @@ fn mutate(trace: &mut [SignedSample], kind: u64, rng: &mut XorShift64) {
     }
 }
 
+fn sign_gap(key: &RsaPrivateKey, start: Timestamp, end: Timestamp) -> SignedGapMarker {
+    let sig = key
+        .sign(&SignedGapMarker::signing_bytes(start, end), HashAlg::Sha1)
+        .unwrap();
+    SignedGapMarker::from_parts(start, end, sig, HashAlg::Sha1)
+}
+
+/// Two to four TEE-signed outage declarations (fewer if two land on
+/// the same interval), each spanning a whole sample interval: no sample
+/// sits strictly inside one, so honest markers never trip the
+/// gap-contradiction check.
+fn arb_gaps(trace: &[SignedSample], rng: &mut XorShift64) -> Vec<SignedGapMarker> {
+    let mut starts: Vec<usize> = (0..2 + rng.gen_range_u64(3))
+        .map(|_| rng.gen_range_u64(trace.len() as u64 - 1) as usize)
+        .collect();
+    starts.sort_unstable();
+    starts.dedup();
+    starts
+        .into_iter()
+        .map(|i| {
+            sign_gap(
+                tee_key(),
+                trace[i].sample().time(),
+                trace[i + 1].sample().time(),
+            )
+        })
+        .collect()
+}
+
+/// A marker the auditor must reject: re-signed under the operator key
+/// (which never holds T⁻), or retimed — start or end moved, the TEE
+/// signature kept.
+fn bad_gap(gap: &SignedGapMarker, retime: bool, rng: &mut XorShift64) -> SignedGapMarker {
+    if !retime {
+        return sign_gap(forger_key(), gap.start(), gap.end());
+    }
+    let shift = in_range(rng, 0.1, 5.0) * if rng.gen_bool() { 1.0 } else { -1.0 };
+    let (start, end) = if rng.gen_bool() {
+        (Timestamp::from_secs(gap.start().secs() + shift), gap.end())
+    } else {
+        (gap.start(), Timestamp::from_secs(gap.end().secs() + shift))
+    };
+    SignedGapMarker::from_parts(start, end, gap.signature().to_vec(), gap.hash_alg())
+}
+
+/// Gap-marker mutations: 0 honest, 1 operator-signed, 2 retimed, 3 one
+/// of each on two different markers. Returns the lowest bad index — the
+/// one a `BadGapMarker` verdict must name.
+fn mutate_gaps(gaps: &mut [SignedGapMarker], kind: u64, rng: &mut XorShift64) -> Option<usize> {
+    let n = gaps.len();
+    let first = rng.gen_range_u64(n as u64) as usize;
+    match kind {
+        0 => None,
+        1 | 2 => {
+            gaps[first] = bad_gap(&gaps[first], kind == 2, rng);
+            Some(first)
+        }
+        _ => {
+            let second = if n > 1 {
+                (first + 1 + rng.gen_range_u64(n as u64 - 1) as usize) % n
+            } else {
+                first
+            };
+            gaps[first] = bad_gap(&gaps[first], false, rng);
+            gaps[second] = bad_gap(&gaps[second], true, rng);
+            Some(first.min(second))
+        }
+    }
+}
+
 /// Builds a registered auditor, optionally with a verify pool installed.
 fn auditor(pooled: bool) -> (Auditor, alidrone_core::DroneId) {
     let a = Auditor::new(AuditorConfig::default(), auditor_key().clone());
@@ -137,10 +209,15 @@ fn auditor(pooled: bool) -> (Auditor, alidrone_core::DroneId) {
 
 #[test]
 fn batched_and_serial_verdicts_agree_across_seeds() {
+    let mut bad_gap_verdicts = 0;
+    let mut honest_gap_passes = 0;
     for seed in 0..SEEDS {
         let mut rng = XorShift64::seed_from_u64(0x50A1 ^ seed);
         let mut trace = arb_trace(&mut rng);
-        mutate(&mut trace, seed % 5, &mut rng);
+        let sample_kind = seed % 5;
+        mutate(&mut trace, sample_kind, &mut rng);
+        let mut gaps = arb_gaps(&trace, &mut rng);
+        let bad_gap = mutate_gaps(&mut gaps, (seed / 5) % 4, &mut rng);
         let window_start = trace.first().unwrap().sample().time();
         let window_end = trace.last().unwrap().sample().time();
 
@@ -149,11 +226,15 @@ fn batched_and_serial_verdicts_agree_across_seeds() {
         assert_eq!(serial_id, pooled_id);
 
         let submission = |id| {
+            let mut poa = ProofOfAlibi::from_entries(trace.clone());
+            for gap in &gaps {
+                poa.push_gap(gap.clone());
+            }
             Submission::plain(PoaSubmission {
                 drone_id: id,
                 window_start,
                 window_end,
-                poa: ProofOfAlibi::from_entries(trace.clone()),
+                poa,
             })
         };
         let a = serial
@@ -167,11 +248,50 @@ fn batched_and_serial_verdicts_agree_across_seeds() {
             "seed {seed}: batched verdict diverged from serial"
         );
 
-        // Resubmission hits the pooled auditor's verify-result cache;
-        // the verdict must not change.
+        // Gap markers are checked only once every sample signature has
+        // passed, so an honest sample stream exposes the marker verdict.
+        if sample_kind == 0 {
+            match bad_gap {
+                Some(index) => {
+                    assert_eq!(
+                        b.verdict,
+                        Verdict::BadGapMarker { index },
+                        "seed {seed}: bad gap marker not rejected at its index"
+                    );
+                    bad_gap_verdicts += 1;
+                }
+                None => {
+                    assert!(
+                        !matches!(
+                            b.verdict,
+                            Verdict::BadSignature { .. }
+                                | Verdict::BadGapMarker { .. }
+                                | Verdict::GapContradiction { .. }
+                        ),
+                        "seed {seed}: honest markers rejected: {:?}",
+                        b.verdict
+                    );
+                    honest_gap_passes += 1;
+                }
+            }
+        }
+
+        // Resubmission re-verifies from scratch; the verdict must not
+        // change.
         let c = pooled
             .verify(&submission(pooled_id), Timestamp::EPOCH)
             .unwrap();
-        assert_eq!(b.verdict, c.verdict, "seed {seed}: cached verdict diverged");
+        assert_eq!(
+            b.verdict, c.verdict,
+            "seed {seed}: resubmitted verdict diverged"
+        );
     }
+    assert!(
+        bad_gap_verdicts >= 6,
+        "only {bad_gap_verdicts} bad-gap seeds"
+    );
+    assert!(
+        honest_gap_passes >= 3,
+        "only {honest_gap_passes} honest-gap seeds"
+    );
 }

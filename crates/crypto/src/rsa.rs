@@ -175,17 +175,15 @@ impl RsaPublicKey {
 /// A verification context with per-key precomputation done once.
 ///
 /// Holds the Montgomery parameters (`n' = -n⁻¹ mod 2⁶⁴`, `R² mod n`)
-/// for the key's modulus plus a stable key fingerprint, so
-/// repeated verifies under the same key skip both the parameter setup
-/// and every Knuth division the classic path pays per multiplication.
+/// for the key's modulus, so repeated verifies under the same key skip
+/// both the parameter setup and every Knuth division the classic path
+/// pays per multiplication.
 /// This is the type registration records and long-lived services should
 /// hold; [`RsaPublicKey::verify`] builds a throwaway one per call.
 #[derive(Debug, Clone)]
 pub struct RsaVerifier {
     key: RsaPublicKey,
     ctx: Arc<MontgomeryContext>,
-    /// Computed on first use so one-shot verifies never pay for it.
-    fingerprint: std::sync::OnceLock<[u8; 32]>,
 }
 
 impl RsaVerifier {
@@ -196,7 +194,6 @@ impl RsaVerifier {
             .expect("RsaPublicKey admits only odd moduli of 3..=4096 bits");
         RsaVerifier {
             ctx: Arc::new(ctx),
-            fingerprint: std::sync::OnceLock::new(),
             key,
         }
     }
@@ -204,21 +201,6 @@ impl RsaVerifier {
     /// The underlying public key.
     pub fn public_key(&self) -> &RsaPublicKey {
         &self.key
-    }
-
-    /// A stable SHA-256 identity over length-prefixed `(n, e)`, suitable
-    /// as a cache key for "which key verified this".
-    pub fn fingerprint(&self) -> &[u8; 32] {
-        self.fingerprint.get_or_init(|| {
-            let n_bytes = self.key.n.to_bytes_be();
-            let e_bytes = self.key.e.to_bytes_be();
-            let mut pre = Vec::with_capacity(8 + n_bytes.len() + e_bytes.len());
-            pre.extend_from_slice(&(n_bytes.len() as u32).to_be_bytes());
-            pre.extend_from_slice(&n_bytes);
-            pre.extend_from_slice(&(e_bytes.len() as u32).to_be_bytes());
-            pre.extend_from_slice(&e_bytes);
-            sha256(&pre)
-        })
     }
 
     /// Verifies an RSASSA-PKCS1-v1.5 signature over `msg` using the
@@ -676,18 +658,9 @@ mod tests {
     }
 
     #[test]
-    fn verifier_fingerprint_identifies_key() {
+    fn verifier_exposes_its_public_key() {
         let key = test_key();
-        let v1 = key.public_key().verifier();
-        let v2 = key.public_key().verifier();
-        assert_eq!(v1.fingerprint(), v2.fingerprint());
-        assert_eq!(v1.public_key(), key.public_key());
-        let mut rng = XorShift64::seed_from_u64(99);
-        let other = RsaPrivateKey::generate(512, &mut rng);
-        assert_ne!(
-            other.public_key().verifier().fingerprint(),
-            v1.fingerprint()
-        );
+        assert_eq!(key.public_key().verifier().public_key(), key.public_key());
     }
 
     #[test]

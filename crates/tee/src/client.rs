@@ -3,7 +3,7 @@
 
 use std::fmt;
 
-use alidrone_crypto::rsa::{RsaPublicKey, RsaVerifier};
+use alidrone_crypto::rsa::RsaPublicKey;
 use alidrone_geo::GpsSample;
 
 use crate::world::Param;
@@ -44,13 +44,6 @@ impl TeeClient {
     /// to the auditor at registration (paper §IV-B step 0).
     pub fn tee_public_key(&self) -> RsaPublicKey {
         self.world.inner.public_key()
-    }
-
-    /// A prepared `T⁺` verifier, built on each call. Call sites that
-    /// check many signatures under this key should hold the handle
-    /// instead of re-preparing the public key per check.
-    pub fn tee_verifier(&self) -> RsaVerifier {
-        self.tee_public_key().verifier()
     }
 
     /// The cost ledger for this TEE instance.

@@ -81,8 +81,8 @@ impl SignedSample {
     /// # Errors
     ///
     /// Same as [`verify`](Self::verify).
-    pub fn verify_with(&self, tee_verifier: &RsaVerifier) -> Result<(), TeeError> {
-        tee_verifier
+    pub fn verify_with(&self, verifier: &RsaVerifier) -> Result<(), TeeError> {
+        verifier
             .verify(&self.sample.to_bytes(), &self.signature, self.hash_alg)
             .map_err(|_| TeeError::SignatureInvalid)
     }
@@ -182,8 +182,8 @@ impl SignedSample3d {
     /// # Errors
     ///
     /// Same as [`verify`](Self::verify).
-    pub fn verify_with(&self, tee_verifier: &RsaVerifier) -> Result<(), TeeError> {
-        tee_verifier
+    pub fn verify_with(&self, verifier: &RsaVerifier) -> Result<(), TeeError> {
+        verifier
             .verify(&self.sample.to_bytes(), &self.signature, self.hash_alg)
             .map_err(|_| TeeError::SignatureInvalid)
     }
@@ -276,8 +276,8 @@ impl SignedGapMarker {
     /// # Errors
     ///
     /// Same as [`verify`](Self::verify).
-    pub fn verify_with(&self, tee_verifier: &RsaVerifier) -> Result<(), TeeError> {
-        tee_verifier
+    pub fn verify_with(&self, verifier: &RsaVerifier) -> Result<(), TeeError> {
+        verifier
             .verify(
                 &Self::signing_bytes(self.start, self.end),
                 &self.signature,
@@ -412,8 +412,8 @@ impl SignedTrace {
     /// # Errors
     ///
     /// Same as [`verify`](Self::verify).
-    pub fn verify_with(&self, tee_verifier: &RsaVerifier) -> Result<(), TeeError> {
-        tee_verifier
+    pub fn verify_with(&self, verifier: &RsaVerifier) -> Result<(), TeeError> {
+        verifier
             .verify(&self.trace_bytes, &self.signature, self.hash_alg)
             .map_err(|_| TeeError::SignatureInvalid)
     }
