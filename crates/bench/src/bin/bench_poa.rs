@@ -20,8 +20,9 @@
 //! regressions in matching cases exit non-zero, the rest print as
 //! advisory. CI uses a reduced sample count and gates only the
 //! CPU-bound cases (`rsa_sign_*`, `rsa_verify_*`, `tee_sample_*`,
-//! `poa_verify_e2e_50`, `merkle_proof_*`), which stay stable on shared
-//! runners; the I/O-heavy cases remain advisory.
+//! `poa_verify_e2e_50`, `merkle_proof_*`, `crc32_*`, `audit_append_*`),
+//! which stay stable on shared runners; the I/O-heavy cases (journal
+//! appends, follower catch-up, TCP, the exporter) remain advisory.
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -30,8 +31,10 @@ use alidrone_bench::baseline::{diff, Baseline, BenchCase};
 use alidrone_bench::bench_key;
 use alidrone_bench::harness::{black_box, BatchSize, Bencher};
 use alidrone_core::audit::{verify_inclusion, AuditChain};
-use alidrone_core::journal::{Journal, MemBackend, Record, StorageBackend};
-use alidrone_core::repl::{Follower, InProcessLink, ReplicationPolicy, Replicator};
+use alidrone_core::journal::{crc32, Journal, MemBackend, Record, StorageBackend};
+use alidrone_core::repl::{
+    Follower, InProcessLink, ReplAck, ReplFrame, ReplicationPolicy, Replicator,
+};
 use alidrone_core::verify_pool::VerifyPool;
 use alidrone_core::wire::server::AuditorServer;
 use alidrone_core::wire::tcp::{TcpServer, TcpTransport};
@@ -97,6 +100,22 @@ fn tee_session(bits: usize) -> (SimClock, TeeSession) {
         .open_session(GPS_SAMPLER_UUID)
         .expect("GPS Sampler session");
     (clock, session)
+}
+
+/// A stored-verdict journal record whose payload is 2048 bytes, about
+/// the size of one retained 1024-bit PoA and its verdict.
+fn verdict_record(i: u64) -> Record {
+    let poa = (0..2000u64)
+        .map(|j| (i ^ j.wrapping_mul(31)) as u8)
+        .collect();
+    Record::PoaStored {
+        drone: i % 16,
+        window_start: i as f64,
+        window_end: i as f64 + 30.0,
+        poa,
+        verdict: vec![0; 7],
+        stored_at: i as f64 + 31.0,
+    }
 }
 
 fn case_from(name: &str, b: &Bencher) -> BenchCase {
@@ -366,6 +385,70 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
         };
         let mut chain = AuditChain::new();
         b.iter(|| chain.append(&black_box(record.to_payload())));
+    });
+
+    // --- The same chain step over a stored-verdict-sized payload (the
+    // ~2 KiB `PoaStored` records that dominate a real history): one
+    // leaf hash over the payload, one fixed 72-byte chain step, and the
+    // subtree hashes the leaf completes.
+    run("audit_append_poa_2k", &mut |b| {
+        let payload = verdict_record(0).to_payload();
+        assert_eq!(payload.len(), 2048);
+        let mut chain = AuditChain::new();
+        b.iter(|| chain.append(black_box(&payload)));
+    });
+
+    // --- The journal frame checksum over 1 MiB: recovery and every
+    // follower check it once per history byte.
+    run("crc32_1mib", &mut |b| {
+        let data: Vec<u8> = (0..1u32 << 20)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        b.iter(|| crc32(black_box(&data)));
+    });
+
+    // --- Follower catch-up: one `Append` frame carrying a 10^4-record
+    // history of stored verdicts (with a Merkle checkpoint every 32, as
+    // the auditor journals them) into a fresh follower, which checks
+    // every CRC, extends its audit chain over every record, checks
+    // every checkpoint root, then persists the bytes.
+    run("follower_catchup_10k", &mut |b| {
+        let (journal, _, _) = Journal::open(Arc::new(MemBackend::new())).expect("open journal");
+        let mut chain = AuditChain::new();
+        for i in 0..10_000u64 {
+            let payload = verdict_record(i).to_payload();
+            chain.append(&payload);
+            journal.append_payload(&payload).expect("append");
+            if chain.size().is_multiple_of(32) {
+                let checkpoint = Record::AuditCheckpoint {
+                    size: chain.size(),
+                    root: chain.root(),
+                    sig: vec![0x5A; 128],
+                    tee_sig: Vec::new(),
+                };
+                journal.append_record(&checkpoint).expect("append");
+            }
+        }
+        let image = journal.read_durable().expect("read");
+        let frame = ReplFrame::Append {
+            epoch: 1,
+            offset: 0,
+            bytes: image.bytes().into(),
+        };
+        let fresh = || Follower::new(Arc::new(MemBackend::new()));
+        // Sanity: the whole frame must be accepted before it is timed.
+        let ack = fresh().apply(&frame).expect("apply");
+        assert_eq!(
+            ack,
+            ReplAck::Acked {
+                offset: image.end()
+            }
+        );
+        b.iter_batched(
+            fresh,
+            |follower| follower.apply(&frame),
+            BatchSize::LargeInput,
+        );
     });
 
     // --- Serving a transparency client at scale: one inclusion proof

@@ -6,15 +6,16 @@
 //! module makes the journal's history *verifiable by third parties*:
 //!
 //! * Every durable mutation record (registrations, zones, nonces,
-//!   stored verdicts) becomes a link in a **hash chain**: the chain
-//!   head after entry `i` is `SHA-256(prev_head ‖ seq ‖ payload)`, so
-//!   rewriting, dropping, or reordering any historical record changes
-//!   every later head.
-//! * The same payloads are leaves of an RFC 6962-style **Merkle tree**
+//!   stored verdicts) is a leaf of an RFC 6962-style **Merkle tree**
 //!   (leaf hash `SHA-256(0x00 ‖ payload)`, node hash
-//!   `SHA-256(0x01 ‖ left ‖ right)`), whose root is periodically
-//!   journaled as a [`Record::AuditCheckpoint`](crate::journal::Record)
-//!   and served over the wire as a [`SignedTreeHead`].
+//!   `SHA-256(0x01 ‖ left ‖ right)`) and a link in a **hash chain**
+//!   over those leaf hashes: the chain head after entry `i` is
+//!   `SHA-256(prev_head ‖ seq_be ‖ leaf_i)`, so rewriting, dropping, or
+//!   reordering any historical record changes every later head. Each
+//!   payload is hashed once; the chain step hashes a fixed 72 bytes.
+//! * The Merkle root is periodically journaled as a
+//!   [`Record::AuditCheckpoint`](crate::journal::Record) and served
+//!   over the wire as a [`SignedTreeHead`].
 //! * [`verify_inclusion`] and [`verify_consistency`] are pure
 //!   functions over hashes — a client (or court) verifies that a
 //!   verdict is included in a signed head, and that two signed heads
@@ -24,6 +25,10 @@
 //! Replication followers recompute the same chain while applying
 //! shipped frames (see [`crate::repl`]), so a primary that forks its
 //! history is refused with a typed error at the first checkpoint.
+//! Replay and followers check checkpoints by Merkle root only, so a
+//! journal written by a build that chained the payload itself, rather
+//! than its leaf hash, still recovers; only the `chain_head` values in
+//! signed tree heads differ between such builds.
 
 use std::fmt;
 
@@ -112,13 +117,15 @@ pub fn node_hash(left: &Hash, right: &Hash) -> Hash {
     h.finalize()
 }
 
-/// Advances the hash chain by one entry:
-/// `SHA-256(prev_head ‖ seq_be ‖ payload)`.
-pub fn chain_step(prev: &Hash, seq: u64, payload: &[u8]) -> Hash {
+/// Advances the hash chain by one entry whose Merkle leaf hash is
+/// `leaf`: `SHA-256(prev_head ‖ seq_be ‖ leaf)`. The leaf binds the
+/// payload under SHA-256 collision resistance, so the head binds every
+/// payload and its position exactly as hashing the payload again would.
+pub fn chain_step(prev: &Hash, seq: u64, leaf: &Hash) -> Hash {
     let mut h = Sha256::new();
     h.update(prev);
     h.update(&seq.to_be_bytes());
-    h.update(payload);
+    h.update(leaf);
     h.finalize()
 }
 
@@ -401,14 +408,15 @@ impl AuditChain {
         &self.leaves
     }
 
-    /// Appends one audited record payload: advances the chain head and
-    /// stores the Merkle leaf plus every subtree it completes. A leaf at
-    /// an odd index completes one subtree per trailing one bit of that
-    /// index, so an append costs one node hash amortized.
+    /// Appends one audited record payload: hashes it once into its
+    /// Merkle leaf, advances the chain head over that leaf, and stores
+    /// the leaf plus every subtree it completes. A leaf at an odd index
+    /// completes one subtree per trailing one bit of that index, so an
+    /// append costs one node hash amortized.
     pub fn append(&mut self, payload: &[u8]) {
         let mut index = self.leaves.len();
-        self.head = chain_step(&self.head, index as u64, payload);
         let mut right = leaf_hash(payload);
+        self.head = chain_step(&self.head, index as u64, &right);
         self.leaves.push(right);
         let mut k = 0;
         while index & 1 == 1 {
@@ -717,6 +725,27 @@ mod tests {
             dropped.append(&[i as u8, 0xA5]);
         }
         assert_ne!(a.head(), dropped.head());
+    }
+
+    #[test]
+    fn chain_step_known_answer() {
+        // head_1 = SHA-256(0^32 ‖ 0u64_be ‖ SHA-256(0x00 ‖ "abc")),
+        // computed with an independent SHA-256 implementation.
+        let expect = [
+            0xf6, 0x22, 0x65, 0x41, 0x8b, 0x26, 0xde, 0xd0, 0x3d, 0x0d, 0xb9, 0x42, 0x00, 0xa3,
+            0x71, 0x9c, 0x47, 0x85, 0x96, 0x12, 0x14, 0xcb, 0xd7, 0x27, 0x2f, 0x71, 0xa5, 0x37,
+            0x6f, 0xe5, 0x70, 0x7f,
+        ];
+        let leaf = leaf_hash(b"abc");
+        assert_eq!(chain_step(&[0u8; HASH_LEN], 0, &leaf), expect);
+        let mut c = AuditChain::new();
+        c.append(b"abc");
+        assert_eq!(c.head(), expect);
+        assert_eq!(c.leaves(), &[leaf]);
+        // The second step chains the first head and the next sequence
+        // number over the next leaf.
+        c.append(b"de");
+        assert_eq!(c.head(), chain_step(&expect, 1, &leaf_hash(b"de")));
     }
 
     #[test]

@@ -430,8 +430,9 @@ impl Auditor {
             torn_bytes: replay.torn_bytes,
         };
         let mut auditor = Auditor::with_obs(config, encryption_key, obs);
-        for record in &records {
-            auditor.apply_record(record)?;
+        for payload in records.payloads() {
+            let record = Record::from_payload(payload)?;
+            auditor.apply_record(&record, payload)?;
             if matches!(record, Record::Snapshot(_)) {
                 report.snapshot_loaded = true;
             }
@@ -450,16 +451,17 @@ impl Auditor {
         Ok((auditor, report))
     }
 
-    /// Applies one replayed journal record to in-memory state *without*
-    /// re-journaling it. Id counters advance past every replayed id so
-    /// new registrations never collide with recovered ones.
-    fn apply_record(&mut self, record: &Record) -> Result<(), ProtocolError> {
+    /// Applies one replayed journal record, decoded from `payload`, to
+    /// in-memory state *without* re-journaling it. Id counters advance
+    /// past every replayed id so new registrations never collide with
+    /// recovered ones.
+    fn apply_record(&mut self, record: &Record, payload: &[u8]) -> Result<(), ProtocolError> {
         use alidrone_crypto::bigint::BigUint;
         use alidrone_geo::{Distance, GeoPoint};
         if record.is_audited() {
             // Replay recomputes the same chain the live auditor built,
             // so the checkpoint arm below can catch rewritten history.
-            self.audit_extend(record);
+            self.audit_extend(record, payload);
         }
         match record {
             Record::RegisterDrone {
@@ -566,12 +568,13 @@ impl Auditor {
         Ok(())
     }
 
-    /// Advances the audit chain by one audited record (live append and
-    /// replay share this, so both build the identical chain).
-    fn audit_extend(&self, record: &Record) {
+    /// Advances the audit chain by one audited record, given the
+    /// payload bytes the journal writes or replayed for it (live append
+    /// and replay share this, so both build the identical chain).
+    fn audit_extend(&self, record: &Record, payload: &[u8]) {
         let mut audit = self.audit.lock().unwrap_or_else(|p| p.into_inner());
         let index = audit.chain.size();
-        audit.chain.append(&record.to_payload());
+        audit.chain.append(payload);
         audit.sth = None;
         if let Record::PoaStored { drone, .. } = record {
             audit.verdict_leaves.insert(DroneId::new(*drone), index);
@@ -778,12 +781,15 @@ impl Auditor {
     /// may be lost.
     fn journal_append(&self, record: &Record) -> Result<(), ProtocolError> {
         let mut slot = self.journal.lock().unwrap_or_else(|p| p.into_inner());
+        // Encoded once: the audit chain hashes the bytes the journal
+        // writes.
+        let payload = record.to_payload();
         // The chain advances under the journal lock so chain order
         // always matches append order — and even with journaling
         // disabled, so an in-memory auditor still serves verifiable
         // tree heads and proofs.
         if record.is_audited() {
-            self.audit_extend(record);
+            self.audit_extend(record, &payload);
         }
         let Some(journal) = slot.as_ref() else {
             // No journal means nothing can replicate: under a quorum
@@ -805,13 +811,13 @@ impl Auditor {
         // record that triggered it, so the chained prefix it covers is
         // exactly the records physically before it in the journal.
         let checkpoint = if record.is_audited() {
-            self.due_checkpoint()
+            self.due_checkpoint().as_ref().map(Record::to_payload)
         } else {
             None
         };
-        for rec in std::iter::once(record).chain(checkpoint.as_ref()) {
+        for payload in std::iter::once(&payload).chain(checkpoint.as_ref()) {
             let t0 = std::time::Instant::now();
-            let result = journal.append_record(rec);
+            let result = journal.append_payload(payload);
             self.journal_append_latency
                 .record_micros(t0.elapsed().as_micros() as u64);
             if let Err(err) = result {
@@ -2431,6 +2437,40 @@ mod tests {
         let err =
             Auditor::recover(backend, AuditorConfig::default(), auditor_key().clone()).unwrap_err();
         assert!(matches!(err, ProtocolError::Storage(_)), "got {err}");
+    }
+
+    #[test]
+    fn undecodable_mid_journal_record_is_typed_storage_error() {
+        let backend = Arc::new(MemBackend::new());
+        let (a, _) = recovered(Arc::clone(&backend));
+        registered(&a);
+        drop(a);
+        // A whole frame with a valid CRC whose payload is no record
+        // (unknown tag), followed by a good record and a torn tail.
+        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        journal.append_payload(&[0xEE, 1, 2, 3]).unwrap();
+        journal
+            .append_record(&Record::RegisterZone {
+                id: 7,
+                lat_deg: 40.0,
+                lon_deg: -88.0,
+                radius_m: 100.0,
+            })
+            .unwrap();
+        drop(journal);
+        backend.append(&[0, 0]).unwrap();
+        let err = Auditor::recover(
+            backend.clone(),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, ProtocolError::Storage(_)), "got {err}");
+        // Opening the journal cut the torn tail before the replay
+        // refused the record; every whole frame is still there.
+        let (_, replay, report) = Journal::open(backend).unwrap();
+        assert!(!report.torn_tail);
+        assert_eq!(replay.payloads().len(), 3);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 
 use std::fmt;
 use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
@@ -339,31 +340,49 @@ impl StorageBackend for MemBackend {
 
 // ------------------------------------------------------------------- crc32
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
+/// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: eight
+/// 256-entry tables fold eight input bytes per step, where a single
+/// table folds one. `TABLES[0]` is the classic byte table, and
+/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-    let table = TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        let mut i = 0;
-        while i < 256 {
+    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
+    let t = TABLES.get_or_init(|| {
+        let mut t = [[0u32; 256]; 8];
+        for (i, entry) in t[0].iter_mut().enumerate() {
             let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
+            for _ in 0..8 {
                 c = if c & 1 != 0 {
                     0xEDB8_8320 ^ (c >> 1)
                 } else {
                     c >> 1
                 };
-                k += 1;
             }
-            table[i] = c;
-            i += 1;
+            *entry = c;
         }
-        table
+        for k in 1..8 {
+            for i in 0..256 {
+                let prev = t[k - 1][i];
+                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            }
+        }
+        t
     });
     let mut crc = !0u32;
-    for &b in bytes {
-        crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xFF) as usize]
+            ^ t[6][((lo >> 8) & 0xFF) as usize]
+            ^ t[5][((lo >> 16) & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][((hi >> 8) & 0xFF) as usize]
+            ^ t[1][((hi >> 16) & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
     }
     !crc
 }
@@ -602,7 +621,7 @@ impl Record {
 /// What [`Journal::open`] found on disk.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ReplayReport {
-    /// Whole records successfully decoded.
+    /// Whole records found (frames whose length and CRC check out).
     pub records_applied: usize,
     /// `true` when a truncated final frame was discarded (crash during
     /// the last append).
@@ -613,13 +632,17 @@ pub struct ReplayReport {
     pub bytes_replayed: usize,
 }
 
-/// Parses a journal image into records, applying the torn-tail rule.
+/// Checks a journal image's header and frames, applying the torn-tail
+/// rule, and returns where each whole record's payload sits in `bytes`.
+/// Payloads are checked against their CRC but not decoded: the caller
+/// decodes each one with [`Record::from_payload`] and can hand the same
+/// bytes on (the auditor's replay feeds them to the audit chain).
 ///
 /// # Errors
 ///
 /// [`JournalError::Corrupt`] for a bad header or any damaged frame that
 /// is *not* a clean truncation of the final record.
-pub fn parse_image(bytes: &[u8]) -> Result<(Vec<Record>, ReplayReport), JournalError> {
+pub fn parse_image(bytes: &[u8]) -> Result<(Vec<Range<usize>>, ReplayReport), JournalError> {
     let mut report = ReplayReport::default();
     if bytes.is_empty() {
         return Ok((Vec::new(), report));
@@ -643,7 +666,7 @@ pub fn parse_image(bytes: &[u8]) -> Result<(Vec<Record>, ReplayReport), JournalE
             reason: "unsupported version",
         });
     }
-    let mut records = Vec::new();
+    let mut payloads = Vec::new();
     let mut off = HEADER_LEN;
     while off < bytes.len() {
         let rest = &bytes[off..];
@@ -663,15 +686,14 @@ pub fn parse_image(bytes: &[u8]) -> Result<(Vec<Record>, ReplayReport), JournalE
                 reason: "impossible record length",
             });
         }
-        let payload = &rest[FRAME_OVERHEAD..];
-        if payload.len() < len {
+        if rest.len() - FRAME_OVERHEAD < len {
             // Payload shorter than declared *at the tail*: torn write.
             report.torn_tail = true;
             report.torn_bytes = rest.len();
             break;
         }
-        let payload = &payload[..len];
-        if crc32(payload) != crc {
+        let payload = off + FRAME_OVERHEAD..off + FRAME_OVERHEAD + len;
+        if crc32(&bytes[payload.clone()]) != crc {
             // The whole frame is present but its checksum fails: this is
             // rot or tampering, never a clean crash.
             return Err(JournalError::Corrupt {
@@ -679,29 +701,47 @@ pub fn parse_image(bytes: &[u8]) -> Result<(Vec<Record>, ReplayReport), JournalE
                 reason: "crc mismatch",
             });
         }
-        records.push(Record::from_payload(payload)?);
+        off = payload.end;
+        payloads.push(payload);
         report.records_applied += 1;
-        off += FRAME_OVERHEAD + len;
     }
     report.bytes_replayed = off;
-    Ok((records, report))
+    Ok((payloads, report))
+}
+
+/// The whole records of a journal image as [`Journal::open`] found
+/// them: the image bytes and each record's payload within them, in
+/// journal order.
+#[derive(Debug)]
+pub struct Replay {
+    image: Vec<u8>,
+    payloads: Vec<Range<usize>>,
+}
+
+impl Replay {
+    /// Each record's payload bytes (tag + body), in journal order;
+    /// decode one with [`Record::from_payload`].
+    pub fn payloads(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        self.payloads.iter().map(|r| &self.image[r.clone()])
+    }
 }
 
 // ----------------------------------------------------------------- journal
 
-/// What [`Journal::read_from`] hands a log shipper.
+/// What [`DurableImage::missing`] hands a log shipper, borrowed from
+/// the image.
 ///
 /// Offsets are *logical*: a monotonically increasing byte position in
 /// the journal's lifetime stream. Appends extend the stream; compaction
 /// rebases it — the fresh image occupies logical bytes starting at the
 /// old durable end, so any offset acked before compaction is now behind
 /// [`Journal::base_offset`] and resolves to [`ShipSource::Rebased`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ShipSource {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ShipSource<'a> {
     /// Raw frame bytes from the requested offset to the durable end.
     /// Appending them to a follower image that ends at the requested
     /// offset reproduces this journal's image byte-for-byte.
-    Tail(Vec<u8>),
+    Tail(&'a [u8]),
     /// The requested offset predates the current image (compaction
     /// reclaimed it): the whole current image, re-based at `base`. The
     /// follower must replace its image wholesale and resume from
@@ -710,8 +750,68 @@ pub enum ShipSource {
         /// Logical offset of the image's first byte.
         base: u64,
         /// The full current journal image (header + frames).
-        image: Vec<u8>,
+        image: &'a [u8],
     },
+}
+
+/// One consistent read of a journal's durable bytes: the current image
+/// up to the durable end, and the logical offset of its first byte. A
+/// log shipper reads it once per replication round and answers every
+/// follower from it with [`missing`](DurableImage::missing).
+#[derive(Debug)]
+pub struct DurableImage {
+    base: u64,
+    bytes: Vec<u8>,
+}
+
+impl DurableImage {
+    /// Logical offset of the image's first byte.
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// Logical durable end: `base` plus the image length.
+    pub fn end(&self) -> u64 {
+        self.base + self.bytes.len() as u64
+    }
+
+    /// The image (header + whole frames).
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Whether a follower acked up to `from` must replace its image
+    /// with this whole one rather than append a tail: compaction
+    /// reclaimed `from`.
+    fn rebases(&self, from: u64) -> bool {
+        // `from == base` after a rebase (base > 0) still needs a full
+        // image transfer: the follower's physical bytes at that offset
+        // are the pre-compaction history, not this image's header —
+        // appending the image would embed a second journal header.
+        from < self.base || (from == self.base && self.base > 0)
+    }
+
+    /// The bytes a follower acked up to `from` lacks: the raw tail when
+    /// `from` is inside this image, or the whole re-based image when
+    /// compaction has reclaimed `from`.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Malformed`] when `from` lies beyond the durable
+    /// end (the follower claims bytes this journal never wrote — a
+    /// protocol violation, not a race).
+    pub fn missing(&self, from: u64) -> Result<ShipSource<'_>, JournalError> {
+        if self.rebases(from) {
+            return Ok(ShipSource::Rebased {
+                base: self.base,
+                image: &self.bytes,
+            });
+        }
+        if from > self.end() {
+            return Err(JournalError::Malformed("ship offset beyond durable end"));
+        }
+        Ok(ShipSource::Tail(&self.bytes[(from - self.base) as usize..]))
+    }
 }
 
 /// An open, appendable journal over a [`StorageBackend`].
@@ -731,9 +831,14 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (or creates) a journal on `backend`, returning the decoded
+    /// Opens (or creates) a journal on `backend`, returning its whole
     /// records and a replay report. A torn tail is truncated away so the
     /// journal is appendable; mid-journal corruption is refused.
+    ///
+    /// Records are checked by length and CRC here, not decoded: a
+    /// CRC-valid record that does not decode fails the caller's decode
+    /// ([`Record::from_payload`]) after this call has already cut the
+    /// torn tail, which no successful open would have kept either.
     ///
     /// # Errors
     ///
@@ -741,9 +846,9 @@ impl Journal {
     /// failures.
     pub fn open(
         backend: std::sync::Arc<dyn StorageBackend>,
-    ) -> Result<(Journal, Vec<Record>, ReplayReport), JournalError> {
+    ) -> Result<(Journal, Replay, ReplayReport), JournalError> {
         let bytes = backend.read()?;
-        let (records, report) = parse_image(&bytes)?;
+        let (payloads, report) = parse_image(&bytes)?;
         let mut clean_len = bytes.len();
         if bytes.is_empty() {
             let mut header = Vec::with_capacity(HEADER_LEN);
@@ -773,7 +878,10 @@ impl Journal {
                 base: std::sync::atomic::AtomicU64::new(0),
                 end: std::sync::atomic::AtomicU64::new(clean_len as u64),
             },
-            records,
+            Replay {
+                image: bytes,
+                payloads,
+            },
             report,
         ))
     }
@@ -791,39 +899,23 @@ impl Journal {
         self.end.load(std::sync::atomic::Ordering::Acquire)
     }
 
-    /// Reads the durable bytes a follower acked up to `from` still
-    /// needs: a raw tail when `from` is inside the current image, or the
-    /// whole re-based image when compaction has reclaimed `from`.
+    /// Reads the durable image, with its logical base, under the write
+    /// lock so the (base, end, bytes) view is consistent. This reads the
+    /// whole image from the backend, whatever offset a shipper needs.
     ///
     /// # Errors
     ///
-    /// Backend read failures, and [`JournalError::Malformed`] when
-    /// `from` lies beyond the durable end (the follower claims bytes
-    /// this journal never wrote — a protocol violation, not a race).
-    pub fn read_from(&self, from: u64) -> Result<ShipSource, JournalError> {
+    /// Backend read failures.
+    pub fn read_durable(&self) -> Result<DurableImage, JournalError> {
         use std::sync::atomic::Ordering;
         let _g = self.write_lock.lock().unwrap_or_else(|p| p.into_inner());
         let base = self.base.load(Ordering::Acquire);
         let end = self.end.load(Ordering::Acquire);
-        let bytes = self.backend.read()?;
+        let mut bytes = self.backend.read()?;
         // The tracked end is the durable horizon: a failed append may
         // have left a torn physical tail past it, which must never ship.
-        let durable = ((end - base) as usize).min(bytes.len());
-        let image = &bytes[..durable];
-        // `from == base` after a rebase (base > 0) still needs a full
-        // image transfer: the follower's physical bytes at that offset
-        // are the pre-compaction history, not this image's header —
-        // appending the image would embed a second journal header.
-        if from < base || (from == base && base > 0) {
-            return Ok(ShipSource::Rebased {
-                base,
-                image: image.to_vec(),
-            });
-        }
-        if from > end {
-            return Err(JournalError::Malformed("ship offset beyond durable end"));
-        }
-        Ok(ShipSource::Tail(image[(from - base) as usize..].to_vec()))
+        bytes.truncate((end - base) as usize);
+        Ok(DurableImage { base, bytes })
     }
 
     /// Appends one record as a single backend write (frame = length,
@@ -831,10 +923,21 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Backend failures; on error the journal may hold a torn tail,
-    /// which the next [`Journal::open`] cleans up.
+    /// As for [`append_payload`](Journal::append_payload).
     pub fn append_record(&self, record: &Record) -> Result<(), JournalError> {
-        let payload = record.to_payload();
+        self.append_payload(&record.to_payload())
+    }
+
+    /// Appends one already-encoded record payload
+    /// ([`Record::to_payload`]) as a single backend write, so a caller
+    /// that also hashes the payload encodes the record once.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::Malformed`] for an empty or oversized payload,
+    /// and backend failures; on a backend error the journal may hold a
+    /// torn tail, which the next [`Journal::open`] cleans up.
+    pub fn append_payload(&self, payload: &[u8]) -> Result<(), JournalError> {
         if payload.is_empty() || payload.len() > MAX_RECORD_LEN {
             // A frame outside the parseable length range would poison
             // the journal: parse_image would refuse the whole image as
@@ -843,8 +946,8 @@ impl Journal {
         }
         let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
         frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_be_bytes());
-        frame.extend_from_slice(&payload);
+        frame.extend_from_slice(&crc32(payload).to_be_bytes());
+        frame.extend_from_slice(payload);
         let _g = self.write_lock.lock().unwrap_or_else(|p| p.into_inner());
         self.backend.append(&frame)?;
         self.end
@@ -908,18 +1011,73 @@ mod tests {
         }
     }
 
+    /// Every replayed payload, decoded.
+    fn decoded(replay: &Replay) -> Vec<Record> {
+        replay
+            .payloads()
+            .map(|p| Record::from_payload(p).unwrap())
+            .collect()
+    }
+
+    /// The one-table, byte-at-a-time CRC-32 the sliced one must equal.
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
+        let table = TABLE.get_or_init(|| {
+            let mut table = [0u32; 256];
+            for (i, entry) in table.iter_mut().enumerate() {
+                let mut c = i as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+                *entry = c;
+            }
+            table
+        });
+        let mut crc = !0u32;
+        for &b in bytes {
+            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_known_vectors() {
         // IEEE CRC-32 of "123456789" is the classic check value.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
+        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn sliced_crc32_matches_bytewise_at_every_length_and_alignment() {
+        // A fixed pseudo-random buffer; every start offset mod 8 puts
+        // the 8-byte steps and the bytewise remainder on every split.
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let buf: Vec<u8> = (0..4096 + 8)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                (x >> 56) as u8
+            })
+            .collect();
+        for start in 0..8 {
+            for len in 0..=4096 {
+                let data = &buf[start..start + len];
+                assert_eq!(crc32(data), crc32_bytewise(data), "start={start} len={len}");
+            }
+        }
     }
 
     #[test]
     fn open_fresh_writes_header_then_round_trips() {
         let backend = Arc::new(MemBackend::new());
         let (journal, records, report) = Journal::open(backend.clone()).unwrap();
-        assert!(records.is_empty());
+        assert_eq!(records.payloads().len(), 0);
         assert!(!report.torn_tail);
         journal.append_record(&zone_record(1)).unwrap();
         journal
@@ -930,8 +1088,8 @@ mod tests {
             .unwrap();
         drop(journal);
         let (_, records, report) = Journal::open(backend).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0], zone_record(1));
+        assert_eq!(records.payloads().len(), 2);
+        assert_eq!(decoded(&records)[0], zone_record(1));
         assert_eq!(report.records_applied, 2);
         assert!(!report.torn_tail);
     }
@@ -1004,11 +1162,11 @@ mod tests {
         for cut in 1..FRAME_OVERHEAD + 4 {
             let torn = Arc::new(MemBackend::with_bytes(full[..full.len() - cut].to_vec()));
             let (_, records, report) = Journal::open(torn.clone()).unwrap();
-            assert_eq!(records.len(), 1, "cut {cut}");
+            assert_eq!(records.payloads().len(), 1, "cut {cut}");
             assert!(report.torn_tail, "cut {cut}");
             // The tail was truncated away; reopening is now clean.
             let (_, records2, report2) = Journal::open(torn).unwrap();
-            assert_eq!(records2.len(), 1);
+            assert_eq!(records2.payloads().len(), 1);
             assert!(!report2.torn_tail);
         }
     }
@@ -1081,9 +1239,13 @@ mod tests {
         assert!(backend.bytes().len() < before);
         journal.append_record(&zone_record(99)).unwrap();
         let (_, records, _) = Journal::open(backend).unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0], Record::Snapshot(b"snapshot-bytes".to_vec()));
-        assert_eq!(records[1], zone_record(99));
+        assert_eq!(
+            decoded(&records),
+            vec![
+                Record::Snapshot(b"snapshot-bytes".to_vec()),
+                zone_record(99)
+            ]
+        );
     }
 
     #[test]
@@ -1100,7 +1262,7 @@ mod tests {
         // Nothing was written; the journal still parses cleanly.
         backend.set_capacity(None);
         let (_, records, report) = Journal::open(backend).unwrap();
-        assert_eq!(records.len(), 1);
+        assert_eq!(records.payloads().len(), 1);
         assert!(!report.torn_tail);
     }
 
@@ -1112,7 +1274,7 @@ mod tests {
         backend.tear_next_append(5);
         assert!(journal.append_record(&zone_record(2)).is_err());
         let (_, records, report) = Journal::open(backend).unwrap();
-        assert_eq!(records.len(), 1);
+        assert_eq!(records.payloads().len(), 1);
         assert!(report.torn_tail);
     }
 
@@ -1130,16 +1292,16 @@ mod tests {
         journal.append_record(&zone_record(2)).unwrap();
         drop(journal);
         let (journal, records, _) = Journal::open(Arc::new(FsBackend::new(&path))).unwrap();
-        assert_eq!(records.len(), 2);
+        assert_eq!(records.payloads().len(), 2);
         journal.compact(b"snap").unwrap();
         let (_, records, _) = Journal::open(Arc::new(FsBackend::new(&path))).unwrap();
-        assert_eq!(records, vec![Record::Snapshot(b"snap".to_vec())]);
+        assert_eq!(decoded(&records), vec![Record::Snapshot(b"snap".to_vec())]);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }
 
     #[test]
-    fn offsets_track_appends_and_read_from_ships_exact_tails() {
+    fn offsets_track_appends_and_missing_ships_exact_tails() {
         let backend = Arc::new(MemBackend::new());
         let (journal, _, _) = Journal::open(backend.clone()).unwrap();
         assert_eq!(journal.base_offset(), 0);
@@ -1153,22 +1315,19 @@ mod tests {
         // A follower at offset 0 receives the whole image; one at end1
         // receives exactly the second record's frame.
         let full = backend.bytes();
+        let image = journal.read_durable().unwrap();
+        assert_eq!((image.base(), image.end()), (0, end2));
+        assert_eq!(image.bytes(), full.as_slice());
+        assert_eq!(image.missing(0).unwrap(), ShipSource::Tail(&full));
         assert_eq!(
-            journal.read_from(0).unwrap(),
-            ShipSource::Tail(full.clone())
+            image.missing(end1).unwrap(),
+            ShipSource::Tail(&full[end1 as usize..])
         );
-        let ShipSource::Tail(tail) = journal.read_from(end1).unwrap() else {
-            panic!("in-image offset must ship a tail");
-        };
-        assert_eq!(tail, full[end1 as usize..].to_vec());
         // Fully caught up: an empty tail.
-        assert_eq!(
-            journal.read_from(end2).unwrap(),
-            ShipSource::Tail(Vec::new())
-        );
+        assert_eq!(image.missing(end2).unwrap(), ShipSource::Tail(&[]));
         // Beyond the durable end is a protocol violation, typed.
         assert!(matches!(
-            journal.read_from(end2 + 1),
+            image.missing(end2 + 1),
             Err(JournalError::Malformed(_))
         ));
     }
@@ -1184,18 +1343,26 @@ mod tests {
         journal.compact(b"snap").unwrap();
         assert_eq!(journal.base_offset(), old_end);
         assert_eq!(journal.end_offset(), old_end + backend.bytes().len() as u64);
-        // A follower acked before compaction gets the re-based image.
-        let ShipSource::Rebased { base, image } = journal.read_from(old_end - 1).unwrap() else {
-            panic!("pre-compaction offset must rebase");
-        };
-        assert_eq!(base, old_end);
-        assert_eq!(image, backend.bytes());
+        // A follower acked before compaction, or at exactly the new
+        // base, gets the whole re-based image.
+        let image = journal.read_durable().unwrap();
+        let compacted = backend.bytes();
+        for from in [old_end - 1, old_end] {
+            assert_eq!(
+                image.missing(from).unwrap(),
+                ShipSource::Rebased {
+                    base: old_end,
+                    image: &compacted
+                }
+            );
+        }
         // Appends after compaction extend the re-based stream.
         journal.append_record(&zone_record(99)).unwrap();
-        let ShipSource::Tail(tail) = journal.read_from(base + image.len() as u64).unwrap() else {
+        let after = journal.read_durable().unwrap();
+        let ShipSource::Tail(tail) = after.missing(image.end()).unwrap() else {
             panic!("post-compaction offset must ship a tail");
         };
-        assert_eq!(tail.len(), backend.bytes().len() - image.len());
+        assert_eq!(tail.len(), backend.bytes().len() - compacted.len());
     }
 
     #[test]
@@ -1207,12 +1374,17 @@ mod tests {
         backend.tear_next_append(5);
         assert!(journal.append_record(&zone_record(2)).is_err());
         assert_eq!(journal.end_offset(), end, "torn append must not advance");
-        // read_from must not ship the torn physical tail.
-        let ShipSource::Tail(tail) = journal.read_from(0).unwrap() else {
-            panic!("tail expected");
-        };
-        assert_eq!(tail.len() as u64, end);
-        parse_image(&tail).expect("shipped bytes are a clean image");
+        // The durable image must not include the torn physical tail.
+        let image = journal.read_durable().unwrap();
+        assert_eq!(image.end(), end);
+        let (payloads, report) =
+            parse_image(image.bytes()).expect("shipped bytes are a clean image");
+        assert!(!report.torn_tail);
+        let records: Vec<Record> = payloads
+            .into_iter()
+            .map(|p| Record::from_payload(&image.bytes()[p]).expect("shipped records decode"))
+            .collect();
+        assert_eq!(records, vec![zone_record(1)]);
     }
 
     #[test]
@@ -1233,7 +1405,7 @@ mod tests {
         // A crash while writing the 5-byte header itself.
         let torn = Arc::new(MemBackend::with_bytes(vec![0x41, 0x4C]));
         let (journal, records, report) = Journal::open(torn).unwrap();
-        assert!(records.is_empty());
+        assert_eq!(records.payloads().len(), 0);
         assert!(report.torn_tail);
         journal.append_record(&zone_record(1)).unwrap();
     }

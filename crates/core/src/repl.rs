@@ -5,10 +5,10 @@
 //! paper's trust story assumes the auditor is always there to verify
 //! PoAs. This module replicates the journal (see [`crate::journal`])
 //! from a primary to N followers by **log shipping**: after every
-//! durable mutation the primary reads the raw frame bytes each
-//! follower still lacks ([`Journal::read_from`]) and ships them over a
-//! [`ReplLink`]; the follower appends them to its own backend and acks
-//! the logical offset it is now durable up to. Follower images are
+//! durable mutation the primary ships each follower the raw frame
+//! bytes it still lacks over a [`ReplLink`]; the follower appends them
+//! to its own backend and acks the logical offset it is now durable up
+//! to. Follower images are
 //! therefore *byte-identical prefixes* of the primary's journal, so a
 //! promoted follower recovers with the ordinary
 //! [`Auditor::recover`](crate::Auditor::recover) replay — no second
@@ -42,16 +42,26 @@
 //! needs a majority quorum, the classic overlap argument — see
 //! DESIGN.md §13.
 //!
+//! # One read per round
+//!
+//! A replication round reads the durable image once
+//! ([`Journal::read_durable`]), when the first follower needs bytes;
+//! every follower's frame, its retries and the lag gauges borrow
+//! slices of that one read ([`DurableImage::missing`]). Followers are
+//! shipped to one after another, in follower order.
+//!
 //! # Catch-up
 //!
 //! A follower that fell behind (partition, slow disk) resumes
 //! incrementally: the primary remembers its last acked offset and
 //! ships the missing tail. When compaction has rebased the journal
-//! past that offset, [`Journal::read_from`] yields
-//! [`ShipSource::Rebased`] and the follower receives the whole fresh
-//! image as a [`ReplFrame::Snapshot`] (replace, then tail as usual) —
-//! byte-identical to a follower that never missed a frame.
+//! past that offset ([`ShipSource::Rebased`]) the follower receives
+//! the whole fresh image as a [`ReplFrame::Snapshot`] (replace, then
+//! tail as usual) — byte-identical to a follower that never missed a
+//! frame.
 
+use std::borrow::Cow;
+use std::cell::OnceCell;
 use std::fmt;
 use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -64,8 +74,8 @@ use alidrone_obs::{Counter, Gauge, Histogram, Level, Obs};
 use crate::audit::{AuditChain, ChainMark};
 use crate::journal::{crc32, Journal, MemBackend, Record};
 use crate::journal::{
-    JournalError, ShipSource, StorageBackend, FRAME_OVERHEAD, HEADER_LEN, JOURNAL_MAGIC,
-    MAX_RECORD_LEN,
+    DurableImage, JournalError, ShipSource, StorageBackend, FRAME_OVERHEAD, HEADER_LEN,
+    JOURNAL_MAGIC, MAX_RECORD_LEN,
 };
 use crate::wire::codec::{Reader, Writer};
 use crate::{Auditor, AuditorConfig, ProtocolError};
@@ -192,9 +202,13 @@ impl Default for ClusterConfig {
 
 // ------------------------------------------------------------------ frames
 
-/// One message on the replication stream, primary → follower.
+/// One message on the replication stream, primary → follower. The
+/// bytes are borrowed where they already exist — a primary ships
+/// slices of its one read of the image to every follower, and a TCP
+/// follower applies a frame decoded in place — or owned where they do
+/// not.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ReplFrame {
+pub enum ReplFrame<'a> {
     /// Raw journal frame bytes starting at logical `offset` (the
     /// follower's acked end). Appending them reproduces the primary's
     /// image byte-for-byte.
@@ -204,7 +218,7 @@ pub enum ReplFrame {
         /// Logical offset of the first shipped byte.
         offset: u64,
         /// Raw journal bytes (whole frames; never a torn tail).
-        bytes: Vec<u8>,
+        bytes: Cow<'a, [u8]>,
     },
     /// A whole journal image re-based at `base` — shipped when
     /// compaction reclaimed the follower's offset, or to force a
@@ -216,14 +230,14 @@ pub enum ReplFrame {
         /// Logical offset of the image's first byte.
         base: u64,
         /// The full journal image (header + frames).
-        image: Vec<u8>,
+        image: Cow<'a, [u8]>,
     },
 }
 
 const FRAME_TAG_APPEND: u8 = 1;
 const FRAME_TAG_SNAPSHOT: u8 = 2;
 
-impl ReplFrame {
+impl<'a> ReplFrame<'a> {
     /// The epoch this frame was shipped under.
     pub fn epoch(&self) -> u64 {
         match self {
@@ -260,7 +274,7 @@ impl ReplFrame {
     /// # Errors
     ///
     /// [`ReplError::Malformed`] for unknown tags or truncated bodies.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ReplFrame, ReplError> {
+    pub fn from_bytes(bytes: &'a [u8]) -> Result<ReplFrame<'a>, ReplError> {
         let mut r = Reader::new(bytes);
         let mal = |_| ReplError::Malformed("truncated replication frame");
         let tag = r.get_u8().map_err(mal)?;
@@ -268,12 +282,12 @@ impl ReplFrame {
             FRAME_TAG_APPEND => ReplFrame::Append {
                 epoch: r.get_u64().map_err(mal)?,
                 offset: r.get_u64().map_err(mal)?,
-                bytes: r.get_bytes().map_err(mal)?.to_vec(),
+                bytes: r.get_bytes().map_err(mal)?.into(),
             },
             FRAME_TAG_SNAPSHOT => ReplFrame::Snapshot {
                 epoch: r.get_u64().map_err(mal)?,
                 base: r.get_u64().map_err(mal)?,
-                image: r.get_bytes().map_err(mal)?.to_vec(),
+                image: r.get_bytes().map_err(mal)?.into(),
             },
             _ => return Err(ReplError::Malformed("unknown replication frame tag")),
         };
@@ -502,7 +516,7 @@ impl Follower {
     ///
     /// [`ReplError::Storage`] when the local backend fails — the
     /// offset stays put, so the primary's retry is safe.
-    pub fn apply(&self, frame: &ReplFrame) -> Result<ReplAck, ReplError> {
+    pub fn apply(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
         // Poisoned lock: applies are single writes on the backend's own
         // serialization; a panicked peer thread cannot have torn state.
         let _g = self.lock.lock().unwrap_or_else(|p| p.into_inner());
@@ -624,7 +638,7 @@ pub trait ReplLink: Send + Sync {
     /// [`ReplError::Transport`] for lost exchanges (shipping is
     /// offset-checked on the follower, so retries are idempotent),
     /// [`ReplError::Storage`] when the follower's backend failed.
-    fn ship(&self, frame: &ReplFrame) -> Result<ReplAck, ReplError>;
+    fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError>;
 }
 
 /// A link to a follower in the same process (tests, examples, and the
@@ -642,7 +656,7 @@ impl InProcessLink {
 }
 
 impl ReplLink for InProcessLink {
-    fn ship(&self, frame: &ReplFrame) -> Result<ReplAck, ReplError> {
+    fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
         self.follower.apply(frame)
     }
 }
@@ -705,7 +719,7 @@ impl TcpReplLink {
 }
 
 impl ReplLink for TcpReplLink {
-    fn ship(&self, frame: &ReplFrame) -> Result<ReplAck, ReplError> {
+    fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
         let body = frame.to_bytes();
         let mut guard = self.stream.lock().unwrap_or_else(|p| p.into_inner());
         let transport = |e: std::io::Error| ReplError::Transport(e.to_string());
@@ -962,6 +976,10 @@ impl Replicator {
     /// journal append (under the journal slot lock, so frames ship in
     /// append order).
     ///
+    /// One round reads the durable image at most once: the first peer
+    /// that needs bytes reads it, and every peer, its retries and the
+    /// lag gauges slice that read.
+    ///
     /// # Errors
     ///
     /// [`ReplError::StaleEpoch`] under *any* policy once a follower
@@ -978,10 +996,11 @@ impl Replicator {
             });
         }
         let epoch = self.epoch();
+        let image = OnceCell::new();
         let mut in_sync = 0usize;
         let mut stale: Option<ReplError> = None;
         for peer in &self.peers {
-            match self.sync_peer(peer, journal, epoch) {
+            match self.sync_peer(peer, journal, &image, epoch) {
                 Ok(()) => in_sync += 1,
                 Err(e @ ReplError::StaleEpoch { current, .. }) => {
                     self.fenced_by.fetch_max(current, Ordering::AcqRel);
@@ -997,7 +1016,7 @@ impl Replicator {
                 }
             }
         }
-        self.update_lag(journal);
+        self.update_lag(journal, &image);
         if let Some(e) = stale {
             // Fencing overrides the policy: a deposed primary must not
             // acknowledge anything, even under Async.
@@ -1018,51 +1037,52 @@ impl Replicator {
         }
     }
 
-    /// The whole journal as a replace-everything snapshot frame — the
-    /// recovery hammer for followers whose bytes we cannot trust.
-    fn full_image_frame(&self, journal: &Journal, epoch: u64) -> Result<ReplFrame, ReplError> {
-        let base = journal.base_offset();
-        let image = match journal.read_from(base)? {
-            ShipSource::Tail(bytes) => bytes,
-            ShipSource::Rebased { image, .. } => image,
-        };
-        self.snapshots_shipped.inc();
-        Ok(ReplFrame::Snapshot { epoch, base, image })
-    }
-
-    /// Ships whatever `peer` is missing. Converges in a bounded number
-    /// of rounds: an `Acked` advances, a `Mismatch` from a follower we
-    /// previously acked teaches us its true offset, and anything we
-    /// cannot resume byte-for-byte (first-contact mismatch, divergent
-    /// suffix, compacted-past offset) replaces wholesale.
-    fn sync_peer(&self, peer: &Peer, journal: &Journal, epoch: u64) -> Result<(), ReplError> {
+    /// Ships whatever `peer` is missing, slicing the round's shared
+    /// `image` (read on first use by whichever peer needs it).
+    /// Converges in a bounded number of rounds: an `Acked` advances, a
+    /// `Mismatch` from a follower we previously acked teaches us its
+    /// true offset, and anything we cannot resume byte-for-byte
+    /// (first-contact mismatch, divergent suffix, compacted-past
+    /// offset) replaces wholesale.
+    fn sync_peer(
+        &self,
+        peer: &Peer,
+        journal: &Journal,
+        image: &OnceCell<Result<DurableImage, JournalError>>,
+        epoch: u64,
+    ) -> Result<(), ReplError> {
         for _ in 0..4 {
             let from = peer.acked.load(Ordering::Acquire);
-            if from == journal.end_offset() && !peer.force_snapshot.load(Ordering::Acquire) {
+            let force_snapshot = peer.force_snapshot.load(Ordering::Acquire);
+            if from == journal.end_offset() && !force_snapshot {
                 return Ok(());
             }
-            let frame = if peer.force_snapshot.load(Ordering::Acquire) {
-                self.full_image_frame(journal, epoch)?
-            } else {
-                match journal.read_from(from) {
-                    Ok(ShipSource::Tail(bytes)) if bytes.is_empty() => return Ok(()),
-                    Ok(ShipSource::Tail(bytes)) => {
-                        self.records_shipped.add(count_records(&bytes));
-                        ReplFrame::Append {
-                            epoch,
-                            offset: from,
-                            bytes,
-                        }
+            let image = image
+                .get_or_init(|| journal.read_durable())
+                .as_ref()
+                .map_err(|e| ReplError::from(e.clone()))?;
+            let frame = match image.missing(from) {
+                Ok(ShipSource::Tail(bytes)) if !force_snapshot => {
+                    if bytes.is_empty() {
+                        return Ok(());
                     }
-                    Ok(ShipSource::Rebased { base, image }) => {
-                        self.snapshots_shipped.inc();
-                        ReplFrame::Snapshot { epoch, base, image }
+                    self.records_shipped.add(count_records(bytes));
+                    ReplFrame::Append {
+                        epoch,
+                        offset: from,
+                        bytes: bytes.into(),
                     }
-                    // The follower claims an offset past our durable
-                    // end — a divergent suffix written under a dead
-                    // epoch. Force it back onto this log.
-                    Err(JournalError::Malformed(_)) => self.full_image_frame(journal, epoch)?,
-                    Err(e) => return Err(e.into()),
+                }
+                // A forced replace, an offset compaction reclaimed, or
+                // one past our durable end (a divergent suffix written
+                // under a dead epoch): the whole image, re-based.
+                _ => {
+                    self.snapshots_shipped.inc();
+                    ReplFrame::Snapshot {
+                        epoch,
+                        base: image.base(),
+                        image: image.bytes().into(),
+                    }
                 }
             };
             match peer.link.ship(&frame)? {
@@ -1096,8 +1116,9 @@ impl Replicator {
 
     /// Re-derives the lag gauges from the slowest follower: distance
     /// from the durable end in bytes, and whole records inside that
-    /// distance. Exactly 0/0 once every follower acked the end.
-    fn update_lag(&self, journal: &Journal) {
+    /// distance, counted in the round's shared image. Exactly 0/0 once
+    /// every follower acked the end.
+    fn update_lag(&self, journal: &Journal, image: &OnceCell<Result<DurableImage, JournalError>>) {
         let end = journal.end_offset();
         let min_acked = self
             .peers
@@ -1110,10 +1131,14 @@ impl Replicator {
         let lag_records = if lag_bytes == 0 {
             0
         } else {
-            match journal.read_from(min_acked) {
-                Ok(ShipSource::Tail(bytes)) => count_records(&bytes),
-                Ok(ShipSource::Rebased { image, .. }) => count_records(&image),
-                Err(_) => 0,
+            // A lagging follower needed bytes this round, so its ship
+            // already read the image: this is not a second read.
+            let image = image.get_or_init(|| journal.read_durable());
+            match image.as_ref().map(|image| image.missing(min_acked)) {
+                Ok(Ok(ShipSource::Tail(bytes) | ShipSource::Rebased { image: bytes, .. })) => {
+                    count_records(bytes)
+                }
+                _ => 0,
             }
         };
         self.lag_records.set(lag_records as i64);
@@ -1309,12 +1334,12 @@ mod tests {
             ReplFrame::Append {
                 epoch: 3,
                 offset: 42,
-                bytes: vec![1, 2, 3],
+                bytes: vec![1, 2, 3].into(),
             },
             ReplFrame::Snapshot {
                 epoch: 9,
                 base: 1000,
-                image: vec![0xAB; 17],
+                image: vec![0xAB; 17].into(),
             },
         ];
         for f in &frames {
@@ -1379,12 +1404,72 @@ mod tests {
     }
 
     impl ReplLink for Arc<GateLink> {
-        fn ship(&self, frame: &ReplFrame) -> Result<ReplAck, ReplError> {
+        fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
             if !self.up.load(Ordering::Acquire) {
                 return Err(ReplError::Transport("partitioned".into()));
             }
             self.inner.ship(frame)
         }
+    }
+
+    /// A backend that counts whole-image reads.
+    #[derive(Default)]
+    struct CountingBackend {
+        inner: MemBackend,
+        reads: AtomicU64,
+    }
+
+    impl StorageBackend for CountingBackend {
+        fn read(&self) -> Result<Vec<u8>, JournalError> {
+            self.reads.fetch_add(1, Ordering::Relaxed);
+            self.inner.read()
+        }
+
+        fn append(&self, bytes: &[u8]) -> Result<(), JournalError> {
+            self.inner.append(bytes)
+        }
+
+        fn replace(&self, bytes: &[u8]) -> Result<(), JournalError> {
+            self.inner.replace(bytes)
+        }
+    }
+
+    #[test]
+    fn one_backend_read_per_round_with_a_follower_partitioned() {
+        let obs = Obs::noop();
+        let backend = Arc::new(CountingBackend::default());
+        let (auditor, _) = Auditor::recover_with_obs(
+            backend.clone(),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+            &obs,
+        )
+        .unwrap();
+        let steady = Arc::new(Follower::new(Arc::new(MemBackend::new())));
+        let dark = Arc::new(Follower::new(Arc::new(MemBackend::new())));
+        let gate = GateLink::new(dark.clone());
+        let replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1))
+            .with_follower("steady", InProcessLink::new(steady.clone()))
+            .with_follower("dark", Arc::clone(&gate));
+        auditor.set_replicator(Arc::new(replicator));
+        auditor.begin_epoch(1).unwrap();
+        auditor.register_zone_durable(zone(0)).unwrap();
+        gate.up.store(false, Ordering::Release);
+        auditor.register_zone_durable(zone(1)).unwrap();
+
+        // One mutation with one follower partitioned: shipping to both
+        // and the lag gauges share a single read of the image.
+        let before = backend.reads.load(Ordering::Relaxed);
+        auditor.register_zone_durable(zone(2)).unwrap();
+        assert_eq!(backend.reads.load(Ordering::Relaxed) - before, 1);
+
+        let image = backend.inner.bytes();
+        assert_eq!(steady.image().unwrap(), image);
+        let behind = &image[dark.acked_offset() as usize..];
+        let snap = obs.snapshot();
+        assert_eq!(snap.gauges["repl.lag_bytes"], behind.len() as i64);
+        assert_eq!(snap.gauges["repl.lag_records"], 2);
+        assert_eq!(count_records(behind), 2);
     }
 
     #[test]
@@ -1534,7 +1619,7 @@ mod tests {
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
                 base: 0,
-                image: longer_backend.bytes(),
+                image: longer_backend.bytes().into(),
             })
             .unwrap();
         assert!(follower.acked_offset() > journal.end_offset());
@@ -1546,10 +1631,10 @@ mod tests {
         // on its first Append, then force-replaces.
         replicator.replicate(&journal).unwrap();
         assert_eq!(follower.acked_offset(), journal.end_offset());
-        let ShipSource::Tail(image) = journal.read_from(journal.base_offset()).unwrap() else {
-            panic!("tail expected");
-        };
-        assert_eq!(follower.image().unwrap(), image);
+        assert_eq!(
+            follower.image().unwrap(),
+            journal.read_durable().unwrap().bytes()
+        );
     }
 
     #[test]
@@ -1583,7 +1668,7 @@ mod tests {
             .apply(&ReplFrame::Append {
                 epoch: 1,
                 offset: 0,
-                bytes: clean.clone(),
+                bytes: clean.as_slice().into(),
             })
             .unwrap();
         assert_eq!(honest.record_count(), 4);
@@ -1614,7 +1699,7 @@ mod tests {
             .apply(&ReplFrame::Append {
                 epoch: 1,
                 offset: 0,
-                bytes: tampered.clone(),
+                bytes: tampered.as_slice().into(),
             })
             .unwrap_err();
         assert!(
@@ -1632,7 +1717,7 @@ mod tests {
             .apply(&ReplFrame::Append {
                 epoch: 1,
                 offset: 0,
-                bytes: flipped,
+                bytes: flipped.into(),
             })
             .unwrap_err();
         assert!(matches!(err, ReplError::ChainDivergence { .. }), "{err}");
@@ -1642,7 +1727,7 @@ mod tests {
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
                 base: 0,
-                image: tampered.clone(),
+                image: tampered.as_slice().into(),
             })
             .unwrap_err();
         assert!(matches!(err, ReplError::ChainDivergence { .. }), "{err}");
@@ -1657,7 +1742,7 @@ mod tests {
             .apply(&ReplFrame::Append {
                 epoch: 1,
                 offset: 0,
-                bytes: clean[..prefix].to_vec(),
+                bytes: clean[..prefix].into(),
             })
             .unwrap();
         let state = |f: &Follower| {
@@ -1670,7 +1755,7 @@ mod tests {
             .apply(&ReplFrame::Append {
                 epoch: 1,
                 offset: prefix as u64,
-                bytes: tampered[prefix..].to_vec(),
+                bytes: tampered[prefix..].into(),
             })
             .unwrap_err();
         assert!(
@@ -1685,7 +1770,7 @@ mod tests {
             .apply(&ReplFrame::Append {
                 epoch: 1,
                 offset: prefix as u64,
-                bytes: clean[prefix..].to_vec(),
+                bytes: clean[prefix..].into(),
             })
             .unwrap();
         assert_eq!(state(&victim), state(&honest));

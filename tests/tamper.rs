@@ -316,7 +316,7 @@ fn campaign_run(seed: u64) -> Vec<String> {
             .apply(&ReplFrame::Append {
                 epoch: 1,
                 offset: 0,
-                bytes: honest.bytes.clone(),
+                bytes: honest.bytes.as_slice().into(),
             })
             .expect("honest shipment accepted");
         assert_eq!(follower.acked_offset(), honest.bytes.len() as u64);
@@ -336,7 +336,7 @@ fn campaign_run(seed: u64) -> Vec<String> {
             .apply(&ReplFrame::Append {
                 epoch: 1,
                 offset: 0,
-                bytes: tampered,
+                bytes: tampered.into(),
             })
             .expect_err("spliced shipment must be refused");
         assert!(
