@@ -113,8 +113,14 @@ impl Baseline {
             .ok_or_else(|| BaselineError::Schema("missing array field cases".into()))?;
         let mut cases = Vec::with_capacity(raw_cases.len());
         for case in raw_cases {
+            let name = field_str(case, "name")?;
+            // `case` looks names up first-match, so a second entry
+            // would be silently ignored by every diff.
+            if cases.iter().any(|c: &BenchCase| c.name == name) {
+                return Err(BaselineError::Schema(format!("duplicate case {name}")));
+            }
             cases.push(BenchCase {
-                name: field_str(case, "name")?,
+                name,
                 samples: field_u64(case, "samples")?,
                 median_ns: field_f64(case, "median_ns")?,
                 p95_ns: field_f64(case, "p95_ns")?,
@@ -243,9 +249,68 @@ impl DiffReport {
         self.deltas.iter().filter(|d| d.regressed)
     }
 
-    /// True when no shared case regressed.
-    pub fn clean(&self) -> bool {
-        self.regressions().next().is_none()
+    /// The cases that fail `gate`: gated cases that regressed, then
+    /// gated cases the new run no longer measures (a deleted case must
+    /// not pass the gate by disappearing).
+    pub fn gate_failures<'a>(&'a self, gate: &Gate) -> Vec<&'a str> {
+        self.regressions()
+            .map(|d| d.name.as_str())
+            .chain(self.removed.iter().map(String::as_str))
+            .filter(|name| gate.covers(name))
+            .collect()
+    }
+}
+
+/// Which cases can fail a diff: every case, or only those whose names
+/// start with one of a list of prefixes (the rest are advisory).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Gate {
+    /// Every case gates.
+    All,
+    /// Only cases matching one of these name prefixes gate.
+    Prefixes(Vec<String>),
+}
+
+impl Gate {
+    /// Parses a comma-separated prefix list (`rsa_sign_,crc32_`).
+    pub fn prefixes(list: &str) -> Gate {
+        Gate::Prefixes(
+            list.split(',')
+                .filter(|p| !p.is_empty())
+                .map(str::to_string)
+                .collect(),
+        )
+    }
+
+    /// Whether case `name` can fail the diff.
+    pub fn covers(&self, name: &str) -> bool {
+        match self {
+            Gate::All => true,
+            Gate::Prefixes(prefixes) => prefixes.iter().any(|p| name.starts_with(p.as_str())),
+        }
+    }
+
+    /// Checks every prefix against the baseline being compared to.
+    ///
+    /// # Errors
+    ///
+    /// Names the first prefix that matches no case of `old`, or an
+    /// empty prefix list: either gates nothing, so a typo would
+    /// silently turn a blocking check advisory.
+    pub fn check_against(&self, old: &Baseline) -> Result<(), String> {
+        let Gate::Prefixes(prefixes) = self else {
+            return Ok(());
+        };
+        if prefixes.is_empty() {
+            return Err("--gate lists no prefix".to_string());
+        }
+        match prefixes
+            .iter()
+            .find(|p| !old.cases.iter().any(|c| c.name.starts_with(p.as_str())))
+        {
+            Some(p) => Err(format!("gate prefix {p:?} matches no baseline case")),
+            None => Ok(()),
+        }
     }
 }
 
@@ -343,7 +408,10 @@ mod tests {
             case("added_case", 10.0),
         ]);
         let report = diff(&old, &new, 0.15);
-        assert!(!report.clean());
+        assert_eq!(
+            report.gate_failures(&Gate::All),
+            ["regressed", "removed_case"]
+        );
         let regressed: Vec<_> = report.regressions().map(|d| d.name.as_str()).collect();
         assert_eq!(regressed, ["regressed"]);
         assert_eq!(report.added, ["added_case"]);
@@ -358,10 +426,62 @@ mod tests {
     }
 
     #[test]
+    fn parse_rejects_duplicate_case_names() {
+        let doc = baseline(vec![
+            case("rsa_sign_1024", 10.0),
+            case("rsa_sign_1024", 99.0),
+        ]);
+        let err = Baseline::parse(&doc.to_json().to_compact()).unwrap_err();
+        assert!(
+            err.to_string().contains("duplicate case rsa_sign_1024"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn removed_gated_case_fails_the_gate() {
+        let old = baseline(vec![case("rsa_sign_1024", 100.0), case("tcp_rt", 100.0)]);
+        let new = baseline(vec![case("tcp_rt", 100.0)]);
+        let report = diff(&old, &new, 0.25);
+        assert_eq!(report.regressions().count(), 0, "no shared case regressed");
+        assert_eq!(report.gate_failures(&Gate::All), ["rsa_sign_1024"]);
+        assert_eq!(
+            report.gate_failures(&Gate::prefixes("rsa_")),
+            ["rsa_sign_1024"]
+        );
+        // Outside the gate a missing case stays advisory.
+        assert!(report.gate_failures(&Gate::prefixes("tcp_")).is_empty());
+    }
+
+    #[test]
+    fn gate_failures_cover_only_gated_regressions() {
+        let old = baseline(vec![case("rsa_sign_1024", 100.0), case("tcp_rt", 100.0)]);
+        let new = baseline(vec![case("rsa_sign_1024", 200.0), case("tcp_rt", 200.0)]);
+        let report = diff(&old, &new, 0.25);
+        assert_eq!(
+            report.gate_failures(&Gate::All),
+            ["rsa_sign_1024", "tcp_rt"]
+        );
+        assert_eq!(report.gate_failures(&Gate::prefixes("tcp_,")), ["tcp_rt"]);
+    }
+
+    #[test]
+    fn gate_prefix_matching_no_old_case_is_an_error() {
+        let old = baseline(vec![case("rsa_sign_1024", 100.0)]);
+        assert!(Gate::All.check_against(&old).is_ok());
+        assert!(Gate::prefixes("rsa_sign_").check_against(&old).is_ok());
+        let err = Gate::prefixes("rsa_sign_,rsa_sgin_")
+            .check_against(&old)
+            .unwrap_err();
+        assert!(err.contains("rsa_sgin_"), "{err}");
+        assert!(Gate::prefixes(",").check_against(&old).is_err());
+    }
+
+    #[test]
     fn identical_baselines_diff_clean() {
         let base = baseline(vec![case("a", 10.0), case("b", 20.0)]);
         let report = diff(&base, &base.clone(), 0.0);
-        assert!(report.clean());
+        assert!(report.gate_failures(&Gate::All).is_empty());
         assert!(report.added.is_empty() && report.removed.is_empty());
         assert_eq!(report.deltas.len(), 2);
     }

@@ -1,11 +1,15 @@
 //! The persistent PoA performance baseline runner.
 //!
 //! Measures a fixed list of protocol-critical operations — RSA
-//! sign/verify, one drone-side TEE sample, end-to-end PoA verification, zone queries over the wire
-//! codec, journal appends, a real loopback TCP round trip, the metrics
-//! exporter — and writes the quantiles to a schema-versioned
-//! `BENCH_poa.json` (see [`alidrone_bench::baseline`]). A committed
-//! baseline plus `--diff` turns the file into a regression gate:
+//! sign/verify, one drone-side TEE sample and its §VII-A1 ablations
+//! (batch signing, symmetric MACs), the GPS fix alone, the eq. 1–3
+//! geometry the auditor and the drone adapter run, end-to-end PoA
+//! verification and decryption, zone queries over the wire codec,
+//! journal appends, the audit log, a real loopback TCP round trip, the
+//! metrics exporter — and writes the quantiles to a schema-versioned
+//! `BENCH_poa.json` (see [`alidrone_bench::baseline`]). This case list
+//! is the workspace's only benchmark registry. A committed baseline
+//! plus `--diff` turns the file into a regression gate:
 //!
 //! ```text
 //! cargo run -p alidrone-bench --release --bin bench_poa             # write BENCH_poa.json
@@ -17,24 +21,29 @@
 //!
 //! `--samples N` (or `BENCH_POA_SAMPLES=N`) trades precision for wall
 //! time. `--gate PREFIX,...` narrows which cases can fail the diff:
-//! regressions in matching cases exit non-zero, the rest print as
-//! advisory. CI uses a reduced sample count and gates only the
-//! CPU-bound cases (`rsa_sign_*`, `rsa_verify_*`, `tee_sample_*`,
-//! `poa_verify_e2e_50`, `merkle_proof_*`, `crc32_*`, `audit_append_*`),
-//! which stay stable on shared runners; the I/O-heavy cases (journal
-//! appends, follower catch-up, TCP, the exporter) remain advisory.
+//! regressions in matching cases, and matching cases missing from the
+//! new run, exit non-zero; the rest print as advisory. A prefix that
+//! matches no case of the old baseline is an error. CI uses a reduced
+//! sample count and gates only the CPU-bound cases (`rsa_sign_*`,
+//! `rsa_verify_*`, `tee_sample_*`, `poa_verify_e2e_50`,
+//! `merkle_proof_*`, `crc32_*`, `audit_append_*`,
+//! `geo_check_alibi_*`), which stay stable on shared runners; the
+//! I/O-heavy cases (journal appends, follower catch-up, TCP, the
+//! exporter) remain advisory.
 
+use std::hint::black_box;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use alidrone_bench::baseline::{diff, Baseline, BenchCase};
+use alidrone_bench::baseline::{diff, Baseline, BenchCase, Gate};
 use alidrone_bench::bench_key;
-use alidrone_bench::harness::{black_box, BatchSize, Bencher};
+use alidrone_bench::harness::Bencher;
 use alidrone_core::audit::{verify_inclusion, AuditChain};
 use alidrone_core::journal::{crc32, Journal, MemBackend, Record, StorageBackend};
 use alidrone_core::repl::{
     Follower, InProcessLink, ReplAck, ReplFrame, ReplicationPolicy, Replicator,
 };
+use alidrone_core::symmetric::establish_flight_key;
 use alidrone_core::verify_pool::VerifyPool;
 use alidrone_core::wire::server::AuditorServer;
 use alidrone_core::wire::tcp::{TcpServer, TcpTransport};
@@ -43,9 +52,15 @@ use alidrone_core::wire::{Request, Response};
 use alidrone_core::{
     Auditor, AuditorConfig, DroneId, PoaSubmission, ProofOfAlibi, Submission, ZoneQuery,
 };
+use alidrone_crypto::dh::DhGroup;
+use alidrone_crypto::rng::{Rng, XorShift64};
 use alidrone_crypto::rsa::HashAlg;
+use alidrone_geo::polygon::smallest_enclosing_circle;
+use alidrone_geo::sufficiency::{check_alibi, Criterion};
 use alidrone_geo::trajectory::TrajectoryBuilder;
-use alidrone_geo::{Distance, GeoPoint, GpsSample, NoFlyZone, Speed, Timestamp};
+use alidrone_geo::{
+    Distance, Enu, GeoPoint, GpsSample, NoFlyZone, Speed, Timestamp, ZoneSet, FAA_MAX_SPEED,
+};
 use alidrone_gps::{SimClock, SimulatedReceiver};
 use alidrone_obs::{prometheus_text, Obs, ToJson};
 use alidrone_tee::{SecureWorldBuilder, SignedSample, TeeSession, GPS_SAMPLER_UUID};
@@ -100,6 +115,21 @@ fn tee_session(bits: usize) -> (SimClock, TeeSession) {
         .open_session(GPS_SAMPLER_UUID)
         .expect("GPS Sampler session");
     (clock, session)
+}
+
+/// `n` small (20 ft) zones spiralling out to ~5 km from the origin:
+/// the registry the eq. 1 and nearest-zone cases scale with.
+fn zone_set(n: usize) -> ZoneSet {
+    (0..n)
+        .map(|i| {
+            let bearing = (i as f64 * 137.5) % 360.0;
+            let dist = 100.0 + (i as f64 * 53.0) % 5_000.0;
+            NoFlyZone::new(
+                origin().destination(bearing, Distance::from_meters(dist)),
+                Distance::from_feet(20.0),
+            )
+        })
+        .collect()
 }
 
 /// A stored-verdict journal record whose payload is 2048 bytes, about
@@ -201,6 +231,36 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
         });
     }
 
+    // --- The GPS fix alone: world switch in, driver read, NMEA parse,
+    // world switch out, no signature — the non-crypto share of a sample.
+    run("tee_read_gps_raw", &mut |b| {
+        let (_clock, session) = tee_session(1024);
+        b.iter(|| session.read_gps_raw().expect("raw GPS read"));
+    });
+
+    // --- §VII-A1b batch signing: 30 samples cached in the secure world,
+    // then one signature over the whole trace (compare 30 ×
+    // `tee_sample_1024`).
+    run("tee_batch_sign_30_1024", &mut |b| {
+        let (_clock, session) = tee_session(1024);
+        b.iter(|| {
+            for _ in 0..30 {
+                session.cache_sample().expect("cache sample");
+            }
+            session.sign_trace().expect("sign trace")
+        });
+    });
+
+    // --- §VII-A1a symmetric authentication: one sample MACed with the
+    // per-flight key (the DH exchange is once per flight, untimed).
+    run("tee_hmac_sample", &mut |b| {
+        let mut rng = XorShift64::seed_from_u64(5);
+        let (drone, _auditor) =
+            establish_flight_key(&DhGroup::modp_2048(), &mut rng).expect("flight key");
+        let sample = GpsSample::new(origin(), Timestamp::from_secs(1.0));
+        b.iter(|| drone.authenticate(black_box(sample)));
+    });
+
     // --- The prepared-context fast path: Montgomery parameters are
     // computed once, so this is what a registered key's verify costs.
     run("rsa_verify_prepared_2048", &mut |b| {
@@ -208,6 +268,42 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
         let sig = key.sign(msg, HashAlg::Sha1).expect("sign");
         let verifier = key.public_key().verifier();
         b.iter(|| verifier.verify(msg, &sig, HashAlg::Sha1).expect("verify"));
+    });
+
+    // --- Eq. 1 over a whole 1000-sample trace (5 Hz, 10 m/s
+    // eastbound) with the paper criterion, sized by zone count: every
+    // consecutive pair against every zone.
+    let trace: Vec<GpsSample> = (0..1_000)
+        .map(|i| {
+            GpsSample::new(
+                origin().destination(90.0, Distance::from_meters(i as f64 * 2.0)),
+                Timestamp::from_secs(i as f64 * 0.2),
+            )
+        })
+        .collect();
+    for zones_n in [10usize, 100] {
+        run(&format!("geo_check_alibi_1k_{zones_n}z"), &mut |b| {
+            let zones = zone_set(zones_n);
+            b.iter(|| check_alibi(&trace, &zones, FAA_MAX_SPEED, Criterion::Paper));
+        });
+    }
+
+    // --- The drone adapter's per-update lookup: the zone whose
+    // boundary is nearest, out of 1000.
+    run("geo_nearest_zone_1k", &mut |b| {
+        let zones = zone_set(1_000);
+        let p = origin().destination(45.0, Distance::from_meters(321.0));
+        b.iter(|| zones.nearest(black_box(&p)).is_some());
+    });
+
+    // --- Polygon-zone registration (§VII-B2): Welzl's smallest
+    // enclosing circle over 1000 vertices.
+    run("geo_enclosing_circle_1k", &mut |b| {
+        let mut rng = XorShift64::seed_from_u64(99);
+        let pts: Vec<Enu> = (0..1_000)
+            .map(|_| Enu::new(rng.gen_f64() * 1_000.0, rng.gen_f64() * 1_000.0))
+            .collect();
+        b.iter(|| smallest_enclosing_circle(black_box(&pts)));
     });
 
     // --- PoA verification end to end: 50 samples, one zone nearby
@@ -237,7 +333,6 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
                 a.verify(&submission, Timestamp::from_secs(0.0))
                     .expect("verify submission")
             },
-            BatchSize::SmallInput,
         );
     });
 
@@ -269,8 +364,19 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
                 a.verify(&submission, Timestamp::from_secs(0.0))
                     .expect("verify submission")
             },
-            BatchSize::SmallInput,
         );
+    });
+
+    // --- The auditor side of `submit_encrypted_poa` (§V-C): a
+    // 50-sample PoA RSAES-encrypted block by block to a 1024-bit
+    // auditor key, decrypted and reparsed.
+    run("poa_decrypt_50", &mut |b| {
+        let key = bench_key(1024);
+        let mut rng = XorShift64::seed_from_u64(9);
+        let encrypted = signed_trace(50)
+            .encrypt(key.public_key(), &mut rng)
+            .expect("encrypt PoA");
+        b.iter(|| encrypted.decrypt(key).expect("decrypt PoA"));
     });
 
     // --- A signed zone query through the full wire path (decode →
@@ -316,11 +422,9 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
             matches!(Response::from_bytes(&reply), Ok(Response::Zones(_))),
             "zone query must answer with zones, got {reply:?}"
         );
-        b.iter_batched(
-            next_query,
-            |bytes| server.handle(&bytes, Timestamp::from_secs(0.0)),
-            BatchSize::SmallInput,
-        );
+        b.iter_batched(next_query, |bytes| {
+            server.handle(&bytes, Timestamp::from_secs(0.0))
+        });
     });
 
     // --- One durable journal append (frame + CRC + in-memory backend).
@@ -363,14 +467,10 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
             replicator.replicate(&journal).expect("initial sync");
             (journal, replicator)
         };
-        b.iter_batched(
-            fresh,
-            |(journal, replicator)| {
-                journal.append_record(&record).expect("append");
-                replicator.replicate(&journal).expect("replicate");
-            },
-            BatchSize::SmallInput,
-        );
+        b.iter_batched(fresh, |(journal, replicator)| {
+            journal.append_record(&record).expect("append");
+            replicator.replicate(&journal).expect("replicate");
+        });
     });
 
     // --- The marginal cost the tamper-evident log adds to every
@@ -444,11 +544,7 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
                 offset: image.end()
             }
         );
-        b.iter_batched(
-            fresh,
-            |follower| follower.apply(&frame),
-            BatchSize::LargeInput,
-        );
+        b.iter_batched(fresh, |follower| follower.apply(&frame));
     });
 
     // --- Serving a transparency client at scale: one inclusion proof
@@ -565,35 +661,26 @@ fn diff_baselines(
     old_path: &str,
     new_path: &str,
     threshold: f64,
-    gate: Option<&[String]>,
+    gate: &Gate,
 ) -> Result<bool, String> {
     let old = read_baseline(old_path)?;
     let new = read_baseline(new_path)?;
+    gate.check_against(&old)
+        .map_err(|e| format!("{old_path}: {e}"))?;
     if old.machine != new.machine {
         println!(
             "note: baselines come from different machines ({}/{} vs {}/{})",
             old.machine.os, old.machine.arch, new.machine.os, new.machine.arch
         );
     }
-    // With `--gate`, only cases matching a listed prefix can fail the
-    // run; regressions elsewhere print as advisory. Without it every
-    // case is gating.
-    let gated = |name: &str| match gate {
-        None => true,
-        Some(prefixes) => prefixes.iter().any(|p| name.starts_with(p.as_str())),
-    };
     let report = diff(&old, &new, threshold);
     println!(
         "bench-diff: {old_path} -> {new_path} (threshold {:.0}%)\n",
         threshold * 100.0
     );
-    let mut gated_regressions = 0usize;
     for delta in &report.deltas {
-        let marker = match (delta.regressed, gated(&delta.name)) {
-            (true, true) => {
-                gated_regressions += 1;
-                "REGRESSED"
-            }
+        let marker = match (delta.regressed, gate.covers(&delta.name)) {
+            (true, true) => "REGRESSED",
             (true, false) => "regressed (advisory)",
             _ => "ok",
         };
@@ -609,14 +696,21 @@ fn diff_baselines(
         println!("{name:<28} (new case, no baseline)");
     }
     for name in &report.removed {
-        println!("{name:<28} (removed from new run)");
+        let marker = if gate.covers(name) {
+            "MISSING"
+        } else {
+            "missing (advisory)"
+        };
+        println!("{name:<28} (removed from new run)  {marker}");
     }
     let regressions = report.regressions().count();
+    let failures = report.gate_failures(gate).len();
     println!(
-        "\n{} case(s) compared, {regressions} regression(s) ({gated_regressions} gating)",
-        report.deltas.len()
+        "\n{} case(s) compared, {regressions} regression(s), {} removed ({failures} gating)",
+        report.deltas.len(),
+        report.removed.len(),
     );
-    Ok(gated_regressions == 0)
+    Ok(failures == 0)
 }
 
 fn usage() -> String {
@@ -634,7 +728,7 @@ fn run() -> Result<bool, String> {
         .unwrap_or(DEFAULT_SAMPLES);
     let mut threshold = DEFAULT_THRESHOLD;
     let mut diff_paths: Option<(String, String)> = None;
-    let mut gate: Option<Vec<String>> = None;
+    let mut gate = Gate::All;
 
     let mut i = 0;
     while i < args.len() {
@@ -659,14 +753,7 @@ fn run() -> Result<bool, String> {
             }
             "--gate" => {
                 i += 1;
-                gate = Some(
-                    args.get(i)
-                        .ok_or_else(usage)?
-                        .split(',')
-                        .filter(|p| !p.is_empty())
-                        .map(str::to_string)
-                        .collect(),
-                );
+                gate = Gate::prefixes(args.get(i).ok_or_else(usage)?);
             }
             "--help" | "-h" => {
                 println!("{}", usage());
@@ -678,7 +765,7 @@ fn run() -> Result<bool, String> {
     }
 
     match diff_paths {
-        Some((old, new)) => diff_baselines(&old, &new, threshold, gate.as_deref()),
+        Some((old, new)) => diff_baselines(&old, &new, threshold, &gate),
         None => {
             write_baseline(&out, samples.max(1))?;
             Ok(true)

@@ -1,77 +1,19 @@
-//! A minimal Criterion-compatible benchmark harness.
+//! The measurement loop behind `bench_poa`.
 //!
-//! The offline build has no crates.io, so the bench targets run on this
-//! hand-rolled shim instead of `criterion`. It reproduces the subset of
-//! the API the suite uses — groups, parameterised IDs, batched
-//! iteration, byte throughput — with a deliberately simple measurement
-//! loop: warm up, pick an iteration count targeting ~10 ms per sample,
-//! take `sample_size` samples, report the median. Good enough for the
-//! order-of-magnitude comparisons the evaluation needs (the calibrated
-//! Raspberry Pi 3 numbers come from the cost model, not wall time).
+//! The offline build has no crates.io, so cases run on this hand-rolled
+//! driver with a deliberately simple loop: warm up, pick an iteration
+//! count targeting ~10 ms per sample, take the requested number of
+//! samples and keep them sorted so callers can read the median and
+//! tail quantiles. Good enough for the order-of-magnitude comparisons
+//! the evaluation needs (the calibrated Raspberry Pi 3 numbers come
+//! from the cost model, not wall time).
 
-use std::fmt;
-use std::hint::black_box as std_black_box;
+use std::hint::black_box;
 use std::time::{Duration, Instant};
 
-/// Prevents the optimiser from deleting a benchmarked computation.
-pub fn black_box<T>(x: T) -> T {
-    std_black_box(x)
-}
-
-/// How a batched benchmark sizes its input batches. The shim times one
-/// routine call per setup regardless, so the variants are equivalent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BatchSize {
-    /// Small inputs: setup per iteration is cheap.
-    SmallInput,
-    /// Large inputs.
-    LargeInput,
-    /// One setup per sample.
-    PerIteration,
-}
-
-/// Declared throughput, echoed in the report.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Throughput {
-    /// Bytes processed per iteration.
-    Bytes(u64),
-    /// Elements processed per iteration.
-    Elements(u64),
-}
-
-/// A benchmark identifier: function name plus optional parameter.
-#[derive(Debug, Clone)]
-pub struct BenchmarkId {
-    label: String,
-}
-
-impl BenchmarkId {
-    /// An ID with an explicit function name and parameter.
-    pub fn new(function: impl fmt::Display, parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            label: format!("{function}/{parameter}"),
-        }
-    }
-
-    /// An ID from the parameter alone.
-    pub fn from_parameter(parameter: impl fmt::Display) -> Self {
-        BenchmarkId {
-            label: parameter.to_string(),
-        }
-    }
-}
-
-impl fmt::Display for BenchmarkId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.label)
-    }
-}
-
-/// The per-benchmark measurement driver.
+/// The per-case measurement driver.
 pub struct Bencher {
     samples: usize,
-    /// Median nanoseconds per iteration, filled in by `iter`.
-    result_ns: f64,
     /// Every measured sample (ns/iter), sorted ascending after a run —
     /// retained so callers can read tail quantiles, not just the median.
     samples_ns: Vec<f64>,
@@ -81,26 +23,12 @@ pub struct Bencher {
 const TARGET_SAMPLE: Duration = Duration::from_millis(10);
 
 impl Bencher {
-    fn new(samples: usize) -> Bencher {
+    /// A driver taking `samples` measurements (at least one) per run.
+    pub fn with_samples(samples: usize) -> Bencher {
         Bencher {
-            samples,
-            result_ns: 0.0,
+            samples: samples.max(1),
             samples_ns: Vec::new(),
         }
-    }
-
-    /// A stand-alone driver taking `samples` measurements per run; the
-    /// programmatic entry point for runners (like `bench_poa`) that
-    /// read quantiles instead of printing a report.
-    pub fn with_samples(samples: usize) -> Bencher {
-        Bencher::new(samples.max(1))
-    }
-
-    /// Stores a finished sample set: sort ascending, keep the median.
-    fn commit(&mut self, mut samples_ns: Vec<f64>) {
-        samples_ns.sort_by(f64::total_cmp);
-        self.result_ns = samples_ns[samples_ns.len() / 2];
-        self.samples_ns = samples_ns;
     }
 
     /// Times `routine`, called repeatedly.
@@ -122,12 +50,12 @@ impl Bencher {
         self.commit(samples_ns);
     }
 
-    /// Times `routine` over inputs built by `setup` (setup is untimed).
+    /// Times `routine` once per sample over an input built by `setup`
+    /// (setup is untimed).
     pub fn iter_batched<I, O>(
         &mut self,
         mut setup: impl FnMut() -> I,
         mut routine: impl FnMut(I) -> O,
-        _size: BatchSize,
     ) {
         let mut samples_ns = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
@@ -139,6 +67,11 @@ impl Bencher {
         self.commit(samples_ns);
     }
 
+    fn commit(&mut self, mut samples_ns: Vec<f64>) {
+        samples_ns.sort_by(f64::total_cmp);
+        self.samples_ns = samples_ns;
+    }
+
     /// Number of samples taken by the last run (0 before any run).
     pub fn sample_count(&self) -> usize {
         self.samples_ns.len()
@@ -146,7 +79,7 @@ impl Bencher {
 
     /// Median nanoseconds per iteration from the last run.
     pub fn median_ns(&self) -> f64 {
-        self.result_ns
+        self.quantile_ns(0.5)
     }
 
     /// The `q`-quantile (nearest-rank, `0.0..=1.0`) of the last run's
@@ -170,141 +103,13 @@ impl Bencher {
     }
 }
 
-fn human_time(ns: f64) -> String {
-    if ns < 1_000.0 {
-        format!("{ns:.1} ns")
-    } else if ns < 1_000_000.0 {
-        format!("{:.2} µs", ns / 1_000.0)
-    } else if ns < 1_000_000_000.0 {
-        format!("{:.2} ms", ns / 1_000_000.0)
-    } else {
-        format!("{:.3} s", ns / 1_000_000_000.0)
-    }
-}
-
-fn report(name: &str, ns: f64, throughput: Option<Throughput>) {
-    let mut line = format!("{name:<50} {:>12}/iter", human_time(ns));
-    if let Some(Throughput::Bytes(bytes)) = throughput {
-        let mib_s = bytes as f64 / (ns / 1e9) / (1024.0 * 1024.0);
-        line.push_str(&format!("  {mib_s:>10.1} MiB/s"));
-    }
-    println!("{line}");
-}
-
-/// A named group of related benchmarks.
-pub struct BenchmarkGroup<'a> {
-    name: String,
-    sample_size: usize,
-    throughput: Option<Throughput>,
-    _criterion: &'a mut Criterion,
-}
-
-impl BenchmarkGroup<'_> {
-    /// Number of samples to take per benchmark (Criterion default: 100;
-    /// the shim defaults lower because each sample targets 10 ms).
-    pub fn sample_size(&mut self, n: usize) -> &mut Self {
-        self.sample_size = n.max(1);
-        self
-    }
-
-    /// Declares per-iteration throughput for the report.
-    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
-        self.throughput = Some(t);
-        self
-    }
-
-    /// Runs one benchmark in the group.
-    pub fn bench_function(
-        &mut self,
-        id: impl fmt::Display,
-        f: impl FnMut(&mut Bencher),
-    ) -> &mut Self {
-        self.run(&id.to_string(), f);
-        self
-    }
-
-    /// Runs one parameterised benchmark in the group.
-    pub fn bench_with_input<I>(
-        &mut self,
-        id: BenchmarkId,
-        input: &I,
-        mut f: impl FnMut(&mut Bencher, &I),
-    ) -> &mut Self {
-        self.run(&id.to_string(), |b| f(b, input));
-        self
-    }
-
-    fn run(&mut self, id: &str, mut f: impl FnMut(&mut Bencher)) {
-        let mut b = Bencher::new(self.sample_size);
-        f(&mut b);
-        report(&format!("{}/{id}", self.name), b.result_ns, self.throughput);
-    }
-
-    /// Ends the group (provided for Criterion API parity).
-    pub fn finish(&mut self) {}
-}
-
-/// The top-level benchmark driver.
-#[derive(Default)]
-pub struct Criterion {
-    sample_size: usize,
-}
-
-impl Criterion {
-    /// A driver with the shim's defaults.
-    pub fn new() -> Criterion {
-        Criterion { sample_size: 10 }
-    }
-
-    /// Starts a named group.
-    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
-        let sample_size = self.sample_size.max(1);
-        BenchmarkGroup {
-            name: name.into(),
-            sample_size,
-            throughput: None,
-            _criterion: self,
-        }
-    }
-
-    /// Runs one stand-alone benchmark.
-    pub fn bench_function(&mut self, name: &str, mut f: impl FnMut(&mut Bencher)) -> &mut Self {
-        let mut b = Bencher::new(self.sample_size.max(1));
-        f(&mut b);
-        report(name, b.result_ns, None);
-        self
-    }
-}
-
-/// Criterion-compatible group declaration: defines a function running
-/// each listed benchmark against one shared [`Criterion`].
-#[macro_export]
-macro_rules! criterion_group {
-    ($group:ident, $($target:path),+ $(,)?) => {
-        fn $group() {
-            let mut c = $crate::harness::Criterion::new();
-            $( $target(&mut c); )+
-        }
-    };
-}
-
-/// Criterion-compatible entry point.
-#[macro_export]
-macro_rules! criterion_main {
-    ($($group:path),+ $(,)?) => {
-        fn main() {
-            $( $group(); )+
-        }
-    };
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn bencher_measures_something_positive() {
-        let mut b = Bencher::new(3);
+        let mut b = Bencher::with_samples(3);
         b.iter(|| {
             let mut x = 0u64;
             for i in 0..100 {
@@ -312,24 +117,23 @@ mod tests {
             }
             x
         });
-        assert!(b.result_ns > 0.0);
+        assert!(b.median_ns() > 0.0);
     }
 
     #[test]
     fn iter_batched_times_routine_only() {
-        let mut b = Bencher::new(3);
+        let mut b = Bencher::with_samples(3);
         b.iter_batched(
             || vec![1u8; 1024],
             |v| v.iter().map(|&x| x as u64).sum::<u64>(),
-            BatchSize::SmallInput,
         );
-        assert!(b.result_ns > 0.0);
+        assert!(b.median_ns() > 0.0);
     }
 
     #[test]
     fn quantiles_track_the_retained_sample_set() {
         let mut b = Bencher::with_samples(5);
-        b.iter_batched(|| (), |_| black_box(1 + 1), BatchSize::SmallInput);
+        b.iter_batched(|| (), |_| black_box(1 + 1));
         assert_eq!(b.sample_count(), 5);
         assert!(b.median_ns() > 0.0);
         // Quantiles are read off the sorted sample vector, so they are
@@ -345,25 +149,5 @@ mod tests {
         let b = Bencher::with_samples(3);
         assert_eq!(b.sample_count(), 0);
         assert_eq!(b.quantile_ns(0.5), 0.0);
-    }
-
-    #[test]
-    fn benchmark_ids_format_like_criterion() {
-        assert_eq!(BenchmarkId::new("sign", 1024).to_string(), "sign/1024");
-        assert_eq!(BenchmarkId::from_parameter("2048").to_string(), "2048");
-    }
-
-    #[test]
-    fn group_runs_benchmarks() {
-        let mut c = Criterion::new();
-        let mut group = c.benchmark_group("g");
-        group.sample_size(2);
-        let mut ran = 0;
-        group.bench_function("one", |b| {
-            ran += 1;
-            b.iter(|| 1 + 1)
-        });
-        group.finish();
-        assert_eq!(ran, 1);
     }
 }

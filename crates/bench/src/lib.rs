@@ -1,24 +1,16 @@
-//! Shared fixtures for the Criterion benchmark suite.
+//! The persistent performance baseline of the AliDrone workspace.
 //!
-//! One bench target exists per evaluation artefact:
-//!
-//! * `bench_crypto` — the primitive costs behind **Table II** (RSA
-//!   sign/verify/encrypt at 512/1024/2048 bits, SHA, HMAC, ChaCha20).
-//! * `bench_tee` — `GetGPSAuth` end-to-end (world switch + driver read +
-//!   sign), plus the §VII-A1 ablations (batch signing, symmetric MACs).
-//! * `bench_geometry` — sufficiency predicates (paper vs exact
-//!   criterion), nearest-zone queries, Welzl circles.
-//! * `bench_verify` — auditor-side PoA verification throughput.
-//! * `bench_scenarios` — the **Fig. 6 / Fig. 8** pipelines end to end.
+//! The `bench_poa` binary is the one benchmark runner: it measures a
+//! fixed case list — one case per protocol layer, from RSA and the TEE
+//! sample through eq. 1–3 geometry, PoA verification, the wire codec,
+//! the journal, replication and the audit log — on the [`harness`]
+//! driver, and persists the quantiles to the repo-root
+//! `BENCH_poa.json` via [`baseline`], with a `--diff` regression gate
+//! (`make bench-json` / `make bench-diff`).
 //!
 //! Real wall-clock numbers here are for *this* machine; the paper-shape
 //! comparison lives in the `exp_*` binaries, which use the calibrated
 //! Raspberry Pi 3 cost model instead.
-//!
-//! Separately from the Criterion-style targets, the `bench_poa` binary
-//! measures a fixed case list and persists quantiles to the repo-root
-//! `BENCH_poa.json` via [`baseline`], with a `--diff` regression gate
-//! (`make bench-json` / `make bench-diff`).
 
 #![forbid(unsafe_code)]
 

@@ -9,31 +9,28 @@
 //!
 //! # Trace envelope
 //!
-//! Request frames may be wrapped in an optional, backward-compatible
-//! envelope that carries distributed-tracing context (v1) and an
-//! optional remaining-deadline budget (v2):
+//! Request frames may be wrapped in an optional envelope that carries
+//! distributed-tracing context and a remaining-deadline budget, each
+//! optional:
 //!
 //! ```text
-//! v1: +------+------+-------------------+-------------+------------------+
-//!     | 0xE7 | 0x01 | trace_id (16, BE) | span_id (8) | request payload… |
-//!     +------+------+-------------------+-------------+------------------+
-//!
-//! v2: +------+------+-------+----------------------------+--------------------------+----------+
-//!     | 0xE7 | 0x02 | flags | trace_id(16) span_id(8)    | budget_micros (8, BE)    | payload… |
-//!     |      |      |       |   present iff flags & 0x01 |   present iff flags & 0x02 |        |
-//!     +------+------+-------+----------------------------+--------------------------+----------+
+//! +------+------+-------+----------------------------+--------------------------+----------+
+//! | 0xE7 | 0x02 | flags | trace_id(16) span_id(8)    | budget_micros (8, BE)    | payload… |
+//! |      |      |       |   present iff flags & 0x01 |   present iff flags & 0x02 |        |
+//! +------+------+-------+----------------------------+--------------------------+----------+
 //! ```
 //!
 //! The magic byte `0xE7` can never begin a bare request (tags are 1–10),
 //! so [`split_envelope`] distinguishes the two by the first byte: bare
-//! frames pass through untouched and old clients keep working, while
-//! enveloped frames stitch the client's span into the server's trace.
-//! The v2 `budget_micros` field carries the client's *remaining* call
-//! budget (relative, so clocks need not be synchronised); the server
-//! compares it against its own measured queue wait and sheds requests
-//! whose budget has already expired instead of executing them. A frame
-//! that *starts* like an envelope but is truncated or carries an
-//! unknown version is malformed — never a panic.
+//! frames — the untraced, deadline-free request — pass through
+//! untouched, while enveloped frames stitch the client's span into the
+//! server's trace. The `budget_micros` field carries the client's
+//! *remaining* call budget (relative, so clocks need not be
+//! synchronised); the server compares it against its own measured
+//! queue wait and sheds requests whose budget has already expired
+//! instead of executing them. A frame that *starts* like an envelope
+//! but is truncated or carries any version other than 2 (including the
+//! retired trace-only version 1) is malformed — never a panic.
 
 pub mod codec;
 pub mod server;
@@ -224,17 +221,14 @@ impl ErrorCode {
 /// tag space (1–10) so the envelope is detectable without ambiguity.
 pub const ENVELOPE_MAGIC: u8 = 0xE7;
 
-/// The v1 envelope layout (trace context only, no flags byte).
-pub const ENVELOPE_VERSION: u8 = 1;
-
-/// The v2 envelope layout: a flags byte selecting optional trace
+/// The envelope layout version: a flags byte selecting optional trace
 /// context and deadline-budget fields.
-pub const ENVELOPE_VERSION_V2: u8 = 2;
+pub const ENVELOPE_VERSION: u8 = 2;
 
-/// v2 flag bit: the trace context (trace_id + span_id) is present.
+/// Flag bit: the trace context (trace_id + span_id) is present.
 pub const ENVELOPE_FLAG_TRACE: u8 = 0x01;
 
-/// v2 flag bit: the remaining-deadline budget (`budget_micros`) is
+/// Flag bit: the remaining-deadline budget (`budget_micros`) is
 /// present.
 pub const ENVELOPE_FLAG_BUDGET: u8 = 0x02;
 
@@ -250,8 +244,8 @@ pub struct WireTraceContext {
     pub span_id: u64,
 }
 
-/// Everything an envelope can carry: optional trace context (v1/v2)
-/// and an optional remaining-deadline budget (v2 only).
+/// Everything an envelope can carry: optional trace context and an
+/// optional remaining-deadline budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct WireEnvelope {
     /// Distributed-tracing context, if the client propagated one.
@@ -263,125 +257,80 @@ pub struct WireEnvelope {
     pub budget_micros: Option<u64>,
 }
 
-/// Wraps a request payload in the trace envelope.
-pub fn encode_enveloped(ctx: WireTraceContext, payload: &[u8]) -> Vec<u8> {
+/// Wraps a request payload in the smallest frame that carries `env`'s
+/// fields: the bare payload when both are `None`, else an envelope
+/// whose flags name the fields present.
+pub fn encode_envelope(env: &WireEnvelope, payload: &[u8]) -> Vec<u8> {
+    if env.trace.is_none() && env.budget_micros.is_none() {
+        return payload.to_vec();
+    }
+    let mut flags = 0;
+    if env.trace.is_some() {
+        flags |= ENVELOPE_FLAG_TRACE;
+    }
+    if env.budget_micros.is_some() {
+        flags |= ENVELOPE_FLAG_BUDGET;
+    }
     let mut w = Writer::new();
     w.put_u8(ENVELOPE_MAGIC)
         .put_u8(ENVELOPE_VERSION)
-        .put_u128(ctx.trace_id)
-        .put_u64(ctx.span_id);
+        .put_u8(flags);
+    if let Some(ctx) = env.trace {
+        w.put_u128(ctx.trace_id).put_u64(ctx.span_id);
+    }
+    if let Some(budget) = env.budget_micros {
+        w.put_u64(budget);
+    }
     let mut bytes = w.into_bytes();
     bytes.extend_from_slice(payload);
     bytes
 }
 
-/// Wraps a request payload in the smallest envelope that carries
-/// `env`'s fields:
+/// Splits an incoming frame into its [`WireEnvelope`] (trace context
+/// and deadline budget, either optional) and the request payload.
 ///
-/// - both fields `None` → the bare payload, byte-identical to a
-///   pre-envelope client;
-/// - trace only → the v1 layout, byte-identical to
-///   [`encode_enveloped`] (so enabling the v2 code path changes no
-///   bytes for existing deployments);
-/// - any budget → the v2 flags layout.
-pub fn encode_envelope(env: &WireEnvelope, payload: &[u8]) -> Vec<u8> {
-    match (env.trace, env.budget_micros) {
-        (None, None) => payload.to_vec(),
-        (Some(ctx), None) => encode_enveloped(ctx, payload),
-        (trace, Some(budget)) => {
-            let mut flags = ENVELOPE_FLAG_BUDGET;
-            if trace.is_some() {
-                flags |= ENVELOPE_FLAG_TRACE;
-            }
-            let mut w = Writer::new();
-            w.put_u8(ENVELOPE_MAGIC)
-                .put_u8(ENVELOPE_VERSION_V2)
-                .put_u8(flags);
-            if let Some(ctx) = trace {
-                w.put_u128(ctx.trace_id).put_u64(ctx.span_id);
-            }
-            w.put_u64(budget);
-            let mut bytes = w.into_bytes();
-            bytes.extend_from_slice(payload);
-            bytes
-        }
-    }
-}
-
-/// Splits an incoming frame into its optional trace context and the
-/// request payload.
-///
-/// Frames not starting with [`ENVELOPE_MAGIC`] are pre-envelope frames
-/// and pass through unchanged (`None` context) — backward compatibility
-/// is by construction, not by version negotiation.
+/// Frames not starting with [`ENVELOPE_MAGIC`] are bare and pass
+/// through unchanged with an empty envelope.
 ///
 /// # Errors
 ///
 /// Returns [`ProtocolError::Malformed`] when a frame announces the
-/// envelope but is truncated or carries an unknown version.
-pub fn split_envelope(bytes: &[u8]) -> Result<(Option<WireTraceContext>, &[u8]), ProtocolError> {
-    let (env, payload) = split_envelope_ext(bytes)?;
-    Ok((env.trace, payload))
-}
-
-/// Splits an incoming frame into its full [`WireEnvelope`] (trace
-/// context and deadline budget, either optional) and the request
-/// payload. Handles bare frames, v1 envelopes and v2 envelopes.
-///
-/// # Errors
-///
-/// Returns [`ProtocolError::Malformed`] when a frame announces the
-/// envelope but is truncated or carries an unknown version.
-pub fn split_envelope_ext(bytes: &[u8]) -> Result<(WireEnvelope, &[u8]), ProtocolError> {
-    match bytes.first() {
-        Some(&ENVELOPE_MAGIC) => {
-            let mut r = Reader::new(&bytes[1..]);
-            match r.get_u8()? {
-                ENVELOPE_VERSION => {
-                    let trace_id = r.get_u128()?;
-                    let span_id = r.get_u64()?;
-                    let header = 1 + 1 + 16 + 8;
-                    Ok((
-                        WireEnvelope {
-                            trace: Some(WireTraceContext { trace_id, span_id }),
-                            budget_micros: None,
-                        },
-                        &bytes[header..],
-                    ))
-                }
-                ENVELOPE_VERSION_V2 => {
-                    let flags = r.get_u8()?;
-                    if flags & !(ENVELOPE_FLAG_TRACE | ENVELOPE_FLAG_BUDGET) != 0 {
-                        return Err(ProtocolError::Malformed("unknown envelope flags"));
-                    }
-                    let mut header = 1 + 1 + 1;
-                    let trace = if flags & ENVELOPE_FLAG_TRACE != 0 {
-                        let trace_id = r.get_u128()?;
-                        let span_id = r.get_u64()?;
-                        header += 16 + 8;
-                        Some(WireTraceContext { trace_id, span_id })
-                    } else {
-                        None
-                    };
-                    let budget_micros = if flags & ENVELOPE_FLAG_BUDGET != 0 {
-                        header += 8;
-                        Some(r.get_u64()?)
-                    } else {
-                        None
-                    };
-                    Ok((
-                        WireEnvelope {
-                            trace,
-                            budget_micros,
-                        },
-                        &bytes[header..],
-                    ))
-                }
-                _ => Err(ProtocolError::Malformed("unsupported envelope version")),
-            }
-        }
-        _ => Ok((WireEnvelope::default(), bytes)),
+/// envelope but is truncated, sets unknown flags, or carries a version
+/// other than [`ENVELOPE_VERSION`].
+pub fn split_envelope(bytes: &[u8]) -> Result<(WireEnvelope, &[u8]), ProtocolError> {
+    if bytes.first() != Some(&ENVELOPE_MAGIC) {
+        return Ok((WireEnvelope::default(), bytes));
     }
+    let mut r = Reader::new(&bytes[1..]);
+    if r.get_u8()? != ENVELOPE_VERSION {
+        return Err(ProtocolError::Malformed("unsupported envelope version"));
+    }
+    let flags = r.get_u8()?;
+    if flags & !(ENVELOPE_FLAG_TRACE | ENVELOPE_FLAG_BUDGET) != 0 {
+        return Err(ProtocolError::Malformed("unknown envelope flags"));
+    }
+    let mut header = 1 + 1 + 1;
+    let trace = if flags & ENVELOPE_FLAG_TRACE != 0 {
+        let trace_id = r.get_u128()?;
+        let span_id = r.get_u64()?;
+        header += 16 + 8;
+        Some(WireTraceContext { trace_id, span_id })
+    } else {
+        None
+    };
+    let budget_micros = if flags & ENVELOPE_FLAG_BUDGET != 0 {
+        header += 8;
+        Some(r.get_u64()?)
+    } else {
+        None
+    };
+    Ok((
+        WireEnvelope {
+            trace,
+            budget_micros,
+        },
+        &bytes[header..],
+    ))
 }
 
 // ----------------------------------------------------------- request kinds
@@ -1174,33 +1123,34 @@ mod tests {
         assert!(Request::from_bytes(&bytes).is_err());
     }
 
+    fn traced(trace_id: u128, span_id: u64) -> WireEnvelope {
+        WireEnvelope {
+            trace: Some(WireTraceContext { trace_id, span_id }),
+            budget_micros: None,
+        }
+    }
+
     #[test]
     fn envelope_round_trips_and_bare_frames_pass_through() {
         let payload = Request::RegisterZone { zone: zone() }.to_bytes();
-        let ctx = WireTraceContext {
-            trace_id: 0x0123_4567_89AB_CDEF_0011_2233_4455_6677,
-            span_id: 0xFEED_F00D,
-        };
-        let framed = encode_enveloped(ctx, &payload);
-        assert_eq!(framed[0], ENVELOPE_MAGIC);
-        let (got_ctx, got_payload) = split_envelope(&framed).unwrap();
-        assert_eq!(got_ctx, Some(ctx));
+        let env = traced(0x0123_4567_89AB_CDEF_0011_2233_4455_6677, 0xFEED_F00D);
+        let framed = encode_envelope(&env, &payload);
+        assert_eq!(
+            framed[..3],
+            [ENVELOPE_MAGIC, ENVELOPE_VERSION, ENVELOPE_FLAG_TRACE]
+        );
+        let (got, got_payload) = split_envelope(&framed).unwrap();
+        assert_eq!(got, env);
         assert_eq!(got_payload, &payload[..]);
         // A bare frame passes through unchanged.
-        let (none_ctx, bare) = split_envelope(&payload).unwrap();
-        assert_eq!(none_ctx, None);
+        let (none, bare) = split_envelope(&payload).unwrap();
+        assert_eq!(none, WireEnvelope::default());
         assert_eq!(bare, &payload[..]);
     }
 
     #[test]
     fn truncated_envelope_is_malformed_not_a_panic() {
-        let framed = encode_enveloped(
-            WireTraceContext {
-                trace_id: 7,
-                span_id: 9,
-            },
-            &[],
-        );
+        let framed = encode_envelope(&traced(7, 9), &[]);
         for cut in 1..framed.len() {
             assert!(split_envelope(&framed[..cut]).is_err(), "cut at {cut}");
         }
@@ -1208,13 +1158,7 @@ mod tests {
 
     #[test]
     fn unknown_envelope_version_rejected() {
-        let mut framed = encode_enveloped(
-            WireTraceContext {
-                trace_id: 1,
-                span_id: 2,
-            },
-            &[REQ_ACCUSE],
-        );
+        let mut framed = encode_envelope(&traced(1, 2), &[REQ_ACCUSE]);
         framed[1] = 99;
         assert!(split_envelope(&framed).is_err());
     }
@@ -1300,6 +1244,10 @@ mod tests {
         };
         let cases = [
             WireEnvelope {
+                trace: Some(ctx),
+                budget_micros: None,
+            },
+            WireEnvelope {
                 trace: None,
                 budget_micros: Some(125_000),
             },
@@ -1315,22 +1263,17 @@ mod tests {
         for env in cases {
             let framed = encode_envelope(&env, &payload);
             assert_eq!(framed[0], ENVELOPE_MAGIC);
-            assert_eq!(framed[1], ENVELOPE_VERSION_V2);
-            let (got, got_payload) = split_envelope_ext(&framed).unwrap();
+            assert_eq!(framed[1], ENVELOPE_VERSION);
+            let (got, got_payload) = split_envelope(&framed).unwrap();
             assert_eq!(got, env);
             assert_eq!(got_payload, &payload[..]);
-            // The legacy splitter still finds the trace and the payload.
-            let (legacy_ctx, legacy_payload) = split_envelope(&framed).unwrap();
-            assert_eq!(legacy_ctx, env.trace);
-            assert_eq!(legacy_payload, &payload[..]);
         }
     }
 
     #[test]
-    fn envelope_backward_compat_bare_and_v1_bytes_unchanged() {
-        // Property sweep: for every request kind, (a) a deadline-free
-        // WireEnvelope encodes to exactly the pre-PR bytes (bare or v1),
-        // and (b) those bytes split back to the identical payload.
+    fn untraced_deadline_free_frames_stay_bare() {
+        // For every request kind an empty envelope encodes to exactly
+        // the request bytes, and those split back to the same request.
         let requests: Vec<Request> = vec![
             Request::RegisterZone { zone: zone() },
             Request::SubmitPoa {
@@ -1346,33 +1289,28 @@ mod tests {
             }),
             Request::HealthCheck,
         ];
-        let ctx = WireTraceContext {
-            trace_id: 0xDEAD_BEEF,
-            span_id: 0xCAFE,
-        };
         for req in requests {
             let payload = req.to_bytes();
-            // Bare: no envelope fields → byte-identical passthrough.
             let bare = encode_envelope(&WireEnvelope::default(), &payload);
             assert_eq!(bare, payload, "bare frame must be byte-identical");
-            let (env, rest) = split_envelope_ext(&bare).unwrap();
+            let (env, rest) = split_envelope(&bare).unwrap();
             assert_eq!(env, WireEnvelope::default());
-            assert_eq!(rest, &payload[..]);
-            assert_eq!(Request::from_bytes(rest).unwrap(), req);
-            // Trace-only: must emit the v1 layout bit-for-bit.
-            let v1 = encode_envelope(
-                &WireEnvelope {
-                    trace: Some(ctx),
-                    budget_micros: None,
-                },
-                &payload,
-            );
-            assert_eq!(v1, encode_enveloped(ctx, &payload));
-            let (env, rest) = split_envelope_ext(&v1).unwrap();
-            assert_eq!(env.trace, Some(ctx));
-            assert_eq!(env.budget_micros, None);
             assert_eq!(Request::from_bytes(rest).unwrap(), req);
         }
+    }
+
+    #[test]
+    fn envelope_version_1_is_rejected() {
+        // The retired trace-only layout: magic, 0x01, trace_id, span_id,
+        // payload — no flags byte.
+        let mut v1 = vec![ENVELOPE_MAGIC, 1];
+        v1.extend_from_slice(&0xDEAD_BEEFu128.to_be_bytes());
+        v1.extend_from_slice(&0xCAFEu64.to_be_bytes());
+        v1.extend_from_slice(&Request::HealthCheck.to_bytes());
+        assert_eq!(
+            split_envelope(&v1).unwrap_err(),
+            ProtocolError::Malformed("unsupported envelope version")
+        );
     }
 
     #[test]
@@ -1388,11 +1326,11 @@ mod tests {
             &[],
         );
         for cut in 1..framed.len() {
-            assert!(split_envelope_ext(&framed[..cut]).is_err(), "cut at {cut}");
+            assert!(split_envelope(&framed[..cut]).is_err(), "cut at {cut}");
         }
         let mut bad_flags = framed.clone();
         bad_flags[2] |= 0x80;
-        assert!(split_envelope_ext(&bad_flags).is_err());
+        assert!(split_envelope(&bad_flags).is_err());
     }
 
     #[test]

@@ -24,8 +24,8 @@ use crate::messages::{PoaSubmission, Submission};
 use crate::poa::ProofOfAlibi;
 use crate::verify_pool::VerifyPool;
 use crate::wire::{
-    request_cost, request_kind_index, source_drone, split_envelope_ext, ErrorCode, Request,
-    Response, REQUEST_KINDS,
+    request_cost, request_kind_index, source_drone, split_envelope, ErrorCode, Request, Response,
+    REQUEST_KINDS,
 };
 use crate::ProtocolError;
 
@@ -489,7 +489,7 @@ impl AuditorServer {
     /// admission queue before reaching a handler thread.
     ///
     /// Frames may arrive bare or wrapped in the trace envelope (see
-    /// [`split_envelope_ext`](crate::wire::split_envelope_ext())); with
+    /// [`split_envelope`](crate::wire::split_envelope())); with
     /// an envelope, the per-request server span joins the caller's
     /// trace as a child of the caller's span. Before dispatching, the
     /// request runs the admission gauntlet **in shed-cheapest-first
@@ -514,7 +514,7 @@ impl AuditorServer {
         let mut timer = StageTimer::start();
         let mut executed: Option<usize> = None;
         let mut trace: Option<(u128, u64)> = None;
-        let decoded = split_envelope_ext(request_bytes)
+        let decoded = split_envelope(request_bytes)
             .and_then(|(env, payload)| Request::from_bytes(payload).map(|req| (env, req)));
         timer.mark("decode");
         let response = match decoded {
@@ -1029,7 +1029,7 @@ mod tests {
 
     #[test]
     fn enveloped_request_adopts_the_wire_trace() {
-        use crate::wire::{encode_enveloped, WireTraceContext};
+        use crate::wire::{encode_envelope, WireEnvelope, WireTraceContext};
         use std::sync::Arc;
 
         let obs = Obs::noop();
@@ -1045,11 +1045,14 @@ mod tests {
             operator_public: operator_key().public_key().clone(),
             tee_public: tee_key().public_key().clone(),
         };
-        let ctx = WireTraceContext {
-            trace_id: 0xFACE,
-            span_id: 0xBEEF,
+        let env = WireEnvelope {
+            trace: Some(WireTraceContext {
+                trace_id: 0xFACE,
+                span_id: 0xBEEF,
+            }),
+            budget_micros: None,
         };
-        let frame = encode_enveloped(ctx, &req.to_bytes());
+        let frame = encode_envelope(&env, &req.to_bytes());
         let resp = Response::from_bytes(&s.handle(&frame, now())).unwrap();
         assert!(matches!(resp, Response::DroneRegistered(_)));
         let spans = recorder.spans();
@@ -1063,17 +1066,20 @@ mod tests {
 
     #[test]
     fn untraced_server_still_accepts_enveloped_frames() {
-        use crate::wire::{encode_enveloped, WireTraceContext};
+        use crate::wire::{encode_envelope, WireEnvelope, WireTraceContext};
         let s = server();
         let req = Request::RegisterDrone {
             operator_public: operator_key().public_key().clone(),
             tee_public: tee_key().public_key().clone(),
         };
-        let ctx = WireTraceContext {
-            trace_id: 1,
-            span_id: 2,
+        let env = WireEnvelope {
+            trace: Some(WireTraceContext {
+                trace_id: 1,
+                span_id: 2,
+            }),
+            budget_micros: None,
         };
-        let resp = Response::from_bytes(&s.handle(&encode_enveloped(ctx, &req.to_bytes()), now()))
+        let resp = Response::from_bytes(&s.handle(&encode_envelope(&env, &req.to_bytes()), now()))
             .unwrap();
         assert!(matches!(resp, Response::DroneRegistered(_)));
     }

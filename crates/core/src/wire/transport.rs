@@ -47,13 +47,13 @@ const WIRE_SPAN_NAMES: [&str; 10] = [
 /// through them.
 fn peek_frame(request: &[u8]) -> (&'static str, Option<WireTraceContext>) {
     match split_envelope(request) {
-        Ok((ctx, payload)) => (
+        Ok((env, payload)) => (
             payload
                 .first()
                 .copied()
                 .and_then(request_kind_from_tag)
                 .unwrap_or("unknown"),
-            ctx,
+            env.trace,
         ),
         Err(_) => ("unknown", None),
     }
@@ -1659,14 +1659,12 @@ mod tests {
 
     #[test]
     fn deadline_client_sends_remaining_budget_in_the_envelope() {
-        use crate::wire::split_envelope_ext;
-
         let script = Arc::new(Script::new(vec![zone_ok()]));
         let mut c = AuditorClient::new(Arc::clone(&script)).deadline(Duration::from_millis(250));
         c.register_zone(zone(), now()).unwrap();
         let frames = script.frames();
         assert_eq!(frames.len(), 1);
-        let (env, payload) = split_envelope_ext(&frames[0]).unwrap();
+        let (env, payload) = split_envelope(&frames[0]).unwrap();
         // Untraced client → no trace context, but the budget rides.
         assert!(env.trace.is_none());
         let budget = env.budget_micros.expect("budget field missing");

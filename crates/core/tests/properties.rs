@@ -16,7 +16,8 @@
 use std::sync::OnceLock;
 
 use alidrone_core::wire::{
-    encode_enveloped, split_envelope, Request, Response, WireTraceContext, ENVELOPE_MAGIC,
+    encode_envelope, split_envelope, Request, Response, WireEnvelope, WireTraceContext,
+    ENVELOPE_MAGIC,
 };
 use alidrone_core::{
     Auditor, AuditorConfig, DroneId, PoaSubmission, ProofOfAlibi, Submission, Verdict, ZoneId,
@@ -250,10 +251,10 @@ fn wire_verdict_round_trip() {
     }
 }
 
-/// Backward compatibility of the trace envelope: every pre-envelope
-/// frame (any byte string not starting with the envelope magic — which
-/// includes every encoded request, whose tags live in 1..=6) passes
-/// through `split_envelope` byte-identically with no trace context.
+/// Bare frames: any byte string not starting with the envelope magic —
+/// which includes every encoded request, whose tags live in 1..=10 —
+/// passes through `split_envelope` byte-identically with an empty
+/// envelope.
 #[test]
 fn envelope_bare_frames_decode_identically() {
     let mut rng = XorShift64::seed_from_u64(409);
@@ -262,8 +263,8 @@ fn envelope_bare_frames_decode_identically() {
         if bytes.first() == Some(&ENVELOPE_MAGIC) {
             continue; // enveloped by construction, covered below
         }
-        let (ctx, payload) = split_envelope(&bytes).expect("bare frame must parse");
-        assert_eq!(ctx, None);
+        let (env, payload) = split_envelope(&bytes).expect("bare frame must parse");
+        assert_eq!(env, WireEnvelope::default());
         assert_eq!(payload, &bytes[..]);
     }
     // And specifically: every encoded request is such a frame.
@@ -275,24 +276,33 @@ fn envelope_bare_frames_decode_identically() {
     };
     let bytes = req.to_bytes();
     assert_ne!(bytes[0], ENVELOPE_MAGIC);
-    let (ctx, payload) = split_envelope(&bytes).unwrap();
-    assert_eq!(ctx, None);
+    let (env, payload) = split_envelope(&bytes).unwrap();
+    assert_eq!(env, WireEnvelope::default());
     assert_eq!(Request::from_bytes(payload).unwrap(), req);
 }
 
-/// The envelope round-trips arbitrary trace ids and payloads.
+/// A trace-carrying envelope with arbitrary ids, and a deadline budget
+/// on every other draw.
+fn arb_traced_envelope(rng: &mut XorShift64) -> WireEnvelope {
+    WireEnvelope {
+        trace: Some(WireTraceContext {
+            trace_id: (rng.next_u64() as u128) << 64 | rng.next_u64() as u128,
+            span_id: rng.next_u64(),
+        }),
+        budget_micros: rng.next_u64().is_multiple_of(2).then(|| rng.next_u64()),
+    }
+}
+
+/// The envelope round-trips arbitrary trace ids, budgets and payloads.
 #[test]
 fn envelope_round_trips_trace_ids() {
     let mut rng = XorShift64::seed_from_u64(410);
     for _ in 0..CASES * 2 {
-        let ctx = WireTraceContext {
-            trace_id: (rng.next_u64() as u128) << 64 | rng.next_u64() as u128,
-            span_id: rng.next_u64(),
-        };
+        let env = arb_traced_envelope(&mut rng);
         let payload = arb_bytes(&mut rng, 200);
-        let frame = encode_enveloped(ctx, &payload);
-        let (got_ctx, got_payload) = split_envelope(&frame).expect("envelope must parse");
-        assert_eq!(got_ctx, Some(ctx));
+        let frame = encode_envelope(&env, &payload);
+        let (got, got_payload) = split_envelope(&frame).expect("envelope must parse");
+        assert_eq!(got, env);
         assert_eq!(got_payload, &payload[..]);
     }
 }
@@ -304,13 +314,12 @@ fn envelope_round_trips_trace_ids() {
 fn envelope_truncation_is_an_error_not_a_panic() {
     let mut rng = XorShift64::seed_from_u64(411);
     for _ in 0..CASES {
-        let ctx = WireTraceContext {
-            trace_id: (rng.next_u64() as u128) << 64 | rng.next_u64() as u128,
-            span_id: rng.next_u64(),
-        };
-        let frame = encode_enveloped(ctx, &arb_bytes(&mut rng, 50));
-        // Any cut inside the 26-byte header must fail cleanly.
-        for cut in 1..26.min(frame.len()) {
+        let env = arb_traced_envelope(&mut rng);
+        let frame = encode_envelope(&env, &arb_bytes(&mut rng, 50));
+        // Any cut inside the header (27 bytes traced, 35 with a
+        // budget) must fail cleanly.
+        let header = if env.budget_micros.is_some() { 35 } else { 27 };
+        for cut in 1..header {
             assert!(
                 split_envelope(&frame[..cut]).is_err(),
                 "cut at {cut} not detected"

@@ -7,7 +7,7 @@
 //! in-process or over a real loopback TCP socket, optionally through
 //! deterministic fault injection with client-side retry.
 //!
-//! Every response frame is captured (trace envelope stripped), so two
+//! Every response frame is captured verbatim, so two
 //! submissions of the same run over different transports can be
 //! compared byte-for-byte: the auditor's verdicts must not depend on
 //! how the frames travelled.
@@ -15,7 +15,6 @@
 use std::sync::{Arc, Mutex};
 
 use alidrone_core::wire::server::AuditorServer;
-use alidrone_core::wire::split_envelope;
 use alidrone_core::wire::tcp::{TcpServer, TcpTransport};
 use alidrone_core::wire::transport::{AuditorClient, Flaky, InProcess, RetryPolicy, Transport};
 use alidrone_core::{Auditor, AuditorConfig, DroneId, ProtocolError, Verdict, ZoneId};
@@ -59,13 +58,14 @@ pub struct WireReport {
     pub zones: Vec<ZoneId>,
     /// The auditor's verdict on the PoA.
     pub verdict: Verdict,
-    /// Every response frame the client saw, in request order, with the
-    /// trace envelope stripped — byte-comparable across transports.
+    /// Every response frame the client saw, in request order —
+    /// byte-comparable across transports (only requests carry the trace
+    /// envelope, so responses need no unwrapping).
     pub response_frames: Vec<Vec<u8>>,
 }
 
-/// A [`Transport`] decorator that records each (envelope-stripped)
-/// response frame for later comparison.
+/// A [`Transport`] decorator that records each response frame for later
+/// comparison.
 #[derive(Debug)]
 struct Recording<T> {
     inner: T,
@@ -75,11 +75,10 @@ struct Recording<T> {
 impl<T: Transport> Transport for Recording<T> {
     fn call(&self, request: &[u8], now: Timestamp) -> Result<Vec<u8>, ProtocolError> {
         let response = self.inner.call(request, now)?;
-        let payload = match split_envelope(&response) {
-            Ok((_, payload)) => payload.to_vec(),
-            Err(_) => response.clone(),
-        };
-        self.frames.lock().expect("frame log lock").push(payload);
+        self.frames
+            .lock()
+            .expect("frame log lock")
+            .push(response.clone());
         Ok(response)
     }
 }
