@@ -5,7 +5,7 @@ CARGO ?= cargo
 
 .PHONY: check fmt clippy doc build test perfbench-test examples experiments trace-smoke tcp-smoke stress chaos overload scrape-smoke soak-smoke failover tamper bench-json bench-diff
 
-check: fmt clippy doc test perfbench-test trace-smoke tcp-smoke chaos overload soak-smoke failover tamper
+check: fmt clippy doc test perfbench-test trace-smoke tcp-smoke chaos overload scrape-smoke soak-smoke failover tamper
 
 fmt:
 	$(CARGO) fmt --all -- --check

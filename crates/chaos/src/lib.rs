@@ -12,9 +12,9 @@
 //!
 //! | layer | wrapper / hook | faults |
 //! |---|---|---|
-//! | transport | [`FaultyTransport`] | dropped requests, corrupted responses, injected latency |
+//! | transport | [`FaultyTransport`] | dropped requests, corrupted requests and responses |
 //! | replication | [`FaultyLink`] | lost ships, campaign-controlled partitions |
-//! | server | [`FaultPlane::delay_hook`] | slow request handlers (overload campaigns) |
+//! | server | [`FaultPlane::delay_hook`] | injected latency: slow request handlers (overload campaigns) |
 //! | storage | [`StorageFaults`] | torn appends, bit flips, full-disk errors |
 //! | TEE | [`FaultPlane::sign_fault`], [`FaultPlane::nmea_fault`] | signing failures, NMEA truncation/garbling |
 //! | GPS | [`FaultyGps`] | dropout windows, clock jumps |
@@ -277,30 +277,27 @@ impl FaultStream {
 
 // ----------------------------------------------------- FaultyTransport
 
-/// Seeded probabilistic faults over any [`Transport`].
+/// Seeded probabilistic faults over any [`Transport`] — the one
+/// transport fault injector, used by the campaigns, the sim's lossy
+/// wire mode and the retry tests alike.
 ///
-/// Unlike [`Flaky`](alidrone_core::wire::transport::Flaky)'s periodic
-/// every-`n`-th schedule, faults here are Bernoulli draws from the
-/// plane's stream — the shape randomized campaigns want — while staying
+/// Faults are Bernoulli draws from the plane's stream, so they are
 /// exactly replayable from the seed. Injected faults keep the existing
 /// wire semantics: a dropped request surfaces as a typed
-/// [`ProtocolError::Transport`], a corrupted response has its first
-/// byte XOR-flipped (what `Flaky` does), so client-side decode errors
-/// stay comparable across both planes.
+/// [`ProtocolError::Transport`] (retryable, like a real lost frame), and
+/// a corrupted response has its first byte XOR-flipped, so client-side
+/// decode errors stay typed. Latency is injected on the server side
+/// instead, with [`FaultPlane::delay_hook`].
 #[derive(Debug)]
 pub struct FaultyTransport<T> {
     inner: T,
     stream: FaultStream,
-    /// Latency draws use a stream of their own (`<name>.delay`), so
-    /// enabling latency never perturbs the drop/corrupt schedule.
-    delay_stream: FaultStream,
-    /// Request-corruption draws likewise own `<name>.corrupt_req`.
+    /// Request-corruption draws own `<name>.corrupt_req`, so enabling
+    /// them never perturbs the drop/corrupt schedule.
     corrupt_req_stream: FaultStream,
     drop_p: f64,
     corrupt_p: f64,
     corrupt_req_p: f64,
-    delay_p: f64,
-    delay: Duration,
 }
 
 impl<T: Transport> FaultyTransport<T> {
@@ -310,13 +307,10 @@ impl<T: Transport> FaultyTransport<T> {
         FaultyTransport {
             inner,
             stream: plane.stream(name),
-            delay_stream: plane.stream(&format!("{name}.delay")),
             corrupt_req_stream: plane.stream(&format!("{name}.corrupt_req")),
             drop_p: 0.0,
             corrupt_p: 0.0,
             corrupt_req_p: 0.0,
-            delay_p: 0.0,
-            delay: Duration::ZERO,
         }
     }
 
@@ -347,16 +341,6 @@ impl<T: Transport> FaultyTransport<T> {
         self
     }
 
-    /// Stalls each call by `delay` with probability `p` before it
-    /// reaches the inner transport (path latency / a slow hop). Delay
-    /// draws come from a dedicated `<name>.delay` stream, so enabling
-    /// latency does not perturb pre-existing drop/corrupt schedules.
-    pub fn delay_with(mut self, p: f64, delay: Duration) -> Self {
-        self.delay_p = p;
-        self.delay = delay;
-        self
-    }
-
     /// The wrapped transport.
     pub fn inner(&self) -> &T {
         &self.inner
@@ -369,10 +353,6 @@ impl<T: Transport> Transport for FaultyTransport<T> {
         // of a call does not depend on whether this one was dropped.
         let dropped = self.stream.chance(self.drop_p);
         let corrupted = self.stream.chance(self.corrupt_p);
-        let delayed = self.delay_p > 0.0 && self.delay_stream.chance(self.delay_p);
-        if delayed {
-            std::thread::sleep(self.delay);
-        }
         if dropped {
             return Err(ProtocolError::Transport("chaos: request lost".into()));
         }
@@ -733,8 +713,7 @@ mod tests {
     }
 
     #[test]
-    fn delay_schedules_replay_and_do_not_perturb_drops() {
-        // The delay decision pattern replays from the seed.
+    fn delay_hook_schedules_replay() {
         let pattern = |seed: u64| -> Vec<bool> {
             let hook =
                 FaultPlane::new(seed).delay_hook("slow", 0.5, std::time::Duration::from_millis(1));
@@ -745,36 +724,6 @@ mod tests {
         let a = pattern(11);
         assert_eq!(a, pattern(11));
         assert!(a.iter().any(|d| *d) && a.iter().any(|d| !*d));
-
-        // Enabling latency on a FaultyTransport leaves an existing
-        // drop schedule untouched (delay draws live on a dedicated
-        // stream).
-        let drops = |with_delay: bool| -> Vec<bool> {
-            let auditor = Auditor::new(AuditorConfig::default(), key());
-            let plane = FaultPlane::new(42);
-            let mut t = FaultyTransport::new(
-                InProcess::new(AuditorServer::builder(auditor).build()),
-                &plane,
-                "transport",
-            )
-            .drop_with(0.5);
-            if with_delay {
-                t = t.delay_with(1.0, std::time::Duration::ZERO);
-            }
-            let req = alidrone_core::wire::Request::RegisterZone {
-                zone: NoFlyZone::new(
-                    GeoPoint::new(40.0, -88.0).expect("valid point"),
-                    Distance::from_meters(50.0),
-                ),
-            };
-            (0..20)
-                .map(|i| {
-                    t.call(&req.to_bytes(), Timestamp::from_secs(f64::from(i)))
-                        .is_ok()
-                })
-                .collect()
-        };
-        assert_eq!(drops(false), drops(true));
     }
 
     #[test]

@@ -63,7 +63,6 @@
 use std::borrow::Cow;
 use std::cell::OnceCell;
 use std::fmt;
-use std::io::{Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -77,12 +76,14 @@ use crate::journal::{
     DurableImage, JournalError, ShipSource, StorageBackend, FRAME_OVERHEAD, HEADER_LEN,
     JOURNAL_MAGIC, MAX_RECORD_LEN,
 };
-use crate::wire::codec::{Reader, Writer};
+use crate::wire::codec::{read_frame, write_frame, Reader, Writer};
 use crate::{Auditor, AuditorConfig, ProtocolError};
 use alidrone_crypto::rsa::RsaPrivateKey;
 
 /// Cap on a single replication frame body (a full journal image plus
-/// framing slack) — guards the TCP decoder against hostile lengths.
+/// framing slack) — guards the TCP decoder against hostile lengths, and
+/// the sender refuses a frame over it rather than ship one the
+/// follower would drop.
 const MAX_REPL_FRAME: usize = 64 * 1024 * 1024;
 
 /// Ship/ack round-trip timeout for the TCP link.
@@ -661,29 +662,6 @@ impl ReplLink for InProcessLink {
     }
 }
 
-/// Writes one length-framed message (`len u32 BE | body`).
-fn write_framed(stream: &mut TcpStream, body: &[u8]) -> std::io::Result<()> {
-    stream.write_all(&(body.len() as u32).to_be_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
-
-/// Reads one length-framed message, bounding hostile lengths.
-fn read_framed(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_be_bytes(len) as usize;
-    if len > MAX_REPL_FRAME {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "replication frame too large",
-        ));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(body)
-}
-
 /// A length-framed TCP link to a remote follower (see
 /// [`FollowerServer`]). Lazily connects; one reconnect-and-resend per
 /// ship (safe: applies are offset-checked).
@@ -713,8 +691,8 @@ impl TcpReplLink {
     }
 
     fn exchange(&self, stream: &mut TcpStream, body: &[u8]) -> std::io::Result<Vec<u8>> {
-        write_framed(stream, body)?;
-        read_framed(stream)
+        write_frame(stream, body, MAX_REPL_FRAME)?;
+        read_frame(stream, MAX_REPL_FRAME)
     }
 }
 
@@ -794,7 +772,7 @@ impl FollowerServer {
                     if stop_flag.load(Ordering::Acquire) {
                         break;
                     }
-                    let Ok(body) = read_framed(&mut stream) else {
+                    let Ok(body) = read_frame(&mut stream, MAX_REPL_FRAME) else {
                         break;
                     };
                     let Ok(frame) = ReplFrame::from_bytes(&body) else {
@@ -806,7 +784,7 @@ impl FollowerServer {
                     let Ok(ack) = follower.apply(&frame) else {
                         break;
                     };
-                    if write_framed(&mut stream, &ack.to_bytes()).is_err() {
+                    if write_frame(&mut stream, &ack.to_bytes(), MAX_REPL_FRAME).is_err() {
                         break;
                     }
                 }

@@ -3,6 +3,14 @@
 //! The protocol messages are small and fixed-shape, so a hand-rolled
 //! codec keeps the wire format auditable byte-for-byte (and keeps the
 //! workspace free of serialization frameworks on the security path).
+//!
+//! Messages travel over byte streams as length-prefixed frames
+//! (`u32 BE len | body`): `write_frame`, `read_frame` and
+//! `extract_frame` are the one framing used by both the auditor's TCP
+//! protocol ([`tcp`](crate::wire::tcp)) and replication links
+//! ([`repl`](crate::repl)), each with its own size cap.
+
+use std::io::{self, Read, Write};
 
 use crate::ProtocolError;
 
@@ -170,6 +178,72 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// Writes one length-prefixed frame (`u32 BE len | body`).
+///
+/// # Errors
+///
+/// `InvalidInput` when `body` is longer than `cap`: the peer's reader
+/// enforces the same cap and would drop the frame, so it is refused
+/// here rather than sent. Otherwise any I/O error from `w`.
+pub(crate) fn write_frame<W: Write>(w: &mut W, body: &[u8], cap: usize) -> io::Result<()> {
+    let len = u32::try_from(body.len())
+        .ok()
+        .filter(|_| body.len() <= cap)
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame over its size cap"))?;
+    w.write_all(&len.to_be_bytes())?;
+    w.write_all(body)?;
+    w.flush()
+}
+
+/// Blocking read of one frame written by [`write_frame`]. A header
+/// announcing more than `cap` bytes is refused before anything is
+/// allocated.
+///
+/// # Errors
+///
+/// `InvalidData` for an over-cap header, otherwise any I/O error from
+/// `r` (a socket read timeout bounds the wait).
+pub(crate) fn read_frame<R: Read>(r: &mut R, cap: usize) -> io::Result<Vec<u8>> {
+    let mut header = [0u8; 4];
+    r.read_exact(&mut header)?;
+    let mut body = vec![0u8; frame_len(header, cap)?];
+    r.read_exact(&mut body)?;
+    Ok(body)
+}
+
+/// Pops one complete frame body off the front of `buf`, if present
+/// (the incremental form of [`read_frame`] for callers that read a
+/// socket in chunks).
+///
+/// # Errors
+///
+/// `InvalidData` when the buffered header announces more than `cap`
+/// bytes.
+pub(crate) fn extract_frame(buf: &mut Vec<u8>, cap: usize) -> io::Result<Option<Vec<u8>>> {
+    let Some(&header) = buf.first_chunk::<4>() else {
+        return Ok(None);
+    };
+    let len = frame_len(header, cap)?;
+    if buf.len() < 4 + len {
+        return Ok(None);
+    }
+    let body = buf[4..4 + len].to_vec();
+    buf.drain(..4 + len);
+    Ok(Some(body))
+}
+
+/// The body length a frame header announces, refused over `cap`.
+fn frame_len(header: [u8; 4], cap: usize) -> io::Result<usize> {
+    let len = u32::from_be_bytes(header) as usize;
+    if len > cap {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "frame header over its size cap",
+        ));
+    }
+    Ok(len)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,5 +317,50 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert_eq!(r.get_array::<3>().unwrap(), [1, 2, 3]);
         assert!(r.get_array::<1>().is_err());
+    }
+
+    #[test]
+    fn frames_round_trip_through_a_stream_and_a_buffer() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"abc", 8).unwrap();
+        write_frame(&mut wire, b"", 8).unwrap();
+        write_frame(&mut wire, b"12345678", 8).unwrap();
+        assert_eq!(&wire[..7], &[0, 0, 0, 3, b'a', b'b', b'c']);
+
+        let mut stream = &wire[..];
+        assert_eq!(read_frame(&mut stream, 8).unwrap(), b"abc");
+        assert_eq!(read_frame(&mut stream, 8).unwrap(), b"");
+        assert_eq!(read_frame(&mut stream, 8).unwrap(), b"12345678");
+        assert!(stream.is_empty());
+
+        // Incrementally: nothing until a whole frame is buffered.
+        let mut buf = wire[..5].to_vec();
+        assert_eq!(extract_frame(&mut buf, 8).unwrap(), None);
+        buf.extend_from_slice(&wire[5..]);
+        for body in [&b"abc"[..], b"", b"12345678"] {
+            assert_eq!(extract_frame(&mut buf, 8).unwrap().unwrap(), body);
+        }
+        assert_eq!(extract_frame(&mut buf, 8).unwrap(), None);
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn over_cap_write_is_refused_and_sends_nothing() {
+        let mut wire = Vec::new();
+        let err = write_frame(&mut wire, b"123456789", 8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(wire.is_empty(), "a refused frame must not be half-sent");
+    }
+
+    #[test]
+    fn over_cap_header_is_refused() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, b"123456789", 16).unwrap();
+        let err = read_frame(&mut &wire[..], 8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // The buffered form refuses on the header alone, before the
+        // body has arrived.
+        let err = extract_frame(&mut wire[..4].to_vec(), 8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
     }
 }

@@ -219,18 +219,10 @@ pub struct ServeConfig {
     pub workers: usize,
     /// Per-connection socket read timeout.
     pub read_timeout: Duration,
-    /// Per-connection socket write timeout.
-    pub write_timeout: Duration,
     /// Bounded admission-queue depth in front of the worker pool.
     /// Connections arriving with the queue full are rejected with a
     /// typed [`Response::Overloaded`] instead of queueing unboundedly.
     pub queue_cap: usize,
-    /// `retry_after_ms` hint sent with queue-full rejections.
-    pub queue_full_retry_after_ms: u64,
-    /// Floor for per-connection socket read deadlines, which doubles as
-    /// the worst-case shutdown latency for a worker blocked in a read.
-    /// Configurable so tests can shut down promptly.
-    pub shutdown_poll: Duration,
 }
 
 impl Default for ServeConfig {
@@ -238,10 +230,7 @@ impl Default for ServeConfig {
         ServeConfig {
             workers: 4,
             read_timeout: Duration::from_secs(5),
-            write_timeout: Duration::from_secs(5),
             queue_cap: 64,
-            queue_full_retry_after_ms: 100,
-            shutdown_poll: Duration::from_millis(10),
         }
     }
 }
@@ -280,7 +269,6 @@ pub struct AuditorServerBuilder {
     rate_limit: Option<RateLimitConfig>,
     handle_delay: Option<HandleDelay>,
     scrape: Option<SocketAddr>,
-    verify_threads: Option<usize>,
 }
 
 impl AuditorServerBuilder {
@@ -313,24 +301,10 @@ impl AuditorServerBuilder {
         self
     }
 
-    /// Per-connection socket write timeout (default 5 s).
-    pub fn write_timeout(mut self, d: Duration) -> Self {
-        self.serve.write_timeout = d;
-        self
-    }
-
     /// Bounded admission-queue depth for the networked front end
     /// (default 64; clamped to ≥ 1).
     pub fn queue_cap(mut self, cap: usize) -> Self {
         self.serve.queue_cap = cap.max(1);
-        self
-    }
-
-    /// Floor for per-connection read deadlines / worst-case shutdown
-    /// latency (default 10 ms; clamped to ≥ 1 ms so sockets never get a
-    /// zero timeout, which the OS rejects).
-    pub fn shutdown_poll(mut self, d: Duration) -> Self {
-        self.serve.shutdown_poll = d.max(Duration::from_millis(1));
         self
     }
 
@@ -344,16 +318,6 @@ impl AuditorServerBuilder {
     /// Injects artificial per-request handler latency (chaos testing).
     pub fn handle_delay<F: Fn() -> Duration + Send + Sync + 'static>(mut self, f: F) -> Self {
         self.handle_delay = Some(HandleDelay::new(f));
-        self
-    }
-
-    /// Worker-thread count for the shared signature-verification pool
-    /// the server installs on its auditor (default: the machine's
-    /// available parallelism). Large PoA batches fan their per-entry
-    /// signature checks across this pool instead of running serially on
-    /// the request worker. Pass 0 to disable the pool entirely.
-    pub fn verify_threads(mut self, n: usize) -> Self {
-        self.verify_threads = Some(n);
         self
     }
 
@@ -374,15 +338,13 @@ impl AuditorServerBuilder {
     /// [`AuditorServer::scrape_addr`] returns `None`.
     pub fn build(self) -> AuditorServer {
         let metrics = ServerMetrics::new(&self.obs);
-        let pool = match self.verify_threads {
-            Some(0) => None,
-            Some(n) => Some(Arc::new(VerifyPool::new(n, &self.obs))),
-            None => Some(Arc::new(VerifyPool::for_machine(&self.obs))),
-        };
-        if let Some(pool) = pool {
-            // Keeps a pool the caller installed on the auditor directly.
-            let _ = self.auditor.install_verify_pool(pool);
-        }
+        // Large PoA batches fan their per-entry signature checks across
+        // a machine-sized pool instead of running serially on the
+        // request worker. Keeps a pool the caller installed on the
+        // auditor directly.
+        let _ = self
+            .auditor
+            .install_verify_pool(Arc::new(VerifyPool::for_machine(&self.obs)));
         let scrape = self.scrape.and_then(|addr| {
             let mut sources =
                 ScrapeSources::new(&self.obs).with_slow_table(Arc::clone(&metrics.slow));
@@ -428,7 +390,6 @@ impl AuditorServer {
             rate_limit: None,
             handle_delay: None,
             scrape: None,
-            verify_threads: None,
         }
     }
 
@@ -1158,19 +1119,14 @@ mod tests {
         ))
         .workers(9)
         .read_timeout(Duration::from_millis(250))
-        .write_timeout(Duration::from_millis(750))
         .queue_cap(17)
-        .shutdown_poll(Duration::from_millis(3))
         .build();
         assert_eq!(
             s.serve_config(),
             ServeConfig {
                 workers: 9,
                 read_timeout: Duration::from_millis(250),
-                write_timeout: Duration::from_millis(750),
                 queue_cap: 17,
-                queue_full_retry_after_ms: 100,
-                shutdown_poll: Duration::from_millis(3),
             }
         );
         // Zero workers is clamped to one.

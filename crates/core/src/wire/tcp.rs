@@ -30,18 +30,18 @@
 //! with a typed [`Response::Overloaded`] and closed — counted in
 //! `server.shed.queue_full` — instead of queueing unboundedly; health
 //! probes are exempt and answered even at the admission edge. Workers
-//! set per-connection read/write timeouts from
-//! [`ServeConfig`]; an idle read timeout between frames is
-//! the
-//! shutdown-check point, while a stall *mid-frame* drops the
-//! connection. The accept loop blocks in `accept` (no polling);
+//! set each connection's read timeout from
+//! [`ServeConfig::read_timeout`](crate::wire::server::ServeConfig::read_timeout)
+//! (the write timeout is a fixed 5 s); an idle read timeout between
+//! frames is the shutdown-check point, while a stall *mid-frame* drops
+//! the connection. The accept loop blocks in `accept` (no polling);
 //! [`TcpServer::shutdown`] wakes it with a throwaway self-connection,
 //! then drains: in-flight requests finish and their responses are
 //! written before threads join.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Read};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
@@ -50,8 +50,9 @@ use std::time::{Duration, Instant};
 use alidrone_geo::Timestamp;
 use alidrone_obs::{Counter, Level, Obs};
 
-use crate::wire::server::{AuditorServer, ServeConfig};
-use crate::wire::transport::{RetryPolicy, Transport};
+use crate::wire::codec::{extract_frame, read_frame, write_frame};
+use crate::wire::server::AuditorServer;
+use crate::wire::transport::Transport;
 use crate::wire::{request_kind_from_tag, split_envelope, Response};
 use crate::ProtocolError;
 
@@ -67,52 +68,16 @@ const REJECT_READ_TIMEOUT: Duration = Duration::from_millis(100);
 /// Bound on the wake-connection dial during shutdown.
 const WAKE_CONNECT_TIMEOUT: Duration = Duration::from_secs(1);
 
-// ---------------------------------------------------------------- framing
+/// Per-connection socket write timeout on the server side.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 
-fn write_frame(stream: &mut TcpStream, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
-}
+/// Floor for per-connection socket read deadlines, which doubles as the
+/// worst-case shutdown latency for a worker blocked in a read (and the
+/// accept loop's pause after a failed `accept`).
+const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
 
-/// Blocking read of one length-prefixed frame (client side: the socket
-/// read timeout bounds the wait).
-fn read_frame(stream: &mut TcpStream) -> io::Result<Vec<u8>> {
-    let mut header = [0u8; 4];
-    stream.read_exact(&mut header)?;
-    let len = u32::from_be_bytes(header) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame exceeds 16 MiB cap",
-        ));
-    }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(body)
-}
-
-/// Pops one complete frame body off the front of `buf`, if present.
-fn extract_frame(buf: &mut Vec<u8>) -> Result<Option<Vec<u8>>, io::Error> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let len = u32::from_be_bytes([buf[0], buf[1], buf[2], buf[3]]) as usize;
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            "frame exceeds 16 MiB cap",
-        ));
-    }
-    if buf.len() < 4 + len {
-        return Ok(None);
-    }
-    let body = buf[4..4 + len].to_vec();
-    buf.drain(..4 + len);
-    Ok(Some(body))
-}
+/// `retry_after_ms` hint sent with queue-full rejections.
+const QUEUE_FULL_RETRY_AFTER_MS: u64 = 100;
 
 fn is_timeout(e: &io::Error) -> bool {
     matches!(
@@ -140,7 +105,7 @@ pub struct TcpServer {
 impl TcpServer {
     /// Binds `addr` (use port 0 for an OS-assigned loopback port) and
     /// starts serving `server` with the worker count and timeouts from
-    /// its [`ServeConfig`].
+    /// its [`ServeConfig`](crate::wire::server::ServeConfig).
     ///
     /// # Errors
     ///
@@ -186,8 +151,13 @@ impl TcpServer {
                             // `queue_depth` grows is the live signature
                             // of overload.
                             workers_busy.add(1);
-                            let served =
-                                serve_connection(&server, stream, queued_at, &shutdown, &cfg);
+                            let served = serve_connection(
+                                &server,
+                                stream,
+                                queued_at,
+                                &shutdown,
+                                cfg.read_timeout,
+                            );
                             workers_busy.add(-1);
                             if let Err(e) = served {
                                 server.obs().emit(
@@ -233,7 +203,7 @@ impl TcpServer {
                                 queue_depth.add(1);
                             }
                             Err(TrySendError::Full((stream, _))) => {
-                                reject_or_probe(&accept_server, stream, &cfg, &shed_queue_full);
+                                reject_or_probe(&accept_server, stream, &shed_queue_full);
                             }
                             Err(TrySendError::Disconnected(_)) => break,
                         }
@@ -243,7 +213,7 @@ impl TcpServer {
                         if accept_shutdown.load(Ordering::SeqCst) {
                             break;
                         }
-                        thread::sleep(cfg.shutdown_poll);
+                        thread::sleep(SHUTDOWN_POLL);
                     }
                 }
             }
@@ -317,38 +287,33 @@ impl Drop for TcpServer {
 /// `server.shed.queue_full` counts only rejections whose response was
 /// actually written — the counter reconciles against client-observed
 /// typed rejections.
-fn reject_or_probe(
-    server: &AuditorServer,
-    mut stream: TcpStream,
-    cfg: &ServeConfig,
-    shed_queue_full: &Counter,
-) {
+fn reject_or_probe(server: &AuditorServer, mut stream: TcpStream, shed_queue_full: &Counter) {
     if stream
         .set_read_timeout(Some(REJECT_READ_TIMEOUT))
-        .and_then(|()| stream.set_write_timeout(Some(cfg.write_timeout)))
+        .and_then(|()| stream.set_write_timeout(Some(WRITE_TIMEOUT)))
         .is_err()
     {
         return;
     }
-    let Ok(body) = read_frame(&mut stream) else {
+    let Ok(body) = read_frame(&mut stream, MAX_FRAME) else {
         // No frame arrived in time: nothing to answer.
         return;
     };
     if is_health_probe(&body) {
         let response = handle_framed(server, &body, Duration::ZERO);
-        let _ = write_frame(&mut stream, &response);
+        let _ = write_frame(&mut stream, &response, MAX_FRAME);
         return;
     }
     let response = Response::Overloaded {
-        retry_after_ms: cfg.queue_full_retry_after_ms,
+        retry_after_ms: QUEUE_FULL_RETRY_AFTER_MS,
     }
     .to_bytes();
-    if write_frame(&mut stream, &response).is_ok() {
+    if write_frame(&mut stream, &response, MAX_FRAME).is_ok() {
         shed_queue_full.inc();
         server
             .obs()
             .emit(Level::Warn, "wire.tcp", "shed_queue_full", |f| {
-                f.field("retry_after_ms", cfg.queue_full_retry_after_ms);
+                f.field("retry_after_ms", QUEUE_FULL_RETRY_AFTER_MS);
             });
     }
 }
@@ -374,10 +339,10 @@ fn serve_connection(
     mut stream: TcpStream,
     queued_at: Instant,
     shutdown: &AtomicBool,
-    cfg: &ServeConfig,
+    read_timeout: Duration,
 ) -> io::Result<()> {
-    stream.set_read_timeout(Some(cfg.read_timeout.max(cfg.shutdown_poll)))?;
-    stream.set_write_timeout(Some(cfg.write_timeout))?;
+    stream.set_read_timeout(Some(read_timeout.max(SHUTDOWN_POLL)))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     let mut buf: Vec<u8> = Vec::new();
     let mut tmp = [0u8; 8192];
     // Queue-wait accounting for deadline shedding: the first frame
@@ -394,9 +359,9 @@ fn serve_connection(
     loop {
         // Serve every complete frame already received — including after
         // shutdown, so in-flight requests drain with responses.
-        while let Some(body) = extract_frame(&mut buf)? {
+        while let Some(body) = extract_frame(&mut buf, MAX_FRAME)? {
             let response = handle_framed(server, &body, batch_arrival.elapsed());
-            write_frame(&mut stream, &response)?;
+            write_frame(&mut stream, &response, MAX_FRAME)?;
         }
         if shutdown.load(Ordering::SeqCst) && buf.is_empty() {
             return Ok(());
@@ -457,7 +422,11 @@ fn handle_framed(server: &AuditorServer, body: &[u8], queue_wait: Duration) -> V
 /// *read* failure is never resent here — whether the request executed
 /// is unknown, so the typed error surfaces and only the
 /// [`AuditorClient`](crate::wire::transport::AuditorClient) retry
-/// layer, which knows idempotency, may resend.
+/// layer, which knows idempotency, may resend. A failed dial surfaces
+/// the same way, as a retryable [`ProtocolError::Transport`] (or
+/// [`ProtocolError::Timeout`]): spacing out redials is the
+/// [`RetryPolicy`](crate::wire::transport::RetryPolicy) backoff's job,
+/// not the transport's.
 ///
 /// # Failover
 ///
@@ -465,13 +434,10 @@ fn handle_framed(server: &AuditorServer, body: &[u8], queue_wait: Duration) -> V
 /// auditor cluster, see [`crate::repl`]). Dials distinguish failure
 /// classes: **connection refused** means nothing is listening — a dead
 /// or deposed primary — so the transport rotates to the next endpoint
-/// *immediately* (no backoff; counted in
-/// `transport.endpoint_rotations`). Transient errors (timeouts,
-/// resets) stay on the same endpoint and enter the seeded reconnect
-/// backoff. Only a full cycle of refusals — every endpoint dead —
-/// counts as a connect failure for the backoff streak, so a cluster
-/// mid-failover is probed promptly while a fully-dark cluster backs
-/// off exactly like the single-endpoint case. Combined with the
+/// *immediately*, within the same call (counted in
+/// `transport.endpoint_rotations`). Transient errors (timeouts, resets)
+/// stay on the same endpoint and fail the call; so does a full cycle of
+/// refusals — every endpoint dead. Combined with the
 /// [`AuditorClient`](crate::wire::transport::AuditorClient) retry
 /// layer, in-flight *idempotent* requests transparently retry against
 /// the promoted primary; non-idempotent ones surface their typed
@@ -480,25 +446,14 @@ fn handle_framed(server: &AuditorServer, body: &[u8], queue_wait: Duration) -> V
 pub struct TcpTransport {
     endpoints: Vec<SocketAddr>,
     /// Index of the endpoint currently dialed (rotates on refusal).
-    active: std::sync::atomic::AtomicUsize,
+    active: AtomicUsize,
     stream: Mutex<Option<TcpStream>>,
     read_timeout: Duration,
     write_timeout: Duration,
-    /// Backoff policy for *re*connect attempts. Without one, a dead
-    /// server turns every call into an immediate connect — a tight
-    /// connect storm; with one, consecutive connect failures back off
-    /// exponentially with the policy's seeded jitter, exactly like
-    /// request retries.
-    reconnect_policy: Option<RetryPolicy>,
-    /// Consecutive connect failures (reset on success).
-    connect_failures: AtomicU32,
-    /// xorshift64 jitter state for reconnect backoff.
-    backoff_jitter: AtomicU64,
     calls: Arc<Counter>,
     bytes_in: Arc<Counter>,
     bytes_out: Arc<Counter>,
     reconnects: Arc<Counter>,
-    connect_backoffs: Arc<Counter>,
     endpoint_rotations: Arc<Counter>,
     obs: Obs,
 }
@@ -528,18 +483,14 @@ impl TcpTransport {
         assert!(!endpoints.is_empty(), "endpoint list must be non-empty");
         TcpTransport {
             endpoints,
-            active: std::sync::atomic::AtomicUsize::new(0),
+            active: AtomicUsize::new(0),
             stream: Mutex::new(None),
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
-            reconnect_policy: None,
-            connect_failures: AtomicU32::new(0),
-            backoff_jitter: AtomicU64::new(1),
             calls: obs.counter("transport.calls"),
             bytes_in: obs.counter("transport.bytes_in"),
             bytes_out: obs.counter("transport.bytes_out"),
             reconnects: obs.counter("transport.reconnects"),
-            connect_backoffs: obs.counter("transport.connect_backoffs"),
             endpoint_rotations: obs.counter("transport.endpoint_rotations"),
             obs: obs.clone(),
         }
@@ -551,21 +502,6 @@ impl TcpTransport {
         self.read_timeout = read;
         self.write_timeout = write;
         self
-    }
-
-    /// Attaches seeded exponential backoff to reconnect attempts
-    /// (default: none — matching `max_attempts` is ignored here; the
-    /// backoff shape and jitter seed are what apply). Each consecutive
-    /// connect failure doubles the sleep before the next dial, capped
-    /// at `max_backoff` plus jitter; a successful connect resets the
-    /// streak. Sleeps are counted in `transport.connect_backoffs`.
-    pub fn reconnect_backoff(self, policy: RetryPolicy) -> Self {
-        self.backoff_jitter
-            .store(policy.jitter_seed.max(1), Ordering::Relaxed);
-        TcpTransport {
-            reconnect_policy: Some(policy),
-            ..self
-        }
     }
 
     /// The endpoint this transport currently dials (rotates across
@@ -580,31 +516,16 @@ impl TcpTransport {
     }
 
     fn connect(&self) -> Result<TcpStream, ProtocolError> {
-        if let Some(policy) = &self.reconnect_policy {
-            let failures = self.connect_failures.load(Ordering::Relaxed);
-            if failures > 0 {
-                let backoff = self.reconnect_backoff_for(policy, failures);
-                self.connect_backoffs.inc();
-                self.obs
-                    .emit(Level::Warn, "wire.tcp", "connect_backoff", |f| {
-                        f.field("failures", u64::from(failures))
-                            .field("backoff_us", backoff.as_micros() as u64);
-                    });
-                thread::sleep(backoff);
-            }
-        }
         // One pass over the ring: a refused endpoint (nothing listening
-        // — dead or deposed primary) rotates immediately with no
-        // backoff; a transient failure stays put so the backoff streak
-        // targets the same endpoint. Only a *full cycle* of refusals
-        // joins the failure streak — the whole cluster is dark.
+        // — dead or deposed primary) rotates immediately; a transient
+        // failure stays put and fails the call. A full cycle of
+        // refusals means the whole cluster is dark.
         let mut refused_all: Option<io::Error> = None;
         for _ in 0..self.endpoints.len() {
             let idx = self.active.load(Ordering::Relaxed) % self.endpoints.len();
             let addr = self.endpoints[idx];
             match TcpStream::connect(addr) {
                 Ok(stream) => {
-                    self.connect_failures.store(0, Ordering::Relaxed);
                     stream
                         .set_read_timeout(Some(self.read_timeout))
                         .and_then(|()| stream.set_write_timeout(Some(self.write_timeout)))
@@ -626,41 +547,14 @@ impl TcpTransport {
                     }
                     refused_all = Some(e);
                 }
-                Err(e) => {
-                    self.connect_failures.fetch_add(1, Ordering::Relaxed);
-                    return Err(io_to_protocol(e));
-                }
+                Err(e) => return Err(io_to_protocol(e)),
             }
         }
-        self.connect_failures.fetch_add(1, Ordering::Relaxed);
         // Invariant: the loop ran >= 1 time (endpoints is non-empty)
         // and every arm either returned or set `refused_all`.
         Err(io_to_protocol(
             refused_all.expect("full refusal cycle recorded an error"),
         ))
-    }
-
-    /// Backoff before reconnect attempt number `failures + 1`: the same
-    /// exponential-plus-jitter shape the client retry layer uses,
-    /// computed from this transport's own seeded xorshift64 stream.
-    /// Calls serialise under the stream mutex, so the jitter sequence —
-    /// and with it the whole backoff schedule — is deterministic for a
-    /// given seed.
-    fn reconnect_backoff_for(&self, policy: &RetryPolicy, failures: u32) -> Duration {
-        let exp = policy
-            .base_backoff
-            .saturating_mul(1u32 << failures.saturating_sub(1).min(20));
-        let capped = exp.min(policy.max_backoff);
-        let cap_us = (capped / 2).as_micros() as u64;
-        if cap_us == 0 {
-            return capped;
-        }
-        let mut x = self.backoff_jitter.load(Ordering::Relaxed).max(1);
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.backoff_jitter.store(x, Ordering::Relaxed);
-        capped + Duration::from_micros(x % (cap_us + 1))
     }
 }
 
@@ -693,7 +587,7 @@ impl Transport for TcpTransport {
         }
         // Invariant: the branch above just ensured the slot is `Some`.
         let stream = guard.as_mut().expect("stream just ensured");
-        if let Err(e) = write_frame(stream, &body) {
+        if let Err(e) = write_frame(stream, &body, MAX_FRAME) {
             if !reused {
                 *guard = None;
                 return Err(io_to_protocol(e));
@@ -707,14 +601,14 @@ impl Transport for TcpTransport {
             });
             *guard = Some(self.connect()?);
             // Invariant: the line above just stored a fresh stream.
-            write_frame(guard.as_mut().expect("fresh stream"), &body).map_err(|e| {
+            write_frame(guard.as_mut().expect("fresh stream"), &body, MAX_FRAME).map_err(|e| {
                 *guard = None;
                 io_to_protocol(e)
             })?;
         }
         // Invariant: every error path above returned early, and every
         // surviving path left a connected stream in the slot.
-        match read_frame(guard.as_mut().expect("stream present")) {
+        match read_frame(guard.as_mut().expect("stream present"), MAX_FRAME) {
             Ok(response) => {
                 self.bytes_out.add(response.len() as u64);
                 Ok(response)
@@ -797,8 +691,8 @@ mod tests {
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
         // Too short to even carry the now-prologue.
-        write_frame(&mut stream, &[0xAB, 0xCD]).unwrap();
-        let resp = Response::from_bytes(&read_frame(&mut stream).unwrap()).unwrap();
+        write_frame(&mut stream, &[0xAB, 0xCD], MAX_FRAME).unwrap();
+        let resp = Response::from_bytes(&read_frame(&mut stream, MAX_FRAME).unwrap()).unwrap();
         assert!(matches!(
             resp,
             Response::Error {
@@ -953,7 +847,7 @@ mod tests {
         // Occupy the single worker.
         let mut busy = TcpStream::connect(addr).unwrap();
         busy.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(&mut busy, &frame(&zone_req)).unwrap();
+        write_frame(&mut busy, &frame(&zone_req), MAX_FRAME).unwrap();
         thread::sleep(Duration::from_millis(100));
         // Fill the one queue slot.
         let _parked = TcpStream::connect(addr).unwrap();
@@ -961,16 +855,16 @@ mod tests {
         // Overflow: this connection must be shed with a typed response.
         let mut shed = TcpStream::connect(addr).unwrap();
         shed.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(&mut shed, &frame(&zone_req)).unwrap();
-        let resp = Response::from_bytes(&read_frame(&mut shed).unwrap()).unwrap();
+        write_frame(&mut shed, &frame(&zone_req), MAX_FRAME).unwrap();
+        let resp = Response::from_bytes(&read_frame(&mut shed, MAX_FRAME).unwrap()).unwrap();
         assert_eq!(
             resp,
             Response::Overloaded {
-                retry_after_ms: server.serve_config().queue_full_retry_after_ms,
+                retry_after_ms: QUEUE_FULL_RETRY_AFTER_MS,
             }
         );
         // The occupied worker still answers its slow request.
-        let resp = Response::from_bytes(&read_frame(&mut busy).unwrap()).unwrap();
+        let resp = Response::from_bytes(&read_frame(&mut busy, MAX_FRAME).unwrap()).unwrap();
         assert!(matches!(resp, Response::ZoneRegistered(_)));
         drop(busy);
         tcp.shutdown();
@@ -1005,7 +899,7 @@ mod tests {
         };
         let mut busy = TcpStream::connect(addr).unwrap();
         busy.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        write_frame(&mut busy, &frame(&zone_req)).unwrap();
+        write_frame(&mut busy, &frame(&zone_req), MAX_FRAME).unwrap();
         thread::sleep(Duration::from_millis(100));
         let _parked = TcpStream::connect(addr).unwrap();
         thread::sleep(Duration::from_millis(50));
@@ -1014,61 +908,13 @@ mod tests {
         probe
             .set_read_timeout(Some(Duration::from_secs(5)))
             .unwrap();
-        write_frame(&mut probe, &frame(&Request::HealthCheck)).unwrap();
-        let resp = Response::from_bytes(&read_frame(&mut probe).unwrap()).unwrap();
+        write_frame(&mut probe, &frame(&Request::HealthCheck), MAX_FRAME).unwrap();
+        let resp = Response::from_bytes(&read_frame(&mut probe, MAX_FRAME).unwrap()).unwrap();
         assert!(matches!(resp, Response::Healthy { .. }), "{resp:?}");
         drop(busy);
         tcp.shutdown();
         // The probe was not a queue-full shed.
         assert_eq!(obs.snapshot().counter("server.shed.queue_full"), 0);
-    }
-
-    #[test]
-    fn dead_server_reconnects_back_off_deterministically() {
-        // Grab a loopback port with nothing listening on it.
-        let dead_addr = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            base_backoff: Duration::from_micros(200),
-            max_backoff: Duration::from_micros(1_600),
-            jitter_seed: 0xD1A1,
-        };
-        let run = || -> (u64, Vec<u64>) {
-            use alidrone_obs::RingBuffer;
-            let obs = Obs::noop();
-            let ring = Arc::new(RingBuffer::new(64));
-            obs.set_subscriber(ring.clone());
-            let transport = TcpTransport::with_obs(dead_addr, &obs).reconnect_backoff(policy);
-            let req = Request::HealthCheck.to_bytes();
-            for _ in 0..5 {
-                assert!(transport.call(&req, now()).is_err());
-            }
-            let backoffs: Vec<u64> = ring
-                .events_where(|e| e.message == "connect_backoff")
-                .iter()
-                .map(|e| e.field("backoff_us").unwrap().as_u64().unwrap())
-                .collect();
-            (
-                obs.snapshot().counter("transport.connect_backoffs"),
-                backoffs,
-            )
-        };
-        let (count_a, backoffs_a) = run();
-        let (count_b, backoffs_b) = run();
-        // First dial has no failure streak; the other four back off.
-        assert_eq!(count_a, 4);
-        assert_eq!(count_a, count_b);
-        // Seeded jitter → the exact same backoff schedule both runs.
-        assert_eq!(backoffs_a, backoffs_b);
-        // Exponential growth is visible through the jitter: each base
-        // doubles (200, 400, 800, 1600 µs) and jitter adds ≤ half.
-        for (i, &b) in backoffs_a.iter().enumerate() {
-            let base = 200u64 << i;
-            assert!(b >= base && b <= base + base / 2, "backoff[{i}] = {b}");
-        }
     }
 
     #[test]
@@ -1117,17 +963,15 @@ mod tests {
     #[test]
     fn refused_primary_fails_over_to_live_endpoint_without_backoff() {
         // Endpoint 0 is dead (refused), endpoint 1 serves: the first
-        // call must rotate and succeed with zero backoff sleeps even
-        // though a reconnect policy is armed — refusal is failover,
-        // not a transient to wait out.
+        // call must rotate and succeed within the same call — refusal
+        // is failover, not a transient to wait out.
         let dead = {
             let l = TcpListener::bind("127.0.0.1:0").unwrap();
             l.local_addr().unwrap()
         };
         let (tcp, server, _sobs) = spawn_server(1);
         let obs = Obs::noop();
-        let transport = TcpTransport::multi(vec![dead, tcp.local_addr()], &obs)
-            .reconnect_backoff(RetryPolicy::default());
+        let transport = TcpTransport::multi(vec![dead, tcp.local_addr()], &obs);
         let mut client = AuditorClient::new(transport);
         client
             .register_zone(NoFlyZone::new(origin(), Distance::from_meters(10.0)), now())
@@ -1135,7 +979,6 @@ mod tests {
         assert_eq!(server.auditor().zone_count(), 1);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("transport.endpoint_rotations"), 1);
-        assert_eq!(snap.counter("transport.connect_backoffs"), 0);
         tcp.shutdown();
     }
 

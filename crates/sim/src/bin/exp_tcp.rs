@@ -1,7 +1,8 @@
 //! Networked-deployment smoke: the airport scenario's PoA submitted
 //! over a real loopback TCP socket and compared, frame for frame,
 //! against the same submission delivered in-process — then once more
-//! through a deterministically lossy transport with client-side retry.
+//! through a seeded lossy transport (`alidrone-chaos`) with client-side
+//! retry.
 //!
 //! Exercises the paper's Fig. 4 deployment shape (drone → network →
 //! AliDrone Server) end to end: length-framed wire protocol, threaded
@@ -233,11 +234,12 @@ fn main() {
         local.response_frames.len()
     );
 
-    // Lossy TCP with retry: every 3rd physical call is dropped; the
-    // retry layer replays idempotent requests with seeded backoff, so
-    // the outcome is the same — and reproducible.
+    // Lossy TCP with retry: each physical call is dropped with
+    // probability 0.3 on the fixed-seed chaos schedule (which loses the
+    // second call); the retry layer replays idempotent requests with
+    // seeded backoff, so the outcome is the same — and reproducible.
     let lossy = WireOptions {
-        drop_every: Some(3),
+        drop_p: 0.3,
         retry: Some(RetryPolicy {
             max_attempts: 4,
             base_backoff: Duration::from_millis(1),
@@ -259,9 +261,19 @@ fn main() {
         retried.verdict, local.verdict,
         "retry must not change the verdict"
     );
+    assert_eq!(
+        retried.response_frames, local.response_frames,
+        "retry must not change the response frames"
+    );
     println!("lossy tcp  verdict: {} (after retries)", retried.verdict);
 
+    // Only the lossy run has a retry policy, so its retries are the
+    // whole count: a schedule that dropped nothing must not pass.
     let snap = run.obs.snapshot();
+    assert!(
+        snap.counter("transport.retries") >= 1,
+        "the lossy run must have retried at least once"
+    );
     println!("\ncounters:");
     for name in [
         "server.requests",
@@ -269,7 +281,6 @@ fn main() {
         "transport.calls",
         "transport.retries",
         "transport.timeouts",
-        "transport.faults.dropped",
     ] {
         println!("  {:26} {}", name, snap.counter(name));
     }

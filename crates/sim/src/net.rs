@@ -4,8 +4,10 @@
 //! The flight itself (sampling, signing) is transport-agnostic — this
 //! module takes a finished [`ScenarioRun`] and drives the protocol's
 //! networked half (register drone, register zones, submit PoA) either
-//! in-process or over a real loopback TCP socket, optionally through
-//! deterministic fault injection with client-side retry.
+//! in-process or over a real loopback TCP socket, always through an
+//! `alidrone-chaos` [`FaultyTransport`] on a fixed seed: with
+//! [`WireOptions::drop_p`] above 0 the run is lossy, and a client
+//! [`RetryPolicy`] lets idempotent requests survive the drops.
 //!
 //! Every response frame is captured verbatim, so two
 //! submissions of the same run over different transports can be
@@ -14,9 +16,10 @@
 
 use std::sync::{Arc, Mutex};
 
+use alidrone_chaos::{FaultPlane, FaultyTransport};
 use alidrone_core::wire::server::AuditorServer;
 use alidrone_core::wire::tcp::{TcpServer, TcpTransport};
-use alidrone_core::wire::transport::{AuditorClient, Flaky, InProcess, RetryPolicy, Transport};
+use alidrone_core::wire::transport::{AuditorClient, InProcess, RetryPolicy, Transport};
 use alidrone_core::{Auditor, AuditorConfig, DroneId, ProtocolError, Verdict, ZoneId};
 use alidrone_crypto::rsa::RsaPrivateKey;
 use alidrone_geo::Timestamp;
@@ -34,12 +37,19 @@ pub enum WireMode {
     Tcp,
 }
 
+/// Seed of the [`FaultPlane`] behind every [`submit_run`] transport.
+/// Its `"wire"` drop draws run `.X.X....` at `drop_p = 0.5` and
+/// `.X......` at `0.3` (`X` = dropped physical call).
+const WIRE_FAULT_SEED: u64 = 0x3F1;
+
 /// Options for [`submit_run`] beyond the transport choice.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct WireOptions {
-    /// Drop every `n`-th physical call ([`Flaky::drop_every`]); pair
-    /// with `retry` so idempotent requests survive the faults.
-    pub drop_every: Option<u64>,
+    /// Probability that each physical call is dropped
+    /// ([`FaultyTransport::drop_with`]) on a fixed-seed schedule, so a
+    /// lossy run replays exactly (default 0: lossless).
+    /// Pair with `retry` so idempotent requests survive the drops.
+    pub drop_p: f64,
     /// Client retry policy; `None` keeps the legacy fail-fast client.
     pub retry: Option<RetryPolicy>,
     /// Mount a live introspection endpoint on this address (see
@@ -133,10 +143,8 @@ pub fn submit_run(
             Box::new(transport)
         }
     };
-    let raw: Box<dyn Transport + Send + Sync> = match opts.drop_every {
-        Some(period) => Box::new(Flaky::with_obs(raw, &obs).drop_every(period)),
-        None => raw,
-    };
+    let raw =
+        FaultyTransport::new(raw, &FaultPlane::new(WIRE_FAULT_SEED), "wire").drop_with(opts.drop_p);
     let frames = Arc::new(Mutex::new(Vec::new()));
     let mut client = AuditorClient::with_obs(
         Recording {

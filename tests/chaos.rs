@@ -337,6 +337,37 @@ fn campaign_seeds_replay_deterministically() {
     }
 }
 
+/// Without retries every dropped registration is simply lost; the
+/// server's registry must hold exactly the calls that landed, and state
+/// from before a fault must survive it.
+#[test]
+fn server_state_persists_across_transport_faults() {
+    let auditor = Auditor::new(AuditorConfig::default(), key(1));
+    let transport = FaultyTransport::new(
+        InProcess::new(AuditorServer::builder(auditor).build()),
+        &FaultPlane::new(3),
+        "transport",
+    )
+    .drop_with(1.0 / 3.0);
+    let mut client = AuditorClient::new(transport);
+    let mut registered = Vec::new();
+    for _ in 0..9 {
+        let zone = NoFlyZone::new(pad(), Distance::from_meters(10.0));
+        match client.register_zone(zone, Timestamp::from_secs(1.0)) {
+            Ok(id) => registered.push(id),
+            Err(e) => assert!(matches!(e, ProtocolError::Transport(_)), "{e}"),
+        }
+    }
+    assert!(
+        !registered.is_empty() && registered.len() < 9,
+        "the schedule must both drop and deliver, {} of 9 landed",
+        registered.len()
+    );
+    let auditor = client.transport().inner().server().auditor();
+    assert_eq!(auditor.zone_count(), registered.len());
+    assert!(registered.iter().all(|id| auditor.zone(*id).is_some()));
+}
+
 /// TEE and GPS faults through whole flights: signing failures surface as
 /// typed errors, dropouts and clock jumps never panic the sampler.
 #[test]

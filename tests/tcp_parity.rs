@@ -45,8 +45,9 @@ fn tcp_submission_matches_in_process_and_stitches_one_trace_per_request() {
     )
     .expect("in-process submission");
 
-    // The TCP pass additionally drops every 2nd physical call, so the
-    // retry layer is forced to replay — the outcome must not change.
+    // The TCP pass additionally drops each physical call with
+    // probability 0.5; the fixed-seed schedule loses calls 2 and 4, so
+    // the retry layer is forced to replay — the outcome must not change.
     let networked = submit_run(
         &run,
         &scenario,
@@ -54,7 +55,7 @@ fn tcp_submission_matches_in_process_and_stitches_one_trace_per_request() {
         auditor_key,
         &operator_key,
         WireOptions {
-            drop_every: Some(2),
+            drop_p: 0.5,
             retry: Some(RetryPolicy {
                 max_attempts: 4,
                 base_backoff: Duration::from_micros(200),
@@ -65,6 +66,10 @@ fn tcp_submission_matches_in_process_and_stitches_one_trace_per_request() {
         },
     )
     .expect("tcp submission");
+
+    // The fault path ran: only the TCP pass retries, so a schedule
+    // that dropped nothing cannot pass vacuously.
+    assert!(run.obs.snapshot().counter("transport.retries") >= 1);
 
     // Byte parity: same verdict, same ids, same response frames.
     assert_eq!(local.verdict, networked.verdict);
@@ -90,7 +95,7 @@ fn tcp_submission_matches_in_process_and_stitches_one_trace_per_request() {
     let attempts = by_name(&spans, "wire.attempt");
     assert!(
         attempts.len() >= 4,
-        "dropping every 2nd call must force extra attempts, saw {}",
+        "dropped calls must force extra attempts, saw {}",
         attempts.len()
     );
     for a in &attempts {

@@ -2,13 +2,19 @@
 //! ONE stitched trace — drone-side sample spans (with the TEE sign span
 //! as their child), the client's wire span, and the server's request
 //! span with the auditor's verify span under it, all sharing a trace id.
+//! A call the retry layer replays after a transport fault stays one
+//! trace too, with one attempt span per try.
 
+use std::sync::Arc;
+use std::time::Duration;
+
+use alidrone::chaos::{FaultPlane, FaultyTransport};
 use alidrone::core::wire::server::AuditorServer;
-use alidrone::core::wire::transport::{AuditorClient, InProcess};
+use alidrone::core::wire::transport::{AuditorClient, InProcess, RetryPolicy};
 use alidrone::core::{Auditor, AuditorConfig, SamplingStrategy};
-use alidrone::geo::Timestamp;
+use alidrone::geo::{Distance, GeoPoint, NoFlyZone, Timestamp};
 use alidrone::obs::export::chrome_trace;
-use alidrone::obs::{Json, SpanRecord};
+use alidrone::obs::{FlightRecorder, Json, Obs, SpanRecord};
 use alidrone::sim::runner::{experiment_key, run_scenario, ScenarioRun};
 use alidrone::sim::scenarios::airport;
 use alidrone::tee::CostModel;
@@ -32,7 +38,7 @@ fn traced_submission() -> (ScenarioRun, AuditorClient<InProcess>) {
     let auditor_key = RsaPrivateKey::generate(512, &mut rng);
     let operator_key = RsaPrivateKey::generate(512, &mut rng);
     let auditor = Auditor::with_obs(AuditorConfig::default(), auditor_key, &obs);
-    let server = std::sync::Arc::new(
+    let server = Arc::new(
         AuditorServer::builder(auditor)
             .obs(&obs)
             .flight_recorder(run.recorder.clone())
@@ -151,4 +157,59 @@ fn malformed_frame_dumps_the_flight_recorder() {
     assert!(!dump.is_empty(), "dump must carry the trace so far");
     assert!(!dump.spans.is_empty());
     assert!(dump.spans.iter().any(|s| s.name == "server.submit_poa"));
+}
+
+#[test]
+fn retried_call_is_one_trace_with_attempt_spans() {
+    let obs = Obs::noop();
+    let rec = Arc::new(FlightRecorder::new(64));
+    obs.set_subscriber(rec.clone());
+    let auditor_key = RsaPrivateKey::generate(512, &mut XorShift64::seed_from_u64(0x7e58));
+    let auditor = Auditor::new(AuditorConfig::default(), auditor_key);
+    let server = AuditorServer::builder(auditor).obs(&obs).build();
+    // This seed's drop schedule at p = 0.5 starts `.X.`: physical call
+    // 1 lands, call 2 is lost, so logical call #2 takes attempts 2
+    // and 3.
+    let transport = FaultyTransport::new(
+        InProcess::with_obs(server, &obs),
+        &FaultPlane::new(0x3F1),
+        "wire",
+    )
+    .drop_with(0.5);
+    let mut c = AuditorClient::with_obs(transport, &obs).retry(RetryPolicy {
+        max_attempts: 3,
+        base_backoff: Duration::from_micros(50),
+        max_backoff: Duration::from_micros(400),
+        jitter_seed: 11,
+    });
+    let zone = NoFlyZone::new(
+        GeoPoint::new(40.0, -88.0).unwrap(),
+        Distance::from_meters(10.0),
+    );
+    let now = Timestamp::from_secs(10.0);
+    c.register_zone(zone, now).unwrap();
+    c.register_zone(zone, now).unwrap();
+    assert_eq!(obs.snapshot().counter("transport.retries"), 1);
+
+    let spans = rec.spans();
+    let wire = by_name(&spans, "wire.register_zone");
+    assert_eq!(wire.len(), 2);
+    let retried = wire[1];
+    // Two attempt spans under the second wire span, one trace id.
+    let attempts: Vec<_> = by_name(&spans, "wire.attempt")
+        .into_iter()
+        .filter(|s| s.context.parent_id == Some(retried.context.span_id))
+        .collect();
+    assert_eq!(attempts.len(), 2);
+    // The server span of the successful attempt parents on that
+    // attempt's span, in the same trace.
+    let server_spans: Vec<_> = by_name(&spans, "server.register_zone")
+        .into_iter()
+        .filter(|s| s.context.trace_id == retried.context.trace_id)
+        .collect();
+    assert_eq!(server_spans.len(), 1);
+    assert_eq!(
+        server_spans[0].context.parent_id,
+        Some(attempts[1].context.span_id)
+    );
 }
