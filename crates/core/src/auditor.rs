@@ -105,6 +105,25 @@ impl AuditState {
             sth: None,
         }
     }
+
+    /// Moves the chain by one journal record through [`advance_chain`]
+    /// (live appends and replay share it) and keeps the proof-serving
+    /// bookkeeping beside it.
+    fn apply(&mut self, record: &Record, payload: &[u8]) -> Result<(), ProtocolError> {
+        advance_chain(&mut self.chain, record, payload)?;
+        self.sth = None;
+        match record {
+            Record::PoaStored { drone, .. } => {
+                let index = self.chain.size() - 1;
+                self.verdict_leaves.insert(DroneId::new(*drone), index);
+            }
+            Record::AuditCheckpoint { size, .. } => {
+                self.checkpoint_size = (*size).max(self.checkpoint_size);
+            }
+            _ => {}
+        }
+        Ok(())
+    }
 }
 
 /// The verification outcome for one submission.
@@ -458,11 +477,12 @@ impl Auditor {
     fn apply_record(&mut self, record: &Record, payload: &[u8]) -> Result<(), ProtocolError> {
         use alidrone_crypto::bigint::BigUint;
         use alidrone_geo::{Distance, GeoPoint};
-        if record.is_audited() {
-            // Replay recomputes the same chain the live auditor built,
-            // so the checkpoint arm below can catch rewritten history.
-            self.audit_extend(record, payload);
-        }
+        // Replay recomputes the same chain the live auditor built, so a
+        // checkpoint record catches rewritten history.
+        self.audit
+            .get_mut()
+            .unwrap_or_else(|p| p.into_inner())
+            .apply(record, payload)?;
         match record {
             Record::RegisterDrone {
                 id,
@@ -536,8 +556,9 @@ impl Auditor {
             Record::Snapshot(bytes) => {
                 // Replace wholesale from the compaction snapshot, keeping
                 // this auditor's config/key/obs (the snapshot format
-                // carries state only). The epoch survives: it rides in
-                // its own records, not the snapshot.
+                // carries state only) and the chain the snapshot already
+                // reseeded. The epoch survives: it rides in its own
+                // records, not the snapshot.
                 let restored =
                     Auditor::restore(bytes, self.config.clone(), self.encryption_key.clone())?;
                 self.drones = restored.drones;
@@ -546,39 +567,21 @@ impl Auditor {
                 self.stored = restored.stored;
                 self.next_drone = restored.next_drone;
                 self.next_zone = restored.next_zone;
-                self.audit = restored.audit;
+                let restored = restored.audit.into_inner();
+                let restored = restored.unwrap_or_else(|p| p.into_inner());
+                let audit = self.audit.get_mut().unwrap_or_else(|p| p.into_inner());
+                audit.checkpoint_size = restored.checkpoint_size;
+                audit.verdict_leaves = restored.verdict_leaves;
             }
             Record::Epoch(epoch) => {
                 // Epochs only move forward; a replayed log may carry
                 // several boundaries and the newest one wins.
                 self.epoch.fetch_max(*epoch, Ordering::AcqRel);
             }
-            Record::AuditCheckpoint { size, root, .. } => {
-                // The recorded root must match the root this replay
-                // recomputed from the preceding records — any rewrite,
-                // drop, or reorder of chained history lands here.
-                let mut audit = self.audit.lock().unwrap_or_else(|p| p.into_inner());
-                audit
-                    .chain
-                    .check_checkpoint(*size, root)
-                    .map_err(|_| ProtocolError::AuditDivergence { size: *size })?;
-                audit.checkpoint_size = (*size).max(audit.checkpoint_size);
-            }
+            // The audit chain already checked it.
+            Record::AuditCheckpoint { .. } => {}
         }
         Ok(())
-    }
-
-    /// Advances the audit chain by one audited record, given the
-    /// payload bytes the journal writes or replayed for it (live append
-    /// and replay share this, so both build the identical chain).
-    fn audit_extend(&self, record: &Record, payload: &[u8]) {
-        let mut audit = self.audit.lock().unwrap_or_else(|p| p.into_inner());
-        let index = audit.chain.size();
-        audit.chain.append(payload);
-        audit.sth = None;
-        if let Record::PoaStored { drone, .. } = record {
-            audit.verdict_leaves.insert(DroneId::new(*drone), index);
-        }
     }
 
     /// Builds a Merkle checkpoint record when the configured interval
@@ -789,7 +792,10 @@ impl Auditor {
         // disabled, so an in-memory auditor still serves verifiable
         // tree heads and proofs.
         if record.is_audited() {
-            self.audit_extend(record, &payload);
+            self.audit
+                .lock()
+                .unwrap_or_else(|p| p.into_inner())
+                .apply(record, &payload)?;
         }
         let Some(journal) = slot.as_ref() else {
             // No journal means nothing can replicate: under a quorum
@@ -1131,12 +1137,10 @@ impl Auditor {
                 .zones
                 .read()
                 .map_err(|_| ProtocolError::LockPoisoned("zone registry"))?;
-            let all: ZoneSet = zones.values().copied().collect();
-            let within = all.within_rect(corner1, corner2);
             Arc::new(
                 zones
                     .iter()
-                    .filter(|(_, z)| within.as_slice().contains(z))
+                    .filter(|(_, z)| z.center_within_rect(corner1, corner2))
                     .map(|(id, z)| (*id, *z))
                     .collect::<Vec<_>>(),
             )
@@ -1578,19 +1582,39 @@ fn read_audit_section(
     Ok((head, checkpoint_size, leaves, verdict_leaves))
 }
 
-/// Recovers just the audit-chain state `(chain, checkpoint_size)` from
-/// snapshot bytes, without decoding the registries behind it. Used by
-/// replication followers to re-seed their verification chain when a
-/// full image ships.
-pub(crate) fn snapshot_audit_state(bytes: &[u8]) -> Result<(AuditChain, u64), ProtocolError> {
-    let mut r = crate::wire::codec::Reader::new(bytes);
-    if r.get_u32()? != SNAPSHOT_MAGIC {
-        return Err(ProtocolError::Malformed("snapshot magic"));
+/// The one rule for how a journal record (decoded from `payload`)
+/// moves an audit chain, shared by recovery and replication followers:
+/// an audited record appends its payload, an [`Record::AuditCheckpoint`]
+/// must match the recomputed root, and a [`Record::Snapshot`] reseeds
+/// the chain from its audit section. Returns the chain a snapshot
+/// replaced. On error — [`ProtocolError::AuditDivergence`] for a
+/// contradicting checkpoint, a decode error for a bad snapshot — the
+/// chain is unchanged.
+pub(crate) fn advance_chain(
+    chain: &mut AuditChain,
+    record: &Record,
+    payload: &[u8],
+) -> Result<Option<AuditChain>, ProtocolError> {
+    match record {
+        // Any rewrite, drop, or reorder of chained history lands here.
+        Record::AuditCheckpoint { size, root, .. } => chain
+            .check_checkpoint(*size, root)
+            .map_err(|_| ProtocolError::AuditDivergence { size: *size })?,
+        Record::Snapshot(snapshot) => {
+            let mut r = crate::wire::codec::Reader::new(snapshot);
+            if r.get_u32()? != SNAPSHOT_MAGIC {
+                return Err(ProtocolError::Malformed("snapshot magic"));
+            }
+            let _next_drone = r.get_u64()?;
+            let _next_zone = r.get_u64()?;
+            let (head, _, leaves, _) = read_audit_section(&mut r)?;
+            let restored = AuditChain::from_parts(head, leaves);
+            return Ok(Some(std::mem::replace(chain, restored)));
+        }
+        _ if record.is_audited() => chain.append(payload),
+        _ => {}
     }
-    let _next_drone = r.get_u64()?;
-    let _next_zone = r.get_u64()?;
-    let (head, checkpoint_size, leaves, _) = read_audit_section(&mut r)?;
-    Ok((AuditChain::from_parts(head, leaves), checkpoint_size))
+    Ok(None)
 }
 
 impl Auditor {

@@ -28,6 +28,11 @@
 //!   tampering. Recovery refuses with a typed [`JournalError::Corrupt`];
 //!   silently skipping records would forge history.
 //!
+//! One frame walker (`Frames`) is the only reader of this layout.
+//! Recovery ([`parse_image`]) and replication followers walk images
+//! with it and each check every CRC once; a follower refuses a torn
+//! frame rather than truncate it (see [`crate::repl`]).
+//!
 //! Compaction bounds recovery cost: [`Journal::compact`] atomically
 //! replaces the whole journal with a single [`Record::Snapshot`] frame
 //! (the auditor's existing snapshot format), after which appends resume.
@@ -616,6 +621,157 @@ impl Record {
     }
 }
 
+// ------------------------------------------------------------------ frames
+
+/// The journal header, `magic | version`.
+const HEADER: [u8; HEADER_LEN] = {
+    let m = JOURNAL_MAGIC.to_be_bytes();
+    [m[0], m[1], m[2], m[3], JOURNAL_VERSION]
+};
+
+/// Encodes `prefix` followed by one `len | crc | payload` frame,
+/// refusing (as [`JournalError::Malformed`]) an empty or oversized
+/// payload, which [`Frames`] would read back as corrupt.
+fn encode_frame(prefix: &[u8], payload: &[u8]) -> Result<Vec<u8>, JournalError> {
+    if payload.is_empty() || payload.len() > MAX_RECORD_LEN {
+        return Err(JournalError::Malformed("record exceeds frame length cap"));
+    }
+    let mut out = Vec::with_capacity(prefix.len() + FRAME_OVERHEAD + payload.len());
+    out.extend_from_slice(prefix);
+    out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
+    out.extend_from_slice(&crc32(payload).to_be_bytes());
+    out.extend_from_slice(payload);
+    Ok(out)
+}
+
+/// Where and why a [`Frames`] walk stopped short: the three shapes
+/// damage takes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FrameError {
+    /// A final frame (or header) at this offset is cut short: a crash's
+    /// torn write.
+    Torn(usize),
+    /// A complete frame at this offset is wrong: an impossible length,
+    /// or a CRC mismatch ([`Frame::checked`]).
+    Corrupt(usize, &'static str),
+    /// A header field at this offset has the wrong magic or version.
+    BadHeader(usize, &'static str),
+}
+
+impl FrameError {
+    /// What the walk found, for a typed refusal.
+    pub(crate) fn reason(&self) -> &'static str {
+        match *self {
+            FrameError::Torn(_) => "torn frame",
+            FrameError::Corrupt(_, reason) | FrameError::BadHeader(_, reason) => reason,
+        }
+    }
+}
+
+/// One whole frame from [`Frames`], borrowed from the walked bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Frame<'a> {
+    /// Offset of the frame's length field in the walked bytes.
+    offset: usize,
+    /// The CRC the frame declares.
+    crc: u32,
+    /// The payload (tag + body), unchecked against `crc`.
+    payload: &'a [u8],
+}
+
+impl<'a> Frame<'a> {
+    /// The payload, once it matches the declared CRC.
+    ///
+    /// # Errors
+    ///
+    /// [`FrameError::Corrupt`] on a mismatch.
+    pub(crate) fn checked(&self) -> Result<&'a [u8], FrameError> {
+        if crc32(self.payload) == self.crc {
+            Ok(self.payload)
+        } else {
+            Err(FrameError::Corrupt(self.offset, "crc mismatch"))
+        }
+    }
+}
+
+/// The one reader of the journal's byte layout: yields each whole frame
+/// of an image (after its header) or of a bare tail, and ends at the
+/// first error, yielded once. It allocates nothing and checks no CRC
+/// ([`Frame::checked`] is the caller's step), so counting frames reads
+/// only their lengths.
+#[derive(Debug, Clone)]
+pub(crate) struct Frames<'a> {
+    bytes: &'a [u8],
+    /// Offset of the next frame; `None` once the walk has ended.
+    at: Option<usize>,
+    /// `true` while the image header is still to be checked.
+    header: bool,
+}
+
+impl<'a> Frames<'a> {
+    /// Walks a whole image: its header, then its frames. An empty image
+    /// holds no frames.
+    pub(crate) fn image(bytes: &'a [u8]) -> Frames<'a> {
+        Frames {
+            bytes,
+            at: Some(0),
+            header: true,
+        }
+    }
+
+    /// Walks bare frames: journal bytes that start after the header.
+    pub(crate) fn tail(bytes: &'a [u8]) -> Frames<'a> {
+        Frames {
+            header: false,
+            ..Frames::image(bytes)
+        }
+    }
+
+    /// Reads the frame at `offset` (or after the header, while that is
+    /// unchecked); `None` at the end of the bytes.
+    fn read(&mut self, mut offset: usize) -> Result<Option<Frame<'a>>, FrameError> {
+        if std::mem::take(&mut self.header) && !self.bytes.is_empty() {
+            let header = self.bytes.get(..HEADER_LEN).ok_or(FrameError::Torn(0))?;
+            if header[..4] != HEADER[..4] {
+                return Err(FrameError::BadHeader(0, "bad magic"));
+            }
+            if header[4] != JOURNAL_VERSION {
+                return Err(FrameError::BadHeader(4, "unsupported version"));
+            }
+            offset = HEADER_LEN;
+        }
+        let rest = &self.bytes[offset..];
+        if rest.is_empty() {
+            return Ok(None);
+        }
+        let head = rest.get(..FRAME_OVERHEAD).ok_or(FrameError::Torn(offset))?;
+        let len = u32::from_be_bytes([head[0], head[1], head[2], head[3]]) as usize;
+        if len == 0 || len > MAX_RECORD_LEN {
+            // A length this wrong cannot be a clean truncation: the
+            // length bytes themselves were fully written.
+            return Err(FrameError::Corrupt(offset, "impossible record length"));
+        }
+        let payload = rest
+            .get(FRAME_OVERHEAD..FRAME_OVERHEAD + len)
+            .ok_or(FrameError::Torn(offset))?;
+        self.at = Some(offset + FRAME_OVERHEAD + len);
+        Ok(Some(Frame {
+            offset,
+            crc: u32::from_be_bytes([head[4], head[5], head[6], head[7]]),
+            payload,
+        }))
+    }
+}
+
+impl<'a> Iterator for Frames<'a> {
+    type Item = Result<Frame<'a>, FrameError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let offset = self.at.take()?;
+        self.read(offset).transpose()
+    }
+}
+
 // ------------------------------------------------------------------ replay
 
 /// What [`Journal::open`] found on disk.
@@ -643,69 +799,28 @@ pub struct ReplayReport {
 /// [`JournalError::Corrupt`] for a bad header or any damaged frame that
 /// is *not* a clean truncation of the final record.
 pub fn parse_image(bytes: &[u8]) -> Result<(Vec<Range<usize>>, ReplayReport), JournalError> {
-    let mut report = ReplayReport::default();
-    if bytes.is_empty() {
-        return Ok((Vec::new(), report));
-    }
-    if bytes.len() < HEADER_LEN {
-        // Crash while writing the very first header: treat as torn tail
-        // of an empty journal.
-        report.torn_tail = true;
-        report.torn_bytes = bytes.len();
-        return Ok((Vec::new(), report));
-    }
-    if u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) != JOURNAL_MAGIC {
-        return Err(JournalError::Corrupt {
-            offset: 0,
-            reason: "bad magic",
-        });
-    }
-    if bytes[4] != JOURNAL_VERSION {
-        return Err(JournalError::Corrupt {
-            offset: 4,
-            reason: "unsupported version",
-        });
-    }
     let mut payloads = Vec::new();
-    let mut off = HEADER_LEN;
-    while off < bytes.len() {
-        let rest = &bytes[off..];
-        if rest.len() < FRAME_OVERHEAD {
-            // Truncated frame header at the tail: torn write.
-            report.torn_tail = true;
-            report.torn_bytes = rest.len();
-            break;
+    let mut report = ReplayReport {
+        bytes_replayed: bytes.len(),
+        ..ReplayReport::default()
+    };
+    for frame in Frames::image(bytes) {
+        match frame.and_then(|f| Ok((f.offset + FRAME_OVERHEAD, f.checked()?.len()))) {
+            Ok((start, len)) => payloads.push(start..start + len),
+            // A cut-short final frame is a crash's torn write, cleaned
+            // up; a complete frame or header that is wrong is rot or
+            // tampering, refused.
+            Err(FrameError::Torn(offset)) => {
+                report.torn_tail = true;
+                report.torn_bytes = bytes.len() - offset;
+                report.bytes_replayed = offset;
+            }
+            Err(FrameError::Corrupt(offset, reason) | FrameError::BadHeader(offset, reason)) => {
+                return Err(JournalError::Corrupt { offset, reason });
+            }
         }
-        let len = u32::from_be_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        let crc = u32::from_be_bytes([rest[4], rest[5], rest[6], rest[7]]);
-        if len == 0 || len > MAX_RECORD_LEN {
-            // A frame header this wrong cannot be a clean truncation —
-            // the length bytes themselves were fully written.
-            return Err(JournalError::Corrupt {
-                offset: off,
-                reason: "impossible record length",
-            });
-        }
-        if rest.len() - FRAME_OVERHEAD < len {
-            // Payload shorter than declared *at the tail*: torn write.
-            report.torn_tail = true;
-            report.torn_bytes = rest.len();
-            break;
-        }
-        let payload = off + FRAME_OVERHEAD..off + FRAME_OVERHEAD + len;
-        if crc32(&bytes[payload.clone()]) != crc {
-            // The whole frame is present but its checksum fails: this is
-            // rot or tampering, never a clean crash.
-            return Err(JournalError::Corrupt {
-                offset: off,
-                reason: "crc mismatch",
-            });
-        }
-        off = payload.end;
-        payloads.push(payload);
-        report.records_applied += 1;
     }
-    report.bytes_replayed = off;
+    report.records_applied = payloads.len();
     Ok((payloads, report))
 }
 
@@ -812,6 +927,19 @@ impl DurableImage {
         }
         Ok(ShipSource::Tail(&self.bytes[(from - self.base) as usize..]))
     }
+
+    /// Whole records in what [`missing`](Self::missing) answers for
+    /// `from` (0 past the durable end), counted without a CRC.
+    pub(crate) fn records_missing(&self, from: u64) -> u64 {
+        let frames = match self.missing(from) {
+            Ok(ShipSource::Tail(bytes)) if from > self.base => Frames::tail(bytes),
+            Ok(ShipSource::Tail(bytes) | ShipSource::Rebased { image: bytes, .. }) => {
+                Frames::image(bytes)
+            }
+            Err(_) => return 0,
+        };
+        frames.map_while(Result::ok).count() as u64
+    }
 }
 
 /// An open, appendable journal over a [`StorageBackend`].
@@ -851,25 +979,19 @@ impl Journal {
         let (payloads, report) = parse_image(&bytes)?;
         let mut clean_len = bytes.len();
         if bytes.is_empty() {
-            let mut header = Vec::with_capacity(HEADER_LEN);
-            header.extend_from_slice(&JOURNAL_MAGIC.to_be_bytes());
-            header.push(JOURNAL_VERSION);
-            backend.append(&header)?;
+            backend.append(&HEADER)?;
             clean_len = HEADER_LEN;
         } else if report.torn_tail {
             // Drop the torn tail so future appends land on a record
             // boundary. bytes_replayed is the clean prefix length, but a
             // headerless torn image replays to a fresh header.
-            if report.bytes_replayed >= HEADER_LEN {
-                backend.replace(&bytes[..report.bytes_replayed])?;
-                clean_len = report.bytes_replayed;
+            clean_len = report.bytes_replayed.max(HEADER_LEN);
+            let clean = if report.bytes_replayed >= HEADER_LEN {
+                &bytes[..clean_len]
             } else {
-                let mut header = Vec::with_capacity(HEADER_LEN);
-                header.extend_from_slice(&JOURNAL_MAGIC.to_be_bytes());
-                header.push(JOURNAL_VERSION);
-                backend.replace(&header)?;
-                clean_len = HEADER_LEN;
-            }
+                &HEADER[..]
+            };
+            backend.replace(clean)?;
         }
         Ok((
             Journal {
@@ -938,16 +1060,7 @@ impl Journal {
     /// and backend failures; on a backend error the journal may hold a
     /// torn tail, which the next [`Journal::open`] cleans up.
     pub fn append_payload(&self, payload: &[u8]) -> Result<(), JournalError> {
-        if payload.is_empty() || payload.len() > MAX_RECORD_LEN {
-            // A frame outside the parseable length range would poison
-            // the journal: parse_image would refuse the whole image as
-            // corrupt. Reject it as a typed error before any byte lands.
-            return Err(JournalError::Malformed("record exceeds frame length cap"));
-        }
-        let mut frame = Vec::with_capacity(FRAME_OVERHEAD + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        frame.extend_from_slice(&crc32(payload).to_be_bytes());
-        frame.extend_from_slice(payload);
+        let frame = encode_frame(&[], payload)?;
         let _g = self.write_lock.lock().unwrap_or_else(|p| p.into_inner());
         self.backend.append(&frame)?;
         self.end
@@ -963,16 +1076,7 @@ impl Journal {
     /// Backend failures; the old image survives a failed replace.
     pub fn compact(&self, snapshot: &[u8]) -> Result<(), JournalError> {
         use std::sync::atomic::Ordering;
-        let payload = Record::Snapshot(snapshot.to_vec()).to_payload();
-        if payload.len() > MAX_RECORD_LEN {
-            return Err(JournalError::Malformed("record exceeds frame length cap"));
-        }
-        let mut image = Vec::with_capacity(HEADER_LEN + FRAME_OVERHEAD + payload.len());
-        image.extend_from_slice(&JOURNAL_MAGIC.to_be_bytes());
-        image.push(JOURNAL_VERSION);
-        image.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-        image.extend_from_slice(&crc32(&payload).to_be_bytes());
-        image.extend_from_slice(&payload);
+        let image = encode_frame(&HEADER, &Record::Snapshot(snapshot.to_vec()).to_payload())?;
         let _g = self.write_lock.lock().unwrap_or_else(|p| p.into_inner());
         self.backend.replace(&image)?;
         // Rebase the logical stream: the fresh image occupies bytes

@@ -12,7 +12,12 @@
 //! therefore *byte-identical prefixes* of the primary's journal, so a
 //! promoted follower recovers with the ordinary
 //! [`Auditor::recover`](crate::Auditor::recover) replay — no second
-//! on-disk format, no translation layer.
+//! on-disk format, no translation layer. Before persisting, a follower
+//! reads the shipped bytes with recovery's frame walker and moves its
+//! audit chain by recovery's rule, so it acks only what its own
+//! recovery would replay: an image (a `Snapshot`, or the first bytes
+//! of an empty follower) must start with a valid header, and a torn
+//! frame is refused, not truncated.
 //!
 //! # Ack policies
 //!
@@ -71,10 +76,9 @@ use std::time::Duration;
 use alidrone_obs::{Counter, Gauge, Histogram, Level, Obs};
 
 use crate::audit::{AuditChain, ChainMark};
-use crate::journal::{crc32, Journal, MemBackend, Record};
+use crate::auditor::advance_chain;
 use crate::journal::{
-    DurableImage, JournalError, ShipSource, StorageBackend, FRAME_OVERHEAD, HEADER_LEN,
-    JOURNAL_MAGIC, MAX_RECORD_LEN,
+    DurableImage, Frames, Journal, JournalError, MemBackend, Record, ShipSource, StorageBackend,
 };
 use crate::wire::codec::{read_frame, write_frame, Reader, Writer};
 use crate::{Auditor, AuditorConfig, ProtocolError};
@@ -363,25 +367,7 @@ impl ReplAck {
     }
 }
 
-/// Records in a raw journal byte slice (whole frames only; a leading
-/// file header is skipped). Used for the records-lag gauge.
-fn count_records(mut slice: &[u8]) -> u64 {
-    if slice.len() >= HEADER_LEN && slice[..4] == JOURNAL_MAGIC.to_be_bytes() {
-        slice = &slice[HEADER_LEN..];
-    }
-    let mut n = 0;
-    while slice.len() >= FRAME_OVERHEAD {
-        let len = u32::from_be_bytes([slice[0], slice[1], slice[2], slice[3]]) as usize;
-        if len == 0 || slice.len() < FRAME_OVERHEAD + len {
-            break;
-        }
-        n += 1;
-        slice = &slice[FRAME_OVERHEAD + len..];
-    }
-    n
-}
-
-/// How to undo an in-place [`verify_shipped`]: the chain's size and
+/// How to undo an in-place [`verify_frames`]: the chain's size and
 /// head before the frame, plus the whole earlier chain if a shipped
 /// `Snapshot` record re-seeded it.
 struct ChainUndo {
@@ -406,59 +392,41 @@ impl ChainUndo {
     }
 }
 
-/// Extends `chain` in place across the raw journal bytes of one
-/// shipped frame (a leading file header is skipped; a `Snapshot` record
-/// re-seeds the chain from its audit section, stashing the earlier
-/// chain in `undo`). Any structural damage, CRC mismatch, or Merkle
-/// checkpoint that contradicts the recomputed history is a
+/// Extends `chain` in place over the records `frames` walks in one
+/// shipped frame's bytes, returning how many records they hold. Each
+/// record moves the chain by the rule recovery applies
+/// ([`advance_chain`]); a `Snapshot` record's reseed stashes the
+/// earlier chain in `undo`. A torn, corrupt or headerless frame, a CRC
+/// mismatch, an undecodable record, or a Merkle checkpoint that
+/// contradicts the recomputed history is a
 /// [`ReplError::ChainDivergence`]; the caller then restores the chain
 /// through `undo`.
-fn verify_shipped(
+fn verify_frames(
     chain: &mut AuditChain,
     undo: &mut ChainUndo,
-    bytes: &[u8],
-) -> Result<(), ReplError> {
-    let mut slice = bytes;
-    if slice.len() >= HEADER_LEN && slice[..4] == JOURNAL_MAGIC.to_be_bytes() {
-        slice = &slice[HEADER_LEN..];
-    }
-    while !slice.is_empty() {
+    frames: Frames<'_>,
+) -> Result<u64, ReplError> {
+    let mut records = 0;
+    for frame in frames {
         let at = chain.size();
         let diverged = |reason| ReplError::ChainDivergence { size: at, reason };
-        if slice.len() < FRAME_OVERHEAD {
-            return Err(diverged("torn shipped frame"));
-        }
-        let len = u32::from_be_bytes([slice[0], slice[1], slice[2], slice[3]]) as usize;
-        if len == 0 || len > MAX_RECORD_LEN || slice.len() < FRAME_OVERHEAD + len {
-            return Err(diverged("torn shipped frame"));
-        }
-        let crc = u32::from_be_bytes([slice[4], slice[5], slice[6], slice[7]]);
-        let payload = &slice[FRAME_OVERHEAD..FRAME_OVERHEAD + len];
-        if crc32(payload) != crc {
-            return Err(diverged("frame crc mismatch"));
-        }
+        let payload = frame
+            .and_then(|f| f.checked())
+            .map_err(|e| diverged(e.reason()))?;
         let record = Record::from_payload(payload).map_err(|_| diverged("undecodable record"))?;
-        match &record {
-            Record::AuditCheckpoint { size, root, .. } => {
-                chain
-                    .check_checkpoint(*size, root)
-                    .map_err(|_| ReplError::ChainDivergence {
-                        size: *size,
-                        reason: "checkpoint root contradicts recomputed history",
-                    })?;
-            }
-            Record::Snapshot(snap) => {
-                let (restored, _) = crate::auditor::snapshot_audit_state(snap)
-                    .map_err(|_| diverged("snapshot audit section undecodable"))?;
-                let earlier = std::mem::replace(chain, restored);
-                undo.reseeded.get_or_insert(earlier);
-            }
-            _ if record.is_audited() => chain.append(payload),
-            _ => {}
+        let reseeded = advance_chain(chain, &record, payload).map_err(|e| match e {
+            ProtocolError::AuditDivergence { size } => ReplError::ChainDivergence {
+                size,
+                reason: "checkpoint root contradicts recomputed history",
+            },
+            _ => diverged("snapshot audit section undecodable"),
+        })?;
+        if let Some(earlier) = reseeded {
+            undo.reseeded.get_or_insert(earlier);
         }
-        slice = &slice[FRAME_OVERHEAD + len..];
+        records += 1;
     }
-    Ok(())
+    Ok(records)
 }
 
 // ---------------------------------------------------------------- follower
@@ -537,22 +505,26 @@ impl Follower {
                     // the shipped records and refuse divergent history
                     // before a single byte lands in the backend. A
                     // refused or unpersisted frame rolls the chain back.
+                    // The first bytes of an empty follower start its
+                    // image, so they must carry the journal header.
+                    let frames = if end == self.base.load(Ordering::Acquire) {
+                        Frames::image(bytes)
+                    } else {
+                        Frames::tail(bytes)
+                    };
                     let mut chain = self.chain.lock().unwrap_or_else(|p| p.into_inner());
                     let mut undo = ChainUndo::new(&chain);
-                    let persisted = verify_shipped(&mut chain, &mut undo, bytes)
+                    let persisted = verify_frames(&mut chain, &mut undo, frames)
                         .inspect_err(|_| self.divergence.inc())
-                        .and_then(|()| {
+                        .and_then(|records| {
                             self.backend
                                 .append(bytes)
-                                .map_err(|e| ReplError::Storage(e.to_string()))
+                                .map_err(|e| ReplError::Storage(e.to_string()))?;
+                            Ok(records)
                         });
-                    if let Err(e) = persisted {
-                        undo.restore(&mut chain);
-                        return Err(e);
-                    }
+                    let records = persisted.inspect_err(|_| undo.restore(&mut chain))?;
                     self.end.store(end + bytes.len() as u64, Ordering::Release);
-                    self.records
-                        .fetch_add(count_records(bytes), Ordering::Relaxed);
+                    self.records.fetch_add(records, Ordering::Relaxed);
                 }
                 Ok(ReplAck::Acked {
                     offset: self.end.load(Ordering::Acquire),
@@ -562,7 +534,7 @@ impl Follower {
                 let mut chain = self.chain.lock().unwrap_or_else(|p| p.into_inner());
                 let mut verified = AuditChain::new();
                 let mut undo = ChainUndo::new(&verified);
-                verify_shipped(&mut verified, &mut undo, image)
+                let records = verify_frames(&mut verified, &mut undo, Frames::image(image))
                     .inspect_err(|_| self.divergence.inc())?;
                 self.backend
                     .replace(image)
@@ -571,7 +543,7 @@ impl Follower {
                 self.base.store(*base, Ordering::Release);
                 let end = base + image.len() as u64;
                 self.end.store(end, Ordering::Release);
-                self.records.store(count_records(image), Ordering::Relaxed);
+                self.records.store(records, Ordering::Relaxed);
                 Ok(ReplAck::Acked { offset: end })
             }
         }
@@ -1044,7 +1016,7 @@ impl Replicator {
                     if bytes.is_empty() {
                         return Ok(());
                     }
-                    self.records_shipped.add(count_records(bytes));
+                    self.records_shipped.add(image.records_missing(from));
                     ReplFrame::Append {
                         epoch,
                         offset: from,
@@ -1112,12 +1084,9 @@ impl Replicator {
             // A lagging follower needed bytes this round, so its ship
             // already read the image: this is not a second read.
             let image = image.get_or_init(|| journal.read_durable());
-            match image.as_ref().map(|image| image.missing(min_acked)) {
-                Ok(Ok(ShipSource::Tail(bytes) | ShipSource::Rebased { image: bytes, .. })) => {
-                    count_records(bytes)
-                }
-                _ => 0,
-            }
+            image
+                .as_ref()
+                .map_or(0, |image| image.records_missing(min_acked))
         };
         self.lag_records.set(lag_records as i64);
     }
@@ -1279,7 +1248,7 @@ impl fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::Record;
+    use crate::journal::{crc32, FRAME_OVERHEAD, HEADER_LEN};
     use crate::test_support::auditor_key;
     use alidrone_geo::{Distance, GeoPoint, NoFlyZone};
 
@@ -1447,7 +1416,7 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.gauges["repl.lag_bytes"], behind.len() as i64);
         assert_eq!(snap.gauges["repl.lag_records"], 2);
-        assert_eq!(count_records(behind), 2);
+        assert_eq!(Frames::tail(behind).map_while(Result::ok).count(), 2);
     }
 
     #[test]
@@ -1753,6 +1722,71 @@ mod tests {
             .unwrap();
         assert_eq!(state(&victim), state(&honest));
         assert_eq!(victim.image().unwrap(), clean);
+    }
+
+    /// Applies `frame` to a fresh follower that first took `held` as
+    /// its image, and asserts the frame is refused as divergent with
+    /// nothing moved: acked offset, backend bytes, and the refusal
+    /// counted on `repl.chain_divergence`.
+    fn assert_refused_unchanged(held: &[u8], frame: &ReplFrame<'_>) {
+        let obs = Obs::noop();
+        let follower = Follower::with_obs(Arc::new(MemBackend::new()), &obs);
+        if !held.is_empty() {
+            follower
+                .apply(&ReplFrame::Snapshot {
+                    epoch: 1,
+                    base: 0,
+                    image: held.into(),
+                })
+                .unwrap();
+        }
+        let (offset, image) = (follower.acked_offset(), follower.image().unwrap());
+        let err = follower.apply(frame).unwrap_err();
+        assert!(matches!(err, ReplError::ChainDivergence { .. }), "{err}");
+        assert_eq!(follower.acked_offset(), offset);
+        assert_eq!(follower.image().unwrap(), image);
+        assert_eq!(obs.snapshot().counter("repl.chain_divergence"), 1);
+    }
+
+    #[test]
+    fn follower_refuses_an_image_of_another_journal_version() {
+        let (_, backend) = journal_with(3);
+        let mut image = backend.bytes();
+        image[HEADER_LEN - 1] = 2;
+        // Recovery refuses this image, so a follower must not ack it.
+        assert!(Journal::open(Arc::new(MemBackend::with_bytes(image.clone()))).is_err());
+        let (_, held) = journal_with(1);
+        for held in [Vec::new(), held.bytes()] {
+            assert_refused_unchanged(
+                &held,
+                &ReplFrame::Snapshot {
+                    epoch: 1,
+                    base: 0,
+                    image: image.as_slice().into(),
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn follower_refuses_a_headerless_image() {
+        let (_, backend) = journal_with(3);
+        let bare = backend.bytes()[HEADER_LEN..].to_vec();
+        assert!(Journal::open(Arc::new(MemBackend::with_bytes(bare.clone()))).is_err());
+        let snapshot = ReplFrame::Snapshot {
+            epoch: 1,
+            base: 0,
+            image: bare.as_slice().into(),
+        };
+        let (_, held) = journal_with(1);
+        assert_refused_unchanged(&held.bytes(), &snapshot);
+        // The first bytes an empty follower takes start its image too.
+        let append = ReplFrame::Append {
+            epoch: 1,
+            offset: 0,
+            bytes: bare.as_slice().into(),
+        };
+        assert_refused_unchanged(&[], &append);
     }
 
     #[test]

@@ -321,12 +321,12 @@ mod tests {
 
     #[test]
     fn rate_change_events_carry_distances() {
-        use alidrone_obs::RingBuffer;
+        use alidrone_obs::FlightRecorder;
         use std::sync::Arc;
 
         let obs = Obs::noop();
-        let ring = Arc::new(RingBuffer::new(16));
-        obs.set_subscriber(ring.clone());
+        let recorder = Arc::new(FlightRecorder::new(16));
+        obs.set_subscriber(recorder.clone());
         // Hovering 500 m from the boundary: skip at 21.6 s, sample at
         // 22.0 s (see samples_just_before_insufficiency).
         let mut s = AdaptiveSampler::new(zone_north(600.0, 100.0), 5.0).with_obs(&obs);
@@ -337,7 +337,7 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.counter("sampler.decisions.sample"), 1);
         assert_eq!(snap.counter("sampler.decisions.skip"), 1);
-        let events = ring.events();
+        let events = recorder.events();
         let ev = events
             .iter()
             .find(|e| e.message == "rate_change")

@@ -837,12 +837,12 @@ mod tests {
 
     #[test]
     fn malformed_frame_is_counted_and_reported_with_length() {
-        use alidrone_obs::RingBuffer;
+        use alidrone_obs::FlightRecorder;
         use std::sync::Arc;
 
         let obs = Obs::noop();
-        let ring = Arc::new(RingBuffer::new(8));
-        obs.set_subscriber(ring.clone());
+        let recorder = Arc::new(FlightRecorder::new(8));
+        obs.set_subscriber(recorder.clone());
         let s = AuditorServer::builder(Auditor::new(
             AuditorConfig::default(),
             auditor_key().clone(),
@@ -861,7 +861,7 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.counter("server.malformed_frames"), 1);
         assert_eq!(snap.counter("server.errors.malformed"), 1);
-        let events = ring.events();
+        let events = recorder.events();
         let ev = events
             .iter()
             .find(|e| e.message == "malformed_frame")
@@ -1444,15 +1444,15 @@ mod tests {
 
     #[test]
     fn scrape_bind_failure_degrades_to_an_event_not_a_panic() {
-        use alidrone_obs::RingBuffer;
+        use alidrone_obs::FlightRecorder;
 
         // Occupy a port, then ask the server to scrape-bind the same
         // one.
         let taken = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = taken.local_addr().unwrap();
         let obs = Obs::noop();
-        let ring = Arc::new(RingBuffer::new(8));
-        obs.set_subscriber(ring.clone());
+        let recorder = Arc::new(FlightRecorder::new(8));
+        obs.set_subscriber(recorder.clone());
         let s = AuditorServer::builder(Auditor::new(
             AuditorConfig::default(),
             auditor_key().clone(),
@@ -1461,7 +1461,7 @@ mod tests {
         .scrape(addr)
         .build();
         assert!(s.scrape_addr().is_none());
-        assert!(ring
+        assert!(recorder
             .events()
             .iter()
             .any(|e| e.message == "scrape_bind_failed"));

@@ -931,18 +931,19 @@ mod tests {
             })
             .collect();
         let run = || -> (u64, Vec<String>) {
-            use alidrone_obs::RingBuffer;
+            use alidrone_obs::FlightRecorder;
             let obs = Obs::noop();
-            let ring = Arc::new(RingBuffer::new(64));
-            obs.set_subscriber(ring.clone());
+            let recorder = Arc::new(FlightRecorder::new(64));
+            obs.set_subscriber(recorder.clone());
             let transport = TcpTransport::multi(dead.clone(), &obs);
             let req = Request::HealthCheck.to_bytes();
             for _ in 0..2 {
                 assert!(transport.call(&req, now()).is_err());
             }
-            let order: Vec<String> = ring
-                .events_where(|e| e.message == "endpoint_rotate")
+            let order: Vec<String> = recorder
+                .events()
                 .iter()
+                .filter(|e| e.message == "endpoint_rotate")
                 .map(|e| e.field("refused").unwrap().as_str().unwrap().to_string())
                 .collect();
             (

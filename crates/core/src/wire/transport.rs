@@ -1184,12 +1184,12 @@ mod tests {
 
     #[test]
     fn backoff_schedule_is_deterministic_for_a_seed() {
-        use alidrone_obs::RingBuffer;
+        use alidrone_obs::FlightRecorder;
 
         let run = |seed: u64| -> Vec<u64> {
             let obs = Obs::noop();
-            let ring = Arc::new(RingBuffer::new(32));
-            obs.set_subscriber(ring.clone());
+            let recorder = Arc::new(FlightRecorder::new(32));
+            obs.set_subscriber(recorder.clone());
             let script = Script::new(vec![lost(), lost(), lost(), lost(), zone_ok()]);
             let mut c = AuditorClient::with_obs(script, &obs).retry(RetryPolicy {
                 max_attempts: 5,
@@ -1198,8 +1198,10 @@ mod tests {
                 jitter_seed: seed,
             });
             c.register_zone(zone(), now()).unwrap();
-            ring.events_where(|e| e.message == "retrying")
+            recorder
+                .events()
                 .iter()
+                .filter(|e| e.message == "retrying")
                 .map(|e| e.field("backoff_us").unwrap().as_u64().unwrap())
                 .collect()
         };
@@ -1221,18 +1223,22 @@ mod tests {
 
     #[test]
     fn overloaded_responses_map_to_typed_error_and_floor_the_backoff() {
-        use alidrone_obs::RingBuffer;
+        use alidrone_obs::FlightRecorder;
 
         let obs = Obs::noop();
-        let ring = Arc::new(RingBuffer::new(8));
-        obs.set_subscriber(ring.clone());
+        let recorder = Arc::new(FlightRecorder::new(8));
+        obs.set_subscriber(recorder.clone());
         let script = Arc::new(Script::new(vec![overloaded(25), zone_ok()]));
         let mut c = AuditorClient::with_obs(Arc::clone(&script), &obs).retry(fast_retry(4));
         // The shed is retried (even though backoff jitter alone would
         // be µs-scale, the 25 ms hint floors it) and the retry lands.
         c.register_zone(zone(), now()).unwrap();
         assert_eq!(script.calls(), 2);
-        let retrying = ring.events_where(|e| e.message == "retrying");
+        let retrying: Vec<_> = recorder
+            .events()
+            .into_iter()
+            .filter(|e| e.message == "retrying")
+            .collect();
         assert_eq!(retrying.len(), 1);
         let backoff_us = retrying[0].field("backoff_us").unwrap().as_u64().unwrap();
         assert!(backoff_us >= 25_000, "hint not honored: {backoff_us}µs");

@@ -1,20 +1,24 @@
 //! Randomized tests for the protocol layer.
 //!
-//! Two classes of invariant:
+//! Three classes of invariant:
 //!
 //! 1. **Parser robustness** — no byte string, however adversarial, may
 //!    panic a decoder or round-trip into a different message.
 //! 2. **Verification soundness** — a `Compliant` verdict must imply that
 //!    no sample sits in any zone and every pair is sufficient, for
 //!    arbitrary traces and zone layouts.
+//! 3. **Reader parity** — a replication follower accepts exactly the
+//!    journal images its own recovery would open cleanly.
 //!
 //! Inputs come from a seeded deterministic stream (no `proptest` — the
 //! offline build has no crates.io), so failures reproduce exactly.
 //! RSA signing in debug builds makes trace generation expensive; 64
 //! cases keeps the suite fast while still exploring the space.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
+use alidrone_core::journal::{Journal, MemBackend, Record};
+use alidrone_core::repl::{Follower, ReplFrame};
 use alidrone_core::wire::{
     encode_envelope, split_envelope, Request, Response, WireEnvelope, WireTraceContext,
     ENVELOPE_MAGIC,
@@ -355,4 +359,80 @@ fn wire_corruption_never_silent() {
             Ok(decoded) => assert_ne!(decoded, req),
         }
     }
+}
+
+/// A follower accepts a shipped image as a `Snapshot` exactly when
+/// recovery opens the same image cleanly (no torn tail to cut): both
+/// read it through the one journal frame walker. The image is a real
+/// auditor journal (epoch, zones, a drone, a Merkle checkpoint), cut
+/// at every length and hit with seeded single-bit flips, every header
+/// bit included.
+#[test]
+fn follower_accepts_exactly_what_recovery_opens_cleanly() {
+    let backend = Arc::new(MemBackend::new());
+    let config = AuditorConfig {
+        checkpoint_interval: 2,
+        ..AuditorConfig::default()
+    };
+    let (auditor, _) = Auditor::recover(backend.clone(), config, auditor_key().clone()).unwrap();
+    auditor.begin_epoch(1).unwrap();
+    auditor.register_zone(NoFlyZone::new(origin(), Distance::from_meters(100.0)));
+    auditor.register_drone(
+        auditor_key().public_key().clone(),
+        tee_key().public_key().clone(),
+    );
+    auditor.register_zone(NoFlyZone::new(
+        origin().destination(90.0, Distance::from_meters(500.0)),
+        Distance::from_meters(50.0),
+    ));
+    drop(auditor);
+    let image = backend.bytes();
+    let (_, records, _) = Journal::open(Arc::new(MemBackend::with_bytes(image.clone()))).unwrap();
+    let frames = records.payloads().len();
+    assert!(records
+        .payloads()
+        .any(|p| matches!(Record::from_payload(p), Ok(Record::AuditCheckpoint { .. }))));
+
+    let mut damaged: Vec<Vec<u8>> = (1..=image.len()).map(|n| image[..n].to_vec()).collect();
+    let mut flip = |pos: usize, bit: u64| {
+        let mut bytes = image.clone();
+        bytes[pos] ^= 1 << bit;
+        damaged.push(bytes);
+    };
+    for pos in 0..5 {
+        for bit in 0..8 {
+            flip(pos, bit);
+        }
+    }
+    let mut rng = XorShift64::seed_from_u64(409);
+    for _ in 0..CASES * 4 {
+        flip(
+            rng.gen_range_u64(image.len() as u64) as usize,
+            rng.gen_range_u64(8),
+        );
+    }
+
+    let mut clean = 0;
+    for bytes in &damaged {
+        let opens_cleanly = Journal::open(Arc::new(MemBackend::with_bytes(bytes.clone())))
+            .is_ok_and(|(_, _, report)| !report.torn_tail);
+        let follower = Follower::new(Arc::new(MemBackend::new()));
+        let accepted = follower
+            .apply(&ReplFrame::Snapshot {
+                epoch: 1,
+                base: 0,
+                image: bytes.as_slice().into(),
+            })
+            .is_ok();
+        assert_eq!(
+            accepted,
+            opens_cleanly,
+            "follower and recovery disagree on a {}-byte image",
+            bytes.len()
+        );
+        clean += usize::from(opens_cleanly);
+    }
+    // Only the cuts after the header and after each frame are clean;
+    // every flip and every mid-frame cut is not.
+    assert_eq!(clean, frames + 1);
 }

@@ -61,6 +61,16 @@ impl NoFlyZone {
     pub fn contains(&self, p: &GeoPoint) -> bool {
         self.boundary_distance(p).meters() < 0.0
     }
+
+    /// `true` if the centre falls inside the axis-aligned rectangle with
+    /// corners `(c1, c2)`, edges included: the zone-query predicate
+    /// (paper step 2–3).
+    pub fn center_within_rect(&self, c1: &GeoPoint, c2: &GeoPoint) -> bool {
+        let (lat_lo, lat_hi) = ord(c1.lat_deg(), c2.lat_deg());
+        let (lon_lo, lon_hi) = ord(c1.lon_deg(), c2.lon_deg());
+        (lat_lo..=lat_hi).contains(&self.center.lat_deg())
+            && (lon_lo..=lon_hi).contains(&self.center.lon_deg())
+    }
 }
 
 impl fmt::Display for NoFlyZone {
@@ -139,19 +149,11 @@ impl ZoneSet {
     /// corners `(c1, c2)` — the auditor's answer to a zone query over a
     /// "rectangular navigation area" (paper step 2–3).
     pub fn within_rect(&self, c1: &GeoPoint, c2: &GeoPoint) -> ZoneSet {
-        let (lat_lo, lat_hi) = ord(c1.lat_deg(), c2.lat_deg());
-        let (lon_lo, lon_hi) = ord(c1.lon_deg(), c2.lon_deg());
         ZoneSet {
             zones: self
                 .zones
                 .iter()
-                .filter(|z| {
-                    let c = z.center();
-                    c.lat_deg() >= lat_lo
-                        && c.lat_deg() <= lat_hi
-                        && c.lon_deg() >= lon_lo
-                        && c.lon_deg() <= lon_hi
-                })
+                .filter(|z| z.center_within_rect(c1, c2))
                 .copied()
                 .collect(),
         }

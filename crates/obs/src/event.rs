@@ -10,9 +10,7 @@
 use crate::json::{Json, ToJson};
 use crate::span::SpanRecord;
 use alidrone_geo::Timestamp;
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 /// Event severity, lowest to highest.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -209,107 +207,9 @@ pub trait Subscriber: Send + Sync {
     fn on_event(&self, event: &Event);
 
     /// Called once per completed traced span (children before parents,
-    /// in completion order). Default is a no-op so event-only
-    /// subscribers like [`RingBuffer`] need no changes.
+    /// in completion order). Default is a no-op, for event-only
+    /// subscribers.
     fn on_span(&self, _span: &SpanRecord) {}
-}
-
-/// Forwards every event and span to each of a list of subscribers, in
-/// order — the way to keep a [`RingBuffer`] *and* a
-/// [`FlightRecorder`](crate::FlightRecorder) on one handle.
-pub struct Fanout {
-    subscribers: Vec<Arc<dyn Subscriber>>,
-}
-
-impl Fanout {
-    /// A fanout over `subscribers` (delivery order = vec order).
-    pub fn new(subscribers: Vec<Arc<dyn Subscriber>>) -> Self {
-        Fanout { subscribers }
-    }
-}
-
-impl fmt::Debug for Fanout {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Fanout")
-            .field("subscribers", &self.subscribers.len())
-            .finish()
-    }
-}
-
-impl Subscriber for Fanout {
-    fn on_event(&self, event: &Event) {
-        for sub in &self.subscribers {
-            sub.on_event(event);
-        }
-    }
-
-    fn on_span(&self, span: &SpanRecord) {
-        for sub in &self.subscribers {
-            sub.on_span(span);
-        }
-    }
-}
-
-/// A bounded in-memory subscriber: keeps the most recent `capacity`
-/// events. The test and sim workhorse.
-#[derive(Debug)]
-pub struct RingBuffer {
-    capacity: usize,
-    events: Mutex<VecDeque<Event>>,
-    dropped: Mutex<u64>,
-}
-
-impl RingBuffer {
-    /// A ring buffer holding at most `capacity` events.
-    pub fn new(capacity: usize) -> Self {
-        RingBuffer {
-            capacity: capacity.max(1),
-            events: Mutex::new(VecDeque::new()),
-            dropped: Mutex::new(0),
-        }
-    }
-
-    /// A copy of the retained events, oldest first.
-    pub fn events(&self) -> Vec<Event> {
-        self.events.lock().unwrap().iter().cloned().collect()
-    }
-
-    /// Retained events matching a predicate.
-    pub fn events_where(&self, pred: impl Fn(&Event) -> bool) -> Vec<Event> {
-        self.events
-            .lock()
-            .unwrap()
-            .iter()
-            .filter(|e| pred(e))
-            .cloned()
-            .collect()
-    }
-
-    /// How many events were evicted to make room.
-    pub fn dropped(&self) -> u64 {
-        *self.dropped.lock().unwrap()
-    }
-
-    /// Number of retained events.
-    pub fn len(&self) -> usize {
-        self.events.lock().unwrap().len()
-    }
-
-    /// `true` when nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Subscriber for RingBuffer {
-    fn on_event(&self, event: &Event) {
-        let mut q = self.events.lock().unwrap();
-        if q.len() == self.capacity {
-            q.pop_front();
-            *self.dropped.lock().unwrap() += 1;
-        }
-        q.push_back(event.clone());
-    }
 }
 
 #[cfg(test)]
@@ -334,28 +234,10 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffer_evicts_oldest() {
-        let rb = RingBuffer::new(2);
-        rb.on_event(&ev("a", 0.0));
-        rb.on_event(&ev("b", 1.0));
-        rb.on_event(&ev("c", 2.0));
-        let events = rb.events();
-        assert_eq!(
-            events.iter().map(|e| e.message).collect::<Vec<_>>(),
-            vec!["b", "c"]
-        );
-        assert_eq!(rb.dropped(), 1);
-    }
-
-    #[test]
-    fn field_lookup_and_filtering() {
-        let rb = RingBuffer::new(8);
-        rb.on_event(&ev("x", 0.0));
-        rb.on_event(&ev("y", 1.0));
-        let only_y = rb.events_where(|e| e.message == "y");
-        assert_eq!(only_y.len(), 1);
-        assert_eq!(only_y[0].field("n").unwrap().as_u64(), Some(1));
-        assert!(only_y[0].field("missing").is_none());
+    fn field_lookup() {
+        let e = ev("y", 1.0);
+        assert_eq!(e.field("n").unwrap().as_u64(), Some(1));
+        assert!(e.field("missing").is_none());
     }
 
     #[test]
@@ -369,19 +251,6 @@ mod tests {
             json.get("fields").unwrap().get("d1_m").unwrap().as_f64(),
             Some(321.0)
         );
-    }
-
-    #[test]
-    fn fanout_delivers_to_every_subscriber() {
-        let a = Arc::new(RingBuffer::new(4));
-        let b = Arc::new(RingBuffer::new(4));
-        let fan = Fanout::new(vec![
-            a.clone() as Arc<dyn Subscriber>,
-            b.clone() as Arc<dyn Subscriber>,
-        ]);
-        fan.on_event(&ev("x", 0.0));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //! # Example
 //!
 //! ```
-//! use alidrone_obs::{Level, Obs, RingBuffer};
+//! use alidrone_obs::{FlightRecorder, Level, Obs};
 //! use alidrone_geo::Duration;
 //! use std::sync::Arc;
 //!
@@ -37,8 +37,8 @@
 //! let requests = obs.counter("server.requests");
 //! let latency = obs.histogram("server.latency");
 //!
-//! let ring = Arc::new(RingBuffer::new(64));
-//! obs.set_subscriber(ring.clone());
+//! let recorder = Arc::new(FlightRecorder::new(64));
+//! obs.set_subscriber(recorder.clone());
 //!
 //! requests.inc();
 //! latency.record(Duration::from_millis(1.5));
@@ -47,7 +47,7 @@
 //! });
 //!
 //! assert_eq!(obs.snapshot().counter("server.requests"), 1);
-//! assert_eq!(ring.events()[0].field("code").unwrap().as_u64(), Some(200));
+//! assert_eq!(recorder.events()[0].field("code").unwrap().as_u64(), Some(200));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -67,7 +67,7 @@ pub mod stage;
 pub mod timeseries;
 
 pub use clock::{Clock, ManualClock, WallClock};
-pub use event::{Event, Fanout, FieldSet, Level, RingBuffer, Subscriber, Value};
+pub use event::{Event, FieldSet, Level, Subscriber, Value};
 pub use export::{
     chrome_trace, escape_label_value, parse_prometheus_text, prometheus_text, sanitize_metric_name,
 };
@@ -383,12 +383,12 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         clock.set(Timestamp::from_secs(42.0));
         let obs = Obs::new(clock);
-        let ring = Arc::new(RingBuffer::new(4));
-        obs.set_subscriber(ring.clone());
+        let recorder = Arc::new(FlightRecorder::new(4));
+        obs.set_subscriber(recorder.clone());
         obs.emit(Level::Warn, "wire", "malformed_frame", |f| {
             f.field("frame_len", 3u64);
         });
-        let events = ring.events();
+        let events = recorder.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].time.secs(), 42.0);
         assert_eq!(events[0].level, Level::Warn);
@@ -398,12 +398,12 @@ mod tests {
     #[test]
     fn clear_subscriber_restores_disabled_path() {
         let obs = Obs::wall();
-        let ring = Arc::new(RingBuffer::new(4));
-        obs.set_subscriber(ring.clone());
+        let recorder = Arc::new(FlightRecorder::new(4));
+        obs.set_subscriber(recorder.clone());
         obs.emit(Level::Info, "t", "a", |_| {});
         obs.clear_subscriber();
         obs.emit(Level::Info, "t", "b", |_| {});
-        assert_eq!(ring.len(), 1);
+        assert_eq!(recorder.events().len(), 1);
         assert!(!obs.enabled());
     }
 
@@ -413,10 +413,10 @@ mod tests {
         let other = obs.clone();
         obs.counter("shared").inc();
         assert_eq!(other.snapshot().counter("shared"), 1);
-        let ring = Arc::new(RingBuffer::new(4));
-        other.set_subscriber(ring.clone());
+        let recorder = Arc::new(FlightRecorder::new(4));
+        other.set_subscriber(recorder.clone());
         obs.emit(Level::Debug, "t", "via_original", |_| {});
-        assert_eq!(ring.len(), 1);
+        assert_eq!(recorder.events().len(), 1);
     }
 
     #[test]

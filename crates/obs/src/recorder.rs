@@ -170,6 +170,20 @@ mod tests {
     }
 
     #[test]
+    fn retains_the_most_recent_events() {
+        let obs = Obs::noop();
+        let rec = Arc::new(FlightRecorder::new(2));
+        obs.set_subscriber(rec.clone());
+        for message in ["a", "b", "c"] {
+            obs.emit(Level::Info, "test", message, |_| {});
+        }
+        let messages: Vec<_> = rec.events().iter().map(|e| e.message).collect();
+        assert_eq!(messages, vec!["b", "c"]);
+        assert_eq!(rec.dropped_events(), 1);
+        assert_eq!(rec.dropped_spans(), 0);
+    }
+
+    #[test]
     fn records_both_streams_through_an_obs_handle() {
         let obs = Obs::noop();
         let rec = Arc::new(FlightRecorder::new(8));

@@ -22,7 +22,7 @@
 //! Evaluations update `slo.healthy.<name>` / `slo.value_milli.<name>`
 //! gauges in the registry (so every `/metrics` scrape carries `slo_*`
 //! samples), emit breach-transition events through the installed
-//! subscriber ([`Fanout`](crate::event::Fanout)-compatible), and return
+//! subscriber, and return
 //! the transitions as typed [`SloEvent`]s for machine-readable reports.
 //!
 //! Empty windows evaluate healthy: an SLO over `0/0` traffic is
@@ -454,7 +454,7 @@ fn eval_rule(
 mod tests {
     use super::*;
     use crate::metrics::MetricsSnapshot;
-    use crate::RingBuffer;
+    use crate::FlightRecorder;
     use std::collections::BTreeMap;
     use std::sync::Arc;
 
@@ -523,8 +523,8 @@ mod tests {
     #[test]
     fn breaches_transition_once_and_recover() {
         let obs = Obs::noop();
-        let ring_buf = Arc::new(RingBuffer::new(16));
-        obs.set_subscriber(ring_buf.clone());
+        let recorder = Arc::new(FlightRecorder::new(16));
+        obs.set_subscriber(recorder.clone());
         let mut engine = SloEngine::new(&obs, slos());
         let mut ring = SnapshotRing::new(16);
         feed(&mut ring, 0.0, 0, 0, 0);
@@ -552,7 +552,7 @@ mod tests {
             .any(|e| e.slo == "availability" && e.kind == SloEventKind::BreachEnd));
 
         // Transitions reached the subscriber too.
-        assert!(ring_buf
+        assert!(recorder
             .events()
             .iter()
             .any(|e| e.message == "slo_breach_start"));

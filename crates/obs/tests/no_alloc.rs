@@ -9,7 +9,7 @@
 //! not land in another's count.
 
 use alidrone_geo::Duration;
-use alidrone_obs::{Level, Obs, RingBuffer};
+use alidrone_obs::{FlightRecorder, Level, Obs};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
@@ -91,14 +91,14 @@ fn disabled_path_never_allocates() {
 #[test]
 fn enabled_path_still_delivers() {
     let obs = Obs::noop();
-    let ring = Arc::new(RingBuffer::new(16));
-    obs.set_subscriber(ring.clone());
+    let recorder = Arc::new(FlightRecorder::new(16));
+    obs.set_subscriber(recorder.clone());
     obs.emit(Level::Info, "server", "request_done", |f| {
         f.field("detail", format!("request {}", 7));
     });
-    assert_eq!(ring.len(), 1);
+    assert_eq!(recorder.events().len(), 1);
     assert_eq!(
-        ring.events()[0].field("detail").unwrap().as_str(),
+        recorder.events()[0].field("detail").unwrap().as_str(),
         Some("request 7")
     );
 }
@@ -107,8 +107,8 @@ fn enabled_path_still_delivers() {
 #[test]
 fn clearing_subscriber_restores_no_alloc() {
     let obs = Obs::noop();
-    let ring = Arc::new(RingBuffer::new(16));
-    obs.set_subscriber(ring);
+    let recorder = Arc::new(FlightRecorder::new(16));
+    obs.set_subscriber(recorder);
     obs.clear_subscriber();
     let n = allocations_during(|| {
         for _ in 0..1000 {

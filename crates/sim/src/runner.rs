@@ -8,9 +8,7 @@ use alidrone_core::{run_flight_with_hook, FlightRecord, ProtocolError, SamplingS
 use alidrone_crypto::rsa::RsaPrivateKey;
 use alidrone_geo::Timestamp;
 use alidrone_gps::{SimClock, SimulatedReceiver};
-use alidrone_obs::{
-    Event, Fanout, FlightRecorder, MetricsSnapshot, Obs, RingBuffer, SpanContext, SpanRecord,
-};
+use alidrone_obs::{Event, FlightRecorder, MetricsSnapshot, Obs, SpanContext, SpanRecord};
 use alidrone_tee::{CostLedger, CostModel, SecureWorldBuilder, TeeClient, GPS_SAMPLER_UUID};
 
 use crate::scenarios::Scenario;
@@ -32,7 +30,7 @@ impl alidrone_obs::Clock for SimClockBridge {
 }
 
 /// Events retained per scenario run (a long fixed-rate flight can emit
-/// thousands; the ring keeps the most recent ones and counts drops).
+/// thousands; the recorder keeps the most recent ones and counts drops).
 const EVENT_CAPACITY: usize = 4096;
 
 /// Completed spans retained by the run's flight recorder (a 1 Hz
@@ -133,15 +131,11 @@ pub fn run_scenario(
 ) -> Result<ScenarioRun, ProtocolError> {
     let clock = SimClock::new();
     let obs = Obs::new(Arc::new(SimClockBridge(clock.clone())));
-    let ring = Arc::new(RingBuffer::new(EVENT_CAPACITY));
     let recorder = Arc::new(FlightRecorder::with_capacities(
         SPAN_CAPACITY,
         EVENT_CAPACITY,
     ));
-    obs.set_subscriber(Arc::new(Fanout::new(vec![
-        ring.clone() as Arc<dyn alidrone_obs::Subscriber>,
-        recorder.clone() as Arc<dyn alidrone_obs::Subscriber>,
-    ])));
+    obs.set_subscriber(recorder.clone());
 
     let mut receiver = SimulatedReceiver::from_trajectory(
         scenario.trajectory.clone(),
@@ -203,7 +197,7 @@ pub fn run_scenario(
         insufficient_pairs,
         tee,
         metrics: obs.snapshot(),
-        events: ring.events(),
+        events: recorder.events(),
         obs,
         spans: recorder.spans(),
         recorder,

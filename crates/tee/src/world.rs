@@ -635,17 +635,17 @@ mod tests {
 
     #[test]
     fn failed_smc_emits_warning_event() {
-        use alidrone_obs::RingBuffer;
+        use alidrone_obs::FlightRecorder;
         let obs = Obs::noop();
-        let ring = Arc::new(RingBuffer::new(8));
-        obs.set_subscriber(ring.clone());
+        let recorder = Arc::new(FlightRecorder::new(8));
+        obs.set_subscriber(recorder.clone());
         let world = SecureWorldBuilder::new()
             .with_sign_key(test_key().clone())
             .with_obs(&obs)
             .build()
             .unwrap();
         let _ = world.smc_invoke(GPS_SAMPLER_UUID, 999, &[]);
-        let events = ring.events();
+        let events = recorder.events();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].message, "smc_failed");
         assert_eq!(events[0].field("cmd").unwrap().as_u64(), Some(999));
