@@ -3,15 +3,27 @@
 
 CARGO ?= cargo
 
-.PHONY: check fmt clippy doc build test perfbench-test examples experiments trace-smoke tcp-smoke stress chaos overload scrape-smoke soak-smoke failover tamper bench-json bench-diff
+.PHONY: check fmt clippy doc build test perfbench-test examples experiments trace-smoke tcp-smoke stress chaos overload scrape-smoke soak-smoke failover tamper bench-json bench-diff unsafe-check
 
-check: fmt clippy doc test perfbench-test trace-smoke tcp-smoke chaos overload scrape-smoke soak-smoke failover tamper
+check: fmt clippy unsafe-check doc test perfbench-test trace-smoke tcp-smoke chaos overload scrape-smoke soak-smoke failover tamper
 
 fmt:
 	$(CARGO) fmt --all -- --check
 
 clippy:
 	$(CARGO) clippy --workspace --all-targets --offline -- -D warnings
+
+# The workspace's one lint exemption for unsafe code is the SHA-256
+# dispatch into the SHA-NI kernel: fail if an allow(unsafe_code)
+# attribute appears anywhere else under crates/, or a second time in
+# crates/crypto/src/sha256.rs.
+unsafe-check:
+	@outside=$$(grep -rl --include='*.rs' 'allow(unsafe_code)' crates | grep -vx 'crates/crypto/src/sha256.rs'); \
+	inside=$$(grep -c 'allow(unsafe_code)' crates/crypto/src/sha256.rs); \
+	if [ -n "$$outside" ] || [ "$$inside" -gt 1 ]; then \
+		echo "unsafe-check: allow(unsafe_code) is only for the SHA-256 dispatch; found in:" $$outside "and $$inside time(s) in sha256.rs"; \
+		exit 1; \
+	fi
 
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --offline

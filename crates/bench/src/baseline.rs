@@ -43,6 +43,10 @@ pub struct Machine {
     pub arch: String,
     /// `std::thread::available_parallelism`, 0 if unknown.
     pub parallelism: u64,
+    /// The SHA-256 kernel in use (`alidrone_crypto::sha256::backend`:
+    /// `"sha-ni"` or `"portable"`). Every hashing case moves with it.
+    /// `None` for files written before it was recorded.
+    pub sha256: Option<String>,
 }
 
 impl Machine {
@@ -54,7 +58,21 @@ impl Machine {
             parallelism: std::thread::available_parallelism()
                 .map(|n| n.get() as u64)
                 .unwrap_or(0),
+            sha256: Some(alidrone_crypto::sha256::backend().to_string()),
         }
+    }
+}
+
+impl fmt::Display for Machine {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}/{}, {} threads, sha256 {}",
+            self.os,
+            self.arch,
+            self.parallelism,
+            self.sha256.as_deref().unwrap_or("unrecorded")
+        )
     }
 }
 
@@ -106,6 +124,10 @@ impl Baseline {
             os: field_str(machine, "os")?,
             arch: field_str(machine, "arch")?,
             parallelism: field_u64(machine, "parallelism")?,
+            sha256: machine
+                .get("sha256")
+                .map(|_| field_str(machine, "sha256"))
+                .transpose()?,
         };
         let raw_cases = doc
             .get("cases")
@@ -161,11 +183,20 @@ impl ToJson for Baseline {
             ("schema_version", Json::Num(self.schema_version as f64)),
             (
                 "machine",
-                Json::obj([
-                    ("os", Json::str(&self.machine.os)),
-                    ("arch", Json::str(&self.machine.arch)),
-                    ("parallelism", Json::Num(self.machine.parallelism as f64)),
-                ]),
+                Json::obj(
+                    [
+                        ("os", Json::str(&self.machine.os)),
+                        ("arch", Json::str(&self.machine.arch)),
+                        ("parallelism", Json::Num(self.machine.parallelism as f64)),
+                    ]
+                    .into_iter()
+                    .chain(
+                        self.machine
+                            .sha256
+                            .as_ref()
+                            .map(|b| ("sha256", Json::str(b))),
+                    ),
+                ),
             ),
             ("cases", Json::arr(self.cases.iter().map(ToJson::to_json))),
         ])
@@ -377,6 +408,17 @@ mod tests {
         let text = before.to_json().to_pretty();
         let after = Baseline::parse(&text).expect("parse own output");
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn parse_loads_a_machine_without_a_sha256_backend() {
+        let mut before = baseline(vec![case("crc32_1mib", 900.0)]);
+        before.machine.sha256 = None;
+        let text = before.to_json().to_pretty();
+        assert!(!text.contains("sha256"), "{text}");
+        let after = Baseline::parse(&text).expect("parse older file");
+        assert_eq!(after, before);
+        assert!(after.machine.to_string().ends_with("sha256 unrecorded"));
     }
 
     #[test]

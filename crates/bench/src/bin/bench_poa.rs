@@ -26,9 +26,9 @@
 //! matches no case of the old baseline is an error. CI uses a reduced
 //! sample count and gates only the CPU-bound cases (`rsa_sign_*`,
 //! `rsa_verify_*`, `tee_sample_*`, `poa_verify_e2e_50`,
-//! `merkle_proof_*`, `crc32_*`, `audit_append_*`,
-//! `geo_check_alibi_*`), which stay stable on shared runners; the
-//! I/O-heavy cases (journal appends, follower catch-up, TCP, the
+//! `merkle_proof_*`, `crc32_*`, `sha256_*`, `audit_append_*`,
+//! `geo_check_alibi_*`, `follower_catchup_*`), which stay stable on
+//! shared runners; the I/O-heavy cases (journal appends, TCP, the
 //! exporter) remain advisory.
 
 use std::hint::black_box;
@@ -55,6 +55,7 @@ use alidrone_core::{
 use alidrone_crypto::dh::DhGroup;
 use alidrone_crypto::rng::{Rng, XorShift64};
 use alidrone_crypto::rsa::HashAlg;
+use alidrone_crypto::sha256::sha256;
 use alidrone_geo::polygon::smallest_enclosing_circle;
 use alidrone_geo::sufficiency::{check_alibi, Criterion};
 use alidrone_geo::trajectory::TrajectoryBuilder;
@@ -507,6 +508,16 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
         b.iter(|| crc32(black_box(&data)));
     });
 
+    // --- SHA-256 over 1 MiB: recovery, every follower and every
+    // audit append hash each history byte through it, on the kernel
+    // the machine's `sha256` field names.
+    run("sha256_1mib", &mut |b| {
+        let data: Vec<u8> = (0..1u32 << 20)
+            .map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8)
+            .collect();
+        b.iter(|| sha256(black_box(&data)));
+    });
+
     // --- Follower catch-up: one `Append` frame carrying a 10^4-record
     // history of stored verdicts (with a Merkle checkpoint every 32, as
     // the auditor journals them) into a fresh follower, which checks
@@ -669,8 +680,8 @@ fn diff_baselines(
         .map_err(|e| format!("{old_path}: {e}"))?;
     if old.machine != new.machine {
         println!(
-            "note: baselines come from different machines ({}/{} vs {}/{})",
-            old.machine.os, old.machine.arch, new.machine.os, new.machine.arch
+            "note: baselines come from different machines ({} vs {})",
+            old.machine, new.machine
         );
     }
     let report = diff(&old, &new, threshold);

@@ -612,6 +612,7 @@ impl AuditChain {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use alidrone_crypto::rng::{Rng, XorShift64};
 
     // ---- Reference oracles: RFC 6962 straight from a leaf slice, with
     // no stored subtrees. Every chain-served root and proof must equal
@@ -1002,6 +1003,31 @@ mod tests {
             c.append(&[at as u8, 0xA5]);
             assert_eq!(c, chain_of(at + 1), "at={at} grow={grow}");
         }
+    }
+
+    #[test]
+    fn golden_chain_over_seeded_history() {
+        // Pins the head and root every earlier build produced for one
+        // seeded history, so a hashing change that alters any digest,
+        // on any CPU, fails here rather than orphaning stored journals
+        // and signed checkpoints.
+        let mut rng = XorShift64::seed_from_u64(0x601D);
+        let mut c = AuditChain::new();
+        let mut payload = Vec::new();
+        for _ in 0..1_000 {
+            payload.resize((rng.next_u64() % 4_097) as usize, 0);
+            rng.fill_bytes(&mut payload);
+            c.append(&payload);
+        }
+        let hex = |h: Hash| h.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        assert_eq!(
+            hex(c.head()),
+            "ce50ff6313712d8a26a3e48476d4bb8975d3083a3726b2812db2abd9a0971c5b"
+        );
+        assert_eq!(
+            hex(c.root()),
+            "28351f2b6530b429b3eb4062f2e327cc54582471ecc4af36721af073b9173f88"
+        );
     }
 
     #[test]

@@ -18,7 +18,12 @@
 //! * [`rsa`] — RSASSA-PKCS1-v1.5 (SHA-1/SHA-256) and RSAES-PKCS1-v1.5,
 //!   with [`rsa::RsaVerifier`] holding the per-key precomputation for
 //!   hot verify paths.
-//! * [`sha1`], [`sha256`], [`hmac`] — hashes and MACs.
+//! * [`sha1`], [`sha256`], [`hmac`] — hashes and MACs. SHA-256 feeds
+//!   every whole block through [`sha256::compress_blocks`], which runs a
+//!   SHA-NI kernel when the CPU reports the SHA extensions and the
+//!   portable FIPS 180-4 compression otherwise
+//!   ([`sha256::backend`] names which); digests are identical either
+//!   way.
 //! * [`chacha20`] — the one-time-key cipher for the privacy-preserving
 //!   PoA extension (§VII-B3).
 //! * [`dh`] — ephemeral Diffie–Hellman for per-flight symmetric keys
@@ -33,6 +38,13 @@
 //! hardened against fault attacks; the paper explicitly scopes side
 //! channels out of its threat model (§III-B) and so does this
 //! reproduction. Do not reuse this crate outside the simulation.
+//!
+//! The crate denies `unsafe` code and documents every `unsafe` block.
+//! The one exemption is the SHA-256 dispatch: it calls the
+//! `#[target_feature]` SHA-NI kernel only after runtime detection has
+//! confirmed the features that kernel enables. The kernel itself is
+//! safe code with no raw-pointer access, and the portable compression
+//! is its test oracle.
 //!
 //! # Example
 //!
@@ -49,7 +61,8 @@
 //! # }
 //! ```
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 #![warn(missing_docs)]
 
 pub mod bigint;
