@@ -34,8 +34,10 @@
 //! frame rather than truncate it (see [`crate::repl`]).
 //!
 //! Compaction bounds recovery cost: [`Journal::compact`] atomically
-//! replaces the whole journal with a single [`Record::Snapshot`] frame
-//! (the auditor's existing snapshot format), after which appends resume.
+//! replaces the whole journal with a fresh image of ordinary frames —
+//! the auditor writes one [`Record::Snapshot`] (its audit section)
+//! followed by one record per piece of state — after which appends
+//! resume.
 
 use std::fmt;
 use std::io::Write as _;
@@ -455,8 +457,10 @@ pub enum Record {
         /// Storage time, seconds.
         stored_at: f64,
     },
-    /// A full auditor snapshot (`Auditor::snapshot` bytes). Written by
-    /// compaction as the first record of a fresh journal image.
+    /// The head of a compacted image: the audit section and the count
+    /// of state records that follow it (see
+    /// [`Auditor::compact_journal`](crate::Auditor::compact_journal)).
+    /// Written by compaction as the first record of a fresh image.
     Snapshot(Vec<u8>),
     /// A leadership-epoch boundary: every record *after* this one was
     /// written by the primary holding the named epoch. Promotion appends
@@ -629,19 +633,18 @@ const HEADER: [u8; HEADER_LEN] = {
     [m[0], m[1], m[2], m[3], JOURNAL_VERSION]
 };
 
-/// Encodes `prefix` followed by one `len | crc | payload` frame,
-/// refusing (as [`JournalError::Malformed`]) an empty or oversized
-/// payload, which [`Frames`] would read back as corrupt.
-fn encode_frame(prefix: &[u8], payload: &[u8]) -> Result<Vec<u8>, JournalError> {
+/// Appends one `len | crc | payload` frame to `out`, refusing (as
+/// [`JournalError::Malformed`]) an empty or oversized payload, which
+/// [`Frames`] would read back as corrupt.
+fn encode_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), JournalError> {
     if payload.is_empty() || payload.len() > MAX_RECORD_LEN {
         return Err(JournalError::Malformed("record exceeds frame length cap"));
     }
-    let mut out = Vec::with_capacity(prefix.len() + FRAME_OVERHEAD + payload.len());
-    out.extend_from_slice(prefix);
+    out.reserve(FRAME_OVERHEAD + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     out.extend_from_slice(&crc32(payload).to_be_bytes());
     out.extend_from_slice(payload);
-    Ok(out)
+    Ok(())
 }
 
 /// Where and why a [`Frames`] walk stopped short: the three shapes
@@ -1060,7 +1063,8 @@ impl Journal {
     /// and backend failures; on a backend error the journal may hold a
     /// torn tail, which the next [`Journal::open`] cleans up.
     pub fn append_payload(&self, payload: &[u8]) -> Result<(), JournalError> {
-        let frame = encode_frame(&[], payload)?;
+        let mut frame = Vec::new();
+        encode_frame(&mut frame, payload)?;
         let _g = self.write_lock.lock().unwrap_or_else(|p| p.into_inner());
         self.backend.append(&frame)?;
         self.end
@@ -1068,15 +1072,20 @@ impl Journal {
         Ok(())
     }
 
-    /// Compacts the journal to a single [`Record::Snapshot`] frame via an
-    /// atomic image replacement, bounding future recovery cost.
+    /// Compacts the journal to a fresh image of one frame per record
+    /// payload ([`Record::to_payload`]) via an atomic image replacement,
+    /// bounding future recovery cost.
     ///
     /// # Errors
     ///
-    /// Backend failures; the old image survives a failed replace.
-    pub fn compact(&self, snapshot: &[u8]) -> Result<(), JournalError> {
+    /// [`JournalError::Malformed`] for an empty or oversized payload,
+    /// and backend failures; the old image survives either.
+    pub fn compact(&self, payloads: &[Vec<u8>]) -> Result<(), JournalError> {
         use std::sync::atomic::Ordering;
-        let image = encode_frame(&HEADER, &Record::Snapshot(snapshot.to_vec()).to_payload())?;
+        let mut image = HEADER.to_vec();
+        for payload in payloads {
+            encode_frame(&mut image, payload)?;
+        }
         let _g = self.write_lock.lock().unwrap_or_else(|p| p.into_inner());
         self.backend.replace(&image)?;
         // Rebase the logical stream: the fresh image occupies bytes
@@ -1331,25 +1340,37 @@ mod tests {
         ));
     }
 
+    /// The payload list a compaction test writes.
+    fn payloads(records: &[Record]) -> Vec<Vec<u8>> {
+        records.iter().map(Record::to_payload).collect()
+    }
+
     #[test]
-    fn compaction_replaces_image_with_snapshot_record() {
+    fn compaction_replaces_image_with_the_given_records() {
         let backend = Arc::new(MemBackend::new());
         let (journal, _, _) = Journal::open(backend.clone()).unwrap();
         for i in 0..10 {
             journal.append_record(&zone_record(i)).unwrap();
         }
         let before = backend.bytes().len();
-        journal.compact(b"snapshot-bytes").unwrap();
+        let image = [Record::Snapshot(b"snapshot-bytes".to_vec()), zone_record(7)];
+        journal.compact(&payloads(&image)).unwrap();
         assert!(backend.bytes().len() < before);
         journal.append_record(&zone_record(99)).unwrap();
-        let (_, records, _) = Journal::open(backend).unwrap();
+        let (_, records, _) = Journal::open(backend.clone()).unwrap();
         assert_eq!(
             decoded(&records),
-            vec![
-                Record::Snapshot(b"snapshot-bytes".to_vec()),
-                zone_record(99)
-            ]
+            vec![image[0].clone(), image[1].clone(), zone_record(99)]
         );
+        // An oversized payload fails the whole compaction before any
+        // byte is replaced.
+        let before = backend.bytes();
+        let huge = vec![vec![TAG_SNAPSHOT; MAX_RECORD_LEN + 1]];
+        assert!(matches!(
+            journal.compact(&huge),
+            Err(JournalError::Malformed(_))
+        ));
+        assert_eq!(backend.bytes(), before);
     }
 
     #[test]
@@ -1397,7 +1418,9 @@ mod tests {
         drop(journal);
         let (journal, records, _) = Journal::open(Arc::new(FsBackend::new(&path))).unwrap();
         assert_eq!(records.payloads().len(), 2);
-        journal.compact(b"snap").unwrap();
+        journal
+            .compact(&payloads(&[Record::Snapshot(b"snap".to_vec())]))
+            .unwrap();
         let (_, records, _) = Journal::open(Arc::new(FsBackend::new(&path))).unwrap();
         assert_eq!(decoded(&records), vec![Record::Snapshot(b"snap".to_vec())]);
         let _ = std::fs::remove_file(&path);
@@ -1444,7 +1467,9 @@ mod tests {
             journal.append_record(&zone_record(i)).unwrap();
         }
         let old_end = journal.end_offset();
-        journal.compact(b"snap").unwrap();
+        journal
+            .compact(&payloads(&[Record::Snapshot(b"snap".to_vec())]))
+            .unwrap();
         assert_eq!(journal.base_offset(), old_end);
         assert_eq!(journal.end_offset(), old_end + backend.bytes().len() as u64);
         // A follower acked before compaction, or at exactly the new

@@ -76,7 +76,7 @@ use std::time::Duration;
 use alidrone_obs::{Counter, Gauge, Histogram, Level, Obs};
 
 use crate::audit::{AuditChain, ChainMark};
-use crate::auditor::advance_chain;
+use crate::auditor::{advance_chain, StateRun, Step};
 use crate::journal::{
     DurableImage, Frames, Journal, JournalError, MemBackend, Record, ShipSource, StorageBackend,
 };
@@ -397,8 +397,9 @@ impl ChainUndo {
 /// record moves the chain by the rule recovery applies
 /// ([`advance_chain`]); a `Snapshot` record's reseed stashes the
 /// earlier chain in `undo`. A torn, corrupt or headerless frame, a CRC
-/// mismatch, an undecodable record, or a Merkle checkpoint that
-/// contradicts the recomputed history is a
+/// mismatch, an undecodable record, a Merkle checkpoint that
+/// contradicts the recomputed history, or a snapshot whose state
+/// records are interrupted or cut short is a
 /// [`ReplError::ChainDivergence`]; the caller then restores the chain
 /// through `undo`.
 fn verify_frames(
@@ -407,6 +408,7 @@ fn verify_frames(
     frames: Frames<'_>,
 ) -> Result<u64, ReplError> {
     let mut records = 0;
+    let mut run = StateRun::default();
     for frame in frames {
         let at = chain.size();
         let diverged = |reason| ReplError::ChainDivergence { size: at, reason };
@@ -414,19 +416,33 @@ fn verify_frames(
             .and_then(|f| f.checked())
             .map_err(|e| diverged(e.reason()))?;
         let record = Record::from_payload(payload).map_err(|_| diverged("undecodable record"))?;
-        let reseeded = advance_chain(chain, &record, payload).map_err(|e| match e {
-            ProtocolError::AuditDivergence { size } => ReplError::ChainDivergence {
-                size,
-                reason: "checkpoint root contradicts recomputed history",
-            },
-            _ => diverged("snapshot audit section undecodable"),
-        })?;
-        if let Some(earlier) = reseeded {
-            undo.reseeded.get_or_insert(earlier);
+        let step = advance_chain(chain, &mut run, &record, payload).map_err(|e| refused(at, e))?;
+        if let Step::Reseed { replaced, .. } = step {
+            undo.reseeded.get_or_insert(replaced);
         }
         records += 1;
     }
+    // Compaction replaces the image whole, so a shipped frame never
+    // ends inside a snapshot's state records; recovery refuses one that
+    // does.
+    run.finish().map_err(|e| refused(chain.size(), e))?;
     Ok(records)
+}
+
+/// An [`advance_chain`] refusal at tree size `at`, as a follower
+/// reports it.
+fn refused(at: u64, err: ProtocolError) -> ReplError {
+    let reason = match err {
+        ProtocolError::AuditDivergence { size } => {
+            return ReplError::ChainDivergence {
+                size,
+                reason: "checkpoint root contradicts recomputed history",
+            }
+        }
+        ProtocolError::Malformed(reason) => reason,
+        _ => "snapshot undecodable",
+    };
+    ReplError::ChainDivergence { size: at, reason }
 }
 
 // ---------------------------------------------------------------- follower

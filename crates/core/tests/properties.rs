@@ -362,11 +362,13 @@ fn wire_corruption_never_silent() {
 }
 
 /// A follower accepts a shipped image as a `Snapshot` exactly when
-/// recovery opens the same image cleanly (no torn tail to cut): both
-/// read it through the one journal frame walker. The image is a real
-/// auditor journal (epoch, zones, a drone, a Merkle checkpoint), cut
-/// at every length and hit with seeded single-bit flips, every header
-/// bit included.
+/// recovery opens the same image cleanly (no torn tail to cut, no
+/// refusal): both read it through the one journal frame walker and the
+/// one audit-chain rule. The images are a real auditor journal (epoch,
+/// zones, a drone, a Merkle checkpoint) and the same journal after a
+/// compaction (a snapshot head, its state records, the epoch, one
+/// later zone), each cut at every length and hit with seeded
+/// single-bit flips, every header bit included.
 #[test]
 fn follower_accepts_exactly_what_recovery_opens_cleanly() {
     let backend = Arc::new(MemBackend::new());
@@ -385,17 +387,50 @@ fn follower_accepts_exactly_what_recovery_opens_cleanly() {
         origin().destination(90.0, Distance::from_meters(500.0)),
         Distance::from_meters(50.0),
     ));
-    drop(auditor);
     let image = backend.bytes();
-    let (_, records, _) = Journal::open(Arc::new(MemBackend::with_bytes(image.clone()))).unwrap();
-    let frames = records.payloads().len();
+    let records = frame_records(&image);
     assert!(records
-        .payloads()
-        .any(|p| matches!(Record::from_payload(p), Ok(Record::AuditCheckpoint { .. }))));
+        .iter()
+        .any(|r| matches!(r, Record::AuditCheckpoint { .. })));
+    // Every cut after the header or after a whole frame is clean.
+    assert_eq!(follower_recovery_parity(&image, 409), records.len() + 1);
 
+    auditor.compact_journal().unwrap();
+    auditor.register_zone(NoFlyZone::new(
+        origin().destination(0.0, Distance::from_meters(900.0)),
+        Distance::from_meters(60.0),
+    ));
+    let image = backend.bytes();
+    let records = frame_records(&image);
+    let state = records
+        .iter()
+        .skip(1)
+        .take_while(|r| r.is_audited())
+        .count();
+    assert!(matches!(records[0], Record::Snapshot(_)));
+    assert_eq!(state, 3, "a drone and two zones");
+    // A cut inside the snapshot's state records is refused by both.
+    assert_eq!(
+        follower_recovery_parity(&image, 410),
+        records.len() + 1 - state
+    );
+}
+
+/// The records of a journal image, in order.
+fn frame_records(image: &[u8]) -> Vec<Record> {
+    let (_, replay, _) = Journal::open(Arc::new(MemBackend::with_bytes(image.to_vec()))).unwrap();
+    replay
+        .payloads()
+        .map(|p| Record::from_payload(p).unwrap())
+        .collect()
+}
+
+/// Checks follower/recovery agreement on every cut of `image` and on
+/// seeded bit flips of it; returns how many of them opened cleanly.
+fn follower_recovery_parity(image: &[u8], seed: u64) -> usize {
     let mut damaged: Vec<Vec<u8>> = (1..=image.len()).map(|n| image[..n].to_vec()).collect();
     let mut flip = |pos: usize, bit: u64| {
-        let mut bytes = image.clone();
+        let mut bytes = image.to_vec();
         bytes[pos] ^= 1 << bit;
         damaged.push(bytes);
     };
@@ -404,7 +439,7 @@ fn follower_accepts_exactly_what_recovery_opens_cleanly() {
             flip(pos, bit);
         }
     }
-    let mut rng = XorShift64::seed_from_u64(409);
+    let mut rng = XorShift64::seed_from_u64(seed);
     for _ in 0..CASES * 4 {
         flip(
             rng.gen_range_u64(image.len() as u64) as usize,
@@ -414,8 +449,12 @@ fn follower_accepts_exactly_what_recovery_opens_cleanly() {
 
     let mut clean = 0;
     for bytes in &damaged {
-        let opens_cleanly = Journal::open(Arc::new(MemBackend::with_bytes(bytes.clone())))
-            .is_ok_and(|(_, _, report)| !report.torn_tail);
+        let opens_cleanly = Auditor::recover(
+            Arc::new(MemBackend::with_bytes(bytes.clone())),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+        )
+        .is_ok_and(|(_, report)| !report.torn_tail);
         let follower = Follower::new(Arc::new(MemBackend::new()));
         let accepted = follower
             .apply(&ReplFrame::Snapshot {
@@ -432,7 +471,5 @@ fn follower_accepts_exactly_what_recovery_opens_cleanly() {
         );
         clean += usize::from(opens_cleanly);
     }
-    // Only the cuts after the header and after each frame are clean;
-    // every flip and every mid-frame cut is not.
-    assert_eq!(clean, frames + 1);
+    clean
 }

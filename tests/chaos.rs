@@ -18,14 +18,15 @@
 //!    measurably reduced sufficiency margin at the auditor.
 
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use alidrone::chaos::{FaultPlane, FaultyGps, FaultyTransport};
-use alidrone::core::journal::{MemBackend, StorageBackend};
+use alidrone::core::journal::{Journal, MemBackend, Record, StorageBackend, MAX_RECORD_LEN};
 use alidrone::core::wire::server::AuditorServer;
 use alidrone::core::wire::transport::{AuditorClient, InProcess};
 use alidrone::core::{
-    run_flight, Auditor, AuditorConfig, PoaSubmission, ProofOfAlibi, ProtocolError,
+    run_flight, Auditor, AuditorConfig, PoaSubmission, ProofOfAlibi, ProtocolError, RecoveryReport,
     SamplingStrategy, Submission, Verdict, ZoneQuery,
 };
 use alidrone::crypto::rsa::{HashAlg, RsaPrivateKey};
@@ -199,6 +200,131 @@ fn compaction_survives_crash_recovery() {
     assert_eq!(recovered.snapshot(), auditor.snapshot());
     assert_eq!(recovered.zone_count(), 2);
     assert_eq!(recovered.drone_count(), 1);
+}
+
+/// Recovers a copy of `backend`'s image with the suite's auditor key.
+fn recover_copy(backend: &MemBackend) -> (Auditor, RecoveryReport) {
+    Auditor::recover(
+        Arc::new(MemBackend::with_bytes(backend.bytes())) as Arc<dyn StorageBackend>,
+        AuditorConfig::default(),
+        key(0),
+    )
+    .unwrap()
+}
+
+/// The signed tree head's `(size, root, chain_head)`.
+fn tree_head(auditor: &Auditor) -> (u64, [u8; 32], [u8; 32]) {
+    let sth = auditor.signed_tree_head().unwrap();
+    (sth.size, sth.root, sth.chain_head)
+}
+
+/// A compaction racing registrations and submissions loses none of
+/// them and doubles none: it reads the state under the journal lock,
+/// and a stored PoA joins the in-memory log under that lock too, so
+/// every record lands either in the compacted state or after the fresh
+/// image, never in an image the replace then erases or in both.
+#[test]
+fn compaction_racing_appends_loses_none() {
+    for round in 0..20 {
+        let backend = Arc::new(MemBackend::new());
+        let (auditor, _) = Auditor::recover(
+            Arc::clone(&backend) as Arc<dyn StorageBackend>,
+            AuditorConfig::default(),
+            key(0),
+        )
+        .unwrap();
+        let drone =
+            auditor.register_drone(key(2).public_key().clone(), key(1).public_key().clone());
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while !done.load(Ordering::Acquire) {
+                    auditor.compact_journal().unwrap();
+                    std::thread::sleep(std::time::Duration::from_micros(50));
+                }
+            });
+            let submitter = s.spawn(|| {
+                for i in 0..400 {
+                    let at = Timestamp::from_secs(i as f64);
+                    let submission = PoaSubmission {
+                        drone_id: drone,
+                        window_start: at,
+                        window_end: at,
+                        poa: ProofOfAlibi::from_entries(Vec::new()),
+                    };
+                    auditor.verify(&Submission::plain(submission), at).unwrap();
+                }
+            });
+            for i in 0..400 {
+                auditor.register_zone(NoFlyZone::new(
+                    pad().destination(90.0, Distance::from_meters(20.0 * i as f64)),
+                    Distance::from_meters(5.0),
+                ));
+            }
+            submitter.join().unwrap();
+            done.store(true, Ordering::Release);
+        });
+        let (recovered, _) = recover_copy(&backend);
+        assert_eq!(recovered.zone_count(), 400, "round {round}");
+        assert_eq!(recovered.stored_poa_count(), 400, "round {round}");
+        assert_eq!(tree_head(&recovered), tree_head(&auditor), "round {round}");
+        assert_eq!(recovered.snapshot(), auditor.snapshot(), "round {round}");
+    }
+}
+
+/// Compaction writes state larger than one journal frame may hold
+/// (16 MiB): each stored PoA is its own frame. The state is one signed
+/// 60-sample PoA, verified once and its record appended until the
+/// image passes the cap, so no per-item verify slows the test.
+#[test]
+fn compaction_holds_state_past_one_frame_cap() {
+    let backend = Arc::new(MemBackend::new());
+    let (auditor, _) = Auditor::recover(
+        Arc::clone(&backend) as Arc<dyn StorageBackend>,
+        AuditorConfig::default(),
+        key(0),
+    )
+    .unwrap();
+    let drone = auditor.register_drone(key(2).public_key().clone(), key(1).public_key().clone());
+    let submission = PoaSubmission {
+        drone_id: drone,
+        window_start: Timestamp::from_secs(0.0),
+        window_end: Timestamp::from_secs(59.0),
+        poa: ProofOfAlibi::from_entries(signed_samples(60)),
+    };
+    let report = auditor
+        .verify(&Submission::plain(submission), Timestamp::from_secs(60.0))
+        .unwrap();
+    assert!(report.is_compliant());
+    drop(auditor);
+
+    let (journal, replay, _) =
+        Journal::open(Arc::clone(&backend) as Arc<dyn StorageBackend>).unwrap();
+    let stored = replay.payloads().last().unwrap().to_vec();
+    assert!(matches!(
+        Record::from_payload(&stored),
+        Ok(Record::PoaStored { .. })
+    ));
+    while backend.len() <= MAX_RECORD_LEN + MAX_RECORD_LEN / 8 {
+        journal.append_payload(&stored).unwrap();
+    }
+    drop(journal);
+
+    let (before, _) = recover_copy(&backend);
+    let (live, report) = Auditor::recover(
+        Arc::clone(&backend) as Arc<dyn StorageBackend>,
+        AuditorConfig::default(),
+        key(0),
+    )
+    .unwrap();
+    assert!(!report.snapshot_loaded);
+    live.compact_journal().unwrap();
+    let (after, report) = recover_copy(&backend);
+    assert!(report.snapshot_loaded);
+    assert!(after.stored_poa_count() > 1000);
+    assert_eq!(after.stored_poa_count(), before.stored_poa_count());
+    assert_eq!(after.snapshot(), before.snapshot());
+    assert_eq!(tree_head(&after), tree_head(&before));
 }
 
 // --------------------------------------------------- 2. seeded campaign
