@@ -78,10 +78,12 @@ scrape-smoke:
 soak-smoke:
 	$(CARGO) run -p alidrone-sim --release --offline --bin exp_soak -- --smoke --out target/SOAK_report.json
 
-# Kill-the-primary failover gate: a reduced-seed replication chaos
-# campaign (FAILOVER_SEEDS trims the default 40 seeds), the replicated
-# soak with its kill-and-promote phase (report lands in
-# target/SOAK_failover_report.json for CI to archive), and the
+# Kill-the-primary failover gate: tests/failover.rs — a reduced-seed
+# replication chaos campaign (FAILOVER_SEEDS trims the default 40
+# seeds), the leader-completeness regression test and the packaged
+# Cluster::kill_and_promote path, all promoting through repl::promote —
+# then the replicated soak with its kill-and-promote phase (report
+# lands in target/SOAK_failover_report.json for CI to archive), and the
 # end-to-end failover example.
 failover:
 	FAILOVER_SEEDS=$(or $(FAILOVER_SEEDS),12) $(CARGO) test --release --offline --test failover -q

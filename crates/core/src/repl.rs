@@ -35,14 +35,17 @@
 //! # Epoch fencing
 //!
 //! Every shipped frame carries the primary's leadership epoch.
-//! Promotion fences the old epoch: the designated follower's epoch is
-//! bumped first, the recovered auditor appends a
-//! [`Record::Epoch`]
-//! boundary (shipped to the remaining followers immediately), and from
-//! then on any frame from the deposed primary is answered with
-//! [`ReplAck::Stale`] — surfaced to it as [`ReplError::StaleEpoch`],
-//! which fails its appends under *any* policy. With `Quorum(1)` this
-//! guarantees zero acked-then-lost records for fail-stop crashes; a
+//! [`promote`] is the one promotion rule: it picks the follower with
+//! the highest acked offset (ties to the greatest name), fences it at
+//! one past the newest epoch any follower has seen, recovers it, and
+//! arms it over the remaining followers. The recovered auditor appends
+//! a [`Record::Epoch`] boundary (shipped to the remaining followers
+//! immediately), and from then on any frame from the deposed primary
+//! is answered with [`ReplAck::Stale`] — surfaced to it as
+//! [`ReplError::StaleEpoch`], which fails its appends under *any*
+//! policy. A `Quorum(k)` ack means `k` followers hold the record, so
+//! the most-caught-up follower holds every acked record and, with
+//! `Quorum(1)`, no acked record is lost to a fail-stop crash; a
 //! *symmetric* partition (old primary still serving) additionally
 //! needs a majority quorum, the classic overlap argument — see
 //! DESIGN.md §13.
@@ -73,7 +76,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
-use alidrone_obs::{Counter, Gauge, Histogram, Level, Obs};
+use alidrone_obs::{Counter, Gauge, Level, Obs};
 
 use crate::audit::{AuditChain, ChainMark};
 use crate::auditor::{advance_chain, StateRun, Step};
@@ -81,7 +84,7 @@ use crate::journal::{
     DurableImage, Frames, Journal, JournalError, MemBackend, Record, ShipSource, StorageBackend,
 };
 use crate::wire::codec::{read_frame, write_frame, Reader, Writer};
-use crate::{Auditor, AuditorConfig, ProtocolError};
+use crate::{Auditor, AuditorConfig, ProtocolError, RecoveryReport};
 use alidrone_crypto::rsa::RsaPrivateKey;
 
 /// Cap on a single replication frame body (a full journal image plus
@@ -566,9 +569,9 @@ impl Follower {
     }
 
     /// Raises this follower's epoch floor without touching its log —
-    /// the first step of promotion, so a deposed primary's in-flight
+    /// the first step of [`promote`], so a deposed primary's in-flight
     /// frames land as [`ReplAck::Stale`] instead of appending.
-    pub fn fence(&self, epoch: u64) {
+    pub(crate) fn fence(&self, epoch: u64) {
         let _g = self.lock.lock().unwrap_or_else(|p| p.into_inner());
         self.epoch.fetch_max(epoch, Ordering::AcqRel);
     }
@@ -597,10 +600,8 @@ impl Follower {
         self.backend.read().map_err(ReplError::from)
     }
 
-    /// The backend — hand it to
-    /// [`Auditor::recover`](crate::Auditor::recover) to promote this
-    /// follower.
-    pub fn backend(&self) -> &Arc<dyn StorageBackend> {
+    /// The backend [`promote`] recovers this follower from.
+    pub(crate) fn backend(&self) -> &Arc<dyn StorageBackend> {
         &self.backend
     }
 }
@@ -901,19 +902,9 @@ impl Replicator {
         self
     }
 
-    /// Follower count.
-    pub fn follower_count(&self) -> usize {
-        self.peers.len()
-    }
-
     /// `true` when the policy gates responses on follower acks.
     pub fn requires_quorum(&self) -> bool {
         matches!(self.policy, ReplicationPolicy::Quorum(k) if k > 0)
-    }
-
-    /// The policy in force.
-    pub fn policy(&self) -> ReplicationPolicy {
-        self.policy
     }
 
     /// Sets the epoch shipped with every frame (promotion bumps it via
@@ -927,14 +918,6 @@ impl Replicator {
     /// The epoch frames are currently shipped under.
     pub fn epoch(&self) -> u64 {
         self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Per-follower acked offsets, in follower order.
-    pub fn acked_offsets(&self) -> Vec<(String, u64)> {
-        self.peers
-            .iter()
-            .map(|p| (p.name.clone(), p.acked.load(Ordering::Acquire)))
-            .collect()
     }
 
     /// Brings every follower up to the journal's durable end and
@@ -1118,12 +1101,141 @@ impl fmt::Debug for Replicator {
     }
 }
 
+// ---------------------------------------------------------------- promotion
+
+/// Installs a fresh [`Replicator`] over `followers` on `primary` and
+/// begins `epoch`: the one arm step of a boot and of every promotion.
+///
+/// A `Quorum(k)` larger than the follower set could never be met, so
+/// `k` is clamped to it: a shrinking cluster keeps acking, with weaker
+/// durability, instead of bricking. The `repl.quorum` gauge reads the
+/// follower acks a response now waits for (0 under `Async`), and a
+/// clamp emits one Warn `quorum clamped` event with the requested and
+/// effective `k`.
+///
+/// # Errors
+///
+/// Journal/replication failures while recording the epoch.
+pub fn arm(
+    primary: &Auditor,
+    followers: &[(String, Arc<Follower>)],
+    policy: ReplicationPolicy,
+    epoch: u64,
+    obs: &Obs,
+) -> Result<(), ProtocolError> {
+    let (policy, k) = match policy {
+        ReplicationPolicy::Quorum(requested) => {
+            let k = requested.min(followers.len());
+            if k < requested {
+                obs.emit(Level::Warn, "repl", "quorum clamped", |f| {
+                    f.field("requested", requested);
+                    f.field("effective", k);
+                });
+            }
+            (ReplicationPolicy::Quorum(k), k)
+        }
+        ReplicationPolicy::Async => (ReplicationPolicy::Async, 0),
+    };
+    obs.gauge("repl.quorum").set(k as i64);
+    let mut replicator = Replicator::new(obs, policy);
+    for (name, follower) in followers {
+        replicator =
+            replicator.with_follower(name.clone(), InProcessLink::new(Arc::clone(follower)));
+    }
+    primary.set_replicator(Arc::new(replicator));
+    primary.begin_epoch(epoch)
+}
+
+/// A follower promoted to primary by [`promote`].
+#[derive(Debug)]
+pub struct Promotion {
+    /// The recovered primary, armed over the remaining followers and
+    /// serving the new epoch.
+    pub auditor: Auditor,
+    /// The promoted follower's name.
+    pub follower: String,
+    /// What its replay found.
+    pub report: RecoveryReport,
+}
+
+/// The one promotion rule, run after the primary died (fail-stop; the
+/// dead primary is never read):
+///
+/// 1. pick the follower with the highest acked offset, ties to the
+///    greatest name — under `Quorum(k)` it holds every acked record
+///    (Raft's leader completeness);
+/// 2. fence it at one past the newest epoch any follower has seen, so
+///    the deposed primary's frames land as [`ReplAck::Stale`];
+/// 3. replay its log with
+///    [`Auditor::recover_with_obs`](crate::Auditor::recover_with_obs);
+/// 4. [`arm`] it over the remaining followers at that epoch;
+/// 5. record `repl.failovers`, `repl.failover_duration_us` and one
+///    Info `follower promoted` event.
+///
+/// The promoted follower leaves `followers` once it is armed; after an
+/// error the set is unchanged, and a retry picks the same follower.
+///
+/// # Errors
+///
+/// No follower to promote, recovery failures (damaged follower image),
+/// or replication failures while recording the new epoch.
+pub fn promote(
+    followers: &mut Vec<(String, Arc<Follower>)>,
+    policy: ReplicationPolicy,
+    auditor_config: AuditorConfig,
+    key: RsaPrivateKey,
+    obs: &Obs,
+) -> Result<Promotion, ProtocolError> {
+    let t0 = std::time::Instant::now();
+    let idx = (0..followers.len())
+        .max_by_key(|&i| (followers[i].1.acked_offset(), &followers[i].0))
+        .ok_or_else(|| ProtocolError::Storage("no follower to promote".into()))?;
+    let epoch = 1 + followers
+        .iter()
+        .map(|(_, f)| f.current_epoch())
+        .max()
+        .unwrap_or(0);
+    // Fence before replay: from this instant the deposed primary's
+    // frames land as Stale, not as appends.
+    followers[idx].1.fence(epoch);
+    let (auditor, report) = Auditor::recover_with_obs(
+        Arc::clone(followers[idx].1.backend()),
+        auditor_config,
+        key,
+        obs,
+    )?;
+    // The follower leaves the set only once armed: a failed promotion
+    // leaves the set whole, so a retry picks the same follower again.
+    let rest: Vec<_> = (0..followers.len())
+        .filter(|&i| i != idx)
+        .map(|i| followers[i].clone())
+        .collect();
+    arm(&auditor, &rest, policy, epoch, obs)?;
+    let (follower, _) = followers.remove(idx);
+    obs.histogram("repl.failover_duration_us")
+        .record_micros(t0.elapsed().as_micros() as u64);
+    obs.counter("repl.failovers").inc();
+    let records = report.records_applied;
+    obs.emit(Level::Info, "repl", "follower promoted", |f| {
+        f.field("follower", follower.as_str());
+        f.field("records_replayed", records);
+        f.field("epoch", epoch);
+    });
+    Ok(Promotion {
+        auditor,
+        follower,
+        report,
+    })
+}
+
 // ------------------------------------------------------------------ cluster
 
 /// An in-process replicated auditor cluster: one primary shipping to
 /// [`ClusterConfig::followers`] followers over [`InProcessLink`]s,
-/// with deterministic kill-and-promote failover. The simulated fleet,
-/// the chaos campaign, and `examples/failover.rs` all drive this; a
+/// failing over by [`promote`]. `examples/failover.rs` and the
+/// packaged-cluster tests drive this. The simulated fleet boots with
+/// [`arm`] and fails over with [`promote`] on its own follower set,
+/// the failover campaign calls [`promote`] on its own, and a
 /// deployment would wire the same pieces over [`TcpReplLink`] /
 /// [`FollowerServer`].
 pub struct Cluster {
@@ -1133,13 +1245,11 @@ pub struct Cluster {
     policy: ReplicationPolicy,
     primary: Arc<Auditor>,
     followers: Vec<(String, Arc<Follower>)>,
-    failover_duration: Arc<Histogram>,
-    failovers: Arc<Counter>,
 }
 
 impl Cluster {
     /// Boots a cluster at epoch 1: a journaled primary (fresh
-    /// [`MemBackend`]) with a [`Replicator`] over fresh followers.
+    /// [`MemBackend`]) [`arm`]ed over fresh followers.
     ///
     /// # Errors
     ///
@@ -1162,37 +1272,15 @@ impl Cluster {
             key.clone(),
             obs,
         )?;
-        let mut cluster = Cluster {
+        arm(&primary, &followers, config.policy, 1, obs)?;
+        Ok(Cluster {
             auditor_config,
             key,
             obs: obs.clone(),
             policy: config.policy,
             primary: Arc::new(primary),
             followers,
-            failover_duration: obs.histogram("repl.failover_duration_us"),
-            failovers: obs.counter("repl.failovers"),
-        };
-        cluster.arm_primary(1)?;
-        Ok(cluster)
-    }
-
-    /// Installs a fresh replicator over the current follower set on
-    /// the current primary and begins `epoch`.
-    fn arm_primary(&mut self, epoch: u64) -> Result<(), ProtocolError> {
-        // A quorum larger than the surviving follower set could never
-        // be met; clamp so a shrinking cluster degrades instead of
-        // bricking. Quorum(0) still ships synchronously.
-        let policy = match self.policy {
-            ReplicationPolicy::Quorum(k) => ReplicationPolicy::Quorum(k.min(self.followers.len())),
-            ReplicationPolicy::Async => ReplicationPolicy::Async,
-        };
-        let mut replicator = Replicator::new(&self.obs, policy);
-        for (name, follower) in &self.followers {
-            replicator =
-                replicator.with_follower(name.clone(), InProcessLink::new(follower.clone()));
-        }
-        self.primary.set_replicator(Arc::new(replicator));
-        self.primary.begin_epoch(epoch)
+        })
     }
 
     /// The serving primary.
@@ -1211,42 +1299,21 @@ impl Cluster {
     }
 
     /// Kills the primary (fail-stop: its journal and unshipped tail
-    /// die with it) and promotes the follower at `idx`: fence first,
-    /// then finish replaying the shipped log via
-    /// [`Auditor::recover`](crate::Auditor::recover), then begin the
-    /// next epoch — fencing the deposed primary at every surviving
-    /// follower. Records `repl.failover_duration_us` / `repl.failovers`.
+    /// die with it) and fails over by [`promote`], which picks the
+    /// most-caught-up follower.
     ///
     /// # Errors
     ///
-    /// Recovery failures (damaged follower image) or replication
-    /// failures while recording the new epoch.
-    pub fn kill_and_promote(&mut self, idx: usize) -> Result<Arc<Auditor>, ProtocolError> {
-        let t0 = std::time::Instant::now();
-        let old_epoch = self.primary.current_epoch();
-        let new_epoch = old_epoch + 1;
-        let (name, promoted_follower) = self.followers.remove(idx);
-        // Fence before replay: from this instant the deposed primary's
-        // frames land as Stale, not as appends.
-        promoted_follower.fence(new_epoch);
-        let (promoted, report) = Auditor::recover_with_obs(
-            Arc::clone(promoted_follower.backend()),
+    /// As [`promote`].
+    pub fn kill_and_promote(&mut self) -> Result<Arc<Auditor>, ProtocolError> {
+        let promotion = promote(
+            &mut self.followers,
+            self.policy,
             self.auditor_config.clone(),
             self.key.clone(),
             &self.obs,
         )?;
-        let (records, follower_name) = (report.records_applied, name);
-        self.obs
-            .emit(Level::Info, "repl", "follower promoted", |f| {
-                f.field("follower", follower_name.as_str());
-                f.field("records_replayed", records);
-                f.field("epoch", new_epoch);
-            });
-        self.primary = Arc::new(promoted);
-        self.arm_primary(new_epoch)?;
-        self.failover_duration
-            .record_micros(t0.elapsed().as_micros() as u64);
-        self.failovers.inc();
+        self.primary = Arc::new(promotion.auditor);
         Ok(Arc::clone(&self.primary))
     }
 }
@@ -1542,7 +1609,7 @@ mod tests {
         old_primary.register_zone_durable(zone(0)).unwrap();
         assert_eq!(cluster.epoch(), 1);
 
-        let promoted = cluster.kill_and_promote(0).unwrap();
+        let promoted = cluster.kill_and_promote().unwrap();
         assert_eq!(promoted.current_epoch(), 2);
         // The promoted follower replayed the shipped log: the zone is
         // there and verdict-serving state matches the old primary's.
@@ -1565,6 +1632,142 @@ mod tests {
         promoted.register_zone_durable(zone(3)).unwrap();
         assert_eq!(obs.snapshot().gauges["repl.epoch"], 2);
         assert_eq!(obs.snapshot().counter("repl.failovers"), 1);
+    }
+
+    #[test]
+    fn a_clamped_quorum_shows_on_the_gauge_and_once_as_an_event() {
+        let obs = Obs::noop();
+        let recorder = Arc::new(alidrone_obs::FlightRecorder::new(64));
+        obs.set_subscriber(recorder.clone());
+        let mut cluster = Cluster::new(
+            ClusterConfig {
+                followers: 2,
+                policy: ReplicationPolicy::Quorum(2),
+            },
+            AuditorConfig::default(),
+            auditor_key().clone(),
+            &obs,
+        )
+        .unwrap();
+        assert_eq!(obs.snapshot().gauges["repl.quorum"], 2);
+        cluster.primary().register_zone_durable(zone(0)).unwrap();
+
+        cluster.kill_and_promote().unwrap();
+        assert_eq!(obs.snapshot().gauges["repl.quorum"], 1);
+        let clamps: Vec<_> = recorder
+            .events()
+            .into_iter()
+            .filter(|e| e.message == "quorum clamped")
+            .collect();
+        assert_eq!(clamps.len(), 1, "{clamps:?}");
+        assert_eq!(clamps[0].level, Level::Warn);
+        assert_eq!(clamps[0].field("requested"), Some(&2usize.into()));
+        assert_eq!(clamps[0].field("effective"), Some(&1usize.into()));
+        // The clamped quorum still gates acks on the survivor.
+        cluster.primary().register_zone_durable(zone(1)).unwrap();
+    }
+
+    #[test]
+    fn promotion_picks_the_most_caught_up_follower_and_ties_to_the_greatest_name() {
+        let obs = Obs::noop();
+        let backends: Vec<Arc<MemBackend>> = (0..3).map(|_| Arc::new(MemBackend::new())).collect();
+        let mut followers: Vec<(String, Arc<Follower>)> = ["b", "c", "a"]
+            .iter()
+            .zip(&backends)
+            .map(|(name, b)| (name.to_string(), Arc::new(Follower::new(b.clone()))))
+            .collect();
+        let (primary, _) = Auditor::recover(
+            Arc::new(MemBackend::new()),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+        )
+        .unwrap();
+        arm(&primary, &followers, ReplicationPolicy::Quorum(1), 1, &obs).unwrap();
+        primary.register_zone_durable(zone(0)).unwrap();
+        // "a" and "b" take the next record, "c" misses it.
+        backends[1].fail_next_append();
+        primary.register_zone_durable(zone(1)).unwrap();
+        drop(primary);
+
+        let promotion = promote(
+            &mut followers,
+            ReplicationPolicy::Quorum(1),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+            &obs,
+        )
+        .unwrap();
+        assert_eq!(promotion.follower, "b");
+        assert_eq!(promotion.auditor.zone_count(), 2);
+        assert_eq!(promotion.auditor.current_epoch(), 2);
+        let names: Vec<&str> = followers.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(names, ["c", "a"]);
+        // The laggard caught up under the new epoch.
+        assert_eq!(followers[0].1.current_epoch(), 2);
+        assert_eq!(
+            followers[0].1.image().unwrap(),
+            followers[1].1.image().unwrap()
+        );
+        assert_eq!(obs.snapshot().counter("repl.failovers"), 1);
+    }
+
+    #[test]
+    fn a_failed_promotion_can_be_retried_without_losing_acked_records() {
+        let obs = Obs::noop();
+        let backends: Vec<Arc<MemBackend>> = (0..2).map(|_| Arc::new(MemBackend::new())).collect();
+        let mut followers: Vec<(String, Arc<Follower>)> = backends
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (format!("f{i}"), Arc::new(Follower::new(b.clone()))))
+            .collect();
+        let (primary, _) = Auditor::recover(
+            Arc::new(MemBackend::new()),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+        )
+        .unwrap();
+        arm(&primary, &followers, ReplicationPolicy::Quorum(1), 1, &obs).unwrap();
+        primary.register_zone_durable(zone(0)).unwrap();
+        // Only f1 holds the second zone.
+        backends[0].fail_next_append();
+        primary.register_zone_durable(zone(1)).unwrap();
+        drop(primary);
+
+        // f0's disk is full, so the new epoch misses its quorum.
+        backends[0].set_capacity(Some(0));
+        let promote = |followers: &mut Vec<(String, Arc<Follower>)>| {
+            promote(
+                followers,
+                ReplicationPolicy::Quorum(1),
+                AuditorConfig::default(),
+                auditor_key().clone(),
+                &obs,
+            )
+        };
+        assert!(promote(&mut followers).is_err());
+        assert_eq!(followers.len(), 2, "a failed promotion keeps its follower");
+        assert_eq!(obs.snapshot().counter("repl.failovers"), 0);
+
+        backends[0].set_capacity(None);
+        let promotion = promote(&mut followers).unwrap();
+        assert_eq!(promotion.follower, "f1");
+        assert_eq!(promotion.auditor.zone_count(), 2);
+        assert_eq!(promotion.auditor.current_epoch(), 3);
+        assert_eq!(obs.snapshot().counter("repl.failovers"), 1);
+    }
+
+    #[test]
+    fn promotion_without_followers_is_a_typed_error() {
+        let mut followers = Vec::new();
+        let err = promote(
+            &mut followers,
+            ReplicationPolicy::Quorum(1),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+            &Obs::noop(),
+        )
+        .unwrap_err();
+        assert!(matches!(err, ProtocolError::Storage(_)), "{err}");
     }
 
     #[test]

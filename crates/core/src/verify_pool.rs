@@ -93,7 +93,6 @@ pub struct VerifyPool {
     batches: Arc<Counter>,
     entries: Arc<Counter>,
     early_aborts: Arc<Counter>,
-    batch_size: Arc<Histogram>,
     batch_latency: Arc<Histogram>,
 }
 
@@ -107,9 +106,10 @@ impl std::fmt::Debug for VerifyPool {
 
 impl VerifyPool {
     /// Spawns `threads` workers (clamped to ≥ 1). Batch metrics —
-    /// `auditor.verify_batch.{batches,entries,early_aborts}` counters,
-    /// `auditor.verify_batch.{size,latency_us}` histograms and the
-    /// per-batch `auditor.verify_batch` span — are registered on `obs`.
+    /// `auditor.verify_batch.{batches,entries,early_aborts}` counters
+    /// (entries per batch is `entries / batches`), the
+    /// `auditor.verify_batch.latency_us` histogram and the per-batch
+    /// `auditor.verify_batch` span — are registered on `obs`.
     pub fn new(threads: usize, obs: &Obs) -> Self {
         let threads = threads.max(1);
         let (tx, rx) = mpsc::channel::<Job>();
@@ -140,7 +140,6 @@ impl VerifyPool {
             batches: obs.counter("auditor.verify_batch.batches"),
             entries: obs.counter("auditor.verify_batch.entries"),
             early_aborts: obs.counter("auditor.verify_batch.early_aborts"),
-            batch_size: obs.histogram("auditor.verify_batch.size"),
             batch_latency: obs.histogram("auditor.verify_batch.latency_us"),
         }
     }
@@ -180,7 +179,6 @@ impl VerifyPool {
             .enter_span_recording("auditor.verify_batch", &self.batch_latency);
         self.batches.add(1);
         self.entries.add(n as u64);
-        self.batch_size.record_micros(n as u64);
         // One share per worker plus one for this thread, never more
         // shares than items.
         let shares = (self.workers.len() + 1).min(n);

@@ -34,12 +34,12 @@ use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
-use std::time::{Duration as StdDuration, Instant};
+use std::time::Duration as StdDuration;
 
 use alidrone_chaos::{FaultPlane, FaultyGps, FaultyTransport};
 use alidrone_core::audit::{verify_consistency, verify_inclusion};
 use alidrone_core::journal::{MemBackend, StorageBackend};
-use alidrone_core::repl::{Follower, InProcessLink, ReplicationPolicy, Replicator};
+use alidrone_core::repl::{arm, promote, Follower, ReplicationPolicy};
 use alidrone_core::wire::server::AuditorServer;
 use alidrone_core::wire::tcp::{TcpServer, TcpTransport};
 use alidrone_core::wire::transport::AuditorClient;
@@ -62,6 +62,9 @@ use crate::runner::experiment_key;
 /// Version stamp of the `SOAK_report.json` layout. Bump on any
 /// breaking change so downstream checkers can refuse unknown layouts.
 pub const SOAK_SCHEMA_VERSION: u64 = 1;
+
+/// Ack policy of the replicated soak, at boot and after promotion.
+const REPL_POLICY: ReplicationPolicy = ReplicationPolicy::Quorum(1);
 
 /// Server error counters as they appear in a *parsed scrape* (names
 /// come back sanitized: dots become underscores, `_total` stripped).
@@ -134,10 +137,11 @@ pub struct FleetConfig {
     /// Run the campaign against a *replicated* primary (journal +
     /// two in-process followers under `Quorum(1)`) and append a
     /// kill-and-promote failover phase after the load phases: the
-    /// primary's listener dies, the most-caught-up follower is fenced
-    /// and promoted behind a fresh listener, and clients fail over via
-    /// the multi-endpoint transport. The phase is machine-checked in
-    /// the report like any other, plus a dedicated `failover` section.
+    /// primary's listener dies, [`promote`] picks, fences, recovers and
+    /// re-arms the most-caught-up follower behind a fresh listener,
+    /// and clients fail over via the multi-endpoint transport. The
+    /// phase is machine-checked in the report like any other, plus a
+    /// dedicated `failover` section.
     pub failover: bool,
     /// Append a transparency phase after the load phases: a cohort of
     /// clients (one per drone) submits a verdict, then fetches the
@@ -623,13 +627,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
                 (format!("f{i}"), Arc::new(Follower::new(backend)))
             })
             .collect();
-        let mut replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1));
-        for (name, follower) in &followers {
-            replicator =
-                replicator.with_follower(name.clone(), InProcessLink::new(Arc::clone(follower)));
-        }
-        auditor.set_replicator(Arc::new(replicator));
-        auditor.begin_epoch(1).expect("epoch 1 replicates");
+        arm(&auditor, &followers, REPL_POLICY, 1, &obs).expect("epoch 1 replicates");
         (auditor, Some(followers))
     } else {
         (
@@ -1018,7 +1016,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
     // ------------------------------------------- kill-and-promote phase
     let mut listener_b: Option<TcpServer> = None;
     let mut server_b: Option<Arc<AuditorServer>> = None;
-    let failover = repl_followers.map(|followers| {
+    let failover = repl_followers.map(|mut followers| {
         // One request per drone through a given endpoint list; the ops
         // land in the shared ledger/counters like any phase traffic.
         let drive = |endpoints: Vec<SocketAddr>| -> u64 {
@@ -1071,32 +1069,17 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
             .take()
             .expect("primary listener alive until the kill")
             .shutdown();
-        let t0 = Instant::now();
-
-        // Deterministic promotion: fence the most-caught-up follower
-        // first, then finish replaying its shipped log.
-        let promote_idx = (0..followers.len())
-            .max_by_key(|&i| followers[i].1.acked_offset())
-            .expect("replicated soak has followers");
-        let (promoted_name, promoted_follower) = &followers[promote_idx];
-        promoted_follower.fence(2);
-        let (promoted, report) = Auditor::recover_with_obs(
-            Arc::clone(promoted_follower.backend()),
+        let promotion = promote(
+            &mut followers,
+            REPL_POLICY,
             AuditorConfig::default(),
             experiment_key(),
             &obs,
         )
-        .expect("promotion replay");
-        let (survivor_name, survivor) = &followers[1 - promote_idx];
-        let new_replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1)).with_follower(
-            survivor_name.clone(),
-            InProcessLink::new(Arc::clone(survivor)),
-        );
-        promoted.set_replicator(Arc::new(new_replicator));
-        promoted.begin_epoch(2).expect("epoch 2 replicates");
-        let epoch_after = promoted.current_epoch();
+        .expect("promotion");
+        let epoch_after = promotion.auditor.current_epoch();
         let b = Arc::new(
-            AuditorServer::builder(promoted)
+            AuditorServer::builder(promotion.auditor)
                 .obs(&obs)
                 .workers(cfg.server_workers)
                 .queue_cap(cfg.queue_cap)
@@ -1104,9 +1087,6 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
         );
         let lb = TcpServer::bind(("127.0.0.1", 0), Arc::clone(&b)).expect("bind promoted listener");
         let addr_b = lb.local_addr();
-        obs.histogram("repl.failover_duration_us")
-            .record_micros(t0.elapsed().as_micros() as u64);
-        obs.counter("repl.failovers").inc();
         server_b = Some(b);
         listener_b = Some(lb);
 
@@ -1146,8 +1126,8 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
         FailoverOutcome {
             epoch_before: 1,
             epoch_after,
-            promoted_follower: promoted_name.clone(),
-            records_replayed: report.records_applied as u64,
+            promoted_follower: promotion.follower,
+            records_replayed: promotion.report.records_applied as u64,
             pre_kill_ops,
             post_kill_ops,
             endpoint_rotations: final_counters.counter("transport.endpoint_rotations"),

@@ -7,8 +7,9 @@
 //!
 //! 1. registrations and a verified PoA land on the primary and
 //!    replicate to both followers,
-//! 2. the primary is killed; the most-caught-up follower is *fenced*
-//!    (epoch bump) and finishes replaying the shipped log,
+//! 2. the primary is killed; [`Cluster::kill_and_promote`] picks the
+//!    most-caught-up follower, *fences* it (epoch bump), finishes
+//!    replaying the shipped log and re-arms it over the survivor,
 //! 3. the deposed primary's next write is rejected with a typed
 //!    stale-epoch error — no split brain,
 //! 4. the promoted primary keeps verifying PoAs, and the replication
@@ -103,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let state_before_kill = primary.snapshot();
 
     // ---- 2. Kill the primary, promote a follower ---------------------
-    let promoted = cluster.kill_and_promote(0)?;
+    let promoted = cluster.kill_and_promote()?;
     println!(
         "primary killed; follower promoted, now serving epoch {}",
         cluster.epoch()

@@ -2,8 +2,9 @@
 //!
 //! Each seed draws a full failure scenario from the fault plane — op
 //! count, kill point, a compaction racing the kill, a partition window
-//! putting one follower into catch-up, probabilistic ship loss, and an
-//! optional torn primary append at the kill — then:
+//! putting one follower into catch-up, probabilistic ship loss, an
+//! optional torn primary append at the kill, and an optional failed
+//! append on one follower's backend just before the kill — then:
 //!
 //! 1. runs a crash-free **reference** auditor over the same op
 //!    schedule, checkpointing state after every op;
@@ -11,8 +12,9 @@
 //!    followers under `Quorum(1)` through seeded
 //!    [`FaultyLink`](alidrone::chaos::FaultyLink)s, killing the
 //!    primary at the drawn offset;
-//! 3. promotes the most-caught-up follower (fence → replay → new
-//!    epoch) and asserts:
+//! 3. promotes through [`promote`], the one promotion rule
+//!    (most-caught-up follower → fence → replay → re-arm → new epoch),
+//!    and asserts:
 //!    * the promoted state is **byte-identical to a reference
 //!      checkpoint** (followers hold whole-record journal prefixes);
 //!    * **zero acked-then-lost records**: every op the dead primary
@@ -33,7 +35,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use alidrone::chaos::{FaultPlane, FaultyLink, PartitionSwitch};
 use alidrone::core::journal::{MemBackend, StorageBackend};
 use alidrone::core::repl::{
-    Cluster, ClusterConfig, Follower, InProcessLink, ReplicationPolicy, Replicator,
+    arm, promote, Cluster, ClusterConfig, Follower, InProcessLink, Promotion, ReplicationPolicy,
+    Replicator,
 };
 use alidrone::core::{Auditor, AuditorConfig, ProtocolError};
 use alidrone::crypto::rng::XorShift64;
@@ -82,6 +85,11 @@ struct Plan {
     drop_p: f64,
     /// Tear the primary's final journal append (kill mid-record).
     tear_on_kill: bool,
+    /// `(op, follower)`: that follower's backend fails its append
+    /// during that op, one of the last two before the kill, so the
+    /// followers may disagree on the last acked record when the
+    /// primary dies.
+    backend_fault: Option<(usize, usize)>,
 }
 
 impl Plan {
@@ -99,6 +107,11 @@ impl Plan {
         });
         let drop_p = if s.chance(0.4) { 0.15 } else { 0.0 };
         let tear_on_kill = s.chance(0.5);
+        // Drawn last, so every earlier field keeps its value per seed.
+        let backend_fault = s.chance(0.4).then(|| {
+            let op = kill_at - 1 - (s.next_u64() % 2) as usize;
+            (op, (s.next_u64() % 2) as usize)
+        });
         Plan {
             n_ops,
             kill_at,
@@ -106,8 +119,27 @@ impl Plan {
             partition,
             drop_p,
             tear_on_kill,
+            backend_fault,
         }
     }
+}
+
+/// A follower set as [`promote`] takes it.
+type Members = Vec<(String, Arc<Follower>)>;
+
+/// Two followers named `f0`, `f1`, with their backends kept for fault
+/// injection.
+fn followers() -> (Vec<Arc<MemBackend>>, Members) {
+    let backends: Vec<Arc<MemBackend>> = (0..2).map(|_| Arc::new(MemBackend::new())).collect();
+    let followers = backends
+        .iter()
+        .enumerate()
+        .map(|(i, b)| {
+            let backend: Arc<dyn StorageBackend> = Arc::clone(b) as _;
+            (format!("f{i}"), Arc::new(Follower::new(backend)))
+        })
+        .collect();
+    (backends, followers)
 }
 
 /// Applies op `i` through the durable (quorum-gated) API. Every op is
@@ -164,20 +196,18 @@ fn campaign_run(seed: u64) -> Vec<String> {
     )
     .expect("primary recovers");
     let primary = Arc::new(primary);
-    let followers: Vec<Arc<Follower>> = (0..2)
-        .map(|_| Arc::new(Follower::new(Arc::new(MemBackend::new()))))
-        .collect();
+    let (backends, mut followers) = followers();
     let mut switches: Vec<PartitionSwitch> = Vec::new();
     let mut replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1));
-    for (i, follower) in followers.iter().enumerate() {
+    for (name, follower) in &followers {
         let link = FaultyLink::new(
             InProcessLink::new(Arc::clone(follower)),
             &plane,
-            &format!("repl.f{i}"),
+            &format!("repl.{name}"),
         )
         .drop_with(plan.drop_p);
         switches.push(link.partition_switch());
-        replicator = replicator.with_follower(format!("f{i}"), link);
+        replicator = replicator.with_follower(name.clone(), link);
     }
     primary.set_replicator(Arc::new(replicator));
     primary.begin_epoch(1).expect("epoch 1 replicates");
@@ -199,12 +229,34 @@ fn campaign_run(seed: u64) -> Vec<String> {
                 Err(e) => log.push(format!("op {i}: compact err {e}")),
             }
         }
+        let fault = plan
+            .backend_fault
+            .filter(|&(op, _)| op == i)
+            .map(|(_, f)| f);
+        if let Some(f) = fault {
+            backends[f].fail_next_append();
+        }
         match apply_op(&primary, i) {
             Ok(()) => {
                 acked.push(i);
                 log.push(format!("op {i}: acked"));
             }
             Err(e) => log.push(format!("op {i}: err {e}")),
+        }
+        if let Some(f) = fault {
+            // An empty append consumes a fault the op never reached (a
+            // cut link, a dropped frame, a snapshot replace), so it
+            // cannot fire after the kill.
+            match backends[f].append(&[]) {
+                Ok(()) => log.push(format!(
+                    "op {i}: f{f} append failed; acked offsets {:?}",
+                    followers
+                        .iter()
+                        .map(|(_, follower)| follower.acked_offset())
+                        .collect::<Vec<_>>()
+                )),
+                Err(_) => log.push(format!("op {i}: f{f} append fault unreached")),
+            }
         }
     }
     // Kill mid-record: the primary's final append tears. The op must
@@ -218,23 +270,23 @@ fn campaign_run(seed: u64) -> Vec<String> {
         }
     }
 
-    // --- fail-stop kill + deterministic promotion --------------------
-    // Designated follower: the most-caught-up one (with Quorum(1) it is
-    // the only choice that can hold every acked record).
-    let promote_idx = (0..followers.len())
-        .max_by_key(|&i| followers[i].acked_offset())
-        .expect("two followers");
-    log.push(format!("promote f{promote_idx}"));
-    let promoted_follower = Arc::clone(&followers[promote_idx]);
-    // Fence FIRST: from here the dead primary's frames land Stale.
-    promoted_follower.fence(2);
-    let (promoted, report) = Auditor::recover_with_obs(
-        Arc::clone(promoted_follower.backend()),
+    // --- fail-stop kill + promotion by the one rule ------------------
+    // It fences before replay, so from then on the dead primary's
+    // frames land Stale, and re-arms over the survivor at epoch 2.
+    let members = followers.clone();
+    let Promotion {
+        auditor: promoted,
+        follower: promoted_name,
+        report,
+    } = promote(
+        &mut followers,
+        ReplicationPolicy::Quorum(1),
         AuditorConfig::default(),
         key(0),
         &obs,
     )
-    .unwrap_or_else(|e| panic!("seed {seed}: promotion replay failed: {e}"));
+    .unwrap_or_else(|e| panic!("seed {seed}: promotion failed: {e}"));
+    log.push(format!("promote {promoted_name}"));
     assert!(
         !report.torn_tail,
         "seed {seed}: follower received a torn record"
@@ -256,15 +308,10 @@ fn campaign_run(seed: u64) -> Vec<String> {
         );
     }
 
-    // New epoch over the surviving follower; the deposed primary's
-    // links still point at both followers.
-    let survivor_idx = 1 - promote_idx;
-    let survivor = Arc::clone(&followers[survivor_idx]);
+    // The deposed primary's links still point at both followers;
+    // healed, its next write reaches a fenced one.
+    let (survivor_name, survivor) = &followers[0];
     switches.iter().for_each(PartitionSwitch::heal);
-    let new_replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1))
-        .with_follower("survivor", InProcessLink::new(Arc::clone(&survivor)));
-    promoted.set_replicator(Arc::new(new_replicator));
-    promoted.begin_epoch(2).expect("epoch 2 replicates");
     assert_eq!(promoted.current_epoch(), 2, "seed {seed}");
 
     // The deposed primary is fenced: its next durable mutation fails
@@ -298,9 +345,12 @@ fn campaign_run(seed: u64) -> Vec<String> {
     // Quiesced reconciliation: the survivor's journal image is
     // byte-identical to the new primary's, and the scrape agrees
     // exactly — zero lag, matching acked offset, epoch 2.
-    let primary_image = promoted_follower
-        .backend()
-        .read()
+    let primary_image = members
+        .iter()
+        .find(|(name, _)| *name == promoted_name)
+        .expect("promoted follower was a member")
+        .1
+        .image()
         .expect("promoted journal readable");
     assert_eq!(
         survivor.image().expect("survivor readable"),
@@ -312,7 +362,7 @@ fn campaign_run(seed: u64) -> Vec<String> {
     assert_eq!(snap.gauges["repl.lag_records"], 0, "seed {seed}");
     assert_eq!(snap.gauges["repl.epoch"], 2, "seed {seed}");
     assert_eq!(
-        snap.gauges["repl.acked_offset.survivor"],
+        snap.gauges[&format!("repl.acked_offset.{survivor_name}")],
         survivor.acked_offset() as i64,
         "seed {seed}"
     );
@@ -334,8 +384,11 @@ fn kill_the_primary_campaign() {
     let mut compactions = 0usize;
     let mut catchup_kills = 0usize;
     let mut torn_kills = 0usize;
+    let mut backend_faults = 0usize;
+    let mut rule_decided = 0usize;
     for seed in 0..seeds {
-        for line in campaign_run(seed) {
+        let log = campaign_run(seed);
+        for line in &log {
             if line.contains("compacted") {
                 compactions += 1;
             }
@@ -345,6 +398,16 @@ fn kill_the_primary_campaign() {
             if line.contains("promote f0") {
                 catchup_kills += 1;
             }
+            if line.contains("append failed") {
+                backend_faults += 1;
+            }
+        }
+        // f1 wins every tie, so passing it over after its backend
+        // failed means it was behind at the kill: a seed where
+        // promoting the other follower would have lost acked records.
+        let has = |s: &str| log.iter().any(|l| l.contains(s));
+        if has("f1 append failed") && has("promote f0") {
+            rule_decided += 1;
         }
     }
     // The plan space must actually cover the interesting offsets.
@@ -352,6 +415,11 @@ fn kill_the_primary_campaign() {
         assert!(compactions > 0, "no seed compacted before the kill");
         assert!(torn_kills > 0, "no seed tore the final append");
         assert!(catchup_kills > 0, "no seed killed during catch-up");
+        assert!(backend_faults > 0, "no follower backend failed an append");
+        assert!(
+            rule_decided > 0,
+            "no seed left a failed follower behind at the kill"
+        );
     }
 }
 
@@ -383,7 +451,7 @@ fn packaged_cluster_survives_promotion() {
     }
     let before = cluster.primary().snapshot();
     let old_primary = Arc::clone(cluster.primary());
-    let promoted = cluster.kill_and_promote(0).unwrap();
+    let promoted = cluster.kill_and_promote().unwrap();
     assert_eq!(promoted.snapshot(), before);
     assert_eq!(cluster.epoch(), 2);
     // Old primary fenced, new primary serving.
@@ -401,4 +469,47 @@ fn packaged_cluster_survives_promotion() {
             .is_some_and(|h| h.count == 1),
         "failover duration must be recorded once"
     );
+}
+
+/// Leader completeness: `Quorum(1)` acks a record through follower 0
+/// while follower 1's backend fails that append, then the primary dies.
+/// The rule promotes follower 0 and every acked record survives;
+/// promoting follower 1 would recover only the first of the two zones.
+#[test]
+fn promotion_keeps_a_record_only_one_follower_acked() {
+    let obs = Obs::noop();
+    let (backends, mut followers) = followers();
+    let (primary, _) = Auditor::recover_with_obs(
+        Arc::new(MemBackend::new()),
+        AuditorConfig::default(),
+        key(0),
+        &obs,
+    )
+    .unwrap();
+    arm(&primary, &followers, ReplicationPolicy::Quorum(1), 1, &obs).unwrap();
+    let mut acked = vec![primary.register_zone_durable(zone(0)).unwrap()];
+    backends[1].fail_next_append();
+    acked.push(primary.register_zone_durable(zone(1)).unwrap());
+    let (f0, f1) = (&followers[0].1, &followers[1].1);
+    assert!(
+        f1.acked_offset() < f0.acked_offset(),
+        "f1 missed the append"
+    );
+    drop(primary);
+
+    let promotion = promote(
+        &mut followers,
+        ReplicationPolicy::Quorum(1),
+        AuditorConfig::default(),
+        key(0),
+        &obs,
+    )
+    .unwrap();
+    assert_eq!(promotion.follower, "f0");
+    for id in acked {
+        assert!(
+            promotion.auditor.zone(id).is_some(),
+            "acked zone {id} lost at failover"
+        );
+    }
 }
