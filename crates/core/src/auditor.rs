@@ -23,11 +23,10 @@ use alidrone_geo::{
     check_monotonic, Duration, GeoError, NoFlyZone, ReachableSet, Speed, Timestamp, ZoneSet,
     FAA_MAX_SPEED,
 };
-use alidrone_obs::{Counter, Histogram, Level, Obs};
+use alidrone_obs::{Histogram, Level, Obs};
 use alidrone_tee::SignedSample;
 
 use crate::audit::{AuditChain, ConsistencyProof, InclusionProof, SignedTreeHead};
-use crate::cache::LruCache;
 use crate::identity::Registration;
 use crate::journal::{Journal, JournalError, Record, StorageBackend};
 use crate::messages::{Accusation, PoaSubmission, Submission, ZoneQuery, ZoneResponse};
@@ -41,9 +40,6 @@ use crate::{DroneId, ProtocolError, ZoneId};
 /// above this size — below it, per-batch coordination costs more than
 /// the parallelism recovers.
 const MIN_BATCH: usize = 4;
-
-/// Bound on cached zone-query rectangle results.
-const ZONE_QUERY_CACHE_CAP: usize = 256;
 
 /// Auditor policy knobs.
 #[derive(Debug, Clone)]
@@ -283,9 +279,39 @@ pub enum AccusationOutcome {
     },
 }
 
-/// A shared, immutable view of the zone registry taken at one
-/// generation; cloned out of the caches below without copying zones.
-type ZoneSnapshot = Arc<Vec<(ZoneId, NoFlyZone)>>;
+/// The zone registry in zone-id order: `ids[i]` names the `i`-th zone
+/// of `set`, so step 6's `InsideZone { zone }` and eq. (1)'s
+/// `tightest_zone` index address the same zone.
+#[derive(Debug, Clone, Default)]
+struct ZoneRegistry {
+    ids: Vec<ZoneId>,
+    set: ZoneSet,
+}
+
+impl ZoneRegistry {
+    /// Puts `zone` at `id`'s place in id order. Ids are issued before
+    /// the registry lock is taken, and replay may meet them out of
+    /// order, so that place is not always the end. An id already
+    /// present is overwritten, as a map insert would.
+    fn insert(&mut self, id: ZoneId, zone: NoFlyZone) {
+        match self.ids.binary_search(&id) {
+            Ok(i) => self.set.as_mut_slice()[i] = zone,
+            Err(i) => {
+                self.ids.insert(i, id);
+                self.set.insert(i, zone);
+            }
+        }
+    }
+
+    fn get(&self, id: ZoneId) -> Option<NoFlyZone> {
+        let i = self.ids.binary_search(&id).ok()?;
+        Some(self.set.as_slice()[i])
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (ZoneId, &NoFlyZone)> {
+        self.ids.iter().copied().zip(self.set.iter())
+    }
+}
 
 /// The AliDrone Server run by the auditor (paper §IV-C2).
 ///
@@ -299,7 +325,11 @@ pub struct Auditor {
     /// release the registry lock before the RSA work starts; each holds
     /// the *prepared* verifiers (see [`Registration`]).
     drones: RwLock<BTreeMap<DroneId, Arc<Registration>>>,
-    zones: RwLock<BTreeMap<ZoneId, NoFlyZone>>,
+    /// The one zone view every reader shares (see
+    /// [`zones`](Self::zones)); a registration swaps in an updated
+    /// copy through `Arc::make_mut`, which copies only while a reader
+    /// still holds the old view.
+    zones: RwLock<Arc<ZoneRegistry>>,
     used_nonces: Mutex<BTreeSet<(DroneId, [u8; 16])>>,
     stored: RwLock<Vec<StoredPoa>>,
     next_drone: AtomicU64,
@@ -328,18 +358,6 @@ pub struct Auditor {
     /// The shared batch-verification pool, installed once (normally by
     /// the server builder). `None` = every check runs serially inline.
     verify_pool: OnceLock<Arc<VerifyPool>>,
-    /// Bumped on every zone-registry mutation (registration, journal
-    /// replay); generation-keyed caches below can then never serve a
-    /// pre-mutation view.
-    zone_generation: AtomicU64,
-    /// Single-slot cache of the full zone snapshot verification runs
-    /// against, keyed by generation.
-    zone_snapshot: Mutex<Option<(u64, ZoneSnapshot)>>,
-    /// LRU of zone-query rectangle results, keyed by (generation,
-    /// corner coordinates).
-    zone_query_cache: Mutex<LruCache<(u64, [u64; 4]), ZoneSnapshot>>,
-    zone_cache_hits: Arc<Counter>,
-    zone_cache_misses: Arc<Counter>,
     /// Tamper-evident audit chain over every durable mutation (see
     /// [`crate::audit`]). Advanced under the journal lock so chain
     /// order always matches journal append order.
@@ -381,7 +399,7 @@ impl Auditor {
             config,
             encryption_key,
             drones: RwLock::new(BTreeMap::new()),
-            zones: RwLock::new(BTreeMap::new()),
+            zones: RwLock::default(),
             used_nonces: Mutex::new(BTreeSet::new()),
             stored: RwLock::new(Vec::new()),
             next_drone: AtomicU64::new(1),
@@ -395,11 +413,6 @@ impl Auditor {
             epoch: AtomicU64::new(0),
             replicator: OnceLock::new(),
             verify_pool: OnceLock::new(),
-            zone_generation: AtomicU64::new(0),
-            zone_snapshot: Mutex::new(None),
-            zone_query_cache: Mutex::new(LruCache::new(ZONE_QUERY_CACHE_CAP)),
-            zone_cache_hits: obs.counter("auditor.zone_query_cache.hits"),
-            zone_cache_misses: obs.counter("auditor.zone_query_cache.misses"),
             audit: Mutex::new(AuditState::empty()),
             checkpoint_countersigner: OnceLock::new(),
         }
@@ -416,12 +429,6 @@ impl Auditor {
     /// The installed batch-verification pool, if any.
     pub fn verify_pool(&self) -> Option<&Arc<VerifyPool>> {
         self.verify_pool.get()
-    }
-
-    /// Invalidates every generation-keyed zone cache. Called on each
-    /// zone mutation; also safe (and cheap) to call from chaos hooks.
-    fn bump_zone_generation(&self) {
-        self.zone_generation.fetch_add(1, Ordering::Release);
     }
 
     /// Recovers an auditor from a journal on `backend` and arms it to
@@ -535,11 +542,10 @@ impl Auditor {
                 let center = GeoPoint::new(*lat_deg, *lon_deg).map_err(ProtocolError::Geo)?;
                 let zone = NoFlyZone::try_new(center, Distance::from_meters(*radius_m))
                     .map_err(ProtocolError::Geo)?;
-                self.zones
-                    .write()
-                    .unwrap_or_else(|p| p.into_inner())
+                // No reader holds the view during replay, so
+                // `make_mut` never copies: N zones replay in O(N).
+                Arc::make_mut(self.zones.get_mut().unwrap_or_else(|p| p.into_inner()))
                     .insert(ZoneId::new(*id), zone);
-                self.bump_zone_generation();
                 self.next_zone.fetch_max(id + 1, Ordering::Relaxed);
             }
             Record::NonceUsed { drone, nonce } => {
@@ -1012,12 +1018,8 @@ impl Auditor {
 
     fn register_zone_inner(&self, zone: NoFlyZone) -> (ZoneId, Result<(), ProtocolError>) {
         let id = ZoneId::new(self.next_zone.fetch_add(1, Ordering::Relaxed));
-        // Single insert on one lock: poisoning cannot corrupt the map.
-        self.zones
-            .write()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(id, zone);
-        self.bump_zone_generation();
+        // Single insert on one lock: poisoning cannot corrupt the view.
+        Arc::make_mut(&mut self.zones.write().unwrap_or_else(|p| p.into_inner())).insert(id, zone);
         (id, self.journal_append(&zone_record(id, &zone)))
     }
 
@@ -1036,23 +1038,21 @@ impl Auditor {
     // or Vec operation, so poisoning can only mean a *reader* panicked —
     // the data underneath is structurally sound.
 
-    /// Look up a zone's geometry.
-    pub fn zone(&self, id: ZoneId) -> Option<NoFlyZone> {
-        self.zones
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&id)
-            .copied()
+    /// The zone registry as one shared view: the read lock is held
+    /// only to clone the `Arc`, and every zone reader — verification,
+    /// zone queries, accusations, snapshots — works on the view.
+    fn zones(&self) -> Arc<ZoneRegistry> {
+        Arc::clone(&self.zones.read().unwrap_or_else(|p| p.into_inner()))
     }
 
-    /// All registered zones as a set.
+    /// Look up a zone's geometry.
+    pub fn zone(&self, id: ZoneId) -> Option<NoFlyZone> {
+        self.zones().get(id)
+    }
+
+    /// All registered zones as a set, in zone-id order.
     pub fn zone_set(&self) -> ZoneSet {
-        self.zones
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .values()
-            .copied()
-            .collect()
+        self.zones().set.clone()
     }
 
     /// Number of registered drones.
@@ -1062,7 +1062,7 @@ impl Auditor {
 
     /// Number of registered zones.
     pub fn zone_count(&self) -> usize {
-        self.zones.read().unwrap_or_else(|p| p.into_inner()).len()
+        self.zones().ids.len()
     }
 
     /// The registered TEE verification key for a drone.
@@ -1106,88 +1106,13 @@ impl Auditor {
             drone: query.drone_id.value(),
             nonce: query.nonce,
         })?;
-        let zones = self.zones_in_rect(&query.corner1, &query.corner2)?;
-        Ok(ZoneResponse {
-            zones: zones.as_ref().clone(),
-        })
-    }
-
-    /// Zones whose centres fall inside the rectangle, through a
-    /// generation-keyed LRU: the same navigation area queried twice
-    /// against an unchanged registry is a map lookup, and any zone
-    /// registration bumps the generation so stale results can never
-    /// match again.
-    fn zones_in_rect(
-        &self,
-        corner1: &alidrone_geo::GeoPoint,
-        corner2: &alidrone_geo::GeoPoint,
-    ) -> Result<ZoneSnapshot, ProtocolError> {
-        let generation = self.zone_generation.load(Ordering::Acquire);
-        let key = (
-            generation,
-            [
-                corner1.lat_deg().to_bits(),
-                corner1.lon_deg().to_bits(),
-                corner2.lat_deg().to_bits(),
-                corner2.lon_deg().to_bits(),
-            ],
-        );
-        if let Some(hit) = self
-            .zone_query_cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .get(&key)
-        {
-            self.zone_cache_hits.add(1);
-            return Ok(Arc::clone(hit));
-        }
-        self.zone_cache_misses.add(1);
-        let result = {
-            let zones = self
-                .zones
-                .read()
-                .map_err(|_| ProtocolError::LockPoisoned("zone registry"))?;
-            Arc::new(
-                zones
-                    .iter()
-                    .filter(|(_, z)| z.center_within_rect(corner1, corner2))
-                    .map(|(id, z)| (*id, *z))
-                    .collect::<Vec<_>>(),
-            )
-        };
-        self.zone_query_cache
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(key, Arc::clone(&result));
-        Ok(result)
-    }
-
-    /// The point-in-time zone snapshot verification runs against,
-    /// cached per generation. Zones are append-only, so a snapshot
-    /// built just after a concurrent registration but stored under the
-    /// pre-registration generation is still sound — it only ever
-    /// contains *more* zones, exactly as if the submission had arrived
-    /// moments later.
-    fn zones_snapshot(&self) -> Result<ZoneSnapshot, ProtocolError> {
-        let generation = self.zone_generation.load(Ordering::Acquire);
-        {
-            let slot = self.zone_snapshot.lock().unwrap_or_else(|p| p.into_inner());
-            if let Some((g, snap)) = &*slot {
-                if *g == generation {
-                    return Ok(Arc::clone(snap));
-                }
-            }
-        }
-        let snap: ZoneSnapshot = {
-            let zones = self
-                .zones
-                .read()
-                .map_err(|_| ProtocolError::LockPoisoned("zone registry"))?;
-            Arc::new(zones.iter().map(|(id, z)| (*id, *z)).collect())
-        };
-        *self.zone_snapshot.lock().unwrap_or_else(|p| p.into_inner()) =
-            Some((generation, Arc::clone(&snap)));
-        Ok(snap)
+        let zones = self
+            .zones()
+            .iter()
+            .filter(|(_, z)| z.center_within_rect(&query.corner1, &query.corner2))
+            .map(|(id, z)| (id, *z))
+            .collect();
+        Ok(ZoneResponse { zones })
     }
 
     /// Step 4 — the typed verification entry point: verifies a
@@ -1258,10 +1183,9 @@ impl Auditor {
                 return Err(ProtocolError::UnknownDrone(submission.drone_id));
             }
         };
-        // Verify against a point-in-time snapshot of the zone registry
-        // (cached per generation): the locks are released before the
-        // RSA/geometry work begins.
-        let zones = self.zones_snapshot()?;
+        // Verify against the shared zone view: the locks are released
+        // before the RSA/geometry work begins.
+        let zones = self.zones();
         let report = self.verify_poa_inner(&submission.poa, &record, submission, &zones);
         drop(span);
         let stored = StoredPoa {
@@ -1285,14 +1209,14 @@ impl Auditor {
         Ok(report)
     }
 
-    /// The 7-step verification pipeline, run against a `zones` snapshot
+    /// The 7-step verification pipeline, run against the `zones` view
     /// taken by the caller — no auditor lock is held while this executes.
     fn verify_poa_inner(
         &self,
         poa: &ProofOfAlibi,
         record: &Arc<Registration>,
         submission: &PoaSubmission,
-        zones: &[(ZoneId, NoFlyZone)],
+        zones: &ZoneRegistry,
     ) -> VerificationReport {
         // 1. Non-empty.
         if poa.is_empty() {
@@ -1371,12 +1295,12 @@ impl Auditor {
         }
         // 6. No sample inside any zone.
         for (i, s) in alibi.iter().enumerate() {
-            for (zid, z) in zones {
+            for (zid, z) in zones.iter() {
                 if z.contains(&s.point()) {
                     return VerificationReport {
                         verdict: Verdict::InsideZone {
                             index: i,
-                            zone: *zid,
+                            zone: zid,
                         },
                         sufficiency: None,
                     };
@@ -1386,10 +1310,9 @@ impl Auditor {
         // 7. Alibi sufficiency, eq. (1) — declared gaps inflate the
         // travel budget of overlapping pairs, so outages weaken the
         // alibi instead of disappearing.
-        let zone_set: ZoneSet = zones.iter().map(|(_, z)| *z).collect();
         let suff = check_alibi_with_gaps(
             &alibi,
-            &zone_set,
+            &zones.set,
             self.config.v_max,
             self.config.criterion,
             &gap_windows,
@@ -1451,11 +1374,8 @@ impl Auditor {
         accusation: &Accusation,
     ) -> Result<AccusationOutcome, ProtocolError> {
         let zone = self
-            .zones
-            .read()
-            .map_err(|_| ProtocolError::LockPoisoned("zone registry"))?
-            .get(&accusation.zone_id)
-            .copied()
+            .zones()
+            .get(accusation.zone_id)
             .ok_or(ProtocolError::UnknownZone(accusation.zone_id))?;
         // Find a stored PoA from this drone whose window covers the time.
         let log = self
@@ -1737,9 +1657,11 @@ impl Auditor {
                 .map(|(id, r)| drone_record(*id, r).to_payload()),
         );
         drop(drones);
-        let zones = self.zones.read().unwrap_or_else(|p| p.into_inner());
-        image.extend(zones.iter().map(|(id, z)| zone_record(*id, z).to_payload()));
-        drop(zones);
+        image.extend(
+            self.zones()
+                .iter()
+                .map(|(id, z)| zone_record(id, z).to_payload()),
+        );
         let nonces = self.used_nonces.lock().unwrap_or_else(|p| p.into_inner());
         image.extend(nonces.iter().map(|&(drone, nonce)| {
             let drone = drone.value();
@@ -2258,6 +2180,67 @@ mod tests {
         // Fresh registrations continue past every recovered id.
         let d2 = registered(&b);
         assert!(d2.value() > d.value());
+    }
+
+    #[test]
+    fn out_of_order_zone_replay_recovers_the_live_view() {
+        let inner = NoFlyZone::new(origin(), Distance::from_meters(15.0));
+        let outer = NoFlyZone::new(
+            origin().destination(90.0, Distance::from_meters(5.0)),
+            Distance::from_meters(30.0),
+        );
+        let live = auditor();
+        let d = registered(&live);
+        let (z1, z2) = (live.register_zone(inner), live.register_zone(outer));
+        // Ids are issued before the registry lock is taken, so a journal
+        // can hold zone 2's record ahead of zone 1's.
+        let backend = Arc::new(MemBackend::new());
+        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let registration = Registration::new(
+            operator_key().public_key().clone(),
+            tee_key().public_key().clone(),
+        );
+        for record in [
+            drone_record(d, &registration),
+            zone_record(z2, &outer),
+            zone_record(z1, &inner),
+        ] {
+            journal.append_payload(&record.to_payload()).unwrap();
+        }
+        let (replayed, _) = recovered(backend);
+
+        // Sample 0 lies inside both zones: step 6 names the lower id.
+        let inside = Submission::plain(submission(d, 5));
+        for a in [&live, &replayed] {
+            let rep = a.verify(&inside, Timestamp::EPOCH).unwrap();
+            assert_eq!(rep.verdict, Verdict::InsideZone { index: 0, zone: z1 });
+        }
+        // 1 km north, every pair's tightest zone is the wider zone 2,
+        // the second zone in id order.
+        let north = origin().destination(0.0, Distance::from_km(1.0));
+        let entries = (0..5)
+            .map(|i| {
+                let smp = GpsSample::new(
+                    north.destination(90.0, Distance::from_meters(10.0 * i as f64)),
+                    Timestamp::from_secs(i as f64),
+                );
+                let sig = tee_key().sign(&smp.to_bytes(), HashAlg::Sha1).unwrap();
+                SignedSample::from_parts(smp, sig, HashAlg::Sha1)
+            })
+            .collect();
+        let clear = Submission::plain(PoaSubmission {
+            drone_id: d,
+            window_start: Timestamp::EPOCH,
+            window_end: Timestamp::from_secs(4.0),
+            poa: ProofOfAlibi::from_entries(entries),
+        });
+        let tightest = |a: &Auditor| {
+            let rep = a.verify(&clear, Timestamp::EPOCH).unwrap();
+            let pairs = rep.sufficiency.expect("clear of both zones").pairs;
+            pairs.iter().map(|p| p.tightest_zone).collect::<Vec<_>>()
+        };
+        assert_eq!(tightest(&live), vec![Some(1); 4]);
+        assert_eq!(tightest(&replayed), tightest(&live));
     }
 
     #[test]

@@ -61,7 +61,6 @@ mod test_support;
 mod zone_owner;
 
 pub mod audit;
-pub mod cache;
 pub mod journal;
 pub mod privacy;
 pub mod repl;

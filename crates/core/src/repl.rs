@@ -314,7 +314,9 @@ pub enum ReplAck {
         offset: u64,
     },
     /// The shipped offset does not match the follower's end; re-ship
-    /// from `expected` (the follower's actual durable end).
+    /// from `expected` (the follower's actual durable end). An
+    /// `expected` equal to the shipped offset means the follower can
+    /// vouch for no offset, and needs a [`ReplFrame::Snapshot`].
     Mismatch {
         /// Where the follower actually is.
         expected: u64,
@@ -465,6 +467,10 @@ pub struct Follower {
     base: AtomicU64,
     /// Logical durable end (== acked offset).
     end: AtomicU64,
+    /// `false` while the held image's logical base is unknown (see
+    /// [`with_obs`](Self::with_obs)): no `Append` is taken until a
+    /// `Snapshot` frame replaces the image.
+    vouched: AtomicBool,
     /// Whole records held (metrics/assertions only).
     records: AtomicU64,
     /// The audit chain recomputed over every applied record (see
@@ -477,23 +483,49 @@ pub struct Follower {
 }
 
 impl Follower {
-    /// A fresh follower over an empty backend. Its first ack mismatch
-    /// teaches the primary to ship from the start.
+    /// A follower over `backend`; see [`with_obs`](Self::with_obs).
     pub fn new(backend: Arc<dyn StorageBackend>) -> Follower {
         Follower::with_obs(backend, &Obs::noop())
     }
 
-    /// A follower whose chain-divergence refusals are counted on `obs`
-    /// (`repl.chain_divergence`).
+    /// A follower over `backend`, whose chain-divergence refusals are
+    /// counted on `obs` (`repl.chain_divergence`).
+    ///
+    /// Over an empty backend it starts at offset 0, and its first ack
+    /// mismatch teaches the primary to ship from the start. Over a
+    /// non-empty one (a restart) it takes back what the held image
+    /// proves: the audit chain and record count, and an epoch floor
+    /// from the image's newest [`Record::Epoch`]. It vouches for its
+    /// end offset only when the image is intact and was never
+    /// compacted: compaction is the only thing that moves a journal's
+    /// base, and its image starts with a `Snapshot` record that does
+    /// not record that base. Any other image — compacted, damaged or
+    /// unreadable — answers every `Append` with a mismatch naming the
+    /// shipped offset, which makes the primary replace it.
     pub fn with_obs(backend: Arc<dyn StorageBackend>, obs: &Obs) -> Follower {
+        let held = backend.read().ok();
+        let image = held.as_deref().unwrap_or_default();
+        let mut chain = AuditChain::new();
+        let mut undo = ChainUndo::new(&chain);
+        let verified = verify_frames(&mut chain, &mut undo, Frames::image(image));
+        let epoch = Frames::image(image)
+            .map_while(Result::ok)
+            .filter_map(|frame| match Record::from_payload(frame.checked().ok()?) {
+                Ok(Record::Epoch(epoch)) => Some(epoch),
+                _ => None,
+            })
+            .max()
+            .unwrap_or(0);
+        let vouched = held.is_some() && verified.is_ok() && undo.reseeded.is_none();
         Follower {
             backend,
             lock: Mutex::new(()),
-            epoch: AtomicU64::new(0),
+            epoch: AtomicU64::new(epoch),
             base: AtomicU64::new(0),
-            end: AtomicU64::new(0),
-            records: AtomicU64::new(0),
-            chain: Mutex::new(AuditChain::new()),
+            end: AtomicU64::new(image.len() as u64),
+            vouched: AtomicBool::new(vouched),
+            records: AtomicU64::new(verified.unwrap_or(0)),
+            chain: Mutex::new(chain),
             divergence: obs.counter("repl.chain_divergence"),
         }
     }
@@ -515,6 +547,9 @@ impl Follower {
         self.epoch.store(frame.epoch(), Ordering::Release);
         match frame {
             ReplFrame::Append { offset, bytes, .. } => {
+                if !self.vouched.load(Ordering::Acquire) {
+                    return Ok(ReplAck::Mismatch { expected: *offset });
+                }
                 let end = self.end.load(Ordering::Acquire);
                 if *offset != end {
                     return Ok(ReplAck::Mismatch { expected: end });
@@ -562,6 +597,7 @@ impl Follower {
                 self.base.store(*base, Ordering::Release);
                 let end = base + image.len() as u64;
                 self.end.store(end, Ordering::Release);
+                self.vouched.store(true, Ordering::Release);
                 self.records.store(records, Ordering::Relaxed);
                 Ok(ReplAck::Acked { offset: end })
             }
@@ -1042,7 +1078,7 @@ impl Replicator {
                     peer.force_snapshot.store(false, Ordering::Release);
                 }
                 ReplAck::Mismatch { expected } => {
-                    if peer.trusted.load(Ordering::Acquire) {
+                    if peer.trusted.load(Ordering::Acquire) && expected != from {
                         peer.acked.store(expected, Ordering::Release);
                         peer.acked_gauge.set(expected as i64);
                     } else {
@@ -1051,7 +1087,10 @@ impl Replicator {
                         // a failover): its physical prefix may diverge
                         // from ours even when the logical state agrees,
                         // so resuming appends at its claimed offset
-                        // could interleave two journals. Replace.
+                        // could interleave two journals. A mismatch
+                        // naming the offset just shipped is a follower
+                        // that cannot vouch for any offset (restarted
+                        // over a compacted image). Replace either way.
                         peer.force_snapshot.store(true, Ordering::Release);
                     }
                 }
@@ -1632,6 +1671,106 @@ mod tests {
         promoted.register_zone_durable(zone(3)).unwrap();
         assert_eq!(obs.snapshot().gauges["repl.epoch"], 2);
         assert_eq!(obs.snapshot().counter("repl.failovers"), 1);
+    }
+
+    /// A link whose follower can be swapped for a restarted one.
+    struct RestartLink(Mutex<Arc<Follower>>);
+
+    impl ReplLink for Arc<RestartLink> {
+        fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
+            let follower = Arc::clone(&self.0.lock().unwrap());
+            follower.apply(frame)
+        }
+    }
+
+    /// The `(size, root, chain_head)` a recovery of `image` reaches.
+    fn recovered_head(image: Vec<u8>) -> (u64, [u8; 32], [u8; 32]) {
+        let backend = Arc::new(MemBackend::with_bytes(image));
+        let (auditor, _) =
+            Auditor::recover(backend, AuditorConfig::default(), auditor_key().clone()).unwrap();
+        let sth = auditor.signed_tree_head().unwrap();
+        (sth.size, sth.root, sth.chain_head)
+    }
+
+    #[test]
+    fn a_restarted_follower_keeps_its_fence_and_converges() {
+        // Once over an image shipped frame by frame, once over a
+        // compacted image, whose logical base the image does not record.
+        for compact in [false, true] {
+            let obs = Obs::noop();
+            let store = Arc::new(MemBackend::new());
+            let link = Arc::new(RestartLink(Mutex::new(Arc::new(Follower::new(
+                store.clone(),
+            )))));
+            let primary_store = Arc::new(MemBackend::new());
+            let (primary, _) = Auditor::recover(
+                primary_store.clone(),
+                AuditorConfig::default(),
+                auditor_key().clone(),
+            )
+            .unwrap();
+            let replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1))
+                .with_follower("f0", Arc::clone(&link));
+            primary.set_replicator(Arc::new(replicator));
+            primary.begin_epoch(1).unwrap();
+            primary.register_zone_durable(zone(0)).unwrap();
+            if compact {
+                primary.compact_journal().unwrap();
+                primary.register_zone_durable(zone(1)).unwrap();
+            }
+
+            let f0 = Arc::new(Follower::new(store.clone()));
+            assert_eq!(f0.current_epoch(), 1, "compact {compact}");
+            // A lower-epoch primary is fenced and lands nothing.
+            let held = store.bytes();
+            let (stale, _) = journal_with(2);
+            let err = Replicator::new(&obs, ReplicationPolicy::Quorum(1))
+                .with_follower("f0", InProcessLink::new(Arc::clone(&f0)))
+                .replicate(&stale)
+                .unwrap_err();
+            assert_eq!(
+                err,
+                ReplError::StaleEpoch {
+                    epoch: 0,
+                    current: 1
+                }
+            );
+            assert_eq!(store.bytes(), held, "compact {compact}");
+
+            // The replicator that shipped to f0 before its restart
+            // converges it in the next round...
+            *link.0.lock().unwrap() = Arc::clone(&f0);
+            primary.register_zone_durable(zone(2)).unwrap();
+            assert_eq!(store.bytes(), primary_store.bytes(), "compact {compact}");
+            assert_eq!(
+                recovered_head(store.bytes()),
+                recovered_head(primary_store.bytes())
+            );
+
+            // ...and so does a fresh one: the primary restarted over its
+            // own backend and re-armed at the current epoch.
+            drop(primary);
+            let (primary, _) = Auditor::recover(
+                primary_store.clone(),
+                AuditorConfig::default(),
+                auditor_key().clone(),
+            )
+            .unwrap();
+            let f0 = Arc::new(Follower::new(store.clone()));
+            arm(
+                &primary,
+                &[("f0".into(), f0)],
+                ReplicationPolicy::Quorum(1),
+                1,
+                &obs,
+            )
+            .unwrap();
+            assert_eq!(store.bytes(), primary_store.bytes(), "compact {compact}");
+            assert_eq!(
+                recovered_head(store.bytes()),
+                recovered_head(primary_store.bytes())
+            );
+        }
     }
 
     #[test]

@@ -410,34 +410,35 @@ impl BigUint {
         self.mul(other).rem(m)
     }
 
-    /// `self^exp mod m`.
-    ///
-    /// Odd moduli up to [`MontgomeryContext::MAX_BITS`] (every RSA
-    /// modulus and RSA prime) take the Montgomery fast path via a
-    /// one-shot [`MontgomeryContext`]; even or wider moduli fall back to
-    /// [`mod_pow_classic`](Self::mod_pow_classic). Callers that
-    /// exponentiate repeatedly under the same modulus should build the
-    /// context once and call [`MontgomeryContext::mod_pow`] directly.
+    /// `self^exp mod m` for an odd modulus, through a one-shot
+    /// [`MontgomeryContext`]. Every library caller's modulus is odd: RSA
+    /// moduli and CRT primes, Miller–Rabin candidates, the DH primes.
+    /// Callers that exponentiate repeatedly under the same modulus
+    /// should build the context once and call
+    /// [`MontgomeryContext::mod_pow`] directly.
     ///
     /// # Panics
     ///
-    /// Panics if `m` is zero.
+    /// Panics if `m` is even (zero included) or wider than
+    /// [`MontgomeryContext::MAX_BITS`].
     pub fn mod_pow(&self, exp: &BigUint, m: &BigUint) -> BigUint {
-        assert!(!m.is_zero(), "modulus must be nonzero");
-        match MontgomeryContext::new(m) {
-            Some(ctx) => ctx.mod_pow(self, exp),
-            None => self.mod_pow_classic(exp, m),
+        if m.is_one() {
+            return BigUint::zero();
         }
+        MontgomeryContext::new(m)
+            .expect("mod_pow needs an odd modulus of at most MontgomeryContext::MAX_BITS bits")
+            .mod_pow(self, exp)
     }
 
     /// `self^exp mod m` by left-to-right square-and-multiply over
     /// division-based reduction — the reference implementation the
-    /// Montgomery path is property-tested against.
+    /// Montgomery path is tested against.
     ///
     /// # Panics
     ///
     /// Panics if `m` is zero.
-    pub fn mod_pow_classic(&self, exp: &BigUint, m: &BigUint) -> BigUint {
+    #[cfg(test)]
+    pub(crate) fn mod_pow_classic(&self, exp: &BigUint, m: &BigUint) -> BigUint {
         assert!(!m.is_zero(), "modulus must be nonzero");
         if m.is_one() {
             return BigUint::zero();
@@ -585,8 +586,7 @@ impl MontgomeryContext {
 
     /// Builds a context for `m`, or `None` when `m` is even, `< 3` or
     /// wider than [`MAX_BITS`](Self::MAX_BITS) (Montgomery reduction
-    /// requires an odd modulus; callers fall back to
-    /// [`BigUint::mod_pow_classic`]).
+    /// requires an odd modulus).
     pub fn new(m: &BigUint) -> Option<Self> {
         if m.is_even() || m.is_one() {
             return None;
@@ -616,8 +616,8 @@ impl MontgomeryContext {
     }
 
     /// `base^exp mod n` by fixed-window exponentiation in the Montgomery
-    /// domain. Matches [`BigUint::mod_pow_classic`] bit for bit on every
-    /// input (property-tested), including `exp = 0 → 1` and base ≥ n.
+    /// domain. Matches the division-based reference bit for bit on
+    /// every input (tested), including `exp = 0 → 1` and base ≥ n.
     pub fn mod_pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         with_kernel!(&self.kernel, m => m.mod_pow(base, exp, &self.n))
     }
@@ -1005,8 +1005,8 @@ mod tests {
 
     #[test]
     fn mod_pow_small() {
-        // 3^7 mod 10 = 2187 mod 10 = 7
-        assert_eq!(b(3).mod_pow(&b(7), &b(10)), b(7));
+        // 3^7 mod 11 = 2187 mod 11 = 9
+        assert_eq!(b(3).mod_pow(&b(7), &b(11)), b(9));
         // Fermat: 2^(p-1) = 1 mod p for prime p.
         assert_eq!(b(2).mod_pow(&b(1_000_000_006), &b(1_000_000_007)), b(1));
     }
@@ -1239,21 +1239,19 @@ mod tests {
     }
 
     #[test]
-    fn mod_pow_even_modulus_falls_back() {
-        // Even moduli have no Montgomery representation; the dispatch
-        // must still give the classic answer.
-        let m = b(4096);
-        assert_eq!(b(3).mod_pow(&b(5), &m), b(3).mod_pow_classic(&b(5), &m));
-        assert_eq!(b(3).mod_pow_classic(&b(5), &m), b(243));
-        // So must an odd modulus wider than the widest kernel.
+    #[should_panic(expected = "odd modulus")]
+    fn mod_pow_even_modulus_panics() {
+        // Even moduli have no Montgomery representation.
+        b(3).mod_pow(&b(5), &b(4096));
+    }
+
+    #[test]
+    #[should_panic(expected = "odd modulus")]
+    fn mod_pow_modulus_wider_than_the_widest_kernel_panics() {
         let wide = BigUint::one()
             .shl(MontgomeryContext::MAX_BITS + 1)
             .add(&b(1));
-        let base = BigUint::one().shl(3000).add(&b(12345));
-        assert_eq!(
-            base.mod_pow(&b(65537), &wide),
-            base.mod_pow_classic(&b(65537), &wide)
-        );
+        b(3).mod_pow(&b(65537), &wide);
     }
 
     #[test]

@@ -101,6 +101,16 @@ impl ZoneSet {
         self.zones.push(zone);
     }
 
+    /// Inserts a zone at `index`, shifting the zones after it — how a
+    /// registry keeps the set in its own key order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index > len`.
+    pub fn insert(&mut self, index: usize, zone: NoFlyZone) {
+        self.zones.insert(index, zone);
+    }
+
     /// Number of zones in the set.
     pub fn len(&self) -> usize {
         self.zones.len()
@@ -119,6 +129,11 @@ impl ZoneSet {
     /// The zones as a slice.
     pub fn as_slice(&self) -> &[NoFlyZone] {
         &self.zones
+    }
+
+    /// The zones as a mutable slice.
+    pub fn as_mut_slice(&mut self) -> &mut [NoFlyZone] {
+        &mut self.zones
     }
 
     /// The zone whose *boundary* is nearest to `p` (paper's

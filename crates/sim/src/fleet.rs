@@ -576,9 +576,12 @@ fn observe_scrape(
     obs: &Obs,
     addr: SocketAddr,
 ) -> (Timestamp, MetricsSnapshot) {
+    // Scrape under the lock: the sampler thread and the phase-boundary
+    // observations both feed the ring, and a snapshot observed after a
+    // newer one would count the increments between them twice.
+    let mut guard = state.lock().expect("soak state");
     let snap = scrape_snapshot(addr).expect("scrape endpoint");
     let t = obs.now();
-    let mut guard = state.lock().expect("soak state");
     let SoakState {
         ring,
         engine,

@@ -13,7 +13,7 @@ use alidrone::chaos::{FaultPlane, FaultyTransport};
 use alidrone::core::wire::server::AuditorServer;
 use alidrone::core::wire::tcp::{TcpServer, TcpTransport};
 use alidrone::core::wire::transport::{AuditorClient, InProcess, RetryPolicy};
-use alidrone::core::{Accusation, Auditor, AuditorConfig, ProofOfAlibi};
+use alidrone::core::{Accusation, Auditor, AuditorConfig, ProofOfAlibi, ZoneQuery};
 use alidrone::crypto::rng::XorShift64;
 use alidrone::crypto::rsa::RsaPrivateKey;
 use alidrone::geo::{Distance, GeoPoint, NoFlyZone, Timestamp};
@@ -137,6 +137,27 @@ fn eight_threads_hammer_one_tcp_server() {
     assert_eq!(auditor.drone_count(), THREADS);
     assert_eq!(auditor.zone_count(), THREADS * ITERS);
     assert_eq!(auditor.stored_poa_count(), THREADS * ITERS);
+    // Ids were issued concurrently, yet a whole-area query lists every
+    // zone in id order.
+    let operator = key(300);
+    let drone =
+        auditor.register_drone(operator.public_key().clone(), key(301).public_key().clone());
+    let whole_area = ZoneQuery::new_signed(
+        drone,
+        GeoPoint::new(-90.0, -180.0).unwrap(),
+        GeoPoint::new(90.0, 180.0).unwrap(),
+        [0xFF; 16],
+        &operator,
+    )
+    .unwrap();
+    let ids: Vec<u64> = auditor
+        .handle_zone_query(&whole_area)
+        .unwrap()
+        .zones
+        .iter()
+        .map(|(id, _)| id.value())
+        .collect();
+    assert_eq!(ids, (1..=(THREADS * ITERS) as u64).collect::<Vec<_>>());
     let snap = obs.snapshot();
     assert_eq!(snap.counter("server.requests"), total);
     assert_eq!(snap.counter("server.malformed_frames"), 0);
