@@ -80,11 +80,14 @@ soak-smoke:
 
 # Kill-the-primary failover gate: tests/failover.rs — a reduced-seed
 # replication chaos campaign (FAILOVER_SEEDS trims the default 40
-# seeds), the leader-completeness regression test and the packaged
-# Cluster::kill_and_promote path, all promoting through repl::promote —
-# then the replicated soak with its kill-and-promote phase (report
-# lands in target/SOAK_failover_report.json for CI to archive), and the
-# end-to-end failover example.
+# seeds), the leader-completeness regression test, the two restart
+# regression tests
+# (promotion_after_a_compacted_follower_restart_keeps_every_acked_record,
+# promotion_passes_over_a_follower_whose_image_is_corrupt) and the
+# packaged Cluster::kill_and_promote path, all promoting through
+# repl::promote — then the replicated soak with its kill-and-promote
+# phase (report lands in target/SOAK_failover_report.json for CI to
+# archive), and the end-to-end failover example.
 failover:
 	FAILOVER_SEEDS=$(or $(FAILOVER_SEEDS),12) $(CARGO) test --release --offline --test failover -q
 	$(CARGO) run -p alidrone-sim --release --offline --bin exp_soak -- --smoke --failover --out target/SOAK_failover_report.json

@@ -917,11 +917,11 @@ impl Auditor {
         if epoch > 0 {
             image.push(Record::Epoch(epoch).to_payload());
         }
-        journal.compact(&image)?;
+        let image_bytes = journal.compact(&image)?;
         self.obs
             .emit(Level::Info, "auditor.journal", "compacted", |f| {
                 f.field("state_records", state_records);
-                f.field("image_bytes", journal.end_offset() - journal.base_offset());
+                f.field("image_bytes", image_bytes);
             });
         if let Some(replicator) = self.replicator.get() {
             // Push the re-based image promptly so followers don't
@@ -2150,7 +2150,7 @@ mod tests {
 
     // --------------------------------------------------- journal recovery
 
-    use crate::journal::{Journal, MemBackend};
+    use crate::journal::{Journal, MemBackend, FRAME_OVERHEAD, HEADER_LEN};
 
     fn recovered(backend: Arc<MemBackend>) -> (Auditor, RecoveryReport) {
         Auditor::recover(backend, AuditorConfig::default(), auditor_key().clone()).unwrap()
@@ -2371,7 +2371,6 @@ mod tests {
         let err = follower
             .apply(&crate::repl::ReplFrame::Snapshot {
                 epoch: 0,
-                base: 0,
                 image: image.as_slice().into(),
             })
             .expect_err(what);
@@ -2478,7 +2477,7 @@ mod tests {
         drop(a);
         // Flip a bit inside the *first* record's payload: not a torn
         // tail, so recovery must refuse with a typed error.
-        backend.flip_bits(16, 0x01);
+        backend.flip_bits(HEADER_LEN + FRAME_OVERHEAD + 3, 0x01);
         let err =
             Auditor::recover(backend, AuditorConfig::default(), auditor_key().clone()).unwrap_err();
         assert!(matches!(err, ProtocolError::Storage(_)), "got {err}");

@@ -6,11 +6,21 @@
 //! auditor a durable append-only journal with bounded-cost recovery:
 //!
 //! ```text
-//! | magic "ALDJ" u32 | version u8 |            file header (5 bytes)
-//! | len u32 | crc32 u32 | payload (len bytes) |   record frame
+//! | magic "ALDJ" u32 | version u8 | base u64 | crc32 u32 |  header (17 bytes)
+//! | len u32 | crc32 u32 | payload (len bytes) |              record frame
 //! | len u32 | crc32 u32 | payload (len bytes) |
 //! ...
 //! ```
+//!
+//! The header's `base` is the logical offset of the image's first byte
+//! in the journal's lifetime stream: 0 for an image that was never
+//! compacted, and the old durable end for one [`Journal::compact`]
+//! wrote. Every position — a journal's durable end, a follower's acked
+//! offset — is that base plus bytes into the image, so it survives a
+//! restart. The header's CRC covers magic, version and base, so rot in
+//! the base is refused like rot in a frame rather than read as another
+//! offset. A version-1 image (5-byte header, no base) is refused as an
+//! unsupported version.
 //!
 //! The CRC covers the payload only; the payload's first byte is a record
 //! tag (see [`Record`]) followed by a body in the wire codec. Records are
@@ -51,9 +61,9 @@ use crate::ProtocolError;
 /// Journal file magic: `"ALDJ"`.
 pub const JOURNAL_MAGIC: u32 = 0x414C_444A;
 /// Current journal format version.
-pub const JOURNAL_VERSION: u8 = 1;
-/// Header length in bytes (magic + version).
-pub const HEADER_LEN: usize = 5;
+pub const JOURNAL_VERSION: u8 = 2;
+/// Header length in bytes (magic + version + base + CRC).
+pub const HEADER_LEN: usize = 17;
 /// Frame overhead per record (length + CRC).
 pub const FRAME_OVERHEAD: usize = 8;
 /// Upper bound on a single record payload (matches the wire codec cap).
@@ -627,11 +637,47 @@ impl Record {
 
 // ------------------------------------------------------------------ frames
 
-/// The journal header, `magic | version`.
-const HEADER: [u8; HEADER_LEN] = {
-    let m = JOURNAL_MAGIC.to_be_bytes();
-    [m[0], m[1], m[2], m[3], JOURNAL_VERSION]
-};
+/// The header of an image whose first byte sits at logical offset
+/// `base`: `magic | version | base | crc32` of the fields before it.
+fn header(base: u64) -> [u8; HEADER_LEN] {
+    let mut header = [0; HEADER_LEN];
+    header[..4].copy_from_slice(&JOURNAL_MAGIC.to_be_bytes());
+    header[4] = JOURNAL_VERSION;
+    header[5..13].copy_from_slice(&base.to_be_bytes());
+    let crc = crc32(&header[..13]);
+    header[13..].copy_from_slice(&crc.to_be_bytes());
+    header
+}
+
+/// The logical base an image's header records (0 for an empty image,
+/// which has no header yet).
+///
+/// # Errors
+///
+/// [`FrameError::BadHeader`] for a wrong magic, version or header CRC,
+/// and [`FrameError::Torn`] for any other header cut short — a prefix
+/// of a valid one, as a crash leaves it.
+pub(crate) fn image_base(image: &[u8]) -> Result<u64, FrameError> {
+    let mut base = [0; 8];
+    if let Some(bytes) = image.get(5..13) {
+        base.copy_from_slice(bytes);
+    }
+    let base = u64::from_be_bytes(base);
+    // Compare with the header this base would get: past the base, only
+    // the CRC can differ.
+    let held = &image[..image.len().min(HEADER_LEN)];
+    match held.iter().zip(header(base)).position(|(a, b)| *a != b) {
+        Some(0..=3) => Err(FrameError::BadHeader(0, "bad magic")),
+        Some(4) => Err(FrameError::BadHeader(4, "unsupported version")),
+        _ if held.is_empty() => Ok(0),
+        _ if held.len() < HEADER_LEN => Err(FrameError::Torn(0)),
+        Some(_) => Err(FrameError::BadHeader(13, "header crc mismatch")),
+        // No journal lives that long: refusing such a base keeps every
+        // `base + length` an offset is built from clear of overflow.
+        None if base > u64::MAX / 2 => Err(FrameError::BadHeader(5, "impossible base")),
+        None => Ok(base),
+    }
+}
 
 /// Appends one `len | crc | payload` frame to `out`, refusing (as
 /// [`JournalError::Malformed`]) an empty or oversized payload, which
@@ -683,6 +729,11 @@ pub(crate) struct Frame<'a> {
 }
 
 impl<'a> Frame<'a> {
+    /// Offset just past this frame in the walked bytes.
+    pub(crate) fn end(&self) -> usize {
+        self.offset + FRAME_OVERHEAD + self.payload.len()
+    }
+
     /// The payload, once it matches the declared CRC.
     ///
     /// # Errors
@@ -734,13 +785,7 @@ impl<'a> Frames<'a> {
     /// unchecked); `None` at the end of the bytes.
     fn read(&mut self, mut offset: usize) -> Result<Option<Frame<'a>>, FrameError> {
         if std::mem::take(&mut self.header) && !self.bytes.is_empty() {
-            let header = self.bytes.get(..HEADER_LEN).ok_or(FrameError::Torn(0))?;
-            if header[..4] != HEADER[..4] {
-                return Err(FrameError::BadHeader(0, "bad magic"));
-            }
-            if header[4] != JOURNAL_VERSION {
-                return Err(FrameError::BadHeader(4, "unsupported version"));
-            }
+            image_base(self.bytes)?;
             offset = HEADER_LEN;
         }
         let rest = &self.bytes[offset..];
@@ -852,8 +897,9 @@ impl Replay {
 /// Offsets are *logical*: a monotonically increasing byte position in
 /// the journal's lifetime stream. Appends extend the stream; compaction
 /// rebases it — the fresh image occupies logical bytes starting at the
-/// old durable end, so any offset acked before compaction is now behind
-/// [`Journal::base_offset`] and resolves to [`ShipSource::Rebased`].
+/// old durable end, which its header records, so any offset acked
+/// before compaction is now behind that base and resolves to
+/// [`ShipSource::Rebased`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShipSource<'a> {
     /// Raw frame bytes from the requested offset to the durable end.
@@ -861,15 +907,10 @@ pub enum ShipSource<'a> {
     /// offset reproduces this journal's image byte-for-byte.
     Tail(&'a [u8]),
     /// The requested offset predates the current image (compaction
-    /// reclaimed it): the whole current image, re-based at `base`. The
-    /// follower must replace its image wholesale and resume from
-    /// `base + image.len()`.
-    Rebased {
-        /// Logical offset of the image's first byte.
-        base: u64,
-        /// The full current journal image (header + frames).
-        image: &'a [u8],
-    },
+    /// reclaimed it): the whole current image (header + frames). The
+    /// follower must replace its image wholesale and resume from the
+    /// base its header records plus its length.
+    Rebased(&'a [u8]),
 }
 
 /// One consistent read of a journal's durable bytes: the current image
@@ -883,11 +924,6 @@ pub struct DurableImage {
 }
 
 impl DurableImage {
-    /// Logical offset of the image's first byte.
-    pub fn base(&self) -> u64 {
-        self.base
-    }
-
     /// Logical durable end: `base` plus the image length.
     pub fn end(&self) -> u64 {
         self.base + self.bytes.len() as u64
@@ -896,17 +932,6 @@ impl DurableImage {
     /// The image (header + whole frames).
     pub fn bytes(&self) -> &[u8] {
         &self.bytes
-    }
-
-    /// Whether a follower acked up to `from` must replace its image
-    /// with this whole one rather than append a tail: compaction
-    /// reclaimed `from`.
-    fn rebases(&self, from: u64) -> bool {
-        // `from == base` after a rebase (base > 0) still needs a full
-        // image transfer: the follower's physical bytes at that offset
-        // are the pre-compaction history, not this image's header —
-        // appending the image would embed a second journal header.
-        from < self.base || (from == self.base && self.base > 0)
     }
 
     /// The bytes a follower acked up to `from` lacks: the raw tail when
@@ -919,11 +944,11 @@ impl DurableImage {
     /// end (the follower claims bytes this journal never wrote — a
     /// protocol violation, not a race).
     pub fn missing(&self, from: u64) -> Result<ShipSource<'_>, JournalError> {
-        if self.rebases(from) {
-            return Ok(ShipSource::Rebased {
-                base: self.base,
-                image: &self.bytes,
-            });
+        // Compaction reclaimed `from`. `from == base` too needs the
+        // whole image: a follower's bytes up to the base are the
+        // pre-compaction history, not this image's header.
+        if self.base > 0 && from <= self.base {
+            return Ok(ShipSource::Rebased(&self.bytes));
         }
         if from > self.end() {
             return Err(JournalError::Malformed("ship offset beyond durable end"));
@@ -936,9 +961,7 @@ impl DurableImage {
     pub(crate) fn records_missing(&self, from: u64) -> u64 {
         let frames = match self.missing(from) {
             Ok(ShipSource::Tail(bytes)) if from > self.base => Frames::tail(bytes),
-            Ok(ShipSource::Tail(bytes) | ShipSource::Rebased { image: bytes, .. }) => {
-                Frames::image(bytes)
-            }
+            Ok(ShipSource::Tail(bytes) | ShipSource::Rebased(bytes)) => Frames::image(bytes),
             Err(_) => return 0,
         };
         frames.map_while(Result::ok).count() as u64
@@ -949,15 +972,13 @@ impl DurableImage {
 pub struct Journal {
     backend: std::sync::Arc<dyn StorageBackend>,
     /// Serializes record framing so concurrent appends cannot interleave,
-    /// and guards the offset pair below so shippers read a consistent
-    /// (base, end, image) view.
+    /// and guards the durable end below so shippers read a consistent
+    /// (end, image) view.
     write_lock: Mutex<()>,
-    /// Logical offset of the current image's first byte (jumps to the
-    /// previous durable end on every compaction).
-    base: std::sync::atomic::AtomicU64,
-    /// Logical durable end: `base` + bytes of the image known to hold
-    /// whole records. A failed append never advances it, so shippers
-    /// can never ship a torn tail.
+    /// Logical durable end: the base the image's header records plus
+    /// the bytes of the image known to hold whole records. A failed
+    /// append never advances it, so shippers can never ship a torn
+    /// tail.
     end: std::sync::atomic::AtomicU64,
 }
 
@@ -980,28 +1001,23 @@ impl Journal {
     ) -> Result<(Journal, Replay, ReplayReport), JournalError> {
         let bytes = backend.read()?;
         let (payloads, report) = parse_image(&bytes)?;
-        let mut clean_len = bytes.len();
-        if bytes.is_empty() {
-            backend.append(&HEADER)?;
-            clean_len = HEADER_LEN;
+        let clean = &bytes[..report.bytes_replayed];
+        if clean.is_empty() {
+            // An empty image, or one torn inside its header, starts
+            // afresh at base 0.
+            backend.replace(&header(0))?;
         } else if report.torn_tail {
             // Drop the torn tail so future appends land on a record
-            // boundary. bytes_replayed is the clean prefix length, but a
-            // headerless torn image replays to a fresh header.
-            clean_len = report.bytes_replayed.max(HEADER_LEN);
-            let clean = if report.bytes_replayed >= HEADER_LEN {
-                &bytes[..clean_len]
-            } else {
-                &HEADER[..]
-            };
+            // boundary.
             backend.replace(clean)?;
         }
+        // parse_image refused a bad header, so a clean prefix has a base.
+        let base = image_base(clean).unwrap_or(0);
         Ok((
             Journal {
                 backend,
                 write_lock: Mutex::new(()),
-                base: std::sync::atomic::AtomicU64::new(0),
-                end: std::sync::atomic::AtomicU64::new(clean_len as u64),
+                end: std::sync::atomic::AtomicU64::new(base + clean.len().max(HEADER_LEN) as u64),
             },
             Replay {
                 image: bytes,
@@ -1011,35 +1027,32 @@ impl Journal {
         ))
     }
 
-    /// Logical offset of the current image's first byte. Offsets below
-    /// this were reclaimed by compaction; shipping from them requires a
-    /// [`ShipSource::Rebased`] image transfer.
-    pub fn base_offset(&self) -> u64 {
-        self.base.load(std::sync::atomic::Ordering::Acquire)
-    }
-
     /// Logical durable end: the offset the next appended byte will
     /// occupy. A follower acked up to this offset holds every record.
     pub fn end_offset(&self) -> u64 {
         self.end.load(std::sync::atomic::Ordering::Acquire)
     }
 
-    /// Reads the durable image, with its logical base, under the write
-    /// lock so the (base, end, bytes) view is consistent. This reads the
-    /// whole image from the backend, whatever offset a shipper needs.
+    /// Reads the durable image, with the logical base its header
+    /// records, under the write lock so the (end, bytes) view is
+    /// consistent. This reads the whole image from the backend, whatever
+    /// offset a shipper needs.
     ///
     /// # Errors
     ///
-    /// Backend read failures.
+    /// Backend read failures, and [`JournalError::Corrupt`] when the
+    /// image's header no longer checks out.
     pub fn read_durable(&self) -> Result<DurableImage, JournalError> {
-        use std::sync::atomic::Ordering;
         let _g = self.write_lock.lock().unwrap_or_else(|p| p.into_inner());
-        let base = self.base.load(Ordering::Acquire);
-        let end = self.end.load(Ordering::Acquire);
+        let end = self.end.load(std::sync::atomic::Ordering::Acquire);
         let mut bytes = self.backend.read()?;
+        let base = image_base(&bytes).map_err(|e| JournalError::Corrupt {
+            offset: 0,
+            reason: e.reason(),
+        })?;
         // The tracked end is the durable horizon: a failed append may
         // have left a torn physical tail past it, which must never ship.
-        bytes.truncate((end - base) as usize);
+        bytes.truncate(end.saturating_sub(base) as usize);
         Ok(DurableImage { base, bytes })
     }
 
@@ -1074,33 +1087,29 @@ impl Journal {
 
     /// Compacts the journal to a fresh image of one frame per record
     /// payload ([`Record::to_payload`]) via an atomic image replacement,
-    /// bounding future recovery cost.
+    /// bounding future recovery cost, and returns the image's length in
+    /// bytes. The image's header records the old durable end as its
+    /// base.
     ///
     /// # Errors
     ///
     /// [`JournalError::Malformed`] for an empty or oversized payload,
     /// and backend failures; the old image survives either.
-    pub fn compact(&self, payloads: &[Vec<u8>]) -> Result<(), JournalError> {
+    pub fn compact(&self, payloads: &[Vec<u8>]) -> Result<usize, JournalError> {
         use std::sync::atomic::Ordering;
-        let mut image = HEADER.to_vec();
+        let mut image = header(0).to_vec();
         for payload in payloads {
             encode_frame(&mut image, payload)?;
         }
         let _g = self.write_lock.lock().unwrap_or_else(|p| p.into_inner());
-        self.backend.replace(&image)?;
         // Rebase the logical stream: the fresh image occupies bytes
         // starting at the old durable end, so pre-compaction acked
         // offsets resolve to ShipSource::Rebased.
-        let new_base = self.end.load(Ordering::Acquire);
-        self.base.store(new_base, Ordering::Release);
-        self.end
-            .store(new_base + image.len() as u64, Ordering::Release);
-        Ok(())
-    }
-
-    /// The backend, for inspection in tests.
-    pub fn backend(&self) -> &std::sync::Arc<dyn StorageBackend> {
-        &self.backend
+        let base = self.end.load(Ordering::Acquire);
+        image[..HEADER_LEN].copy_from_slice(&header(base));
+        self.backend.replace(&image)?;
+        self.end.store(base + image.len() as u64, Ordering::Release);
+        Ok(image.len())
     }
 }
 
@@ -1318,6 +1327,32 @@ mod tests {
         bytes[4] = 99;
         let err = parse_image(&bytes).unwrap_err();
         assert!(matches!(err, JournalError::Corrupt { offset: 4, .. }));
+        // Rot in the base is caught by the header CRC, and a base no
+        // journal reaches is refused even with a matching CRC.
+        let mut bytes = backend.bytes();
+        bytes[12] ^= 0x01;
+        let err = parse_image(&bytes).unwrap_err();
+        assert!(matches!(err, JournalError::Corrupt { offset: 13, .. }));
+        let mut bytes = backend.bytes();
+        bytes[..HEADER_LEN].copy_from_slice(&header(u64::MAX - 1));
+        let err = parse_image(&bytes).unwrap_err();
+        assert!(matches!(err, JournalError::Corrupt { offset: 5, .. }));
+        // A version-1 image (5-byte header, no base) is refused at
+        // recovery, with frames or without.
+        let mut v1 = b"ALDJ\x01".to_vec();
+        for frames in [false, true] {
+            if frames {
+                encode_frame(&mut v1, &zone_record(1).to_payload()).unwrap();
+            }
+            let err = Journal::open(Arc::new(MemBackend::with_bytes(v1.clone()))).unwrap_err();
+            assert_eq!(
+                err,
+                JournalError::Corrupt {
+                    offset: 4,
+                    reason: "unsupported version"
+                }
+            );
+        }
     }
 
     #[test]
@@ -1431,7 +1466,7 @@ mod tests {
     fn offsets_track_appends_and_missing_ships_exact_tails() {
         let backend = Arc::new(MemBackend::new());
         let (journal, _, _) = Journal::open(backend.clone()).unwrap();
-        assert_eq!(journal.base_offset(), 0);
+        assert_eq!(journal.read_durable().unwrap().base, 0);
         assert_eq!(journal.end_offset(), HEADER_LEN as u64);
         journal.append_record(&zone_record(1)).unwrap();
         let end1 = journal.end_offset();
@@ -1443,7 +1478,7 @@ mod tests {
         // receives exactly the second record's frame.
         let full = backend.bytes();
         let image = journal.read_durable().unwrap();
-        assert_eq!((image.base(), image.end()), (0, end2));
+        assert_eq!(image.end(), end2);
         assert_eq!(image.bytes(), full.as_slice());
         assert_eq!(image.missing(0).unwrap(), ShipSource::Tail(&full));
         assert_eq!(
@@ -1470,21 +1505,23 @@ mod tests {
         journal
             .compact(&payloads(&[Record::Snapshot(b"snap".to_vec())]))
             .unwrap();
-        assert_eq!(journal.base_offset(), old_end);
         assert_eq!(journal.end_offset(), old_end + backend.bytes().len() as u64);
         // A follower acked before compaction, or at exactly the new
-        // base, gets the whole re-based image.
+        // base, gets the whole re-based image, whose header records
+        // that base.
         let image = journal.read_durable().unwrap();
         let compacted = backend.bytes();
+        assert_eq!(image_base(&compacted), Ok(old_end));
         for from in [old_end - 1, old_end] {
             assert_eq!(
                 image.missing(from).unwrap(),
-                ShipSource::Rebased {
-                    base: old_end,
-                    image: &compacted
-                }
+                ShipSource::Rebased(&compacted)
             );
         }
+        // A reopened journal keeps the same offsets.
+        let (reopened, _, _) = Journal::open(backend.clone()).unwrap();
+        assert_eq!(reopened.end_offset(), journal.end_offset());
+        assert_eq!(reopened.read_durable().unwrap().base, old_end);
         // Appends after compaction extend the re-based stream.
         journal.append_record(&zone_record(99)).unwrap();
         let after = journal.read_durable().unwrap();
@@ -1531,11 +1568,15 @@ mod tests {
 
     #[test]
     fn header_only_torn_image_resets_to_fresh() {
-        // A crash while writing the 5-byte header itself.
-        let torn = Arc::new(MemBackend::with_bytes(vec![0x41, 0x4C]));
-        let (journal, records, report) = Journal::open(torn).unwrap();
-        assert_eq!(records.payloads().len(), 0);
-        assert!(report.torn_tail);
-        journal.append_record(&zone_record(1)).unwrap();
+        // A crash while writing the 17-byte header itself: in the
+        // magic, in the base, or in its CRC.
+        for cut in [2, 7, 15] {
+            let torn = Arc::new(MemBackend::with_bytes(header(0)[..cut].to_vec()));
+            let (journal, records, report) = Journal::open(torn).unwrap();
+            assert_eq!(records.payloads().len(), 0);
+            assert!(report.torn_tail);
+            assert_eq!(journal.end_offset(), HEADER_LEN as u64);
+            journal.append_record(&zone_record(1)).unwrap();
+        }
     }
 }

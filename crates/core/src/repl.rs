@@ -48,7 +48,11 @@
 //! `Quorum(1)`, no acked record is lost to a fail-stop crash; a
 //! *symmetric* partition (old primary still serving) additionally
 //! needs a majority quorum, the classic overlap argument — see
-//! DESIGN.md §13.
+//! DESIGN.md §13. Acked offsets are comparable across followers
+//! because there is one offset space: every image's header records its
+//! logical base (see [`crate::journal`]), so an acked offset is that
+//! base plus the verified prefix, for a live follower, a restarted one
+//! and a promoted primary alike.
 //!
 //! # One read per round
 //!
@@ -66,7 +70,13 @@
 //! past that offset ([`ShipSource::Rebased`]) the follower receives
 //! the whole fresh image as a [`ReplFrame::Snapshot`] (replace, then
 //! tail as usual) — byte-identical to a follower that never missed a
-//! frame.
+//! frame. A restarted follower resumes the same way: it keeps the
+//! prefix of its image it can verify, dropping the rest as recovery
+//! drops a torn tail, and acks the header's base plus that prefix, so
+//! the replicator that shipped to it before the restart resumes it by
+//! tail. A replicator that never shipped to a follower (one adopted
+//! after a failover) replaces its image on first contact instead: the
+//! follower may hold a deposed primary's bytes at the same offsets.
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
@@ -81,7 +91,8 @@ use alidrone_obs::{Counter, Gauge, Level, Obs};
 use crate::audit::{AuditChain, ChainMark};
 use crate::auditor::{advance_chain, StateRun, Step};
 use crate::journal::{
-    DurableImage, Frames, Journal, JournalError, MemBackend, Record, ShipSource, StorageBackend,
+    image_base, DurableImage, Frame, FrameError, Frames, Journal, JournalError, MemBackend, Record,
+    ShipSource, StorageBackend, HEADER_LEN,
 };
 use crate::wire::codec::{read_frame, write_frame, Reader, Writer};
 use crate::{Auditor, AuditorConfig, ProtocolError, RecoveryReport};
@@ -228,15 +239,13 @@ pub enum ReplFrame<'a> {
         /// Raw journal bytes (whole frames; never a torn tail).
         bytes: Cow<'a, [u8]>,
     },
-    /// A whole journal image re-based at `base` — shipped when
-    /// compaction reclaimed the follower's offset, or to force a
-    /// divergent follower back onto this primary's log. The follower
-    /// replaces its image wholesale.
+    /// A whole journal image — shipped when compaction reclaimed the
+    /// follower's offset, or to force a divergent follower back onto
+    /// this primary's log. The follower replaces its image wholesale
+    /// and resumes from the base its header records plus its length.
     Snapshot {
         /// Shipping primary's leadership epoch.
         epoch: u64,
-        /// Logical offset of the image's first byte.
-        base: u64,
         /// The full journal image (header + frames).
         image: Cow<'a, [u8]>,
     },
@@ -267,10 +276,9 @@ impl<'a> ReplFrame<'a> {
                     .put_u64(*offset)
                     .put_bytes(bytes);
             }
-            ReplFrame::Snapshot { epoch, base, image } => {
+            ReplFrame::Snapshot { epoch, image } => {
                 w.put_u8(FRAME_TAG_SNAPSHOT)
                     .put_u64(*epoch)
-                    .put_u64(*base)
                     .put_bytes(image);
             }
         }
@@ -294,7 +302,6 @@ impl<'a> ReplFrame<'a> {
             },
             FRAME_TAG_SNAPSHOT => ReplFrame::Snapshot {
                 epoch: r.get_u64().map_err(mal)?,
-                base: r.get_u64().map_err(mal)?,
                 image: r.get_bytes().map_err(mal)?.into(),
             },
             _ => return Err(ReplError::Malformed("unknown replication frame tag")),
@@ -314,9 +321,7 @@ pub enum ReplAck {
         offset: u64,
     },
     /// The shipped offset does not match the follower's end; re-ship
-    /// from `expected` (the follower's actual durable end). An
-    /// `expected` equal to the shipped offset means the follower can
-    /// vouch for no offset, and needs a [`ReplFrame::Snapshot`].
+    /// from `expected` (the follower's actual durable end).
     Mismatch {
         /// Where the follower actually is.
         expected: u64,
@@ -372,7 +377,7 @@ impl ReplAck {
     }
 }
 
-/// How to undo an in-place [`verify_frames`]: the chain's size and
+/// How to undo an in-place [`verify`]: the chain's size and
 /// head before the frame, plus the whole earlier chain if a shipped
 /// `Snapshot` record re-seeded it.
 struct ChainUndo {
@@ -397,41 +402,75 @@ impl ChainUndo {
     }
 }
 
-/// Extends `chain` in place over the records `frames` walks in one
-/// shipped frame's bytes, returning how many records they hold. Each
-/// record moves the chain by the rule recovery applies
-/// ([`advance_chain`]); a `Snapshot` record's reseed stashes the
-/// earlier chain in `undo`. A torn, corrupt or headerless frame, a CRC
-/// mismatch, an undecodable record, a Merkle checkpoint that
-/// contradicts the recomputed history, or a snapshot whose state
-/// records are interrupted or cut short is a
-/// [`ReplError::ChainDivergence`]; the caller then restores the chain
-/// through `undo`.
-fn verify_frames(
+/// Moves `chain` in place over the record of one walked frame, by the
+/// rule recovery applies ([`advance_chain`]); a `Snapshot` record's
+/// reseed stashes the earlier chain in `undo`. A torn, corrupt or
+/// headerless frame, a CRC mismatch, an undecodable record, a Merkle
+/// checkpoint that contradicts the recomputed history, or a record
+/// that interrupts a snapshot's state records is a
+/// [`ReplError::ChainDivergence`], with the chain unmoved.
+fn verify_frame(
     chain: &mut AuditChain,
+    run: &mut StateRun,
     undo: &mut ChainUndo,
-    frames: Frames<'_>,
-) -> Result<u64, ReplError> {
-    let mut records = 0;
-    let mut run = StateRun::default();
-    for frame in frames {
-        let at = chain.size();
-        let diverged = |reason| ReplError::ChainDivergence { size: at, reason };
-        let payload = frame
-            .and_then(|f| f.checked())
-            .map_err(|e| diverged(e.reason()))?;
-        let record = Record::from_payload(payload).map_err(|_| diverged("undecodable record"))?;
-        let step = advance_chain(chain, &mut run, &record, payload).map_err(|e| refused(at, e))?;
-        if let Step::Reseed { replaced, .. } = step {
-            undo.reseeded.get_or_insert(replaced);
+    frame: Result<Frame<'_>, FrameError>,
+) -> Result<Record, ReplError> {
+    let at = chain.size();
+    let diverged = |reason| ReplError::ChainDivergence { size: at, reason };
+    let payload = frame
+        .and_then(|f| f.checked())
+        .map_err(|e| diverged(e.reason()))?;
+    let record = Record::from_payload(payload).map_err(|_| diverged("undecodable record"))?;
+    let step = advance_chain(chain, run, &record, payload).map_err(|e| refused(at, e))?;
+    if let Step::Reseed { replaced, .. } = step {
+        undo.reseeded.get_or_insert(replaced);
+    }
+    Ok(record)
+}
+
+/// What [`verify`] found: the longest prefix of the walked bytes that
+/// a follower can hold — whole records that verify
+/// ([`verify_frame`]), ending outside any snapshot's state run.
+/// Compaction replaces an image whole, so no honest shipped frame ends
+/// inside a run, and recovery refuses an image that does.
+#[derive(Default)]
+struct Verified {
+    /// Bytes of the prefix, from the start of the walked bytes.
+    len: usize,
+    /// Records in it.
+    records: u64,
+    /// Its newest [`Record::Epoch`].
+    epoch: u64,
+    /// What stopped the walk short of the end, if anything.
+    refused: Option<ReplError>,
+}
+
+/// Moves `chain` by recovery's rule over the records `frames` walks
+/// while they verify, and returns the verified prefix with an undo
+/// that puts the chain back where the walk began. A refusal counts on
+/// `divergence`.
+fn verify(
+    chain: &mut AuditChain,
+    mut frames: Frames<'_>,
+    divergence: &Counter,
+) -> (Verified, ChainUndo) {
+    let mut verified = Verified::default();
+    let mut undo = ChainUndo::new(chain);
+    let (mut run, mut records) = (StateRun::default(), 0);
+    let walked = frames.try_for_each(|frame| {
+        let end = frame.map_or(0, |f| f.end());
+        if let Record::Epoch(epoch) = verify_frame(chain, &mut run, &mut undo, frame)? {
+            verified.epoch = verified.epoch.max(epoch);
         }
         records += 1;
-    }
-    // Compaction replaces the image whole, so a shipped frame never
-    // ends inside a snapshot's state records; recovery refuses one that
-    // does.
-    run.finish().map_err(|e| refused(chain.size(), e))?;
-    Ok(records)
+        if run.finish().is_ok() {
+            (verified.len, verified.records) = (end, records);
+        }
+        Ok(())
+    });
+    let walked = walked.and_then(|()| run.finish().map_err(|e| refused(chain.size(), e)));
+    verified.refused = walked.inspect_err(|_| divergence.inc()).err();
+    (verified, undo)
 }
 
 /// An [`advance_chain`] refusal at tree size `at`, as a follower
@@ -463,14 +502,9 @@ pub struct Follower {
     lock: Mutex<()>,
     /// Newest leadership epoch seen (frames below it are stale).
     epoch: AtomicU64,
-    /// Logical offset of the held image's first byte.
-    base: AtomicU64,
-    /// Logical durable end (== acked offset).
+    /// Logical durable end (== acked offset): the held image's header
+    /// base plus its length, 0 while it holds nothing.
     end: AtomicU64,
-    /// `false` while the held image's logical base is unknown (see
-    /// [`with_obs`](Self::with_obs)): no `Append` is taken until a
-    /// `Snapshot` frame replaces the image.
-    vouched: AtomicBool,
     /// Whole records held (metrics/assertions only).
     records: AtomicU64,
     /// The audit chain recomputed over every applied record (see
@@ -493,40 +527,46 @@ impl Follower {
     ///
     /// Over an empty backend it starts at offset 0, and its first ack
     /// mismatch teaches the primary to ship from the start. Over a
-    /// non-empty one (a restart) it takes back what the held image
-    /// proves: the audit chain and record count, and an epoch floor
-    /// from the image's newest [`Record::Epoch`]. It vouches for its
-    /// end offset only when the image is intact and was never
-    /// compacted: compaction is the only thing that moves a journal's
-    /// base, and its image starts with a `Snapshot` record that does
-    /// not record that base. Any other image — compacted, damaged or
-    /// unreadable — answers every `Append` with a mismatch naming the
-    /// shipped offset, which makes the primary replace it.
+    /// non-empty one (a restart) it takes back the longest prefix of
+    /// the held image it can verify as it would a shipped one: the
+    /// audit chain and record count over it, an epoch floor from its
+    /// newest [`Record::Epoch`], and its end offset, the header's base
+    /// plus the prefix length. Bytes past that prefix — torn, corrupt,
+    /// or contradicting the chain — are dropped, as
+    /// [`Journal::open`] drops a torn tail, and the drop is counted on
+    /// `repl.chain_divergence` with one Warn event. If even the drop
+    /// fails, or the backend is unreadable, the follower holds nothing:
+    /// the next image shipped replaces the backend whole.
     pub fn with_obs(backend: Arc<dyn StorageBackend>, obs: &Obs) -> Follower {
-        let held = backend.read().ok();
-        let image = held.as_deref().unwrap_or_default();
+        let image = backend.read().unwrap_or_default();
+        let divergence = obs.counter("repl.chain_divergence");
+        let header = image_base(&image).map_or(0, |_| image.len().min(HEADER_LEN));
         let mut chain = AuditChain::new();
-        let mut undo = ChainUndo::new(&chain);
-        let verified = verify_frames(&mut chain, &mut undo, Frames::image(image));
-        let epoch = Frames::image(image)
-            .map_while(Result::ok)
-            .filter_map(|frame| match Record::from_payload(frame.checked().ok()?) {
-                Ok(Record::Epoch(epoch)) => Some(epoch),
-                _ => None,
-            })
-            .max()
-            .unwrap_or(0);
-        let vouched = held.is_some() && verified.is_ok() && undo.reseeded.is_none();
+        let (mut held, _) = verify(&mut chain, Frames::image(&image), &divergence);
+        let mut kept = &image[..held.len.max(header)];
+        if let Some(refusal) = held.refused.take() {
+            let reason = refusal.to_string();
+            obs.emit(Level::Warn, "repl", "unverified bytes dropped", |f| {
+                f.field("kept_bytes", kept.len());
+                f.field("dropped_bytes", image.len() - kept.len());
+                f.field("reason", reason.as_str());
+            });
+            if backend.replace(kept).is_err() {
+                kept = &[];
+            }
+            // What is kept verifies whole: rebuild the chain over it.
+            chain = AuditChain::new();
+            let (rebuilt, _) = verify(&mut chain, Frames::image(kept), &divergence);
+            held.records = rebuilt.records;
+        }
         Follower {
             backend,
             lock: Mutex::new(()),
-            epoch: AtomicU64::new(epoch),
-            base: AtomicU64::new(0),
-            end: AtomicU64::new(image.len() as u64),
-            vouched: AtomicBool::new(vouched),
-            records: AtomicU64::new(verified.unwrap_or(0)),
+            epoch: AtomicU64::new(held.epoch),
+            end: AtomicU64::new(image_base(kept).unwrap_or(0) + kept.len() as u64),
+            records: AtomicU64::new(held.records),
             chain: Mutex::new(chain),
-            divergence: obs.counter("repl.chain_divergence"),
+            divergence,
         }
     }
 
@@ -545,63 +585,47 @@ impl Follower {
             return Ok(ReplAck::Stale { current });
         }
         self.epoch.store(frame.epoch(), Ordering::Release);
-        match frame {
-            ReplFrame::Append { offset, bytes, .. } => {
-                if !self.vouched.load(Ordering::Acquire) {
-                    return Ok(ReplAck::Mismatch { expected: *offset });
-                }
-                let end = self.end.load(Ordering::Acquire);
-                if *offset != end {
-                    return Ok(ReplAck::Mismatch { expected: end });
-                }
+        let end = self.end.load(Ordering::Acquire);
+        let image = match frame {
+            ReplFrame::Append { offset, .. } if *offset != end => {
+                return Ok(ReplAck::Mismatch { expected: end });
+            }
+            ReplFrame::Append { bytes, .. } if end > 0 || bytes.is_empty() => {
                 if !bytes.is_empty() {
                     // Verify-before-persist: extend the audit chain over
                     // the shipped records and refuse divergent history
                     // before a single byte lands in the backend. A
                     // refused or unpersisted frame rolls the chain back.
-                    // The first bytes of an empty follower start its
-                    // image, so they must carry the journal header.
-                    let frames = if end == self.base.load(Ordering::Acquire) {
-                        Frames::image(bytes)
-                    } else {
-                        Frames::tail(bytes)
-                    };
                     let mut chain = self.chain.lock().unwrap_or_else(|p| p.into_inner());
-                    let mut undo = ChainUndo::new(&chain);
-                    let persisted = verify_frames(&mut chain, &mut undo, frames)
-                        .inspect_err(|_| self.divergence.inc())
-                        .and_then(|records| {
-                            self.backend
-                                .append(bytes)
-                                .map_err(|e| ReplError::Storage(e.to_string()))?;
-                            Ok(records)
-                        });
-                    let records = persisted.inspect_err(|_| undo.restore(&mut chain))?;
+                    let (verified, undo) =
+                        verify(&mut chain, Frames::tail(bytes), &self.divergence);
+                    let append = || self.backend.append(bytes).map_err(ReplError::from);
+                    (verified.refused.map_or_else(append, Err))
+                        .inspect_err(|_| undo.restore(&mut chain))?;
                     self.end.store(end + bytes.len() as u64, Ordering::Release);
-                    self.records.fetch_add(records, Ordering::Relaxed);
+                    self.records.fetch_add(verified.records, Ordering::Relaxed);
                 }
-                Ok(ReplAck::Acked {
+                return Ok(ReplAck::Acked {
                     offset: self.end.load(Ordering::Acquire),
-                })
+                });
             }
-            ReplFrame::Snapshot { base, image, .. } => {
-                let mut chain = self.chain.lock().unwrap_or_else(|p| p.into_inner());
-                let mut verified = AuditChain::new();
-                let mut undo = ChainUndo::new(&verified);
-                let records = verify_frames(&mut verified, &mut undo, Frames::image(image))
-                    .inspect_err(|_| self.divergence.inc())?;
-                self.backend
-                    .replace(image)
-                    .map_err(|e| ReplError::Storage(e.to_string()))?;
-                *chain = verified;
-                self.base.store(*base, Ordering::Release);
-                let end = base + image.len() as u64;
-                self.end.store(end, Ordering::Release);
-                self.vouched.store(true, Ordering::Release);
-                self.records.store(records, Ordering::Relaxed);
-                Ok(ReplAck::Acked { offset: end })
-            }
+            // The first bytes of an empty follower start its image, as a
+            // snapshot's do: both must verify whole, header included, and
+            // replace whatever the backend holds.
+            ReplFrame::Append { bytes: image, .. } | ReplFrame::Snapshot { image, .. } => image,
+        };
+        let mut chain = AuditChain::new();
+        let (held, _) = verify(&mut chain, Frames::image(image), &self.divergence);
+        if let Some(refusal) = held.refused {
+            return Err(refusal);
         }
+        self.backend.replace(image).map_err(ReplError::from)?;
+        *self.chain.lock().unwrap_or_else(|p| p.into_inner()) = chain;
+        // verify checked the header, so the image has a base or is empty.
+        let end = image_base(image).unwrap_or(0) + image.len() as u64;
+        self.end.store(end, Ordering::Release);
+        self.records.store(held.records, Ordering::Relaxed);
+        Ok(ReplAck::Acked { offset: end })
     }
 
     /// Raises this follower's epoch floor without touching its log —
@@ -1060,12 +1084,11 @@ impl Replicator {
                 }
                 // A forced replace, an offset compaction reclaimed, or
                 // one past our durable end (a divergent suffix written
-                // under a dead epoch): the whole image, re-based.
+                // under a dead epoch): the whole image.
                 _ => {
                     self.snapshots_shipped.inc();
                     ReplFrame::Snapshot {
                         epoch,
-                        base: image.base(),
                         image: image.bytes().into(),
                     }
                 }
@@ -1078,19 +1101,17 @@ impl Replicator {
                     peer.force_snapshot.store(false, Ordering::Release);
                 }
                 ReplAck::Mismatch { expected } => {
-                    if peer.trusted.load(Ordering::Acquire) && expected != from {
+                    if peer.trusted.load(Ordering::Acquire) {
                         peer.acked.store(expected, Ordering::Release);
                         peer.acked_gauge.set(expected as i64);
                     } else {
                         // First contact with a follower whose history
                         // this replicator never shipped (adopted after
-                        // a failover): its physical prefix may diverge
-                        // from ours even when the logical state agrees,
-                        // so resuming appends at its claimed offset
-                        // could interleave two journals. A mismatch
-                        // naming the offset just shipped is a follower
-                        // that cannot vouch for any offset (restarted
-                        // over a compacted image). Replace either way.
+                        // a failover): its bytes may be a deposed
+                        // primary's, at the same offsets as ours but
+                        // not the same bytes, so resuming appends at
+                        // its claimed offset could interleave two
+                        // journals. Replace it.
                         peer.force_snapshot.store(true, Ordering::Release);
                     }
                 }
@@ -1370,7 +1391,7 @@ impl fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{crc32, FRAME_OVERHEAD, HEADER_LEN};
+    use crate::journal::{crc32, FRAME_OVERHEAD};
     use crate::test_support::auditor_key;
     use alidrone_geo::{Distance, GeoPoint, NoFlyZone};
 
@@ -1407,7 +1428,6 @@ mod tests {
             },
             ReplFrame::Snapshot {
                 epoch: 9,
-                base: 1000,
                 image: vec![0xAB; 17].into(),
             },
         ];
@@ -1695,7 +1715,7 @@ mod tests {
     #[test]
     fn a_restarted_follower_keeps_its_fence_and_converges() {
         // Once over an image shipped frame by frame, once over a
-        // compacted image, whose logical base the image does not record.
+        // compacted image, whose header records its logical base.
         for compact in [false, true] {
             let obs = Obs::noop();
             let store = Arc::new(MemBackend::new());
@@ -1738,10 +1758,18 @@ mod tests {
             assert_eq!(store.bytes(), held, "compact {compact}");
 
             // The replicator that shipped to f0 before its restart
-            // converges it in the next round...
+            // resumes it by tail in the next round...
+            let before = link.0.lock().unwrap().acked_offset();
+            assert_eq!(f0.acked_offset(), before, "compact {compact}");
+            let snapshots = obs.snapshot().counter("repl.snapshots_shipped");
             *link.0.lock().unwrap() = Arc::clone(&f0);
             primary.register_zone_durable(zone(2)).unwrap();
             assert_eq!(store.bytes(), primary_store.bytes(), "compact {compact}");
+            assert_eq!(
+                obs.snapshot().counter("repl.snapshots_shipped"),
+                snapshots,
+                "compact {compact}"
+            );
             assert_eq!(
                 recovered_head(store.bytes()),
                 recovered_head(primary_store.bytes())
@@ -1766,6 +1794,63 @@ mod tests {
             )
             .unwrap();
             assert_eq!(store.bytes(), primary_store.bytes(), "compact {compact}");
+            assert_eq!(
+                recovered_head(store.bytes()),
+                recovered_head(primary_store.bytes())
+            );
+        }
+    }
+
+    #[test]
+    fn a_restarted_follower_drops_what_it_cannot_verify_and_resumes_by_tail() {
+        // A torn final frame costs that frame; rot in the first state
+        // record of a compacted image costs the whole snapshot run, so
+        // only the header is left. Either way the follower acks the
+        // header's base plus what it kept, and the replicator that
+        // shipped to it before the restart resumes it by tail.
+        for rot in [false, true] {
+            let obs = Obs::noop();
+            let store = Arc::new(MemBackend::new());
+            let link = Arc::new(RestartLink(Mutex::new(Arc::new(Follower::new(
+                store.clone(),
+            )))));
+            let primary_store = Arc::new(MemBackend::new());
+            let (primary, _) = Auditor::recover(
+                primary_store.clone(),
+                AuditorConfig::default(),
+                auditor_key().clone(),
+            )
+            .unwrap();
+            let replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1))
+                .with_follower("f0", Arc::clone(&link));
+            primary.set_replicator(Arc::new(replicator));
+            primary.begin_epoch(1).unwrap();
+            primary.register_zone_durable(zone(0)).unwrap();
+            primary.register_zone_durable(zone(1)).unwrap();
+            primary.compact_journal().unwrap();
+            primary.register_zone_durable(zone(2)).unwrap();
+
+            let image = store.bytes();
+            let ends: Vec<usize> = Frames::image(&image).map(|f| f.unwrap().end()).collect();
+            let base = link.0.lock().unwrap().acked_offset() - image.len() as u64;
+            let (damaged, kept) = if rot {
+                let mut damaged = image.clone();
+                damaged[ends[0] + FRAME_OVERHEAD + 2] ^= 0x10;
+                (damaged, HEADER_LEN)
+            } else {
+                (image[..image.len() - 3].to_vec(), ends[ends.len() - 2])
+            };
+            store.replace(&damaged).unwrap();
+            let f0 = Arc::new(Follower::with_obs(store.clone(), &obs));
+            assert_eq!(f0.acked_offset(), base + kept as u64, "rot {rot}");
+            assert_eq!(store.bytes(), image[..kept]);
+            assert_eq!(obs.snapshot().counter("repl.chain_divergence"), 1);
+
+            let snapshots = obs.snapshot().counter("repl.snapshots_shipped");
+            *link.0.lock().unwrap() = f0;
+            primary.register_zone_durable(zone(3)).unwrap();
+            assert_eq!(store.bytes(), primary_store.bytes());
+            assert_eq!(obs.snapshot().counter("repl.snapshots_shipped"), snapshots);
             assert_eq!(
                 recovered_head(store.bytes()),
                 recovered_head(primary_store.bytes())
@@ -1923,7 +2008,6 @@ mod tests {
         follower
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                base: 0,
                 image: longer_backend.bytes().into(),
             })
             .unwrap();
@@ -2031,7 +2115,6 @@ mod tests {
         let err = victim
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                base: 0,
                 image: tampered.as_slice().into(),
             })
             .unwrap_err();
@@ -2093,7 +2176,6 @@ mod tests {
             follower
                 .apply(&ReplFrame::Snapshot {
                     epoch: 1,
-                    base: 0,
                     image: held.into(),
                 })
                 .unwrap();
@@ -2110,7 +2192,8 @@ mod tests {
     fn follower_refuses_an_image_of_another_journal_version() {
         let (_, backend) = journal_with(3);
         let mut image = backend.bytes();
-        image[HEADER_LEN - 1] = 2;
+        // Version 1, the format before headers recorded their base.
+        image[4] = 1;
         // Recovery refuses this image, so a follower must not ack it.
         assert!(Journal::open(Arc::new(MemBackend::with_bytes(image.clone()))).is_err());
         let (_, held) = journal_with(1);
@@ -2119,7 +2202,6 @@ mod tests {
                 &held,
                 &ReplFrame::Snapshot {
                     epoch: 1,
-                    base: 0,
                     image: image.as_slice().into(),
                 },
             );
@@ -2133,7 +2215,6 @@ mod tests {
         assert!(Journal::open(Arc::new(MemBackend::with_bytes(bare.clone()))).is_err());
         let snapshot = ReplFrame::Snapshot {
             epoch: 1,
-            base: 0,
             image: bare.as_slice().into(),
         };
         let (_, held) = journal_with(1);

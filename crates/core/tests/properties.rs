@@ -17,7 +17,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use alidrone_core::journal::{Journal, MemBackend, Record};
+use alidrone_core::journal::{Journal, MemBackend, Record, HEADER_LEN};
 use alidrone_core::repl::{Follower, ReplFrame};
 use alidrone_core::wire::{
     encode_envelope, split_envelope, Request, Response, WireEnvelope, WireTraceContext,
@@ -434,7 +434,7 @@ fn follower_recovery_parity(image: &[u8], seed: u64) -> usize {
         bytes[pos] ^= 1 << bit;
         damaged.push(bytes);
     };
-    for pos in 0..5 {
+    for pos in 0..HEADER_LEN {
         for bit in 0..8 {
             flip(pos, bit);
         }
@@ -459,7 +459,6 @@ fn follower_recovery_parity(image: &[u8], seed: u64) -> usize {
         let accepted = follower
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                base: 0,
                 image: bytes.as_slice().into(),
             })
             .is_ok();

@@ -3,8 +3,9 @@
 //! Each seed draws a full failure scenario from the fault plane — op
 //! count, kill point, a compaction racing the kill, a partition window
 //! putting one follower into catch-up, probabilistic ship loss, an
-//! optional torn primary append at the kill, and an optional failed
-//! append on one follower's backend just before the kill — then:
+//! optional torn primary append at the kill, an optional failed
+//! append on one follower's backend just before the kill, and an
+//! optional restart of one follower over the backend it kept — then:
 //!
 //! 1. runs a crash-free **reference** auditor over the same op
 //!    schedule, checkpointing state after every op;
@@ -33,16 +34,16 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use alidrone::chaos::{FaultPlane, FaultyLink, PartitionSwitch};
-use alidrone::core::journal::{MemBackend, StorageBackend};
+use alidrone::core::journal::{MemBackend, StorageBackend, FRAME_OVERHEAD, HEADER_LEN};
 use alidrone::core::repl::{
-    arm, promote, Cluster, ClusterConfig, Follower, InProcessLink, Promotion, ReplicationPolicy,
-    Replicator,
+    arm, promote, Cluster, ClusterConfig, Follower, Promotion, ReplAck, ReplError, ReplFrame,
+    ReplLink, ReplicationPolicy, Replicator,
 };
 use alidrone::core::{Auditor, AuditorConfig, ProtocolError};
 use alidrone::crypto::rng::XorShift64;
 use alidrone::crypto::rsa::RsaPrivateKey;
 use alidrone::geo::{Distance, GeoPoint, NoFlyZone};
-use alidrone::obs::Obs;
+use alidrone::obs::{FlightRecorder, Level, Obs};
 
 /// Per-seed key cache (512-bit keygen in debug builds is slow).
 fn key(seed: u64) -> RsaPrivateKey {
@@ -90,6 +91,10 @@ struct Plan {
     /// followers may disagree on the last acked record when the
     /// primary dies.
     backend_fault: Option<(usize, usize)>,
+    /// `(op, follower)`: after that op, one of the last two before the
+    /// kill, that follower restarts — a fresh [`Follower::new`] over
+    /// the backend it kept.
+    restart: Option<(usize, usize)>,
 }
 
 impl Plan {
@@ -112,6 +117,10 @@ impl Plan {
             let op = kill_at - 1 - (s.next_u64() % 2) as usize;
             (op, (s.next_u64() % 2) as usize)
         });
+        let restart = s.chance(0.5).then(|| {
+            let op = kill_at - 1 - (s.next_u64() % 2) as usize;
+            (op, (s.next_u64() % 2) as usize)
+        });
         Plan {
             n_ops,
             kill_at,
@@ -120,6 +129,7 @@ impl Plan {
             drop_p,
             tear_on_kill,
             backend_fault,
+            restart,
         }
     }
 }
@@ -140,6 +150,18 @@ fn followers() -> (Vec<Arc<MemBackend>>, Members) {
         })
         .collect();
     (backends, followers)
+}
+
+/// A link to whichever follower currently serves its slot, so a
+/// restarted follower takes over the dead one's link.
+#[derive(Clone)]
+struct SlotLink(Arc<Mutex<Arc<Follower>>>);
+
+impl ReplLink for SlotLink {
+    fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
+        let follower = Arc::clone(&self.0.lock().unwrap());
+        follower.apply(frame)
+    }
 }
 
 /// Applies op `i` through the durable (quorum-gated) API. Every op is
@@ -199,13 +221,13 @@ fn campaign_run(seed: u64) -> Vec<String> {
     let (backends, mut followers) = followers();
     let mut switches: Vec<PartitionSwitch> = Vec::new();
     let mut replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1));
-    for (name, follower) in &followers {
-        let link = FaultyLink::new(
-            InProcessLink::new(Arc::clone(follower)),
-            &plane,
-            &format!("repl.{name}"),
-        )
-        .drop_with(plan.drop_p);
+    let slots: Vec<SlotLink> = followers
+        .iter()
+        .map(|(_, f)| SlotLink(Arc::new(Mutex::new(Arc::clone(f)))))
+        .collect();
+    for ((name, _), slot) in followers.iter().zip(&slots) {
+        let link =
+            FaultyLink::new(slot.clone(), &plane, &format!("repl.{name}")).drop_with(plan.drop_p);
         switches.push(link.partition_switch());
         replicator = replicator.with_follower(name.clone(), link);
     }
@@ -257,6 +279,18 @@ fn campaign_run(seed: u64) -> Vec<String> {
                 )),
                 Err(_) => log.push(format!("op {i}: f{f} append fault unreached")),
             }
+        }
+        if let Some((_, f)) = plan.restart.filter(|&(op, _)| op == i) {
+            let restarted = Arc::new(Follower::new(Arc::clone(&backends[f]) as _));
+            *slots[f].0.lock().unwrap() = Arc::clone(&restarted);
+            followers[f].1 = restarted;
+            log.push(format!(
+                "op {i}: f{f} restarted; acked offsets {:?}",
+                followers
+                    .iter()
+                    .map(|(_, follower)| follower.acked_offset())
+                    .collect::<Vec<_>>()
+            ));
         }
     }
     // Kill mid-record: the primary's final append tears. The op must
@@ -386,6 +420,8 @@ fn kill_the_primary_campaign() {
     let mut torn_kills = 0usize;
     let mut backend_faults = 0usize;
     let mut rule_decided = 0usize;
+    let mut restarts_after_compaction = 0usize;
+    let mut restarted_promoted = 0usize;
     for seed in 0..seeds {
         let log = campaign_run(seed);
         for line in &log {
@@ -409,6 +445,13 @@ fn kill_the_primary_campaign() {
         if has("f1 append failed") && has("promote f0") {
             rule_decided += 1;
         }
+        let restarted = log.iter().position(|l| l.contains("restarted"));
+        if restarted.is_some_and(|r| log[..r].iter().any(|l| l.contains("compacted"))) {
+            restarts_after_compaction += 1;
+        }
+        if (0..2).any(|f| has(&format!("f{f} restarted")) && has(&format!("promote f{f}"))) {
+            restarted_promoted += 1;
+        }
     }
     // The plan space must actually cover the interesting offsets.
     if seeds >= 30 {
@@ -419,6 +462,14 @@ fn kill_the_primary_campaign() {
         assert!(
             rule_decided > 0,
             "no seed left a failed follower behind at the kill"
+        );
+        assert!(
+            restarts_after_compaction > 0,
+            "no follower restarted over a compacted image"
+        );
+        assert!(
+            restarted_promoted > 0,
+            "no seed promoted a restarted follower"
         );
     }
 }
@@ -512,4 +563,119 @@ fn promotion_keeps_a_record_only_one_follower_acked() {
             "acked zone {id} lost at failover"
         );
     }
+}
+
+/// Three zones acked under `Quorum(1)` with a compaction after the
+/// first, the last through follower 0 alone (follower 1's backend fails
+/// that append); then follower 0 restarts over the compacted image it
+/// kept. Its image records the logical base compaction gave it, so it
+/// still reports the highest acked offset: the rule promotes it and
+/// every acked zone survives. Promoting follower 1 would lose the last.
+#[test]
+fn promotion_after_a_compacted_follower_restart_keeps_every_acked_record() {
+    let obs = Obs::noop();
+    let (backends, mut followers) = followers();
+    let (primary, _) = Auditor::recover_with_obs(
+        Arc::new(MemBackend::new()),
+        AuditorConfig::default(),
+        key(0),
+        &obs,
+    )
+    .unwrap();
+    arm(&primary, &followers, ReplicationPolicy::Quorum(1), 1, &obs).unwrap();
+    let mut acked = vec![primary.register_zone_durable(zone(0)).unwrap()];
+    primary.compact_journal().unwrap();
+    acked.push(primary.register_zone_durable(zone(1)).unwrap());
+    backends[1].fail_next_append();
+    acked.push(primary.register_zone_durable(zone(2)).unwrap());
+    drop(primary);
+
+    let before = followers[0].1.acked_offset();
+    assert!(
+        before > followers[1].1.acked_offset(),
+        "f1 missed the append"
+    );
+    followers[0].1 = Arc::new(Follower::new(Arc::clone(&backends[0]) as _));
+    assert_eq!(
+        followers[0].1.acked_offset(),
+        before,
+        "restart kept f0's offset"
+    );
+
+    let promotion = promote(
+        &mut followers,
+        ReplicationPolicy::Quorum(1),
+        AuditorConfig::default(),
+        key(0),
+        &obs,
+    )
+    .unwrap();
+    assert_eq!(promotion.follower, "f0");
+    for id in acked {
+        assert!(
+            promotion.auditor.zone(id).is_some(),
+            "acked zone {id} lost at failover"
+        );
+    }
+}
+
+/// A bit rots inside the first frame of follower 1's image and it
+/// restarts. It keeps only the prefix it can verify — here the bare
+/// header — and says so once (`repl.chain_divergence`, one Warn
+/// event), so the rule promotes the intact follower 0 instead of
+/// failing on follower 1's damaged image at every retry.
+#[test]
+fn promotion_passes_over_a_follower_whose_image_is_corrupt() {
+    let obs = Obs::noop();
+    let recorder = Arc::new(FlightRecorder::new(64));
+    obs.set_subscriber(recorder.clone());
+    let (backends, mut followers) = followers();
+    let (primary, _) = Auditor::recover_with_obs(
+        Arc::new(MemBackend::new()),
+        AuditorConfig::default(),
+        key(0),
+        &obs,
+    )
+    .unwrap();
+    arm(&primary, &followers, ReplicationPolicy::Quorum(1), 1, &obs).unwrap();
+    let acked: Vec<_> = (0..2)
+        .map(|i| primary.register_zone_durable(zone(i)).unwrap())
+        .collect();
+    drop(primary);
+
+    backends[1].flip_bits(HEADER_LEN + FRAME_OVERHEAD + 2, 0x10);
+    followers[1].1 = Arc::new(Follower::with_obs(Arc::clone(&backends[1]) as _, &obs));
+    assert!(
+        followers[1].1.acked_offset() < followers[0].1.acked_offset(),
+        "f1 acked bytes it cannot verify"
+    );
+    assert_eq!(obs.snapshot().counter("repl.chain_divergence"), 1);
+    let warned = recorder
+        .events()
+        .into_iter()
+        .filter(|e| e.level == Level::Warn && e.target == "repl")
+        .count();
+    assert_eq!(warned, 1);
+
+    let promotion = promote(
+        &mut followers,
+        ReplicationPolicy::Quorum(1),
+        AuditorConfig::default(),
+        key(0),
+        &obs,
+    )
+    .unwrap();
+    assert_eq!(promotion.follower, "f0");
+    for id in acked {
+        assert!(
+            promotion.auditor.zone(id).is_some(),
+            "acked zone {id} lost at failover"
+        );
+    }
+    // The damaged follower takes the new primary's image whole.
+    assert_eq!(
+        followers[0].1.image().unwrap(),
+        backends[0].bytes(),
+        "f1 converged on the promoted image"
+    );
 }
