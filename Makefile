@@ -80,10 +80,11 @@ soak-smoke:
 
 # Kill-the-primary failover gate: tests/failover.rs — a reduced-seed
 # replication chaos campaign (FAILOVER_SEEDS trims the default 40
-# seeds), the leader-completeness regression test, the two restart
+# seeds), the leader-completeness regression test, the restart
 # regression tests
 # (promotion_after_a_compacted_follower_restart_keeps_every_acked_record,
-# promotion_passes_over_a_follower_whose_image_is_corrupt) and the
+# promotion_passes_over_a_follower_whose_image_is_corrupt,
+# promotion_passes_over_a_compacted_follower_that_lost_its_snapshot) and the
 # packaged Cluster::kill_and_promote path, all promoting through
 # repl::promote — then the replicated soak with its kill-and-promote
 # phase (report lands in target/SOAK_failover_report.json for CI to

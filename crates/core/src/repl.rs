@@ -74,7 +74,8 @@
 //! prefix of its image it can verify, dropping the rest as recovery
 //! drops a torn tail, and acks the header's base plus that prefix, so
 //! the replicator that shipped to it before the restart resumes it by
-//! tail. A replicator that never shipped to a follower (one adopted
+//! tail. A prefix with no whole record is held as nothing (offset 0):
+//! a compacted image's earlier history lives in its snapshot run. A replicator that never shipped to a follower (one adopted
 //! after a failover) replaces its image on first contact instead: the
 //! follower may hold a deposed primary's bytes at the same offsets.
 
@@ -92,7 +93,7 @@ use crate::audit::{AuditChain, ChainMark};
 use crate::auditor::{advance_chain, StateRun, Step};
 use crate::journal::{
     image_base, DurableImage, Frame, FrameError, Frames, Journal, JournalError, MemBackend, Record,
-    ShipSource, StorageBackend, HEADER_LEN,
+    ShipSource, StorageBackend,
 };
 use crate::wire::codec::{read_frame, write_frame, Reader, Writer};
 use crate::{Auditor, AuditorConfig, ProtocolError, RecoveryReport};
@@ -531,19 +532,24 @@ impl Follower {
     /// the held image it can verify as it would a shipped one: the
     /// audit chain and record count over it, an epoch floor from its
     /// newest [`Record::Epoch`], and its end offset, the header's base
-    /// plus the prefix length. Bytes past that prefix — torn, corrupt,
-    /// or contradicting the chain — are dropped, as
-    /// [`Journal::open`] drops a torn tail, and the drop is counted on
-    /// `repl.chain_divergence` with one Warn event. If even the drop
-    /// fails, or the backend is unreadable, the follower holds nothing:
-    /// the next image shipped replaces the backend whole.
+    /// plus the prefix length. A prefix without a whole record is no
+    /// prefix: a compacted image's history before its base lives in
+    /// its snapshot run, so a header alone holds nothing and acks 0.
+    /// Bytes past the prefix — torn, corrupt, or contradicting the
+    /// chain — are dropped, as [`Journal::open`] drops a torn tail,
+    /// and the drop is counted on `repl.chain_divergence` with one
+    /// Warn event. An image whose header does not read (another
+    /// version, rot in the header) is refused the same way but left in
+    /// the backend: the next image shipped replaces it whole, and until
+    /// then it is the one copy an older build could still read. If the
+    /// drop fails, or the backend is unreadable, the follower holds
+    /// nothing either.
     pub fn with_obs(backend: Arc<dyn StorageBackend>, obs: &Obs) -> Follower {
         let image = backend.read().unwrap_or_default();
         let divergence = obs.counter("repl.chain_divergence");
-        let header = image_base(&image).map_or(0, |_| image.len().min(HEADER_LEN));
         let mut chain = AuditChain::new();
         let (mut held, _) = verify(&mut chain, Frames::image(&image), &divergence);
-        let mut kept = &image[..held.len.max(header)];
+        let mut kept = &image[..held.len];
         if let Some(refusal) = held.refused.take() {
             let reason = refusal.to_string();
             obs.emit(Level::Warn, "repl", "unverified bytes dropped", |f| {
@@ -551,7 +557,7 @@ impl Follower {
                 f.field("dropped_bytes", image.len() - kept.len());
                 f.field("reason", reason.as_str());
             });
-            if backend.replace(kept).is_err() {
+            if image_base(&image).is_ok() && backend.replace(kept).is_err() {
                 kept = &[];
             }
             // What is kept verifies whole: rebuild the chain over it.
@@ -1391,7 +1397,7 @@ impl fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{crc32, FRAME_OVERHEAD};
+    use crate::journal::{crc32, FRAME_OVERHEAD, HEADER_LEN};
     use crate::test_support::auditor_key;
     use alidrone_geo::{Distance, GeoPoint, NoFlyZone};
 
@@ -1802,12 +1808,14 @@ mod tests {
     }
 
     #[test]
-    fn a_restarted_follower_drops_what_it_cannot_verify_and_resumes_by_tail() {
-        // A torn final frame costs that frame; rot in the first state
-        // record of a compacted image costs the whole snapshot run, so
-        // only the header is left. Either way the follower acks the
+    fn a_restarted_follower_drops_what_it_cannot_verify_and_catches_up() {
+        // A torn final frame costs that frame: the follower acks the
         // header's base plus what it kept, and the replicator that
-        // shipped to it before the restart resumes it by tail.
+        // shipped to it before the restart resumes it by tail. Rot in
+        // the first state record of a compacted image costs the whole
+        // snapshot run, and with it every record: the history before
+        // the base lived in that run, so the follower holds nothing,
+        // acks 0, and takes the compacted image again as a Snapshot.
         for rot in [false, true] {
             let obs = Obs::noop();
             let store = Arc::new(MemBackend::new());
@@ -1833,16 +1841,18 @@ mod tests {
             let image = store.bytes();
             let ends: Vec<usize> = Frames::image(&image).map(|f| f.unwrap().end()).collect();
             let base = link.0.lock().unwrap().acked_offset() - image.len() as u64;
-            let (damaged, kept) = if rot {
+            assert!(base > 0, "the image is compacted");
+            let (damaged, kept, offset) = if rot {
                 let mut damaged = image.clone();
                 damaged[ends[0] + FRAME_OVERHEAD + 2] ^= 0x10;
-                (damaged, HEADER_LEN)
+                (damaged, 0, 0)
             } else {
-                (image[..image.len() - 3].to_vec(), ends[ends.len() - 2])
+                let kept = ends[ends.len() - 2];
+                (image[..image.len() - 3].to_vec(), kept, base + kept as u64)
             };
             store.replace(&damaged).unwrap();
             let f0 = Arc::new(Follower::with_obs(store.clone(), &obs));
-            assert_eq!(f0.acked_offset(), base + kept as u64, "rot {rot}");
+            assert_eq!(f0.acked_offset(), offset, "rot {rot}");
             assert_eq!(store.bytes(), image[..kept]);
             assert_eq!(obs.snapshot().counter("repl.chain_divergence"), 1);
 
@@ -1850,7 +1860,11 @@ mod tests {
             *link.0.lock().unwrap() = f0;
             primary.register_zone_durable(zone(3)).unwrap();
             assert_eq!(store.bytes(), primary_store.bytes());
-            assert_eq!(obs.snapshot().counter("repl.snapshots_shipped"), snapshots);
+            assert_eq!(
+                obs.snapshot().counter("repl.snapshots_shipped"),
+                snapshots + u64::from(rot),
+                "rot {rot}"
+            );
             assert_eq!(
                 recovered_head(store.bytes()),
                 recovered_head(primary_store.bytes())
@@ -2196,6 +2210,18 @@ mod tests {
         image[4] = 1;
         // Recovery refuses this image, so a follower must not ack it.
         assert!(Journal::open(Arc::new(MemBackend::with_bytes(image.clone()))).is_err());
+        // A follower restarted over it holds nothing, but leaves it in
+        // its backend byte for byte, as it does an image whose header
+        // rotted: only a shipped image replaces what it cannot read.
+        let mut rotted = backend.bytes();
+        rotted[7] ^= 0x01;
+        for unreadable in [&image, &rotted] {
+            let store = Arc::new(MemBackend::with_bytes(unreadable.clone()));
+            let obs = Obs::noop();
+            assert_eq!(Follower::with_obs(store.clone(), &obs).acked_offset(), 0);
+            assert_eq!(&store.bytes(), unreadable);
+            assert_eq!(obs.snapshot().counter("repl.chain_divergence"), 1);
+        }
         let (_, held) = journal_with(1);
         for held in [Vec::new(), held.bytes()] {
             assert_refused_unchanged(

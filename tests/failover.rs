@@ -36,8 +36,8 @@ use std::sync::{Arc, Mutex, OnceLock};
 use alidrone::chaos::{FaultPlane, FaultyLink, PartitionSwitch};
 use alidrone::core::journal::{MemBackend, StorageBackend, FRAME_OVERHEAD, HEADER_LEN};
 use alidrone::core::repl::{
-    arm, promote, Cluster, ClusterConfig, Follower, Promotion, ReplAck, ReplError, ReplFrame,
-    ReplLink, ReplicationPolicy, Replicator,
+    arm, promote, Cluster, ClusterConfig, Follower, InProcessLink, Promotion, ReplAck, ReplError,
+    ReplFrame, ReplLink, ReplicationPolicy, Replicator,
 };
 use alidrone::core::{Auditor, AuditorConfig, ProtocolError};
 use alidrone::crypto::rng::XorShift64;
@@ -620,8 +620,8 @@ fn promotion_after_a_compacted_follower_restart_keeps_every_acked_record() {
 }
 
 /// A bit rots inside the first frame of follower 1's image and it
-/// restarts. It keeps only the prefix it can verify — here the bare
-/// header — and says so once (`repl.chain_divergence`, one Warn
+/// restarts. It keeps only the prefix it can verify — here no record,
+/// so it holds nothing — and says so once (`repl.chain_divergence`, one Warn
 /// event), so the rule promotes the intact follower 0 instead of
 /// failing on follower 1's damaged image at every retry.
 #[test]
@@ -677,5 +677,69 @@ fn promotion_passes_over_a_follower_whose_image_is_corrupt() {
         followers[0].1.image().unwrap(),
         backends[0].bytes(),
         "f1 converged on the promoted image"
+    );
+}
+
+/// Follower 0 is cut off before a compaction and holds the old image;
+/// follower 1 takes the compacted one, whose snapshot record then rots,
+/// and restarts. The history before the compacted image's base lived
+/// only in that snapshot run, so follower 1 holds no record and acks 0
+/// rather than its header's base: the rule promotes follower 0, which
+/// keeps every zone it held. Promoting follower 1 would recover an
+/// empty auditor and then replace follower 0's image with it.
+#[test]
+fn promotion_passes_over_a_compacted_follower_that_lost_its_snapshot() {
+    let obs = Obs::noop();
+    let (backends, mut followers) = followers();
+    let (primary, _) = Auditor::recover_with_obs(
+        Arc::new(MemBackend::new()),
+        AuditorConfig::default(),
+        key(0),
+        &obs,
+    )
+    .unwrap();
+    let plane = FaultPlane::new(0);
+    let mut replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1));
+    let mut switches = Vec::new();
+    for (name, follower) in &followers {
+        let link = FaultyLink::new(
+            InProcessLink::new(Arc::clone(follower)),
+            &plane,
+            &format!("repl.{name}"),
+        );
+        switches.push(link.partition_switch());
+        replicator = replicator.with_follower(name.clone(), link);
+    }
+    primary.set_replicator(Arc::new(replicator));
+    primary.begin_epoch(1).unwrap();
+    let held = primary.register_zone_durable(zone(0)).unwrap();
+    switches[0].partition();
+    primary.register_zone_durable(zone(1)).unwrap();
+    primary.compact_journal().unwrap();
+    primary.register_zone_durable(zone(2)).unwrap();
+    drop(primary);
+
+    let lagging = followers[0].1.acked_offset();
+    assert!(
+        followers[1].1.acked_offset() > lagging,
+        "f1 took the compacted image"
+    );
+    backends[1].flip_bits(HEADER_LEN + FRAME_OVERHEAD + 2, 0x10);
+    followers[1].1 = Arc::new(Follower::with_obs(Arc::clone(&backends[1]) as _, &obs));
+    assert_eq!(followers[1].1.acked_offset(), 0, "f1 holds no record");
+    assert_eq!(obs.snapshot().counter("repl.chain_divergence"), 1);
+
+    let promotion = promote(
+        &mut followers,
+        ReplicationPolicy::Quorum(1),
+        AuditorConfig::default(),
+        key(0),
+        &obs,
+    )
+    .unwrap();
+    assert_eq!(promotion.follower, "f0");
+    assert!(
+        promotion.auditor.zone(held).is_some(),
+        "f0's zone lost at failover"
     );
 }
