@@ -78,10 +78,10 @@ scrape-smoke:
 soak-smoke:
 	$(CARGO) run -p alidrone-sim --release --offline --bin exp_soak -- --smoke --out target/SOAK_report.json
 
-# Kill-the-primary failover gate: tests/failover.rs — a reduced-seed
-# replication chaos campaign (FAILOVER_SEEDS trims the default 40
-# seeds), the leader-completeness regression test, the restart
-# regression tests
+# Kill-the-primary failover gate: tests/failover.rs — a widened
+# replication chaos campaign (400 seeds by default, against the 40 of
+# `cargo test`; FAILOVER_SEEDS overrides), the leader-completeness
+# regression test, the restart regression tests
 # (promotion_after_a_compacted_follower_restart_keeps_every_acked_record,
 # promotion_passes_over_a_follower_whose_image_is_corrupt,
 # promotion_passes_over_a_compacted_follower_that_lost_its_snapshot) and the
@@ -90,7 +90,7 @@ soak-smoke:
 # phase (report lands in target/SOAK_failover_report.json for CI to
 # archive), and the end-to-end failover example.
 failover:
-	FAILOVER_SEEDS=$(or $(FAILOVER_SEEDS),12) $(CARGO) test --release --offline --test failover -q
+	FAILOVER_SEEDS=$(or $(FAILOVER_SEEDS),400) $(CARGO) test --release --offline --test failover -q
 	$(CARGO) run -p alidrone-sim --release --offline --bin exp_soak -- --smoke --failover --out target/SOAK_failover_report.json
 	$(CARGO) run --release --offline --example failover
 

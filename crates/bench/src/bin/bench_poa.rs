@@ -518,7 +518,7 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
         b.iter(|| sha256(black_box(&data)));
     });
 
-    // --- Follower catch-up: one `Append` frame carrying a 10^4-record
+    // --- Follower catch-up: one `Snapshot` frame carrying a 10^4-record
     // history of stored verdicts (with a Merkle checkpoint every 32, as
     // the auditor journals them) into a fresh follower, which checks
     // every CRC, extends its audit chain over every record, checks
@@ -541,10 +541,9 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
             }
         }
         let image = journal.read_durable().expect("read");
-        let frame = ReplFrame::Append {
+        let frame = ReplFrame::Snapshot {
             epoch: 1,
-            offset: 0,
-            bytes: image.bytes().into(),
+            image: image.bytes().into(),
         };
         let fresh = || Follower::new(Arc::new(MemBackend::new()));
         // Sanity: the whole frame must be accepted before it is timed.

@@ -897,20 +897,20 @@ impl Replay {
 /// Offsets are *logical*: a monotonically increasing byte position in
 /// the journal's lifetime stream. Appends extend the stream; compaction
 /// rebases it — the fresh image occupies logical bytes starting at the
-/// old durable end, which its header records, so any offset acked
-/// before compaction is now behind that base and resolves to
-/// [`ShipSource::Rebased`].
+/// old durable end, which its header records. An offset at or before
+/// that base (0 included: nothing held) is not inside the image and
+/// resolves to [`ShipSource::Image`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ShipSource<'a> {
     /// Raw frame bytes from the requested offset to the durable end.
     /// Appending them to a follower image that ends at the requested
     /// offset reproduces this journal's image byte-for-byte.
     Tail(&'a [u8]),
-    /// The requested offset predates the current image (compaction
-    /// reclaimed it): the whole current image (header + frames). The
-    /// follower must replace its image wholesale and resume from the
-    /// base its header records plus its length.
-    Rebased(&'a [u8]),
+    /// The requested offset lies at or before the image's base: the
+    /// whole current image (header + frames). The follower must replace
+    /// its image wholesale and resume from the base its header records
+    /// plus its length.
+    Image(&'a [u8]),
 }
 
 /// One consistent read of a journal's durable bytes: the current image
@@ -935,8 +935,8 @@ impl DurableImage {
     }
 
     /// The bytes a follower acked up to `from` lacks: the raw tail when
-    /// `from` is inside this image, or the whole re-based image when
-    /// compaction has reclaimed `from`.
+    /// `from` is inside this image, or the whole image when `from` is
+    /// at or before its base.
     ///
     /// # Errors
     ///
@@ -944,11 +944,10 @@ impl DurableImage {
     /// end (the follower claims bytes this journal never wrote — a
     /// protocol violation, not a race).
     pub fn missing(&self, from: u64) -> Result<ShipSource<'_>, JournalError> {
-        // Compaction reclaimed `from`. `from == base` too needs the
-        // whole image: a follower's bytes up to the base are the
-        // pre-compaction history, not this image's header.
-        if self.base > 0 && from <= self.base {
-            return Ok(ShipSource::Rebased(&self.bytes));
+        // A follower's bytes up to the base are not this image's: they
+        // are nothing (offset 0) or the pre-compaction history.
+        if from <= self.base {
+            return Ok(ShipSource::Image(&self.bytes));
         }
         if from > self.end() {
             return Err(JournalError::Malformed("ship offset beyond durable end"));
@@ -960,8 +959,8 @@ impl DurableImage {
     /// `from` (0 past the durable end), counted without a CRC.
     pub(crate) fn records_missing(&self, from: u64) -> u64 {
         let frames = match self.missing(from) {
-            Ok(ShipSource::Tail(bytes)) if from > self.base => Frames::tail(bytes),
-            Ok(ShipSource::Tail(bytes) | ShipSource::Rebased(bytes)) => Frames::image(bytes),
+            Ok(ShipSource::Tail(bytes)) => Frames::tail(bytes),
+            Ok(ShipSource::Image(bytes)) => Frames::image(bytes),
             Err(_) => return 0,
         };
         frames.map_while(Result::ok).count() as u64
@@ -1104,7 +1103,7 @@ impl Journal {
         let _g = self.write_lock.lock().unwrap_or_else(|p| p.into_inner());
         // Rebase the logical stream: the fresh image occupies bytes
         // starting at the old durable end, so pre-compaction acked
-        // offsets resolve to ShipSource::Rebased.
+        // offsets resolve to ShipSource::Image.
         let base = self.end.load(Ordering::Acquire);
         image[..HEADER_LEN].copy_from_slice(&header(base));
         self.backend.replace(&image)?;
@@ -1474,13 +1473,14 @@ mod tests {
         let end2 = journal.end_offset();
         assert_eq!(end2, backend.bytes().len() as u64);
 
-        // A follower at offset 0 receives the whole image; one at end1
-        // receives exactly the second record's frame.
+        // A follower at offset 0 holds nothing and receives the whole
+        // image; one at end1 receives exactly the second record's frame.
         let full = backend.bytes();
         let image = journal.read_durable().unwrap();
         assert_eq!(image.end(), end2);
         assert_eq!(image.bytes(), full.as_slice());
-        assert_eq!(image.missing(0).unwrap(), ShipSource::Tail(&full));
+        assert_eq!(image.missing(0).unwrap(), ShipSource::Image(&full));
+        assert_eq!(image.records_missing(0), 2);
         assert_eq!(
             image.missing(end1).unwrap(),
             ShipSource::Tail(&full[end1 as usize..])
@@ -1506,17 +1506,14 @@ mod tests {
             .compact(&payloads(&[Record::Snapshot(b"snap".to_vec())]))
             .unwrap();
         assert_eq!(journal.end_offset(), old_end + backend.bytes().len() as u64);
-        // A follower acked before compaction, or at exactly the new
-        // base, gets the whole re-based image, whose header records
-        // that base.
+        // A follower holding nothing, acked before compaction, or at
+        // exactly the new base, gets the whole re-based image, whose
+        // header records that base.
         let image = journal.read_durable().unwrap();
         let compacted = backend.bytes();
         assert_eq!(image_base(&compacted), Ok(old_end));
-        for from in [old_end - 1, old_end] {
-            assert_eq!(
-                image.missing(from).unwrap(),
-                ShipSource::Rebased(&compacted)
-            );
+        for from in [0, old_end - 1, old_end] {
+            assert_eq!(image.missing(from).unwrap(), ShipSource::Image(&compacted));
         }
         // A reopened journal keeps the same offsets.
         let (reopened, _, _) = Journal::open(backend.clone()).unwrap();

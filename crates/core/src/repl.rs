@@ -15,9 +15,8 @@
 //! on-disk format, no translation layer. Before persisting, a follower
 //! reads the shipped bytes with recovery's frame walker and moves its
 //! audit chain by recovery's rule, so it acks only what its own
-//! recovery would replay: an image (a `Snapshot`, or the first bytes
-//! of an empty follower) must start with a valid header, and a torn
-//! frame is refused, not truncated.
+//! recovery would replay: an image (only ever a `Snapshot`) must start
+//! with a valid header, and a torn frame is refused, not truncated.
 //!
 //! # Ack policies
 //!
@@ -54,6 +53,13 @@
 //! base plus the verified prefix, for a live follower, a restarted one
 //! and a promoted primary alike.
 //!
+//! A replicator knows a follower only by the offset it acked to *that*
+//! replicator, which starts at 0. So its first frame to any follower,
+//! at boot and to every survivor [`promote`] re-arms, is a
+//! [`ReplFrame::Snapshot`] that replaces whatever the follower holds:
+//! bytes a deposed primary shipped at the same offsets as the new
+//! primary's are replaced, never extended.
+//!
 //! # One read per round
 //!
 //! A replication round reads the durable image once
@@ -64,20 +70,25 @@
 //!
 //! # Catch-up
 //!
-//! A follower that fell behind (partition, slow disk) resumes
-//! incrementally: the primary remembers its last acked offset and
-//! ships the missing tail. When compaction has rebased the journal
-//! past that offset ([`ShipSource::Rebased`]) the follower receives
-//! the whole fresh image as a [`ReplFrame::Snapshot`] (replace, then
-//! tail as usual) — byte-identical to a follower that never missed a
-//! frame. A restarted follower resumes the same way: it keeps the
-//! prefix of its image it can verify, dropping the rest as recovery
-//! drops a torn tail, and acks the header's base plus that prefix, so
-//! the replicator that shipped to it before the restart resumes it by
+//! The acked offset alone picks each frame. From 0 (nothing acked
+//! yet), from at or before the image's base (compaction reclaimed it,
+//! [`ShipSource::Image`]) or from past the durable end, the follower
+//! gets the whole image as a [`ReplFrame::Snapshot`]; from anywhere
+//! else, an [`ReplFrame::Append`] of the tail. So a follower that fell
+//! behind (partition, slow disk) resumes incrementally, and one that
+//! missed a compaction takes the fresh image, then tails as usual —
+//! byte-identical to a follower that never missed a frame.
+//!
+//! Each frame kind has one meaning to the follower: a `Snapshot`
+//! replaces its image, and an `Append` extends it only when it starts
+//! at the follower's end and that end is not 0. Any other `Append` is
+//! answered with the follower's end and applies nothing, and the
+//! primary ships from there. A restarted follower keeps the prefix of
+//! its image it can verify, dropping the rest as recovery drops a torn
+//! tail, and acks the header's base plus that prefix, so the
+//! replicator that shipped to it before the restart resumes it by
 //! tail. A prefix with no whole record is held as nothing (offset 0):
-//! a compacted image's earlier history lives in its snapshot run. A replicator that never shipped to a follower (one adopted
-//! after a failover) replaces its image on first contact instead: the
-//! follower may hold a deposed primary's bytes at the same offsets.
+//! a compacted image's earlier history lives in its snapshot run.
 
 use std::borrow::Cow;
 use std::cell::OnceCell;
@@ -231,7 +242,8 @@ impl Default for ClusterConfig {
 pub enum ReplFrame<'a> {
     /// Raw journal frame bytes starting at logical `offset` (the
     /// follower's acked end). Appending them reproduces the primary's
-    /// image byte-for-byte.
+    /// image byte-for-byte. A follower whose end is not `offset`, or
+    /// is 0, applies nothing and answers its end.
     Append {
         /// Shipping primary's leadership epoch.
         epoch: u64,
@@ -240,10 +252,11 @@ pub enum ReplFrame<'a> {
         /// Raw journal bytes (whole frames; never a torn tail).
         bytes: Cow<'a, [u8]>,
     },
-    /// A whole journal image — shipped when compaction reclaimed the
-    /// follower's offset, or to force a divergent follower back onto
-    /// this primary's log. The follower replaces its image wholesale
-    /// and resumes from the base its header records plus its length.
+    /// A whole journal image — the first frame to a follower, and the
+    /// frame for one whose offset compaction reclaimed or that claims
+    /// more than this primary wrote. The follower replaces its image
+    /// wholesale and resumes from the base its header records plus its
+    /// length.
     Snapshot {
         /// Shipping primary's leadership epoch.
         epoch: u64,
@@ -316,16 +329,12 @@ impl<'a> ReplFrame<'a> {
 /// The follower's answer to one shipped frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplAck {
-    /// Durable through `offset`; ship from there next.
+    /// Durable through `offset`; ship from there next. The answer to
+    /// every frame of a current epoch, including an `Append` the
+    /// follower did not apply.
     Acked {
-        /// The follower's new durable end.
+        /// The follower's durable end.
         offset: u64,
-    },
-    /// The shipped offset does not match the follower's end; re-ship
-    /// from `expected` (the follower's actual durable end).
-    Mismatch {
-        /// Where the follower actually is.
-        expected: u64,
     },
     /// The frame's epoch is older than one the follower has already
     /// seen: the shipper was deposed.
@@ -335,8 +344,9 @@ pub enum ReplAck {
     },
 }
 
+// Tag 2 is retired (older builds' offset-mismatch ack) and decodes as
+// unknown: do not reuse it.
 const ACK_TAG_ACKED: u8 = 1;
-const ACK_TAG_MISMATCH: u8 = 2;
 const ACK_TAG_STALE: u8 = 3;
 
 impl ReplAck {
@@ -345,7 +355,6 @@ impl ReplAck {
         let mut w = Writer::new();
         match self {
             ReplAck::Acked { offset } => w.put_u8(ACK_TAG_ACKED).put_u64(*offset),
-            ReplAck::Mismatch { expected } => w.put_u8(ACK_TAG_MISMATCH).put_u64(*expected),
             ReplAck::Stale { current } => w.put_u8(ACK_TAG_STALE).put_u64(*current),
         };
         w.into_bytes()
@@ -363,9 +372,6 @@ impl ReplAck {
         let ack = match tag {
             ACK_TAG_ACKED => ReplAck::Acked {
                 offset: r.get_u64().map_err(mal)?,
-            },
-            ACK_TAG_MISMATCH => ReplAck::Mismatch {
-                expected: r.get_u64().map_err(mal)?,
             },
             ACK_TAG_STALE => ReplAck::Stale {
                 current: r.get_u64().map_err(mal)?,
@@ -526,8 +532,8 @@ impl Follower {
     /// A follower over `backend`, whose chain-divergence refusals are
     /// counted on `obs` (`repl.chain_divergence`).
     ///
-    /// Over an empty backend it starts at offset 0, and its first ack
-    /// mismatch teaches the primary to ship from the start. Over a
+    /// Over an empty backend it starts at offset 0, so the first frame
+    /// it applies is a primary's `Snapshot`. Over a
     /// non-empty one (a restart) it takes back the longest prefix of
     /// the held image it can verify as it would a shipped one: the
     /// audit chain and record count over it, an epoch floor from its
@@ -593,11 +599,12 @@ impl Follower {
         self.epoch.store(frame.epoch(), Ordering::Release);
         let end = self.end.load(Ordering::Acquire);
         let image = match frame {
-            ReplFrame::Append { offset, .. } if *offset != end => {
-                return Ok(ReplAck::Mismatch { expected: end });
-            }
-            ReplFrame::Append { bytes, .. } if end > 0 || bytes.is_empty() => {
-                if !bytes.is_empty() {
+            ReplFrame::Snapshot { image, .. } => image,
+            // An Append extends only the image it was cut from; any
+            // other is answered with this follower's end, applying
+            // nothing, and the primary ships from there.
+            ReplFrame::Append { offset, bytes, .. } => {
+                if *offset == end && end > 0 && !bytes.is_empty() {
                     // Verify-before-persist: extend the audit chain over
                     // the shipped records and refuse divergent history
                     // before a single byte lands in the backend. A
@@ -615,11 +622,9 @@ impl Follower {
                     offset: self.end.load(Ordering::Acquire),
                 });
             }
-            // The first bytes of an empty follower start its image, as a
-            // snapshot's do: both must verify whole, header included, and
-            // replace whatever the backend holds.
-            ReplFrame::Append { bytes: image, .. } | ReplFrame::Snapshot { image, .. } => image,
         };
+        // An image must verify whole, header included, and replaces
+        // whatever the backend holds.
         let mut chain = AuditChain::new();
         let (held, _) = verify(&mut chain, Frames::image(image), &self.divergence);
         if let Some(refusal) = held.refused {
@@ -892,23 +897,16 @@ impl fmt::Debug for FollowerServer {
 struct Peer {
     name: String,
     link: Box<dyn ReplLink>,
+    /// The follower's last ack to this replicator: 0 until its first,
+    /// so the first frame to any follower replaces its image.
     acked: AtomicU64,
-    /// True once this replicator itself received an `Acked` from the
-    /// peer. Only then do `Mismatch` offsets refer to bytes *we*
-    /// shipped; before that the follower's physical prefix may
-    /// diverge byte-for-byte from our journal (an adopted follower
-    /// after failover), making offset-based resume unsafe.
-    trusted: AtomicBool,
-    /// The next frame must be a full-image replace (first-contact
-    /// mismatch or a divergent suffix).
-    force_snapshot: AtomicBool,
     acked_gauge: Arc<Gauge>,
     ship_failures: Arc<Counter>,
 }
 
-/// The primary-side log shipper: tracks per-follower acked offsets,
-/// ships missing tails (or re-based snapshots) after every journal
-/// append, and enforces the [`ReplicationPolicy`].
+/// The primary-side log shipper: tracks one acked offset per follower,
+/// ships what each lacks (a tail, or the whole image) after every
+/// journal append, and enforces the [`ReplicationPolicy`].
 ///
 /// Metrics (all on the construction `Obs`): `repl.lag_bytes` /
 /// `repl.lag_records` gauges (distance of the *slowest* follower from
@@ -962,8 +960,6 @@ impl Replicator {
             name,
             link: Box::new(link),
             acked: AtomicU64::new(0),
-            trusted: AtomicBool::new(false),
-            force_snapshot: AtomicBool::new(false),
         });
         self
     }
@@ -1053,12 +1049,10 @@ impl Replicator {
     }
 
     /// Ships whatever `peer` is missing, slicing the round's shared
-    /// `image` (read on first use by whichever peer needs it).
-    /// Converges in a bounded number of rounds: an `Acked` advances, a
-    /// `Mismatch` from a follower we previously acked teaches us its
-    /// true offset, and anything we cannot resume byte-for-byte
-    /// (first-contact mismatch, divergent suffix, compacted-past
-    /// offset) replaces wholesale.
+    /// `image` (read on first use by whichever peer needs it). Its
+    /// acked offset alone picks the frame, and its ack sets that
+    /// offset, so a follower that answers an `Append` with another end
+    /// gets the tail, or the whole image, from there on the next pass.
     fn sync_peer(
         &self,
         peer: &Peer,
@@ -1068,8 +1062,7 @@ impl Replicator {
     ) -> Result<(), ReplError> {
         for _ in 0..4 {
             let from = peer.acked.load(Ordering::Acquire);
-            let force_snapshot = peer.force_snapshot.load(Ordering::Acquire);
-            if from == journal.end_offset() && !force_snapshot {
+            if from == journal.end_offset() {
                 return Ok(());
             }
             let image = image
@@ -1077,7 +1070,7 @@ impl Replicator {
                 .as_ref()
                 .map_err(|e| ReplError::from(e.clone()))?;
             let frame = match image.missing(from) {
-                Ok(ShipSource::Tail(bytes)) if !force_snapshot => {
+                Ok(ShipSource::Tail(bytes)) => {
                     if bytes.is_empty() {
                         return Ok(());
                     }
@@ -1088,10 +1081,10 @@ impl Replicator {
                         bytes: bytes.into(),
                     }
                 }
-                // A forced replace, an offset compaction reclaimed, or
-                // one past our durable end (a divergent suffix written
-                // under a dead epoch): the whole image.
-                _ => {
+                // Nothing acked yet, an offset compaction reclaimed, or
+                // one past our durable end (a suffix written under a
+                // dead epoch): the whole image, replacing the follower's.
+                Ok(ShipSource::Image(_)) | Err(_) => {
                     self.snapshots_shipped.inc();
                     ReplFrame::Snapshot {
                         epoch,
@@ -1103,23 +1096,6 @@ impl Replicator {
                 ReplAck::Acked { offset } => {
                     peer.acked.store(offset, Ordering::Release);
                     peer.acked_gauge.set(offset as i64);
-                    peer.trusted.store(true, Ordering::Release);
-                    peer.force_snapshot.store(false, Ordering::Release);
-                }
-                ReplAck::Mismatch { expected } => {
-                    if peer.trusted.load(Ordering::Acquire) {
-                        peer.acked.store(expected, Ordering::Release);
-                        peer.acked_gauge.set(expected as i64);
-                    } else {
-                        // First contact with a follower whose history
-                        // this replicator never shipped (adopted after
-                        // a failover): its bytes may be a deposed
-                        // primary's, at the same offsets as ours but
-                        // not the same bytes, so resuming appends at
-                        // its claimed offset could interleave two
-                        // journals. Replace it.
-                        peer.force_snapshot.store(true, Ordering::Release);
-                    }
                 }
                 ReplAck::Stale { current } => {
                     return Err(ReplError::StaleEpoch { epoch, current });
@@ -1440,11 +1416,7 @@ mod tests {
         for f in &frames {
             assert_eq!(&ReplFrame::from_bytes(&f.to_bytes()).unwrap(), f);
         }
-        let acks = [
-            ReplAck::Acked { offset: 7 },
-            ReplAck::Mismatch { expected: 0 },
-            ReplAck::Stale { current: 4 },
-        ];
+        let acks = [ReplAck::Acked { offset: 7 }, ReplAck::Stale { current: 4 }];
         for a in &acks {
             assert_eq!(&ReplAck::from_bytes(&a.to_bytes()).unwrap(), a);
         }
@@ -1456,6 +1428,13 @@ mod tests {
             ReplAck::from_bytes(&[]),
             Err(ReplError::Malformed(_))
         ));
+        // Ack tag 2 is retired: a well-formed body under it is unknown.
+        let mut retired = ReplAck::Acked { offset: 7 }.to_bytes();
+        retired[0] = 2;
+        assert_eq!(
+            ReplAck::from_bytes(&retired),
+            Err(ReplError::Malformed("unknown replication ack tag"))
+        );
     }
 
     #[test]
@@ -2019,25 +1998,123 @@ mod tests {
         // epoch's primary.
         let (longer, longer_backend) = journal_with(4);
         assert!(longer.end_offset() > journal.end_offset());
-        follower
-            .apply(&ReplFrame::Snapshot {
-                epoch: 1,
-                image: longer_backend.bytes().into(),
-            })
-            .unwrap();
+        let feed_longer = || {
+            follower
+                .apply(&ReplFrame::Snapshot {
+                    epoch: 1,
+                    image: longer_backend.bytes().into(),
+                })
+                .unwrap()
+        };
+        feed_longer();
         assert!(follower.acked_offset() > journal.end_offset());
         let obs = Obs::noop();
         let replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1))
             .with_follower("f0", InProcessLink::new(follower.clone()));
         replicator.set_epoch(1);
-        // The replicator learns the true (too-far) offset via Mismatch
-        // on its first Append, then force-replaces.
+        // The replicator's first frame to it replaces its image.
         replicator.replicate(&journal).unwrap();
         assert_eq!(follower.acked_offset(), journal.end_offset());
         assert_eq!(
             follower.image().unwrap(),
             journal.read_durable().unwrap().bytes()
         );
+        // After first contact too: the follower answers the next tail
+        // with an end past the durable end, and gets the image again.
+        feed_longer();
+        journal.append_record(&Record::Epoch(1)).unwrap();
+        assert!(follower.acked_offset() > journal.end_offset());
+        let snapshots = obs.snapshot().counter("repl.snapshots_shipped");
+        replicator.replicate(&journal).unwrap();
+        assert_eq!(
+            obs.snapshot().counter("repl.snapshots_shipped"),
+            snapshots + 1
+        );
+        assert_eq!(
+            follower.image().unwrap(),
+            journal.read_durable().unwrap().bytes()
+        );
+    }
+
+    /// A link that records every frame it ships, encoded.
+    struct RecordingLink {
+        inner: InProcessLink,
+        shipped: Mutex<Vec<Vec<u8>>>,
+    }
+
+    impl ReplLink for Arc<RecordingLink> {
+        fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
+            self.shipped.lock().unwrap().push(frame.to_bytes());
+            self.inner.ship(frame)
+        }
+    }
+
+    #[test]
+    fn first_contact_replaces_a_deposed_primarys_suffix() {
+        // Two journals of the same length and different bytes: the
+        // follower holds the deposed primary's under epoch 1, so its
+        // acked offset equals the new primary's durable end.
+        let journal_of = |lat_deg: f64| {
+            let backend = Arc::new(MemBackend::new());
+            let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+            for id in 0..3 {
+                let zone = Record::RegisterZone {
+                    id,
+                    lat_deg,
+                    lon_deg: -88.0,
+                    radius_m: 100.0,
+                };
+                journal.append_record(&zone).unwrap();
+            }
+            (journal, backend)
+        };
+        let (_, deposed) = journal_of(41.0);
+        let (primary, primary_store) = journal_of(40.0);
+        assert_eq!(deposed.bytes().len(), primary_store.bytes().len());
+        assert_ne!(deposed.bytes(), primary_store.bytes());
+        let follower = Arc::new(Follower::new(Arc::new(MemBackend::new())));
+        follower
+            .apply(&ReplFrame::Snapshot {
+                epoch: 1,
+                image: deposed.bytes().into(),
+            })
+            .unwrap();
+        assert_eq!(follower.acked_offset(), primary.end_offset());
+
+        // A fresh replicator at the next epoch, as `arm` builds one
+        // after `promote`: its first and only frame is the whole image.
+        let link = Arc::new(RecordingLink {
+            inner: InProcessLink::new(Arc::clone(&follower)),
+            shipped: Mutex::new(Vec::new()),
+        });
+        let replicator = Replicator::new(&Obs::noop(), ReplicationPolicy::Quorum(1))
+            .with_follower("f0", Arc::clone(&link));
+        replicator.set_epoch(2);
+        replicator.replicate(&primary).unwrap();
+        let shipped = link.shipped.lock().unwrap();
+        assert_eq!(shipped.len(), 1, "one frame");
+        assert_eq!(
+            ReplFrame::from_bytes(&shipped[0]).unwrap(),
+            ReplFrame::Snapshot {
+                epoch: 2,
+                image: primary_store.bytes().into(),
+            }
+        );
+        assert_eq!(follower.image().unwrap(), primary_store.bytes());
+        assert_eq!(follower.current_epoch(), 2);
+
+        // An empty follower answers an Append with its end, 0, and
+        // persists nothing, wherever the Append starts.
+        let empty = Follower::new(Arc::new(MemBackend::new()));
+        for offset in [0, primary.end_offset()] {
+            let append = ReplFrame::Append {
+                epoch: 2,
+                offset,
+                bytes: primary_store.bytes().into(),
+            };
+            assert_eq!(empty.apply(&append), Ok(ReplAck::Acked { offset: 0 }));
+            assert_eq!(empty.image().unwrap(), Vec::<u8>::new());
+        }
     }
 
     #[test]
@@ -2068,10 +2145,9 @@ mod tests {
         let clean = backend.bytes();
         let honest = Arc::new(Follower::new(Arc::new(MemBackend::new())));
         honest
-            .apply(&ReplFrame::Append {
+            .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                offset: 0,
-                bytes: clean.as_slice().into(),
+                image: clean.as_slice().into(),
             })
             .unwrap();
         assert_eq!(honest.record_count(), 4);
@@ -2099,10 +2175,9 @@ mod tests {
         let obs = Obs::noop();
         let victim = Arc::new(Follower::with_obs(Arc::new(MemBackend::new()), &obs));
         let err = victim
-            .apply(&ReplFrame::Append {
+            .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                offset: 0,
-                bytes: tampered.as_slice().into(),
+                image: tampered.as_slice().into(),
             })
             .unwrap_err();
         assert!(
@@ -2117,23 +2192,13 @@ mod tests {
         let mut flipped = clean.clone();
         flipped[payload_at + 2] ^= 0x01;
         let err = victim
-            .apply(&ReplFrame::Append {
-                epoch: 1,
-                offset: 0,
-                bytes: flipped.into(),
-            })
-            .unwrap_err();
-        assert!(matches!(err, ReplError::ChainDivergence { .. }), "{err}");
-
-        // The same tampering inside a full Snapshot image is refused.
-        let err = victim
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                image: tampered.as_slice().into(),
+                image: flipped.into(),
             })
             .unwrap_err();
         assert!(matches!(err, ReplError::ChainDivergence { .. }), "{err}");
-        assert_eq!(obs.snapshot().counter("repl.chain_divergence"), 3);
+        assert_eq!(obs.snapshot().counter("repl.chain_divergence"), 2);
 
         // A follower already holding the first record extends its chain
         // in place over the tampered tail (records 2 and 3) before the
@@ -2141,10 +2206,9 @@ mod tests {
         // to exactly its earlier size, head and root.
         let prefix = second;
         victim
-            .apply(&ReplFrame::Append {
+            .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                offset: 0,
-                bytes: clean[..prefix].into(),
+                image: clean[..prefix].into(),
             })
             .unwrap();
         let state = |f: &Follower| {
@@ -2166,7 +2230,7 @@ mod tests {
         );
         assert_eq!(state(&victim), before, "refusal left the chain moved");
         assert_eq!(victim.acked_offset(), prefix as u64);
-        assert_eq!(obs.snapshot().counter("repl.chain_divergence"), 4);
+        assert_eq!(obs.snapshot().counter("repl.chain_divergence"), 3);
         // The honest tail then lands on the restored chain.
         victim
             .apply(&ReplFrame::Append {
@@ -2244,14 +2308,20 @@ mod tests {
             image: bare.as_slice().into(),
         };
         let (_, held) = journal_with(1);
-        assert_refused_unchanged(&held.bytes(), &snapshot);
-        // The first bytes an empty follower takes start its image too.
+        for held in [Vec::new(), held.bytes()] {
+            assert_refused_unchanged(&held, &snapshot);
+        }
+        // An empty follower takes an image only from a Snapshot: an
+        // Append is answered with its end, 0, and lands nothing.
+        let follower = Follower::new(Arc::new(MemBackend::new()));
         let append = ReplFrame::Append {
             epoch: 1,
             offset: 0,
             bytes: bare.as_slice().into(),
         };
-        assert_refused_unchanged(&[], &append);
+        assert_eq!(follower.apply(&append), Ok(ReplAck::Acked { offset: 0 }));
+        assert_eq!(follower.acked_offset(), 0);
+        assert_eq!(follower.image().unwrap(), Vec::<u8>::new());
     }
 
     #[test]

@@ -313,10 +313,9 @@ fn campaign_run(seed: u64) -> Vec<String> {
         );
         let follower = Follower::new(Arc::new(MemBackend::new()));
         follower
-            .apply(&ReplFrame::Append {
+            .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                offset: 0,
-                bytes: honest.bytes.as_slice().into(),
+                image: honest.bytes.as_slice().into(),
             })
             .expect("honest shipment accepted");
         assert_eq!(follower.acked_offset(), honest.bytes.len() as u64);
@@ -333,10 +332,9 @@ fn campaign_run(seed: u64) -> Vec<String> {
         let obs = Obs::noop();
         let follower = Follower::with_obs(Arc::new(MemBackend::new()), &obs);
         let err = follower
-            .apply(&ReplFrame::Append {
+            .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                offset: 0,
-                bytes: tampered.into(),
+                image: tampered.into(),
             })
             .expect_err("spliced shipment must be refused");
         assert!(
