@@ -3,9 +3,9 @@
 
 CARGO ?= cargo
 
-.PHONY: check fmt clippy doc build test perfbench-test examples experiments trace-smoke tcp-smoke stress chaos overload scrape-smoke soak-smoke failover tamper bench-json bench-diff unsafe-check
+.PHONY: check fmt clippy doc build test perfbench-test examples experiments experiments-check trace-smoke tcp-smoke stress chaos overload scrape-smoke soak-smoke failover tamper bench-json bench-diff unsafe-check
 
-check: fmt clippy unsafe-check doc test perfbench-test trace-smoke tcp-smoke chaos overload scrape-smoke soak-smoke failover tamper
+check: fmt clippy unsafe-check doc test perfbench-test examples experiments-check trace-smoke tcp-smoke chaos overload scrape-smoke soak-smoke failover tamper
 
 fmt:
 	$(CARGO) fmt --all -- --check
@@ -118,8 +118,31 @@ bench-diff:
 	$(CARGO) run -p alidrone-bench --release --offline --bin bench_poa -- --out target/BENCH_poa.new.json
 	$(CARGO) run -p alidrone-bench --release --offline --bin bench_poa -- --diff BENCH_poa.json target/BENCH_poa.new.json $(if $(BENCH_GATE),--gate $(BENCH_GATE))
 
+# Builds every example and runs each one no other target runs
+# (crash_recovery runs under `chaos`, failover under `failover`), so an
+# example that panics or errors at run time fails the build.
+RUN_EXAMPLES = airport_scenario delivery_fleet dishonest_operator overflight_3d \
+	privacy_preserving_audit quickstart residential_scenario route_planning
+
 examples:
 	$(CARGO) build --release --offline --examples
+	@for e in $(RUN_EXAMPLES); do \
+		echo "== example $$e"; \
+		$(CARGO) run --release --offline --example $$e || exit 1; \
+	done
 
 experiments:
 	$(CARGO) run -p alidrone-sim --release --offline --bin exp_all
+
+# Experiment regression gate: exp_all's stdout (every figure and table
+# it prints) must match crates/sim/golden/exp_all.stdout line for line.
+# exp_all execs its sibling binaries, so all sim bins are built first.
+# Dropped before the diff: the two exp_table2 lines that report this
+# machine's own signing speed. Regenerate the golden the same way after
+# an intended change to an experiment's output.
+experiments-check:
+	$(CARGO) build -p alidrone-sim --release --offline --bins
+	@mkdir -p target
+	$(CARGO) run -p alidrone-sim --release --offline --bin exp_all > target/exp_all.stdout
+	grep -v -e '^local calibration:' -e '^on this machine ' target/exp_all.stdout \
+		| diff -u crates/sim/golden/exp_all.stdout -

@@ -783,11 +783,11 @@ impl Auditor {
     ///
     /// Without a replicator this never fails — the pre-replication
     /// contract. Under
-    /// [`ReplicationPolicy::Async`](crate::repl::ReplicationPolicy::Async)
+    /// [`ReplicationPolicy::Quorum(0)`](crate::repl::ReplicationPolicy::Quorum)
     /// only epoch fencing errors (a deposed primary must stop
     /// acknowledging under *any* policy); shipping failures are
-    /// absorbed into the lag metrics. Under a `Quorum` policy, an
-    /// append or replication failure is returned so the caller's
+    /// absorbed into the lag metrics. Under `Quorum(k)` with `k > 0`,
+    /// an append or replication failure is returned so the caller's
     /// response is gated on durability instead of acknowledging what
     /// may be lost.
     fn journal_append(&self, record: &Record) -> Result<(), ProtocolError> {
@@ -869,8 +869,8 @@ impl Auditor {
         if let Some(replicator) = self.replicator.get() {
             // Shipping under the journal lock serializes frames in
             // append order, so follower images are always a prefix of
-            // the primary's. Quorum failures propagate; Async failures
-            // were already absorbed into the lag metrics.
+            // the primary's. Quorum failures propagate; failures past
+            // the quorum were already absorbed into the lag metrics.
             replicator.replicate(journal).map_err(ProtocolError::from)?;
         }
         Ok(())

@@ -22,14 +22,14 @@
 //!
 //! [`ReplicationPolicy`] decides what "durable" means to callers:
 //!
-//! * **`Async`** — ship best-effort; failures only show up in the lag
-//!   metrics. A primary crash can lose the records appended since the
-//!   slowest follower's last ack.
 //! * **`Quorum(k)`** — a mutation (and therefore the verdict response
 //!   built on it) is acknowledged only once ≥ `k` followers hold it.
 //!   A failed quorum surfaces as a typed error to the caller *before*
 //!   any response is sent, so nothing acknowledged can be lost by a
 //!   fail-stop primary crash.
+//! * **`Quorum(0)`** — ship best-effort; failures only show up in the
+//!   lag metrics. A primary crash can lose the records appended since
+//!   the slowest follower's last ack.
 //!
 //! # Epoch fencing
 //!
@@ -204,12 +204,10 @@ impl From<ReplError> for ProtocolError {
 /// When a durable mutation may be acknowledged to its caller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReplicationPolicy {
-    /// Ship best-effort; never block or fail a response on follower
-    /// durability. A primary crash loses at most the shipping lag.
-    Async,
     /// Require at least this many followers durable through the record
-    /// before acknowledging. `Quorum(0)` degenerates to `Async`
-    /// semantics with synchronous shipping.
+    /// before acknowledging. `Quorum(0)` ships best-effort: it never
+    /// fails a response on follower durability, and a primary crash
+    /// loses at most the shipping lag.
     Quorum(usize),
 }
 
@@ -996,8 +994,8 @@ impl Replicator {
     /// [`ReplError::StaleEpoch`] under *any* policy once a follower
     /// reports a newer epoch (this primary is deposed);
     /// [`ReplError::QuorumLost`] when a `Quorum(k)` policy cannot be
-    /// met. `Async` shipping failures are absorbed into the lag
-    /// metrics.
+    /// met. Shipping failures a policy does not count on are absorbed
+    /// into the lag metrics.
     pub fn replicate(&self, journal: &Journal) -> Result<(), ReplError> {
         let fenced = self.fenced_by.load(Ordering::Acquire);
         if fenced != 0 {
@@ -1030,21 +1028,17 @@ impl Replicator {
         self.update_lag(journal, &image);
         if let Some(e) = stale {
             // Fencing overrides the policy: a deposed primary must not
-            // acknowledge anything, even under Async.
+            // acknowledge anything, even under Quorum(0).
             return Err(e);
         }
-        match self.policy {
-            ReplicationPolicy::Async => Ok(()),
-            ReplicationPolicy::Quorum(needed) => {
-                if in_sync >= needed {
-                    Ok(())
-                } else {
-                    Err(ReplError::QuorumLost {
-                        acked: in_sync,
-                        needed,
-                    })
-                }
-            }
+        let ReplicationPolicy::Quorum(needed) = self.policy;
+        if in_sync >= needed {
+            Ok(())
+        } else {
+            Err(ReplError::QuorumLost {
+                acked: in_sync,
+                needed,
+            })
         }
     }
 
@@ -1151,7 +1145,7 @@ impl fmt::Debug for Replicator {
 /// A `Quorum(k)` larger than the follower set could never be met, so
 /// `k` is clamped to it: a shrinking cluster keeps acking, with weaker
 /// durability, instead of bricking. The `repl.quorum` gauge reads the
-/// follower acks a response now waits for (0 under `Async`), and a
+/// follower acks a response now waits for, and a
 /// clamp emits one Warn `quorum clamped` event with the requested and
 /// effective `k`.
 ///
@@ -1165,21 +1159,16 @@ pub fn arm(
     epoch: u64,
     obs: &Obs,
 ) -> Result<(), ProtocolError> {
-    let (policy, k) = match policy {
-        ReplicationPolicy::Quorum(requested) => {
-            let k = requested.min(followers.len());
-            if k < requested {
-                obs.emit(Level::Warn, "repl", "quorum clamped", |f| {
-                    f.field("requested", requested);
-                    f.field("effective", k);
-                });
-            }
-            (ReplicationPolicy::Quorum(k), k)
-        }
-        ReplicationPolicy::Async => (ReplicationPolicy::Async, 0),
-    };
+    let ReplicationPolicy::Quorum(requested) = policy;
+    let k = requested.min(followers.len());
+    if k < requested {
+        obs.emit(Level::Warn, "repl", "quorum clamped", |f| {
+            f.field("requested", requested);
+            f.field("effective", k);
+        });
+    }
     obs.gauge("repl.quorum").set(k as i64);
-    let mut replicator = Replicator::new(obs, policy);
+    let mut replicator = Replicator::new(obs, ReplicationPolicy::Quorum(k));
     for (name, follower) in followers {
         replicator =
             replicator.with_follower(name.clone(), InProcessLink::new(Arc::clone(follower)));
@@ -1571,13 +1560,13 @@ mod tests {
     }
 
     #[test]
-    fn async_absorbs_partition_into_lag_metrics() {
+    fn quorum_zero_absorbs_partition_into_lag_metrics() {
         let (journal, _) = journal_with(2);
         let follower = Arc::new(Follower::new(Arc::new(MemBackend::new())));
         let gate = GateLink::new(follower);
         let obs = Obs::noop();
-        let replicator =
-            Replicator::new(&obs, ReplicationPolicy::Async).with_follower("f0", Arc::clone(&gate));
+        let replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(0))
+            .with_follower("f0", Arc::clone(&gate));
         gate.up.store(false, Ordering::Release);
         replicator.replicate(&journal).unwrap();
         let snap = obs.snapshot();
@@ -1607,7 +1596,7 @@ mod tests {
             &obs,
         )
         .unwrap();
-        let replicator = Replicator::new(&obs, ReplicationPolicy::Async)
+        let replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(0))
             .with_follower("steady", InProcessLink::new(steady.clone()))
             .with_follower("laggard", Arc::clone(&gate));
         auditor.set_replicator(Arc::new(replicator));

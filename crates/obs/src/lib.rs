@@ -18,7 +18,7 @@
 //!   an adapter over its `SimClock`, so spans and events are stamped
 //!   in *simulated* time; benchmarks and real servers use
 //!   [`WallClock`]. Paper-modelled costs (world switches, signatures)
-//!   are recorded directly into histograms from the TEE cost ledger.
+//!   are recorded directly into histograms from the TEE cost model.
 //! * **Events are pull-gated**: [`Obs::emit`] takes a closure that
 //!   builds fields, and only runs it when a subscriber is installed.
 //!   The disabled path is one atomic load — no allocation, no

@@ -107,12 +107,14 @@ pub fn bucket_upper_micros(i: usize) -> Option<u64> {
 }
 
 impl Histogram {
-    /// Records one observation.
+    /// Records one observation, rounded to the nearest microsecond (a
+    /// whole-µs duration such as `from_millis(0.009)` lands on 9 µs even
+    /// when its `f64` seconds read 8.999… µs).
     ///
     /// Negative durations (possible when a simulated clock is rewound)
     /// clamp to zero rather than corrupt the distribution.
     pub fn record(&self, d: Duration) {
-        let micros = (d.secs() * 1e6).max(0.0) as u64;
+        let micros = (d.secs() * 1e6).max(0.0).round() as u64;
         self.record_micros(micros);
     }
 
@@ -461,6 +463,22 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.count, 1);
         assert_eq!(s.sum_micros, 0);
+    }
+
+    #[test]
+    fn record_rounds_to_the_nearest_microsecond() {
+        let h = Histogram::default();
+        // 0.009 ms is 8.999999999999998 µs in f64; truncation read 8.
+        h.record(Duration::from_millis(0.009));
+        assert_eq!(h.snapshot().sum_micros, 9);
+        // Every whole-µs duration up to 99.999 ms records exactly.
+        let h = Histogram::default();
+        let mut expected = 0u64;
+        for us in 1..100_000u64 {
+            h.record(Duration::from_millis(us as f64 / 1000.0));
+            expected += us;
+        }
+        assert_eq!(h.snapshot().sum_micros, expected);
     }
 
     #[test]

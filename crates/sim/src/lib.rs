@@ -11,7 +11,7 @@
 //! * **Laboratory benchmarks** (§VI-B, Table II) — CPU / power / memory
 //!   for fixed 2/3/5 Hz sampling and the two field studies, at 1024- and
 //!   2048-bit key sizes. [`power`] implements the Kaup et al. power
-//!   model (eq. 4) over the TEE cost ledger.
+//!   model (eq. 4) over the TEE [`CostModel`](alidrone_tee::CostModel).
 //!
 //! [`runner`] executes a scenario under any sampling strategy and
 //! [`metrics`] post-processes flight records into the exact series the

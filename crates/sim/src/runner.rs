@@ -6,10 +6,11 @@ use std::sync::Arc;
 use alidrone_core::sampling::{self};
 use alidrone_core::{run_flight_with_hook, FlightRecord, ProtocolError, SamplingStrategy};
 use alidrone_crypto::rsa::RsaPrivateKey;
-use alidrone_geo::Timestamp;
 use alidrone_gps::{SimClock, SimulatedReceiver};
-use alidrone_obs::{Event, FlightRecorder, MetricsSnapshot, Obs, SpanContext, SpanRecord};
-use alidrone_tee::{CostLedger, CostModel, SecureWorldBuilder, TeeClient, GPS_SAMPLER_UUID};
+use alidrone_obs::{
+    Event, FlightRecorder, MetricsSnapshot, Obs, SnapshotRing, SpanContext, SpanRecord,
+};
+use alidrone_tee::{CostModel, SecureWorldBuilder, TeeClient, GPS_SAMPLER_UUID};
 
 use crate::scenarios::Scenario;
 
@@ -42,13 +43,16 @@ const SPAN_CAPACITY: usize = 8192;
 /// soak's timeline small while still resolving rate changes.
 const TIMELINE_INTERVAL_SECS: f64 = 60.0;
 
+/// Windows [`ScenarioRun::timeline`] retains: four hours of flight at
+/// one window per `TIMELINE_INTERVAL_SECS`. Older windows are evicted
+/// into the ring's exact reconciliation totals.
+const TIMELINE_WINDOWS: usize = 240;
+
 /// The output of one scenario execution.
 #[derive(Debug, Clone)]
 pub struct ScenarioRun {
     /// The flight record (PoA + per-update events).
     pub record: FlightRecord,
-    /// The TEE cost ledger accumulated during the run.
-    pub ledger: CostLedger,
     /// Number of insufficient PoA pairs (Fig. 8(c) counter) against the
     /// scenario's zones.
     pub insufficient_pairs: usize,
@@ -56,7 +60,7 @@ pub struct ScenarioRun {
     pub tee: TeeClient,
     /// Metric totals at the end of the flight (world switches,
     /// signature counts by key size, sampler decisions, modelled cost
-    /// histograms).
+    /// histograms — their sums add up to the modelled TEE busy time).
     pub metrics: MetricsSnapshot,
     /// Structured events captured during the flight, stamped in sim
     /// time (most recent `EVENT_CAPACITY`).
@@ -77,38 +81,21 @@ pub struct ScenarioRun {
     /// into the same trace via
     /// [`AuditorClient::set_trace_parent`](alidrone_core::wire::transport::AuditorClient::set_trace_parent).
     pub flight_span: Option<SpanContext>,
-    /// Periodic metrics snapshots taken on *sim* time (one roughly
-    /// every `TIMELINE_INTERVAL_SECS` of flight, starting at the
-    /// first step). Unlike the single end-of-run [`metrics`] total,
-    /// consecutive deltas here show rate-over-time across a long soak;
-    /// see [`ScenarioRun::counter_timeline`].
+    /// Metric windows on *sim* time: the ring observes a snapshot at
+    /// the first step, then roughly every `TIMELINE_INTERVAL_SECS` of
+    /// flight, then the end-of-run [`metrics`] total at the flight's
+    /// end. Unlike that single total, the windows' deltas show rate
+    /// over time across a long soak, and
+    /// [`SnapshotRing::reconcile_all`] proves they add up to it.
     ///
     /// [`metrics`]: ScenarioRun::metrics
-    pub timeline: Vec<(Timestamp, MetricsSnapshot)>,
+    pub timeline: SnapshotRing,
 }
 
 impl ScenarioRun {
     /// Authenticated samples recorded.
     pub fn sample_count(&self) -> usize {
         self.record.sample_count()
-    }
-
-    /// Per-interval deltas of counter `name` across the run: each entry
-    /// is `(interval_end_time, increment_since_previous_snapshot)`,
-    /// closed by a final interval from the last periodic snapshot to the
-    /// end-of-run [`metrics`](ScenarioRun::metrics) total. Summing the
-    /// deltas reproduces the final counter value exactly.
-    pub fn counter_timeline(&self, name: &str) -> Vec<(Timestamp, u64)> {
-        let mut out = Vec::with_capacity(self.timeline.len() + 1);
-        let mut prev = 0u64;
-        for (t, snap) in &self.timeline {
-            let v = snap.counter(name);
-            out.push((*t, v.saturating_sub(prev)));
-            prev = v;
-        }
-        let end = self.record.window_end;
-        out.push((end, self.metrics.counter(name).saturating_sub(prev)));
-        out
     }
 }
 
@@ -154,7 +141,6 @@ pub fn run_scenario(
         .with_obs(&obs)
         .build()?;
     let tee = world.client();
-    let ledger = world.ledger();
 
     let session = tee.open_session(GPS_SAMPLER_UUID)?;
     // The root span of the run's trace: every `drone.sample` (and the
@@ -164,7 +150,7 @@ pub fn run_scenario(
     let flight_span = flight_root.context().copied();
     // Periodic snapshots on sim time: a soak's rate-over-time series,
     // not just end-of-run totals.
-    let mut timeline: Vec<(Timestamp, MetricsSnapshot)> = Vec::new();
+    let mut timeline = SnapshotRing::new(TIMELINE_WINDOWS);
     let record = run_flight_with_hook(
         &clock,
         receiver.as_ref(),
@@ -178,7 +164,7 @@ pub fn run_scenario(
                 .last()
                 .is_none_or(|(last, _)| t.secs() - last.secs() >= TIMELINE_INTERVAL_SECS);
             if due {
-                timeline.push((t, obs.snapshot()));
+                timeline.observe(t, obs.snapshot());
             }
         },
     );
@@ -190,13 +176,14 @@ pub fn run_scenario(
         &scenario.zones,
         alidrone_geo::FAA_MAX_SPEED,
     );
+    let metrics = obs.snapshot();
+    timeline.observe(record.window_end, metrics.clone());
 
     Ok(ScenarioRun {
         record,
-        ledger,
         insufficient_pairs,
         tee,
-        metrics: obs.snapshot(),
+        metrics,
         events: recorder.events(),
         obs,
         spans: recorder.spans(),
@@ -322,21 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn ledger_counts_signatures() {
-        let s = airport();
-        let run = run_scenario(
-            &s,
-            SamplingStrategy::Adaptive,
-            experiment_key(),
-            CostModel::raspberry_pi_3(),
-        )
-        .unwrap();
-        let snap = run.ledger.snapshot();
-        assert_eq!(snap.signatures as usize, run.sample_count());
-        assert!(snap.busy.secs() > 0.0);
-    }
-
-    #[test]
     fn scenario_run_carries_metrics_and_events() {
         let s = airport();
         let run = run_scenario(
@@ -346,17 +318,19 @@ mod tests {
             CostModel::raspberry_pi_3(),
         )
         .unwrap();
-        let ledger = run.ledger.snapshot();
-        // The obs counters mirror the ledger.
+        // One signature per authenticated sample, two world switches per
+        // SMC, and each modelled 512-bit signature (5.125 ms) recorded
+        // once in the cost histogram.
+        let signatures = run.metrics.counter("tee.signatures");
+        assert_eq!(signatures as usize, run.sample_count());
+        assert_eq!(run.metrics.counter("tee.signatures.rsa_512"), signatures);
         assert_eq!(
             run.metrics.counter("tee.world_switches"),
-            ledger.world_switches
+            2 * run.metrics.counter("tee.smc_invokes")
         );
-        assert_eq!(run.metrics.counter("tee.signatures"), ledger.signatures);
-        assert_eq!(
-            run.metrics.counter("tee.signatures.rsa_512"),
-            ledger.signatures
-        );
+        let sign = run.metrics.histogram("tee.cost.sign").unwrap();
+        assert_eq!(sign.count, signatures);
+        assert_eq!(sign.sum_micros, signatures * 5_125);
         // Sampler decisions cover every fresh hardware update.
         let decisions = run.metrics.counter("sampler.decisions.sample")
             + run.metrics.counter("sampler.decisions.skip");
@@ -381,8 +355,26 @@ mod tests {
         }
     }
 
+    /// Every counter's windows sum to its end-of-run total: the ring's
+    /// baseline is taken before the first sample, so every counter
+    /// starts there at zero, and `reconcile_all` checks baseline +
+    /// evicted + retained deltas against the final snapshot, which is
+    /// the run's `metrics`.
+    fn assert_windows_sum_to_totals(run: &ScenarioRun) {
+        let (_, baseline) = run.timeline.first().unwrap();
+        assert!(baseline.counters.values().all(|&v| v == 0), "{baseline:?}");
+        let (end, last) = run.timeline.last().unwrap();
+        assert_eq!(end.secs(), run.record.window_end.secs());
+        assert_eq!(last, &run.metrics);
+        let reconciled = run.timeline.reconcile_all();
+        assert_eq!(reconciled.len(), run.metrics.counters.len());
+        for rec in reconciled {
+            assert!(rec.ok(), "{rec:?}");
+        }
+    }
+
     #[test]
-    fn timeline_snapshots_resolve_rate_over_time() {
+    fn timeline_windows_resolve_rate_over_time_and_reconcile() {
         let s = airport();
         let run = run_scenario(
             &s,
@@ -391,8 +383,8 @@ mod tests {
             CostModel::raspberry_pi_3(),
         )
         .unwrap();
-        // One snapshot per TIMELINE_INTERVAL_SECS of sim time, plus the
-        // initial one at the first step.
+        // One window per TIMELINE_INTERVAL_SECS of sim time, plus the
+        // closing window to the end-of-run total.
         let expected = (s.duration.secs() / TIMELINE_INTERVAL_SECS) as usize + 1;
         assert_eq!(
             run.timeline.len(),
@@ -400,59 +392,25 @@ mod tests {
             "duration {}",
             s.duration.secs()
         );
-        // Snapshots are stamped in sim time, strictly increasing, and
-        // counters are monotone across them.
-        for pair in run.timeline.windows(2) {
-            assert!(pair[1].0.secs() > pair[0].0.secs());
-            assert!(pair[1].1.counter("tee.signatures") >= pair[0].1.counter("tee.signatures"));
+        assert_eq!(run.timeline.evicted_windows(), 0);
+        // Windows are stamped in sim time and tile the flight.
+        let windows: Vec<_> = run.timeline.windows().collect();
+        for pair in windows.windows(2) {
+            assert!(pair[0].end.secs() > pair[0].start.secs());
+            assert_eq!(pair[0].end, pair[1].start);
         }
-        // Deltas reconstruct the end-of-run total exactly — the whole
-        // point: a soak's rate-over-time, not just its total.
-        let deltas = run.counter_timeline("tee.signatures");
-        let total: u64 = deltas.iter().map(|&(_, d)| d).sum();
-        assert_eq!(total, run.metrics.counter("tee.signatures"));
-        // A steady 1 Hz flight signs in every interval, so interior
-        // deltas are non-zero.
-        assert!(deltas[1..deltas.len() - 1].iter().all(|&(_, d)| d > 0));
+        assert_windows_sum_to_totals(&run);
+        // A steady 1 Hz flight signs in every full interval.
+        let series = run.timeline.counter_series("tee.signatures");
+        assert!(series[..series.len() - 1].iter().all(|&(_, d)| d > 0));
     }
 
     #[test]
-    fn timeline_counters_are_monotone_and_reconcile_for_every_counter() {
-        let s = airport();
-        let run = run_scenario(
-            &s,
-            SamplingStrategy::FixedRate(1.0),
-            experiment_key(),
-            CostModel::free(),
-        )
-        .unwrap();
-        // Cumulative snapshots never regress and never lose a counter.
-        for pair in run.timeline.windows(2) {
-            for (name, &v) in &pair[1].1.counters {
-                assert!(v >= pair[0].1.counter(name), "{name} regressed");
-            }
-            for name in pair[0].1.counters.keys() {
-                assert!(pair[1].1.counters.contains_key(name), "{name} vanished");
-            }
-        }
-        // The end-of-run total dominates the last periodic snapshot.
-        let (_, last) = run.timeline.last().unwrap();
-        for (name, &v) in &last.counters {
-            assert!(run.metrics.counter(name) >= v, "{name}");
-        }
-        // Every counter's window deltas sum to its final total, exactly.
-        for name in run.metrics.counters.keys() {
-            let sum: u64 = run.counter_timeline(name).iter().map(|&(_, d)| d).sum();
-            assert_eq!(sum, run.metrics.counter(name), "{name}");
-        }
-    }
-
-    #[test]
-    fn counter_timeline_handles_single_and_empty_windows() {
+    fn flight_shorter_than_one_interval_is_one_reconciling_window() {
         use alidrone_geo::trajectory::TrajectoryBuilder;
         use alidrone_geo::{Duration, GeoPoint, ZoneSet};
         // A 30 s hover: shorter than one timeline interval, so only the
-        // initial snapshot exists.
+        // initial snapshot and the end-of-run total exist.
         let trajectory = TrajectoryBuilder::start_at(GeoPoint::new(40.0, -88.0).unwrap())
             .pause(Duration::from_secs(60.0))
             .build()
@@ -472,29 +430,15 @@ mod tests {
             CostModel::free(),
         )
         .unwrap();
-        assert_eq!(run.timeline.len(), 1, "single initial snapshot");
-        let deltas = run.counter_timeline("tee.signatures");
-        assert_eq!(deltas.len(), 2, "initial interval + closing interval");
-        let total: u64 = deltas.iter().map(|&(_, d)| d).sum();
-        assert_eq!(total, run.metrics.counter("tee.signatures"));
-        assert!(total > 0);
-        // The closing interval ends exactly at the flight's end.
-        assert_eq!(
-            deltas.last().unwrap().0.secs(),
-            run.record.window_end.secs()
-        );
-
-        // No periodic snapshot at all: the closing interval alone
-        // carries the whole total.
-        let mut bare = run.clone();
-        bare.timeline.clear();
-        let deltas = bare.counter_timeline("tee.signatures");
-        assert_eq!(deltas.len(), 1);
-        assert_eq!(deltas[0].1, bare.metrics.counter("tee.signatures"));
-
+        assert_eq!(run.timeline.len(), 1, "one window, first step to end");
+        let window = run.timeline.latest().unwrap();
+        assert_eq!(window.start, run.record.window_start);
+        assert!(window.counter_delta("tee.signatures") > 0);
+        assert_windows_sum_to_totals(&run);
         // A counter that never fired reconciles to zero everywhere.
         assert!(run
-            .counter_timeline("no.such.counter")
+            .timeline
+            .counter_series("no.such.counter")
             .iter()
             .all(|&(_, d)| d == 0));
     }

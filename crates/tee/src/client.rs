@@ -7,9 +7,7 @@ use alidrone_crypto::rsa::RsaPublicKey;
 use alidrone_geo::GpsSample;
 
 use crate::world::Param;
-use crate::{
-    CostLedger, SecureWorld, SignedSample, TeeError, Uuid, CMD_GET_GPS_AUTH, CMD_READ_GPS_RAW,
-};
+use crate::{SecureWorld, SignedSample, TeeError, Uuid, CMD_GET_GPS_AUTH, CMD_READ_GPS_RAW};
 
 /// A normal-world handle to the TEE. All it can do is open sessions to
 /// trusted applications and read public metadata — private key material
@@ -44,11 +42,6 @@ impl TeeClient {
     /// to the auditor at registration (paper §IV-B step 0).
     pub fn tee_public_key(&self) -> RsaPublicKey {
         self.world.inner.public_key()
-    }
-
-    /// The cost ledger for this TEE instance.
-    pub fn cost_ledger(&self) -> CostLedger {
-        self.world.ledger()
     }
 }
 
@@ -241,6 +234,7 @@ mod tests {
     use super::*;
     use crate::test_support::{test_key, TestReceiver};
     use crate::{CostModel, SecureWorldBuilder, GPS_SAMPLER_UUID};
+    use alidrone_obs::Obs;
 
     fn client() -> TeeClient {
         SecureWorldBuilder::new()
@@ -302,10 +296,12 @@ mod tests {
     #[test]
     fn sign_checkpoint_signs_only_domain_separated_heads() {
         use alidrone_crypto::rsa::HashAlg;
+        let obs = Obs::noop();
         let c = SecureWorldBuilder::new()
             .with_sign_key(test_key().clone())
             .with_cost_model(CostModel::free())
             .with_hash_alg(HashAlg::Sha256)
+            .with_obs(&obs)
             .build()
             .unwrap()
             .client();
@@ -335,7 +331,7 @@ mod tests {
             Err(TeeError::BadParameters(_))
         ));
         // Signing a checkpoint is metered like any other signature.
-        assert_eq!(c.cost_ledger().snapshot().signatures, 1);
+        assert_eq!(obs.snapshot().counter("tee.signatures"), 1);
     }
 
     #[test]
@@ -349,17 +345,24 @@ mod tests {
 
     #[test]
     fn batch_mode_caches_then_signs_once() {
-        let c = client();
+        let obs = Obs::noop();
+        let c = SecureWorldBuilder::new()
+            .with_sign_key(test_key().clone())
+            .with_gps_device(Box::new(TestReceiver::fixed(40.1, -88.2, 12.0)))
+            .with_obs(&obs)
+            .build()
+            .unwrap()
+            .client();
         let s = c.open_session(GPS_SAMPLER_UUID).unwrap();
         assert_eq!(s.cache_sample().unwrap(), 1);
         assert_eq!(s.cache_sample().unwrap(), 2);
         assert_eq!(s.cache_sample().unwrap(), 3);
         // No signatures were produced while caching.
-        assert_eq!(c.cost_ledger().snapshot().signatures, 0);
+        assert_eq!(obs.snapshot().counter("tee.signatures"), 0);
         let trace = s.sign_trace().unwrap();
         assert_eq!(trace.samples().len(), 3);
         trace.verify(&c.tee_public_key()).unwrap();
-        assert_eq!(c.cost_ledger().snapshot().signatures, 1);
+        assert_eq!(obs.snapshot().counter("tee.signatures"), 1);
         // Cache was cleared by signing.
         assert_eq!(s.sign_trace().err(), Some(TeeError::NoData));
     }

@@ -1,10 +1,12 @@
 //! Cost accounting for secure-world operations.
 //!
-//! We cannot measure a Raspberry Pi 3's TrustZone on this machine, so the
-//! performance side of the reproduction runs on a *cost model*: every
-//! secure-world invocation deposits its modelled CPU time into a ledger,
-//! and the evaluation harness converts accumulated busy time into the
-//! CPU-utilisation and power numbers of the paper's Table II.
+//! A Raspberry Pi 3's TrustZone cannot be measured from a host build, so
+//! the performance side of the reproduction runs on a *cost model*:
+//! every secure-world operation records its modelled CPU time into the
+//! `tee.cost.{world_switch,read_gps,sign}` histograms of the world's
+//! obs registry (modelled busy time is the sum of their sums), and the
+//! evaluation harness (`sim::power`) computes the CPU-utilisation and
+//! power numbers of the paper's Table II from the model directly.
 //!
 //! The default model is calibrated **from the paper's own Table II**:
 //! with a 1024-bit key the fixed-rate rows give ≈ 43.5 ms of CPU per
@@ -13,10 +15,7 @@
 //! 3 Hz ⇒ 224.1 ms). Those per-sample costs are dominated by the RSA
 //! signature plus two world switches.
 
-use std::sync::Arc;
-
 use alidrone_geo::Duration;
-use std::sync::Mutex;
 
 /// Modelled CPU cost of each secure-world operation class.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,70 +85,6 @@ impl Default for CostModel {
     }
 }
 
-/// A snapshot of accumulated costs.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct CostSnapshot {
-    /// Total modelled secure-world CPU time.
-    pub busy: Duration,
-    /// Number of world switches (each direction counted once).
-    pub world_switches: u64,
-    /// Number of signatures produced.
-    pub signatures: u64,
-    /// Number of GPS driver reads.
-    pub gps_reads: u64,
-}
-
-/// Thread-safe ledger accumulating modelled costs. Cloning shares the
-/// underlying ledger.
-#[derive(Debug, Default, Clone)]
-pub struct CostLedger {
-    inner: Arc<Mutex<CostSnapshot>>,
-}
-
-impl CostLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> Self {
-        CostLedger::default()
-    }
-
-    /// Records `n` world switches costing `each`.
-    pub fn record_world_switches(&self, n: u64, each: Duration) {
-        let mut s = self.inner.lock().unwrap();
-        s.world_switches += n;
-        s.busy = s.busy + each * n as f64;
-    }
-
-    /// Records one signature costing `cost`.
-    pub fn record_signature(&self, cost: Duration) {
-        let mut s = self.inner.lock().unwrap();
-        s.signatures += 1;
-        s.busy = s.busy + cost;
-    }
-
-    /// Records one GPS read costing `cost`.
-    pub fn record_gps_read(&self, cost: Duration) {
-        let mut s = self.inner.lock().unwrap();
-        s.gps_reads += 1;
-        s.busy = s.busy + cost;
-    }
-
-    /// Records generic busy time.
-    pub fn record_busy(&self, cost: Duration) {
-        let mut s = self.inner.lock().unwrap();
-        s.busy = s.busy + cost;
-    }
-
-    /// The current totals.
-    pub fn snapshot(&self) -> CostSnapshot {
-        *self.inner.lock().unwrap()
-    }
-
-    /// Resets the ledger to zero.
-    pub fn reset(&self) {
-        *self.inner.lock().unwrap() = CostSnapshot::default();
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,35 +117,6 @@ mod tests {
         assert!((c512.millis() - m.sign_1024.millis() / 8.0).abs() < 1e-6);
         let c4096 = m.sign_cost(4096);
         assert!((c4096.millis() - m.sign_1024.millis() * 64.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn ledger_accumulates() {
-        let l = CostLedger::new();
-        l.record_world_switches(2, Duration::from_millis(1.0));
-        l.record_signature(Duration::from_millis(40.0));
-        l.record_gps_read(Duration::from_millis(0.5));
-        let s = l.snapshot();
-        assert_eq!(s.world_switches, 2);
-        assert_eq!(s.signatures, 1);
-        assert_eq!(s.gps_reads, 1);
-        assert!((s.busy.millis() - 42.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn ledger_clones_share_state() {
-        let a = CostLedger::new();
-        let b = a.clone();
-        a.record_signature(Duration::from_millis(10.0));
-        assert_eq!(b.snapshot().signatures, 1);
-    }
-
-    #[test]
-    fn reset_zeroes() {
-        let l = CostLedger::new();
-        l.record_signature(Duration::from_millis(10.0));
-        l.reset();
-        assert_eq!(l.snapshot(), CostSnapshot::default());
     }
 
     #[test]

@@ -73,7 +73,7 @@ mod uuid;
 mod world;
 
 pub use client::{TeeClient, TeeSession};
-pub use cost::{CostLedger, CostModel, CostSnapshot};
+pub use cost::CostModel;
 pub use error::TeeError;
 pub use sampler::{SignedGapMarker, SignedSample, SignedSample3d, SignedTrace};
 pub use spoof::{Environment, PlausibilityDetector, SpoofDetector, TrustingDetector};

@@ -4,8 +4,8 @@ use std::sync::OnceLock;
 
 use alidrone_crypto::rng::XorShift64;
 use alidrone_crypto::rsa::RsaPrivateKey;
-use alidrone_geo::{GeoPoint, GpsSample, Speed, Timestamp};
-use alidrone_gps::{GpsDevice, GpsFix};
+use alidrone_geo::{Distance, GeoPoint, GpsSample, Speed, Timestamp};
+use alidrone_gps::{GpsDevice, GpsDevice3d, GpsFix, GpsFix3d};
 
 /// A cached 512-bit RSA key: keygen in debug builds is slow enough that
 /// regenerating per test would dominate the suite.
@@ -50,5 +50,15 @@ impl GpsDevice for TestReceiver {
 
     fn update_rate_hz(&self) -> f64 {
         5.0
+    }
+}
+
+/// Serves the 3-D commands too, at a constant 30 m altitude.
+impl GpsDevice3d for TestReceiver {
+    fn latest_fix_3d(&self) -> Option<GpsFix3d> {
+        self.fix.map(|fix| GpsFix3d {
+            fix,
+            alt: Distance::from_meters(30.0),
+        })
     }
 }

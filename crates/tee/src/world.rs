@@ -14,7 +14,7 @@ use std::sync::Mutex;
 
 use crate::keystore::KeyStore;
 use crate::spoof::{Environment, SpoofDetector, TrustingDetector};
-use crate::{sampler, CostLedger, CostModel, SecureStorage, TeeClient, TeeError, Uuid};
+use crate::{sampler, CostModel, SecureStorage, TeeClient, TeeError, Uuid};
 
 /// A GlobalPlatform-style invocation parameter.
 #[derive(Debug, Clone, PartialEq)]
@@ -51,11 +51,12 @@ impl Param {
     }
 }
 
-/// Pre-registered secure-world metric handles. The counters mirror the
-/// [`CostLedger`] (which stays the canonical evaluation interface); the
-/// histograms record the *modelled* per-operation cost from the
-/// [`CostModel`], so a snapshot shows both how often each secure-world
-/// operation ran and what it would have cost on the calibrated target.
+/// Pre-registered secure-world metric handles: the world's one account
+/// of its work. The counters say how often each secure-world operation
+/// ran; each time one runs, its `tee.cost.*` histogram records its
+/// *modelled* cost from the [`CostModel`], so each histogram's count
+/// equals its counter and the three histogram sums add up to the
+/// modelled busy time on the calibrated target.
 struct TeeMetrics {
     world_switches: Arc<Counter>,
     smc_invokes: Arc<Counter>,
@@ -101,7 +102,6 @@ pub(crate) struct WorldInner {
     gps: Option<Box<dyn GpsDevice>>,
     gps3d: Option<Box<dyn GpsDevice3d>>,
     cost_model: CostModel,
-    ledger: CostLedger,
     hash_alg_inner: HashAlg,
     spoof: Box<dyn SpoofDetector>,
     obs: Obs,
@@ -137,7 +137,6 @@ impl WorldInner {
             .as_ref()
             .ok_or(TeeError::MissingComponent("3d gps device"))?;
         let fix3d = gps3d.latest_fix_3d().ok_or(TeeError::NoData)?;
-        self.ledger.record_gps_read(self.cost_model.read_gps);
         self.metrics.gps_reads.inc();
         self.metrics.cost_read_gps.record(self.cost_model.read_gps);
         if self.spoof.observe(&fix3d.fix) == Environment::Suspicious {
@@ -167,7 +166,6 @@ impl WorldInner {
             return Err(TeeError::MissingComponent("gps device"));
         };
         let fix = fix.ok_or(TeeError::NoData)?;
-        self.ledger.record_gps_read(self.cost_model.read_gps);
         self.metrics.gps_reads.inc();
         self.metrics.cost_read_gps.record(self.cost_model.read_gps);
         let env = self.spoof.observe(&fix);
@@ -208,7 +206,6 @@ impl WorldInner {
         let cost = self.cost_model.sign_cost(self.keystore.key_bits());
         span.finish_with(cost);
         let sig = sig?;
-        self.ledger.record_signature(cost);
         self.metrics.signatures.inc();
         self.metrics.signatures_by_bits.inc();
         self.metrics.cost_sign.record(cost);
@@ -253,7 +250,6 @@ impl WorldInner {
             gps,
             gps3d,
             cost_model,
-            ledger: CostLedger::new(),
             hash_alg_inner: hash_alg,
             spoof,
             obs,
@@ -277,12 +273,6 @@ impl SecureWorld {
         TeeClient::new(self.clone())
     }
 
-    /// The cost ledger (the "perf counter" interface; readable from the
-    /// normal world like cycle counters would be).
-    pub fn ledger(&self) -> CostLedger {
-        self.inner.ledger.clone()
-    }
-
     /// The cost model in force.
     pub fn cost_model(&self) -> &CostModel {
         &self.inner.cost_model
@@ -296,9 +286,6 @@ impl SecureWorld {
         cmd: u32,
         params: &[Param],
     ) -> Result<Vec<Param>, TeeError> {
-        self.inner
-            .ledger
-            .record_world_switches(2, self.inner.cost_model.world_switch);
         self.inner.metrics.smc_invokes.inc();
         self.inner.metrics.world_switches.add(2);
         // Each direction of the switch is one histogram observation, so
@@ -586,51 +573,54 @@ mod tests {
     }
 
     #[test]
-    fn every_invoke_pays_two_world_switches() {
-        let world = world_with_gps();
-        let _ = world.smc_invoke(GPS_SAMPLER_UUID, CMD_GET_PUBLIC_KEY, &[]);
-        let _ = world.smc_invoke(GPS_SAMPLER_UUID, CMD_GET_GPS_AUTH, &[]);
-        let snap = world.ledger().snapshot();
-        assert_eq!(snap.world_switches, 4);
-        assert_eq!(snap.signatures, 1);
-        assert_eq!(snap.gps_reads, 1);
-    }
-
-    #[test]
-    fn obs_mirrors_ledger_and_tracks_key_size() {
+    fn every_operation_is_accounted_once_at_model_cost() {
+        use crate::{
+            CMD_CACHE_SAMPLE, CMD_GET_GPS_AUTH_3D, CMD_SIGN_CHECKPOINT, CMD_SIGN_GAP,
+            CMD_SIGN_TRACE,
+        };
         let obs = Obs::noop();
         let world = SecureWorldBuilder::new()
             .with_sign_key(test_key().clone())
-            .with_gps_device(Box::new(TestReceiver::fixed(40.1, -88.2, 12.0)))
+            .with_gps_device_3d(Box::new(TestReceiver::fixed(40.1, -88.2, 12.0)))
             .with_cost_model(CostModel::raspberry_pi_3())
             .with_obs(&obs)
             .build()
             .unwrap();
-        let _ = world.smc_invoke(GPS_SAMPLER_UUID, CMD_GET_PUBLIC_KEY, &[]);
-        let _ = world.smc_invoke(GPS_SAMPLER_UUID, CMD_GET_GPS_AUTH, &[]);
-        let ledger = world.ledger().snapshot();
+        let mut gap = 10f64.to_be_bytes().to_vec();
+        gap.extend_from_slice(&20f64.to_be_bytes());
+        let mut sth = b"ALDSTH01".to_vec();
+        sth.resize(80, 0xAB);
+        for (cmd, params) in [
+            (CMD_GET_PUBLIC_KEY, vec![]),
+            (CMD_GET_GPS_AUTH, vec![]),
+            (CMD_GET_GPS_AUTH_3D, vec![]),
+            (CMD_CACHE_SAMPLE, vec![]),
+            (CMD_SIGN_TRACE, vec![]),
+            (CMD_SIGN_GAP, vec![Param::Bytes(gap)]),
+            (CMD_SIGN_CHECKPOINT, vec![Param::Bytes(sth)]),
+        ] {
+            world.smc_invoke(GPS_SAMPLER_UUID, cmd, &params).unwrap();
+        }
         let snap = obs.snapshot();
-        assert_eq!(snap.counter("tee.world_switches"), ledger.world_switches);
-        assert_eq!(snap.counter("tee.smc_invokes"), 2);
-        assert_eq!(snap.counter("tee.signatures"), ledger.signatures);
+        assert_eq!(snap.counter("tee.smc_invokes"), 7);
+        assert_eq!(snap.counter("tee.world_switches"), 14);
+        assert_eq!(snap.counter("tee.gps_reads"), 3);
+        assert_eq!(snap.counter("tee.signatures"), 5);
         // The test key is 512-bit: the by-size counter carries the size
         // in its name.
-        assert_eq!(snap.counter("tee.signatures.rsa_512"), ledger.signatures);
-        assert_eq!(snap.counter("tee.gps_reads"), ledger.gps_reads);
-        // The cost histograms carry the modelled durations: summing
-        // them reproduces the ledger's busy time.
-        let hist_ms = |name: &str| {
-            snap.histogram(name)
-                .map_or(0.0, |h| h.sum_micros as f64 / 1000.0)
-        };
-        let total_ms = hist_ms("tee.cost.world_switch")
-            + hist_ms("tee.cost.sign")
-            + hist_ms("tee.cost.read_gps");
-        assert!(
-            (total_ms - ledger.busy.millis()).abs() < 0.01,
-            "histograms {total_ms} ms vs ledger {} ms",
-            ledger.busy.millis()
-        );
+        assert_eq!(snap.counter("tee.signatures.rsa_512"), 5);
+        // Each histogram observes its operation once per run at the
+        // model's cost: 0.75 ms per switch direction, 0.3 ms per driver
+        // read, and sign_1024 × (512/1024)³ = 5.125 ms per signature.
+        for (histogram, counter, micros) in [
+            ("tee.cost.world_switch", "tee.world_switches", 750),
+            ("tee.cost.read_gps", "tee.gps_reads", 300),
+            ("tee.cost.sign", "tee.signatures", 5_125),
+        ] {
+            let h = snap.histogram(histogram).unwrap();
+            assert_eq!(h.count, snap.counter(counter), "{histogram}");
+            assert_eq!(h.sum_micros, h.count * micros, "{histogram}");
+        }
     }
 
     #[test]
@@ -684,9 +674,11 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         // Deterministic schedule: fail every second sign.
         let calls = AtomicU64::new(0);
+        let obs = Obs::noop();
         let world = SecureWorldBuilder::new()
             .with_sign_key(test_key().clone())
             .with_gps_device(Box::new(TestReceiver::fixed(40.1, -88.2, 12.0)))
+            .with_obs(&obs)
             .with_sign_fault(Box::new(move || {
                 calls.fetch_add(1, Ordering::Relaxed) % 2 == 1
             }))
@@ -697,7 +689,9 @@ mod tests {
         let err = world.smc_invoke(GPS_SAMPLER_UUID, CMD_GET_GPS_AUTH, &[]);
         assert!(matches!(err, Err(TeeError::CryptoFailure(_))), "{err:?}");
         // No cost was charged for the failed sign.
-        assert_eq!(world.ledger().snapshot().signatures, 1);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("tee.signatures"), 1);
+        assert_eq!(snap.histogram("tee.cost.sign").unwrap().count, 1);
     }
 
     #[test]

@@ -10,6 +10,7 @@ use alidrone_crypto::rng::XorShift64;
 use alidrone_crypto::rsa::RsaPrivateKey;
 use alidrone_geo::{GeoPoint, GpsSample, Speed, Timestamp};
 use alidrone_gps::{GpsDevice, GpsFix};
+use alidrone_obs::Obs;
 use alidrone_tee::{CostModel, SecureWorldBuilder, GPS_SAMPLER_UUID};
 
 struct FixedReceiver;
@@ -38,10 +39,12 @@ fn key() -> RsaPrivateKey {
 
 #[test]
 fn parallel_get_gps_auth_is_consistent() {
+    let obs = Obs::noop();
     let world = SecureWorldBuilder::new()
         .with_sign_key(key())
         .with_gps_device(Box::new(FixedReceiver))
         .with_cost_model(CostModel::raspberry_pi_3())
+        .with_obs(&obs)
         .build()
         .unwrap();
     let client = world.client();
@@ -63,14 +66,22 @@ fn parallel_get_gps_auth_is_consistent() {
         }
     });
 
-    let snap = world.ledger().snapshot();
-    assert_eq!(snap.signatures, (THREADS * PER_THREAD) as u64);
-    assert_eq!(snap.gps_reads, (THREADS * PER_THREAD) as u64);
-    assert_eq!(snap.world_switches, 2 * (THREADS * PER_THREAD) as u64);
-    // Busy time adds up exactly (no lost updates under contention).
-    let model = world.cost_model();
-    let expected = model.get_gps_auth_cost(512).secs() * (THREADS * PER_THREAD) as f64;
-    assert!((snap.busy.secs() - expected).abs() < 1e-6);
+    let snap = obs.snapshot();
+    let calls = (THREADS * PER_THREAD) as u64;
+    assert_eq!(snap.counter("tee.signatures"), calls);
+    assert_eq!(snap.counter("tee.gps_reads"), calls);
+    assert_eq!(snap.counter("tee.world_switches"), 2 * calls);
+    // Busy time adds up exactly (no lost updates under contention):
+    // 2 × 750 µs switches + 300 µs read + 5125 µs 512-bit sign a call.
+    let busy: u64 = [
+        "tee.cost.world_switch",
+        "tee.cost.read_gps",
+        "tee.cost.sign",
+    ]
+    .iter()
+    .map(|name| snap.histogram(name).unwrap().sum_micros)
+    .sum();
+    assert_eq!(busy, calls * 6_925);
 }
 
 #[test]

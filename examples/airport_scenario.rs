@@ -19,7 +19,7 @@ use alidrone::core::{Auditor, AuditorConfig, SamplingStrategy, Verdict};
 use alidrone::crypto::rng::XorShift64;
 use alidrone::crypto::rsa::RsaPrivateKey;
 use alidrone::geo::Timestamp;
-use alidrone::obs::{Json, ToJson};
+use alidrone::obs::{Json, MetricsSnapshot, ToJson};
 use alidrone::sim::metrics::fig6_series;
 use alidrone::sim::report::render_metrics;
 use alidrone::sim::runner::{experiment_key, run_scenario};
@@ -47,17 +47,30 @@ fn main() -> Result<(), Box<dyn Error>> {
         CostModel::raspberry_pi_3(),
     )?;
 
+    // Modelled secure-world CPU time: the sum of the cost histograms.
+    let busy_secs = |metrics: &MetricsSnapshot| {
+        [
+            "tee.cost.world_switch",
+            "tee.cost.read_gps",
+            "tee.cost.sign",
+        ]
+        .iter()
+        .filter_map(|name| metrics.histogram(name))
+        .map(|h| h.sum_micros)
+        .sum::<u64>() as f64
+            / 1e6
+    };
     println!(
         "\n1 Hz fixed-rate : {:4} samples, {} signatures, {:.1} s modelled CPU",
         fixed.sample_count(),
-        fixed.ledger.snapshot().signatures,
-        fixed.ledger.snapshot().busy.secs()
+        fixed.metrics.counter("tee.signatures"),
+        busy_secs(&fixed.metrics)
     );
     println!(
         "adaptive        : {:4} samples, {} signatures, {:.2} s modelled CPU",
         adaptive.sample_count(),
-        adaptive.ledger.snapshot().signatures,
-        adaptive.ledger.snapshot().busy.secs()
+        adaptive.metrics.counter("tee.signatures"),
+        busy_secs(&adaptive.metrics)
     );
     println!(
         "reduction       : {:.1}x fewer samples (paper: 649 → 14, 46x)",

@@ -17,6 +17,7 @@ use alidrone::crypto::rsa::RsaPrivateKey;
 use alidrone::geo::trajectory::TrajectoryBuilder;
 use alidrone::geo::{Distance, Duration, GeoPoint, NoFlyZone, Speed};
 use alidrone::gps::{SimClock, SimulatedReceiver};
+use alidrone::obs::Obs;
 use alidrone::tee::{SecureWorldBuilder, GPS_SAMPLER_UUID};
 use alidrone_crypto::rng::XorShift64;
 
@@ -114,9 +115,11 @@ fn main() -> Result<(), Box<dyn Error>> {
         clock.clone(),
         5.0,
     ));
+    let obs = Obs::noop();
     let world = SecureWorldBuilder::new()
         .with_generated_key(512, &mut rng)
         .with_gps_device(Box::new(Arc::clone(&receiver)))
+        .with_obs(&obs)
         .build()?;
     let session = world.client().open_session(GPS_SAMPLER_UUID)?;
     for _ in 0..10 {
@@ -128,7 +131,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     println!(
         "batch extension: {} samples cached, 1 signature ({} total signatures in ledger) ✔",
         trace.samples().len(),
-        world.ledger().snapshot().signatures
+        obs.snapshot().counter("tee.signatures")
     );
     Ok(())
 }

@@ -10,7 +10,7 @@
 //! | [`crypto`] | `alidrone-crypto` | big integers, RSA PKCS#1 v1.5, SHA-1/256, HMAC, ChaCha20, DH |
 //! | [`nmea`] | `alidrone-nmea` | NMEA 0183 parsing/encoding (RMC, GGA) |
 //! | [`gps`] | `alidrone-gps` | simulated receiver, virtual clock, trace replay |
-//! | [`tee`] | `alidrone-tee` | the TrustZone/OP-TEE model: worlds, TAs, key isolation, cost ledger |
+//! | [`tee`] | `alidrone-tee` | the TrustZone/OP-TEE model: worlds, TAs, key isolation, cost model |
 //! | [`core`] | `alidrone-core` | the PoA protocol: auditor, operator, zone owner, Algorithm 1 |
 //! | [`obs`] | `alidrone-obs` | metrics, spans, structured events, JSON export |
 //! | [`chaos`] | `alidrone-chaos` | seeded fault plane: transport/storage/TEE/GPS fault injection |

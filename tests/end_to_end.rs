@@ -10,6 +10,7 @@ use alidrone::crypto::rsa::RsaPrivateKey;
 use alidrone::geo::trajectory::TrajectoryBuilder;
 use alidrone::geo::{Distance, Duration, GeoPoint, NoFlyZone, Speed, Timestamp};
 use alidrone::gps::{SimClock, SimulatedReceiver};
+use alidrone::obs::Obs;
 use alidrone::tee::{CostModel, SecureWorldBuilder, TeeClient};
 use alidrone_crypto::rng::XorShift64;
 
@@ -263,7 +264,7 @@ fn poa_retention_expires() {
 }
 
 #[test]
-fn tee_cost_ledger_tracks_flight() {
+fn tee_modelled_cost_tracks_flight() {
     let end = pad().destination(90.0, Distance::from_meters(500.0));
     let route = TrajectoryBuilder::start_at(pad())
         .travel_to(end, Speed::from_mph(30.0))
@@ -275,10 +276,12 @@ fn tee_cost_ledger_tracks_flight() {
         clock.clone(),
         5.0,
     ));
+    let obs = Obs::noop();
     let world = SecureWorldBuilder::new()
         .with_sign_key(key(14))
         .with_gps_device(Box::new(Arc::clone(&receiver)))
         .with_cost_model(CostModel::raspberry_pi_3())
+        .with_obs(&obs)
         .build()
         .unwrap();
     let operator = DroneOperator::new(key(6), world.client());
@@ -291,10 +294,21 @@ fn tee_cost_ledger_tracks_flight() {
             Duration::from_secs(20.0),
         )
         .unwrap();
-    let snap = world.ledger().snapshot();
-    assert_eq!(snap.signatures as usize, record.sample_count());
-    // Each signature costs sign_cost(512) = sign_1024 / 8 ≈ 5.1 ms plus
-    // switches and the read.
-    let expected = world.cost_model().get_gps_auth_cost(512).secs() * snap.signatures as f64;
-    assert!((snap.busy.secs() - expected).abs() < 0.01);
+    let snap = obs.snapshot();
+    let signatures = snap.counter("tee.signatures");
+    assert_eq!(signatures as usize, record.sample_count());
+    // Modelled busy time is the sum of the three cost histograms' sums.
+    // Each GetGPSAuth pays sign_cost(512) = sign_1024 / 8 = 5.125 ms
+    // plus two 0.75 ms switches and a 0.3 ms driver read.
+    let busy_micros: u64 = [
+        "tee.cost.world_switch",
+        "tee.cost.read_gps",
+        "tee.cost.sign",
+    ]
+    .iter()
+    .map(|name| snap.histogram(name).map_or(0, |h| h.sum_micros))
+    .sum();
+    let per_call = (world.cost_model().get_gps_auth_cost(512).secs() * 1e6).round() as u64;
+    assert_eq!(per_call, 6_925);
+    assert_eq!(busy_micros, signatures * per_call);
 }

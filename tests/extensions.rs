@@ -13,6 +13,7 @@ use alidrone::geo::three_d::{CylinderZone, GpsSample3d, ReachableSet3d};
 use alidrone::geo::trajectory::TrajectoryBuilder;
 use alidrone::geo::{Distance, Duration, GeoPoint, NoFlyZone, Speed, Timestamp, FAA_MAX_SPEED};
 use alidrone::gps::{SimClock, SimulatedReceiver};
+use alidrone::obs::Obs;
 use alidrone::tee::{CostModel, SecureWorldBuilder, GPS_SAMPLER_UUID};
 use alidrone_crypto::rng::XorShift64;
 
@@ -206,10 +207,12 @@ fn batch_signing_amortises_to_one_signature() {
         clock.clone(),
         5.0,
     ));
+    let obs = Obs::noop();
     let world = SecureWorldBuilder::new()
         .with_sign_key(key(85))
         .with_gps_device(Box::new(Arc::clone(&receiver)))
         .with_cost_model(CostModel::raspberry_pi_3())
+        .with_obs(&obs)
         .build()
         .unwrap();
     let session = world.client().open_session(GPS_SAMPLER_UUID).unwrap();
@@ -222,21 +225,33 @@ fn batch_signing_amortises_to_one_signature() {
     let trace = session.sign_trace().unwrap();
     assert_eq!(trace.samples().len(), 20);
     trace.verify(&world.client().tee_public_key()).unwrap();
-    let snap = world.ledger().snapshot();
-    assert_eq!(snap.signatures, 1, "exactly one RSA operation");
-    assert_eq!(snap.gps_reads, 20);
+    let snap = obs.snapshot();
+    assert_eq!(
+        snap.counter("tee.signatures"),
+        1,
+        "exactly one RSA operation"
+    );
+    assert_eq!(snap.counter("tee.gps_reads"), 20);
     // The alibi inside the batch trace is well-formed.
     assert!(alidrone::geo::check_monotonic(trace.samples()).is_ok());
     // Batch mode saves 19 of 20 signatures; caching still pays world
     // switches, so the win over 20 individual GetGPSAuth calls is the
     // signature cost (which dominates at real key sizes — for 1024-bit
     // keys the per-call cost is ~43 ms of which ~41 ms is the RSA op).
+    let busy = [
+        "tee.cost.world_switch",
+        "tee.cost.read_gps",
+        "tee.cost.sign",
+    ]
+    .iter()
+    .map(|name| snap.histogram(name).map_or(0, |h| h.sum_micros))
+    .sum::<u64>() as f64
+        / 1e6;
     let individual = world.cost_model().get_gps_auth_cost(512).secs();
     let sign = world.cost_model().sign_cost(512).secs();
     assert!(
-        snap.busy.secs() < 20.0 * individual - 18.0 * sign,
-        "batch busy {:.4}s vs 20 individual {:.4}s",
-        snap.busy.secs(),
+        busy < 20.0 * individual - 18.0 * sign,
+        "batch busy {busy:.4}s vs 20 individual {:.4}s",
         20.0 * individual
     );
 }
