@@ -70,13 +70,26 @@ overload:
 scrape-smoke:
 	$(CARGO) run -p alidrone-sim --release --offline --bin exp_tcp -- --overload --scrape
 
+# Runs `exp_soak --smoke` with extra flags $(2), keeps its stdout in
+# target/soak_$(1).stdout, and diffs the determinism signature it prints
+# (its `signature: ` lines) against crates/sim/golden/soak_$(1).sig.
+# Regenerate a golden only after an intended change to what a soak
+# issues or how it is judged, and say why in CHANGES.md.
+define soak_check
+	@mkdir -p target
+	$(CARGO) run -p alidrone-sim --release --offline --bin exp_soak -- --smoke $(2) > target/soak_$(1).stdout || { cat target/soak_$(1).stdout; exit 1; }
+	@cat target/soak_$(1).stdout
+	sed -n 's/^signature: //p' target/soak_$(1).stdout | diff -u crates/sim/golden/soak_$(1).sig -
+endef
+
 # Fleet soak smoke (~200 drones, two seeded runs, well under a minute):
 # staged load against the TCP auditor with SLO verdicts judged from
 # scraped windows. Asserts the chaos phase breaches, healthy phases
-# pass, verdicts are identical across both runs, and the written
-# target/SOAK_report.json machine-checks after a disk round trip.
+# pass, verdicts are identical across both runs and match the golden
+# signature, and the written target/SOAK_report.json machine-checks
+# after a disk round trip.
 soak-smoke:
-	$(CARGO) run -p alidrone-sim --release --offline --bin exp_soak -- --smoke --out target/SOAK_report.json
+	$(call soak_check,smoke,--out target/SOAK_report.json)
 
 # Kill-the-primary failover gate: tests/failover.rs — a widened
 # replication chaos campaign (400 seeds by default, against the 40 of
@@ -87,11 +100,12 @@ soak-smoke:
 # promotion_passes_over_a_compacted_follower_that_lost_its_snapshot) and the
 # packaged Cluster::kill_and_promote path, all promoting through
 # repl::promote — then the replicated soak with its kill-and-promote
-# phase (report lands in target/SOAK_failover_report.json for CI to
-# archive), and the end-to-end failover example.
+# phase (signature diffed against its golden; report lands in
+# target/SOAK_failover_report.json for CI to archive), and the
+# end-to-end failover example.
 failover:
 	FAILOVER_SEEDS=$(or $(FAILOVER_SEEDS),400) $(CARGO) test --release --offline --test failover -q
-	$(CARGO) run -p alidrone-sim --release --offline --bin exp_soak -- --smoke --failover --out target/SOAK_failover_report.json
+	$(call soak_check,failover,--failover --out target/SOAK_failover_report.json)
 	$(CARGO) run --release --offline --example failover
 
 # Tamper-evidence gate: the seeded tamper-injection campaign against
@@ -99,11 +113,12 @@ failover:
 # every arm — bit flips, reorders, drops, rewrites, checkpoint-root
 # forgeries, replication splices — must be detected, never silently
 # accepted), then the tamper-mode soak where every drone verifies tree
-# heads and inclusion/consistency proofs offline (report lands in
-# target/SOAK_tamper_report.json for CI to archive).
+# heads and inclusion/consistency proofs offline (signature diffed
+# against its golden; report lands in target/SOAK_tamper_report.json
+# for CI to archive).
 tamper:
 	TAMPER_SEEDS=$(or $(TAMPER_SEEDS),12) $(CARGO) test --release --offline --test tamper -q
-	$(CARGO) run -p alidrone-sim --release --offline --bin exp_soak -- --smoke --tamper --out target/SOAK_tamper_report.json
+	$(call soak_check,tamper,--tamper --out target/SOAK_tamper_report.json)
 
 # Regenerate the persistent perf baseline (BENCH_poa.json at the repo
 # root). BENCH_POA_SAMPLES trades precision for wall time.

@@ -15,6 +15,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::time::Instant;
 
 use alidrone_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use alidrone_geo::polygon::PolygonZone;
@@ -335,6 +336,8 @@ pub struct Auditor {
     next_drone: AtomicU64,
     next_zone: AtomicU64,
     obs: Obs,
+    /// Wall time of one PoA verification and of one decryption
+    /// (`auditor.verify_latency_us`, `auditor.decrypt_latency_us`).
     verify_latency: Arc<Histogram>,
     decrypt_latency: Arc<Histogram>,
     /// Wall time spent in journal appends
@@ -843,7 +846,7 @@ impl Auditor {
             None
         };
         for payload in std::iter::once(&payload).chain(checkpoint.as_ref()) {
-            let t0 = std::time::Instant::now();
+            let t0 = Instant::now();
             let result = journal.append_payload(payload);
             self.journal_append_latency
                 .record_micros(t0.elapsed().as_micros() as u64);
@@ -1146,10 +1149,11 @@ impl Auditor {
                 window_end,
                 poa,
             } => {
-                let span = self
-                    .obs
-                    .enter_span_recording("auditor.decrypt", &self.decrypt_latency);
+                let span = self.obs.enter_span("auditor.decrypt");
+                let started = Instant::now();
                 let poa = poa.decrypt(&self.encryption_key);
+                self.decrypt_latency
+                    .record_micros(started.elapsed().as_micros() as u64);
                 drop(span);
                 let submission = PoaSubmission {
                     drone_id: *drone_id,
@@ -1167,27 +1171,28 @@ impl Auditor {
         submission: &PoaSubmission,
         now: Timestamp,
     ) -> Result<VerificationReport, ProtocolError> {
-        let span = self
-            .obs
-            .enter_span_recording("auditor.verify", &self.verify_latency);
-        let record = match self
+        let span = self.obs.enter_span("auditor.verify");
+        let started = Instant::now();
+        let report = self
             .drones
             .read()
-            .map_err(|_| ProtocolError::LockPoisoned("drone registry"))?
-            .get(&submission.drone_id)
-            .cloned()
-        {
-            Some(record) => record,
-            None => {
-                drop(span);
-                return Err(ProtocolError::UnknownDrone(submission.drone_id));
-            }
-        };
-        // Verify against the shared zone view: the locks are released
-        // before the RSA/geometry work begins.
-        let zones = self.zones();
-        let report = self.verify_poa_inner(&submission.poa, &record, submission, &zones);
+            .map_err(|_| ProtocolError::LockPoisoned("drone registry"))
+            .and_then(|drones| {
+                drones
+                    .get(&submission.drone_id)
+                    .cloned()
+                    .ok_or(ProtocolError::UnknownDrone(submission.drone_id))
+            })
+            .map(|record| {
+                // Verify against the shared zone view: the locks are
+                // released before the RSA/geometry work begins.
+                let zones = self.zones();
+                self.verify_poa_inner(&submission.poa, &record, submission, &zones)
+            });
+        self.verify_latency
+            .record_micros(started.elapsed().as_micros() as u64);
         drop(span);
+        let report = report?;
         let stored = StoredPoa {
             drone_id: submission.drone_id,
             window: (submission.window_start, submission.window_end),
@@ -1756,6 +1761,27 @@ mod tests {
         assert!(rep.sufficiency.is_some());
         assert_eq!(a.stored_poa_count(), 1);
         assert!(a.latest_stored(d).is_some());
+    }
+
+    /// Latency histograms measure wall time, not the handle's injected
+    /// clock: the clock of `Obs::noop()` never moves, yet one
+    /// verification still records a non-zero duration.
+    #[test]
+    fn verify_latency_is_wall_time_under_a_frozen_clock() {
+        let obs = Obs::noop();
+        let a = Auditor::with_obs(AuditorConfig::default(), auditor_key().clone(), &obs);
+        let d = registered(&a);
+        a.verify(
+            &Submission::plain(submission(d, 10)),
+            Timestamp::from_secs(100.0),
+        )
+        .unwrap();
+        let snapshot = obs.snapshot();
+        let latency = snapshot
+            .histogram("auditor.verify_latency_us")
+            .expect("verify latency histogram");
+        assert_eq!(latency.count, 1);
+        assert!(latency.sum_micros > 0, "one verify recorded 0 us");
     }
 
     #[test]

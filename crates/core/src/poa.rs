@@ -8,6 +8,7 @@ use alidrone_geo::sufficiency::GapWindow;
 use alidrone_geo::{GpsSample, Timestamp};
 use alidrone_tee::{SignedGapMarker, SignedSample};
 
+use crate::wire::codec::{Reader, Writer};
 use crate::ProtocolError;
 
 /// A Proof-of-Alibi: the ordered sequence of TEE-signed GPS samples
@@ -106,22 +107,18 @@ impl ProofOfAlibi {
     /// `[gap_count: u32 BE] ([gap_len: u32 BE][gap])*`. Gapless PoAs
     /// keep the original byte layout, so pre-gap images parse unchanged.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.entries.len() as u32).to_be_bytes());
+        let mut w = Writer::new();
+        w.put_u32(self.entries.len() as u32);
         for e in &self.entries {
-            let b = e.to_bytes();
-            out.extend_from_slice(&(b.len() as u32).to_be_bytes());
-            out.extend_from_slice(&b);
+            w.put_bytes(&e.to_bytes());
         }
         if !self.gaps.is_empty() {
-            out.extend_from_slice(&(self.gaps.len() as u32).to_be_bytes());
+            w.put_u32(self.gaps.len() as u32);
             for g in &self.gaps {
-                let b = g.to_bytes();
-                out.extend_from_slice(&(b.len() as u32).to_be_bytes());
-                out.extend_from_slice(&b);
+                w.put_bytes(&g.to_bytes());
             }
         }
-        out
+        w.into_bytes()
     }
 
     /// Parses the wire format of [`to_bytes`](Self::to_bytes). An image
@@ -133,44 +130,27 @@ impl ProofOfAlibi {
     /// Returns [`ProtocolError::Malformed`] on truncation or invalid
     /// entries.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ProtocolError> {
-        let mut cursor = bytes;
-        let count = read_u32(&mut cursor).ok_or(ProtocolError::Malformed("poa count"))? as usize;
+        let mut r = Reader::new(bytes);
+        let count = r.get_u32()? as usize;
         let mut entries = Vec::with_capacity(count.min(1 << 20));
         for _ in 0..count {
-            let len =
-                read_u32(&mut cursor).ok_or(ProtocolError::Malformed("poa entry length"))? as usize;
-            if cursor.len() < len {
-                return Err(ProtocolError::Malformed("poa entry truncated"));
-            }
-            let (entry, rest) = cursor.split_at(len);
             entries.push(
-                SignedSample::from_bytes(entry)
+                SignedSample::from_bytes(r.get_bytes()?)
                     .map_err(|_| ProtocolError::Malformed("poa entry"))?,
             );
-            cursor = rest;
         }
         let mut gaps = Vec::new();
-        if !cursor.is_empty() {
-            let gap_count =
-                read_u32(&mut cursor).ok_or(ProtocolError::Malformed("poa gap count"))? as usize;
+        if r.remaining() > 0 {
+            let gap_count = r.get_u32()? as usize;
             gaps.reserve(gap_count.min(1 << 16));
             for _ in 0..gap_count {
-                let len = read_u32(&mut cursor).ok_or(ProtocolError::Malformed("poa gap length"))?
-                    as usize;
-                if cursor.len() < len {
-                    return Err(ProtocolError::Malformed("poa gap truncated"));
-                }
-                let (gap, rest) = cursor.split_at(len);
                 gaps.push(
-                    SignedGapMarker::from_bytes(gap)
+                    SignedGapMarker::from_bytes(r.get_bytes()?)
                         .map_err(|_| ProtocolError::Malformed("poa gap"))?,
                 );
-                cursor = rest;
             }
         }
-        if !cursor.is_empty() {
-            return Err(ProtocolError::Malformed("poa trailing bytes"));
-        }
+        r.finish()?;
         Ok(ProofOfAlibi { entries, gaps })
     }
 
@@ -226,15 +206,6 @@ impl Extend<SignedSample> for ProofOfAlibi {
     fn extend<I: IntoIterator<Item = SignedSample>>(&mut self, iter: I) {
         self.entries.extend(iter);
     }
-}
-
-fn read_u32(cursor: &mut &[u8]) -> Option<u32> {
-    if cursor.len() < 4 {
-        return None;
-    }
-    let (head, rest) = cursor.split_at(4);
-    *cursor = rest;
-    Some(u32::from_be_bytes(head.try_into().expect("4 bytes")))
 }
 
 /// A PoA encrypted for the auditor: a sequence of RSAES-PKCS1-v1.5
@@ -342,6 +313,38 @@ mod tests {
         poa.push_gap(signed_gap(0.2, 0.9));
         let bytes = poa.to_bytes();
         assert!(ProofOfAlibi::from_bytes(&bytes[..bytes.len() - 4]).is_err());
+    }
+
+    /// The wire bytes are pinned: the sample section, and the gap
+    /// section a gapless PoA leaves out. Entries carry a two-byte
+    /// stand-in signature — parsing checks framing, not signatures.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        const GAPLESS: [u8; 70] = [
+            0, 0, 0, 2, // entry count
+            0, 0, 0, 29, // entry 0 length
+            2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x3F, 0xF0, 0, 0, 0, 0, 0, 0, 0, 2,
+            0xAB, 0xCD, //
+            0, 0, 0, 29, // entry 1 length
+            2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0x40, 0, 0, 0, 0, 0, 0, 0, 0, 2,
+            0xAB, 0xCD,
+        ];
+        const GAP_SECTION: [u8; 29] = [
+            0, 0, 0, 1, // gap count
+            0, 0, 0, 21, // gap 0 length
+            2, 0x3F, 0xE0, 0, 0, 0, 0, 0, 0, 0x3F, 0xF8, 0, 0, 0, 0, 0, 0, 0, 2, 0xEF, 0x01,
+        ];
+        let entry = |bytes: &[u8]| SignedSample::from_bytes(bytes).unwrap();
+        let gapless =
+            ProofOfAlibi::from_entries(vec![entry(&GAPLESS[8..37]), entry(&GAPLESS[41..70])]);
+        assert_eq!(gapless.to_bytes(), GAPLESS);
+        assert_eq!(ProofOfAlibi::from_bytes(&GAPLESS).unwrap(), gapless);
+
+        let mut gapped = gapless.clone();
+        gapped.push_gap(SignedGapMarker::from_bytes(&GAP_SECTION[8..]).unwrap());
+        let expected = [&GAPLESS[..], &GAP_SECTION[..]].concat();
+        assert_eq!(gapped.to_bytes(), expected);
+        assert_eq!(ProofOfAlibi::from_bytes(&expected).unwrap(), gapped);
     }
 
     #[test]

@@ -26,6 +26,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use alidrone_obs::{Counter, Histogram, Obs};
 
@@ -174,9 +175,8 @@ impl VerifyPool {
         if n == 0 {
             return None;
         }
-        let span = self
-            .obs
-            .enter_span_recording("auditor.verify_batch", &self.batch_latency);
+        let span = self.obs.enter_span("auditor.verify_batch");
+        let started = Instant::now();
         self.batches.add(1);
         self.entries.add(n as u64);
         // One share per worker plus one for this thread, never more
@@ -213,6 +213,8 @@ impl VerifyPool {
         while *pending > 0 {
             pending = state.done.wait(pending).unwrap_or_else(|p| p.into_inner());
         }
+        self.batch_latency
+            .record_micros(started.elapsed().as_micros() as u64);
         drop(span);
         let min_fail = state.min_fail.load(Ordering::Relaxed);
         if min_fail == usize::MAX {

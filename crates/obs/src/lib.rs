@@ -3,7 +3,7 @@
 //! The paper's evaluation (Table II costs, Figs. 6–8 sampling
 //! behaviour) is an observability exercise the prototype performed by
 //! hand. This crate makes that first-class: a metrics registry of
-//! atomic [`Counter`]s / [`Gauge`]s / [`Histogram`]s, scope-timing
+//! atomic [`Counter`]s / [`Gauge`]s / [`Histogram`]s, traced
 //! [`Span`]s, and structured [`Event`]s with levels and typed fields —
 //! all std-only, like the rest of the workspace's from-scratch stack
 //! (the build environment has no crates.io access).
@@ -19,6 +19,11 @@
 //!   in *simulated* time; benchmarks and real servers use
 //!   [`WallClock`]. Paper-modelled costs (world switches, signatures)
 //!   are recorded directly into histograms from the TEE cost model.
+//! * **Spans trace; they never feed histograms.** A span's times come
+//!   from the injected clock, which under a simulation (or the
+//!   never-moving clock of [`Obs::noop`]) says nothing about how long
+//!   the work took. Latency histograms are fed at the call site from
+//!   `std::time::Instant`, next to the span that traces the same work.
 //! * **Events are pull-gated**: [`Obs::emit`] takes a closure that
 //!   builds fields, and only runs it when a subscriber is installed.
 //!   The disabled path is one atomic load — no allocation, no
@@ -57,7 +62,6 @@ pub mod clock;
 pub mod event;
 pub mod export;
 pub mod json;
-pub mod labels;
 pub mod metrics;
 pub mod recorder;
 pub mod scrape;
@@ -72,7 +76,6 @@ pub use export::{
     chrome_trace, escape_label_value, parse_prometheus_text, prometheus_text, sanitize_metric_name,
 };
 pub use json::{Json, JsonError, ToJson};
-pub use labels::LabelInterner;
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry};
 pub use recorder::{FlightRecorder, RecorderDump};
 pub use scrape::{ScrapeServer, ScrapeSources};
@@ -229,14 +232,6 @@ impl Obs {
         }
     }
 
-    /// Starts a [`Span`] that records into `histogram` when it ends.
-    ///
-    /// This is the untraced scope timer: no trace context, nothing
-    /// reported to the subscriber, no allocation on creation.
-    pub fn span(&self, histogram: &Arc<Histogram>) -> Span {
-        Span::new(self.clone(), Arc::clone(histogram))
-    }
-
     /// Reseeds the deterministic trace/span id stream.
     ///
     /// Ids default to a fixed seed so repeated simulations produce
@@ -253,19 +248,7 @@ impl Obs {
     /// subscriber this returns an untraced span — one atomic load, no
     /// ids drawn, nothing reported — so the call is safe on hot paths.
     pub fn enter_span(&self, name: &'static str) -> Span {
-        Span::build(self.clone(), name, None, self.make_context(None))
-    }
-
-    /// Like [`enter_span`](Obs::enter_span), but the elapsed time is
-    /// also recorded into `histogram` (even when tracing is disabled —
-    /// metrics always count).
-    pub fn enter_span_recording(&self, name: &'static str, histogram: &Arc<Histogram>) -> Span {
-        Span::build(
-            self.clone(),
-            name,
-            Some(Arc::clone(histogram)),
-            self.make_context(None),
-        )
+        Span::build(self.clone(), name, self.make_context(None))
     }
 
     /// Starts a traced span whose parent arrived from elsewhere — the
@@ -281,7 +264,6 @@ impl Obs {
         Span::build(
             self.clone(),
             name,
-            None,
             self.make_context(Some((trace_id, Some(parent_span_id)))),
         )
     }
@@ -423,12 +405,13 @@ mod tests {
     fn span_through_obs_records_sim_time() {
         let clock = Arc::new(ManualClock::new());
         let obs = Obs::new(clock.clone());
-        let h = obs.histogram("flight.step");
-        let span = obs.span(&h);
+        let recorder = Arc::new(FlightRecorder::new(4));
+        obs.set_subscriber(recorder.clone());
+        let span = obs.enter_span("flight.step");
         clock.advance(Duration::from_secs(1.5));
         drop(span);
-        let s = h.snapshot();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.sum_micros, 1_500_000);
+        let spans = recorder.spans();
+        assert_eq!(spans.len(), 1);
+        assert!((spans[0].duration().secs() - 1.5).abs() < 1e-9);
     }
 }

@@ -1,20 +1,18 @@
-//! Hierarchical spans: scope timers that also build a trace.
+//! Hierarchical spans: the scopes a trace is built from.
 //!
-//! A [`Span`] measures the time between its creation and its drop (or
-//! explicit [`finish`](Span::finish)) against the observability
-//! handle's injected clock. Two kinds exist:
+//! A [`Span`] covers the time between its creation and its drop (or
+//! explicit [`finish`](Span::finish)) on the observability handle's
+//! injected clock. While a subscriber is installed, spans from
+//! [`Obs::enter_span`](crate::Obs::enter_span) and friends carry a
+//! [`SpanContext`] — trace id, span id, optional parent — and report a
+//! completed [`SpanRecord`] to the [`Subscriber`](crate::Subscriber)
+//! when they end. With tracing disabled the same calls return untraced
+//! spans that record nothing, so instrumentation left in hot paths
+//! costs one atomic load and no allocation.
 //!
-//! * **Untraced** spans (from [`Obs::span`](crate::Obs::span)) only
-//!   record their elapsed time into a histogram — the PR-1 scope
-//!   timer. Creating one clones two `Arc`s and reads the clock, no
-//!   allocation, so they stay on request-loop hot paths.
-//! * **Traced** spans (from [`Obs::enter_span`](crate::Obs::enter_span)
-//!   and friends) additionally carry a [`SpanContext`] — trace id,
-//!   span id, optional parent — and report a completed [`SpanRecord`]
-//!   to the installed [`Subscriber`](crate::Subscriber) when they end.
-//!   Traced spans are only handed out while a subscriber is installed;
-//!   with tracing disabled the same calls return untraced spans, so
-//!   instrumentation left in hot paths costs one atomic load.
+//! Spans never feed histograms: the injected clock may be simulated
+//! (or, under [`Obs::noop`](crate::Obs::noop), never move), so latency
+//! histograms are timed with `std::time::Instant` at the call site.
 //!
 //! Parenting is automatic: the handle keeps a stack of live traced
 //! spans, and a new traced span becomes a child of the stack top (or
@@ -23,10 +21,8 @@
 //! [`Obs::span_with_remote_parent`](crate::Obs::span_with_remote_parent).
 
 use crate::json::{Json, ToJson};
-use crate::metrics::Histogram;
 use crate::Obs;
 use alidrone_geo::{Duration, Timestamp};
-use std::sync::Arc;
 
 /// Identity of one span within one trace.
 ///
@@ -99,34 +95,23 @@ impl ToJson for SpanRecord {
     }
 }
 
-/// Times a scope; records into a histogram and/or reports a
-/// [`SpanRecord`] on drop.
+/// A scope of a trace; a traced span reports a [`SpanRecord`] when it
+/// ends.
 #[derive(Debug)]
 pub struct Span {
     obs: Obs,
     name: &'static str,
-    histogram: Option<Arc<Histogram>>,
     context: Option<SpanContext>,
     start: Timestamp,
     finished: bool,
 }
 
 impl Span {
-    pub(crate) fn new(obs: Obs, histogram: Arc<Histogram>) -> Span {
-        Span::build(obs, "span", Some(histogram), None)
-    }
-
-    pub(crate) fn build(
-        obs: Obs,
-        name: &'static str,
-        histogram: Option<Arc<Histogram>>,
-        context: Option<SpanContext>,
-    ) -> Span {
+    pub(crate) fn build(obs: Obs, name: &'static str, context: Option<SpanContext>) -> Span {
         let start = obs.now();
         Span {
             obs,
             name,
-            histogram,
             context,
             start,
             finished: false,
@@ -188,9 +173,6 @@ impl Span {
             return;
         }
         self.finished = true;
-        if let Some(h) = &self.histogram {
-            h.record(end.since(self.start));
-        }
         if let Some(ctx) = self.context {
             self.obs.exit_span(ctx);
             self.obs.deliver_span(&SpanRecord {
@@ -215,51 +197,55 @@ mod tests {
     use super::*;
     use crate::clock::ManualClock;
     use crate::recorder::FlightRecorder;
+    use std::sync::Arc;
 
     fn manual_obs() -> (Obs, Arc<ManualClock>) {
         let clock = Arc::new(ManualClock::new());
         (Obs::new(clock.clone()), clock)
     }
 
-    #[test]
-    fn drop_records_elapsed_time() {
+    fn traced_obs() -> (Obs, Arc<ManualClock>, Arc<FlightRecorder>) {
         let (obs, clock) = manual_obs();
-        let h = obs.histogram("op");
-        {
-            let _span = obs.span(&h);
-            clock.advance(Duration::from_millis(5.0));
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count, 1);
-        assert_eq!(s.sum_micros, 5_000);
+        let rec = Arc::new(FlightRecorder::new(16));
+        obs.set_subscriber(rec.clone());
+        (obs, clock, rec)
     }
 
     #[test]
-    fn finish_returns_duration_and_records_once() {
-        let (obs, clock) = manual_obs();
-        let h = obs.histogram("op");
-        let span = obs.span(&h);
+    fn drop_reports_elapsed_time() {
+        let (obs, clock, rec) = traced_obs();
+        {
+            let _span = obs.enter_span("op");
+            clock.advance(Duration::from_millis(5.0));
+        }
+        let spans = rec.spans();
+        assert_eq!(spans.len(), 1);
+        assert!((spans[0].duration().millis() - 5.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn finish_returns_duration_and_reports_once() {
+        let (obs, clock, rec) = traced_obs();
+        let span = obs.enter_span("op");
         clock.advance(Duration::from_secs(2.0));
         let d = span.finish();
         assert!((d.secs() - 2.0).abs() < 1e-9);
-        assert_eq!(h.snapshot().count, 1);
+        assert_eq!(rec.spans().len(), 1);
     }
 
     #[test]
-    fn cancel_records_nothing() {
-        let (obs, clock) = manual_obs();
-        let h = obs.histogram("op");
-        let span = obs.span(&h);
+    fn cancel_reports_nothing() {
+        let (obs, clock, rec) = traced_obs();
+        let span = obs.enter_span("op");
         clock.advance(Duration::from_secs(1.0));
         span.cancel();
-        assert_eq!(h.snapshot().count, 0);
+        assert!(rec.spans().is_empty());
     }
 
     #[test]
     fn elapsed_tracks_the_injected_clock() {
         let (obs, clock) = manual_obs();
-        let h = obs.histogram("op");
-        let span = obs.span(&h);
+        let span = obs.enter_span("op");
         assert_eq!(span.elapsed(), Duration::ZERO);
         clock.advance(Duration::from_millis(300.0));
         assert!((span.elapsed().millis() - 300.0).abs() < 1e-9);
@@ -267,13 +253,9 @@ mod tests {
 
     #[test]
     fn untraced_span_has_no_context() {
-        let (obs, _clock) = manual_obs();
-        let h = obs.histogram("op");
-        let span = obs.span(&h);
-        assert!(span.context().is_none());
         // Tracing entry points degrade to untraced without a subscriber.
-        let t = obs.enter_span("op.traced");
-        assert!(t.context().is_none());
+        let (obs, _clock) = manual_obs();
+        assert!(obs.enter_span("op.traced").context().is_none());
     }
 
     #[test]
@@ -325,14 +307,12 @@ mod tests {
         let (obs, _clock) = manual_obs();
         let rec = Arc::new(FlightRecorder::new(4));
         obs.set_subscriber(rec.clone());
-        let h = obs.histogram("tee.sign.span");
-        let span = obs.enter_span_recording("tee.sign", &h);
+        let span = obs.enter_span("tee.sign");
         // The manual clock never advances, but the modelled cost does.
         span.finish_with(Duration::from_millis(217.0));
         let spans = rec.spans();
         assert_eq!(spans.len(), 1);
         assert!((spans[0].duration().millis() - 217.0).abs() < 1e-9);
-        assert_eq!(h.snapshot().sum_micros, 217_000);
     }
 
     #[test]

@@ -75,7 +75,7 @@ fn disabled_path_never_allocates() {
             requests.inc();
             inflight.set(i as i64);
             latency.record(Duration::from_millis(1.5));
-            let span = obs.span(&latency);
+            let span = obs.enter_span("server.request");
             obs.emit(Level::Info, "server", "request_done", |f| {
                 // Field construction allocates — this closure must not run.
                 f.field("detail", format!("request {i}"));

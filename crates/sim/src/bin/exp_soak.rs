@@ -58,10 +58,6 @@ fn summarise(outcome: &fleet::SoakOutcome, elapsed_secs: f64) {
         outcome.ring.evicted_windows(),
         outcome.reconciliation.len()
     );
-    println!(
-        "  labels: {}/{} admitted, {} interns overflowed to `other`",
-        outcome.labels_admitted, outcome.label_cap, outcome.labels_dropped
-    );
     for p in &outcome.phases {
         let verdicts: Vec<String> = p
             .verdicts
@@ -202,6 +198,11 @@ fn main() {
             "same seed produced different verdicts or ledgers"
         );
         println!("   determinism: two runs, identical signatures");
+    }
+    // One `signature: ` line per signature line, for the make targets
+    // to diff against crates/sim/golden/soak_*.sig.
+    for line in determinism_signature(&outcome).lines() {
+        println!("signature: {line}");
     }
 
     let report = soak_report_json(&outcome);

@@ -19,9 +19,12 @@
 //! scrapes (all workers joined, nothing in flight), so the per-phase
 //! counter deltas — and therefore the SLO verdicts — are exactly
 //! reproducible for a given seed. Wall-clock-shaped data (window
-//! timings, latency quantiles, which per-drone labels won interner
-//! slots) is reported but deliberately excluded from the determinism
-//! signature.
+//! timings, latency quantiles) is reported but deliberately excluded
+//! from the determinism signature. Every phase — the staged load, the
+//! tamper-mode transparency phase, the failover phase — runs through
+//! one worker driver and is closed by one boundary-judging step; load
+//! is counted per GPS cohort (`fleet.cohort.{healthy,gps_dropout}.ops`),
+//! so the series stay bounded at any fleet size.
 //!
 //! The outcome serialises to a schema-versioned `SOAK_report.json`
 //! ([`soak_report_json`]) that [`check_report`] can re-validate from
@@ -31,28 +34,27 @@
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread;
 use std::time::Duration as StdDuration;
 
-use alidrone_chaos::{FaultPlane, FaultyGps, FaultyTransport};
+use alidrone_chaos::{Cohort, FaultPlane, FaultyGps, FaultyTransport};
 use alidrone_core::audit::{verify_consistency, verify_inclusion};
 use alidrone_core::journal::{MemBackend, StorageBackend};
 use alidrone_core::repl::{arm, promote, Follower, ReplicationPolicy};
 use alidrone_core::wire::server::AuditorServer;
 use alidrone_core::wire::tcp::{TcpServer, TcpTransport};
-use alidrone_core::wire::transport::AuditorClient;
+use alidrone_core::wire::transport::{AuditorClient, Transport};
 use alidrone_core::{
     run_flight, Auditor, AuditorConfig, DroneId, FlightRecord, ProtocolError, SamplingStrategy,
     ZoneQuery,
 };
-use alidrone_crypto::rsa::RsaPrivateKey;
 use alidrone_geo::trajectory::TrajectoryBuilder;
 use alidrone_geo::{Distance, Duration, GeoPoint, NoFlyZone, Timestamp, ZoneSet};
-use alidrone_gps::{SimClock, SimulatedReceiver};
+use alidrone_gps::{GpsDevice, SimClock, SimulatedReceiver};
 use alidrone_obs::{
-    parse_prometheus_text, CounterReconciliation, Json, LabelInterner, MetricsSnapshot, Obs,
+    parse_prometheus_text, Counter, CounterReconciliation, Json, MetricsSnapshot, Obs,
     SeriesWindow, Slo, SloEngine, SloEvent, SloRule, SloStatus, SnapshotRing, ToJson,
 };
 use alidrone_tee::{CostModel, SecureWorldBuilder, GPS_SAMPLER_UUID};
@@ -61,7 +63,7 @@ use crate::runner::experiment_key;
 
 /// Version stamp of the `SOAK_report.json` layout. Bump on any
 /// breaking change so downstream checkers can refuse unknown layouts.
-pub const SOAK_SCHEMA_VERSION: u64 = 1;
+pub const SOAK_SCHEMA_VERSION: u64 = 2;
 
 /// Ack policy of the replicated soak, at boot and after promotion.
 const REPL_POLICY: ReplicationPolicy = ReplicationPolicy::Quorum(1);
@@ -131,9 +133,6 @@ pub struct FleetConfig {
     pub ring_cap: usize,
     /// Fraction of the fleet in the GPS-dropout cohort.
     pub gps_dropout_fraction: f64,
-    /// Cap on distinct per-drone label series
-    /// ([`LabelInterner`] — overflow collapses into `other`).
-    pub label_cap: usize,
     /// Run the campaign against a *replicated* primary (journal +
     /// two in-process followers under `Quorum(1)`) and append a
     /// kill-and-promote failover phase after the load phases: the
@@ -171,7 +170,6 @@ impl FleetConfig {
             sample_every: StdDuration::from_millis(1000),
             ring_cap: 256,
             gps_dropout_fraction: 0.15,
-            label_cap: 256,
             failover: false,
             tamper: false,
             phases: default_phases(),
@@ -183,7 +181,6 @@ impl FleetConfig {
         FleetConfig {
             clients: 4,
             sample_every: StdDuration::from_millis(400),
-            label_cap: 64,
             ..FleetConfig::soak(seed, 200)
         }
     }
@@ -444,12 +441,6 @@ pub struct SoakOutcome {
     /// Client-visible typed errors (corrupted frames bounced by the
     /// server come back as typed error responses).
     pub client_errors: u64,
-    /// Distinct per-drone label series admitted by the interner.
-    pub labels_admitted: usize,
-    /// Interns that overflowed into the `other` series.
-    pub labels_dropped: u64,
-    /// The interner's cap.
-    pub label_cap: usize,
     /// Whether the final scrape agreed with the server registry read
     /// directly (sanitized-name comparison on the request/error
     /// counters) — the scrape pipeline's own integrity check.
@@ -517,48 +508,30 @@ fn make_record(plane: &FaultPlane, degraded: bool) -> FlightRecord {
         clock.clone(),
         5.0,
     ));
-    let strategy = SamplingStrategy::FixedRate(1.0);
-    let duration = Duration::from_secs(20.0);
-    if degraded {
-        let faulty = Arc::new(
-            FaultyGps::new(Arc::clone(&receiver), plane, "fleet.gps").dropout_windows(0.08, 8),
-        );
-        let world = SecureWorldBuilder::new()
-            .with_sign_key(experiment_key())
-            .with_gps_device(Box::new(Arc::clone(&faulty)))
-            .with_cost_model(CostModel::free())
-            .build()
-            .expect("tee world");
-        let tee = world.client();
-        let session = tee.open_session(GPS_SAMPLER_UUID).expect("session");
-        run_flight(
-            &clock,
-            faulty.as_ref(),
-            &session,
-            &ZoneSet::new(),
-            strategy,
-            duration,
-        )
-        .expect("degraded flight")
+    let gps: Arc<dyn GpsDevice> = if degraded {
+        Arc::new(FaultyGps::new(receiver, plane, "fleet.gps").dropout_windows(0.08, 8))
     } else {
-        let world = SecureWorldBuilder::new()
-            .with_sign_key(experiment_key())
-            .with_gps_device(Box::new(Arc::clone(&receiver)))
-            .with_cost_model(CostModel::free())
-            .build()
-            .expect("tee world");
-        let tee = world.client();
-        let session = tee.open_session(GPS_SAMPLER_UUID).expect("session");
-        run_flight(
-            &clock,
-            receiver.as_ref(),
-            &session,
-            &ZoneSet::new(),
-            strategy,
-            duration,
-        )
-        .expect("healthy flight")
-    }
+        receiver
+    };
+    let world = SecureWorldBuilder::new()
+        .with_sign_key(experiment_key())
+        .with_gps_device(Box::new(Arc::clone(&gps)))
+        .with_cost_model(CostModel::free())
+        .build()
+        .expect("tee world");
+    let session = world
+        .client()
+        .open_session(GPS_SAMPLER_UUID)
+        .expect("session");
+    run_flight(
+        &clock,
+        gps.as_ref(),
+        &session,
+        &ZoneSet::new(),
+        SamplingStrategy::FixedRate(1.0),
+        Duration::from_secs(20.0),
+    )
+    .expect("fleet flight")
 }
 
 /// Sampler/engine state shared between the sampler thread and the
@@ -594,6 +567,171 @@ fn observe_scrape(
 
 // ----------------------------------------------------------- campaign
 
+/// What every phase's workers share: where requests go, the fleet
+/// itself, and the counters each request lands in.
+struct Fleet {
+    clients: usize,
+    now: Timestamp,
+    drones: Vec<DroneId>,
+    gps_cohort: Cohort,
+    /// Flight records by GPS cohort: `[healthy, gps_dropout]`.
+    records: [FlightRecord; 2],
+    /// Requests by GPS cohort (`fleet.cohort.{healthy,gps_dropout}.ops`).
+    cohort_ops: [Arc<Counter>; 2],
+    /// Every request the fleet issues (`fleet.ops`).
+    ops: Arc<Counter>,
+    /// Requests that came back as an error (`fleet.client_errors`).
+    errors: Arc<Counter>,
+}
+
+/// One drone's turn on a phase worker: who it is, the record it files,
+/// and the worker's client its requests go through.
+struct Turn<'a, T> {
+    /// Fleet index (the key of the drone's request slots).
+    index: usize,
+    id: DroneId,
+    record: &'a FlightRecord,
+    cohort_ops: &'a Counter,
+    client: &'a mut AuditorClient<T>,
+    fleet: &'a Fleet,
+}
+
+impl<T: Transport> Turn<'_, T> {
+    /// Issues one request: counts it into `fleet.ops` and the drone's
+    /// cohort counter, and a failure into `fleet.client_errors`.
+    fn request<R>(
+        &mut self,
+        call: impl FnOnce(&mut AuditorClient<T>) -> Result<R, ProtocolError>,
+    ) -> Option<R> {
+        self.fleet.ops.inc();
+        self.cohort_ops.inc();
+        let result = call(self.client);
+        if result.is_err() {
+            self.fleet.errors.inc();
+        }
+        result.ok()
+    }
+
+    /// Files the drone's flight record.
+    fn submit(&mut self) -> Option<()> {
+        let (id, record, now) = (self.id, self.record, self.fleet.now);
+        self.request(|c| {
+            c.submit_poa(
+                id,
+                (record.window_start, record.window_end),
+                &record.poa,
+                now,
+            )
+            .map(|_| ())
+        })
+    }
+}
+
+impl Fleet {
+    /// Runs `step` for each of the first `active` drones, split into
+    /// contiguous chunks over the client workers. Worker `w` sends
+    /// through `connect(w)`; with `burst` every worker waits on one
+    /// barrier before its first request, so the phase lands as one
+    /// swarm. Returns the requests issued.
+    fn drive<T, C, S>(&self, active: usize, burst: bool, connect: C, step: S) -> u64
+    where
+        T: Transport,
+        C: Fn(usize) -> T + Sync,
+        S: Fn(&mut Turn<'_, T>) + Sync,
+    {
+        let before = self.ops.get();
+        let workers = self.clients.max(1);
+        let chunk = active.div_ceil(workers);
+        let barrier = Barrier::new(workers);
+        thread::scope(|s| {
+            for w in 0..workers {
+                let (connect, step, barrier) = (&connect, &step, &barrier);
+                s.spawn(move || {
+                    let mut client = AuditorClient::new(connect(w));
+                    if burst {
+                        barrier.wait();
+                    }
+                    let lo = (w * chunk).min(active);
+                    for index in lo..(lo + chunk).min(active) {
+                        let cohort = usize::from(self.gps_cohort.contains(index as u64));
+                        step(&mut Turn {
+                            index,
+                            id: self.drones[index],
+                            record: &self.records[cohort],
+                            cohort_ops: &self.cohort_ops[cohort],
+                            client: &mut client,
+                            fleet: self,
+                        });
+                    }
+                });
+            }
+        });
+        self.ops.get() - before
+    }
+}
+
+/// Closes phases on quiesced boundary scrapes: each phase is judged
+/// over the window from the previous boundary to its own.
+struct Judge<'a> {
+    state: &'a Mutex<SoakState>,
+    obs: &'a Obs,
+    scrape_addr: SocketAddr,
+    /// `fleet.ops` — the op ledger each phase's count comes from.
+    ops: &'a Counter,
+    /// The previous boundary: its time, scrape and `fleet.ops`.
+    prev: (Timestamp, MetricsSnapshot, u64),
+    phases: Vec<PhaseOutcome>,
+}
+
+impl<'a> Judge<'a> {
+    /// Takes the baseline boundary.
+    fn new(
+        state: &'a Mutex<SoakState>,
+        obs: &'a Obs,
+        scrape_addr: SocketAddr,
+        ops: &'a Counter,
+    ) -> Judge<'a> {
+        let (t, snap) = observe_scrape(state, obs, scrape_addr);
+        Judge {
+            state,
+            obs,
+            scrape_addr,
+            ops,
+            prev: (t, snap, ops.get()),
+            phases: Vec::new(),
+        }
+    }
+
+    /// Every worker has joined, so one scrape sees the phase's exact
+    /// final counters; the window since the previous boundary is judged
+    /// by every SLO.
+    fn close(&mut self, name: &'static str, expect_breach: bool) {
+        let (t_end, snap_end) = observe_scrape(self.state, self.obs, self.scrape_addr);
+        let ops_end = self.ops.get();
+        let (t_start, snap_start, ops_start) = &self.prev;
+        let window = SeriesWindow::between(*t_start, snap_start, t_end, &snap_end);
+        let verdicts = self
+            .state
+            .lock()
+            .expect("soak state")
+            .engine
+            .verdicts_for(&window);
+        self.phases.push(PhaseOutcome {
+            name,
+            expect_breach,
+            breached: verdicts.iter().any(|v| !v.healthy),
+            ops: ops_end - ops_start,
+            requests_delta: window.counter_delta(SCRAPED_REQUESTS),
+            errors_delta: window.counter_sum(SCRAPED_ERROR_KEYS),
+            shed_delta: window.counter_sum(SCRAPED_SHED_KEYS),
+            start_secs: t_start.secs(),
+            end_secs: t_end.secs(),
+            verdicts,
+        });
+        self.prev = (t_end, snap_end, ops_end);
+    }
+}
+
 /// Runs the whole soak campaign and returns its outcome.
 ///
 /// # Panics
@@ -605,24 +743,18 @@ fn observe_scrape(
 pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
     let plane = FaultPlane::new(cfg.seed);
     let now = Timestamp::from_secs(600.0);
-
-    // Two canonical flight records shared by the fleet: every drone is
-    // registered under the same operator/TEE keypair, so the records
-    // verify for all of them. The GPS-dropout cohort files the
-    // degraded record (declared gaps), the rest the clean one.
-    let healthy = Arc::new(make_record(&plane, false));
-    let degraded = Arc::new(make_record(&plane, true));
-    let gps_cohort = plane.cohort("fleet.gps_dropout", cfg.gps_dropout_fraction);
-
     let obs = Obs::wall();
-    let operator_key: RsaPrivateKey = experiment_key();
+    // One keypair serves as operator key, TEE key and auditor key, so
+    // every drone's records verify under every registration.
+    let key = experiment_key();
+
     // Replicated mode journals the primary and ships every record to
     // two in-process followers under Quorum(1); the follower handles
     // stay with the driver for the kill-and-promote phase.
     let (auditor, repl_followers) = if cfg.failover {
         let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
         let (auditor, _) =
-            Auditor::recover_with_obs(backend, AuditorConfig::default(), experiment_key(), &obs)
+            Auditor::recover_with_obs(backend, AuditorConfig::default(), key.clone(), &obs)
                 .expect("journaled primary recovers");
         let followers: Vec<(String, Arc<Follower>)> = (0..2)
             .map(|i| {
@@ -634,7 +766,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
         (auditor, Some(followers))
     } else {
         (
-            Auditor::with_obs(AuditorConfig::default(), experiment_key(), &obs),
+            Auditor::with_obs(AuditorConfig::default(), key.clone(), &obs),
             None,
         )
     };
@@ -657,19 +789,12 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
 
     // Registration (setup traffic, lands before the phase-0 baseline
     // scrape so it never pollutes a phase window).
-    let tee_public = {
-        let world = SecureWorldBuilder::new()
-            .with_sign_key(experiment_key())
-            .with_cost_model(CostModel::free())
-            .build()
-            .expect("tee world");
-        world.client().tee_public_key()
-    };
+    let public = key.public_key();
     let mut setup = AuditorClient::new(TcpTransport::new(addr));
-    let drone_ids: Vec<DroneId> = (0..cfg.drones)
+    let drones: Vec<DroneId> = (0..cfg.drones)
         .map(|_| {
             setup
-                .register_drone(operator_key.public_key().clone(), tee_public.clone(), now)
+                .register_drone(public.clone(), public.clone(), now)
                 .expect("register drone")
         })
         .collect();
@@ -680,9 +805,21 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
         )
         .expect("register zone");
 
-    let interner = LabelInterner::new(&obs, cfg.label_cap);
-    let ops_counter = obs.counter("fleet.ops");
-    let err_counter = obs.counter("fleet.client_errors");
+    // The GPS-dropout cohort files the degraded record (declared
+    // gaps), the rest the clean one.
+    let fleet = Fleet {
+        clients: cfg.clients,
+        now,
+        drones,
+        gps_cohort: plane.cohort("fleet.gps_dropout", cfg.gps_dropout_fraction),
+        records: [make_record(&plane, false), make_record(&plane, true)],
+        cohort_ops: [
+            obs.counter("fleet.cohort.healthy.ops"),
+            obs.counter("fleet.cohort.gps_dropout.ops"),
+        ],
+        ops: obs.counter("fleet.ops"),
+        errors: obs.counter("fleet.client_errors"),
+    };
 
     let state = Arc::new(Mutex::new(SoakState {
         ring: SnapshotRing::new(cfg.ring_cap),
@@ -711,118 +848,49 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
     };
 
     // Baseline boundary after setup, before any phase traffic.
-    let (mut t_prev, mut snap_prev) = observe_scrape(&state, &obs, scrape_addr);
+    let mut judge = Judge::new(&state, &obs, scrape_addr, &fleet.ops);
 
     let kind_key = cfg.seed ^ 0xF1EE_7001;
-    let mut phases = Vec::with_capacity(cfg.phases.len());
-    let mut total_ops = 0u64;
-
     for (pi, phase) in cfg.phases.iter().enumerate() {
         let active = ((cfg.drones as f64) * phase.active_fraction).round() as usize;
-        let active = active.clamp(1, cfg.drones);
-        let chunk = active.div_ceil(cfg.clients.max(1));
-        let barrier = Barrier::new(cfg.clients.max(1));
-
-        thread::scope(|s| {
-            for w in 0..cfg.clients.max(1) {
-                let lo = (w * chunk).min(active);
-                let hi = (lo + chunk).min(active);
-                let drone_ids = &drone_ids;
-                let healthy = &healthy;
-                let degraded = &degraded;
-                let interner = &interner;
-                let obs = &obs;
-                let operator_key = &operator_key;
-                let ops_counter = Arc::clone(&ops_counter);
-                let err_counter = Arc::clone(&err_counter);
-                let barrier = &barrier;
-                s.spawn(move || {
-                    let transport = FaultyTransport::new(
-                        TcpTransport::new(addr),
-                        &plane,
-                        &format!("fleet.p{pi}.w{w}"),
-                    )
-                    .corrupt_requests_with(phase.corrupt_requests_p);
-                    let mut client = AuditorClient::new(transport);
-                    if phase.burst {
-                        barrier.wait();
+        let connect = |w: usize| {
+            FaultyTransport::new(
+                TcpTransport::new(addr),
+                &plane,
+                &format!("fleet.p{pi}.w{w}"),
+            )
+            .corrupt_requests_with(phase.corrupt_requests_p)
+        };
+        fleet.drive(active.clamp(1, cfg.drones), phase.burst, connect, |t| {
+            let (id, index) = (t.id, t.index as u64);
+            for j in 0..u64::from(phase.ops_per_drone) {
+                let slot = ((pi as u64) << 40) | (index << 16) | j;
+                match mix64(kind_key, slot) % 10 {
+                    0..=4 => {
+                        t.submit();
                     }
-                    for (i, &drone) in drone_ids.iter().enumerate().take(hi).skip(lo) {
-                        let record: &FlightRecord = if gps_cohort.contains(i as u64) {
-                            degraded
-                        } else {
-                            healthy
-                        };
-                        let label = interner.intern(&format!("d{i}"));
-                        let drone_ops = obs.counter(&format!("fleet.drone.{label}.ops"));
-                        for j in 0..u64::from(phase.ops_per_drone) {
-                            let slot = ((pi as u64) << 40) | ((i as u64) << 16) | j;
-                            let outcome: Result<(), ProtocolError> =
-                                match mix64(kind_key, slot) % 10 {
-                                    0..=4 => client
-                                        .submit_poa(
-                                            drone,
-                                            (record.window_start, record.window_end),
-                                            &record.poa,
-                                            now,
-                                        )
-                                        .map(|_| ()),
-                                    5..=7 => client.health_check(now).map(|_| ()),
-                                    _ => {
-                                        let mut nonce = [0u8; 16];
-                                        nonce[..8].copy_from_slice(
-                                            &mix64(kind_key, slot ^ 0xA5A5).to_le_bytes(),
-                                        );
-                                        nonce[8..].copy_from_slice(
-                                            &mix64(kind_key, slot ^ 0x5A5A).to_le_bytes(),
-                                        );
-                                        ZoneQuery::new_signed(
-                                            drone,
-                                            pt(39.99, -88.01),
-                                            pt(40.01, -87.99),
-                                            nonce,
-                                            operator_key,
-                                        )
-                                        .and_then(|q| client.query_zones(q, now).map(|_| ()))
-                                    }
-                                };
-                            ops_counter.inc();
-                            drone_ops.inc();
-                            if outcome.is_err() {
-                                err_counter.inc();
-                            }
-                        }
+                    5..=7 => {
+                        t.request(|c| c.health_check(now));
                     }
-                });
+                    _ => {
+                        let mut nonce = [0u8; 16];
+                        nonce[..8].copy_from_slice(&mix64(kind_key, slot ^ 0xA5A5).to_le_bytes());
+                        nonce[8..].copy_from_slice(&mix64(kind_key, slot ^ 0x5A5A).to_le_bytes());
+                        t.request(|c| {
+                            let query = ZoneQuery::new_signed(
+                                id,
+                                pt(39.99, -88.01),
+                                pt(40.01, -87.99),
+                                nonce,
+                                &key,
+                            )?;
+                            c.query_zones(query, now)
+                        });
+                    }
+                }
             }
         });
-
-        // Quiesced boundary: every worker joined, so the scrape sees
-        // the phase's exact final counters.
-        let (t_end, snap_end) = observe_scrape(&state, &obs, scrape_addr);
-        let window = SeriesWindow::between(t_prev, &snap_prev, t_end, &snap_end);
-        let verdicts = state
-            .lock()
-            .expect("soak state")
-            .engine
-            .verdicts_for(&window);
-        let breached = verdicts.iter().any(|v| !v.healthy);
-        let ops = (active as u64) * u64::from(phase.ops_per_drone);
-        total_ops += ops;
-        phases.push(PhaseOutcome {
-            name: phase.name,
-            expect_breach: phase.expect_breach,
-            breached,
-            ops,
-            requests_delta: window.counter_delta(SCRAPED_REQUESTS),
-            errors_delta: window.counter_sum(SCRAPED_ERROR_KEYS),
-            shed_delta: window.counter_sum(SCRAPED_SHED_KEYS),
-            start_secs: t_prev.secs(),
-            end_secs: t_end.secs(),
-            verdicts,
-        });
-        t_prev = t_end;
-        snap_prev = snap_end;
+        judge.close(phase.name, phase.expect_breach);
     }
 
     // --------------------------------------------- transparency phase
@@ -833,186 +901,84 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
     // the offline `alidrone_core::audit` library. Runs before the
     // failover phase so the primary listener is still serving.
     let transparency = cfg.tamper.then(|| {
-        let checks_counter = obs.counter("fleet.audit_proof_checks");
-        let failures_counter = obs.counter("fleet.audit_proof_failures");
-        let issued = AtomicU64::new(0);
-        let auditor_public = operator_key.public_key().clone();
-
-        // Baseline head on the driver, before any cohort traffic.
-        issued.fetch_add(1, Ordering::Relaxed);
-        ops_counter.inc();
-        let head0 = setup.fetch_tree_head(now).expect("baseline tree head");
-        checks_counter.inc();
-        if !head0.verify(&auditor_public) {
-            failures_counter.inc();
-        }
-
-        let chunk = cfg.drones.div_ceil(cfg.clients.max(1));
-        thread::scope(|s| {
-            for w in 0..cfg.clients.max(1) {
-                let lo = (w * chunk).min(cfg.drones);
-                let hi = (lo + chunk).min(cfg.drones);
-                let drone_ids = &drone_ids;
-                let healthy = &healthy;
-                let degraded = &degraded;
-                let gps_cohort = &gps_cohort;
-                let interner = &interner;
-                let obs = &obs;
-                let auditor_public = &auditor_public;
-                let checks_counter = Arc::clone(&checks_counter);
-                let failures_counter = Arc::clone(&failures_counter);
-                let ops_counter = Arc::clone(&ops_counter);
-                let err_counter = Arc::clone(&err_counter);
-                let issued = &issued;
-                s.spawn(move || {
-                    let mut client = AuditorClient::new(TcpTransport::new(addr));
-                    for (i, &drone) in drone_ids.iter().enumerate().take(hi).skip(lo) {
-                        let record: &FlightRecord = if gps_cohort.contains(i as u64) {
-                            degraded
-                        } else {
-                            healthy
-                        };
-                        let label = interner.intern(&format!("d{i}"));
-                        let drone_ops = obs.counter(&format!("fleet.drone.{label}.ops"));
-                        let request = || {
-                            issued.fetch_add(1, Ordering::Relaxed);
-                            ops_counter.inc();
-                            drone_ops.inc();
-                        };
-
-                        // Own verdict first: guarantees a leaf to prove.
-                        request();
-                        if client
-                            .submit_poa(
-                                drone,
-                                (record.window_start, record.window_end),
-                                &record.poa,
-                                now,
-                            )
-                            .is_err()
-                        {
-                            err_counter.inc();
-                            continue;
-                        }
-
-                        request();
-                        let sth = match client.fetch_tree_head(now) {
-                            Ok(s) => s,
-                            Err(_) => {
-                                err_counter.inc();
-                                continue;
-                            }
-                        };
-                        checks_counter.inc();
-                        if !sth.verify(auditor_public) {
-                            failures_counter.inc();
-                        }
-
-                        // Inclusion of this drone's verdict, pinned at
-                        // the verified head — other workers keep
-                        // appending, so "current size" would race.
-                        request();
-                        match client.fetch_inclusion_proof(drone, sth.size, now) {
-                            Ok(p) => {
-                                checks_counter.inc();
-                                let ok = p.size == sth.size
-                                    && verify_inclusion(
-                                        &p.leaf, p.index, p.size, &p.path, &sth.root,
-                                    );
-                                if !ok {
-                                    failures_counter.inc();
-                                }
-                            }
-                            Err(_) => err_counter.inc(),
-                        }
-
-                        request();
-                        let sth2 = match client.fetch_tree_head(now) {
-                            Ok(s) => s,
-                            Err(_) => {
-                                err_counter.inc();
-                                continue;
-                            }
-                        };
-                        checks_counter.inc();
-                        if !(sth2.verify(auditor_public) && sth2.size >= sth.size) {
-                            failures_counter.inc();
-                        }
-
-                        request();
-                        match client.fetch_consistency_proof(sth.size, sth2.size, now) {
-                            Ok(c) => {
-                                checks_counter.inc();
-                                let ok = c.old_size == sth.size
-                                    && c.new_size == sth2.size
-                                    && verify_consistency(
-                                        c.old_size, c.new_size, &c.path, &sth.root, &sth2.root,
-                                    );
-                                if !ok {
-                                    failures_counter.inc();
-                                }
-                            }
-                            Err(_) => err_counter.inc(),
-                        }
-                    }
-                });
+        let checks = obs.counter("fleet.audit_proof_checks");
+        let failures = obs.counter("fleet.audit_proof_failures");
+        let check = |ok: bool| {
+            checks.inc();
+            if !ok {
+                failures.inc();
             }
-        });
+        };
+
+        // Baseline head on the driver, before any cohort traffic. The
+        // driver's three requests count in `fleet.ops` but in no cohort.
+        fleet.ops.inc();
+        let head0 = setup.fetch_tree_head(now).expect("baseline tree head");
+        check(head0.verify(public));
+
+        fleet.drive(
+            cfg.drones,
+            false,
+            |_| TcpTransport::new(addr),
+            |t| {
+                // Own verdict first: guarantees a leaf to prove.
+                if t.submit().is_none() {
+                    return;
+                }
+                let Some(sth) = t.request(|c| c.fetch_tree_head(now)) else {
+                    return;
+                };
+                check(sth.verify(public));
+                // Inclusion of this drone's verdict, pinned at the verified
+                // head — other workers keep appending, so "current size"
+                // would race.
+                let id = t.id;
+                if let Some(p) = t.request(|c| c.fetch_inclusion_proof(id, sth.size, now)) {
+                    check(
+                        p.size == sth.size
+                            && verify_inclusion(&p.leaf, p.index, p.size, &p.path, &sth.root),
+                    );
+                }
+                let Some(sth2) = t.request(|c| c.fetch_tree_head(now)) else {
+                    return;
+                };
+                check(sth2.verify(public) && sth2.size >= sth.size);
+                if let Some(c) = t.request(|c| c.fetch_consistency_proof(sth.size, sth2.size, now))
+                {
+                    check(
+                        c.old_size == sth.size
+                            && c.new_size == sth2.size
+                            && verify_consistency(
+                                c.old_size, c.new_size, &c.path, &sth.root, &sth2.root,
+                            ),
+                    );
+                }
+            },
+        );
 
         // Final head on the driver: the whole phase must be consistent
         // with the baseline — append-only, nothing rewritten.
-        issued.fetch_add(1, Ordering::Relaxed);
-        ops_counter.inc();
+        fleet.ops.inc();
         let head1 = setup.fetch_tree_head(now).expect("final tree head");
-        checks_counter.inc();
-        if !head1.verify(&auditor_public) {
-            failures_counter.inc();
-        }
-        issued.fetch_add(1, Ordering::Relaxed);
-        ops_counter.inc();
+        check(head1.verify(public));
+        fleet.ops.inc();
         let cons = setup
             .fetch_consistency_proof(head0.size, head1.size, now)
             .expect("baseline-to-final consistency proof");
-        checks_counter.inc();
-        if !(cons.old_size == head0.size
-            && cons.new_size == head1.size
-            && verify_consistency(head0.size, head1.size, &cons.path, &head0.root, &head1.root))
-        {
-            failures_counter.inc();
-        }
+        check(
+            cons.old_size == head0.size
+                && cons.new_size == head1.size
+                && verify_consistency(head0.size, head1.size, &cons.path, &head0.root, &head1.root),
+        );
 
-        // Quiesced boundary: judge the phase like any other, including
-        // the zero-failure audit_proofs SLO.
-        let (t_end, snap_end) = observe_scrape(&state, &obs, scrape_addr);
-        let window = SeriesWindow::between(t_prev, &snap_prev, t_end, &snap_end);
-        let verdicts = state
-            .lock()
-            .expect("soak state")
-            .engine
-            .verdicts_for(&window);
-        let breached = verdicts.iter().any(|v| !v.healthy);
-        let ops = issued.load(Ordering::Relaxed);
-        total_ops += ops;
-        phases.push(PhaseOutcome {
-            name: "transparency",
-            expect_breach: false,
-            breached,
-            ops,
-            requests_delta: window.counter_delta(SCRAPED_REQUESTS),
-            errors_delta: window.counter_sum(SCRAPED_ERROR_KEYS),
-            shed_delta: window.counter_sum(SCRAPED_SHED_KEYS),
-            start_secs: t_prev.secs(),
-            end_secs: t_end.secs(),
-            verdicts,
-        });
-        t_prev = t_end;
-        snap_prev = snap_end;
-
+        // Judged like any other phase, including the zero-failure
+        // audit_proofs SLO.
+        judge.close("transparency", false);
         TransparencyOutcome {
             tree_size_before: head0.size,
             tree_size_after: head1.size,
-            proof_checks: checks_counter.get(),
-            proof_failures: failures_counter.get(),
+            proof_checks: checks.get(),
+            proof_failures: failures.get(),
         }
     });
 
@@ -1020,54 +986,21 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
     let mut listener_b: Option<TcpServer> = None;
     let mut server_b: Option<Arc<AuditorServer>> = None;
     let failover = repl_followers.map(|mut followers| {
-        // One request per drone through a given endpoint list; the ops
-        // land in the shared ledger/counters like any phase traffic.
-        let drive = |endpoints: Vec<SocketAddr>| -> u64 {
-            let chunk = cfg.drones.div_ceil(cfg.clients.max(1));
-            thread::scope(|s| {
-                for w in 0..cfg.clients.max(1) {
-                    let lo = (w * chunk).min(cfg.drones);
-                    let hi = (lo + chunk).min(cfg.drones);
-                    let endpoints = endpoints.clone();
-                    let drone_ids = &drone_ids;
-                    let healthy = &healthy;
-                    let degraded = &degraded;
-                    let gps_cohort = &gps_cohort;
-                    let interner = &interner;
-                    let obs = &obs;
-                    let ops_counter = Arc::clone(&ops_counter);
-                    let err_counter = Arc::clone(&err_counter);
-                    s.spawn(move || {
-                        let mut client = AuditorClient::new(TcpTransport::multi(endpoints, obs));
-                        for (i, &drone) in drone_ids.iter().enumerate().take(hi).skip(lo) {
-                            let record: &FlightRecord = if gps_cohort.contains(i as u64) {
-                                degraded
-                            } else {
-                                healthy
-                            };
-                            let label = interner.intern(&format!("d{i}"));
-                            let drone_ops = obs.counter(&format!("fleet.drone.{label}.ops"));
-                            let outcome = client.submit_poa(
-                                drone,
-                                (record.window_start, record.window_end),
-                                &record.poa,
-                                now,
-                            );
-                            ops_counter.inc();
-                            drone_ops.inc();
-                            if outcome.is_err() {
-                                err_counter.inc();
-                            }
-                        }
-                    });
-                }
-            });
-            cfg.drones as u64
+        // One submission per drone through a given endpoint list.
+        let submit_all = |endpoints: Vec<SocketAddr>| {
+            fleet.drive(
+                cfg.drones,
+                false,
+                |_| TcpTransport::multi(endpoints.clone(), &obs),
+                |t| {
+                    t.submit();
+                },
+            )
         };
 
         // Normal traffic against the primary, then fail-stop: shut its
         // listener so every new connection is refused.
-        let pre_kill_ops = drive(vec![addr]);
+        let pre_kill_ops = submit_all(vec![addr]);
         listener
             .take()
             .expect("primary listener alive until the kill")
@@ -1076,7 +1009,7 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
             &mut followers,
             REPL_POLICY,
             AuditorConfig::default(),
-            experiment_key(),
+            key.clone(),
             &obs,
         )
         .expect("promotion");
@@ -1096,35 +1029,11 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
         // Post-kill traffic: the endpoint list still leads with the
         // dead primary, so every fresh connection exercises the
         // refused-endpoint rotation before landing on the promoted one.
-        let post_kill_ops = drive(vec![addr, addr_b]);
+        let post_kill_ops = submit_all(vec![addr, addr_b]);
 
-        // Quiesced boundary: judge the whole failover phase like any
-        // other, including the zero-lag replication SLOs.
-        let (t_end, snap_end) = observe_scrape(&state, &obs, scrape_addr);
-        let window = SeriesWindow::between(t_prev, &snap_prev, t_end, &snap_end);
-        let verdicts = state
-            .lock()
-            .expect("soak state")
-            .engine
-            .verdicts_for(&window);
-        let breached = verdicts.iter().any(|v| !v.healthy);
-        let ops = pre_kill_ops + post_kill_ops;
-        total_ops += ops;
-        phases.push(PhaseOutcome {
-            name: "failover",
-            expect_breach: false,
-            breached,
-            ops,
-            requests_delta: window.counter_delta(SCRAPED_REQUESTS),
-            errors_delta: window.counter_sum(SCRAPED_ERROR_KEYS),
-            shed_delta: window.counter_sum(SCRAPED_SHED_KEYS),
-            start_secs: t_prev.secs(),
-            end_secs: t_end.secs(),
-            verdicts,
-        });
-        t_prev = t_end;
-        snap_prev = snap_end;
-
+        // Judged like any other phase, including the zero-lag
+        // replication SLOs.
+        judge.close("failover", false);
         let final_counters = obs.snapshot();
         FailoverOutcome {
             epoch_before: 1,
@@ -1150,12 +1059,17 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
 
     // Integrity of the scrape pipeline itself: the final parsed scrape
     // must agree with the registry read directly.
+    let Judge {
+        phases,
+        prev: (_, last_scrape, _),
+        ..
+    } = judge;
     let direct = obs.snapshot();
-    let scrape_matches_registry = snap_prev.counter(SCRAPED_REQUESTS)
+    let scrape_matches_registry = last_scrape.counter(SCRAPED_REQUESTS)
         == direct.counter("server.requests")
-        && snap_prev.counter("server_malformed_frames")
+        && last_scrape.counter("server_malformed_frames")
             == direct.counter("server.malformed_frames")
-        && snap_prev.counter("fleet_ops") == direct.counter("fleet.ops");
+        && last_scrape.counter("fleet_ops") == direct.counter("fleet.ops");
 
     let state = match Arc::try_unwrap(state) {
         Ok(m) => m.into_inner().expect("soak state"),
@@ -1167,15 +1081,12 @@ pub fn run_fleet(cfg: &FleetConfig) -> SoakOutcome {
         seed: cfg.seed,
         drones: cfg.drones,
         clients: cfg.clients,
+        total_ops: phases.iter().map(|p| p.ops).sum(),
         phases,
         ring: state.ring,
         slo_events: state.events,
         reconciliation,
-        total_ops,
-        client_errors: err_counter.get(),
-        labels_admitted: interner.len(),
-        labels_dropped: interner.dropped(),
-        label_cap: cfg.label_cap,
+        client_errors: fleet.errors.get(),
         scrape_matches_registry,
         failover,
         transparency,
@@ -1201,14 +1112,6 @@ pub fn soak_report_json(outcome: &SoakOutcome) -> Json {
                     "scrape_matches_registry",
                     Json::Bool(outcome.scrape_matches_registry),
                 ),
-            ]),
-        ),
-        (
-            "labels",
-            Json::obj([
-                ("cap", Json::Num(outcome.label_cap as f64)),
-                ("admitted", Json::Num(outcome.labels_admitted as f64)),
-                ("dropped", Json::Num(outcome.labels_dropped as f64)),
             ]),
         ),
         (
@@ -1418,8 +1321,7 @@ pub fn check_report(report: &Json) -> Result<(), String> {
 
 /// The deterministic projection of an outcome: everything that must be
 /// bit-identical across two runs with the same seed. Wall-clock-shaped
-/// data (window timings, latency values, interner slot winners) is
-/// deliberately excluded.
+/// data (window timings, latency values) is deliberately excluded.
 pub fn determinism_signature(outcome: &SoakOutcome) -> String {
     let mut sig = String::new();
     for p in &outcome.phases {
@@ -1464,7 +1366,6 @@ mod tests {
     fn tiny_config(seed: u64) -> FleetConfig {
         FleetConfig {
             clients: 2,
-            label_cap: 8,
             sample_every: StdDuration::from_millis(150),
             ..FleetConfig::soak(seed, 12)
         }
@@ -1488,9 +1389,22 @@ mod tests {
         }
         assert!(first.reconciliation.iter().all(CounterReconciliation::ok));
         assert!(first.scrape_matches_registry);
-        // Label cap 8 < 12 drones: the interner must have overflowed.
-        assert_eq!(first.labels_admitted, 8);
-        assert!(first.labels_dropped > 0);
+        // Load is counted per GPS cohort: both cohort series reconcile,
+        // and together they account for every request in the op ledger.
+        let final_count = |name: &str| {
+            let row = first
+                .reconciliation
+                .iter()
+                .find(|r| r.name == name)
+                .unwrap_or_else(|| panic!("no {name} series"));
+            assert!(row.ok(), "{name} failed reconciliation");
+            row.expected
+        };
+        let healthy = final_count("fleet_cohort_healthy_ops");
+        let dropout = final_count("fleet_cohort_gps_dropout_ops");
+        assert!(healthy > 0 && dropout > 0, "both cohorts carry load");
+        assert_eq!(healthy + dropout, final_count("fleet_ops"));
+        assert_eq!(healthy + dropout, first.total_ops);
 
         let report = soak_report_json(&first);
         let round_tripped = Json::parse(&report.to_pretty()).expect("report parses");

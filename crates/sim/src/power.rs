@@ -83,6 +83,11 @@ impl Table2Row {
 /// Per-sample CPU cost: `GetGPSAuth` (2 world switches + driver read +
 /// signature) plus the Adapter-side RSA encryption of the sample for the
 /// auditor.
+///
+/// Only the `GetGPSAuth` terms are what a run records: a world built
+/// `with_obs` books them into the `tee.cost.{world_switch,read_gps,sign}`
+/// histograms. No run records the encryption term; Table II charges it
+/// here alone.
 pub fn per_sample_cost(model: &CostModel, key_bits: usize) -> Duration {
     model.get_gps_auth_cost(key_bits) + model.encrypt
 }

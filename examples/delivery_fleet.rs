@@ -129,7 +129,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let trace = session.sign_trace()?;
     trace.verify(&world.client().tee_public_key())?;
     println!(
-        "batch extension: {} samples cached, 1 signature ({} total signatures in ledger) ✔",
+        "batch extension: {} samples cached, 1 signature (tee.signatures counter: {}) ✔",
         trace.samples().len(),
         obs.snapshot().counter("tee.signatures")
     );
