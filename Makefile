@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: check fmt clippy doc build test perfbench-test examples experiments experiments-check trace-smoke tcp-smoke stress chaos overload scrape-smoke soak-smoke failover tamper bench-json bench-diff unsafe-check
+.PHONY: check fmt clippy doc build test perfbench-test examples experiments experiments-check trace-smoke tcp-smoke stress chaos overload scrape-smoke soak-smoke failover tamper bench-json bench-diff bench-gate unsafe-check
 
 check: fmt clippy unsafe-check doc test perfbench-test examples experiments-check trace-smoke tcp-smoke chaos overload scrape-smoke soak-smoke failover tamper
 
@@ -132,6 +132,15 @@ bench-json:
 bench-diff:
 	$(CARGO) run -p alidrone-bench --release --offline --bin bench_poa -- --out target/BENCH_poa.new.json
 	$(CARGO) run -p alidrone-bench --release --offline --bin bench_poa -- --diff BENCH_poa.json target/BENCH_poa.new.json $(if $(BENCH_GATE),--gate $(BENCH_GATE))
+
+# CI's perf gate: a fresh run into target/BENCH_poa.ci.json, diffed
+# against the committed baseline. A gated case (the CPU-bound ones
+# named by the --gate prefixes) whose median regresses more than 25%,
+# or that is missing from the fresh run, fails; the other cases print
+# as advisory. CI sets BENCH_POA_SAMPLES=5.
+bench-gate:
+	$(CARGO) run -p alidrone-bench --release --offline --bin bench_poa -- --out target/BENCH_poa.ci.json
+	$(CARGO) run -p alidrone-bench --release --offline --bin bench_poa -- --diff BENCH_poa.json target/BENCH_poa.ci.json --threshold 0.25 --gate rsa_sign_,rsa_verify_,tee_sample_,poa_verify_e2e_50,merkle_proof_,crc32_,sha256_,audit_append_,geo_check_alibi_,follower_catchup_
 
 # Builds every example and runs each one no other target runs
 # (crash_recovery runs under `chaos`, failover under `failover`), so an

@@ -39,7 +39,7 @@ use alidrone_bench::baseline::{diff, Baseline, BenchCase, Gate};
 use alidrone_bench::bench_key;
 use alidrone_bench::harness::Bencher;
 use alidrone_core::audit::{verify_inclusion, AuditChain};
-use alidrone_core::journal::{crc32, Journal, MemBackend, Record, StorageBackend};
+use alidrone_core::journal::{crc32, Journal, MemBackend, Record, StorageBackend, FRAME_OVERHEAD};
 use alidrone_core::repl::{
     Follower, InProcessLink, ReplAck, ReplFrame, ReplicationPolicy, Replicator,
 };
@@ -430,7 +430,7 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
 
     // --- One durable journal append (frame + CRC + in-memory backend).
     run("journal_append", &mut |b| {
-        let (journal, _, _) = Journal::open(Arc::new(MemBackend::new())).expect("open journal");
+        let journal = Journal::open(Arc::new(MemBackend::new()), &[], 0).expect("open journal");
         let record = Record::RegisterZone {
             id: 1,
             lat_deg: 40.1164,
@@ -454,7 +454,7 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
             radius_m: 120.0,
         };
         let fresh = || {
-            let (journal, _, _) = Journal::open(Arc::new(MemBackend::new())).expect("open journal");
+            let journal = Journal::open(Arc::new(MemBackend::new()), &[], 0).expect("open journal");
             let mut replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1));
             for i in 0..2 {
                 let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
@@ -524,7 +524,7 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
     // every CRC, extends its audit chain over every record, checks
     // every checkpoint root, then persists the bytes.
     run("follower_catchup_10k", &mut |b| {
-        let (journal, _, _) = Journal::open(Arc::new(MemBackend::new())).expect("open journal");
+        let journal = Journal::open(Arc::new(MemBackend::new()), &[], 0).expect("open journal");
         let mut chain = AuditChain::new();
         for i in 0..10_000u64 {
             let payload = verdict_record(i).to_payload();
@@ -592,13 +592,16 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
         };
         // Verified once, then its stored record repeated: the history
         // is what compaction pays for, not 1,000 verifications.
+        let before = backend.len();
         let report = auditor
             .verify(&Submission::plain(submission), Timestamp::from_secs(60.0))
             .expect("verify");
         assert!(report.is_compliant());
         drop(auditor);
-        let (journal, replay, _) = Journal::open(backend.clone()).expect("open journal");
-        let stored = replay.payloads().last().expect("stored PoA").to_vec();
+        let image = backend.bytes();
+        let journal = Journal::open(backend.clone(), &image, image.len()).expect("open journal");
+        // The verify appended one frame, the stored PoA's.
+        let stored = image[before + FRAME_OVERHEAD..].to_vec();
         for _ in 1..1_000 {
             journal.append_payload(&stored).expect("append");
         }
@@ -684,10 +687,10 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
         b.iter(|| prometheus_text(&snap));
     });
 
-    // --- The same exporter at fleet-soak registry scale: the
-    // per-drone label series a capped interner admits (plus server
-    // counters) put a soak's scrape at thousands of families, and the
-    // sampler pays this render every period.
+    // --- The same exporter over a large registry: 2,048 counters and
+    // 64 histograms of 100 samples each, rendered to Prometheus text.
+    // It times the export's cost per family at a scale no soak's
+    // registry reaches (a soak keeps two cohort series).
     run("prometheus_export_soak", &mut |b| {
         let obs = Obs::noop();
         for i in 0..2048u64 {

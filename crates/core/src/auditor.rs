@@ -29,7 +29,10 @@ use alidrone_tee::SignedSample;
 
 use crate::audit::{AuditChain, ConsistencyProof, InclusionProof, SignedTreeHead};
 use crate::identity::Registration;
-use crate::journal::{Journal, JournalError, Record, StorageBackend};
+use crate::journal::{
+    self, advance_chain, FrameError, Frames, Journal, JournalError, Record, Step, Stop,
+    StorageBackend, SNAPSHOT_MAGIC,
+};
 use crate::messages::{Accusation, PoaSubmission, Submission, ZoneQuery, ZoneResponse};
 use crate::poa::ProofOfAlibi;
 use crate::repl::Replicator;
@@ -92,8 +95,6 @@ struct AuditState {
     /// Cached signed tree head (signing is RSA-priced); invalidated by
     /// size on every chain append.
     sth: Option<SignedTreeHead>,
-    /// Replay's place in a compacted image's state records.
-    run: StateRun,
 }
 
 impl AuditState {
@@ -103,17 +104,15 @@ impl AuditState {
             checkpoint_size: 0,
             verdict_leaves: BTreeMap::new(),
             sth: None,
-            run: StateRun::default(),
         }
     }
 
-    /// Moves the chain by one journal record through [`advance_chain`]
-    /// (live appends and replay share it) and keeps the proof-serving
-    /// bookkeeping beside it.
-    fn apply(&mut self, record: &Record, payload: &[u8]) -> Result<(), ProtocolError> {
-        match advance_chain(&mut self.chain, &mut self.run, record, payload)? {
+    /// Keeps the proof-serving bookkeeping beside the chain once
+    /// `record` moved it by `step`.
+    fn note(&mut self, record: &Record, step: Step) {
+        match step {
             // The snapshot before it already carried the chain.
-            Step::State => return Ok(()),
+            Step::State => return,
             Step::Reseed {
                 checkpoint_size,
                 verdict_leaves,
@@ -122,10 +121,10 @@ impl AuditState {
                 self.checkpoint_size = checkpoint_size;
                 self.verdict_leaves = verdict_leaves;
             }
-            Step::Chain => match record {
+            Step::Chain { size: entries } => match record {
                 Record::PoaStored { drone, .. } => {
-                    let index = self.chain.size() - 1;
-                    self.verdict_leaves.insert(DroneId::new(*drone), index);
+                    self.verdict_leaves
+                        .insert(DroneId::new(*drone), entries - 1);
                 }
                 Record::AuditCheckpoint { size, .. } => {
                     self.checkpoint_size = (*size).max(self.checkpoint_size);
@@ -134,7 +133,6 @@ impl AuditState {
             },
         }
         self.sth = None;
-        Ok(())
     }
 }
 
@@ -452,10 +450,12 @@ impl Auditor {
     }
 
     /// Recovers an auditor by replaying the write-ahead journal on
-    /// `backend`: a fresh backend yields an empty auditor, a journal
-    /// whose final record was torn by a crash is truncated to its clean
-    /// prefix (logged on `obs`), and the returned auditor appends every
-    /// later durable mutation to the same journal.
+    /// `backend` in one walk (see [`crate::journal`]): a fresh backend
+    /// yields an empty auditor, a journal whose final record was torn
+    /// by a crash is truncated to its clean prefix (logged on `obs`)
+    /// once every record before it applied, and the returned auditor
+    /// appends every later durable mutation to the same journal. A
+    /// journal recovery refuses is left byte for byte as it was.
     ///
     /// # Errors
     ///
@@ -466,31 +466,44 @@ impl Auditor {
         encryption_key: RsaPrivateKey,
         obs: &Obs,
     ) -> Result<(Self, RecoveryReport), ProtocolError> {
-        let (journal, records, replay) = Journal::open(backend)?;
-        let mut report = RecoveryReport {
-            records_applied: replay.records_applied,
-            snapshot_loaded: false,
-            torn_tail: replay.torn_tail,
-            torn_bytes: replay.torn_bytes,
-        };
+        let image = backend.read()?;
         let mut auditor = Auditor::with_obs(config, encryption_key, obs);
-        for payload in records.payloads() {
-            let record = Record::from_payload(payload)?;
-            auditor.apply_record(&record, payload)?;
-            if matches!(record, Record::Snapshot(_)) {
-                report.snapshot_loaded = true;
-            }
-        }
+        // One walk applies each record as it reaches it, recomputing
+        // the chain the live auditor built, so a checkpoint record
+        // catches rewritten history.
+        let mut chain = AuditChain::new();
+        let mut snapshot_loaded = false;
+        let walk = journal::walk(Frames::image(&image), &mut chain, |record, step| {
+            snapshot_loaded |= matches!(record, Record::Snapshot(_));
+            auditor.apply_record(record, step)
+        });
+        // A cut-short final frame is a crash's torn write, cut away once
+        // the walk succeeded; any other stop is damage or tampering
+        // behind the durable horizon, refused with the image untouched.
+        let clean = match walk.stop {
+            None => image.len(),
+            Some(Stop::Frame(FrameError::Torn(at))) => at,
+            Some(Stop::Frame(
+                FrameError::Corrupt(offset, reason) | FrameError::BadHeader(offset, reason),
+            )) => return Err(JournalError::Corrupt { offset, reason }.into()),
+            Some(Stop::Refused(e)) => return Err(e),
+        };
+        let journal = Journal::open(backend, &image, clean)?;
         auditor
             .audit
             .get_mut()
             .unwrap_or_else(|p| p.into_inner())
-            .run
-            .finish()?;
-        if replay.torn_tail {
+            .chain = chain;
+        let report = RecoveryReport {
+            records_applied: walk.records as usize,
+            snapshot_loaded,
+            torn_tail: clean < image.len(),
+            torn_bytes: image.len() - clean,
+        };
+        if report.torn_tail {
             obs.emit(Level::Warn, "auditor.journal", "torn tail discarded", |f| {
-                f.field("torn_bytes", replay.torn_bytes);
-                f.field("records_applied", replay.records_applied);
+                f.field("torn_bytes", report.torn_bytes);
+                f.field("records_applied", report.records_applied);
             });
         }
         obs.emit(Level::Info, "auditor.journal", "recovered", |f| {
@@ -501,19 +514,17 @@ impl Auditor {
         Ok((auditor, report))
     }
 
-    /// Applies one replayed journal record, decoded from `payload`, to
-    /// in-memory state *without* re-journaling it. Id counters advance
-    /// past every replayed id so new registrations never collide with
-    /// recovered ones.
-    fn apply_record(&mut self, record: &Record, payload: &[u8]) -> Result<(), ProtocolError> {
+    /// Applies one replayed journal record, which moved the recovery
+    /// walk's chain by `step`, to in-memory state *without*
+    /// re-journaling it. Id counters advance past every replayed id so
+    /// new registrations never collide with recovered ones.
+    fn apply_record(&mut self, record: &Record, step: Step) -> Result<(), ProtocolError> {
         use alidrone_crypto::bigint::BigUint;
         use alidrone_geo::{Distance, GeoPoint};
-        // Replay recomputes the same chain the live auditor built, so a
-        // checkpoint record catches rewritten history.
         self.audit
             .get_mut()
             .unwrap_or_else(|p| p.into_inner())
-            .apply(record, payload)?;
+            .note(record, step);
         match record {
             Record::RegisterDrone {
                 id,
@@ -816,10 +827,10 @@ impl Auditor {
         // disabled, so an in-memory auditor still serves verifiable
         // tree heads and proofs.
         if record.is_audited() {
-            self.audit
-                .lock()
-                .unwrap_or_else(|p| p.into_inner())
-                .apply(record, &payload)?;
+            // The one chain rule recovery's walk applies too.
+            let mut audit = self.audit.lock().unwrap_or_else(|p| p.into_inner());
+            let step = advance_chain(&mut audit.chain, &mut 0, record, &payload)?;
+            audit.note(record, step);
         }
         let Some(journal) = slot.as_ref() else {
             // No journal means nothing can replicate: under a quorum
@@ -1484,13 +1495,9 @@ impl fmt::Debug for Auditor {
 //          | state_records × RegisterDrone / RegisterZone / NonceUsed / PoaStored
 //          | Epoch(e) if e > 0
 //
-// The audit section reseeds the chain, so the state records after it
-// rebuild the registries without extending the chain.
-
-/// `"ALD3"`: the audit section, then the state records as frames.
-const SNAPSHOT_MAGIC: u32 = 0x414C_4433;
-/// `"ALD2"`: an earlier build's single-frame snapshot, refused.
-const SNAPSHOT_MAGIC_V2: u32 = 0x414C_4432;
+// The audit section reseeds the chain (`journal::advance_chain` reads
+// it), so the state records after it rebuild the registries without
+// extending the chain.
 
 /// A drone registration as its journal record: the one conversion the
 /// live path and compaction share.
@@ -1527,110 +1534,6 @@ fn stored_record(stored: &StoredPoa) -> Record {
         verdict: verdict.into_bytes(),
         stored_at: stored.stored_at.secs(),
     }
-}
-
-/// How many of the last [`Record::Snapshot`]'s state records are still
-/// to come: the one thing [`advance_chain`] remembers between records.
-#[derive(Debug, Default)]
-pub(crate) struct StateRun(u64);
-
-impl StateRun {
-    /// Checks that an image ended outside any snapshot's state run.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtocolError::Malformed`] when the run was cut short.
-    pub(crate) fn finish(&self) -> Result<(), ProtocolError> {
-        match self.0 {
-            0 => Ok(()),
-            _ => Err(ProtocolError::Malformed("snapshot state records cut short")),
-        }
-    }
-}
-
-/// How [`advance_chain`] moved a chain for one record.
-pub(crate) enum Step {
-    /// An audited record extended it, a checkpoint matched it, or the
-    /// record leaves it alone.
-    Chain,
-    /// One of a snapshot's state records: the chain is unchanged.
-    State,
-    /// A snapshot reseeded it from its audit section.
-    Reseed {
-        /// The chain the snapshot replaced.
-        replaced: AuditChain,
-        /// Tree size covered by the last checkpoint before compaction.
-        checkpoint_size: u64,
-        /// Latest `PoaStored` leaf index per drone.
-        verdict_leaves: BTreeMap<DroneId, u64>,
-    },
-}
-
-/// The one rule for how a journal record (decoded from `payload`)
-/// moves an audit chain, shared by recovery and replication followers:
-/// an audited record appends its payload, an [`Record::AuditCheckpoint`]
-/// must match the recomputed root, and a [`Record::Snapshot`] reseeds
-/// the chain from its audit section and opens a `run` of state records.
-/// Each record of that run must be of an audited kind, and leaves the
-/// chain alone. On error — [`ProtocolError::AuditDivergence`] for a
-/// contradicting checkpoint, [`ProtocolError::Malformed`] for a bad
-/// snapshot or a record kind that interrupts a run — the chain is
-/// unchanged.
-pub(crate) fn advance_chain(
-    chain: &mut AuditChain,
-    run: &mut StateRun,
-    record: &Record,
-    payload: &[u8],
-) -> Result<Step, ProtocolError> {
-    if run.0 > 0 {
-        if !record.is_audited() {
-            return Err(ProtocolError::Malformed(
-                "snapshot state records interrupted",
-            ));
-        }
-        run.0 -= 1;
-        return Ok(Step::State);
-    }
-    match record {
-        // Any rewrite, drop, or reorder of chained history lands here.
-        Record::AuditCheckpoint { size, root, .. } => chain
-            .check_checkpoint(*size, root)
-            .map_err(|_| ProtocolError::AuditDivergence { size: *size })?,
-        Record::Snapshot(body) => {
-            let mut r = Reader::new(body);
-            match r.get_u32()? {
-                SNAPSHOT_MAGIC => {}
-                SNAPSHOT_MAGIC_V2 => {
-                    return Err(ProtocolError::Malformed(
-                        "ALD2 snapshot from an earlier build",
-                    ))
-                }
-                _ => return Err(ProtocolError::Malformed("snapshot magic")),
-            }
-            let state_records = r.get_u64()?;
-            let head = r.get_array()?;
-            let checkpoint_size = r.get_u64()?;
-            let n = r.get_u32()?;
-            let leaves = (0..n)
-                .map(|_| r.get_array())
-                .collect::<Result<Vec<_>, _>>()?;
-            let n = r.get_u32()?;
-            let verdict_leaves = (0..n)
-                .map(|_| Ok((DroneId::new(r.get_u64()?), r.get_u64()?)))
-                .collect::<Result<_, ProtocolError>>()?;
-            r.finish()?;
-            run.0 = state_records;
-            let restored = AuditChain::from_parts(head, leaves);
-            return Ok(Step::Reseed {
-                replaced: std::mem::replace(chain, restored),
-                checkpoint_size,
-                verdict_leaves,
-            });
-        }
-        _ if record.is_audited() => chain.append(payload),
-        _ => {}
-    }
-    Ok(Step::Chain)
 }
 
 impl Auditor {
@@ -2221,7 +2124,7 @@ mod tests {
         // Ids are issued before the registry lock is taken, so a journal
         // can hold zone 2's record ahead of zone 1's.
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let journal = Journal::open(backend.clone(), &[], 0).unwrap();
         let registration = Registration::new(
             operator_key().public_key().clone(),
             tee_key().public_key().clone(),
@@ -2335,14 +2238,15 @@ mod tests {
 
     /// The record payloads of a journal image, in order.
     fn image_payloads(image: Vec<u8>) -> Vec<Vec<u8>> {
-        let (_, replay, _) = Journal::open(Arc::new(MemBackend::with_bytes(image))).unwrap();
-        replay.payloads().map(<[u8]>::to_vec).collect()
+        crate::journal::Frames::image(&image)
+            .map(|frame| frame.unwrap().checked().unwrap().to_vec())
+            .collect()
     }
 
     /// A fresh journal image holding `payloads` as frames.
     fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let journal = Journal::open(backend.clone(), &[], 0).unwrap();
         journal.compact(payloads).unwrap();
         backend.bytes()
     }
@@ -2517,7 +2421,8 @@ mod tests {
         drop(a);
         // A whole frame with a valid CRC whose payload is no record
         // (unknown tag), followed by a good record and a torn tail.
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let image = backend.bytes();
+        let journal = Journal::open(backend.clone(), &image, image.len()).unwrap();
         journal.append_payload(&[0xEE, 1, 2, 3]).unwrap();
         journal
             .append_record(&Record::RegisterZone {
@@ -2529,6 +2434,7 @@ mod tests {
             .unwrap();
         drop(journal);
         backend.append(&[0, 0]).unwrap();
+        let image = backend.bytes();
         let err = Auditor::recover(
             backend.clone(),
             AuditorConfig::default(),
@@ -2536,11 +2442,9 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ProtocolError::Storage(_)), "got {err}");
-        // Opening the journal cut the torn tail before the replay
-        // refused the record; every whole frame is still there.
-        let (_, replay, report) = Journal::open(backend).unwrap();
-        assert!(!report.torn_tail);
-        assert_eq!(replay.payloads().len(), 3);
+        // The refused image is left byte for byte, torn tail included,
+        // for inspection.
+        assert_eq!(backend.bytes(), image);
     }
 
     #[test]

@@ -38,10 +38,14 @@
 //!   tampering. Recovery refuses with a typed [`JournalError::Corrupt`];
 //!   silently skipping records would forge history.
 //!
-//! One frame walker (`Frames`) is the only reader of this layout.
-//! Recovery ([`parse_image`]) and replication followers walk images
-//! with it and each check every CRC once; a follower refuses a torn
-//! frame rather than truncate it (see [`crate::repl`]).
+//! One walker is the only reader of this history: it checks each
+//! frame's CRC, decodes its record, moves the audit chain by the one
+//! chain rule and hands the record on to be applied, all in one pass.
+//! Recovery ([`Auditor::recover`](crate::Auditor::recover)) and every
+//! replication follower path (see [`crate::repl`]) read images through
+//! it, and differ only in what they keep: recovery refuses any damage
+//! but a torn final frame and writes nothing to an image it refuses,
+//! while a follower keeps the longest prefix that verifies.
 //!
 //! Compaction bounds recovery cost: [`Journal::compact`] atomically
 //! replaces the whole journal with a fresh image of ordinary frames —
@@ -49,14 +53,15 @@
 //! followed by one record per piece of state — after which appends
 //! resume.
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::io::Write as _;
-use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use crate::audit::AuditChain;
 use crate::wire::codec::{Reader, Writer};
-use crate::ProtocolError;
+use crate::{DroneId, ProtocolError};
 
 /// Journal file magic: `"ALDJ"`.
 pub const JOURNAL_MAGIC: u32 = 0x414C_444A;
@@ -820,73 +825,172 @@ impl<'a> Iterator for Frames<'a> {
     }
 }
 
-// ------------------------------------------------------------------ replay
+// -------------------------------------------------------------------- walk
 
-/// What [`Journal::open`] found on disk.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ReplayReport {
-    /// Whole records found (frames whose length and CRC check out).
-    pub records_applied: usize,
-    /// `true` when a truncated final frame was discarded (crash during
-    /// the last append).
-    pub torn_tail: bool,
-    /// Bytes of torn tail discarded (0 when `torn_tail` is false).
-    pub torn_bytes: usize,
-    /// Total journal bytes scanned (after any tail truncation).
-    pub bytes_replayed: usize,
+/// `"ALD3"`: a [`Record::Snapshot`]'s audit section, whose state
+/// records follow it as frames. The auditor's compaction writes it, and
+/// [`advance_chain`] is its one reader.
+pub(crate) const SNAPSHOT_MAGIC: u32 = 0x414C_4433;
+/// `"ALD2"`: an earlier build's single-frame snapshot, refused.
+const SNAPSHOT_MAGIC_V2: u32 = 0x414C_4432;
+
+/// How [`advance_chain`] moved a chain for one record.
+pub(crate) enum Step {
+    /// An audited record extended it, a checkpoint matched it, or the
+    /// record leaves it alone; it now holds `size` entries.
+    Chain {
+        /// The chain's size after the record.
+        size: u64,
+    },
+    /// One of a snapshot's state records: the chain is unchanged.
+    State,
+    /// A snapshot reseeded it from its audit section.
+    Reseed {
+        /// The chain the snapshot replaced.
+        replaced: AuditChain,
+        /// Tree size covered by the last checkpoint before compaction.
+        checkpoint_size: u64,
+        /// Latest `PoaStored` leaf index per drone.
+        verdict_leaves: BTreeMap<DroneId, u64>,
+    },
 }
 
-/// Checks a journal image's header and frames, applying the torn-tail
-/// rule, and returns where each whole record's payload sits in `bytes`.
-/// Payloads are checked against their CRC but not decoded: the caller
-/// decodes each one with [`Record::from_payload`] and can hand the same
-/// bytes on (the auditor's replay feeds them to the audit chain).
-///
-/// # Errors
-///
-/// [`JournalError::Corrupt`] for a bad header or any damaged frame that
-/// is *not* a clean truncation of the final record.
-pub fn parse_image(bytes: &[u8]) -> Result<(Vec<Range<usize>>, ReplayReport), JournalError> {
-    let mut payloads = Vec::new();
-    let mut report = ReplayReport {
-        bytes_replayed: bytes.len(),
-        ..ReplayReport::default()
-    };
-    for frame in Frames::image(bytes) {
-        match frame.and_then(|f| Ok((f.offset + FRAME_OVERHEAD, f.checked()?.len()))) {
-            Ok((start, len)) => payloads.push(start..start + len),
-            // A cut-short final frame is a crash's torn write, cleaned
-            // up; a complete frame or header that is wrong is rot or
-            // tampering, refused.
-            Err(FrameError::Torn(offset)) => {
-                report.torn_tail = true;
-                report.torn_bytes = bytes.len() - offset;
-                report.bytes_replayed = offset;
-            }
-            Err(FrameError::Corrupt(offset, reason) | FrameError::BadHeader(offset, reason)) => {
-                return Err(JournalError::Corrupt { offset, reason });
-            }
+/// The one rule for how a journal record (decoded from `payload`)
+/// moves an audit chain, shared by [`walk`] and the auditor's live
+/// appends: an audited record appends its payload, an
+/// [`Record::AuditCheckpoint`] must match the recomputed root, and a
+/// [`Record::Snapshot`] reseeds the chain from its audit section and
+/// opens a `run` of that many state records still to come. Each record
+/// of the run must be of an audited kind, and leaves the chain alone.
+/// On error — [`ProtocolError::AuditDivergence`] for a contradicting
+/// checkpoint, [`ProtocolError::Malformed`] for a bad snapshot or a
+/// record kind that interrupts a run — the chain is unchanged.
+pub(crate) fn advance_chain(
+    chain: &mut AuditChain,
+    run: &mut u64,
+    record: &Record,
+    payload: &[u8],
+) -> Result<Step, ProtocolError> {
+    if *run > 0 {
+        if !record.is_audited() {
+            return Err(ProtocolError::Malformed(
+                "snapshot state records interrupted",
+            ));
         }
+        *run -= 1;
+        return Ok(Step::State);
     }
-    report.records_applied = payloads.len();
-    Ok((payloads, report))
+    match record {
+        // Any rewrite, drop, or reorder of chained history lands here.
+        Record::AuditCheckpoint { size, root, .. } => chain
+            .check_checkpoint(*size, root)
+            .map_err(|_| ProtocolError::AuditDivergence { size: *size })?,
+        Record::Snapshot(body) => {
+            let mut r = Reader::new(body);
+            match r.get_u32()? {
+                SNAPSHOT_MAGIC => {}
+                SNAPSHOT_MAGIC_V2 => {
+                    return Err(ProtocolError::Malformed(
+                        "ALD2 snapshot from an earlier build",
+                    ))
+                }
+                _ => return Err(ProtocolError::Malformed("snapshot magic")),
+            }
+            let state_records = r.get_u64()?;
+            let head = r.get_array()?;
+            let checkpoint_size = r.get_u64()?;
+            let n = r.get_u32()?;
+            let leaves = (0..n)
+                .map(|_| r.get_array())
+                .collect::<Result<Vec<_>, _>>()?;
+            let n = r.get_u32()?;
+            let verdict_leaves = (0..n)
+                .map(|_| Ok((DroneId::new(r.get_u64()?), r.get_u64()?)))
+                .collect::<Result<_, ProtocolError>>()?;
+            r.finish()?;
+            *run = state_records;
+            let restored = AuditChain::from_parts(head, leaves);
+            return Ok(Step::Reseed {
+                replaced: std::mem::replace(chain, restored),
+                checkpoint_size,
+                verdict_leaves,
+            });
+        }
+        _ if record.is_audited() => chain.append(payload),
+        _ => {}
+    }
+    Ok(Step::Chain { size: chain.size() })
 }
 
-/// The whole records of a journal image as [`Journal::open`] found
-/// them: the image bytes and each record's payload within them, in
-/// journal order.
-#[derive(Debug)]
-pub struct Replay {
-    image: Vec<u8>,
-    payloads: Vec<Range<usize>>,
+/// What [`walk`] found: the longest prefix of the walked bytes whose
+/// records all verify and which ends outside any snapshot's state run.
+/// Compaction replaces an image whole, so no honest image ends inside a
+/// run.
+#[derive(Default)]
+pub(crate) struct Walk {
+    /// Bytes of the prefix, from the start of the walked bytes (0 when
+    /// it holds no record).
+    pub(crate) len: usize,
+    /// Records in the prefix.
+    pub(crate) records: u64,
+    /// The newest [`Record::Epoch`] in the prefix (0 without one).
+    pub(crate) epoch: u64,
+    /// Why the walk ended short of the bytes' end, if it did.
+    pub(crate) stop: Option<Stop>,
 }
 
-impl Replay {
-    /// Each record's payload bytes (tag + body), in journal order;
-    /// decode one with [`Record::from_payload`].
-    pub fn payloads(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
-        self.payloads.iter().map(|r| &self.image[r.clone()])
-    }
+/// Why a [`walk`] ended short of the end of its bytes.
+pub(crate) enum Stop {
+    /// The header or a frame is damaged. A [`FrameError::Torn`] stop is
+    /// a cut-short final frame outside any state run: a crash's torn
+    /// write.
+    Frame(FrameError),
+    /// A whole frame holds no record (a [`ProtocolError::Storage`]
+    /// failure), [`advance_chain`] or the caller refused its record, or
+    /// the bytes ended (whole or torn) inside a snapshot's state run.
+    Refused(ProtocolError),
+}
+
+/// The one reader of journal history. For each whole frame `frames`
+/// yields, in order, it checks the CRC, decodes the [`Record`], moves
+/// `chain` by [`advance_chain`] and hands the record and that move to
+/// `apply`, so records are applied as the walk reaches them. The walk
+/// ends at the first frame or record that fails a step, or at the end
+/// of the bytes; a record the chain rule refuses leaves the chain
+/// unmoved.
+///
+/// What to keep is the caller's policy: recovery refuses any stop but
+/// a torn final frame, and a follower keeps the verified prefix.
+pub(crate) fn walk(
+    mut frames: Frames<'_>,
+    chain: &mut AuditChain,
+    mut apply: impl FnMut(&Record, Step) -> Result<(), ProtocolError>,
+) -> Walk {
+    let mut walk = Walk::default();
+    let (mut run, mut records) = (0, 0);
+    let walked = frames.try_for_each(|frame| {
+        let frame = frame.map_err(Stop::Frame)?;
+        let payload = frame.checked().map_err(Stop::Frame)?;
+        let record = Record::from_payload(payload).map_err(|e| Stop::Refused(e.into()))?;
+        let step = advance_chain(chain, &mut run, &record, payload).map_err(Stop::Refused)?;
+        apply(&record, step).map_err(Stop::Refused)?;
+        records += 1;
+        if run == 0 {
+            (walk.len, walk.records) = (frame.end(), records);
+        }
+        // An epoch record is never part of a run, so it is in the prefix.
+        if let Record::Epoch(epoch) = record {
+            walk.epoch = walk.epoch.max(epoch);
+        }
+        Ok(())
+    });
+    walk.stop = match walked {
+        Ok(()) | Err(Stop::Frame(FrameError::Torn(_))) if run > 0 => Some(Stop::Refused(
+            ProtocolError::Malformed("snapshot state records cut short"),
+        )),
+        walked => walked.err(),
+    };
+    walk
 }
 
 // ----------------------------------------------------------------- journal
@@ -982,48 +1086,39 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (or creates) a journal on `backend`, returning its whole
-    /// records and a replay report. A torn tail is truncated away so the
-    /// journal is appendable; mid-journal corruption is refused.
-    ///
-    /// Records are checked by length and CRC here, not decoded: a
-    /// CRC-valid record that does not decode fails the caller's decode
-    /// ([`Record::from_payload`]) after this call has already cut the
-    /// torn tail, which no successful open would have kept either.
+    /// Opens (or creates) a journal on `backend`, which holds `image`,
+    /// once the walk that reads history (see the module docs) found the
+    /// image's first `clean` bytes whole. The rest, a torn final frame,
+    /// is cut away so appends land on a record boundary, and an image
+    /// with no clean byte (empty, or torn inside its header) starts
+    /// afresh at base 0. Nothing is written when the whole image is
+    /// clean.
     ///
     /// # Errors
     ///
-    /// [`JournalError::Corrupt`] for damaged journals, plus backend I/O
-    /// failures.
+    /// Backend failures while cutting the tail or writing the header.
+    ///
+    /// # Panics
+    ///
+    /// When `clean` exceeds the image's length.
     pub fn open(
         backend: std::sync::Arc<dyn StorageBackend>,
-    ) -> Result<(Journal, Replay, ReplayReport), JournalError> {
-        let bytes = backend.read()?;
-        let (payloads, report) = parse_image(&bytes)?;
-        let clean = &bytes[..report.bytes_replayed];
+        image: &[u8],
+        clean: usize,
+    ) -> Result<Journal, JournalError> {
+        let clean = &image[..clean];
         if clean.is_empty() {
-            // An empty image, or one torn inside its header, starts
-            // afresh at base 0.
             backend.replace(&header(0))?;
-        } else if report.torn_tail {
-            // Drop the torn tail so future appends land on a record
-            // boundary.
+        } else if clean.len() < image.len() {
             backend.replace(clean)?;
         }
-        // parse_image refused a bad header, so a clean prefix has a base.
+        // The walk checked the header, so a clean prefix has a base.
         let base = image_base(clean).unwrap_or(0);
-        Ok((
-            Journal {
-                backend,
-                write_lock: Mutex::new(()),
-                end: std::sync::atomic::AtomicU64::new(base + clean.len().max(HEADER_LEN) as u64),
-            },
-            Replay {
-                image: bytes,
-                payloads,
-            },
-            report,
-        ))
+        Ok(Journal {
+            backend,
+            write_lock: Mutex::new(()),
+            end: std::sync::atomic::AtomicU64::new(base + clean.len().max(HEADER_LEN) as u64),
+        })
     }
 
     /// Logical durable end: the offset the next appended byte will
@@ -1132,12 +1227,33 @@ mod tests {
         }
     }
 
-    /// Every replayed payload, decoded.
-    fn decoded(replay: &Replay) -> Vec<Record> {
-        replay
-            .payloads()
-            .map(|p| Record::from_payload(p).unwrap())
-            .collect()
+    /// An image's whole records, decoded frame by frame, and its length
+    /// before a torn final frame; other damage is refused. The chain
+    /// rule is left out: these tests' snapshot bodies are placeholders.
+    fn records(image: &[u8]) -> Result<(Vec<Record>, usize), JournalError> {
+        let mut records = Vec::new();
+        for frame in Frames::image(image) {
+            match frame.and_then(|f| f.checked()) {
+                Ok(payload) => records.push(Record::from_payload(payload)?),
+                Err(FrameError::Torn(at)) => return Ok((records, at)),
+                Err(
+                    FrameError::Corrupt(offset, reason) | FrameError::BadHeader(offset, reason),
+                ) => return Err(JournalError::Corrupt { offset, reason }),
+            }
+        }
+        Ok((records, image.len()))
+    }
+
+    /// Opens the journal on `backend` as recovery does, with the verdict
+    /// of [`records`]: the journal, its whole records, and whether a
+    /// torn tail was cut.
+    fn reopen(
+        backend: Arc<dyn StorageBackend>,
+    ) -> Result<(Journal, Vec<Record>, bool), JournalError> {
+        let image = backend.read()?;
+        let (records, clean) = records(&image)?;
+        let journal = Journal::open(backend, &image, clean)?;
+        Ok((journal, records, clean < image.len()))
     }
 
     /// The one-table, byte-at-a-time CRC-32 the sliced one must equal.
@@ -1197,9 +1313,9 @@ mod tests {
     #[test]
     fn open_fresh_writes_header_then_round_trips() {
         let backend = Arc::new(MemBackend::new());
-        let (journal, records, report) = Journal::open(backend.clone()).unwrap();
-        assert_eq!(records.payloads().len(), 0);
-        assert!(!report.torn_tail);
+        let (journal, records, tail_cut) = reopen(backend.clone()).unwrap();
+        assert_eq!(records.len(), 0);
+        assert!(!tail_cut);
         journal.append_record(&zone_record(1)).unwrap();
         journal
             .append_record(&Record::NonceUsed {
@@ -1208,11 +1324,11 @@ mod tests {
             })
             .unwrap();
         drop(journal);
-        let (_, records, report) = Journal::open(backend).unwrap();
-        assert_eq!(records.payloads().len(), 2);
-        assert_eq!(decoded(&records)[0], zone_record(1));
-        assert_eq!(report.records_applied, 2);
-        assert!(!report.torn_tail);
+        let (_, records, tail_cut) = reopen(backend).unwrap();
+        assert_eq!(records.len(), 2);
+        assert_eq!(records[0], zone_record(1));
+        assert_eq!(records.len(), 2);
+        assert!(!tail_cut);
     }
 
     #[test]
@@ -1275,32 +1391,32 @@ mod tests {
     #[test]
     fn torn_tail_is_truncated_and_logged() {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let (journal, _, _) = reopen(backend.clone()).unwrap();
         journal.append_record(&zone_record(1)).unwrap();
         journal.append_record(&zone_record(2)).unwrap();
         let full = backend.bytes();
         // Crash mid-way through the second record.
         for cut in 1..FRAME_OVERHEAD + 4 {
             let torn = Arc::new(MemBackend::with_bytes(full[..full.len() - cut].to_vec()));
-            let (_, records, report) = Journal::open(torn.clone()).unwrap();
-            assert_eq!(records.payloads().len(), 1, "cut {cut}");
-            assert!(report.torn_tail, "cut {cut}");
+            let (_, records, tail_cut) = reopen(torn.clone()).unwrap();
+            assert_eq!(records.len(), 1, "cut {cut}");
+            assert!(tail_cut, "cut {cut}");
             // The tail was truncated away; reopening is now clean.
-            let (_, records2, report2) = Journal::open(torn).unwrap();
-            assert_eq!(records2.payloads().len(), 1);
-            assert!(!report2.torn_tail);
+            let (_, records2, tail_cut2) = reopen(torn).unwrap();
+            assert_eq!(records2.len(), 1);
+            assert!(!tail_cut2);
         }
     }
 
     #[test]
     fn mid_journal_corruption_is_typed_error() {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let (journal, _, _) = reopen(backend.clone()).unwrap();
         journal.append_record(&zone_record(1)).unwrap();
         journal.append_record(&zone_record(2)).unwrap();
         // Flip a payload bit inside the *first* record.
         backend.flip_bits(HEADER_LEN + FRAME_OVERHEAD + 2, 0x10);
-        let err = Journal::open(Arc::new(MemBackend::with_bytes(backend.bytes()))).unwrap_err();
+        let err = reopen(Arc::new(MemBackend::with_bytes(backend.bytes()))).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -1316,25 +1432,25 @@ mod tests {
     #[test]
     fn bad_magic_and_version_rejected() {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let (journal, _, _) = reopen(backend.clone()).unwrap();
         journal.append_record(&zone_record(1)).unwrap();
         let mut bytes = backend.bytes();
         bytes[0] ^= 0xFF;
-        let err = parse_image(&bytes).unwrap_err();
+        let err = records(&bytes).unwrap_err();
         assert!(matches!(err, JournalError::Corrupt { offset: 0, .. }));
         let mut bytes = backend.bytes();
         bytes[4] = 99;
-        let err = parse_image(&bytes).unwrap_err();
+        let err = records(&bytes).unwrap_err();
         assert!(matches!(err, JournalError::Corrupt { offset: 4, .. }));
         // Rot in the base is caught by the header CRC, and a base no
         // journal reaches is refused even with a matching CRC.
         let mut bytes = backend.bytes();
         bytes[12] ^= 0x01;
-        let err = parse_image(&bytes).unwrap_err();
+        let err = records(&bytes).unwrap_err();
         assert!(matches!(err, JournalError::Corrupt { offset: 13, .. }));
         let mut bytes = backend.bytes();
         bytes[..HEADER_LEN].copy_from_slice(&header(u64::MAX - 1));
-        let err = parse_image(&bytes).unwrap_err();
+        let err = records(&bytes).unwrap_err();
         assert!(matches!(err, JournalError::Corrupt { offset: 5, .. }));
         // A version-1 image (5-byte header, no base) is refused at
         // recovery, with frames or without.
@@ -1343,7 +1459,7 @@ mod tests {
             if frames {
                 encode_frame(&mut v1, &zone_record(1).to_payload()).unwrap();
             }
-            let err = Journal::open(Arc::new(MemBackend::with_bytes(v1.clone()))).unwrap_err();
+            let err = reopen(Arc::new(MemBackend::with_bytes(v1.clone()))).unwrap_err();
             assert_eq!(
                 err,
                 JournalError::Corrupt {
@@ -1357,14 +1473,14 @@ mod tests {
     #[test]
     fn impossible_length_is_corruption_not_torn_tail() {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let (journal, _, _) = reopen(backend.clone()).unwrap();
         journal.append_record(&zone_record(1)).unwrap();
         let mut bytes = backend.bytes();
         // Zero out the length field of the first frame.
         for b in &mut bytes[HEADER_LEN..HEADER_LEN + 4] {
             *b = 0;
         }
-        let err = parse_image(&bytes).unwrap_err();
+        let err = records(&bytes).unwrap_err();
         assert!(matches!(
             err,
             JournalError::Corrupt {
@@ -1382,7 +1498,7 @@ mod tests {
     #[test]
     fn compaction_replaces_image_with_the_given_records() {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let (journal, _, _) = reopen(backend.clone()).unwrap();
         for i in 0..10 {
             journal.append_record(&zone_record(i)).unwrap();
         }
@@ -1391,9 +1507,9 @@ mod tests {
         journal.compact(&payloads(&image)).unwrap();
         assert!(backend.bytes().len() < before);
         journal.append_record(&zone_record(99)).unwrap();
-        let (_, records, _) = Journal::open(backend.clone()).unwrap();
+        let (_, records, _) = reopen(backend.clone()).unwrap();
         assert_eq!(
-            decoded(&records),
+            records,
             vec![image[0].clone(), image[1].clone(), zone_record(99)]
         );
         // An oversized payload fails the whole compaction before any
@@ -1410,7 +1526,7 @@ mod tests {
     #[test]
     fn disk_full_is_typed_and_nondestructive() {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let (journal, _, _) = reopen(backend.clone()).unwrap();
         journal.append_record(&zone_record(1)).unwrap();
         let len = backend.bytes().len();
         backend.set_capacity(Some(len));
@@ -1420,21 +1536,21 @@ mod tests {
         );
         // Nothing was written; the journal still parses cleanly.
         backend.set_capacity(None);
-        let (_, records, report) = Journal::open(backend).unwrap();
-        assert_eq!(records.payloads().len(), 1);
-        assert!(!report.torn_tail);
+        let (_, records, tail_cut) = reopen(backend).unwrap();
+        assert_eq!(records.len(), 1);
+        assert!(!tail_cut);
     }
 
     #[test]
     fn torn_write_fault_recovers_on_reopen() {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let (journal, _, _) = reopen(backend.clone()).unwrap();
         journal.append_record(&zone_record(1)).unwrap();
         backend.tear_next_append(5);
         assert!(journal.append_record(&zone_record(2)).is_err());
-        let (_, records, report) = Journal::open(backend).unwrap();
-        assert_eq!(records.payloads().len(), 1);
-        assert!(report.torn_tail);
+        let (_, records, tail_cut) = reopen(backend).unwrap();
+        assert_eq!(records.len(), 1);
+        assert!(tail_cut);
     }
 
     #[test]
@@ -1446,17 +1562,17 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let backend = Arc::new(FsBackend::new(&path));
         assert!(backend.read().unwrap().is_empty());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let (journal, _, _) = reopen(backend.clone()).unwrap();
         journal.append_record(&zone_record(1)).unwrap();
         journal.append_record(&zone_record(2)).unwrap();
         drop(journal);
-        let (journal, records, _) = Journal::open(Arc::new(FsBackend::new(&path))).unwrap();
-        assert_eq!(records.payloads().len(), 2);
+        let (journal, records, _) = reopen(Arc::new(FsBackend::new(&path))).unwrap();
+        assert_eq!(records.len(), 2);
         journal
             .compact(&payloads(&[Record::Snapshot(b"snap".to_vec())]))
             .unwrap();
-        let (_, records, _) = Journal::open(Arc::new(FsBackend::new(&path))).unwrap();
-        assert_eq!(decoded(&records), vec![Record::Snapshot(b"snap".to_vec())]);
+        let (_, records, _) = reopen(Arc::new(FsBackend::new(&path))).unwrap();
+        assert_eq!(records, vec![Record::Snapshot(b"snap".to_vec())]);
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
     }
@@ -1464,7 +1580,7 @@ mod tests {
     #[test]
     fn offsets_track_appends_and_missing_ships_exact_tails() {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let (journal, _, _) = reopen(backend.clone()).unwrap();
         assert_eq!(journal.read_durable().unwrap().base, 0);
         assert_eq!(journal.end_offset(), HEADER_LEN as u64);
         journal.append_record(&zone_record(1)).unwrap();
@@ -1497,7 +1613,7 @@ mod tests {
     #[test]
     fn compaction_rebases_the_logical_stream() {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let (journal, _, _) = reopen(backend.clone()).unwrap();
         for i in 0..5 {
             journal.append_record(&zone_record(i)).unwrap();
         }
@@ -1516,7 +1632,7 @@ mod tests {
             assert_eq!(image.missing(from).unwrap(), ShipSource::Image(&compacted));
         }
         // A reopened journal keeps the same offsets.
-        let (reopened, _, _) = Journal::open(backend.clone()).unwrap();
+        let (reopened, _, _) = reopen(backend.clone()).unwrap();
         assert_eq!(reopened.end_offset(), journal.end_offset());
         assert_eq!(reopened.read_durable().unwrap().base, old_end);
         // Appends after compaction extend the re-based stream.
@@ -1531,7 +1647,7 @@ mod tests {
     #[test]
     fn failed_append_never_advances_the_durable_end() {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let (journal, _, _) = reopen(backend.clone()).unwrap();
         journal.append_record(&zone_record(1)).unwrap();
         let end = journal.end_offset();
         backend.tear_next_append(5);
@@ -1540,20 +1656,15 @@ mod tests {
         // The durable image must not include the torn physical tail.
         let image = journal.read_durable().unwrap();
         assert_eq!(image.end(), end);
-        let (payloads, report) =
-            parse_image(image.bytes()).expect("shipped bytes are a clean image");
-        assert!(!report.torn_tail);
-        let records: Vec<Record> = payloads
-            .into_iter()
-            .map(|p| Record::from_payload(&image.bytes()[p]).expect("shipped records decode"))
-            .collect();
+        let (records, clean) = records(image.bytes()).expect("shipped bytes are a clean image");
+        assert_eq!(clean, image.bytes().len());
         assert_eq!(records, vec![zone_record(1)]);
     }
 
     #[test]
     fn oversized_record_is_rejected_before_any_byte_lands() {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let (journal, _, _) = reopen(backend.clone()).unwrap();
         let len = backend.bytes().len();
         let huge = Record::Snapshot(vec![0u8; MAX_RECORD_LEN + 1]);
         assert!(matches!(
@@ -1569,9 +1680,9 @@ mod tests {
         // magic, in the base, or in its CRC.
         for cut in [2, 7, 15] {
             let torn = Arc::new(MemBackend::with_bytes(header(0)[..cut].to_vec()));
-            let (journal, records, report) = Journal::open(torn).unwrap();
-            assert_eq!(records.payloads().len(), 0);
-            assert!(report.torn_tail);
+            let (journal, records, tail_cut) = reopen(torn).unwrap();
+            assert_eq!(records.len(), 0);
+            assert!(tail_cut);
             assert_eq!(journal.end_offset(), HEADER_LEN as u64);
             journal.append_record(&zone_record(1)).unwrap();
         }

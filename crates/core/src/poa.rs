@@ -11,6 +11,14 @@ use alidrone_tee::{SignedGapMarker, SignedSample};
 use crate::wire::codec::{Reader, Writer};
 use crate::ProtocolError;
 
+/// The fewest bytes one framed sample entry takes: a length prefix and
+/// a [`SignedSample`] (algorithm tag, 24-byte sample, signature length)
+/// with an empty signature.
+const MIN_ENTRY_LEN: usize = 4 + 27;
+/// The fewest bytes one framed gap marker takes: a length prefix and a
+/// [`SignedGapMarker`] (algorithm tag, two `f64`s, signature length).
+const MIN_GAP_LEN: usize = 4 + 19;
+
 /// A Proof-of-Alibi: the ordered sequence of TEE-signed GPS samples
 /// recorded during one flight (paper §IV-C2):
 ///
@@ -131,7 +139,7 @@ impl ProofOfAlibi {
     /// entries.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, ProtocolError> {
         let mut r = Reader::new(bytes);
-        let count = r.get_u32()? as usize;
+        let count = r.get_count(MIN_ENTRY_LEN)?;
         let mut entries = Vec::with_capacity(count.min(1 << 20));
         for _ in 0..count {
             entries.push(
@@ -141,7 +149,7 @@ impl ProofOfAlibi {
         }
         let mut gaps = Vec::new();
         if r.remaining() > 0 {
-            let gap_count = r.get_u32()? as usize;
+            let gap_count = r.get_count(MIN_GAP_LEN)?;
             gaps.reserve(gap_count.min(1 << 16));
             for _ in 0..gap_count {
                 gaps.push(

@@ -13,10 +13,12 @@
 //! promoted follower recovers with the ordinary
 //! [`Auditor::recover`](crate::Auditor::recover) replay — no second
 //! on-disk format, no translation layer. Before persisting, a follower
-//! reads the shipped bytes with recovery's frame walker and moves its
-//! audit chain by recovery's rule, so it acks only what its own
-//! recovery would replay: an image (only ever a `Snapshot`) must start
-//! with a valid header, and a torn frame is refused, not truncated.
+//! reads the shipped bytes with the one walker recovery reads an image
+//! with (see [`crate::journal`]), which moves its audit chain by the
+//! same rule, so it acks only what its own recovery would replay: an
+//! image (only ever a `Snapshot`) must start with a valid header, and
+//! a torn frame is refused, not truncated. A restart reads the held
+//! image through the same walker and keeps its verified prefix.
 //!
 //! # Ack policies
 //!
@@ -38,11 +40,11 @@
 //! the highest acked offset (ties to the greatest name), fences it at
 //! one past the newest epoch any follower has seen, recovers it, and
 //! arms it over the remaining followers. The recovered auditor appends
-//! a [`Record::Epoch`] boundary (shipped to the remaining followers
-//! immediately), and from then on any frame from the deposed primary
-//! is answered with [`ReplAck::Stale`] — surfaced to it as
-//! [`ReplError::StaleEpoch`], which fails its appends under *any*
-//! policy. A `Quorum(k)` ack means `k` followers hold the record, so
+//! a [`Record::Epoch`](crate::journal::Record::Epoch) boundary
+//! (shipped to the remaining followers immediately), and from then on
+//! any frame from the deposed primary is answered with
+//! [`ReplAck::Stale`] — surfaced to it as [`ReplError::StaleEpoch`],
+//! which fails its appends under *any* policy. A `Quorum(k)` ack means `k` followers hold the record, so
 //! the most-caught-up follower holds every acked record and, with
 //! `Quorum(1)`, no acked record is lost to a fail-stop crash; a
 //! *symmetric* partition (old primary still serving) additionally
@@ -101,10 +103,9 @@ use std::time::Duration;
 use alidrone_obs::{Counter, Gauge, Level, Obs};
 
 use crate::audit::{AuditChain, ChainMark};
-use crate::auditor::{advance_chain, StateRun, Step};
 use crate::journal::{
-    image_base, DurableImage, Frame, FrameError, Frames, Journal, JournalError, MemBackend, Record,
-    ShipSource, StorageBackend,
+    image_base, walk, DurableImage, Frames, Journal, JournalError, MemBackend, ShipSource, Step,
+    Stop, StorageBackend,
 };
 use crate::wire::codec::{read_frame, write_frame, Reader, Writer};
 use crate::{Auditor, AuditorConfig, ProtocolError, RecoveryReport};
@@ -382,9 +383,9 @@ impl ReplAck {
     }
 }
 
-/// How to undo an in-place [`verify`]: the chain's size and
-/// head before the frame, plus the whole earlier chain if a shipped
-/// `Snapshot` record re-seeded it.
+/// How to undo an in-place [`walk`] of a shipped tail: the chain's
+/// size and head before the frame, plus the whole earlier chain if a
+/// shipped `Snapshot` record re-seeded it.
 struct ChainUndo {
     mark: ChainMark,
     reseeded: Option<AuditChain>,
@@ -407,91 +408,29 @@ impl ChainUndo {
     }
 }
 
-/// Moves `chain` in place over the record of one walked frame, by the
-/// rule recovery applies ([`advance_chain`]); a `Snapshot` record's
-/// reseed stashes the earlier chain in `undo`. A torn, corrupt or
-/// headerless frame, a CRC mismatch, an undecodable record, a Merkle
-/// checkpoint that contradicts the recomputed history, or a record
-/// that interrupts a snapshot's state records is a
-/// [`ReplError::ChainDivergence`], with the chain unmoved.
-fn verify_frame(
-    chain: &mut AuditChain,
-    run: &mut StateRun,
-    undo: &mut ChainUndo,
-    frame: Result<Frame<'_>, FrameError>,
-) -> Result<Record, ReplError> {
-    let at = chain.size();
-    let diverged = |reason| ReplError::ChainDivergence { size: at, reason };
-    let payload = frame
-        .and_then(|f| f.checked())
-        .map_err(|e| diverged(e.reason()))?;
-    let record = Record::from_payload(payload).map_err(|_| diverged("undecodable record"))?;
-    let step = advance_chain(chain, run, &record, payload).map_err(|e| refused(at, e))?;
-    if let Step::Reseed { replaced, .. } = step {
-        undo.reseeded.get_or_insert(replaced);
-    }
-    Ok(record)
-}
-
-/// What [`verify`] found: the longest prefix of the walked bytes that
-/// a follower can hold — whole records that verify
-/// ([`verify_frame`]), ending outside any snapshot's state run.
-/// Compaction replaces an image whole, so no honest shipped frame ends
-/// inside a run, and recovery refuses an image that does.
-#[derive(Default)]
-struct Verified {
-    /// Bytes of the prefix, from the start of the walked bytes.
-    len: usize,
-    /// Records in it.
-    records: u64,
-    /// Its newest [`Record::Epoch`].
-    epoch: u64,
-    /// What stopped the walk short of the end, if anything.
-    refused: Option<ReplError>,
-}
-
-/// Moves `chain` by recovery's rule over the records `frames` walks
-/// while they verify, and returns the verified prefix with an undo
-/// that puts the chain back where the walk began. A refusal counts on
-/// `divergence`.
-fn verify(
-    chain: &mut AuditChain,
-    mut frames: Frames<'_>,
-    divergence: &Counter,
-) -> (Verified, ChainUndo) {
-    let mut verified = Verified::default();
-    let mut undo = ChainUndo::new(chain);
-    let (mut run, mut records) = (StateRun::default(), 0);
-    let walked = frames.try_for_each(|frame| {
-        let end = frame.map_or(0, |f| f.end());
-        if let Record::Epoch(epoch) = verify_frame(chain, &mut run, &mut undo, frame)? {
-            verified.epoch = verified.epoch.max(epoch);
-        }
-        records += 1;
-        if run.finish().is_ok() {
-            (verified.len, verified.records) = (end, records);
-        }
-        Ok(())
-    });
-    let walked = walked.and_then(|()| run.finish().map_err(|e| refused(chain.size(), e)));
-    verified.refused = walked.inspect_err(|_| divergence.inc()).err();
-    (verified, undo)
-}
-
-/// An [`advance_chain`] refusal at tree size `at`, as a follower
-/// reports it.
-fn refused(at: u64, err: ProtocolError) -> ReplError {
-    let reason = match err {
-        ProtocolError::AuditDivergence { size } => {
+/// A [`walk`]'s stop over `chain`, as a follower reports it: a
+/// [`ReplError::ChainDivergence`] at the chain's size (the stopping
+/// record left it unmoved), counted on `divergence`.
+fn diverged(chain: &AuditChain, stop: Stop, divergence: &Counter) -> ReplError {
+    divergence.inc();
+    let reason = match stop {
+        Stop::Frame(e) => e.reason(),
+        Stop::Refused(ProtocolError::AuditDivergence { size }) => {
             return ReplError::ChainDivergence {
                 size,
                 reason: "checkpoint root contradicts recomputed history",
             }
         }
-        ProtocolError::Malformed(reason) => reason,
-        _ => "snapshot undecodable",
+        Stop::Refused(ProtocolError::Malformed(reason)) => reason,
+        // The chain rule refuses only with the two above, and a
+        // follower's callback never refuses: this is a payload that
+        // is no record.
+        Stop::Refused(_) => "undecodable record",
     };
-    ReplError::ChainDivergence { size: at, reason }
+    ReplError::ChainDivergence {
+        size: chain.size(),
+        reason,
+    }
 }
 
 // ---------------------------------------------------------------- follower
@@ -535,8 +474,8 @@ impl Follower {
     /// non-empty one (a restart) it takes back the longest prefix of
     /// the held image it can verify as it would a shipped one: the
     /// audit chain and record count over it, an epoch floor from its
-    /// newest [`Record::Epoch`], and its end offset, the header's base
-    /// plus the prefix length. A prefix without a whole record is no
+    /// newest [`Record::Epoch`](crate::journal::Record::Epoch), and its
+    /// end offset, the header's base plus the prefix length. A prefix without a whole record is no
     /// prefix: a compacted image's history before its base lives in
     /// its snapshot run, so a header alone holds nothing and acks 0.
     /// Bytes past the prefix — torn, corrupt, or contradicting the
@@ -552,22 +491,30 @@ impl Follower {
         let image = backend.read().unwrap_or_default();
         let divergence = obs.counter("repl.chain_divergence");
         let mut chain = AuditChain::new();
-        let (mut held, _) = verify(&mut chain, Frames::image(&image), &divergence);
+        let (mut walked, mut before_run) = (0, None);
+        let mut held = walk(Frames::image(&image), &mut chain, |_, step| {
+            walked += 1;
+            if let Step::Reseed { replaced, .. } = step {
+                before_run = Some(replaced);
+            }
+            Ok(())
+        });
         let mut kept = &image[..held.len];
-        if let Some(refusal) = held.refused.take() {
-            let reason = refusal.to_string();
+        if let Some(stop) = held.stop.take() {
+            let reason = diverged(&chain, stop, &divergence).to_string();
             obs.emit(Level::Warn, "repl", "unverified bytes dropped", |f| {
                 f.field("kept_bytes", kept.len());
                 f.field("dropped_bytes", image.len() - kept.len());
                 f.field("reason", reason.as_str());
             });
             if image_base(&image).is_ok() && backend.replace(kept).is_err() {
-                kept = &[];
+                (kept, chain, held.records) = (&[], AuditChain::new(), 0);
+            } else if walked > held.records {
+                // Records walked past the prefix are one snapshot and
+                // part of its state run, which leaves the chain alone:
+                // the chain before that snapshot is the prefix's.
+                chain = before_run.unwrap_or_default();
             }
-            // What is kept verifies whole: rebuild the chain over it.
-            chain = AuditChain::new();
-            let (rebuilt, _) = verify(&mut chain, Frames::image(kept), &divergence);
-            held.records = rebuilt.records;
         }
         Follower {
             backend,
@@ -608,11 +555,18 @@ impl Follower {
                     // before a single byte lands in the backend. A
                     // refused or unpersisted frame rolls the chain back.
                     let mut chain = self.chain.lock().unwrap_or_else(|p| p.into_inner());
-                    let (verified, undo) =
-                        verify(&mut chain, Frames::tail(bytes), &self.divergence);
-                    let append = || self.backend.append(bytes).map_err(ReplError::from);
-                    (verified.refused.map_or_else(append, Err))
-                        .inspect_err(|_| undo.restore(&mut chain))?;
+                    let mut undo = ChainUndo::new(&chain);
+                    let verified = walk(Frames::tail(bytes), &mut chain, |_, step| {
+                        if let Step::Reseed { replaced, .. } = step {
+                            undo.reseeded.get_or_insert(replaced);
+                        }
+                        Ok(())
+                    });
+                    let appended = match verified.stop {
+                        Some(stop) => Err(diverged(&chain, stop, &self.divergence)),
+                        None => self.backend.append(bytes).map_err(ReplError::from),
+                    };
+                    appended.inspect_err(|_| undo.restore(&mut chain))?;
                     self.end.store(end + bytes.len() as u64, Ordering::Release);
                     self.records.fetch_add(verified.records, Ordering::Relaxed);
                 }
@@ -624,13 +578,13 @@ impl Follower {
         // An image must verify whole, header included, and replaces
         // whatever the backend holds.
         let mut chain = AuditChain::new();
-        let (held, _) = verify(&mut chain, Frames::image(image), &self.divergence);
-        if let Some(refusal) = held.refused {
-            return Err(refusal);
+        let held = walk(Frames::image(image), &mut chain, |_, _| Ok(()));
+        if let Some(stop) = held.stop {
+            return Err(diverged(&chain, stop, &self.divergence));
         }
         self.backend.replace(image).map_err(ReplError::from)?;
         *self.chain.lock().unwrap_or_else(|p| p.into_inner()) = chain;
-        // verify checked the header, so the image has a base or is empty.
+        // The walk checked the header, so the image has a base or is empty.
         let end = image_base(image).unwrap_or(0) + image.len() as u64;
         self.end.store(end, Ordering::Release);
         self.records.store(held.records, Ordering::Relaxed);
@@ -1362,7 +1316,7 @@ impl fmt::Debug for Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{crc32, FRAME_OVERHEAD, HEADER_LEN};
+    use crate::journal::{crc32, Record, FRAME_OVERHEAD, HEADER_LEN};
     use crate::test_support::auditor_key;
     use alidrone_geo::{Distance, GeoPoint, NoFlyZone};
 
@@ -1375,7 +1329,7 @@ mod tests {
 
     fn journal_with(n: u64) -> (Journal, Arc<MemBackend>) {
         let backend = Arc::new(MemBackend::new());
-        let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+        let journal = Journal::open(backend.clone(), &[], 0).unwrap();
         for i in 0..n {
             journal
                 .append_record(&Record::RegisterZone {
@@ -2045,7 +1999,7 @@ mod tests {
         // acked offset equals the new primary's durable end.
         let journal_of = |lat_deg: f64| {
             let backend = Arc::new(MemBackend::new());
-            let (journal, _, _) = Journal::open(backend.clone()).unwrap();
+            let journal = Journal::open(backend.clone(), &[], 0).unwrap();
             for id in 0..3 {
                 let zone = Record::RegisterZone {
                     id,
@@ -2262,7 +2216,12 @@ mod tests {
         // Version 1, the format before headers recorded their base.
         image[4] = 1;
         // Recovery refuses this image, so a follower must not ack it.
-        assert!(Journal::open(Arc::new(MemBackend::with_bytes(image.clone()))).is_err());
+        let recovered = Auditor::recover(
+            Arc::new(MemBackend::with_bytes(image.clone())),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+        );
+        assert!(recovered.is_err());
         // A follower restarted over it holds nothing, but leaves it in
         // its backend byte for byte, as it does an image whose header
         // rotted: only a shipped image replaces what it cannot read.
@@ -2291,7 +2250,12 @@ mod tests {
     fn follower_refuses_a_headerless_image() {
         let (_, backend) = journal_with(3);
         let bare = backend.bytes()[HEADER_LEN..].to_vec();
-        assert!(Journal::open(Arc::new(MemBackend::with_bytes(bare.clone()))).is_err());
+        let recovered = Auditor::recover(
+            Arc::new(MemBackend::with_bytes(bare.clone())),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+        );
+        assert!(recovered.is_err());
         let snapshot = ReplFrame::Snapshot {
             epoch: 1,
             image: bare.as_slice().into(),

@@ -130,6 +130,23 @@ impl<'a> Reader<'a> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().expect("4")))
     }
 
+    /// Reads a `u32` element count, refusing one the remaining bytes
+    /// cannot hold when every element takes at least `min_len` encoded
+    /// bytes. A decoder may then reserve the count before it reads an
+    /// element: the reservation is bounded by the message, not by the
+    /// claim.
+    ///
+    /// # Errors
+    ///
+    /// [`ProtocolError::Malformed`] on truncation or such a count.
+    pub fn get_count(&mut self, min_len: usize) -> Result<usize, ProtocolError> {
+        let n = self.get_u32()? as usize;
+        if n > self.remaining() / min_len {
+            return Err(ProtocolError::Malformed("count exceeds remaining bytes"));
+        }
+        Ok(n)
+    }
+
     /// Reads a big-endian `u64`.
     #[allow(missing_docs)]
     pub fn get_u64(&mut self) -> Result<u64, ProtocolError> {

@@ -598,7 +598,8 @@ impl Request {
                 let drone_id = DroneId::new(r.get_u64()?);
                 let window_start = Timestamp::from_secs(r.get_f64()?);
                 let window_end = Timestamp::from_secs(r.get_f64()?);
-                let n = r.get_u32()? as usize;
+                // Each block is a length-prefixed byte string.
+                let n = r.get_count(4)?;
                 if n > 1 << 20 {
                     return Err(ProtocolError::Malformed("too many blocks"));
                 }
@@ -754,7 +755,7 @@ pub(crate) fn get_verdict(r: &mut Reader<'_>) -> Result<Verdict, ProtocolError> 
             zone: ZoneId::new(r.get_u64()?),
         },
         VERDICT_INSUFFICIENT => {
-            let n = r.get_u32()? as usize;
+            let n = r.get_count(8)?;
             if n > 1 << 24 {
                 return Err(ProtocolError::Malformed("too many pair indices"));
             }
@@ -857,7 +858,8 @@ impl Response {
             RESP_DRONE => Response::DroneRegistered(DroneId::new(r.get_u64()?)),
             RESP_ZONE => Response::ZoneRegistered(ZoneId::new(r.get_u64()?)),
             RESP_ZONES => {
-                let n = r.get_u32()? as usize;
+                // An id, a center (two f64) and a radius per zone.
+                let n = r.get_count(32)?;
                 if n > 1 << 20 {
                     return Err(ProtocolError::Malformed("too many zones"));
                 }

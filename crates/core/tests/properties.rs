@@ -17,7 +17,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use alidrone_core::journal::{Journal, MemBackend, Record, HEADER_LEN};
+use alidrone_core::journal::{MemBackend, Record, FRAME_OVERHEAD, HEADER_LEN};
 use alidrone_core::repl::{Follower, ReplFrame};
 use alidrone_core::wire::{
     encode_envelope, split_envelope, Request, Response, WireEnvelope, WireTraceContext,
@@ -416,17 +416,25 @@ fn follower_accepts_exactly_what_recovery_opens_cleanly() {
     );
 }
 
-/// The records of a journal image, in order.
+/// The records of a journal image, in order: after the header, each
+/// frame is `len | crc | payload`.
 fn frame_records(image: &[u8]) -> Vec<Record> {
-    let (_, replay, _) = Journal::open(Arc::new(MemBackend::with_bytes(image.to_vec()))).unwrap();
-    replay
-        .payloads()
-        .map(|p| Record::from_payload(p).unwrap())
-        .collect()
+    let mut records = Vec::new();
+    let mut at = HEADER_LEN;
+    while at < image.len() {
+        let len = u32::from_be_bytes(image[at..at + 4].try_into().unwrap()) as usize;
+        let payload = &image[at + FRAME_OVERHEAD..at + FRAME_OVERHEAD + len];
+        records.push(Record::from_payload(payload).unwrap());
+        at += FRAME_OVERHEAD + len;
+    }
+    records
 }
 
 /// Checks follower/recovery agreement on every cut of `image` and on
 /// seeded bit flips of it; returns how many of them opened cleanly.
+/// Wherever recovery succeeds with a record, a follower restarted over
+/// the same bytes holds exactly the records recovery applied and takes
+/// the recovered auditor's epoch.
 fn follower_recovery_parity(image: &[u8], seed: u64) -> usize {
     let mut damaged: Vec<Vec<u8>> = (1..=image.len()).map(|n| image[..n].to_vec()).collect();
     let mut flip = |pos: usize, bit: u64| {
@@ -449,12 +457,29 @@ fn follower_recovery_parity(image: &[u8], seed: u64) -> usize {
 
     let mut clean = 0;
     for bytes in &damaged {
-        let opens_cleanly = Auditor::recover(
+        let recovered = Auditor::recover(
             Arc::new(MemBackend::with_bytes(bytes.clone())),
             AuditorConfig::default(),
             auditor_key().clone(),
-        )
-        .is_ok_and(|(_, report)| !report.torn_tail);
+        );
+        if let Ok((auditor, report)) = &recovered {
+            if report.records_applied >= 1 {
+                let restarted = Follower::new(Arc::new(MemBackend::with_bytes(bytes.clone())));
+                assert_eq!(
+                    restarted.record_count(),
+                    report.records_applied as u64,
+                    "restart and recovery hold different records of a {}-byte image",
+                    bytes.len()
+                );
+                assert_eq!(
+                    restarted.current_epoch(),
+                    auditor.current_epoch(),
+                    "restart and recovery take different epochs from a {}-byte image",
+                    bytes.len()
+                );
+            }
+        }
+        let opens_cleanly = recovered.is_ok_and(|(_, report)| !report.torn_tail);
         let follower = Follower::new(Arc::new(MemBackend::new()));
         let accepted = follower
             .apply(&ReplFrame::Snapshot {

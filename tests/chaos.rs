@@ -22,7 +22,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use alidrone::chaos::{FaultPlane, FaultyGps, FaultyTransport};
-use alidrone::core::journal::{Journal, MemBackend, Record, StorageBackend, MAX_RECORD_LEN};
+use alidrone::core::journal::{
+    Journal, MemBackend, Record, StorageBackend, FRAME_OVERHEAD, MAX_RECORD_LEN,
+};
 use alidrone::core::wire::server::AuditorServer;
 use alidrone::core::wire::transport::{AuditorClient, InProcess};
 use alidrone::core::{
@@ -292,15 +294,22 @@ fn compaction_holds_state_past_one_frame_cap() {
         window_end: Timestamp::from_secs(59.0),
         poa: ProofOfAlibi::from_entries(signed_samples(60)),
     };
+    let before = backend.len();
     let report = auditor
         .verify(&Submission::plain(submission), Timestamp::from_secs(60.0))
         .unwrap();
     assert!(report.is_compliant());
     drop(auditor);
 
-    let (journal, replay, _) =
-        Journal::open(Arc::clone(&backend) as Arc<dyn StorageBackend>).unwrap();
-    let stored = replay.payloads().last().unwrap().to_vec();
+    let image = backend.bytes();
+    let journal = Journal::open(
+        Arc::clone(&backend) as Arc<dyn StorageBackend>,
+        &image,
+        image.len(),
+    )
+    .unwrap();
+    // The verify appended one frame, the stored PoA's.
+    let stored = image[before + FRAME_OVERHEAD..].to_vec();
     assert!(matches!(
         Record::from_payload(&stored),
         Ok(Record::PoaStored { .. })
