@@ -13,17 +13,26 @@ fmt:
 clippy:
 	$(CARGO) clippy --workspace --all-targets --offline -- -D warnings
 
-# The workspace's one lint exemption for unsafe code is the SHA-256
-# dispatch into the SHA-NI kernel: fail if an allow(unsafe_code)
-# attribute appears anywhere else under crates/, or a second time in
-# crates/crypto/src/sha256.rs.
+# The workspace's two lint exemptions for unsafe code are the SHA-256
+# dispatch into the SHA-NI kernel and the ADX Montgomery kernel module:
+# fail unless allow(unsafe_code) appears exactly once in each of
+# crates/crypto/src/sha256.rs and crates/crypto/src/bigint.rs and
+# nowhere else under crates/.
+UNSAFE_ALLOWED := crates/crypto/src/sha256.rs crates/crypto/src/bigint.rs
+
 unsafe-check:
-	@outside=$$(grep -rl --include='*.rs' 'allow(unsafe_code)' crates | grep -vx 'crates/crypto/src/sha256.rs'); \
-	inside=$$(grep -c 'allow(unsafe_code)' crates/crypto/src/sha256.rs); \
-	if [ -n "$$outside" ] || [ "$$inside" -gt 1 ]; then \
-		echo "unsafe-check: allow(unsafe_code) is only for the SHA-256 dispatch; found in:" $$outside "and $$inside time(s) in sha256.rs"; \
+	@outside=$$(grep -rl --include='*.rs' 'allow(unsafe_code)' crates | grep -vxF $(UNSAFE_ALLOWED:%=-e %)); \
+	if [ -n "$$outside" ]; then \
+		echo "unsafe-check: allow(unsafe_code) is only for $(UNSAFE_ALLOWED); found in:" $$outside; \
 		exit 1; \
-	fi
+	fi; \
+	for f in $(UNSAFE_ALLOWED); do \
+		n=$$(grep -c 'allow(unsafe_code)' $$f); \
+		if [ "$$n" -ne 1 ]; then \
+			echo "unsafe-check: expected allow(unsafe_code) once in $$f, found $$n"; \
+			exit 1; \
+		fi; \
+	done
 
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --offline

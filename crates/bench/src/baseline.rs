@@ -43,6 +43,11 @@ pub struct Machine {
     pub arch: String,
     /// `std::thread::available_parallelism`, 0 if unknown.
     pub parallelism: u64,
+    /// The Montgomery kernel an 8-word modulus runs
+    /// (`alidrone_crypto::bigint::backend`: `"adx"` or `"portable"`).
+    /// Every case that signs with a 1024-bit key moves with it. `None`
+    /// for files written before it was recorded.
+    pub montgomery: Option<String>,
     /// The SHA-256 kernel in use (`alidrone_crypto::sha256::backend`:
     /// `"sha-ni"` or `"portable"`). Every hashing case moves with it.
     /// `None` for files written before it was recorded.
@@ -58,6 +63,7 @@ impl Machine {
             parallelism: std::thread::available_parallelism()
                 .map(|n| n.get() as u64)
                 .unwrap_or(0),
+            montgomery: Some(alidrone_crypto::bigint::backend().to_string()),
             sha256: Some(alidrone_crypto::sha256::backend().to_string()),
         }
     }
@@ -67,10 +73,11 @@ impl fmt::Display for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}/{}, {} threads, sha256 {}",
+            "{}/{}, {} threads, montgomery {}, sha256 {}",
             self.os,
             self.arch,
             self.parallelism,
+            self.montgomery.as_deref().unwrap_or("unrecorded"),
             self.sha256.as_deref().unwrap_or("unrecorded")
         )
     }
@@ -124,10 +131,8 @@ impl Baseline {
             os: field_str(machine, "os")?,
             arch: field_str(machine, "arch")?,
             parallelism: field_u64(machine, "parallelism")?,
-            sha256: machine
-                .get("sha256")
-                .map(|_| field_str(machine, "sha256"))
-                .transpose()?,
+            montgomery: optional_str(machine, "montgomery")?,
+            sha256: optional_str(machine, "sha256")?,
         };
         let raw_cases = doc
             .get("cases")
@@ -191,10 +196,12 @@ impl ToJson for Baseline {
                     ]
                     .into_iter()
                     .chain(
-                        self.machine
-                            .sha256
-                            .as_ref()
-                            .map(|b| ("sha256", Json::str(b))),
+                        [
+                            ("montgomery", &self.machine.montgomery),
+                            ("sha256", &self.machine.sha256),
+                        ]
+                        .into_iter()
+                        .filter_map(|(key, backend)| Some((key, Json::str(backend.as_ref()?)))),
                     ),
                 ),
             ),
@@ -239,6 +246,11 @@ fn field_u64(obj: &Json, key: &str) -> Result<u64, BaselineError> {
     obj.get(key)
         .and_then(Json::as_u64)
         .ok_or_else(|| BaselineError::Schema(format!("missing integer field {key}")))
+}
+
+/// A string field that older files may lack.
+fn optional_str(obj: &Json, key: &str) -> Result<Option<String>, BaselineError> {
+    obj.get(key).map(|_| field_str(obj, key)).transpose()
 }
 
 fn field_str(obj: &Json, key: &str) -> Result<String, BaselineError> {
@@ -419,6 +431,31 @@ mod tests {
         let after = Baseline::parse(&text).expect("parse older file");
         assert_eq!(after, before);
         assert!(after.machine.to_string().ends_with("sha256 unrecorded"));
+    }
+
+    #[test]
+    fn parse_loads_a_machine_without_a_montgomery_backend() {
+        let mut before = baseline(vec![case("rsa_sign_1024", 100_000.0)]);
+        before.machine.montgomery = None;
+        let text = before.to_json().to_pretty();
+        assert!(!text.contains("montgomery"), "{text}");
+        let after = Baseline::parse(&text).expect("parse older file");
+        assert_eq!(after, before);
+        assert!(after.machine.to_string().contains("montgomery unrecorded"));
+    }
+
+    #[test]
+    fn machines_on_different_montgomery_kernels_differ_by_name() {
+        let mut adx = Machine::current();
+        adx.montgomery = Some("adx".into());
+        let mut portable = adx.clone();
+        portable.montgomery = Some("portable".into());
+        assert_ne!(adx, portable);
+        assert!(adx.to_string().contains("montgomery adx"), "{adx}");
+        assert!(
+            portable.to_string().contains("montgomery portable"),
+            "{portable}"
+        );
     }
 
     #[test]

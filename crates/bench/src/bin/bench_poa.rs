@@ -201,6 +201,8 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
     };
 
     // --- RSA primitives: the per-sample cost floor of the protocol.
+    // A 1024-bit key signs its two 512-bit CRT halves on the Montgomery
+    // kernel the machine's `montgomery` field names.
     let msg = b"alidrone bench message: one GPS sample's signing payload";
     for bits in [1024usize, 2048] {
         run(&format!("rsa_sign_{bits}"), &mut |b| {

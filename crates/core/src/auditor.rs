@@ -483,9 +483,9 @@ impl Auditor {
         let clean = match walk.stop {
             None => image.len(),
             Some(Stop::Frame(FrameError::Torn(at))) => at,
-            Some(Stop::Frame(
-                FrameError::Corrupt(offset, reason) | FrameError::BadHeader(offset, reason),
-            )) => return Err(JournalError::Corrupt { offset, reason }.into()),
+            Some(Stop::Frame(FrameError::Corrupt(offset, reason))) => {
+                return Err(JournalError::Corrupt { offset, reason }.into())
+            }
             Some(Stop::Refused(e)) => return Err(e),
         };
         let journal = Journal::open(backend, &image, clean)?;

@@ -659,7 +659,7 @@ fn header(base: u64) -> [u8; HEADER_LEN] {
 ///
 /// # Errors
 ///
-/// [`FrameError::BadHeader`] for a wrong magic, version or header CRC,
+/// [`FrameError::Corrupt`] for a wrong magic, version or header CRC,
 /// and [`FrameError::Torn`] for any other header cut short — a prefix
 /// of a valid one, as a crash leaves it.
 pub(crate) fn image_base(image: &[u8]) -> Result<u64, FrameError> {
@@ -672,14 +672,14 @@ pub(crate) fn image_base(image: &[u8]) -> Result<u64, FrameError> {
     // the CRC can differ.
     let held = &image[..image.len().min(HEADER_LEN)];
     match held.iter().zip(header(base)).position(|(a, b)| *a != b) {
-        Some(0..=3) => Err(FrameError::BadHeader(0, "bad magic")),
-        Some(4) => Err(FrameError::BadHeader(4, "unsupported version")),
+        Some(0..=3) => Err(FrameError::Corrupt(0, "bad magic")),
+        Some(4) => Err(FrameError::Corrupt(4, "unsupported version")),
         _ if held.is_empty() => Ok(0),
         _ if held.len() < HEADER_LEN => Err(FrameError::Torn(0)),
-        Some(_) => Err(FrameError::BadHeader(13, "header crc mismatch")),
+        Some(_) => Err(FrameError::Corrupt(13, "header crc mismatch")),
         // No journal lives that long: refusing such a base keeps every
         // `base + length` an offset is built from clear of overflow.
-        None if base > u64::MAX / 2 => Err(FrameError::BadHeader(5, "impossible base")),
+        None if base > u64::MAX / 2 => Err(FrameError::Corrupt(5, "impossible base")),
         None => Ok(base),
     }
 }
@@ -698,18 +698,17 @@ fn encode_frame(out: &mut Vec<u8>, payload: &[u8]) -> Result<(), JournalError> {
     Ok(())
 }
 
-/// Where and why a [`Frames`] walk stopped short: the three shapes
+/// Where and why a [`Frames`] walk stopped short: the two shapes
 /// damage takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum FrameError {
     /// A final frame (or header) at this offset is cut short: a crash's
     /// torn write.
     Torn(usize),
-    /// A complete frame at this offset is wrong: an impossible length,
-    /// or a CRC mismatch ([`Frame::checked`]).
+    /// A complete frame or header at this offset is wrong: an
+    /// impossible length, a CRC mismatch ([`Frame::checked`]), or a
+    /// header's wrong magic, version or base.
     Corrupt(usize, &'static str),
-    /// A header field at this offset has the wrong magic or version.
-    BadHeader(usize, &'static str),
 }
 
 impl FrameError {
@@ -717,7 +716,7 @@ impl FrameError {
     pub(crate) fn reason(&self) -> &'static str {
         match *self {
             FrameError::Torn(_) => "torn frame",
-            FrameError::Corrupt(_, reason) | FrameError::BadHeader(_, reason) => reason,
+            FrameError::Corrupt(_, reason) => reason,
         }
     }
 }
@@ -1236,9 +1235,9 @@ mod tests {
             match frame.and_then(|f| f.checked()) {
                 Ok(payload) => records.push(Record::from_payload(payload)?),
                 Err(FrameError::Torn(at)) => return Ok((records, at)),
-                Err(
-                    FrameError::Corrupt(offset, reason) | FrameError::BadHeader(offset, reason),
-                ) => return Err(JournalError::Corrupt { offset, reason }),
+                Err(FrameError::Corrupt(offset, reason)) => {
+                    return Err(JournalError::Corrupt { offset, reason })
+                }
             }
         }
         Ok((records, image.len()))

@@ -152,11 +152,11 @@ impl SamplingPolicy for AdaptiveSampler {
                 .expect("non-empty zones")
         } else {
             // Only the nearest zone matters (paper §IV-C3, Algorithm 1).
-            let zone = self.zones.nearest(&fix.sample.point()).expect("non-empty");
-            (
-                zone.boundary_distance(&last.point()).meters(),
-                zone.boundary_distance(&fix.sample.point()).meters(),
-            )
+            let (zone, d2) = self
+                .zones
+                .nearest_with_distance(&fix.sample.point())
+                .expect("non-empty");
+            (zone.boundary_distance(&last.point()).meters(), d2.meters())
         };
         let budget_now = self.v_max.mps() * dt.secs();
         let budget_next = self.v_max.mps() * (dt.secs() + 2.0 / self.hw_rate_hz);

@@ -538,16 +538,23 @@ fn signed_sub(a: &(BigUint, bool), b: &(BigUint, bool)) -> (BigUint, bool) {
 /// `K ∈ {4, 8, 16, 32, 64}` 64-bit words that holds it, and
 /// `R = 2^(64·K)`. The context holds `n' = -n⁻¹ mod 2⁶⁴` and `R² mod n`
 /// (to enter the domain with one Montgomery multiplication) at that
-/// width. Every product, squarings included, runs through one
-/// word-serial kernel monomorphised over `K` on `[u64; K]` stack arrays:
-/// the exponentiation ladder, its window table and its temporaries
-/// never touch the heap. The paper's key sizes fill a width exactly (a
-/// 1024-bit key's CRT primes are 8 words, its modulus 16, a 2048-bit
-/// modulus 32).
+/// width. The exponentiation ladder is monomorphised over `K` and over
+/// the kernel that multiplies and squares, on `[u64; K]` stack arrays:
+/// the ladder, its window table and its temporaries never touch the
+/// heap. The paper's key sizes fill a width exactly (a 1024-bit key's
+/// CRT primes are 8 words, its modulus 16, a 2048-bit modulus 32).
+///
+/// At 8 words, on an x86_64 CPU with BMI2 and ADX, [`mod_pow`] runs a
+/// kernel built on `mulx`/`adcx`/`adox`; everywhere else it runs the
+/// portable kernel, which is also that kernel's test oracle.
+/// [`backend`] names the one in use. Both give the same result bit for
+/// bit.
 ///
 /// Build one per key ([`crate::rsa::RsaVerifier`] does) and reuse it;
 /// [`BigUint::mod_pow`] builds a throwaway context per call, which still
 /// wins but pays the `R² mod n` division every time.
+///
+/// [`mod_pow`]: MontgomeryContext::mod_pow
 #[derive(Clone, Debug)]
 pub struct MontgomeryContext {
     /// The modulus.
@@ -578,6 +585,17 @@ macro_rules! with_kernel {
             Kernel::W64($m) => $body,
         }
     };
+}
+
+/// Which kernel [`MontgomeryContext::mod_pow`] runs for an 8-word
+/// modulus (a 1024-bit key's CRT primes) on this CPU: `"adx"` or
+/// `"portable"`. Every other width runs the portable kernel.
+pub fn backend() -> &'static str {
+    if adx::Adx::detect().is_some() {
+        "adx"
+    } else {
+        "portable"
+    }
 }
 
 impl MontgomeryContext {
@@ -615,19 +633,75 @@ impl MontgomeryContext {
         with_kernel!(&self.kernel, m => m.mul_mod(a, b, &self.n))
     }
 
-    /// `base^exp mod n` by fixed-window exponentiation in the Montgomery
-    /// domain. Matches the division-based reference bit for bit on
-    /// every input (tested), including `exp = 0 → 1` and base ≥ n.
+    /// `base^exp mod n` by sliding-window exponentiation in the
+    /// Montgomery domain. Matches the division-based reference bit for
+    /// bit on every input (tested), including `exp = 0 → 1` and base ≥ n.
+    ///
+    /// An 8-word modulus checks the CPU once per call and runs the whole
+    /// ladder on the kernel that check picks.
     pub fn mod_pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
-        with_kernel!(&self.kernel, m => m.mod_pow(base, exp, &self.n))
+        match &self.kernel {
+            Kernel::W8(m) => match adx::Adx::detect() {
+                Some(adx) => m.mod_pow(adx, base, exp, &self.n),
+                None => m.mod_pow(Portable, base, exp, &self.n),
+            },
+            kernel => with_kernel!(kernel, m => m.mod_pow(Portable, base, exp, &self.n)),
+        }
+    }
+
+    /// [`mod_pow`](Self::mod_pow) on the portable kernel whatever the
+    /// CPU: the oracle the ADX ladder is tested against.
+    #[cfg(test)]
+    fn mod_pow_portable(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        with_kernel!(&self.kernel, m => m.mod_pow(Portable, base, exp, &self.n))
     }
 }
 
-/// The widest exponentiation window, sizing the ladder's stack table.
-const MAX_WINDOW: usize = 5;
+/// The widest sliding window, sizing the ladder's stack table of
+/// `2^(MAX_WINDOW − 1)` odd powers.
+const MAX_WINDOW: usize = 6;
+
+/// The sliding-window width for an exponent of `bits` bits: the table
+/// of `2^(w−1)` odd powers must amortise over about `bits / (w + 1)`
+/// multiplies. Small exponents (RSA e = 65537) stay at w = 1: plain
+/// square-and-multiply beats paying for a table.
+fn window(bits: usize) -> usize {
+    match bits {
+        0..=96 => 1,
+        97..=256 => 4,
+        257..=768 => 5,
+        _ => MAX_WINDOW,
+    }
+}
+
+/// A Montgomery multiplication and squaring at width `K`: the one
+/// choice the exponentiation ladder is monomorphised over.
+trait Multiplier<const K: usize>: Copy {
+    /// `a·b·R⁻¹ mod n`, fully reduced, for `a < R` and `b < n`.
+    fn mul(self, m: &Mont<K>, a: &[u64; K], b: &[u64; K]) -> [u64; K];
+
+    /// `a²·R⁻¹ mod n`, fully reduced, for `a < n`.
+    fn sqr(self, m: &Mont<K>, a: &[u64; K]) -> [u64; K] {
+        self.mul(m, a, a)
+    }
+}
+
+/// The portable kernel ([`Mont::mul`]): every width, every CPU.
+#[derive(Clone, Copy)]
+struct Portable;
+
+impl<const K: usize> Multiplier<K> for Portable {
+    fn mul(self, m: &Mont<K>, a: &[u64; K], b: &[u64; K]) -> [u64; K] {
+        m.mul(a, b)
+    }
+}
 
 /// Montgomery parameters for a modulus zero-padded to `K` words.
+///
+/// `repr(C)` fixes `n0_inv` right after the `K` words of `n`, where the
+/// ADX kernel reads it.
 #[derive(Clone, Debug)]
+#[repr(C)]
 struct Mont<const K: usize> {
     /// The modulus as little-endian words.
     n: [u64; K],
@@ -655,10 +729,10 @@ impl<const K: usize> Mont<K> {
         }
     }
 
-    /// Montgomery multiplication `a·b·R⁻¹ mod n` for `a`, `b < n`: the
-    /// CIOS method of Koç, Acar and Kaliski (IEEE Micro 1996) with its
-    /// multiply and reduce inner loops fused into one pass (their FIOS),
-    /// which measured faster than the two-loop form at 32 words.
+    /// Montgomery multiplication `a·b·R⁻¹ mod n` for `a < R`, `b < n`:
+    /// the CIOS method of Koç, Acar and Kaliski (IEEE Micro 1996) with
+    /// its multiply and reduce inner loops fused into one pass (their
+    /// FIOS), which measured faster than the two-loop form at 32 words.
     fn mul(&self, a: &[u64; K], b: &[u64; K]) -> [u64; K] {
         let n = &self.n;
         // t[0..K] plus one overflow word t_k; t < 2n throughout.
@@ -685,10 +759,15 @@ impl<const K: usize> Mont<K> {
             t[K - 1] = s as u64;
             t_k = (s >> 64) as u64;
         }
-        // t < 2n here; one conditional subtraction restores t < n.
-        if t_k != 0 || !less_than(&t, n) {
+        self.reduce_once(t, t_k)
+    }
+
+    /// `t + top·R` (which is `< 2n`) reduced below `n` by one
+    /// conditional subtraction: every kernel's last step.
+    fn reduce_once(&self, mut t: [u64; K], top: u64) -> [u64; K] {
+        if top != 0 || !less_than(&t, &self.n) {
             let mut borrow = false;
-            for (tj, &nj) in t.iter_mut().zip(n) {
+            for (tj, &nj) in t.iter_mut().zip(&self.n) {
                 let (d1, b1) = tj.overflowing_sub(nj);
                 let (d2, b2) = d1.overflowing_sub(borrow as u64);
                 *tj = d2;
@@ -699,85 +778,513 @@ impl<const K: usize> Mont<K> {
     }
 
     /// Maps `x` (any magnitude) into the Montgomery domain.
-    fn to_mont(&self, x: &BigUint, modulus: &BigUint) -> [u64; K] {
+    fn to_mont(&self, mm: impl Multiplier<K>, x: &BigUint, modulus: &BigUint) -> [u64; K] {
         let words = if x.cmp_val(modulus) == Ordering::Less {
             load(x)
         } else {
             load(&x.rem(modulus))
         };
-        self.mul(&words, &self.r2)
+        mm.mul(self, &words, &self.r2)
     }
 
     /// Maps a Montgomery-domain value back to the ordinary domain: one
     /// product by 1 strips the factor R.
-    fn mont_to_uint(&self, x: &[u64; K]) -> BigUint {
+    fn mont_to_uint(&self, mm: impl Multiplier<K>, x: &[u64; K]) -> BigUint {
         let mut one = [0; K];
         one[0] = 1;
-        from_words(&self.mul(x, &one))
+        from_words(&mm.mul(self, x, &one))
     }
 
     fn mul_mod(&self, a: &BigUint, b: &BigUint, modulus: &BigUint) -> BigUint {
-        let am = self.to_mont(a, modulus);
-        let bm = self.to_mont(b, modulus);
-        self.mont_to_uint(&self.mul(&am, &bm))
+        let am = self.to_mont(Portable, a, modulus);
+        let bm = self.to_mont(Portable, b, modulus);
+        self.mont_to_uint(Portable, &self.mul(&am, &bm))
     }
 
-    fn mod_pow(&self, base: &BigUint, exp: &BigUint, modulus: &BigUint) -> BigUint {
+    fn mod_pow(
+        &self,
+        mm: impl Multiplier<K>,
+        base: &BigUint,
+        exp: &BigUint,
+        modulus: &BigUint,
+    ) -> BigUint {
         if exp.is_zero() {
             return BigUint::one();
         }
         let bits = exp.bits();
-        let base_m = self.to_mont(base, modulus);
-        // Window width: the 2^w-entry table must amortise over bits/w
-        // multiplies. Small exponents (RSA e = 65537) stay at w = 1 —
-        // plain square-and-multiply beats paying for a table.
-        let w = match bits {
-            0..=96 => 1,
-            97..=512 => 4,
-            _ => MAX_WINDOW,
-        };
+        let base_m = self.to_mont(mm, base, modulus);
+        let w = window(bits);
         if w == 1 {
             // Seed from the (always-set) top bit: no squarings of 1.
             let mut acc = base_m;
             for i in (0..bits - 1).rev() {
-                acc = self.mul(&acc, &acc);
+                acc = mm.sqr(self, &acc);
                 if exp.bit(i) {
-                    acc = self.mul(&acc, &base_m);
+                    acc = mm.mul(self, &acc, &base_m);
                 }
             }
-            return self.mont_to_uint(&acc);
+            return self.mont_to_uint(mm, &acc);
         }
-        // table[i] = base^i in Montgomery form, i in 1..2^w. table[0]
-        // is never read: the first window holds the exponent's set top
-        // bit, and a zero window skips its multiply.
-        let mut table = [[0u64; K]; 1 << MAX_WINDOW];
-        table[1] = base_m;
-        for i in 2..(1usize << w) {
-            table[i] = self.mul(&table[i - 1], &base_m);
+        // odd[k] = base^(2k+1) in Montgomery form, k < 2^(w-1): every
+        // window starts and ends on a set bit, so its value is odd.
+        let mut odd = [[0u64; K]; 1 << (MAX_WINDOW - 1)];
+        odd[0] = base_m;
+        let base_sq = mm.sqr(self, &base_m);
+        for k in 1..1 << (w - 1) {
+            odd[k] = mm.mul(self, &odd[k - 1], &base_sq);
         }
         // Seed the accumulator from the first window instead of
-        // squaring 1 up to it.
-        let mut i = bits;
-        let first = w.min(i);
-        let mut window = 0usize;
-        for _ in 0..first {
-            i -= 1;
-            window = (window << 1) | exp.bit(i) as usize;
-        }
-        let mut acc = table[window];
+        // squaring 1 up to it; `i` counts the bits still to scan.
+        let (value, len) = odd_window(exp, bits, w);
+        let mut acc = odd[value >> 1];
+        let mut i = bits - len;
         while i > 0 {
-            let take = w.min(i);
-            let mut window = 0usize;
-            for _ in 0..take {
+            if !exp.bit(i - 1) {
+                // A zero bit between windows: one squaring.
+                acc = mm.sqr(self, &acc);
                 i -= 1;
-                acc = self.mul(&acc, &acc);
-                window = (window << 1) | exp.bit(i) as usize;
+                continue;
             }
-            if window != 0 {
-                acc = self.mul(&acc, &table[window]);
+            let (value, len) = odd_window(exp, i, w);
+            for _ in 0..len {
+                acc = mm.sqr(self, &acc);
             }
+            acc = mm.mul(self, &acc, &odd[value >> 1]);
+            i -= len;
         }
-        self.mont_to_uint(&acc)
+        self.mont_to_uint(mm, &acc)
+    }
+}
+
+/// The window of `exp` whose top bit is bit `top − 1`, which must be
+/// set: at most `w` bits, trimmed from below to end on a set bit.
+/// Returns its value (odd) and its length in bits.
+fn odd_window(exp: &BigUint, top: usize, w: usize) -> (usize, usize) {
+    let mut low = top.saturating_sub(w);
+    while !exp.bit(low) {
+        low += 1;
+    }
+    let value = (low..top)
+        .rev()
+        .fold(0, |v, i| (v << 1) | exp.bit(i) as usize);
+    (value, top - low)
+}
+
+/// The ADX kernel for 8-word moduli, and the one place in this crate
+/// besides the SHA-256 dispatch that runs `unsafe` code.
+///
+/// Both kernels interleave product and reduction row by row, as the
+/// portable kernel does (CIOS), but each pass runs two carry chains at
+/// once: `adox` (OF) adds the low words of the `mulx` products and
+/// `adcx` (CF) their high words. Row `k` adds its share of the product
+/// into a ten-word window, then a REDC pass picks `m = t0·n'`, adds
+/// `m·n` so the window's lowest word becomes zero, and the window moves
+/// up one word. After eight rows the window holds the result `< 2n`,
+/// which [`Mont::reduce_once`] takes below `n`.
+///
+/// The squaring computes each cross product `a_k·a_j` (k < j) once: row
+/// `k` multiplies `a_k` by `a_k` and by the words of `2·a` above word
+/// `k`, which the prologue doubles once onto the stack. That is 36
+/// multiplies for the product where a multiplication takes 64; the 64
+/// of the reduction are the same in both.
+///
+/// Register plan: `rdx` is `mulx`'s implicit operand, `rax`/`rcx` take
+/// each product's low/high word, `rsi` points at `b` (multiply) or `a`
+/// (squaring), `rbp` at the modulus, and the window is
+/// `rdi, r8..r15, rbx`, rotating one place per row so no word is ever
+/// moved. The multiply keeps `a`'s words in `xmm0..xmm7`, the squaring
+/// its doubled words on the stack. `rbx` and `rbp` cannot be `asm!`
+/// operands, so each block saves and restores them itself.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod adx {
+    use super::{Mont, Multiplier};
+    use std::arch::asm;
+
+    /// Proof that this CPU has BMI2 (`mulx`) and ADX (`adcx`, `adox`):
+    /// the private field means only [`Adx::detect`] can make one.
+    #[derive(Clone, Copy)]
+    pub(super) struct Adx(());
+
+    impl Adx {
+        /// An [`Adx`] when this CPU reports BMI2 and ADX. std caches
+        /// the CPUID answer, so a call costs two relaxed loads.
+        pub(super) fn detect() -> Option<Adx> {
+            (is_x86_feature_detected!("bmi2") && is_x86_feature_detected!("adx")).then_some(Adx(()))
+        }
+    }
+
+    // The kernels read n' as the word right after the modulus.
+    const _: () = assert!(std::mem::offset_of!(Mont<8>, n0_inv) == 64);
+
+    /// One dual-chain step: `rdx · [$ptr + $off]`, its low word added
+    /// into `$lo` on the OF chain and its high word into `$hi` on the
+    /// CF chain.
+    #[rustfmt::skip]
+    macro_rules! step {
+        ($ptr:literal, $off:literal, $lo:literal, $hi:literal) => {
+            concat!(
+                "mulx rcx, rax, qword ptr [", $ptr, " + ", $off, "]\n",
+                "adox ", $lo, ", rax\n",
+                "adcx ", $hi, ", rcx\n",
+            )
+        };
+    }
+
+    /// Folds both chains' carries into the window's top word `$t9`,
+    /// after the last step left OF pending into `$t8`. The window never
+    /// overflows its ten words, so nothing carries out of `$t9`.
+    #[rustfmt::skip]
+    macro_rules! fold_top {
+        ($t8:literal, $t9:literal) => {
+            concat!(
+                "mov eax, 0\n",
+                "adox ", $t8, ", rax\n",
+                "adcx ", $t9, ", rax\n",
+                "adox ", $t9, ", rax\n",
+            )
+        };
+    }
+
+    /// One pass: `rdx` times the eight words at `$ptr`, added into the
+    /// window `$t0..$t9`.
+    macro_rules! pass {
+        ($ptr:literal, $t0:literal, $t1:literal, $t2:literal, $t3:literal, $t4:literal,
+         $t5:literal, $t6:literal, $t7:literal, $t8:literal, $t9:literal) => {
+            concat!(
+                "xor eax, eax\n",
+                step!($ptr, 0, $t0, $t1),
+                step!($ptr, 8, $t1, $t2),
+                step!($ptr, 16, $t2, $t3),
+                step!($ptr, 24, $t3, $t4),
+                step!($ptr, 32, $t4, $t5),
+                step!($ptr, 40, $t5, $t6),
+                step!($ptr, 48, $t6, $t7),
+                step!($ptr, 56, $t7, $t8),
+                fold_top!($t8, $t9),
+            )
+        };
+    }
+
+    /// The REDC pass: `m = $t0·n'` (n' is the word after the modulus
+    /// at `rbp`), then `m·n` added so `$t0` becomes zero. `$t0` is then
+    /// free to be the next row's top word.
+    #[rustfmt::skip]
+    macro_rules! redc {
+        ($t0:literal, $t1:literal, $t2:literal, $t3:literal, $t4:literal,
+         $t5:literal, $t6:literal, $t7:literal, $t8:literal, $t9:literal) => {
+            concat!(
+                "mov rdx, ", $t0, "\n",
+                "imul rdx, qword ptr [rbp + 64]\n",
+                pass!("rbp", $t0, $t1, $t2, $t3, $t4, $t5, $t6, $t7, $t8, $t9),
+            )
+        };
+    }
+
+    /// Row `k` of the multiplication: `a_k` (waiting in `$x`) times all
+    /// of `b` (at `rsi`), then the REDC pass.
+    #[rustfmt::skip]
+    macro_rules! mul_row {
+        ($x:literal, $t0:literal, $t1:literal, $t2:literal, $t3:literal, $t4:literal,
+         $t5:literal, $t6:literal, $t7:literal, $t8:literal, $t9:literal) => {
+            concat!(
+                "movq rdx, ", $x, "\n",
+                pass!("rsi", $t0, $t1, $t2, $t3, $t4, $t5, $t6, $t7, $t8, $t9),
+                redc!($t0, $t1, $t2, $t3, $t4, $t5, $t6, $t7, $t8, $t9),
+            )
+        };
+    }
+
+    /// The head of squaring row `k`: `rdx = a_k` (at `rsi + $off`) and
+    /// `a_k²` into window words `$tk` (low) and `$tk1` (high).
+    #[rustfmt::skip]
+    macro_rules! sqr_head {
+        ($off:literal, $tk:literal, $tk1:literal) => {
+            concat!(
+                "mov rdx, qword ptr [rsi + ", $off, "]\n",
+                "xor eax, eax\n",
+                "mulx rcx, rax, rdx\n",
+                "adox ", $tk, ", rax\n",
+                "adcx ", $tk1, ", rcx\n",
+            )
+        };
+    }
+
+    /// The tail of a squaring row `k < 7`: `a_k·(a_7 >> 63)`, the
+    /// product with the doubled operand's ninth word, waits on the
+    /// stack at `$off`; add it into `$t8` on the OF chain and fold the
+    /// carries into `$t9`.
+    #[rustfmt::skip]
+    macro_rules! sqr_tail {
+        ($off:literal, $t8:literal, $t9:literal) => {
+            concat!(
+                "adox ", $t8, ", qword ptr [rsp + ", $off, "]\n",
+                "mov eax, 0\n",
+                "adcx ", $t9, ", rax\n",
+                "adox ", $t9, ", rax\n",
+            )
+        };
+    }
+
+    /// Zeroes the window `rdi, r8..r15, rbx`.
+    macro_rules! zero_window {
+        () => {
+            concat!(
+                "xor edi, edi\n",
+                "xor r8d, r8d\n",
+                "xor r9d, r9d\n",
+                "xor r10d, r10d\n",
+                "xor r11d, r11d\n",
+                "xor r12d, r12d\n",
+                "xor r13d, r13d\n",
+                "xor r14d, r14d\n",
+                "xor r15d, r15d\n",
+                "xor ebx, ebx\n",
+            )
+        };
+    }
+
+    impl Multiplier<8> for Adx {
+        #[inline]
+        fn mul(self, m: &Mont<8>, a: &[u64; 8], b: &[u64; 8]) -> [u64; 8] {
+            let mut t = [0u64; 8];
+            let top;
+            // SAFETY: `self` exists only after `Adx::detect` found BMI2
+            // and ADX on this CPU, the only extensions beyond x86_64's
+            // baseline (SSE2 `movq`) the block uses. It reads the 8
+            // words of `a` and of `b` (both `[u64; 8]`) and 9 words at
+            // `m`: `n` and, at offset 64 (asserted above), `n0_inv`, all
+            // inside a live `Mont<8>`. It writes no memory but the two
+            // words it pushes, pops them (restoring `rbx`, `rbp` and
+            // `rsp`), and declares every other register it changes.
+            unsafe {
+                asm!(
+                    "push rbx",
+                    "push rbp",
+                    "mov rbp, rcx",
+                    "movq xmm0, qword ptr [rax]",
+                    "movq xmm1, qword ptr [rax + 8]",
+                    "movq xmm2, qword ptr [rax + 16]",
+                    "movq xmm3, qword ptr [rax + 24]",
+                    "movq xmm4, qword ptr [rax + 32]",
+                    "movq xmm5, qword ptr [rax + 40]",
+                    "movq xmm6, qword ptr [rax + 48]",
+                    "movq xmm7, qword ptr [rax + 56]",
+                    zero_window!(),
+                    mul_row!("xmm0", "rdi", "r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15", "rbx"),
+                    mul_row!("xmm1", "r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15", "rbx", "rdi"),
+                    mul_row!("xmm2", "r9", "r10", "r11", "r12", "r13", "r14", "r15", "rbx", "rdi", "r8"),
+                    mul_row!("xmm3", "r10", "r11", "r12", "r13", "r14", "r15", "rbx", "rdi", "r8", "r9"),
+                    mul_row!("xmm4", "r11", "r12", "r13", "r14", "r15", "rbx", "rdi", "r8", "r9", "r10"),
+                    mul_row!("xmm5", "r12", "r13", "r14", "r15", "rbx", "rdi", "r8", "r9", "r10", "r11"),
+                    mul_row!("xmm6", "r13", "r14", "r15", "rbx", "rdi", "r8", "r9", "r10", "r11", "r12"),
+                    mul_row!("xmm7", "r14", "r15", "rbx", "rdi", "r8", "r9", "r10", "r11", "r12", "r13"),
+                    // The result's words are r15, rbx, rdi, r8..r12 and
+                    // its top word r13; word 1 leaves through rax.
+                    "mov rax, rbx",
+                    "pop rbp",
+                    "pop rbx",
+                    inout("rax") a.as_ptr() => t[1],
+                    in("rsi") b.as_ptr(),
+                    inout("rcx") std::ptr::from_ref(m) => _,
+                    out("rdx") _,
+                    out("r15") t[0],
+                    out("rdi") t[2],
+                    out("r8") t[3],
+                    out("r9") t[4],
+                    out("r10") t[5],
+                    out("r11") t[6],
+                    out("r12") t[7],
+                    out("r13") top,
+                    out("r14") _,
+                    out("xmm0") _, out("xmm1") _, out("xmm2") _, out("xmm3") _,
+                    out("xmm4") _, out("xmm5") _, out("xmm6") _, out("xmm7") _,
+                    options(pure, readonly),
+                );
+            }
+            m.reduce_once(t, top)
+        }
+
+        #[inline]
+        fn sqr(self, m: &Mont<8>, a: &[u64; 8]) -> [u64; 8] {
+            let mut t = [0u64; 8];
+            let top;
+            // SAFETY: as for `mul`: BMI2 and ADX were detected before
+            // `self` was made. The block reads the 8 words of `a` and 9
+            // words at `m` (`n`, then `n0_inv` at offset 64). Besides
+            // the two words it pushes it writes only the 160 bytes it
+            // reserves below them, then releases both, restoring `rbx`,
+            // `rbp` and `rsp`; it declares every other register it
+            // changes.
+            unsafe {
+                asm!(
+                    "push rbx",
+                    "push rbp",
+                    "mov rbp, rcx",
+                    "sub rsp, 160",
+                    // a_0..a_7 in r8..r15. On the stack: 2·a_j for
+                    // j = 1..=7 at 8(j-1), the doubled operand's words
+                    // (a_j << 1 | a_{j-1} >> 63) for j = 2..=7 at
+                    // 56 + 8(j-2), and a_k·(a_7 >> 63) for k = 0..=6 at
+                    // 104 + 8k.
+                    "mov r8, qword ptr [rsi]",
+                    "mov r9, qword ptr [rsi + 8]",
+                    "mov r10, qword ptr [rsi + 16]",
+                    "mov r11, qword ptr [rsi + 24]",
+                    "mov r12, qword ptr [rsi + 32]",
+                    "mov r13, qword ptr [rsi + 40]",
+                    "mov r14, qword ptr [rsi + 48]",
+                    "mov r15, qword ptr [rsi + 56]",
+                    "lea rax, [r9 + r9]",
+                    "mov qword ptr [rsp], rax",
+                    "lea rax, [r10 + r10]",
+                    "mov qword ptr [rsp + 8], rax",
+                    "lea rax, [r11 + r11]",
+                    "mov qword ptr [rsp + 16], rax",
+                    "lea rax, [r12 + r12]",
+                    "mov qword ptr [rsp + 24], rax",
+                    "lea rax, [r13 + r13]",
+                    "mov qword ptr [rsp + 32], rax",
+                    "lea rax, [r14 + r14]",
+                    "mov qword ptr [rsp + 40], rax",
+                    "lea rax, [r15 + r15]",
+                    "mov qword ptr [rsp + 48], rax",
+                    "mov rax, r10",
+                    "shld rax, r9, 1",
+                    "mov qword ptr [rsp + 56], rax",
+                    "mov rax, r11",
+                    "shld rax, r10, 1",
+                    "mov qword ptr [rsp + 64], rax",
+                    "mov rax, r12",
+                    "shld rax, r11, 1",
+                    "mov qword ptr [rsp + 72], rax",
+                    "mov rax, r13",
+                    "shld rax, r12, 1",
+                    "mov qword ptr [rsp + 80], rax",
+                    "mov rax, r14",
+                    "shld rax, r13, 1",
+                    "mov qword ptr [rsp + 88], rax",
+                    "mov rax, r15",
+                    "shld rax, r14, 1",
+                    "mov qword ptr [rsp + 96], rax",
+                    "mov rdi, r15",
+                    "sar rdi, 63",
+                    "and r8, rdi",
+                    "mov qword ptr [rsp + 104], r8",
+                    "and r9, rdi",
+                    "mov qword ptr [rsp + 112], r9",
+                    "and r10, rdi",
+                    "mov qword ptr [rsp + 120], r10",
+                    "and r11, rdi",
+                    "mov qword ptr [rsp + 128], r11",
+                    "and r12, rdi",
+                    "mov qword ptr [rsp + 136], r12",
+                    "and r13, rdi",
+                    "mov qword ptr [rsp + 144], r13",
+                    "and r14, rdi",
+                    "mov qword ptr [rsp + 152], r14",
+                    zero_window!(),
+                    // Row k: a_k² at window word k, a_k·2a_{k+1} (no
+                    // carry in from a_k) at k + 1, then the doubled
+                    // words above, then the REDC pass. Row 7 has no
+                    // words above a_7 to double.
+                    sqr_head!(0, "rdi", "r8"),
+                    step!("rsp", 0, "r8", "r9"),
+                    step!("rsp", 56, "r9", "r10"),
+                    step!("rsp", 64, "r10", "r11"),
+                    step!("rsp", 72, "r11", "r12"),
+                    step!("rsp", 80, "r12", "r13"),
+                    step!("rsp", 88, "r13", "r14"),
+                    step!("rsp", 96, "r14", "r15"),
+                    sqr_tail!(104, "r15", "rbx"),
+                    redc!("rdi", "r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15", "rbx"),
+                    sqr_head!(8, "r9", "r10"),
+                    step!("rsp", 8, "r10", "r11"),
+                    step!("rsp", 64, "r11", "r12"),
+                    step!("rsp", 72, "r12", "r13"),
+                    step!("rsp", 80, "r13", "r14"),
+                    step!("rsp", 88, "r14", "r15"),
+                    step!("rsp", 96, "r15", "rbx"),
+                    sqr_tail!(112, "rbx", "rdi"),
+                    redc!("r8", "r9", "r10", "r11", "r12", "r13", "r14", "r15", "rbx", "rdi"),
+                    sqr_head!(16, "r11", "r12"),
+                    step!("rsp", 16, "r12", "r13"),
+                    step!("rsp", 72, "r13", "r14"),
+                    step!("rsp", 80, "r14", "r15"),
+                    step!("rsp", 88, "r15", "rbx"),
+                    step!("rsp", 96, "rbx", "rdi"),
+                    sqr_tail!(120, "rdi", "r8"),
+                    redc!("r9", "r10", "r11", "r12", "r13", "r14", "r15", "rbx", "rdi", "r8"),
+                    sqr_head!(24, "r13", "r14"),
+                    step!("rsp", 24, "r14", "r15"),
+                    step!("rsp", 80, "r15", "rbx"),
+                    step!("rsp", 88, "rbx", "rdi"),
+                    step!("rsp", 96, "rdi", "r8"),
+                    sqr_tail!(128, "r8", "r9"),
+                    redc!("r10", "r11", "r12", "r13", "r14", "r15", "rbx", "rdi", "r8", "r9"),
+                    sqr_head!(32, "r15", "rbx"),
+                    step!("rsp", 32, "rbx", "rdi"),
+                    step!("rsp", 88, "rdi", "r8"),
+                    step!("rsp", 96, "r8", "r9"),
+                    sqr_tail!(136, "r9", "r10"),
+                    redc!("r11", "r12", "r13", "r14", "r15", "rbx", "rdi", "r8", "r9", "r10"),
+                    sqr_head!(40, "rdi", "r8"),
+                    step!("rsp", 40, "r8", "r9"),
+                    step!("rsp", 96, "r9", "r10"),
+                    sqr_tail!(144, "r10", "r11"),
+                    redc!("r12", "r13", "r14", "r15", "rbx", "rdi", "r8", "r9", "r10", "r11"),
+                    sqr_head!(48, "r9", "r10"),
+                    step!("rsp", 48, "r10", "r11"),
+                    sqr_tail!(152, "r11", "r12"),
+                    redc!("r13", "r14", "r15", "rbx", "rdi", "r8", "r9", "r10", "r11", "r12"),
+                    sqr_head!(56, "r11", "r12"),
+                    fold_top!("r12", "r13"),
+                    redc!("r14", "r15", "rbx", "rdi", "r8", "r9", "r10", "r11", "r12", "r13"),
+                    "mov rax, rbx",
+                    "add rsp, 160",
+                    "pop rbp",
+                    "pop rbx",
+                    in("rsi") a.as_ptr(),
+                    inout("rcx") std::ptr::from_ref(m) => _,
+                    out("rax") t[1],
+                    out("rdx") _,
+                    out("r15") t[0],
+                    out("rdi") t[2],
+                    out("r8") t[3],
+                    out("r9") t[4],
+                    out("r10") t[5],
+                    out("r11") t[6],
+                    out("r12") t[7],
+                    out("r13") top,
+                    out("r14") _,
+                    options(pure, readonly),
+                );
+            }
+            m.reduce_once(t, top)
+        }
+    }
+}
+
+/// Off x86_64 there is no ADX kernel: [`Adx::detect`] never finds one.
+#[cfg(not(target_arch = "x86_64"))]
+mod adx {
+    use super::{Mont, Multiplier};
+
+    /// Uninhabited: no value proves ADX here.
+    #[derive(Clone, Copy)]
+    pub(super) enum Adx {}
+
+    impl Adx {
+        /// Always `None`.
+        pub(super) fn detect() -> Option<Adx> {
+            None
+        }
+    }
+
+    impl Multiplier<8> for Adx {
+        fn mul(self, _: &Mont<8>, _: &[u64; 8], _: &[u64; 8]) -> [u64; 8] {
+            match self {}
+        }
     }
 }
 
@@ -1252,6 +1759,141 @@ mod tests {
             .shl(MontgomeryContext::MAX_BITS + 1)
             .add(&b(1));
         b(3).mod_pow(&b(65537), &wide);
+    }
+
+    // --- The ADX kernel, at the 8-word width of a 1024-bit key's CRT
+    // primes, against the portable kernel.
+
+    /// 8-word moduli: random 512-bit ones (top word ≥ 2^63), all-ones
+    /// words, an all-ones top word over random low words, the sparse
+    /// 2^511 + 1, and narrower moduli that pad up to 8 words.
+    fn moduli_8(rng: &mut XorShift64) -> Vec<BigUint> {
+        let all_ones = BigUint::one().shl(512).sub(&BigUint::one());
+        let mut top_ones = from_words(&[u64::MAX]).shl(448).add(&random_bits(rng, 440));
+        if top_ones.is_even() {
+            top_ones = top_ones.add(&BigUint::one());
+        }
+        vec![
+            random_odd_modulus(rng, 512),
+            random_odd_modulus(rng, 512),
+            random_odd_modulus(rng, 512),
+            all_ones,
+            top_ones,
+            BigUint::one().shl(511).add(&BigUint::one()),
+            random_odd_modulus(rng, 448),
+            random_odd_modulus(rng, 258),
+        ]
+    }
+
+    /// A uniform-ish value below `n` (of `bits` bits) as 8 words: random
+    /// words cut to `bits` bits, so below 2n, then reduced once.
+    fn random_below(rng: &mut XorShift64, m: &Mont<8>, bits: usize) -> [u64; 8] {
+        let mut w = [0u64; 8];
+        for (i, word) in w.iter_mut().enumerate() {
+            let held = bits.saturating_sub(64 * i).min(64);
+            if held > 0 {
+                *word = rng.next_u64() >> (64 - held);
+            }
+        }
+        m.reduce_once(w, 0)
+    }
+
+    #[test]
+    fn adx_kernel_matches_portable_at_8_words() {
+        let Some(adx) = adx::Adx::detect() else {
+            eprintln!("this CPU lacks BMI2 or ADX: the ADX kernel cannot run here");
+            return;
+        };
+        let mut rng = XorShift64::seed_from_u64(88);
+        for n in moduli_8(&mut rng) {
+            let m = Mont::<8>::new(&n);
+            assert_eq!(load::<8>(&n)[7] >> 63, (n.bits() == 512) as u64);
+            let below = |x: &BigUint| load::<8>(&x.rem(&n));
+            let ones = from_words(&[u64::MAX; 8]);
+            let edges = [
+                [0; 8],
+                below(&BigUint::one()),
+                below(&n.sub(&BigUint::one())),
+                below(&BigUint::one().shl(512)),
+                below(&ones),
+                below(&from_words(&[
+                    u64::MAX,
+                    0,
+                    u64::MAX,
+                    0,
+                    u64::MAX,
+                    0,
+                    u64::MAX,
+                    0,
+                ])),
+            ];
+            for a in &edges {
+                assert_eq!(adx.sqr(&m, a), m.mul(a, a), "n={n} a={a:x?}");
+                for b in &edges {
+                    assert_eq!(adx.mul(&m, a, b), m.mul(a, b), "n={n} a={a:x?} b={b:x?}");
+                }
+                // The multiplier may be any 8 words, reduced or not.
+                let wide = [u64::MAX; 8];
+                assert_eq!(adx.mul(&m, &wide, a), m.mul(&wide, a), "n={n} b={a:x?}");
+            }
+            for _ in 0..10_000 {
+                let a = random_below(&mut rng, &m, n.bits());
+                let b = random_below(&mut rng, &m, n.bits());
+                assert_eq!(
+                    adx.mul(&m, &a, &b),
+                    m.mul(&a, &b),
+                    "n={n} a={a:x?} b={b:x?}"
+                );
+                assert_eq!(adx.sqr(&m, &a), m.mul(&a, &a), "n={n} a={a:x?}");
+            }
+        }
+    }
+
+    #[test]
+    fn mod_pow_at_8_words_matches_classic_for_every_exponent_length() {
+        // For each length 1..=600: the 600-bit dense exponent's top
+        // `len` bits, the all-ones `2^len - 1` and the sparse
+        // `2^(len-1) + 1`. Each oracle grows one bit per length the way
+        // `mod_pow_classic` walks an exponent (square, then multiply on
+        // a set bit), and `mod_pow_classic` itself checks every 50th.
+        let mut rng = XorShift64::seed_from_u64(99);
+        let n = random_odd_modulus(&mut rng, 512);
+        let ctx = MontgomeryContext::new(&n).expect("odd modulus");
+        let base = random_bits(&mut rng, 600);
+        let x = base.rem(&n);
+        let dense = random_bits(&mut rng, 600);
+        let (mut want_dense, mut want_ones, mut x_top) =
+            (BigUint::one(), BigUint::one(), BigUint::one());
+        for len in 1..=600 {
+            want_dense = want_dense.mul_mod(&want_dense, &n);
+            if dense.bit(600 - len) {
+                want_dense = want_dense.mul_mod(&x, &n);
+            }
+            want_ones = want_ones.mul_mod(&want_ones, &n).mul_mod(&x, &n);
+            // x_top = x^(2^(len-1)).
+            x_top = if len == 1 {
+                x.clone()
+            } else {
+                x_top.mul_mod(&x_top, &n)
+            };
+            let all_ones = BigUint::one().shl(len).sub(&BigUint::one());
+            let mut cases = vec![
+                (dense.shr(600 - len), want_dense.clone()),
+                (all_ones, want_ones.clone()),
+            ];
+            if len > 1 {
+                let sparse = BigUint::one().shl(len - 1).add(&BigUint::one());
+                cases.push((sparse, x_top.mul_mod(&x, &n)));
+            }
+            for (exp, want) in cases {
+                assert_eq!(exp.bits(), len);
+                assert_eq!(ctx.mod_pow(&base, &exp), want, "exp={exp}");
+                assert_eq!(ctx.mod_pow_portable(&base, &exp), want, "exp={exp}");
+                if len % 50 == 0 {
+                    assert_eq!(base.mod_pow_classic(&exp, &n), want, "exp={exp}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -11,9 +11,13 @@
 //! * [`bigint::BigUint`] — arbitrary-precision arithmetic (Knuth D
 //!   division, modular inverse) with a Montgomery fast path for modular
 //!   exponentiation: [`bigint::MontgomeryContext`] precomputes the
-//!   domain parameters per modulus and runs a fixed-window ladder over
-//!   one allocation-free 64-bit CIOS kernel, fixed at the modulus's
-//!   width of 4 to 64 words.
+//!   domain parameters per modulus and runs an allocation-free
+//!   sliding-window ladder, fixed at the modulus's width of 4 to 64
+//!   words. An 8-word modulus (a 1024-bit key's CRT primes) runs a
+//!   `mulx`/`adcx`/`adox` kernel when the CPU reports BMI2 and ADX, and
+//!   every other modulus the portable 64-bit CIOS kernel
+//!   ([`bigint::backend`] names which); results are identical either
+//!   way.
 //! * [`prime`] — Miller–Rabin testing and RSA prime generation.
 //! * [`rsa`] — RSASSA-PKCS1-v1.5 (SHA-1/SHA-256) and RSAES-PKCS1-v1.5,
 //!   with [`rsa::RsaVerifier`] holding the per-key precomputation for
@@ -40,11 +44,17 @@
 //! reproduction. Do not reuse this crate outside the simulation.
 //!
 //! The crate denies `unsafe` code and documents every `unsafe` block.
-//! The one exemption is the SHA-256 dispatch: it calls the
-//! `#[target_feature]` SHA-NI kernel only after runtime detection has
-//! confirmed the features that kernel enables. The kernel itself is
-//! safe code with no raw-pointer access, and the portable compression
-//! is its test oracle.
+//! There are two exemptions, each entered only after runtime detection
+//! has confirmed the CPU features its kernel uses, and each with its
+//! portable code as the test oracle:
+//!
+//! * the SHA-256 dispatch calls the `#[target_feature]` SHA-NI kernel,
+//!   which is itself safe code with no raw-pointer access;
+//! * the Montgomery kernel for 8-word moduli runs two `asm!` blocks on
+//!   `mulx`/`adcx`/`adox` (BMI2 and ADX), reachable only through a
+//!   token that detection alone creates. Each reads only its fixed
+//!   8-word operands and the 9 words of modulus and `n'`, and writes
+//!   only stack it reserves and releases itself.
 //!
 //! # Example
 //!

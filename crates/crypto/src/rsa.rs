@@ -609,13 +609,22 @@ mod tests {
         );
     }
 
+    /// The fixed-seed key at the paper's size, cached like
+    /// [`test_key`].
+    fn key_1024() -> &'static RsaPrivateKey {
+        static KEY: OnceLock<RsaPrivateKey> = OnceLock::new();
+        KEY.get_or_init(|| {
+            let mut rng = XorShift64::seed_from_u64(1024);
+            RsaPrivateKey::generate(1024, &mut rng)
+        })
+    }
+
     #[test]
     fn crt_signature_equals_classic_exponentiation() {
         // A fixed-seed key at the paper's size: the CRT path over the
         // Montgomery kernel must produce exactly `m^d mod n`, byte for
         // byte, as computed by the division-based reference.
-        let mut rng = XorShift64::seed_from_u64(1024);
-        let key = RsaPrivateKey::generate(1024, &mut rng);
+        let key = key_1024();
         let k = key.public_key().modulus_len();
         let long = [0xA5u8; 300];
         for msg in [&b""[..], b"GPS sample (40.1, -88.2) @ t=12.0", &long] {
@@ -628,6 +637,29 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn fixed_seed_1024_bit_signatures_are_pinned() {
+        // Known answers, recorded before the ADX kernel and the sliding
+        // window existed: whichever kernel this CPU runs, PKCS#1 v1.5
+        // signatures stay byte-identical.
+        let hex = |sig: Vec<u8>| sig.iter().map(|b| format!("{b:02x}")).collect::<String>();
+        let msg = b"GPS sample (40.1, -88.2) @ t=12.0";
+        assert_eq!(
+            hex(key_1024().sign(msg, HashAlg::Sha1).unwrap()),
+            "c8131547473103cbc68a3139fc35ccfa4b4759974cec2c24699417eac643cdb2\
+             200735d7d010d3f46e59ecdfce72a98e164eade7eaa86f1fab97a202b0d38c59\
+             ef98ad51b390e56aead31d08d7664f914c9a7a76879d2d449c1c8a8c14b884b0\
+             536b373708f92ac02430ecb854a7352439d85184fa88d2337bd7499037973612"
+        );
+        assert_eq!(
+            hex(key_1024().sign(msg, HashAlg::Sha256).unwrap()),
+            "499812e5de72cc501706f4a1c4e7c1206da442711bd60dec6e779a14d2cbb197\
+             e55fa0b1207b1f4bcb49f70bc8379a88249565a98e617249a76fa83cb1505e9b\
+             d5e17cdba43e263f4fd8856a3dd452f6063bc572b7eface09af4d16e309bbf5b\
+             1f9fbc5788eab8a45f136bc0fd04f4087c7b2b887bae4e8956ef3a4f878f1fe0"
+        );
     }
 
     #[test]

@@ -142,17 +142,27 @@ impl ZoneSet {
     /// Nearness is by signed boundary distance, so a zone that `p` is
     /// inside (negative distance) always wins.
     pub fn nearest(&self, p: &GeoPoint) -> Option<&NoFlyZone> {
-        self.zones.iter().min_by(|a, b| {
-            a.boundary_distance(p)
-                .meters()
-                .total_cmp(&b.boundary_distance(p).meters())
-        })
+        self.nearest_with_distance(p).map(|(zone, _)| zone)
     }
 
     /// Signed distance from `p` to the nearest zone boundary, or `None`
     /// for an empty set. This is the quantity plotted in Fig. 8(a).
     pub fn nearest_boundary_distance(&self, p: &GeoPoint) -> Option<Distance> {
-        self.nearest(p).map(|z| z.boundary_distance(p))
+        self.nearest_with_distance(p).map(|(_, d)| d)
+    }
+
+    /// The [`nearest`](Self::nearest) zone together with its signed
+    /// boundary distance from `p`, in one scan that measures each zone
+    /// once. Of zones at the same distance, the first in the set wins.
+    pub fn nearest_with_distance(&self, p: &GeoPoint) -> Option<(&NoFlyZone, Distance)> {
+        let mut best: Option<(&NoFlyZone, Distance)> = None;
+        for zone in &self.zones {
+            let d = zone.boundary_distance(p);
+            if best.is_none_or(|(_, b)| d.meters().total_cmp(&b.meters()).is_lt()) {
+                best = Some((zone, d));
+            }
+        }
+        best
     }
 
     /// `true` if `p` is inside any zone.
@@ -272,6 +282,29 @@ mod tests {
         let q = p(40.0, -88.0);
         let n = zs.nearest(&q).unwrap();
         assert!(n.contains(&q));
+    }
+
+    #[test]
+    fn nearest_tie_goes_to_the_first_zone() {
+        // Two zones of one radius mirrored across q's meridian: their
+        // longitude offsets differ only in sign, so the distances tie
+        // exactly, and the scan keeps the first, as `Iterator::min_by`
+        // does.
+        let west = zone(40.0, -0.001, 50.0);
+        let east = zone(40.0, 0.001, 50.0);
+        let q = p(40.0, 0.0);
+        assert_eq!(
+            west.boundary_distance(&q).meters(),
+            east.boundary_distance(&q).meters()
+        );
+        for (first, second) in [(west, east), (east, west)] {
+            let zs: ZoneSet = [first, second].into_iter().collect();
+            let (n, d) = zs.nearest_with_distance(&q).unwrap();
+            assert_eq!(n.center(), first.center());
+            assert_eq!(zs.nearest(&q).unwrap().center(), first.center());
+            assert_eq!(d, first.boundary_distance(&q));
+            assert_eq!(zs.nearest_boundary_distance(&q), Some(d));
+        }
     }
 
     #[test]
