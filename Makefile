@@ -102,8 +102,10 @@ soak-smoke:
 
 # Kill-the-primary failover gate: tests/failover.rs — a widened
 # replication chaos campaign (400 seeds by default, against the 40 of
-# `cargo test`; FAILOVER_SEEDS overrides), the leader-completeness
-# regression test, the restart regression tests
+# `cargo test`; FAILOVER_SEEDS overrides) whose served-head invariant
+# requires every signed tree head fetched from each primary to extend
+# to the final primary's head, the leader-completeness regression
+# test, a_failed_quorum_write_is_never_served, the restart regression tests
 # (promotion_after_a_compacted_follower_restart_keeps_every_acked_record,
 # promotion_passes_over_a_follower_whose_image_is_corrupt,
 # promotion_passes_over_a_compacted_follower_that_lost_its_snapshot) and the

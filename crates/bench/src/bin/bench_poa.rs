@@ -537,7 +537,6 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
                     size: chain.size(),
                     root: chain.root(),
                     sig: vec![0x5A; 128],
-                    tee_sig: Vec::new(),
                 };
                 journal.append_record(&checkpoint).expect("append");
             }

@@ -243,13 +243,10 @@ pub struct SignedTreeHead {
     /// RSA-SHA256 signature by the auditor key over
     /// [`signing_bytes`](SignedTreeHead::signing_bytes).
     pub signature: Vec<u8>,
-    /// Optional TEE countersignature over the same bytes (empty when
-    /// no enclave countersigner is installed).
-    pub tee_signature: Vec<u8>,
 }
 
 impl SignedTreeHead {
-    /// The exact bytes both signatures cover:
+    /// The exact bytes the signature covers:
     /// `"ALDSTH01" ‖ size_be ‖ root ‖ chain_head`.
     pub fn signing_bytes(size: u64, root: &Hash, chain_head: &Hash) -> Vec<u8> {
         let mut out = Vec::with_capacity(STH_DOMAIN.len() + 8 + 2 * HASH_LEN);
@@ -278,7 +275,6 @@ impl SignedTreeHead {
             root,
             chain_head,
             signature,
-            tee_signature: Vec::new(),
         })
     }
 
@@ -286,18 +282,6 @@ impl SignedTreeHead {
     pub fn verify(&self, key: &RsaPublicKey) -> bool {
         let msg = SignedTreeHead::signing_bytes(self.size, &self.root, &self.chain_head);
         key.verify(&msg, &self.signature, HashAlg::Sha256).is_ok()
-    }
-
-    /// Verifies the TEE countersignature under the enclave key. `false`
-    /// when no countersignature is present.
-    pub fn verify_countersignature(&self, tee_key: &RsaPublicKey) -> bool {
-        if self.tee_signature.is_empty() {
-            return false;
-        }
-        let msg = SignedTreeHead::signing_bytes(self.size, &self.root, &self.chain_head);
-        tee_key
-            .verify(&msg, &self.tee_signature, HashAlg::Sha256)
-            .is_ok()
     }
 }
 
@@ -347,12 +331,25 @@ pub struct AuditChain {
     levels: Vec<Vec<Hash>>,
 }
 
-/// An earlier state of an [`AuditChain`] to roll back to: its size and
-/// chain head at the time [`AuditChain::mark`] was called.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// An earlier state of an [`AuditChain`] to roll back to, or to sign a
+/// tree head at: its size and chain head at the time
+/// [`AuditChain::mark`] was called.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct ChainMark {
     size: u64,
     head: Hash,
+}
+
+impl ChainMark {
+    /// Entries the chain held.
+    pub(crate) fn size(&self) -> u64 {
+        self.size
+    }
+
+    /// The chain head after its last entry.
+    pub(crate) fn head(&self) -> Hash {
+        self.head
+    }
 }
 
 impl Default for AuditChain {
@@ -890,8 +887,6 @@ mod tests {
         let mut bad = sth.clone();
         bad.chain_head[31] ^= 1;
         assert!(!bad.verify(key.public_key()));
-        // No countersignature installed: the TEE check reports absent.
-        assert!(!sth.verify_countersignature(key.public_key()));
     }
 
     #[test]

@@ -2,19 +2,25 @@
 //!
 //! # Concurrency
 //!
-//! Every protocol entry point takes `&self`: the auditor's mutable state
-//! is sharded behind interior locks (one lock per registry — drones,
-//! zones, anti-replay nonces, the PoA log — plus atomic id counters), so
-//! one instance can serve many threads through an
-//! `Arc<AuditorServer>`. The expensive work — RSA signature checks,
+//! Every protocol entry point takes `&self`, so one instance can serve
+//! many threads through an `Arc<AuditorServer>`. State changes in one
+//! write step, under the journal lock: it builds the journal record
+//! (issuing any drone or zone id), appends it, advances the audit chain
+//! and replicates it. Then every record up to the commit point — the
+//! offset a replication quorum acked, or the journal's end when no
+//! quorum is required — is applied through `apply_record`, the function
+//! recovery replays a journal with; nothing else writes the registries.
+//! So every reader (zone queries, verification, accusations, tree heads
+//! and proofs) sees committed records only. The registries sit behind
+//! their own locks, and the expensive work — RSA signature checks,
 //! reachable-set geometry — runs on snapshots taken under a read lock
 //! and released before verification starts, so verification never
-//! serialises behind registrations.
+//! serialises behind writes.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 
 use alidrone_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
@@ -27,7 +33,7 @@ use alidrone_geo::{
 use alidrone_obs::{Histogram, Level, Obs};
 use alidrone_tee::SignedSample;
 
-use crate::audit::{AuditChain, ConsistencyProof, InclusionProof, SignedTreeHead};
+use crate::audit::{AuditChain, ChainMark, ConsistencyProof, InclusionProof, SignedTreeHead};
 use crate::identity::Registration;
 use crate::journal::{
     self, advance_chain, FrameError, Frames, Journal, JournalError, Record, Step, Stop,
@@ -44,6 +50,23 @@ use crate::{DroneId, ProtocolError, ZoneId};
 /// above this size — below it, per-batch coordination costs more than
 /// the parallelism recovers.
 const MIN_BATCH: usize = 4;
+
+// Every lock here is taken through these, which recover from poisoning
+// instead of panicking: every write section is one non-panicking map,
+// set or `Vec` operation, so poisoning can only mean a *reader*
+// panicked — the data underneath is structurally sound.
+
+fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
+    lock.read().unwrap_or_else(|p| p.into_inner())
+}
+
+fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
+    lock.write().unwrap_or_else(|p| p.into_inner())
+}
+
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|p| p.into_inner())
+}
 
 /// Auditor policy knobs.
 #[derive(Debug, Clone)]
@@ -78,41 +101,31 @@ impl Default for AuditorConfig {
     }
 }
 
-/// Produces a TEE countersignature over a checkpoint's signing bytes,
-/// or `None` when the enclave declines (see
-/// [`Auditor::set_checkpoint_countersigner`]).
-pub type CheckpointCountersigner = Arc<dyn Fn(&[u8]) -> Option<Vec<u8>> + Send + Sync>;
-
 /// The tamper-evidence state (see [`crate::audit`]): the hash chain and
-/// Merkle leaves over every audited record, plus proof-serving caches.
+/// Merkle leaves over every appended audited record, and what is served
+/// from them, which moves only when a committed record is applied.
+#[derive(Default)]
 struct AuditState {
+    /// Runs ahead of `committed` by the pending audited records.
     chain: AuditChain,
-    /// Tree size covered by the last journaled checkpoint.
+    /// Size and head at the commit point, where heads are served.
+    committed: ChainMark,
+    /// Tree size covered by the last committed checkpoint.
     checkpoint_size: u64,
     /// Latest `PoaStored` leaf index per drone — what an inclusion
     /// proof for "my verdict" resolves to.
     verdict_leaves: BTreeMap<DroneId, u64>,
-    /// Cached signed tree head (signing is RSA-priced); invalidated by
-    /// size on every chain append.
+    /// Signed head at the committed size (signing is RSA-priced).
     sth: Option<SignedTreeHead>,
 }
 
 impl AuditState {
-    fn empty() -> AuditState {
-        AuditState {
-            chain: AuditChain::new(),
-            checkpoint_size: 0,
-            verdict_leaves: BTreeMap::new(),
-            sth: None,
-        }
-    }
-
-    /// Keeps the proof-serving bookkeeping beside the chain once
-    /// `record` moved it by `step`.
-    fn note(&mut self, record: &Record, step: Step) {
+    /// Moves the served state past a committed record: a verdict of
+    /// `verdict_of`, or a checkpoint over `checkpoint` leaves.
+    fn note(&mut self, step: Step, verdict_of: Option<DroneId>, checkpoint: Option<u64>) {
         match step {
             // The snapshot before it already carried the chain.
-            Step::State => return,
+            Step::State => {}
             Step::Reseed {
                 checkpoint_size,
                 verdict_leaves,
@@ -121,18 +134,110 @@ impl AuditState {
                 self.checkpoint_size = checkpoint_size;
                 self.verdict_leaves = verdict_leaves;
             }
-            Step::Chain { size: entries } => match record {
-                Record::PoaStored { drone, .. } => {
-                    self.verdict_leaves
-                        .insert(DroneId::new(*drone), entries - 1);
+            Step::Chain(mark) => {
+                if let Some(drone) = verdict_of {
+                    self.verdict_leaves.insert(drone, mark.size() - 1);
                 }
-                Record::AuditCheckpoint { size, .. } => {
-                    self.checkpoint_size = (*size).max(self.checkpoint_size);
-                }
-                _ => {}
-            },
+                self.checkpoint_size = checkpoint.unwrap_or(0).max(self.checkpoint_size);
+                self.committed = mark;
+            }
         }
-        self.sth = None;
+    }
+
+    /// `size`, or the committed size for 0, within the committed tree.
+    fn served_size(&self, size: u64) -> Result<u64, ProtocolError> {
+        match size {
+            0 => Ok(self.committed.size()),
+            s if s <= self.committed.size() => Ok(s),
+            _ => Err(ProtocolError::Malformed("audit proof range")),
+        }
+    }
+}
+
+/// The write side: the journal (`None` in memory, or once an append
+/// failed) and the records past the commit point, oldest first, each
+/// with the journal offset it ends at, how it moved the chain, and its
+/// decoded change.
+#[derive(Default)]
+struct Log {
+    journal: Option<Journal>,
+    pending: VecDeque<(u64, Step, Change)>,
+}
+
+/// What one record changes in memory, decoded from its bytes: the half
+/// of applying it that can fail. The write step decodes before it
+/// appends, so every record this process writes applies.
+enum Change {
+    Drone(u64, Registration),
+    Zone(u64, NoFlyZone),
+    Nonce(DroneId, [u8; 16]),
+    Stored(StoredPoa),
+    Purge(f64),
+    Epoch(u64),
+    Checkpoint(u64),
+    /// A snapshot head: the audit chain took it, and its state arrives
+    /// as the ordinary records after it.
+    Snapshot,
+}
+
+impl Change {
+    /// Decodes `record`. Recovery refuses a journal with a record that
+    /// does not decode; the write step refuses to append one.
+    fn decode(record: &Record) -> Result<Change, ProtocolError> {
+        use alidrone_crypto::bigint::BigUint;
+        use alidrone_geo::{Distance, GeoPoint};
+        Ok(match record {
+            Record::RegisterDrone {
+                id,
+                op_modulus,
+                op_exponent,
+                tee_modulus,
+                tee_exponent,
+            } => {
+                let key = |n: &[u8], e: &[u8]| {
+                    RsaPublicKey::new(BigUint::from_bytes_be(n), BigUint::from_bytes_be(e))
+                };
+                let op = key(op_modulus, op_exponent)?;
+                Change::Drone(*id, Registration::new(op, key(tee_modulus, tee_exponent)?))
+            }
+            Record::RegisterZone {
+                id,
+                lat_deg,
+                lon_deg,
+                radius_m,
+            } => {
+                let center = GeoPoint::new(*lat_deg, *lon_deg)?;
+                Change::Zone(
+                    *id,
+                    NoFlyZone::try_new(center, Distance::from_meters(*radius_m))?,
+                )
+            }
+            Record::NonceUsed { drone, nonce } => Change::Nonce(DroneId::new(*drone), *nonce),
+            Record::PoaStored {
+                drone,
+                window_start,
+                window_end,
+                poa,
+                verdict,
+                stored_at,
+            } => {
+                let mut r = Reader::new(verdict);
+                let verdict = crate::wire::get_verdict(&mut r)?;
+                r.finish()?;
+                let at = |secs: &f64| Timestamp::from_secs(*secs);
+                Change::Stored(StoredPoa {
+                    drone_id: DroneId::new(*drone),
+                    window: (at(window_start), at(window_end)),
+                    poa: ProofOfAlibi::from_bytes(poa)?,
+                    verdict,
+                    stored_at: at(stored_at),
+                })
+            }
+            Record::Purge { before } => Change::Purge(*before),
+            Record::Epoch(epoch) => Change::Epoch(*epoch),
+            Record::AuditCheckpoint { size, .. } => Change::Checkpoint(*size),
+            Record::Snapshot(_) => Change::Snapshot,
+        })
     }
 }
 
@@ -288,10 +393,10 @@ struct ZoneRegistry {
 }
 
 impl ZoneRegistry {
-    /// Puts `zone` at `id`'s place in id order. Ids are issued before
-    /// the registry lock is taken, and replay may meet them out of
-    /// order, so that place is not always the end. An id already
-    /// present is overwritten, as a map insert would.
+    /// Puts `zone` at `id`'s place in id order: the end for every
+    /// journal the auditor writes, since ids are issued in append
+    /// order, but not for one written out of order by hand. An id
+    /// already present is overwritten, as a map insert would.
     fn insert(&mut self, id: ZoneId, zone: NoFlyZone) {
         match self.ids.binary_search(&id) {
             Ok(i) => self.set.as_mut_slice()[i] = zone,
@@ -343,10 +448,9 @@ pub struct Auditor {
     /// on the verification path, so its tail is worth watching
     /// separately from verify CPU.
     journal_append_latency: Arc<Histogram>,
-    /// Write-ahead journal for durable state mutations. `None` when the
-    /// auditor runs in-memory only, or after an append failure disabled
-    /// journaling (see [`journal_append`](Self::journal_append)).
-    journal: Mutex<Option<Journal>>,
+    /// The write-ahead journal and the records pending in it: every
+    /// state change takes this lock (see [`write`](Self::write)).
+    log: Mutex<Log>,
     /// The error that disabled journaling, if any.
     journal_error: Mutex<Option<JournalError>>,
     /// Leadership epoch this auditor writes under (0 = never part of a
@@ -363,9 +467,6 @@ pub struct Auditor {
     /// [`crate::audit`]). Advanced under the journal lock so chain
     /// order always matches journal append order.
     audit: Mutex<AuditState>,
-    /// Optional TEE countersigner for Merkle checkpoints, installed
-    /// once (normally by the server builder from an enclave client).
-    checkpoint_countersigner: OnceLock<CheckpointCountersigner>,
 }
 
 /// What [`Auditor::recover`] found in the journal.
@@ -409,13 +510,12 @@ impl Auditor {
             verify_latency: obs.histogram("auditor.verify_latency_us"),
             decrypt_latency: obs.histogram("auditor.decrypt_latency_us"),
             journal_append_latency: obs.histogram("auditor.journal_append_latency_us"),
-            journal: Mutex::new(None),
+            log: Mutex::default(),
             journal_error: Mutex::new(None),
             epoch: AtomicU64::new(0),
             replicator: OnceLock::new(),
             verify_pool: OnceLock::new(),
-            audit: Mutex::new(AuditState::empty()),
-            checkpoint_countersigner: OnceLock::new(),
+            audit: Mutex::default(),
         }
     }
 
@@ -475,7 +575,7 @@ impl Auditor {
         let mut snapshot_loaded = false;
         let walk = journal::walk(Frames::image(&image), &mut chain, |record, step| {
             snapshot_loaded |= matches!(record, Record::Snapshot(_));
-            auditor.apply_record(record, step)
+            Change::decode(record).map(|change| auditor.apply_record(change, step))
         });
         // A cut-short final frame is a crash's torn write, cut away once
         // the walk succeeded; any other stop is damage or tampering
@@ -489,11 +589,10 @@ impl Auditor {
             Some(Stop::Refused(e)) => return Err(e),
         };
         let journal = Journal::open(backend, &image, clean)?;
-        auditor
-            .audit
-            .get_mut()
-            .unwrap_or_else(|p| p.into_inner())
-            .chain = chain;
+        // Everything recovered is committed.
+        let audit = auditor.audit.get_mut().unwrap_or_else(|p| p.into_inner());
+        audit.committed = chain.mark();
+        audit.chain = chain;
         let report = RecoveryReport {
             records_applied: walk.records as usize,
             snapshot_loaded,
@@ -510,122 +609,87 @@ impl Auditor {
             f.field("records_applied", report.records_applied);
             f.field("snapshot_loaded", report.snapshot_loaded);
         });
-        *auditor.journal.lock().unwrap_or_else(|p| p.into_inner()) = Some(journal);
+        auditor
+            .log
+            .get_mut()
+            .unwrap_or_else(|p| p.into_inner())
+            .journal = Some(journal);
         Ok((auditor, report))
     }
 
-    /// Applies one replayed journal record, which moved the recovery
-    /// walk's chain by `step`, to in-memory state *without*
-    /// re-journaling it. Id counters advance past every replayed id so
-    /// new registrations never collide with recovered ones.
-    fn apply_record(&mut self, record: &Record, step: Step) -> Result<(), ProtocolError> {
-        use alidrone_crypto::bigint::BigUint;
-        use alidrone_geo::{Distance, GeoPoint};
-        self.audit
-            .get_mut()
-            .unwrap_or_else(|p| p.into_inner())
-            .note(record, step);
-        match record {
-            Record::RegisterDrone {
-                id,
-                op_modulus,
-                op_exponent,
-                tee_modulus,
-                tee_exponent,
-            } => {
-                let key = |n: &[u8], e: &[u8]| {
-                    RsaPublicKey::new(BigUint::from_bytes_be(n), BigUint::from_bytes_be(e))
-                        .map_err(ProtocolError::Crypto)
-                };
-                let record = Registration::new(
-                    key(op_modulus, op_exponent)?,
-                    key(tee_modulus, tee_exponent)?,
-                );
-                self.drones
-                    .write()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert(DroneId::new(*id), Arc::new(record));
+    /// Applies one committed record's decoded `change`, which moved the
+    /// chain by `step`, to in-memory state: the one function that
+    /// changes the registries, for recovery's walk and the live write
+    /// step alike. It cannot fail: decoding did. Id counters advance
+    /// past every applied id, so new registrations never collide with
+    /// recovered ones.
+    fn apply_record(&self, change: Change, step: Step) {
+        let (mut verdict_of, mut checkpoint) = (None, None);
+        match change {
+            Change::Drone(id, registration) => {
+                write_lock(&self.drones).insert(DroneId::new(id), Arc::new(registration));
                 self.next_drone.fetch_max(id + 1, Ordering::Relaxed);
             }
-            Record::RegisterZone {
-                id,
-                lat_deg,
-                lon_deg,
-                radius_m,
-            } => {
-                let center = GeoPoint::new(*lat_deg, *lon_deg).map_err(ProtocolError::Geo)?;
-                let zone = NoFlyZone::try_new(center, Distance::from_meters(*radius_m))
-                    .map_err(ProtocolError::Geo)?;
-                // No reader holds the view during replay, so
-                // `make_mut` never copies: N zones replay in O(N).
-                Arc::make_mut(self.zones.get_mut().unwrap_or_else(|p| p.into_inner()))
-                    .insert(ZoneId::new(*id), zone);
+            Change::Zone(id, zone) => {
+                // `make_mut` copies only while a reader still holds the
+                // old view, so N zones replay in O(N).
+                Arc::make_mut(&mut write_lock(&self.zones)).insert(ZoneId::new(id), zone);
                 self.next_zone.fetch_max(id + 1, Ordering::Relaxed);
             }
-            Record::NonceUsed { drone, nonce } => {
-                self.used_nonces
-                    .lock()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .insert((DroneId::new(*drone), *nonce));
+            Change::Nonce(drone, nonce) => {
+                lock(&self.used_nonces).insert((drone, nonce));
             }
-            Record::PoaStored {
-                drone,
-                window_start,
-                window_end,
-                poa,
-                verdict,
-                stored_at,
-            } => {
-                let poa = ProofOfAlibi::from_bytes(poa)?;
-                let mut r = Reader::new(verdict);
-                let verdict = crate::wire::get_verdict(&mut r)?;
-                r.finish()?;
-                self.stored
-                    .write()
-                    .unwrap_or_else(|p| p.into_inner())
-                    .push(StoredPoa {
-                        drone_id: DroneId::new(*drone),
-                        window: (
-                            Timestamp::from_secs(*window_start),
-                            Timestamp::from_secs(*window_end),
-                        ),
-                        poa,
-                        verdict,
-                        stored_at: Timestamp::from_secs(*stored_at),
-                    });
+            Change::Stored(stored) => {
+                verdict_of = Some(stored.drone_id);
+                write_lock(&self.stored).push(stored);
             }
-            Record::Epoch(epoch) => {
+            Change::Purge(before) => {
+                write_lock(&self.stored).retain(|s| s.stored_at.secs() >= before);
+            }
+            Change::Epoch(epoch) => {
                 // Epochs only move forward; a replayed log may carry
                 // several boundaries and the newest one wins.
-                self.epoch.fetch_max(*epoch, Ordering::AcqRel);
+                self.epoch.fetch_max(epoch, Ordering::AcqRel);
             }
-            // The audit chain already took them: a snapshot's state
-            // arrives as the ordinary records after it.
-            Record::Snapshot(_) | Record::AuditCheckpoint { .. } => {}
+            Change::Checkpoint(size) => checkpoint = Some(size),
+            Change::Snapshot => {}
         }
-        Ok(())
+        // Last, so a head never covers a record before its state.
+        lock(&self.audit).note(step, verdict_of, checkpoint);
     }
 
-    /// Builds a Merkle checkpoint record when the configured interval
-    /// has elapsed since the last one. A signing failure skips the
-    /// checkpoint (logged; the next audited append retries) rather than
-    /// failing the mutation that triggered it.
-    fn due_checkpoint(&self) -> Option<Record> {
-        let mut audit = self.audit.lock().unwrap_or_else(|p| p.into_inner());
+    /// Builds a Merkle checkpoint record over the chain when the
+    /// configured interval has elapsed since the last checkpoint,
+    /// committed or `pending`. A signing failure skips the checkpoint
+    /// (logged; the next audited append retries) rather than failing
+    /// the write that triggered it.
+    fn due_checkpoint(
+        &self,
+        audit: &AuditState,
+        pending: &VecDeque<(u64, Step, Change)>,
+    ) -> Option<(Change, Record)> {
+        let last = pending
+            .iter()
+            .rev()
+            .find_map(|(.., change)| match change {
+                Change::Checkpoint(size) => Some(*size),
+                _ => None,
+            })
+            .unwrap_or(audit.checkpoint_size);
         let size = audit.chain.size();
-        if size.saturating_sub(audit.checkpoint_size) < self.config.checkpoint_interval.max(1) {
+        if size.saturating_sub(last) < self.config.checkpoint_interval.max(1) {
             return None;
         }
-        match self.sign_tree_head(&mut audit) {
-            Ok(sth) => {
-                audit.checkpoint_size = size;
-                Some(Record::AuditCheckpoint {
-                    size: sth.size,
-                    root: sth.root,
-                    sig: sth.signature.clone(),
-                    tee_sig: sth.tee_signature.clone(),
-                })
-            }
+        let root = audit.chain.root();
+        match SignedTreeHead::sign(size, root, audit.chain.head(), &self.encryption_key) {
+            Ok(sth) => Some((
+                Change::Checkpoint(size),
+                Record::AuditCheckpoint {
+                    size,
+                    root,
+                    sig: sth.signature,
+                },
+            )),
             Err(err) => {
                 self.obs.emit(
                     Level::Error,
@@ -641,39 +705,10 @@ impl Auditor {
         }
     }
 
-    /// Signs (and caches) the tree head over the current chain state,
-    /// countersigning through the installed TEE hook when present.
-    fn sign_tree_head(&self, audit: &mut AuditState) -> Result<SignedTreeHead, ProtocolError> {
-        let size = audit.chain.size();
-        if let Some(sth) = &audit.sth {
-            if sth.size == size {
-                return Ok(sth.clone());
-            }
-        }
-        let root = audit.chain.root();
-        let head = audit.chain.head();
-        let mut sth = SignedTreeHead::sign(size, root, head, &self.encryption_key)
-            .map_err(ProtocolError::Crypto)?;
-        if let Some(countersign) = self.checkpoint_countersigner.get() {
-            let msg = SignedTreeHead::signing_bytes(size, &root, &head);
-            if let Some(sig) = countersign(&msg) {
-                sth.tee_signature = sig;
-            }
-        }
-        audit.sth = Some(sth.clone());
-        Ok(sth)
-    }
-
-    /// Installs the TEE checkpoint countersigner: every subsequent
-    /// signed tree head (and journaled checkpoint) carries the
-    /// enclave's signature alongside the auditor's. Returns `false`
-    /// (leaving the existing hook) if one was already installed.
-    pub fn set_checkpoint_countersigner(&self, hook: CheckpointCountersigner) -> bool {
-        self.checkpoint_countersigner.set(hook).is_ok()
-    }
-
-    /// The signed tree head over the current audit chain: the auditor's
-    /// commitment to its whole mutation history. Verifiable offline via
+    /// The signed tree head over the committed audit chain: the
+    /// auditor's commitment to its whole committed history. A record
+    /// still pending replication is never covered, so no head is served
+    /// that a failover could contradict. Verifiable offline via
     /// [`SignedTreeHead::verify`] and the [`crate::audit`] proof
     /// functions.
     ///
@@ -681,21 +716,27 @@ impl Auditor {
     ///
     /// [`ProtocolError::Crypto`] when signing fails.
     pub fn signed_tree_head(&self) -> Result<SignedTreeHead, ProtocolError> {
-        let mut audit = self.audit.lock().unwrap_or_else(|p| p.into_inner());
-        self.sign_tree_head(&mut audit)
+        let mut audit = lock(&self.audit);
+        let (size, head) = (audit.committed.size(), audit.committed.head());
+        if let Some(sth) = audit.sth.as_ref().filter(|s| s.size == size) {
+            return Ok(sth.clone());
+        }
+        let root = audit
+            .chain
+            .root_at(size)
+            .map_err(|_| ProtocolError::Malformed("audit proof range"))?;
+        let sth = SignedTreeHead::sign(size, root, head, &self.encryption_key)?;
+        audit.sth = Some(sth.clone());
+        Ok(sth)
     }
 
-    /// Number of entries in the audit chain.
+    /// Number of entries in the committed audit chain.
     pub fn audit_tree_size(&self) -> u64 {
-        self.audit
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .chain
-            .size()
+        lock(&self.audit).committed.size()
     }
 
     /// Inclusion proof for `drone`'s latest stored verdict against the
-    /// tree of `tree_size` entries (0 = the current size). Clients
+    /// tree of `tree_size` entries (0 = the committed size). Clients
     /// check it offline with [`crate::audit::verify_inclusion`] against
     /// a tree head they already hold.
     ///
@@ -703,22 +744,18 @@ impl Auditor {
     ///
     /// [`ProtocolError::PoaNotFound`] when the drone has no stored
     /// verdict, [`ProtocolError::Malformed`] when the verdict lies
-    /// outside the requested tree size.
+    /// outside the requested tree size or that size is not committed.
     pub fn audit_inclusion_proof(
         &self,
         drone: DroneId,
         tree_size: u64,
     ) -> Result<InclusionProof, ProtocolError> {
-        let audit = self.audit.lock().unwrap_or_else(|p| p.into_inner());
+        let audit = lock(&self.audit);
         let index = *audit
             .verdict_leaves
             .get(&drone)
             .ok_or(ProtocolError::PoaNotFound)?;
-        let size = if tree_size == 0 {
-            audit.chain.size()
-        } else {
-            tree_size
-        };
+        let size = audit.served_size(tree_size)?;
         audit
             .chain
             .prove_inclusion(index, size)
@@ -726,24 +763,20 @@ impl Auditor {
     }
 
     /// Consistency proof between the trees of `old_size` and `new_size`
-    /// entries (`new_size` 0 = the current size): evidence that the
+    /// entries (`new_size` 0 = the committed size): evidence that the
     /// newer head extends the older one append-only. Checked offline
     /// with [`crate::audit::verify_consistency`].
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Malformed`] for invalid ranges.
+    /// [`ProtocolError::Malformed`] for invalid or uncommitted ranges.
     pub fn audit_consistency_proof(
         &self,
         old_size: u64,
         new_size: u64,
     ) -> Result<ConsistencyProof, ProtocolError> {
-        let audit = self.audit.lock().unwrap_or_else(|p| p.into_inner());
-        let new_size = if new_size == 0 {
-            audit.chain.size()
-        } else {
-            new_size
-        };
+        let audit = lock(&self.audit);
+        let new_size = audit.served_size(new_size)?;
         audit
             .chain
             .prove_consistency(old_size, new_size)
@@ -756,25 +789,25 @@ impl Auditor {
         self.epoch.load(Ordering::Acquire)
     }
 
-    /// Starts a new leadership epoch: records it durably (and ships it
-    /// to followers, fencing any stale primary that still holds an
-    /// older epoch). Called by promotion — see [`crate::repl`].
+    /// Starts a new leadership epoch: hands it to the replicator, so
+    /// every frame from now on fences any stale primary that still
+    /// holds an older epoch, and records it durably. Called by
+    /// promotion — see [`crate::repl`]. [`current_epoch`](Self::current_epoch)
+    /// reads it once the record commits.
     ///
     /// # Errors
     ///
-    /// Journal/replication failures, as for any durable mutation.
+    /// Journal/replication failures, as for any write.
     pub fn begin_epoch(&self, epoch: u64) -> Result<(), ProtocolError> {
-        self.epoch.fetch_max(epoch, Ordering::AcqRel);
         if let Some(replicator) = self.replicator.get() {
             replicator.set_epoch(epoch);
         }
-        self.journal_append(&Record::Epoch(epoch))
+        self.write(|_| Ok(Record::Epoch(epoch)))
     }
 
-    /// Installs the log shipper: every subsequent durable mutation is
-    /// replicated to its followers before the caller's response is
-    /// acknowledged (under `Quorum` policies). Returns `false` if one
-    /// was already installed.
+    /// Installs the log shipper: every subsequent write is replicated
+    /// to its followers, and commits once the policy's quorum holds it.
+    /// Returns `false` if one was already installed.
     pub fn set_replicator(&self, replicator: Arc<Replicator>) -> bool {
         replicator.set_epoch(self.current_epoch());
         self.replicator.set(replicator).is_ok()
@@ -785,131 +818,110 @@ impl Auditor {
         self.replicator.get()
     }
 
-    /// Appends one record to the journal, if armed, then ships it to
-    /// any installed [`Replicator`]. A failed append *disables* the
-    /// journal (recorded via
-    /// [`last_journal_error`](Self::last_journal_error) and the obs
-    /// stream) rather than poisoning in-memory state: the auditor keeps
-    /// serving, but durability is gone until an operator intervenes —
-    /// better than silently diverging the journal from memory.
+    /// The one write step. Under the journal lock, `build` makes the
+    /// record (issuing any id, or refusing) and it is decoded, so that
+    /// applying it cannot fail; the record is appended, the chain
+    /// advanced over it, a due Merkle checkpoint appended after
+    /// it, and the journal replicated. Then every pending record up to
+    /// the commit point ([`Replicator::commit_offset`], or the journal's
+    /// end) is applied through [`apply_record`](Self::apply_record).
+    /// A failed append *disables* the journal (see
+    /// [`last_journal_error`](Self::last_journal_error)): the auditor
+    /// keeps serving, without durability.
     ///
     /// # Errors
     ///
-    /// Without a replicator this never fails — the pre-replication
-    /// contract. Under
-    /// [`ReplicationPolicy::Quorum(0)`](crate::repl::ReplicationPolicy::Quorum)
-    /// only epoch fencing errors (a deposed primary must stop
-    /// acknowledging under *any* policy); shipping failures are
-    /// absorbed into the lag metrics. Under `Quorum(k)` with `k > 0`,
-    /// an append or replication failure is returned so the caller's
-    /// response is gated on durability instead of acknowledging what
-    /// may be lost.
-    fn journal_append(&self, record: &Record) -> Result<(), ProtocolError> {
-        self.journal_append_with(record, || {})
-    }
-
-    /// [`journal_append`](Self::journal_append), running `apply` (the
-    /// record's in-memory mutation) first under the same journal lock,
-    /// so a concurrent [`compact_journal`](Self::compact_journal) sees
-    /// the mutation exactly when it sees the record.
-    fn journal_append_with(
+    /// `build`'s refusal, a record that does not decode (nothing is
+    /// appended then), epoch fencing under any policy, and under
+    /// `Quorum(k)` with `k > 0` an append or replication failure. The
+    /// record then stays pending, and a later round may still commit
+    /// it: its outcome is unknown to the caller.
+    fn write(
         &self,
-        record: &Record,
-        apply: impl FnOnce(),
+        build: impl FnOnce(&Log) -> Result<Record, ProtocolError>,
     ) -> Result<(), ProtocolError> {
-        let mut slot = self.journal.lock().unwrap_or_else(|p| p.into_inner());
-        apply();
-        // Encoded once: the audit chain hashes the bytes the journal
-        // writes.
-        let payload = record.to_payload();
-        // The chain advances under the journal lock so chain order
-        // always matches append order — and even with journaling
-        // disabled, so an in-memory auditor still serves verifiable
-        // tree heads and proofs.
-        if record.is_audited() {
-            // The one chain rule recovery's walk applies too.
-            let mut audit = self.audit.lock().unwrap_or_else(|p| p.into_inner());
-            let step = advance_chain(&mut audit.chain, &mut 0, record, &payload)?;
-            audit.note(record, step);
+        let mut log = lock(&self.log);
+        let record = build(&log)?;
+        let mut next = Some((Change::decode(&record)?, record));
+        let quorum = self.replicator.get().is_some_and(|r| r.requires_quorum());
+        if log.journal.is_none() && quorum {
+            // Nothing can replicate: acknowledging here would be an
+            // acked-then-lost record waiting to happen.
+            return Err(self.last_journal_error().map_or_else(
+                || ProtocolError::Storage("quorum replication requires a journal".into()),
+                ProtocolError::from,
+            ));
         }
-        let Some(journal) = slot.as_ref() else {
-            // No journal means nothing can replicate: under a quorum
-            // policy acknowledging here would be an acked-then-lost
-            // record waiting to happen, so the durability loss stays
-            // a typed error until an operator intervenes.
-            if self.replicator.get().is_some_and(|r| r.requires_quorum()) {
-                let err = self
-                    .last_journal_error()
-                    .map(ProtocolError::from)
-                    .unwrap_or(ProtocolError::Storage(
-                        "quorum replication requires a journal".to_string(),
-                    ));
-                return Err(err);
-            }
-            return Ok(());
-        };
-        // A due Merkle checkpoint rides the same lock hold as the
-        // record that triggered it, so the chained prefix it covers is
-        // exactly the records physically before it in the journal.
-        let checkpoint = if record.is_audited() {
-            self.due_checkpoint().as_ref().map(Record::to_payload)
-        } else {
-            None
-        };
-        for payload in std::iter::once(&payload).chain(checkpoint.as_ref()) {
-            let t0 = Instant::now();
-            let result = journal.append_payload(payload);
-            self.journal_append_latency
-                .record_micros(t0.elapsed().as_micros() as u64);
-            if let Err(err) = result {
-                self.obs.emit(
-                    Level::Error,
-                    "auditor.journal",
-                    "append failed; journaling disabled",
-                    |f| {
-                        f.field("error", err.to_string());
-                    },
-                );
-                self.obs.counter("auditor.journal_append_failures").inc();
-                let quorum = self.replicator.get().is_some_and(|r| r.requires_quorum());
-                *self.journal_error.lock().unwrap_or_else(|p| p.into_inner()) = Some(err.clone());
-                *slot = None;
-                if quorum {
-                    return Err(err.into());
+        while let Some((change, record)) = next.take() {
+            // Encoded once: the audit chain hashes the bytes the
+            // journal writes.
+            let payload = record.to_payload();
+            if let Some(journal) = &log.journal {
+                let t0 = Instant::now();
+                let appended = journal.append_payload(&payload);
+                self.journal_append_latency
+                    .record_micros(t0.elapsed().as_micros() as u64);
+                if let Err(err) = appended {
+                    self.obs.emit(
+                        Level::Error,
+                        "auditor.journal",
+                        "append failed; journaling disabled",
+                        |f| {
+                            f.field("error", err.to_string());
+                        },
+                    );
+                    self.obs.counter("auditor.journal_append_failures").inc();
+                    *lock(&self.journal_error) = Some(err.clone());
+                    log.journal = None;
+                    if quorum {
+                        return Err(err.into());
+                    }
                 }
-                return Ok(());
             }
+            // The one chain rule recovery's walk applies too. The chain
+            // advances even with journaling disabled, so an in-memory
+            // auditor still serves verifiable tree heads and proofs.
+            let mut audit = lock(&self.audit);
+            let step = advance_chain(&mut audit.chain, &mut 0, &record, &payload)?;
+            // A due checkpoint follows the record that made it due, so
+            // the chained prefix it covers is exactly the records
+            // physically before it in the journal.
+            if record.is_audited() && log.journal.is_some() {
+                next = self.due_checkpoint(&audit, &log.pending);
+            }
+            drop(audit);
+            let end = log.journal.as_ref().map_or(0, Journal::end_offset);
+            log.pending.push_back((end, step, change));
         }
-        if let Some(replicator) = self.replicator.get() {
-            // Shipping under the journal lock serializes frames in
-            // append order, so follower images are always a prefix of
-            // the primary's. Quorum failures propagate; failures past
-            // the quorum were already absorbed into the lag metrics.
-            replicator.replicate(journal).map_err(ProtocolError::from)?;
+        let (journal, replicator) = (log.journal.as_ref(), self.replicator.get());
+        // Shipping under the journal lock serializes frames in append
+        // order, so follower images are always a prefix of the primary's.
+        let durable = match (journal, replicator) {
+            (Some(journal), Some(r)) => r.replicate(journal).map_err(ProtocolError::from),
+            _ => Ok(()),
+        };
+        // Without a journal every record ends at 0, so it commits at once
+        // unless a quorum is required.
+        let end = journal.map_or(0, Journal::end_offset);
+        let commit = replicator.map_or(end, |r| r.commit_offset(end));
+        while log.pending.front().is_some_and(|(end, ..)| *end <= commit) {
+            let (_, step, change) = log.pending.pop_front().expect("a pending record");
+            self.apply_record(change, step);
         }
-        Ok(())
-    }
-
-    /// `true` while a journal is attached and healthy.
-    pub fn journal_enabled(&self) -> bool {
-        self.journal
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .is_some()
+        durable
     }
 
     /// The append error that disabled journaling, if one occurred.
     pub fn last_journal_error(&self) -> Option<JournalError> {
-        self.journal_error
-            .lock()
-            .unwrap_or_else(|p| p.into_inner())
-            .clone()
+        lock(&self.journal_error).clone()
     }
 
     /// Compacts the journal to the auditor's current state, written as
     /// ordinary records (see [`snapshot`](Self::snapshot)), bounding
     /// replay cost at the next [`recover`](Self::recover). No-op
-    /// without a journal.
+    /// without a journal, and while any record is pending replication:
+    /// the state holds committed records only, so compacting then would
+    /// drop the pending ones. That no-op emits one Warn event.
     ///
     /// # Errors
     ///
@@ -919,10 +931,21 @@ impl Auditor {
         // The state is read under the journal lock, so the image and
         // its audit section sit at one journal position: every record
         // lands either in the state or after the fresh image.
-        let slot = self.journal.lock().unwrap_or_else(|p| p.into_inner());
-        let Some(journal) = slot.as_ref() else {
+        let log = lock(&self.log);
+        let Some(journal) = log.journal.as_ref() else {
             return Ok(());
         };
+        if !log.pending.is_empty() {
+            self.obs.emit(
+                Level::Warn,
+                "auditor.journal",
+                "compaction skipped: records pending",
+                |f| {
+                    f.field("pending", log.pending.len());
+                },
+            );
+            return Ok(());
+        }
         let mut image = self.state_payloads();
         let state_records = image.len() - 1;
         // The epoch rides in its own record, so the fresh image still
@@ -967,18 +990,17 @@ impl Auditor {
         operator_public: RsaPublicKey,
         tee_public: RsaPublicKey,
     ) -> DroneId {
-        // Replication-agnostic contract: the id is issued even when a
-        // Quorum policy could not replicate (visible via
-        // `last_journal_error` / repl metrics). The wire server uses
-        // [`register_drone_durable`](Self::register_drone_durable).
-        self.register_drone_inner(operator_public, tee_public).0
+        // Replication-agnostic: the id is issued even when a quorum
+        // failed, and is usable once its write commits.
+        let record = |id| drone_record(id, &operator_public, &tee_public);
+        DroneId::new(self.register(&self.next_drone, record).0)
     }
 
     /// [`register_drone`](Self::register_drone), but the response is
     /// gated on replication durability: under a `Quorum` policy the id
-    /// is only returned once enough followers hold the record. The
-    /// local registration still happened on error — retrying is
-    /// idempotent by construction.
+    /// is only returned once enough followers hold the record. On error
+    /// the record stays pending: its id is usable only once that write
+    /// commits, which a failover may prevent. Retrying is idempotent.
     ///
     /// # Errors
     ///
@@ -988,25 +1010,9 @@ impl Auditor {
         operator_public: RsaPublicKey,
         tee_public: RsaPublicKey,
     ) -> Result<DroneId, ProtocolError> {
-        let (id, durable) = self.register_drone_inner(operator_public, tee_public);
-        durable.map(|()| id)
-    }
-
-    fn register_drone_inner(
-        &self,
-        operator_public: RsaPublicKey,
-        tee_public: RsaPublicKey,
-    ) -> (DroneId, Result<(), ProtocolError>) {
-        let id = DroneId::new(self.next_drone.fetch_add(1, Ordering::Relaxed));
-        let registration = Arc::new(Registration::new(operator_public, tee_public));
-        let record = drone_record(id, &registration);
-        // Single insert on one lock: a panic cannot leave the map
-        // structurally broken, so a poisoned lock is still sound to read.
-        self.drones
-            .write()
-            .unwrap_or_else(|p| p.into_inner())
-            .insert(id, registration);
-        (id, self.journal_append(&record))
+        let record = |id| drone_record(id, &operator_public, &tee_public);
+        let (id, durable) = self.register(&self.next_drone, record);
+        durable.map(|()| DroneId::new(id))
     }
 
     /// Step 1 — registers a circular zone, issuing its id. Idempotent
@@ -1016,25 +1022,38 @@ impl Auditor {
     /// a PoA must prove.
     pub fn register_zone(&self, zone: NoFlyZone) -> ZoneId {
         // Same replication-agnostic contract as `register_drone`.
-        self.register_zone_inner(zone).0
+        ZoneId::new(
+            self.register(&self.next_zone, |id| zone_record(id, &zone))
+                .0,
+        )
     }
 
     /// [`register_zone`](Self::register_zone) gated on replication
-    /// durability, as [`register_drone_durable`](Self::register_drone_durable).
+    /// durability, as [`register_drone_durable`](Self::register_drone_durable):
+    /// the id of a write whose quorum failed is usable only once that
+    /// write commits.
     ///
     /// # Errors
     ///
     /// Journal or replication failures under a `Quorum` policy.
     pub fn register_zone_durable(&self, zone: NoFlyZone) -> Result<ZoneId, ProtocolError> {
-        let (id, durable) = self.register_zone_inner(zone);
-        durable.map(|()| id)
+        let (id, durable) = self.register(&self.next_zone, |id| zone_record(id, &zone));
+        durable.map(|()| ZoneId::new(id))
     }
 
-    fn register_zone_inner(&self, zone: NoFlyZone) -> (ZoneId, Result<(), ProtocolError>) {
-        let id = ZoneId::new(self.next_zone.fetch_add(1, Ordering::Relaxed));
-        // Single insert on one lock: poisoning cannot corrupt the view.
-        Arc::make_mut(&mut self.zones.write().unwrap_or_else(|p| p.into_inner())).insert(id, zone);
-        (id, self.journal_append(&zone_record(id, &zone)))
+    /// Writes `record(id)` for the next id from `next`, issued inside
+    /// the write step so ids reach the journal in order.
+    fn register(
+        &self,
+        next: &AtomicU64,
+        record: impl FnOnce(u64) -> Record,
+    ) -> (u64, Result<(), ProtocolError>) {
+        let mut id = 0;
+        let durable = self.write(|_| {
+            id = next.fetch_add(1, Ordering::Relaxed);
+            Ok(record(id))
+        });
+        (id, durable)
     }
 
     /// §VII-B2 — registers a polygonal zone by covering it with its
@@ -1047,16 +1066,11 @@ impl Auditor {
         Ok(self.register_zone(polygon.enclosing_zone()))
     }
 
-    // Read-only accessors recover from a poisoned lock instead of
-    // panicking: every write section is a single non-panicking BTreeMap
-    // or Vec operation, so poisoning can only mean a *reader* panicked —
-    // the data underneath is structurally sound.
-
     /// The zone registry as one shared view: the read lock is held
     /// only to clone the `Arc`, and every zone reader — verification,
     /// zone queries, accusations, snapshots — works on the view.
     fn zones(&self) -> Arc<ZoneRegistry> {
-        Arc::clone(&self.zones.read().unwrap_or_else(|p| p.into_inner()))
+        Arc::clone(&read_lock(&self.zones))
     }
 
     /// Look up a zone's geometry.
@@ -1071,7 +1085,7 @@ impl Auditor {
 
     /// Number of registered drones.
     pub fn drone_count(&self) -> usize {
-        self.drones.read().unwrap_or_else(|p| p.into_inner()).len()
+        read_lock(&self.drones).len()
     }
 
     /// Number of registered zones.
@@ -1081,9 +1095,7 @@ impl Auditor {
 
     /// The registered TEE verification key for a drone.
     pub fn tee_public_key(&self, id: DroneId) -> Option<RsaPublicKey> {
-        self.drones
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
+        read_lock(&self.drones)
             .get(&id)
             .map(|d| d.tee_public().clone())
     }
@@ -1108,17 +1120,23 @@ impl Auditor {
         // Signature verification runs outside every lock, against the
         // prepared verifier held in the registration record.
         query.verify_with(record.operator())?;
-        if !self
-            .used_nonces
-            .lock()
-            .map_err(|_| ProtocolError::LockPoisoned("nonce set"))?
-            .insert((query.drone_id, query.nonce))
-        {
-            return Err(ProtocolError::NonceReplayed);
-        }
-        self.journal_append(&Record::NonceUsed {
-            drone: query.drone_id.value(),
-            nonce: query.nonce,
+        let spent = (query.drone_id, query.nonce);
+        // A nonce is spent once any record holding it is appended,
+        // committed or still pending.
+        self.write(|log| {
+            let used = self
+                .used_nonces
+                .lock()
+                .map_err(|_| ProtocolError::LockPoisoned("nonce set"))?
+                .contains(&spent);
+            let pending = |(.., change): &(u64, Step, Change)| {
+                matches!(change, Change::Nonce(d, n) if (*d, *n) == spent)
+            };
+            if used || log.pending.iter().any(pending) {
+                return Err(ProtocolError::NonceReplayed);
+            }
+            let (drone, nonce) = (spent.0.value(), spent.1);
+            Ok(Record::NonceUsed { drone, nonce })
         })?;
         let zones = self
             .zones()
@@ -1144,9 +1162,11 @@ impl Auditor {
     ///
     /// # Errors
     ///
-    /// Transport-level problems only — unknown drone, or (for the
-    /// encrypted arm) decryption failure; every judgement about the PoA
-    /// itself is expressed in the returned [`VerificationReport`].
+    /// Transport-level problems only — unknown drone, (for the encrypted
+    /// arm) decryption failure, a PoA whose bytes do not decode again
+    /// ([`ProtocolError::Malformed`], as the wire refuses it), or a
+    /// failed write; every judgement about the PoA itself is expressed
+    /// in the returned [`VerificationReport`].
     pub fn verify(
         &self,
         submission: &Submission,
@@ -1204,24 +1224,17 @@ impl Auditor {
             .record_micros(started.elapsed().as_micros() as u64);
         drop(span);
         let report = report?;
-        let stored = StoredPoa {
-            drone_id: submission.drone_id,
-            window: (submission.window_start, submission.window_end),
-            poa: submission.poa.clone(),
-            verdict: report.verdict.clone(),
-            stored_at: now,
-        };
-        let record = stored_record(&stored);
+        let record = stored_record(
+            submission.drone_id,
+            (submission.window_start, submission.window_end),
+            &submission.poa,
+            &report.verdict,
+            now,
+        );
         // Under a `Quorum` replication policy this gates the verdict
         // response on follower durability — the caller never learns a
-        // verdict that a failover could lose. The push is one `Vec`
-        // operation, so a poisoned log is still sound to extend.
-        self.journal_append_with(&record, || {
-            self.stored
-                .write()
-                .unwrap_or_else(|p| p.into_inner())
-                .push(stored);
-        })?;
+        // verdict that a failover could lose.
+        self.write(|_| Ok(record))?;
         Ok(report)
     }
 
@@ -1441,33 +1454,23 @@ impl Auditor {
 
     /// Number of retained PoAs.
     pub fn stored_poa_count(&self) -> usize {
-        self.stored.read().unwrap_or_else(|p| p.into_inner()).len()
+        read_lock(&self.stored).len()
     }
 
-    /// The most recent stored PoA for a drone, if any (cloned out of the
-    /// log, so no lock is held by the caller).
-    pub fn latest_stored(&self, drone: DroneId) -> Option<StoredPoa> {
-        self.stored
-            .read()
-            .unwrap_or_else(|p| p.into_inner())
-            .iter()
-            .rev()
-            .find(|s| s.drone_id == drone)
-            .cloned()
-    }
-
-    /// Drops stored PoAs older than the retention window.
+    /// Drops stored PoAs older than the retention window ("a couple
+    /// of days", paper §IV-C2) as of `now`, through a journaled
+    /// [`Record::Purge`], so a recovered or promoted auditor drops them
+    /// too. Their audit leaves stay, so inclusion proofs for purged
+    /// verdicts still verify. Compact after purging to shrink the
+    /// journal image.
     ///
-    /// Not journaled: retention is a pure function of `now` and the
-    /// stored-at times, so replaying an unpurged journal merely restores
-    /// entries the next purge drops again. Compact after purging to
-    /// shrink the journal image.
-    pub fn purge_expired(&self, now: Timestamp) {
-        let retention = self.config.retention;
-        self.stored
-            .write()
-            .unwrap_or_else(|p| p.into_inner())
-            .retain(|s| (now - s.stored_at).secs() <= retention.secs());
+    /// # Errors
+    ///
+    /// Journal or replication failures under a `Quorum` policy, as for
+    /// any write.
+    pub fn purge_expired(&self, now: Timestamp) -> Result<(), ProtocolError> {
+        let before = (now - self.config.retention).secs();
+        self.write(|_| Ok(Record::Purge { before }))
     }
 }
 
@@ -1501,10 +1504,9 @@ impl fmt::Debug for Auditor {
 
 /// A drone registration as its journal record: the one conversion the
 /// live path and compaction share.
-fn drone_record(id: DroneId, registration: &Registration) -> Record {
-    let (op, tee) = (registration.operator_public(), registration.tee_public());
+fn drone_record(id: u64, op: &RsaPublicKey, tee: &RsaPublicKey) -> Record {
     Record::RegisterDrone {
-        id: id.value(),
+        id,
         op_modulus: op.modulus().to_bytes_be(),
         op_exponent: op.exponent().to_bytes_be(),
         tee_modulus: tee.modulus().to_bytes_be(),
@@ -1513,9 +1515,9 @@ fn drone_record(id: DroneId, registration: &Registration) -> Record {
 }
 
 /// A zone registration as its journal record.
-fn zone_record(id: ZoneId, zone: &NoFlyZone) -> Record {
+fn zone_record(id: u64, zone: &NoFlyZone) -> Record {
     Record::RegisterZone {
-        id: id.value(),
+        id,
         lat_deg: zone.center().lat_deg(),
         lon_deg: zone.center().lon_deg(),
         radius_m: zone.radius().meters(),
@@ -1523,25 +1525,31 @@ fn zone_record(id: ZoneId, zone: &NoFlyZone) -> Record {
 }
 
 /// A retained PoA as its journal record.
-fn stored_record(stored: &StoredPoa) -> Record {
-    let mut verdict = Writer::new();
-    crate::wire::put_verdict(&mut verdict, &stored.verdict);
+fn stored_record(
+    drone: DroneId,
+    window: (Timestamp, Timestamp),
+    poa: &ProofOfAlibi,
+    verdict: &Verdict,
+    stored_at: Timestamp,
+) -> Record {
+    let mut bytes = Writer::new();
+    crate::wire::put_verdict(&mut bytes, verdict);
     Record::PoaStored {
-        drone: stored.drone_id.value(),
-        window_start: stored.window.0.secs(),
-        window_end: stored.window.1.secs(),
-        poa: stored.poa.to_bytes(),
-        verdict: verdict.into_bytes(),
-        stored_at: stored.stored_at.secs(),
+        drone: drone.value(),
+        window_start: window.0.secs(),
+        window_end: window.1.secs(),
+        poa: poa.to_bytes(),
+        verdict: bytes.into_bytes(),
+        stored_at: stored_at.secs(),
     }
 }
 
 impl Auditor {
-    /// The auditor's durable state as one deterministic byte string:
+    /// The auditor's committed state as one deterministic byte string:
     /// the record payloads [`compact_journal`](Self::compact_journal)
     /// writes, concatenated (each payload is self-delimiting). Equal
     /// snapshots mean equal registries, anti-replay nonces, retained
-    /// PoAs and audit chain. The encryption *private* key is
+    /// PoAs and committed audit chain. The encryption *private* key is
     /// deliberately **not** included — key storage is a separate
     /// concern (an HSM in deployment); [`recover`](Self::recover) takes
     /// it as an argument.
@@ -1556,39 +1564,43 @@ impl Auditor {
     fn state_payloads(&self) -> Vec<Vec<u8>> {
         // The head goes first, once the state records are counted.
         let mut image = vec![Vec::new()];
-        // Snapshots recover from poisoned locks (see the accessor note
-        // above): a panicked reader must not block making a backup.
-        let drones = self.drones.read().unwrap_or_else(|p| p.into_inner());
+        let drones = read_lock(&self.drones);
         image.extend(
             drones
                 .iter()
-                .map(|(id, r)| drone_record(*id, r).to_payload()),
+                .map(|(id, r)| drone_record(id.value(), r.operator_public(), r.tee_public()))
+                .map(|record| record.to_payload()),
         );
         drop(drones);
         image.extend(
             self.zones()
                 .iter()
-                .map(|(id, z)| zone_record(id, z).to_payload()),
+                .map(|(id, z)| zone_record(id.value(), z).to_payload()),
         );
-        let nonces = self.used_nonces.lock().unwrap_or_else(|p| p.into_inner());
+        let nonces = lock(&self.used_nonces);
         image.extend(nonces.iter().map(|&(drone, nonce)| {
             let drone = drone.value();
             Record::NonceUsed { drone, nonce }.to_payload()
         }));
         drop(nonces);
-        let stored = self.stored.read().unwrap_or_else(|p| p.into_inner());
-        image.extend(stored.iter().map(|s| stored_record(s).to_payload()));
+        let stored = read_lock(&self.stored);
+        image.extend(stored.iter().map(|s| {
+            stored_record(s.drone_id, s.window, &s.poa, &s.verdict, s.stored_at).to_payload()
+        }));
         drop(stored);
 
-        let audit = self.audit.lock().unwrap_or_else(|p| p.into_inner());
+        // The audit section covers the committed chain only.
+        let audit = lock(&self.audit);
+        let committed = audit.committed;
         let mut w = Writer::new();
         w.put_u32(SNAPSHOT_MAGIC).put_u64(image.len() as u64 - 1);
-        for b in audit.chain.head() {
+        for b in committed.head() {
             w.put_u8(b);
         }
         w.put_u64(audit.checkpoint_size);
-        w.put_u32(audit.chain.size() as u32);
-        for b in audit.chain.leaves().iter().flatten() {
+        w.put_u32(committed.size() as u32);
+        let leaves = &audit.chain.leaves()[..committed.size() as usize];
+        for b in leaves.iter().flatten() {
             w.put_u8(*b);
         }
         w.put_u32(audit.verdict_leaves.len() as u32);
@@ -1607,6 +1619,20 @@ mod tests {
     use alidrone_crypto::rsa::HashAlg;
     use alidrone_geo::{Distance, GeoPoint, GpsSample};
     use alidrone_tee::SignedSample;
+
+    impl Auditor {
+        /// The most recent stored PoA for a drone, if any (cloned out
+        /// of the log, so no lock is held by the caller).
+        pub(crate) fn latest_stored(&self, drone: DroneId) -> Option<StoredPoa> {
+            self.stored
+                .read()
+                .unwrap_or_else(|p| p.into_inner())
+                .iter()
+                .rev()
+                .find(|s| s.drone_id == drone)
+                .cloned()
+        }
+    }
 
     fn auditor() -> Auditor {
         Auditor::new(AuditorConfig::default(), auditor_key().clone())
@@ -2020,7 +2046,8 @@ mod tests {
 
     #[test]
     fn retention_purges_old_poas() {
-        let a = auditor();
+        let backend = Arc::new(MemBackend::new());
+        let (a, _) = recovered(Arc::clone(&backend));
         let d = registered(&a);
         a.verify(
             &Submission::plain(submission(d, 3)),
@@ -2034,8 +2061,56 @@ mod tests {
         .unwrap();
         assert_eq!(a.stored_poa_count(), 2);
         // Three days later, only the second survives the 2-day retention.
-        a.purge_expired(Timestamp::from_secs(3.0 * 86_400.0));
+        a.purge_expired(Timestamp::from_secs(3.0 * 86_400.0))
+            .unwrap();
         assert_eq!(a.stored_poa_count(), 1);
+        // The purge is journaled: neither replay nor a compacted image
+        // brings the purged PoA back.
+        assert_eq!(recovered(Arc::clone(&backend)).0.stored_poa_count(), 1);
+        a.compact_journal().unwrap();
+        let (b, rep) = recovered(backend);
+        assert!(rep.snapshot_loaded);
+        assert_eq!(b.stored_poa_count(), 1);
+        assert_eq!(b.snapshot(), a.snapshot());
+    }
+
+    #[test]
+    fn purged_verdicts_keep_their_inclusion_proofs() {
+        let a = auditor();
+        let (old, new) = (registered(&a), registered(&a));
+        for (d, at) in [(old, 0.0), (new, 86_400.0)] {
+            a.verify(
+                &Submission::plain(submission(d, 3)),
+                Timestamp::from_secs(at),
+            )
+            .unwrap();
+        }
+        let before = a.signed_tree_head().unwrap();
+        a.purge_expired(Timestamp::from_secs(3.0 * 86_400.0))
+            .unwrap();
+        assert!(a.latest_stored(old).is_none(), "the old verdict was purged");
+        // The purge is one more audited leaf; the purged verdict's leaf
+        // stays, and so does its inclusion proof.
+        let sth = a.signed_tree_head().unwrap();
+        assert_eq!(sth.size, before.size + 1);
+        for d in [old, new] {
+            let proof = a.audit_inclusion_proof(d, 0).unwrap();
+            assert!(verify_inclusion(
+                &proof.leaf,
+                proof.index,
+                proof.size,
+                &proof.path,
+                &sth.root
+            ));
+        }
+        let cons = a.audit_consistency_proof(before.size, 0).unwrap();
+        assert!(verify_consistency(
+            cons.old_size,
+            cons.new_size,
+            &cons.path,
+            &before.root,
+            &sth.root
+        ));
     }
 
     #[test]
@@ -2090,7 +2165,7 @@ mod tests {
         let backend = Arc::new(MemBackend::new());
         let (a, rep) = recovered(Arc::clone(&backend));
         assert_eq!(rep.records_applied, 0);
-        assert!(a.journal_enabled());
+        assert!(a.last_journal_error().is_none());
         let d = registered(&a);
         let z = a.register_zone(far_zone());
         a.verify(
@@ -2121,18 +2196,15 @@ mod tests {
         let live = auditor();
         let d = registered(&live);
         let (z1, z2) = (live.register_zone(inner), live.register_zone(outer));
-        // Ids are issued before the registry lock is taken, so a journal
-        // can hold zone 2's record ahead of zone 1's.
+        // A journal written by hand can hold zone 2's record ahead of
+        // zone 1's.
         let backend = Arc::new(MemBackend::new());
         let journal = Journal::open(backend.clone(), &[], 0).unwrap();
-        let registration = Registration::new(
-            operator_key().public_key().clone(),
-            tee_key().public_key().clone(),
-        );
+        let (op, tee) = (operator_key().public_key(), tee_key().public_key());
         for record in [
-            drone_record(d, &registration),
-            zone_record(z2, &outer),
-            zone_record(z1, &inner),
+            drone_record(d.value(), op, tee),
+            zone_record(z2.value(), &outer),
+            zone_record(z1.value(), &inner),
         ] {
             journal.append_payload(&record.to_payload()).unwrap();
         }
@@ -2330,7 +2402,6 @@ mod tests {
             size: 0,
             root: [0; 32],
             sig: vec![1],
-            tee_sig: vec![],
         };
         for splice in [Record::Epoch(3), checkpoint, Record::Snapshot(body.clone())] {
             let mut spliced = payloads.clone();
@@ -2455,7 +2526,6 @@ mod tests {
         backend.fail_next_append();
         let z = a.register_zone(far_zone());
         assert!(a.zone(z).is_some(), "in-memory state must not be poisoned");
-        assert!(!a.journal_enabled());
         assert!(a.last_journal_error().is_some());
         // Replay sees only what was durably appended before the fault.
         let (b, rep) = recovered(backend);
@@ -2489,6 +2559,43 @@ mod tests {
         ));
         let rep = a.verify(&Submission::plain(sub), Timestamp::EPOCH).unwrap();
         assert_eq!(rep.verdict, Verdict::BadGapMarker { index: 0 });
+    }
+
+    /// A PoA whose bytes do not decode again (a gap marker over an
+    /// inverted window, a signature too long for its u16 length) is
+    /// refused as the wire refuses it, before anything is appended: the
+    /// journal still recovers, and later writes still commit.
+    #[test]
+    fn a_poa_that_does_not_decode_again_is_refused_unwritten() {
+        use alidrone_tee::SignedGapMarker;
+        let backend = Arc::new(MemBackend::new());
+        let (a, _) = recovered(Arc::clone(&backend));
+        let d = registered(&a);
+        let mut inverted = submission(d, 5);
+        inverted.poa.push_gap(SignedGapMarker::from_parts(
+            Timestamp::from_secs(1.8),
+            Timestamp::from_secs(1.2),
+            vec![0xBB; 64],
+            HashAlg::Sha1,
+        ));
+        let mut oversized = submission(d, 5);
+        let first = oversized.poa.entries()[0].clone();
+        let mut entries = oversized.poa.entries().to_vec();
+        entries[0] = SignedSample::from_parts(*first.sample(), vec![7; 70_000], HashAlg::Sha1);
+        oversized.poa = ProofOfAlibi::from_entries(entries);
+        let journal = backend.bytes();
+        for sub in [inverted, oversized] {
+            assert!(ProofOfAlibi::from_bytes(&sub.poa.to_bytes()).is_err());
+            let err = a.verify(&Submission::plain(sub), Timestamp::EPOCH);
+            assert!(matches!(err, Err(ProtocolError::Malformed(_))), "{err:?}");
+        }
+        assert_eq!(backend.bytes(), journal, "nothing appended");
+        assert_eq!(a.stored_poa_count(), 0);
+        a.verify(&Submission::plain(submission(d, 5)), Timestamp::EPOCH)
+            .unwrap();
+        assert_eq!(a.stored_poa_count(), 1);
+        assert_eq!(a.audit_tree_size(), 2);
+        assert_eq!(recovered(backend).0.snapshot(), a.snapshot());
     }
 
     #[test]
@@ -2597,38 +2704,6 @@ mod tests {
             a.audit_inclusion_proof(d3, 0),
             Err(ProtocolError::PoaNotFound)
         ));
-    }
-
-    #[test]
-    fn tee_countersigned_tree_head_verifies() {
-        use alidrone_tee::{CostModel, SecureWorldBuilder, GPS_SAMPLER_UUID};
-        let world = SecureWorldBuilder::new()
-            .with_sign_key(tee_key().clone())
-            .with_cost_model(CostModel::free())
-            .with_hash_alg(HashAlg::Sha256)
-            .build()
-            .unwrap();
-        let client = world.client();
-
-        let a = auditor();
-        let session = client.open_session(GPS_SAMPLER_UUID).unwrap();
-        assert!(
-            a.set_checkpoint_countersigner(Arc::new(move |bytes: &[u8]| {
-                session.sign_checkpoint(bytes).ok()
-            }))
-        );
-
-        let d = registered(&a);
-        a.verify(&Submission::plain(submission(d, 5)), Timestamp::EPOCH)
-            .unwrap();
-        let sth = a.signed_tree_head().unwrap();
-        assert!(sth.verify(auditor_key().public_key()));
-        assert!(
-            sth.verify_countersignature(&client.tee_public_key()),
-            "enclave countersignature must verify under T⁺"
-        );
-        // The countersignature binds this exact head: not some other key.
-        assert!(!sth.verify_countersignature(operator_key().public_key()));
     }
 
     fn checkpoint_config() -> AuditorConfig {

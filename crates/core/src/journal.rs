@@ -19,8 +19,10 @@
 //! offset — is that base plus bytes into the image, so it survives a
 //! restart. The header's CRC covers magic, version and base, so rot in
 //! the base is refused like rot in a frame rather than read as another
-//! offset. A version-1 image (5-byte header, no base) is refused as an
-//! unsupported version.
+//! offset. Version 3 adds [`Record::Purge`] and drops the TEE
+//! countersignature field from [`Record::AuditCheckpoint`]; an image of
+//! version 1 (5-byte header, no base) or 2 is refused as an unsupported
+//! version.
 //!
 //! The CRC covers the payload only; the payload's first byte is a record
 //! tag (see [`Record`]) followed by a body in the wire codec. Records are
@@ -59,14 +61,14 @@ use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
-use crate::audit::AuditChain;
+use crate::audit::{AuditChain, ChainMark};
 use crate::wire::codec::{Reader, Writer};
 use crate::{DroneId, ProtocolError};
 
 /// Journal file magic: `"ALDJ"`.
 pub const JOURNAL_MAGIC: u32 = 0x414C_444A;
 /// Current journal format version.
-pub const JOURNAL_VERSION: u8 = 2;
+pub const JOURNAL_VERSION: u8 = 3;
 /// Header length in bytes (magic + version + base + CRC).
 pub const HEADER_LEN: usize = 17;
 /// Frame overhead per record (length + CRC).
@@ -419,6 +421,7 @@ const TAG_POA_STORED: u8 = 4;
 const TAG_SNAPSHOT: u8 = 5;
 const TAG_EPOCH: u8 = 6;
 const TAG_AUDIT_CHECKPOINT: u8 = 7;
+const TAG_PURGE: u8 = 8;
 
 /// One durable state mutation. Records carry the ids the live auditor
 /// assigned, so replay reconstructs *exactly* the same registries.
@@ -484,9 +487,9 @@ pub enum Record {
     Epoch(u64),
     /// A Merkle checkpoint over the audit chain (see [`crate::audit`]):
     /// the tree size and root after the last audited record, signed by
-    /// the auditor key and optionally countersigned by the TEE. Replay
-    /// and replication followers recompute the root and refuse the log
-    /// on mismatch — this is the tamper-evidence anchor.
+    /// the auditor key. Replay and replication followers recompute the
+    /// root and refuse the log on mismatch — this is the
+    /// tamper-evidence anchor.
     AuditCheckpoint {
         /// Audit entries covered (Merkle tree size).
         size: u64,
@@ -494,8 +497,13 @@ pub enum Record {
         root: [u8; 32],
         /// Auditor RSA-SHA256 signature over the STH signing bytes.
         sig: Vec<u8>,
-        /// Optional TEE countersignature (empty when absent).
-        tee_sig: Vec<u8>,
+    },
+    /// Retention (paper §IV-C2): every retained PoA stored before
+    /// `before` is dropped. The audit leaves of the dropped verdicts
+    /// stay, so their inclusion proofs still verify.
+    Purge {
+        /// Cutoff storage time, seconds.
+        before: f64,
     },
 }
 
@@ -512,6 +520,7 @@ impl Record {
                 | Record::RegisterZone { .. }
                 | Record::NonceUsed { .. }
                 | Record::PoaStored { .. }
+                | Record::Purge { .. }
         )
     }
 
@@ -573,17 +582,15 @@ impl Record {
             Record::Epoch(epoch) => {
                 w.put_u8(TAG_EPOCH).put_u64(*epoch);
             }
-            Record::AuditCheckpoint {
-                size,
-                root,
-                sig,
-                tee_sig,
-            } => {
+            Record::AuditCheckpoint { size, root, sig } => {
                 w.put_u8(TAG_AUDIT_CHECKPOINT).put_u64(*size);
                 for b in root {
                     w.put_u8(*b);
                 }
-                w.put_bytes(sig).put_bytes(tee_sig);
+                w.put_bytes(sig);
+            }
+            Record::Purge { before } => {
+                w.put_u8(TAG_PURGE).put_f64(*before);
             }
         }
         w.into_bytes()
@@ -630,7 +637,9 @@ impl Record {
                 size: r.get_u64().map_err(mal)?,
                 root: r.get_array().map_err(mal)?,
                 sig: r.get_bytes().map_err(mal)?.to_vec(),
-                tee_sig: r.get_bytes().map_err(mal)?.to_vec(),
+            },
+            TAG_PURGE => Record::Purge {
+                before: r.get_f64().map_err(mal)?,
             },
             _ => return Err(JournalError::Malformed("unknown record tag")),
         };
@@ -836,11 +845,8 @@ const SNAPSHOT_MAGIC_V2: u32 = 0x414C_4432;
 /// How [`advance_chain`] moved a chain for one record.
 pub(crate) enum Step {
     /// An audited record extended it, a checkpoint matched it, or the
-    /// record leaves it alone; it now holds `size` entries.
-    Chain {
-        /// The chain's size after the record.
-        size: u64,
-    },
+    /// record leaves it alone; it now ends at this mark.
+    Chain(ChainMark),
     /// One of a snapshot's state records: the chain is unchanged.
     State,
     /// A snapshot reseeded it from its audit section.
@@ -918,7 +924,7 @@ pub(crate) fn advance_chain(
         _ if record.is_audited() => chain.append(payload),
         _ => {}
     }
-    Ok(Step::Chain { size: chain.size() })
+    Ok(Step::Chain(chain.mark()))
 }
 
 /// What [`walk`] found: the longest prefix of the walked bytes whose
@@ -1359,8 +1365,8 @@ mod tests {
                 size: 42,
                 root: [0x5A; 32],
                 sig: vec![1, 2, 3, 4],
-                tee_sig: vec![],
             },
+            Record::Purge { before: 172_800.5 },
         ];
         for rec in all {
             let payload = rec.to_payload();
@@ -1378,11 +1384,11 @@ mod tests {
         .is_audited());
         assert!(!Record::Snapshot(vec![]).is_audited());
         assert!(!Record::Epoch(3).is_audited());
+        assert!(Record::Purge { before: 0.0 }.is_audited());
         assert!(!Record::AuditCheckpoint {
             size: 0,
             root: [0; 32],
             sig: vec![],
-            tee_sig: vec![],
         }
         .is_audited());
     }
@@ -1467,6 +1473,20 @@ mod tests {
                 }
             );
         }
+        // So is a version-2 image, whose header CRC checks out.
+        let mut v2 = header(0).to_vec();
+        v2[4] = 2;
+        let crc = crc32(&v2[..13]);
+        v2[13..].copy_from_slice(&crc.to_be_bytes());
+        encode_frame(&mut v2, &zone_record(1).to_payload()).unwrap();
+        let err = reopen(Arc::new(MemBackend::with_bytes(v2))).unwrap_err();
+        assert_eq!(
+            err,
+            JournalError::Corrupt {
+                offset: 4,
+                reason: "unsupported version"
+            }
+        );
     }
 
     #[test]

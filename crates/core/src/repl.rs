@@ -28,7 +28,8 @@
 //!   built on it) is acknowledged only once ≥ `k` followers hold it.
 //!   A failed quorum surfaces as a typed error to the caller *before*
 //!   any response is sent, so nothing acknowledged can be lost by a
-//!   fail-stop primary crash.
+//!   fail-stop primary crash. The record stays pending on the primary,
+//!   unserved, until [`Replicator::commit_offset`] passes it.
 //! * **`Quorum(0)`** — ship best-effort; failures only show up in the
 //!   lag metrics. A primary crash can lose the records appended since
 //!   the slowest follower's last ack.
@@ -994,6 +995,31 @@ impl Replicator {
                 needed,
             })
         }
+    }
+
+    /// The commit point of a journal whose durable end is `end`: the
+    /// offset at least `k` followers acked under `Quorum(k)` (the
+    /// `k`-th highest ack), or `end` itself under `Quorum(0)`. A fenced
+    /// primary commits nothing more, so it answers 0. An ack past `end`
+    /// is a follower's own end over a suffix of a dead epoch, not ours,
+    /// so it counts as holding nothing until the image that replaces
+    /// that suffix is acked.
+    pub fn commit_offset(&self, end: u64) -> u64 {
+        if self.fenced_by.load(Ordering::Acquire) != 0 {
+            return 0;
+        }
+        let ReplicationPolicy::Quorum(k) = self.policy;
+        if k == 0 {
+            return end;
+        }
+        let mut acked: Vec<u64> = self
+            .peers
+            .iter()
+            .map(|p| p.acked.load(Ordering::Acquire))
+            .map(|acked| if acked > end { 0 } else { acked })
+            .collect();
+        acked.sort_unstable();
+        acked.len().checked_sub(k).map_or(0, |i| acked[i])
     }
 
     /// Ships whatever `peer` is missing, slicing the round's shared
@@ -1979,6 +2005,62 @@ mod tests {
         );
     }
 
+    /// A link that loses every image frame while `images` is off.
+    struct ImageGate {
+        inner: InProcessLink,
+        images: AtomicBool,
+    }
+
+    impl ReplLink for Arc<ImageGate> {
+        fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
+            if matches!(frame, ReplFrame::Snapshot { .. }) && !self.images.load(Ordering::Acquire) {
+                return Err(ReplError::Transport("image lost".into()));
+            }
+            self.inner.ship(frame)
+        }
+    }
+
+    #[test]
+    fn an_ack_past_the_durable_end_commits_nothing() {
+        let (journal, _) = journal_with(2);
+        let follower = Arc::new(Follower::new(Arc::new(MemBackend::new())));
+        let link = Arc::new(ImageGate {
+            inner: InProcessLink::new(follower.clone()),
+            images: AtomicBool::new(true),
+        });
+        let replicator = Replicator::new(&Obs::noop(), ReplicationPolicy::Quorum(1))
+            .with_follower("f0", Arc::clone(&link));
+        replicator.set_epoch(1);
+        replicator.replicate(&journal).unwrap();
+        let end = journal.end_offset();
+        assert_eq!(replicator.commit_offset(end), end);
+
+        // The follower takes a longer image of a dead primary, so it
+        // answers our next Append with its own end, past ours, and the
+        // image meant to replace that suffix is lost on the link.
+        let (_, longer) = journal_with(4);
+        let image = ReplFrame::Snapshot {
+            epoch: 1,
+            image: longer.bytes().into(),
+        };
+        follower.apply(&image).unwrap();
+        journal.append_record(&Record::Epoch(1)).unwrap();
+        let end = journal.end_offset();
+        assert!(follower.acked_offset() > end);
+        link.images.store(false, Ordering::Release);
+        assert!(replicator.replicate(&journal).is_err());
+        assert_eq!(
+            replicator.commit_offset(end),
+            0,
+            "holds none of our records"
+        );
+
+        // Once the image lands, the follower holds all of them.
+        link.images.store(true, Ordering::Release);
+        replicator.replicate(&journal).unwrap();
+        assert_eq!(replicator.commit_offset(end), end);
+    }
+
     /// A link that records every frame it ships, encoded.
     struct RecordingLink {
         inner: InProcessLink,
@@ -2082,7 +2164,6 @@ mod tests {
                 size: 3,
                 root: chain.root(),
                 sig: vec![7; 4],
-                tee_sig: vec![],
             })
             .unwrap();
         let clean = backend.bytes();

@@ -828,7 +828,6 @@ impl Response {
                 put_hash(&mut w, &sth.root);
                 put_hash(&mut w, &sth.chain_head);
                 w.put_bytes(&sth.signature);
-                w.put_bytes(&sth.tee_signature);
             }
             Response::InclusionProof(p) => {
                 w.put_u8(RESP_INCLUSION_PROOF);
@@ -891,7 +890,6 @@ impl Response {
                 root: r.get_array()?,
                 chain_head: r.get_array()?,
                 signature: r.get_bytes()?.to_vec(),
-                tee_signature: r.get_bytes()?.to_vec(),
             }),
             RESP_INCLUSION_PROOF => Response::InclusionProof(InclusionProof {
                 index: r.get_u64()?,
@@ -1012,14 +1010,12 @@ mod tests {
                 root: [0xAB; 32],
                 chain_head: [0xCD; 32],
                 signature: vec![1, 2, 3, 4, 5],
-                tee_signature: vec![9; 64],
             }),
             Response::TreeHead(crate::audit::SignedTreeHead {
                 size: 0,
                 root: [0; 32],
                 chain_head: [0; 32],
                 signature: Vec::new(),
-                tee_signature: Vec::new(),
             }),
             Response::InclusionProof(crate::audit::InclusionProof {
                 index: 5,

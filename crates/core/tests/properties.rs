@@ -8,7 +8,9 @@
 //!    no sample sits in any zone and every pair is sufficient, for
 //!    arbitrary traces and zone layouts.
 //! 3. **Reader parity** — a replication follower accepts exactly the
-//!    journal images its own recovery would open cleanly.
+//!    journal images its own recovery would open cleanly, and a
+//!    replicated primary serves exactly what recovery of its committed
+//!    prefix holds.
 //!
 //! Inputs come from a seeded deterministic stream (no `proptest` — the
 //! offline build has no crates.io), so failures reproduce exactly.
@@ -18,17 +20,19 @@
 use std::sync::{Arc, OnceLock};
 
 use alidrone_core::journal::{MemBackend, Record, FRAME_OVERHEAD, HEADER_LEN};
-use alidrone_core::repl::{Follower, ReplFrame};
+use alidrone_core::repl::{arm, Follower, ReplFrame, ReplicationPolicy};
 use alidrone_core::wire::{
     encode_envelope, split_envelope, Request, Response, WireEnvelope, WireTraceContext,
     ENVELOPE_MAGIC,
 };
 use alidrone_core::{
     Auditor, AuditorConfig, DroneId, PoaSubmission, ProofOfAlibi, Submission, Verdict, ZoneId,
+    ZoneQuery,
 };
 use alidrone_crypto::rng::{Rng, XorShift64};
 use alidrone_crypto::rsa::{HashAlg, RsaPrivateKey};
 use alidrone_geo::{Distance, GeoPoint, GpsSample, NoFlyZone, Timestamp, FAA_MAX_SPEED};
+use alidrone_obs::Obs;
 use alidrone_tee::SignedSample;
 
 const CASES: usize = 64;
@@ -414,6 +418,124 @@ fn follower_accepts_exactly_what_recovery_opens_cleanly() {
         follower_recovery_parity(&image, 410),
         records.len() + 1 - state
     );
+}
+
+/// The primary serves only what is committed. For seeded interleavings
+/// of registrations, zone queries (some replaying an earlier nonce),
+/// submissions, retention purges and compactions, with the follower's
+/// next append failing now and then (so `Quorum(1)` is lost and the
+/// write stays pending), the primary's `snapshot()` equals the
+/// `snapshot()` of `Auditor::recover` over its committed prefix. With
+/// one follower under `Quorum(1)` the commit point is that follower's
+/// acked offset, so the committed prefix is the image it holds.
+#[test]
+fn primary_state_is_recovery_of_its_committed_prefix() {
+    let config = AuditorConfig {
+        checkpoint_interval: 3,
+        ..AuditorConfig::default()
+    };
+    let mut rng = XorShift64::seed_from_u64(0xC0217);
+    let traces: Vec<_> = (0..4).map(|_| arb_trace(&mut rng)).collect();
+    let committed_state = |backend: &MemBackend| {
+        let (recovered, _) = Auditor::recover(
+            Arc::new(MemBackend::with_bytes(backend.bytes())),
+            config.clone(),
+            auditor_key().clone(),
+        )
+        .expect("a committed prefix recovers");
+        recovered.snapshot()
+    };
+    for case in 0..CASES as u64 / 4 {
+        let mut rng = XorShift64::seed_from_u64(0xC0217 + case);
+        let held = Arc::new(MemBackend::new());
+        let follower = Arc::new(Follower::new(held.clone()));
+        let (primary, _) = Auditor::recover(
+            Arc::new(MemBackend::new()),
+            config.clone(),
+            auditor_key().clone(),
+        )
+        .unwrap();
+        let followers = [("f0".to_string(), follower)];
+        arm(
+            &primary,
+            &followers,
+            ReplicationPolicy::Quorum(1),
+            1,
+            &Obs::noop(),
+        )
+        .unwrap();
+        let drone = primary
+            .register_drone_durable(
+                auditor_key().public_key().clone(),
+                tee_key().public_key().clone(),
+            )
+            .unwrap();
+        let mut nonces: Vec<[u8; 16]> = Vec::new();
+        for step in 0..16 {
+            if rng.gen_range_u64(3) == 0 {
+                held.fail_next_append();
+            }
+            match rng.gen_range_u64(6) {
+                0 => {
+                    let zones = arb_zones(&mut rng);
+                    if let Some(zone) = zones.first() {
+                        let _ = primary.register_zone_durable(*zone);
+                    }
+                }
+                1 => {
+                    let _ = primary.register_drone_durable(
+                        auditor_key().public_key().clone(),
+                        tee_key().public_key().clone(),
+                    );
+                }
+                2 => {
+                    let mut nonce = [0u8; 16];
+                    match nonces.len() {
+                        n if n > 0 && rng.gen_range_u64(3) == 0 => {
+                            nonce = nonces[rng.gen_range_u64(n as u64) as usize];
+                        }
+                        _ => {
+                            rng.fill_bytes(&mut nonce);
+                            nonces.push(nonce);
+                        }
+                    }
+                    let corner = origin().destination(45.0, Distance::from_km(8.0));
+                    let query = ZoneQuery::new_signed(
+                        drone,
+                        origin().destination(225.0, Distance::from_km(8.0)),
+                        corner,
+                        nonce,
+                        auditor_key(),
+                    )
+                    .unwrap();
+                    let _ = primary.handle_zone_query(&query);
+                }
+                3 | 4 => {
+                    let entries = traces[rng.gen_range_u64(traces.len() as u64) as usize].clone();
+                    let window_end = entries.last().unwrap().sample().time();
+                    let submission = Submission::plain(PoaSubmission {
+                        drone_id: drone,
+                        window_start: Timestamp::EPOCH,
+                        window_end,
+                        poa: ProofOfAlibi::from_entries(entries),
+                    });
+                    let _ = primary.verify(&submission, Timestamp::from_secs(step as f64 * 3600.0));
+                }
+                _ if rng.gen_range_u64(2) == 0 => {
+                    let _ = primary.purge_expired(Timestamp::from_secs(
+                        step as f64 * 3600.0 + 2.0 * 86_400.0 - 4.0 * 3600.0,
+                    ));
+                }
+                _ => {
+                    let _ = primary.compact_journal();
+                }
+            }
+            assert!(
+                primary.snapshot() == committed_state(&held),
+                "case {case} step {step}: the primary's state is not its committed prefix's"
+            );
+        }
+    }
 }
 
 /// The records of a journal image, in order: after the header, each

@@ -13,7 +13,9 @@
 use std::sync::{Arc, OnceLock};
 
 use alidrone_core::verify_pool::VerifyPool;
-use alidrone_core::{Auditor, AuditorConfig, PoaSubmission, ProofOfAlibi, Submission, Verdict};
+use alidrone_core::{
+    Auditor, AuditorConfig, PoaSubmission, ProofOfAlibi, ProtocolError, Submission, Verdict,
+};
 use alidrone_crypto::rng::{Rng, XorShift64};
 use alidrone_crypto::rsa::{HashAlg, RsaPrivateKey};
 use alidrone_geo::{Distance, GeoPoint, GpsSample, NoFlyZone, Timestamp};
@@ -211,6 +213,7 @@ fn auditor(pooled: bool) -> (Auditor, alidrone_core::DroneId) {
 fn batched_and_serial_verdicts_agree_across_seeds() {
     let mut bad_gap_verdicts = 0;
     let mut honest_gap_passes = 0;
+    let mut refused_inverted = 0;
     for seed in 0..SEEDS {
         let mut rng = XorShift64::seed_from_u64(0x50A1 ^ seed);
         let mut trace = arb_trace(&mut rng);
@@ -225,18 +228,33 @@ fn batched_and_serial_verdicts_agree_across_seeds() {
         let (pooled, pooled_id) = auditor(true);
         assert_eq!(serial_id, pooled_id);
 
+        let mut poa = ProofOfAlibi::from_entries(trace.clone());
+        for gap in &gaps {
+            poa.push_gap(gap.clone());
+        }
         let submission = |id| {
-            let mut poa = ProofOfAlibi::from_entries(trace.clone());
-            for gap in &gaps {
-                poa.push_gap(gap.clone());
-            }
             Submission::plain(PoaSubmission {
                 drone_id: id,
                 window_start,
                 window_end,
-                poa,
+                poa: poa.clone(),
             })
         };
+        // A retimed marker whose window inverted does not decode again:
+        // both auditors refuse the PoA as malformed, as the wire does,
+        // rather than store what their journal could not read back.
+        if ProofOfAlibi::from_bytes(&poa.to_bytes()).is_err() {
+            for (auditor, id) in [(&serial, serial_id), (&pooled, pooled_id)] {
+                let refused = auditor.verify(&submission(id), Timestamp::EPOCH);
+                assert!(
+                    matches!(refused, Err(ProtocolError::Malformed(_))),
+                    "seed {seed}: {refused:?}"
+                );
+            }
+            assert_eq!(serial.stored_poa_count() + pooled.stored_poa_count(), 0);
+            refused_inverted += 1;
+            continue;
+        }
         let a = serial
             .verify(&submission(serial_id), Timestamp::EPOCH)
             .unwrap();
@@ -294,4 +312,5 @@ fn batched_and_serial_verdicts_agree_across_seeds() {
         honest_gap_passes >= 3,
         "only {honest_gap_passes} honest-gap seeds"
     );
+    assert!(refused_inverted > 0, "no seed inverted a gap window");
 }

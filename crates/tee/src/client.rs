@@ -184,26 +184,6 @@ impl TeeSession {
         ))
     }
 
-    /// Countersigns an auditor audit-log tree head: the enclave attests
-    /// it witnessed this (size, root, chain head) triple. `sth_bytes`
-    /// must be the exact domain-separated signing encoding produced by
-    /// the auditor (`"ALDSTH01" || size || root || chain_head`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TeeError::BadParameters`] when the buffer is not a
-    /// well-formed tree-head encoding, plus any dispatch errors.
-    pub fn sign_checkpoint(&self, sth_bytes: &[u8]) -> Result<Vec<u8>, TeeError> {
-        let out = self.invoke(
-            crate::CMD_SIGN_CHECKPOINT,
-            &[Param::Bytes(sth_bytes.to_vec())],
-        )?;
-        if out.len() != 1 {
-            return Err(TeeError::MalformedData("SignCheckpoint output arity"));
-        }
-        Ok(out[0].as_bytes()?.to_vec())
-    }
-
     /// Reads the raw (unsigned) sample the secure-world driver sees.
     ///
     /// # Errors
@@ -291,47 +271,6 @@ mod tests {
             forged.verify(&c.tee_public_key()),
             Err(TeeError::SignatureInvalid)
         );
-    }
-
-    #[test]
-    fn sign_checkpoint_signs_only_domain_separated_heads() {
-        use alidrone_crypto::rsa::HashAlg;
-        let obs = Obs::noop();
-        let c = SecureWorldBuilder::new()
-            .with_sign_key(test_key().clone())
-            .with_cost_model(CostModel::free())
-            .with_hash_alg(HashAlg::Sha256)
-            .with_obs(&obs)
-            .build()
-            .unwrap()
-            .client();
-        let s = c.open_session(GPS_SAMPLER_UUID).unwrap();
-
-        let mut sth = Vec::with_capacity(80);
-        sth.extend_from_slice(b"ALDSTH01");
-        sth.extend_from_slice(&7u64.to_be_bytes());
-        sth.extend_from_slice(&[0xAB; 32]);
-        sth.extend_from_slice(&[0xCD; 32]);
-        let sig = s.sign_checkpoint(&sth).unwrap();
-        c.tee_public_key()
-            .verify(&sth, &sig, HashAlg::Sha256)
-            .unwrap();
-
-        // Wrong prefix: a GPS-sample-shaped buffer must be refused even
-        // at the right length.
-        let mut bogus = sth.clone();
-        bogus[0] = b'X';
-        assert!(matches!(
-            s.sign_checkpoint(&bogus),
-            Err(TeeError::BadParameters(_))
-        ));
-        // Wrong length refused too.
-        assert!(matches!(
-            s.sign_checkpoint(&sth[..79]),
-            Err(TeeError::BadParameters(_))
-        ));
-        // Signing a checkpoint is metered like any other signature.
-        assert_eq!(obs.snapshot().counter("tee.signatures"), 1);
     }
 
     #[test]

@@ -115,15 +115,3 @@ pub const CMD_GET_GPS_AUTH_3D: u32 = 6;
 /// output `[Bytes(sig)]`. Safe to expose to the normal world because a
 /// declared gap only ever *weakens* the alibi.
 pub const CMD_SIGN_GAP: u32 = 7;
-
-/// Command id: countersign an auditor audit-log checkpoint
-/// (`SignCheckpoint`). Input `[Bytes(sth_signing_bytes)]` — exactly the
-/// 80-byte domain-separated signed-tree-head encoding
-/// (`"ALDSTH01" || size || root || chain_head`); output `[Bytes(sig)]`.
-///
-/// Safe to expose: the enclave refuses any buffer that does not carry
-/// the `ALDSTH01` domain prefix, and no GPS artifact it signs shares
-/// that prefix or length (samples are 24 B, 3-D samples 32 B, traces
-/// multiples of 24 B, gap markers 23 B), so a checkpoint signature can
-/// never be confused with a location attestation.
-pub const CMD_SIGN_CHECKPOINT: u32 = 8;

@@ -502,35 +502,9 @@ pub(crate) fn invoke(
             let signature = world.keystore_sign(&bytes)?;
             Ok(vec![Param::Bytes(signature)])
         }
-        crate::CMD_SIGN_CHECKPOINT => {
-            // Countersign an auditor tree head. The enclave only vouches
-            // for buffers under the `ALDSTH01` domain prefix so this key
-            // can never be tricked into signing a location artifact.
-            let [Param::Bytes(sth)] = params else {
-                return Err(TeeError::BadParameters(
-                    "SignCheckpoint takes one byte buffer",
-                ));
-            };
-            if sth.len() != STH_SIGNING_LEN || !sth.starts_with(STH_DOMAIN_PREFIX) {
-                return Err(TeeError::BadParameters(
-                    "SignCheckpoint input is not a domain-separated tree head",
-                ));
-            }
-            let signature = world.keystore_sign(sth)?;
-            Ok(vec![Param::Bytes(signature)])
-        }
         other => Err(TeeError::NotSupported(other)),
     }
 }
-
-/// Domain prefix an auditor signed-tree-head encoding must carry before
-/// the enclave will countersign it (mirrors `alidrone-core`'s
-/// `audit::SignedTreeHead::signing_bytes`).
-const STH_DOMAIN_PREFIX: &[u8] = b"ALDSTH01";
-
-/// Exact length of a signed-tree-head encoding: 8-byte prefix +
-/// u64 size + 32-byte Merkle root + 32-byte chain head.
-const STH_SIGNING_LEN: usize = 8 + 8 + 32 + 32;
 
 #[cfg(test)]
 mod tests {

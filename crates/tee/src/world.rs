@@ -574,10 +574,7 @@ mod tests {
 
     #[test]
     fn every_operation_is_accounted_once_at_model_cost() {
-        use crate::{
-            CMD_CACHE_SAMPLE, CMD_GET_GPS_AUTH_3D, CMD_SIGN_CHECKPOINT, CMD_SIGN_GAP,
-            CMD_SIGN_TRACE,
-        };
+        use crate::{CMD_CACHE_SAMPLE, CMD_GET_GPS_AUTH_3D, CMD_SIGN_GAP, CMD_SIGN_TRACE};
         let obs = Obs::noop();
         let world = SecureWorldBuilder::new()
             .with_sign_key(test_key().clone())
@@ -588,8 +585,6 @@ mod tests {
             .unwrap();
         let mut gap = 10f64.to_be_bytes().to_vec();
         gap.extend_from_slice(&20f64.to_be_bytes());
-        let mut sth = b"ALDSTH01".to_vec();
-        sth.resize(80, 0xAB);
         for (cmd, params) in [
             (CMD_GET_PUBLIC_KEY, vec![]),
             (CMD_GET_GPS_AUTH, vec![]),
@@ -597,18 +592,17 @@ mod tests {
             (CMD_CACHE_SAMPLE, vec![]),
             (CMD_SIGN_TRACE, vec![]),
             (CMD_SIGN_GAP, vec![Param::Bytes(gap)]),
-            (CMD_SIGN_CHECKPOINT, vec![Param::Bytes(sth)]),
         ] {
             world.smc_invoke(GPS_SAMPLER_UUID, cmd, &params).unwrap();
         }
         let snap = obs.snapshot();
-        assert_eq!(snap.counter("tee.smc_invokes"), 7);
-        assert_eq!(snap.counter("tee.world_switches"), 14);
+        assert_eq!(snap.counter("tee.smc_invokes"), 6);
+        assert_eq!(snap.counter("tee.world_switches"), 12);
         assert_eq!(snap.counter("tee.gps_reads"), 3);
-        assert_eq!(snap.counter("tee.signatures"), 5);
+        assert_eq!(snap.counter("tee.signatures"), 4);
         // The test key is 512-bit: the by-size counter carries the size
         // in its name.
-        assert_eq!(snap.counter("tee.signatures.rsa_512"), 5);
+        assert_eq!(snap.counter("tee.signatures.rsa_512"), 4);
         // Each histogram observes its operation once per run at the
         // model's cost: 0.75 ms per switch direction, 0.3 ms per driver
         // read, and sign_1024 × (512/1024)³ = 5.125 ms per signature.

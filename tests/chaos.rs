@@ -148,7 +148,10 @@ fn recovery_is_exact_at_every_crash_offset() {
         // The torn journal was cleaned: the recovered auditor keeps
         // journaling, and a second recovery replays the new record too.
         recovered.register_zone(NoFlyZone::new(pad(), Distance::from_meters(10.0)));
-        assert!(recovered.journal_enabled(), "offset {cut}: journal died");
+        assert!(
+            recovered.last_journal_error().is_none(),
+            "offset {cut}: journal died"
+        );
         let (reread, _) = Auditor::recover(
             Arc::new(MemBackend::with_bytes(truncated.bytes())) as Arc<dyn StorageBackend>,
             AuditorConfig::default(),

@@ -252,7 +252,9 @@ fn poa_retention_expires() {
         Distance::from_meters(50.0),
     ));
     owner.register_with(&auditor);
-    auditor.purge_expired(Timestamp::from_secs(3.0 * 86_400.0));
+    auditor
+        .purge_expired(Timestamp::from_secs(3.0 * 86_400.0))
+        .unwrap();
     assert_eq!(auditor.stored_poa_count(), 0);
     let accusation = owner
         .report(drone_id, record.window_start + r.flight_time * 0.5)

@@ -22,6 +22,11 @@
 //!      acknowledged under `Quorum(1)` is in the promoted state;
 //!    * the deposed primary is **fenced** — its next durable mutation
 //!      fails with a typed error under any policy;
+//!    * **no forked heads**: every signed tree head fetched from the
+//!      dead primary (after each op, and after its fenced write) and
+//!      from the promoted one is consistent with the promoted primary's
+//!      final head, so a client holding any served head never sees the
+//!      auditor equivocate;
 //!    * post-promotion, the surviving follower converges to a journal
 //!      image byte-identical to the new primary's, and the quiesced
 //!      scrape reconciles exactly (zero lag, matching acked offsets,
@@ -34,6 +39,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use alidrone::chaos::{FaultPlane, FaultyLink, PartitionSwitch};
+use alidrone::core::audit::{verify_consistency, SignedTreeHead};
 use alidrone::core::journal::{MemBackend, StorageBackend, FRAME_OVERHEAD, HEADER_LEN};
 use alidrone::core::repl::{
     arm, promote, Cluster, ClusterConfig, Follower, InProcessLink, Promotion, ReplAck, ReplError,
@@ -244,7 +250,9 @@ fn campaign_run(seed: u64) -> Vec<String> {
     assert!(booted, "seed {seed}: epoch 1 never replicated");
 
     // Ops until the kill, toggling the partition window on follower 1.
+    // Every primary's signed head is fetched after each op it runs.
     let mut acked: Vec<usize> = Vec::new();
+    let mut heads: Vec<SignedTreeHead> = Vec::new();
     for i in 0..plan.kill_at {
         if let Some((start, end)) = plan.partition {
             if i == start {
@@ -274,6 +282,7 @@ fn campaign_run(seed: u64) -> Vec<String> {
             }
             Err(e) => log.push(format!("op {i}: err {e}")),
         }
+        heads.push(primary.signed_tree_head().expect("primary signs its head"));
         if let Some(f) = fault {
             // An empty append consumes a fault the op never reached (a
             // cut link, a dropped frame, a snapshot replace), so it
@@ -311,6 +320,7 @@ fn campaign_run(seed: u64) -> Vec<String> {
             Ok(()) => panic!("seed {seed}: torn append was acked"),
             Err(e) => log.push(format!("kill op: torn err {e}")),
         }
+        heads.push(primary.signed_tree_head().expect("primary signs its head"));
     }
 
     // --- fail-stop kill + promotion by the one rule ------------------
@@ -335,6 +345,11 @@ fn campaign_run(seed: u64) -> Vec<String> {
         "seed {seed}: follower received a torn record"
     );
     log.push(format!("replayed {} records", report.records_applied));
+    heads.push(
+        promoted
+            .signed_tree_head()
+            .expect("promoted primary signs its head"),
+    );
 
     // Byte-identical to a crash-free reference checkpoint, and zero
     // acked-then-lost under Quorum(1).
@@ -369,6 +384,12 @@ fn campaign_run(seed: u64) -> Vec<String> {
             );
         }
     }
+    // Its refused write must not reach the head it still serves.
+    heads.push(
+        primary
+            .signed_tree_head()
+            .expect("deposed primary signs its head"),
+    );
 
     // The promoted primary keeps serving durable mutations. Resume
     // from checkpoint `m`: ops the dead primary journaled but never
@@ -384,6 +405,26 @@ fn campaign_run(seed: u64) -> Vec<String> {
         "seed {seed}: promoted primary must finish the schedule on the \
          reference state"
     );
+
+    // No forked heads: every head served on the way extends to the
+    // final primary's head, checked offline with its consistency proof.
+    let last = promoted
+        .signed_tree_head()
+        .expect("promoted primary signs its head");
+    for head in heads.iter().filter(|h| h.size > 0) {
+        let consistent = head.size <= last.size
+            && promoted
+                .audit_consistency_proof(head.size, last.size)
+                .is_ok_and(|p| {
+                    verify_consistency(head.size, last.size, &p.path, &head.root, &last.root)
+                });
+        assert!(
+            consistent,
+            "seed {seed}: forked head — a served head of size {} is not extended by the \
+             final head of size {}",
+            head.size, last.size
+        );
+    }
 
     // Quiesced reconciliation: the survivor's journal image is
     // byte-identical to the new primary's, and the scrape agrees
@@ -572,6 +613,61 @@ fn promotion_keeps_a_record_only_one_follower_acked() {
             "acked zone {id} lost at failover"
         );
     }
+}
+
+/// A write that no follower took is never served. Under `Quorum(1)`
+/// zone 0 commits, then both followers fail their next append, so
+/// zone 1's registration returns `replication quorum lost`. The
+/// primary's signed head must not cover zone 1: once a follower is
+/// promoted and registers another zone, the new primary's head is an
+/// append-only extension of the head the old primary served.
+#[test]
+fn a_failed_quorum_write_is_never_served() {
+    let obs = Obs::noop();
+    let (backends, mut followers) = followers();
+    let (primary, _) = Auditor::recover_with_obs(
+        Arc::new(MemBackend::new()),
+        AuditorConfig::default(),
+        key(0),
+        &obs,
+    )
+    .unwrap();
+    arm(&primary, &followers, ReplicationPolicy::Quorum(1), 1, &obs).unwrap();
+    primary.register_zone_durable(zone(0)).unwrap();
+    backends.iter().for_each(|b| b.fail_next_append());
+    let err = primary.register_zone_durable(zone(1)).unwrap_err();
+    assert!(err.to_string().contains("quorum lost"), "{err}");
+    let served = primary.signed_tree_head().unwrap();
+    assert_eq!(served.size, 1, "the served head covers the failed write");
+    assert_eq!(primary.zone_count(), 1, "the failed write is served");
+    drop(primary);
+
+    let promotion = promote(
+        &mut followers,
+        ReplicationPolicy::Quorum(1),
+        AuditorConfig::default(),
+        key(0),
+        &obs,
+    )
+    .unwrap();
+    let promoted = promotion.auditor;
+    assert_eq!(promoted.zone_count(), 1);
+    promoted.register_zone_durable(zone(2)).unwrap();
+    let head = promoted.signed_tree_head().unwrap();
+    assert_eq!(head.size, 2);
+    let proof = promoted
+        .audit_consistency_proof(served.size, head.size)
+        .unwrap();
+    assert!(
+        verify_consistency(
+            proof.old_size,
+            proof.new_size,
+            &proof.path,
+            &served.root,
+            &head.root
+        ),
+        "the served head forks from the new primary's"
+    );
 }
 
 /// Three zones acked under `Quorum(1)` with a compaction after the
