@@ -68,8 +68,8 @@ chaos:
 	$(CARGO) run --release --offline --example crash_recovery
 
 # Overload-protection campaign (bounded admission queue, deadline
-# shedding, rate limiting, circuit breaking) plus the 4x-load TCP
-# smoke. The campaign also runs inside `test`.
+# shedding, rate limiting) plus the 4x-load TCP smoke. The campaign
+# also runs inside `test`.
 overload:
 	$(CARGO) test --release --offline --test overload -q
 	$(CARGO) run -p alidrone-sim --release --offline --bin exp_tcp -- --overload
@@ -103,14 +103,15 @@ soak-smoke:
 # Kill-the-primary failover gate: tests/failover.rs — a widened
 # replication chaos campaign (400 seeds by default, against the 40 of
 # `cargo test`; FAILOVER_SEEDS overrides) whose served-head invariant
-# requires every signed tree head fetched from each primary to extend
-# to the final primary's head, the leader-completeness regression
+# requires every signed tree head the dead primary served to extend to
+# the promoted primary's head at promotion, and every served head to
+# extend to the final primary's head, the leader-completeness regression
 # test, a_failed_quorum_write_is_never_served, the restart regression tests
 # (promotion_after_a_compacted_follower_restart_keeps_every_acked_record,
 # promotion_passes_over_a_follower_whose_image_is_corrupt,
-# promotion_passes_over_a_compacted_follower_that_lost_its_snapshot) and the
-# packaged Cluster::kill_and_promote path, all promoting through
-# repl::promote — then the replicated soak with its kill-and-promote
+# promotion_passes_over_a_compacted_follower_that_lost_its_snapshot) and
+# armed_cluster_survives_promotion (boot by repl::arm), all promoting
+# through repl::promote — then the replicated soak with its kill-and-promote
 # phase (signature diffed against its golden; report lands in
 # target/SOAK_failover_report.json for CI to archive), and the
 # end-to-end failover example.

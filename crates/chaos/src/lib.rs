@@ -460,11 +460,6 @@ impl PartitionSwitch {
     pub fn heal(&self) {
         self.partitioned.store(false, Ordering::Release);
     }
-
-    /// Whether the link is currently cut.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned.load(Ordering::Acquire)
-    }
 }
 
 // ------------------------------------------------------- StorageFaults

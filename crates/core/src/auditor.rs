@@ -24,7 +24,6 @@ use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLoc
 use std::time::Instant;
 
 use alidrone_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
-use alidrone_geo::polygon::PolygonZone;
 use alidrone_geo::sufficiency::{check_alibi_with_gaps, Criterion, SufficiencyReport};
 use alidrone_geo::{
     check_monotonic, Duration, GeoError, NoFlyZone, ReachableSet, Speed, Timestamp, ZoneSet,
@@ -1054,16 +1053,6 @@ impl Auditor {
             Ok(record(id))
         });
         (id, durable)
-    }
-
-    /// §VII-B2 — registers a polygonal zone by covering it with its
-    /// smallest enclosing circle (computed once, here).
-    ///
-    /// # Errors
-    ///
-    /// Propagates degenerate-polygon errors.
-    pub fn register_polygon_zone(&self, polygon: &PolygonZone) -> Result<ZoneId, GeoError> {
-        Ok(self.register_zone(polygon.enclosing_zone()))
     }
 
     /// The zone registry as one shared view: the read lock is held

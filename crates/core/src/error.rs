@@ -58,10 +58,6 @@ pub enum ProtocolError {
         /// Server's hint for how long to back off before retrying.
         retry_after_ms: u64,
     },
-    /// The client-side circuit breaker is open: recent calls failed or
-    /// were shed, so the client fails fast without touching the wire.
-    /// Retry after the breaker's open interval elapses.
-    CircuitOpen,
     /// The tamper-evident audit chain diverged from the journaled
     /// history: a Merkle checkpoint's recorded root does not match the
     /// root recomputed from the records preceding it (see
@@ -82,18 +78,13 @@ impl ProtocolError {
         matches!(self, ProtocolError::Transport(_) | ProtocolError::Timeout)
     }
 
-    /// `true` when the failure is safe to answer by resending *any*
-    /// request kind: the server shed the request before execution
-    /// ([`ProtocolError::Overloaded`]) or the client never sent it
-    /// ([`ProtocolError::CircuitOpen`]). Unlike
-    /// [`is_transport`](Self::is_transport), these carry no
-    /// "response lost after execution" ambiguity, so even
-    /// non-idempotent requests may retry.
+    /// `true` when the server shed the request before executing it
+    /// ([`ProtocolError::Overloaded`]), so resending is safe for *any*
+    /// request kind. Unlike [`is_transport`](Self::is_transport), a
+    /// shed carries no "response lost after execution" ambiguity, so
+    /// even non-idempotent requests may retry.
     pub fn is_shed(&self) -> bool {
-        matches!(
-            self,
-            ProtocolError::Overloaded { .. } | ProtocolError::CircuitOpen
-        )
+        matches!(self, ProtocolError::Overloaded { .. })
     }
 }
 
@@ -121,9 +112,6 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::Overloaded { retry_after_ms } => {
                 write!(f, "server overloaded, retry after {retry_after_ms}ms")
-            }
-            ProtocolError::CircuitOpen => {
-                write!(f, "circuit breaker open, failing fast")
             }
             ProtocolError::AuditDivergence { size } => {
                 write!(f, "audit chain divergence at tree size {size}")

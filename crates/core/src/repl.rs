@@ -105,8 +105,8 @@ use alidrone_obs::{Counter, Gauge, Level, Obs};
 
 use crate::audit::{AuditChain, ChainMark};
 use crate::journal::{
-    image_base, walk, DurableImage, Frames, Journal, JournalError, MemBackend, ShipSource, Step,
-    Stop, StorageBackend,
+    image_base, walk, DurableImage, Frames, Journal, JournalError, ShipSource, Step, Stop,
+    StorageBackend,
 };
 use crate::wire::codec::{read_frame, write_frame, Reader, Writer};
 use crate::{Auditor, AuditorConfig, ProtocolError, RecoveryReport};
@@ -211,24 +211,6 @@ pub enum ReplicationPolicy {
     /// fails a response on follower durability, and a primary crash
     /// loses at most the shipping lag.
     Quorum(usize),
-}
-
-/// Shape of a replicated auditor cluster (see [`Cluster`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClusterConfig {
-    /// Follower count.
-    pub followers: usize,
-    /// Ack policy gating primary responses.
-    pub policy: ReplicationPolicy,
-}
-
-impl Default for ClusterConfig {
-    fn default() -> Self {
-        ClusterConfig {
-            followers: 2,
-            policy: ReplicationPolicy::Quorum(1),
-        }
-    }
 }
 
 // ------------------------------------------------------------------ frames
@@ -1239,110 +1221,10 @@ pub fn promote(
     })
 }
 
-// ------------------------------------------------------------------ cluster
-
-/// An in-process replicated auditor cluster: one primary shipping to
-/// [`ClusterConfig::followers`] followers over [`InProcessLink`]s,
-/// failing over by [`promote`]. `examples/failover.rs` and the
-/// packaged-cluster tests drive this. The simulated fleet boots with
-/// [`arm`] and fails over with [`promote`] on its own follower set,
-/// the failover campaign calls [`promote`] on its own, and a
-/// deployment would wire the same pieces over [`TcpReplLink`] /
-/// [`FollowerServer`].
-pub struct Cluster {
-    auditor_config: AuditorConfig,
-    key: RsaPrivateKey,
-    obs: Obs,
-    policy: ReplicationPolicy,
-    primary: Arc<Auditor>,
-    followers: Vec<(String, Arc<Follower>)>,
-}
-
-impl Cluster {
-    /// Boots a cluster at epoch 1: a journaled primary (fresh
-    /// [`MemBackend`]) [`arm`]ed over fresh followers.
-    ///
-    /// # Errors
-    ///
-    /// Journal/replication failures while recording the first epoch.
-    pub fn new(
-        config: ClusterConfig,
-        auditor_config: AuditorConfig,
-        key: RsaPrivateKey,
-        obs: &Obs,
-    ) -> Result<Cluster, ProtocolError> {
-        let followers: Vec<(String, Arc<Follower>)> = (0..config.followers)
-            .map(|i| {
-                let backend: Arc<dyn StorageBackend> = Arc::new(MemBackend::new());
-                (format!("f{i}"), Arc::new(Follower::new(backend)))
-            })
-            .collect();
-        let (primary, _) = Auditor::recover_with_obs(
-            Arc::new(MemBackend::new()),
-            auditor_config.clone(),
-            key.clone(),
-            obs,
-        )?;
-        arm(&primary, &followers, config.policy, 1, obs)?;
-        Ok(Cluster {
-            auditor_config,
-            key,
-            obs: obs.clone(),
-            policy: config.policy,
-            primary: Arc::new(primary),
-            followers,
-        })
-    }
-
-    /// The serving primary.
-    pub fn primary(&self) -> &Arc<Auditor> {
-        &self.primary
-    }
-
-    /// The follower set, as `(name, follower)` pairs.
-    pub fn followers(&self) -> &[(String, Arc<Follower>)] {
-        &self.followers
-    }
-
-    /// The current leadership epoch.
-    pub fn epoch(&self) -> u64 {
-        self.primary.current_epoch()
-    }
-
-    /// Kills the primary (fail-stop: its journal and unshipped tail
-    /// die with it) and fails over by [`promote`], which picks the
-    /// most-caught-up follower.
-    ///
-    /// # Errors
-    ///
-    /// As [`promote`].
-    pub fn kill_and_promote(&mut self) -> Result<Arc<Auditor>, ProtocolError> {
-        let promotion = promote(
-            &mut self.followers,
-            self.policy,
-            self.auditor_config.clone(),
-            self.key.clone(),
-            &self.obs,
-        )?;
-        self.primary = Arc::new(promotion.auditor);
-        Ok(Arc::clone(&self.primary))
-    }
-}
-
-impl fmt::Debug for Cluster {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Cluster")
-            .field("epoch", &self.epoch())
-            .field("followers", &self.followers.len())
-            .field("policy", &self.policy)
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::journal::{crc32, Record, FRAME_OVERHEAD, HEADER_LEN};
+    use crate::journal::{crc32, MemBackend, Record, FRAME_OVERHEAD, HEADER_LEN};
     use crate::test_support::auditor_key;
     use alidrone_geo::{Distance, GeoPoint, NoFlyZone};
 
@@ -1351,6 +1233,47 @@ mod tests {
             GeoPoint::new(40.0 + i as f64 * 0.01, -88.0).unwrap(),
             Distance::from_meters(100.0),
         )
+    }
+
+    /// A journaled primary armed at epoch 1 over `n` fresh followers
+    /// named `f0`, `f1`, ...
+    fn boot(
+        n: usize,
+        policy: ReplicationPolicy,
+        obs: &Obs,
+    ) -> (Auditor, Vec<(String, Arc<Follower>)>) {
+        let followers: Vec<(String, Arc<Follower>)> = (0..n)
+            .map(|i| {
+                let backend = Arc::new(MemBackend::new());
+                (format!("f{i}"), Arc::new(Follower::new(backend)))
+            })
+            .collect();
+        let (primary, _) = Auditor::recover_with_obs(
+            Arc::new(MemBackend::new()),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+            obs,
+        )
+        .unwrap();
+        arm(&primary, &followers, policy, 1, obs).unwrap();
+        (primary, followers)
+    }
+
+    /// Fails over to the most caught-up of `followers` by [`promote`].
+    fn fail_over(
+        followers: &mut Vec<(String, Arc<Follower>)>,
+        policy: ReplicationPolicy,
+        obs: &Obs,
+    ) -> Auditor {
+        promote(
+            followers,
+            policy,
+            AuditorConfig::default(),
+            auditor_key().clone(),
+            obs,
+        )
+        .unwrap()
+        .auditor
     }
 
     fn journal_with(n: u64) -> (Journal, Arc<MemBackend>) {
@@ -1611,18 +1534,12 @@ mod tests {
     #[test]
     fn promotion_fences_the_deposed_primary() {
         let obs = Obs::noop();
-        let mut cluster = Cluster::new(
-            ClusterConfig::default(),
-            AuditorConfig::default(),
-            auditor_key().clone(),
-            &obs,
-        )
-        .unwrap();
-        let old_primary = Arc::clone(cluster.primary());
+        let policy = ReplicationPolicy::Quorum(1);
+        let (old_primary, mut followers) = boot(2, policy, &obs);
         old_primary.register_zone_durable(zone(0)).unwrap();
-        assert_eq!(cluster.epoch(), 1);
+        assert_eq!(old_primary.current_epoch(), 1);
 
-        let promoted = cluster.kill_and_promote().unwrap();
+        let promoted = fail_over(&mut followers, policy, &obs);
         assert_eq!(promoted.current_epoch(), 2);
         // The promoted follower replayed the shipped log: the zone is
         // there and verdict-serving state matches the old primary's.
@@ -1825,20 +1742,12 @@ mod tests {
         let obs = Obs::noop();
         let recorder = Arc::new(alidrone_obs::FlightRecorder::new(64));
         obs.set_subscriber(recorder.clone());
-        let mut cluster = Cluster::new(
-            ClusterConfig {
-                followers: 2,
-                policy: ReplicationPolicy::Quorum(2),
-            },
-            AuditorConfig::default(),
-            auditor_key().clone(),
-            &obs,
-        )
-        .unwrap();
+        let policy = ReplicationPolicy::Quorum(2);
+        let (primary, mut followers) = boot(2, policy, &obs);
         assert_eq!(obs.snapshot().gauges["repl.quorum"], 2);
-        cluster.primary().register_zone_durable(zone(0)).unwrap();
+        primary.register_zone_durable(zone(0)).unwrap();
 
-        cluster.kill_and_promote().unwrap();
+        let promoted = fail_over(&mut followers, policy, &obs);
         assert_eq!(obs.snapshot().gauges["repl.quorum"], 1);
         let clamps: Vec<_> = recorder
             .events()
@@ -1850,7 +1759,7 @@ mod tests {
         assert_eq!(clamps[0].field("requested"), Some(&2usize.into()));
         assert_eq!(clamps[0].field("effective"), Some(&1usize.into()));
         // The clamped quorum still gates acks on the survivor.
-        cluster.primary().register_zone_durable(zone(1)).unwrap();
+        promoted.register_zone_durable(zone(1)).unwrap();
     }
 
     #[test]

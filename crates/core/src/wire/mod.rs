@@ -365,11 +365,6 @@ pub(crate) fn request_kind_index(req: &Request) -> usize {
     }
 }
 
-/// The kind name for a request.
-pub fn request_kind(req: &Request) -> &'static str {
-    REQUEST_KINDS[request_kind_index(req)]
-}
-
 /// The kind name for a raw request tag byte (the first payload byte),
 /// `None` for unknown tags. Lets transports label frames without fully
 /// decoding them.
@@ -1216,7 +1211,7 @@ mod tests {
         assert!(req.is_idempotent());
         assert_eq!(request_cost(&req), 0);
         assert_eq!(source_drone(&req), None);
-        assert_eq!(request_kind(&req), "health_check");
+        assert_eq!(REQUEST_KINDS[request_kind_index(&req)], "health_check");
     }
 
     #[test]

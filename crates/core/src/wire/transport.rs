@@ -14,7 +14,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use alidrone_geo::{GeoPoint, NoFlyZone, Timestamp};
-use alidrone_obs::{Counter, Gauge, Level, Obs, SpanContext};
+use alidrone_obs::{Counter, Level, Obs, SpanContext};
 
 use crate::messages::{Accusation, ZoneQuery};
 use crate::wire::server::AuditorServer;
@@ -117,11 +117,6 @@ impl InProcess {
     pub fn server(&self) -> &AuditorServer {
         &self.server
     }
-
-    /// A clone of the shared server handle.
-    pub fn server_arc(&self) -> Arc<AuditorServer> {
-        Arc::clone(&self.server)
-    }
 }
 
 impl Transport for InProcess {
@@ -166,211 +161,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// Circuit-breaker policy for [`AuditorClient`]: after
-/// `failure_threshold` consecutive transport/overload failures the
-/// breaker opens and every call fails fast with
-/// [`ProtocolError::CircuitOpen`] — no wire traffic — until the open
-/// interval elapses. The first calls after that run **half-open**:
-/// `half_open_successes` consecutive successes close the breaker, any
-/// failure re-opens it.
-///
-/// The open interval is `open_secs` plus seeded jitter of up to half
-/// itself (so a fleet of clients sharing a policy but different seeds
-/// does not re-probe in lockstep), and never shorter than the server's
-/// `retry_after_ms` hint when the opening failure carried one. Like
-/// [`RetryPolicy`], a fixed `jitter_seed` reproduces the schedule
-/// exactly.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CircuitBreakerPolicy {
-    /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// Base open interval in seconds (sim-clock, not wall-clock).
-    pub open_secs: f64,
-    /// Consecutive half-open successes required to close again.
-    pub half_open_successes: u32,
-    /// Seed for the open-interval jitter sequence.
-    pub jitter_seed: u64,
-}
-
-impl Default for CircuitBreakerPolicy {
-    fn default() -> Self {
-        CircuitBreakerPolicy {
-            failure_threshold: 5,
-            open_secs: 1.0,
-            half_open_successes: 2,
-            jitter_seed: 0xB0B5,
-        }
-    }
-}
-
-/// Observable circuit-breaker state (see
-/// [`AuditorClient::breaker_snapshot`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum BreakerState {
-    /// Normal operation; counts the current failure streak.
-    Closed {
-        /// Consecutive failures since the last success.
-        consecutive_failures: u32,
-    },
-    /// Failing fast; calls are rejected until `until` (sim-clock).
-    Open {
-        /// Sim-clock instant at which the breaker goes half-open.
-        until: Timestamp,
-    },
-    /// Probing; counts successes toward closing.
-    HalfOpen {
-        /// Consecutive successful probes so far.
-        probes_ok: u32,
-    },
-}
-
-/// Breaker engine: state machine + counters. Timed by the sim-clock
-/// `now` passed through [`Transport::call`], so chaos campaigns replay
-/// the open/close schedule deterministically.
-#[derive(Debug)]
-struct Breaker {
-    policy: CircuitBreakerPolicy,
-    state: BreakerState,
-    /// Jitter RNG state (xorshift64), advanced once per breaker open.
-    jitter_state: u64,
-    opened: Arc<Counter>,
-    closed: Arc<Counter>,
-    rejected: Arc<Counter>,
-    half_open: Arc<Counter>,
-    /// Live state for scrapes (`transport.breaker.state`): 0 = closed,
-    /// 1 = open, 2 = half-open.
-    state_gauge: Arc<Gauge>,
-}
-
-/// Gauge encoding of a breaker state, for `transport.breaker.state`.
-fn breaker_state_code(state: &BreakerState) -> i64 {
-    match state {
-        BreakerState::Closed { .. } => 0,
-        BreakerState::Open { .. } => 1,
-        BreakerState::HalfOpen { .. } => 2,
-    }
-}
-
-impl Breaker {
-    fn new(policy: CircuitBreakerPolicy, obs: &Obs) -> Self {
-        let state_gauge = obs.gauge("transport.breaker.state");
-        state_gauge.set(0);
-        Breaker {
-            jitter_state: policy.jitter_seed.max(1),
-            policy,
-            state: BreakerState::Closed {
-                consecutive_failures: 0,
-            },
-            opened: obs.counter("transport.breaker.opened"),
-            closed: obs.counter("transport.breaker.closed"),
-            rejected: obs.counter("transport.breaker.rejected"),
-            half_open: obs.counter("transport.breaker.half_open"),
-            state_gauge,
-        }
-    }
-
-    /// The one write path for `state`, keeping the exported gauge in
-    /// lockstep with every transition.
-    fn transition(&mut self, state: BreakerState) {
-        self.state_gauge.set(breaker_state_code(&state));
-        self.state = state;
-    }
-
-    /// Gate at call entry: `Err(CircuitOpen)` while open, otherwise
-    /// admits (transitioning open → half-open once `until` passes).
-    fn admit(&mut self, now: Timestamp, obs: &Obs) -> Result<(), ProtocolError> {
-        if let BreakerState::Open { until } = self.state {
-            if now.secs() < until.secs() {
-                self.rejected.inc();
-                return Err(ProtocolError::CircuitOpen);
-            }
-            self.transition(BreakerState::HalfOpen { probes_ok: 0 });
-            self.half_open.inc();
-            obs.emit(Level::Info, "wire.client", "breaker_half_open", |f| {
-                f.field("now_secs", now.secs());
-            });
-        }
-        Ok(())
-    }
-
-    /// Records a successful attempt (any decoded response — the server
-    /// answering at all is proof of connectivity, even if the answer is
-    /// a typed application error).
-    fn record_success(&mut self, obs: &Obs) {
-        match self.state {
-            BreakerState::Closed { .. } => {
-                self.transition(BreakerState::Closed {
-                    consecutive_failures: 0,
-                });
-            }
-            BreakerState::HalfOpen { probes_ok } => {
-                if probes_ok + 1 >= self.policy.half_open_successes.max(1) {
-                    self.transition(BreakerState::Closed {
-                        consecutive_failures: 0,
-                    });
-                    self.closed.inc();
-                    obs.emit(Level::Info, "wire.client", "breaker_closed", |f| {
-                        f.field("probes_ok", u64::from(probes_ok + 1));
-                    });
-                } else {
-                    self.transition(BreakerState::HalfOpen {
-                        probes_ok: probes_ok + 1,
-                    });
-                }
-            }
-            // A success cannot arrive while open: admit() rejects first.
-            BreakerState::Open { .. } => {}
-        }
-    }
-
-    /// Records a failed attempt (transport loss or an `Overloaded`
-    /// shed). `retry_after_ms` is the server's hint, when present.
-    fn record_failure(&mut self, now: Timestamp, retry_after_ms: Option<u64>, obs: &Obs) {
-        let failures = match self.state {
-            BreakerState::Closed {
-                consecutive_failures,
-            } => consecutive_failures + 1,
-            // Any half-open failure re-opens immediately.
-            BreakerState::HalfOpen { .. } => self.policy.failure_threshold.max(1),
-            BreakerState::Open { .. } => return,
-        };
-        if failures >= self.policy.failure_threshold.max(1) {
-            let interval = self.open_interval(retry_after_ms);
-            let until = Timestamp::from_secs(now.secs() + interval.as_secs_f64());
-            self.transition(BreakerState::Open { until });
-            self.opened.inc();
-            obs.emit(Level::Warn, "wire.client", "breaker_opened", |f| {
-                f.field("until_secs", until.secs())
-                    .field("open_us", interval.as_micros() as u64);
-            });
-        } else {
-            self.transition(BreakerState::Closed {
-                consecutive_failures: failures,
-            });
-        }
-    }
-
-    /// The open interval: `open_secs` + jitter in `[0, open_secs/2]`,
-    /// floored by the server's `retry_after_ms` hint.
-    fn open_interval(&mut self, retry_after_ms: Option<u64>) -> Duration {
-        let base = Duration::from_secs_f64(self.policy.open_secs.max(0.0));
-        let mut x = self.jitter_state;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.jitter_state = x;
-        // µs precision; the u64 cast is exact for any open interval
-        // under ~584k years.
-        let cap_us = (base / 2).as_micros() as u64;
-        let jitter = if cap_us == 0 {
-            Duration::ZERO
-        } else {
-            Duration::from_micros(x % (cap_us + 1))
-        };
-        (base + jitter).max(Duration::from_millis(retry_after_ms.unwrap_or(0)))
-    }
-}
-
 /// A typed protocol client over any transport.
 ///
 /// With an [`Obs`] handle attached (and a subscriber installed), every
@@ -397,7 +187,6 @@ pub struct AuditorClient<T> {
     /// propagated to the server as a remaining-budget envelope field so
     /// it can shed requests that have already expired in its queue.
     deadline: Option<Duration>,
-    breaker: Option<Breaker>,
     retries: Arc<Counter>,
     timeouts: Arc<Counter>,
 }
@@ -417,7 +206,6 @@ impl<T: Transport> AuditorClient<T> {
             retry: None,
             jitter_state: 0,
             deadline: None,
-            breaker: None,
             retries: obs.counter("transport.retries"),
             timeouts: obs.counter("transport.timeouts"),
         }
@@ -445,33 +233,12 @@ impl<T: Transport> AuditorClient<T> {
         self
     }
 
-    /// Attaches a circuit breaker: after
-    /// [`failure_threshold`](CircuitBreakerPolicy::failure_threshold)
-    /// consecutive transport/overload failures, calls fail fast with
-    /// [`ProtocolError::CircuitOpen`] until the open interval elapses
-    /// on the sim clock, then probe half-open back to closed.
-    pub fn circuit_breaker(mut self, policy: CircuitBreakerPolicy) -> Self {
-        self.breaker = Some(Breaker::new(policy, &self.obs));
-        self
-    }
-
-    /// The breaker's current state, or `None` if no breaker is
-    /// attached. For tests and operator dashboards.
-    pub fn breaker_snapshot(&self) -> Option<BreakerState> {
-        self.breaker.as_ref().map(|b| b.state)
-    }
-
     /// Parents subsequent wire spans under `parent` instead of the
     /// handle's current span — e.g. under a completed flight span, so
     /// a post-landing submission joins the flight's trace. `None`
     /// restores automatic parenting.
     pub fn set_trace_parent(&mut self, parent: Option<SpanContext>) {
         self.trace_parent = parent;
-    }
-
-    /// The underlying transport (e.g. to reach the in-process server).
-    pub fn transport_mut(&mut self) -> &mut T {
-        &mut self.transport
     }
 
     /// Shared access to the underlying transport.
@@ -528,9 +295,6 @@ impl<T: Transport> AuditorClient<T> {
     }
 
     fn roundtrip(&mut self, req: &Request, now: Timestamp) -> Result<Response, ProtocolError> {
-        if let Some(bk) = self.breaker.as_mut() {
-            bk.admit(now, &self.obs)?;
-        }
         let kind = request_kind_index(req);
         let name = WIRE_SPAN_NAMES[kind];
         let span = match &self.trace_parent {
@@ -586,17 +350,6 @@ impl<T: Transport> AuditorClient<T> {
                 .and_then(|bytes| Self::decode_response(&bytes));
             if let Some(s) = attempt_span {
                 s.finish();
-            }
-            if let Some(bk) = self.breaker.as_mut() {
-                match &outcome {
-                    Err(ProtocolError::Overloaded { retry_after_ms }) => {
-                        bk.record_failure(now, Some(*retry_after_ms), &self.obs);
-                    }
-                    Err(e) if e.is_transport() => bk.record_failure(now, None, &self.obs),
-                    // Any decoded response — even a typed application
-                    // error — proves the server is answering.
-                    _ => bk.record_success(&self.obs),
-                }
             }
             let err = match outcome {
                 Ok(resp) => return Ok(resp),
@@ -1263,117 +1016,6 @@ mod tests {
         )
         .unwrap();
         assert_eq!(c.query_zones(q, now()).unwrap(), Vec::new());
-        assert_eq!(script.calls(), 2);
-    }
-
-    #[test]
-    fn breaker_opens_after_threshold_and_fails_fast() {
-        let obs = Obs::noop();
-        let script = Arc::new(Script::new(vec![lost(), lost(), lost()]));
-        let mut c = AuditorClient::with_obs(Arc::clone(&script), &obs).circuit_breaker(
-            CircuitBreakerPolicy {
-                failure_threshold: 3,
-                open_secs: 10.0,
-                half_open_successes: 1,
-                jitter_seed: 42,
-            },
-        );
-        let t = Timestamp::from_secs(100.0);
-        for _ in 0..3 {
-            assert!(matches!(
-                c.register_zone(zone(), t).unwrap_err(),
-                ProtocolError::Transport(_)
-            ));
-        }
-        assert!(matches!(
-            c.breaker_snapshot(),
-            Some(BreakerState::Open { .. })
-        ));
-        // Fourth call fails fast: the transport is never touched.
-        assert_eq!(
-            c.register_zone(zone(), t).unwrap_err(),
-            ProtocolError::CircuitOpen
-        );
-        assert_eq!(script.calls(), 3);
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("transport.breaker.opened"), 1);
-        assert_eq!(snap.counter("transport.breaker.rejected"), 1);
-    }
-
-    #[test]
-    fn breaker_recovers_through_half_open_to_closed() {
-        let obs = Obs::noop();
-        let script = Arc::new(Script::new(vec![
-            lost(),
-            lost(),
-            zone_ok(),
-            zone_ok(),
-            zone_ok(),
-        ]));
-        let mut c = AuditorClient::with_obs(Arc::clone(&script), &obs).circuit_breaker(
-            CircuitBreakerPolicy {
-                failure_threshold: 2,
-                open_secs: 1.0,
-                half_open_successes: 2,
-                jitter_seed: 7,
-            },
-        );
-        // Two failures trip it open at t=0.
-        let _ = c.register_zone(zone(), Timestamp::from_secs(0.0));
-        let _ = c.register_zone(zone(), Timestamp::from_secs(0.0));
-        // Still open shortly after (open interval ≥ open_secs).
-        assert_eq!(
-            c.register_zone(zone(), Timestamp::from_secs(0.5))
-                .unwrap_err(),
-            ProtocolError::CircuitOpen
-        );
-        // Past the interval (1.0 + ≤0.5 jitter) the breaker half-opens;
-        // two successful probes close it.
-        let late = Timestamp::from_secs(10.0);
-        c.register_zone(zone(), late).unwrap();
-        assert!(matches!(
-            c.breaker_snapshot(),
-            Some(BreakerState::HalfOpen { probes_ok: 1 })
-        ));
-        c.register_zone(zone(), late).unwrap();
-        assert_eq!(
-            c.breaker_snapshot(),
-            Some(BreakerState::Closed {
-                consecutive_failures: 0
-            })
-        );
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("transport.breaker.opened"), 1);
-        assert_eq!(snap.counter("transport.breaker.half_open"), 1);
-        assert_eq!(snap.counter("transport.breaker.closed"), 1);
-    }
-
-    #[test]
-    fn breaker_reopens_on_half_open_failure_and_honors_retry_after() {
-        let script = Arc::new(Script::new(vec![lost(), overloaded(30_000)]));
-        let mut c = AuditorClient::new(Arc::clone(&script)).circuit_breaker(CircuitBreakerPolicy {
-            failure_threshold: 1,
-            open_secs: 1.0,
-            half_open_successes: 1,
-            jitter_seed: 3,
-        });
-        let _ = c.register_zone(zone(), Timestamp::from_secs(0.0));
-        // Half-open probe at t=5 is shed with a 30 s retry hint: the
-        // breaker re-opens and the hint floors the open interval.
-        let _ = c.register_zone(zone(), Timestamp::from_secs(5.0));
-        match c.breaker_snapshot() {
-            Some(BreakerState::Open { until }) => {
-                assert!(until.secs() >= 35.0, "retry_after floor ignored: {until:?}");
-            }
-            other => panic!("expected Open, got {other:?}"),
-        }
-        // open_secs + jitter alone would have expired by t=10; the
-        // retry_after floor keeps it open.
-        assert_eq!(
-            c.register_zone(zone(), Timestamp::from_secs(10.0))
-                .unwrap_err(),
-            ProtocolError::CircuitOpen
-        );
         assert_eq!(script.calls(), 2);
     }
 

@@ -169,20 +169,6 @@ impl ZoneSet {
     pub fn any_contains(&self, p: &GeoPoint) -> bool {
         self.zones.iter().any(|z| z.contains(p))
     }
-
-    /// The zones whose centres fall inside the axis-aligned rectangle with
-    /// corners `(c1, c2)` — the auditor's answer to a zone query over a
-    /// "rectangular navigation area" (paper step 2–3).
-    pub fn within_rect(&self, c1: &GeoPoint, c2: &GeoPoint) -> ZoneSet {
-        ZoneSet {
-            zones: self
-                .zones
-                .iter()
-                .filter(|z| z.center_within_rect(c1, c2))
-                .copied()
-                .collect(),
-        }
-    }
 }
 
 fn ord(a: f64, b: f64) -> (f64, f64) {
@@ -315,18 +301,19 @@ mod tests {
     }
 
     #[test]
-    fn within_rect_filters() {
-        let zs: ZoneSet = [
+    fn center_within_rect_filters() {
+        let zones = [
             zone(40.0, -88.0, 10.0),
             zone(41.0, -88.0, 10.0),
             zone(40.5, -87.0, 10.0),
-        ]
-        .into_iter()
-        .collect();
+        ];
         // Rectangle corners in either order.
-        let r = zs.within_rect(&p(40.9, -88.5), &p(39.9, -87.5));
-        assert_eq!(r.len(), 1);
-        assert!((r.as_slice()[0].center().lat_deg() - 40.0).abs() < 1e-12);
+        let inside: Vec<_> = zones
+            .iter()
+            .filter(|z| z.center_within_rect(&p(40.9, -88.5), &p(39.9, -87.5)))
+            .collect();
+        assert_eq!(inside.len(), 1);
+        assert!((inside[0].center().lat_deg() - 40.0).abs() < 1e-12);
     }
 
     #[test]

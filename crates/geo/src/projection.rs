@@ -30,13 +30,6 @@ impl Enu {
         Distance::from_meters((self.east - other.east).hypot(self.north - other.north))
     }
 
-    /// Squared Euclidean distance in m², for comparisons without a sqrt.
-    pub fn distance_sq(&self, other: &Enu) -> f64 {
-        let de = self.east - other.east;
-        let dn = self.north - other.north;
-        de * de + dn * dn
-    }
-
     /// The midpoint of `self` and `other`.
     pub fn midpoint(&self, other: &Enu) -> Enu {
         Enu::new(
@@ -149,11 +142,10 @@ mod tests {
     }
 
     #[test]
-    fn midpoint_and_distance_sq() {
+    fn midpoint_and_distance() {
         let a = Enu::new(0.0, 0.0);
         let b = Enu::new(6.0, 8.0);
         assert_eq!(a.midpoint(&b), Enu::new(3.0, 4.0));
-        assert!((a.distance_sq(&b) - 100.0).abs() < 1e-12);
         assert!((a.distance_to(&b).meters() - 10.0).abs() < 1e-12);
     }
 }

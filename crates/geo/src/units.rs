@@ -171,11 +171,6 @@ impl Speed {
         Speed(mph * METERS_PER_MILE / 3_600.0)
     }
 
-    /// Creates a speed from kilometers per hour.
-    pub fn from_kmh(kmh: f64) -> Self {
-        Speed(kmh / 3.6)
-    }
-
     /// This speed in meters per second.
     pub fn mps(self) -> f64 {
         self.0
@@ -228,11 +223,6 @@ impl Duration {
         Duration(ms / 1_000.0)
     }
 
-    /// Creates a duration from minutes.
-    pub fn from_mins(m: f64) -> Self {
-        Duration(m * 60.0)
-    }
-
     /// This duration in seconds.
     pub fn secs(self) -> f64 {
         self.0
@@ -246,11 +236,6 @@ impl Duration {
     /// Returns the larger of two durations.
     pub fn max(self, other: Self) -> Self {
         Duration(self.0.max(other.0))
-    }
-
-    /// `true` if the duration is non-negative.
-    pub fn is_non_negative(self) -> bool {
-        self.0 >= 0.0
     }
 }
 

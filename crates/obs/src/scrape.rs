@@ -29,7 +29,7 @@ use crate::stage::SlowTable;
 use crate::Obs;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
@@ -161,7 +161,6 @@ pub struct ScrapeServer {
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     thread: Option<JoinHandle<()>>,
-    scrapes: Arc<AtomicU64>,
 }
 
 impl ScrapeServer {
@@ -175,17 +174,14 @@ impl ScrapeServer {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let scrapes = Arc::new(AtomicU64::new(0));
 
         let thread_shutdown = Arc::clone(&shutdown);
-        let thread_scrapes = Arc::clone(&scrapes);
         let thread = thread::spawn(move || loop {
             match listener.accept() {
                 Ok((stream, _peer)) => {
                     if thread_shutdown.load(Ordering::SeqCst) {
                         break;
                     }
-                    thread_scrapes.fetch_add(1, Ordering::Relaxed);
                     // One short-lived thread per connection: scrapes
                     // are cheap reads, but a stalled client must not
                     // block a concurrent sampler. IO timeouts bound
@@ -209,19 +205,12 @@ impl ScrapeServer {
             local_addr,
             shutdown,
             thread: Some(thread),
-            scrapes,
         })
     }
 
     /// The bound address (with the OS-assigned port when bound to 0).
     pub fn local_addr(&self) -> SocketAddr {
         self.local_addr
-    }
-
-    /// Connections accepted so far (shutdown wakes excluded only when
-    /// the listener was already stopping).
-    pub fn scrape_count(&self) -> u64 {
-        self.scrapes.load(Ordering::Relaxed)
     }
 
     /// Stops the listener and joins its thread.
@@ -420,7 +409,6 @@ mod tests {
         obs.counter("server.requests").add(4);
         let (_, body) = http_get(server.local_addr(), "/metrics");
         assert!(body.contains("server_requests_total 7"), "{body}");
-        assert_eq!(server.scrape_count(), 2);
         server.shutdown();
     }
 
@@ -600,7 +588,6 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         mutator.join().unwrap();
-        assert_eq!(server.scrape_count(), 10);
         Arc::try_unwrap(server).unwrap().shutdown();
     }
 

@@ -187,7 +187,6 @@ pub struct SloEngine {
     obs: Obs,
     slos: Vec<Slo>,
     healthy: Vec<bool>,
-    last: Vec<Option<SloStatus>>,
 }
 
 impl SloEngine {
@@ -199,18 +198,12 @@ impl SloEngine {
             obs: obs.clone(),
             slos,
             healthy: vec![true; n],
-            last: vec![None; n],
         }
     }
 
     /// The declared rules.
     pub fn slos(&self) -> &[Slo] {
         &self.slos
-    }
-
-    /// The most recent status per rule (empty before any evaluation).
-    pub fn statuses(&self) -> Vec<SloStatus> {
-        self.last.iter().flatten().cloned().collect()
     }
 
     /// Evaluates every rule against the ring's latest window (burn-rate
@@ -244,7 +237,6 @@ impl SloEngine {
                 transitions.push(event);
             }
             self.healthy[i] = status.healthy;
-            self.last[i] = Some(status);
         }
         transitions
     }
@@ -257,43 +249,6 @@ impl SloEngine {
         self.slos
             .iter()
             .map(|slo| eval_rule(&slo.name, &slo.rule, window, None))
-            .collect()
-    }
-
-    /// Fraction of each burn-rate rule's total error budget consumed
-    /// over the ring's whole observed span (`bad / (total × budget)`),
-    /// clamped at zero traffic.
-    pub fn budget_consumed(&self, ring: &SnapshotRing) -> Vec<(String, f64)> {
-        let (Some((_, first)), Some((_, last))) = (ring.first(), ring.last()) else {
-            return Vec::new();
-        };
-        self.slos
-            .iter()
-            .filter_map(|slo| {
-                let (total, bad, target) = match &slo.rule {
-                    SloRule::BurnRate {
-                        total, bad, target, ..
-                    } => (total, bad, *target),
-                    SloRule::Availability {
-                        total,
-                        bad,
-                        min_ratio,
-                    } => (total, bad, *min_ratio),
-                    _ => return None,
-                };
-                let requests = last.counter(total).saturating_sub(first.counter(total));
-                let errors: u64 = bad
-                    .iter()
-                    .map(|b| last.counter(b).saturating_sub(first.counter(b)))
-                    .sum();
-                let budget = (1.0 - target).max(f64::EPSILON);
-                let consumed = if requests == 0 {
-                    0.0
-                } else {
-                    errors as f64 / (requests as f64 * budget)
-                };
-                Some((slo.name.clone(), consumed))
-            })
             .collect()
     }
 
@@ -498,6 +453,17 @@ mod tests {
         ]
     }
 
+    /// The `slo.healthy.*` gauges `evaluate` exported, in rule-name
+    /// order.
+    fn healthy_gauges(obs: &Obs) -> Vec<i64> {
+        obs.snapshot()
+            .gauges
+            .iter()
+            .filter(|(name, _)| name.starts_with("slo.healthy."))
+            .map(|(_, &v)| v)
+            .collect()
+    }
+
     fn feed(ring: &mut SnapshotRing, t: f64, req: u64, err: u64, shed: u64) {
         ring.observe(
             Timestamp::from_secs(t),
@@ -513,11 +479,11 @@ mod tests {
         feed(&mut ring, 0.0, 0, 0, 0);
         feed(&mut ring, 1.0, 100, 0, 1);
         assert!(engine.evaluate(&ring).is_empty());
-        assert!(engine.statuses().iter().all(|s| s.healthy));
+        assert_eq!(healthy_gauges(&obs), [1, 1, 1]);
         // An idle window: no traffic, vacuously healthy.
         feed(&mut ring, 2.0, 100, 0, 1);
         assert!(engine.evaluate(&ring).is_empty());
-        assert!(engine.statuses().iter().all(|s| s.healthy));
+        assert_eq!(healthy_gauges(&obs), [1, 1, 1]);
     }
 
     #[test]
@@ -574,14 +540,9 @@ mod tests {
         engine.evaluate(&ring);
         feed(&mut ring, 4.0, 3400, 160, 0);
         engine.evaluate(&ring);
-        let burn = engine
-            .statuses()
-            .into_iter()
-            .find(|s| s.name == "burn")
-            .unwrap();
         // fast = 160/1400 / 0.01 ≈ 11.4 > 10, slow = 160/3400 / 0.01 ≈
         // 4.7 < 10 → still healthy.
-        assert!(burn.healthy, "{burn:?}");
+        assert_eq!(obs.snapshot().gauges["slo.healthy.burn"], 1);
 
         // Sustained errors: both spans exceed the factor → alert.
         feed(&mut ring, 5.0, 3800, 320, 0);
@@ -654,7 +615,7 @@ mod tests {
     }
 
     #[test]
-    fn standalone_verdicts_and_budget_consumption() {
+    fn standalone_verdicts_judge_one_window() {
         let obs = Obs::noop();
         let engine = SloEngine::new(&obs, slos());
         let window = SeriesWindow::between(
@@ -670,13 +631,5 @@ mod tests {
         assert!((avail.value - 0.7).abs() < 1e-9);
         let shed = verdicts.iter().find(|s| s.name == "shed").unwrap();
         assert!(shed.healthy);
-
-        let mut ring = SnapshotRing::new(4);
-        feed(&mut ring, 0.0, 0, 0, 0);
-        feed(&mut ring, 1.0, 1000, 5, 0);
-        let budgets = engine.budget_consumed(&ring);
-        let burn = budgets.iter().find(|(n, _)| n == "burn").unwrap();
-        // 5 errors / (1000 × 1% budget) = half the budget consumed.
-        assert!((burn.1 - 0.5).abs() < 1e-9, "{burn:?}");
     }
 }

@@ -315,19 +315,6 @@ impl SnapshotRing {
             .collect()
     }
 
-    /// `(window end, per-second rate)` for one counter.
-    pub fn rate_series(&self, name: &str) -> Vec<(Timestamp, f64)> {
-        self.windows.iter().map(|w| (w.end, w.rate(name))).collect()
-    }
-
-    /// `(window end, p99 µs)` for one histogram.
-    pub fn p99_series(&self, name: &str) -> Vec<(Timestamp, f64)> {
-        self.windows
-            .iter()
-            .map(|w| (w.end, w.p99_micros(name)))
-            .collect()
-    }
-
     /// The accounting check for one counter (see module docs).
     pub fn reconcile_counter(&self, name: &str) -> CounterReconciliation {
         let base = self.first.as_ref().map_or(0, |(_, s)| s.counter(name));

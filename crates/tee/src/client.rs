@@ -6,6 +6,7 @@ use std::fmt;
 use alidrone_crypto::rsa::RsaPublicKey;
 use alidrone_geo::GpsSample;
 
+use crate::keystore::SIGN_HASH;
 use crate::world::Param;
 use crate::{SecureWorld, SignedSample, TeeError, Uuid, CMD_GET_GPS_AUTH, CMD_READ_GPS_RAW};
 
@@ -95,7 +96,7 @@ impl TeeSession {
         Ok(SignedSample::from_parts(
             sample,
             out[1].as_bytes()?.to_vec(),
-            self.world.inner.hash_alg(),
+            SIGN_HASH,
         ))
     }
 
@@ -120,7 +121,7 @@ impl TeeSession {
         Ok(crate::SignedSample3d::from_parts(
             sample,
             out[1].as_bytes()?.to_vec(),
-            self.world.inner.hash_alg(),
+            SIGN_HASH,
         ))
     }
 
@@ -151,7 +152,7 @@ impl TeeSession {
         crate::SignedTrace::from_parts(
             out[0].as_bytes()?.to_vec(),
             out[1].as_bytes()?.to_vec(),
-            self.world.inner.hash_alg(),
+            SIGN_HASH,
         )
     }
 
@@ -180,7 +181,7 @@ impl TeeSession {
             start,
             end,
             out[0].as_bytes()?.to_vec(),
-            self.world.inner.hash_alg(),
+            SIGN_HASH,
         ))
     }
 

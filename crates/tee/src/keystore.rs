@@ -9,16 +9,20 @@
 use alidrone_crypto::rsa::{HashAlg, RsaPrivateKey, RsaPublicKey};
 use alidrone_crypto::CryptoError;
 
+/// The signature hash: SHA-1, as in the paper's prototype. Every
+/// signed sample's bytes still carry a hash tag, which its verifier
+/// reads.
+pub(crate) const SIGN_HASH: HashAlg = HashAlg::Sha1;
+
 /// The in-enclave key store. Not exported from the crate.
 pub(crate) struct KeyStore {
     sign_key: RsaPrivateKey,
-    hash_alg: HashAlg,
 }
 
 impl KeyStore {
     /// Installs the manufacturing-time sign key.
-    pub(crate) fn new(sign_key: RsaPrivateKey, hash_alg: HashAlg) -> Self {
-        KeyStore { sign_key, hash_alg }
+    pub(crate) fn new(sign_key: RsaPrivateKey) -> Self {
+        KeyStore { sign_key }
     }
 
     /// The verification key `T⁺`, exportable to the normal world.
@@ -34,7 +38,7 @@ impl KeyStore {
     /// Signs `data` with `T⁻`. Only callable from inside the secure
     /// world.
     pub(crate) fn sign(&self, data: &[u8]) -> Result<Vec<u8>, CryptoError> {
-        self.sign_key.sign(data, self.hash_alg)
+        self.sign_key.sign(data, SIGN_HASH)
     }
 }
 
@@ -43,7 +47,7 @@ impl std::fmt::Debug for KeyStore {
         // Deliberately omits key material.
         f.debug_struct("KeyStore")
             .field("key_bits", &self.key_bits())
-            .field("hash_alg", &self.hash_alg)
+            .field("hash_alg", &SIGN_HASH)
             .finish_non_exhaustive()
     }
 }
@@ -56,7 +60,7 @@ mod tests {
     #[test]
     fn signs_and_public_verifies() {
         let mut rng = XorShift64::seed_from_u64(21);
-        let ks = KeyStore::new(RsaPrivateKey::generate(512, &mut rng), HashAlg::Sha1);
+        let ks = KeyStore::new(RsaPrivateKey::generate(512, &mut rng));
         let sig = ks.sign(b"payload").unwrap();
         ks.public_key()
             .verify(b"payload", &sig, HashAlg::Sha1)
@@ -69,7 +73,7 @@ mod tests {
         let mut rng = XorShift64::seed_from_u64(22);
         let key = RsaPrivateKey::generate(512, &mut rng);
         let modulus_hex = key.public_key().modulus().to_hex();
-        let ks = KeyStore::new(key, HashAlg::Sha1);
+        let ks = KeyStore::new(key);
         let dbg = format!("{ks:?}");
         assert!(!dbg.contains(&modulus_hex));
         assert!(dbg.contains("key_bits"));

@@ -63,22 +63,6 @@ impl SecureStorage {
     pub fn ids(&self) -> impl Iterator<Item = &str> {
         self.objects.keys().map(String::as_str)
     }
-
-    /// Fault injection: flips the bits selected by `mask` at byte
-    /// `offset` of object `id`, modelling corruption of the untrusted
-    /// backing store. Out-of-range offsets leave the object unchanged
-    /// (the fault landed in slack space).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TeeError::ItemNotFound`] when no such object exists.
-    pub fn tamper(&mut self, id: &str, offset: usize, mask: u8) -> Result<(), TeeError> {
-        let obj = self.objects.get_mut(id).ok_or(TeeError::ItemNotFound)?;
-        if let Some(b) = obj.get_mut(offset) {
-            *b ^= mask;
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -150,20 +134,5 @@ mod tests {
             "shorter rewrite must not keep a tail"
         );
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn tamper_flips_bits_and_reports_missing_objects() {
-        let mut s = SecureStorage::new();
-        s.put("k", vec![0b1010_1010, 0xFF]);
-        s.tamper("k", 0, 0b0000_1111).unwrap();
-        assert_eq!(s.get("k").unwrap(), &[0b1010_0101, 0xFF]);
-        // Tampering twice with the same mask restores the byte (XOR).
-        s.tamper("k", 0, 0b0000_1111).unwrap();
-        assert_eq!(s.get("k").unwrap(), &[0b1010_1010, 0xFF]);
-        // Out-of-range offsets are inert; missing objects are typed.
-        s.tamper("k", 99, 0xFF).unwrap();
-        assert_eq!(s.get("k").unwrap(), &[0b1010_1010, 0xFF]);
-        assert_eq!(s.tamper("nope", 0, 1), Err(TeeError::ItemNotFound));
     }
 }

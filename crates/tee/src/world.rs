@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use alidrone_crypto::rng::Rng;
-use alidrone_crypto::rsa::{HashAlg, RsaPrivateKey, RsaPublicKey};
+use alidrone_crypto::rsa::{RsaPrivateKey, RsaPublicKey};
 use alidrone_geo::three_d::GpsSample3d;
 use alidrone_geo::{GpsSample, Timestamp};
 use alidrone_gps::nmea_feed::{burst_to_sample, fix_to_burst};
@@ -102,7 +102,6 @@ pub(crate) struct WorldInner {
     gps: Option<Box<dyn GpsDevice>>,
     gps3d: Option<Box<dyn GpsDevice3d>>,
     cost_model: CostModel,
-    hash_alg_inner: HashAlg,
     spoof: Box<dyn SpoofDetector>,
     obs: Obs,
     metrics: TeeMetrics,
@@ -217,12 +216,6 @@ impl WorldInner {
         self.keystore.public_key()
     }
 
-    /// The signature hash algorithm in force (labels `SignedSample`s on
-    /// the client side).
-    pub(crate) fn hash_alg(&self) -> HashAlg {
-        self.hash_alg_inner
-    }
-
     /// Locked access to secure storage, for TAs running in the secure
     /// world. A poisoned lock is adopted: every storage critical section
     /// is a single non-panicking `BTreeMap` operation, so the data is
@@ -237,7 +230,6 @@ impl WorldInner {
         gps: Option<Box<dyn GpsDevice>>,
         gps3d: Option<Box<dyn GpsDevice3d>>,
         cost_model: CostModel,
-        hash_alg: HashAlg,
         spoof: Box<dyn SpoofDetector>,
         obs: Obs,
         sign_fault: Option<SignFaultHook>,
@@ -250,7 +242,6 @@ impl WorldInner {
             gps,
             gps3d,
             cost_model,
-            hash_alg_inner: hash_alg,
             spoof,
             obs,
             metrics,
@@ -320,20 +311,6 @@ impl SecureWorld {
     pub(crate) fn has_ta(&self, ta: Uuid) -> bool {
         ta == crate::GPS_SAMPLER_UUID
     }
-
-    /// Fault injection: flips the bits selected by `mask` at `offset`
-    /// inside stored object `id`, modelling corruption of the untrusted
-    /// backing store behind OP-TEE's trusted storage (in real OP-TEE the
-    /// secure world would *detect* this via its authenticated
-    /// encryption; here the corruption simply surfaces downstream as a
-    /// typed error, which is what the chaos campaign asserts).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TeeError::ItemNotFound`] when no such object exists.
-    pub fn corrupt_stored_object(&self, id: &str, offset: usize, mask: u8) -> Result<(), TeeError> {
-        self.inner.storage_mut().tamper(id, offset, mask)
-    }
 }
 
 impl fmt::Debug for SecureWorld {
@@ -354,7 +331,6 @@ pub struct SecureWorldBuilder {
     gps: Option<Box<dyn GpsDevice>>,
     gps3d: Option<Box<dyn GpsDevice3d>>,
     cost_model: CostModel,
-    hash_alg: HashAlg,
     spoof: Box<dyn SpoofDetector>,
     obs: Obs,
     sign_fault: Option<SignFaultHook>,
@@ -370,7 +346,6 @@ impl SecureWorldBuilder {
             gps: None,
             gps3d: None,
             cost_model: CostModel::raspberry_pi_3(),
-            hash_alg: HashAlg::Sha1,
             spoof: Box::new(TrustingDetector),
             obs: Obs::noop(),
             sign_fault: None,
@@ -416,13 +391,6 @@ impl SecureWorldBuilder {
         self
     }
 
-    /// Selects the signature hash (the paper uses SHA-1; SHA-256 is the
-    /// modern choice).
-    pub fn with_hash_alg(mut self, alg: HashAlg) -> Self {
-        self.hash_alg = alg;
-        self
-    }
-
     /// Installs a GPS-spoofing detector (paper §VII-A2); the GPS
     /// Sampler declines authenticity services while the detector judges
     /// the environment suspicious. Defaults to [`TrustingDetector`].
@@ -461,11 +429,10 @@ impl SecureWorldBuilder {
             .ok_or(TeeError::MissingComponent("sign key"))?;
         Ok(SecureWorld {
             inner: Arc::new(WorldInner::new(
-                KeyStore::new(key, self.hash_alg),
+                KeyStore::new(key),
                 self.gps,
                 self.gps3d,
                 self.cost_model,
-                self.hash_alg,
                 self.spoof,
                 self.obs,
                 self.sign_fault,
@@ -548,7 +515,8 @@ mod tests {
         assert_eq!(sig.len(), 64); // 512-bit test key
                                    // Signature verifies under the exported public key.
         let pk = world.inner.public_key();
-        pk.verify(sample_bytes, sig, HashAlg::Sha1).unwrap();
+        pk.verify(sample_bytes, sig, alidrone_crypto::rsa::HashAlg::Sha1)
+            .unwrap();
     }
 
     #[test]
@@ -702,34 +670,6 @@ mod tests {
         assert_eq!(
             world.smc_invoke(GPS_SAMPLER_UUID, CMD_GET_GPS_AUTH, &[]),
             Err(TeeError::MalformedData("nmea parse"))
-        );
-    }
-
-    #[test]
-    fn corrupt_stored_object_surfaces_as_typed_error_downstream() {
-        use crate::CMD_CACHE_SAMPLE;
-        let world = world_with_gps();
-        world
-            .smc_invoke(GPS_SAMPLER_UUID, CMD_CACHE_SAMPLE, &[])
-            .unwrap();
-        // Truncating corruption: drop the cache to a non-24-aligned
-        // length by tampering is not possible via bit flips, so flip a
-        // coordinate byte instead and check the signed trace no longer
-        // matches the clean sample.
-        world
-            .corrupt_stored_object("gps-sampler/trace-cache", 3, 0xFF)
-            .unwrap();
-        let out = world
-            .smc_invoke(GPS_SAMPLER_UUID, crate::CMD_SIGN_TRACE, &[])
-            .unwrap();
-        let trace_bytes = out[0].as_bytes().unwrap();
-        let clean = world
-            .smc_invoke(GPS_SAMPLER_UUID, crate::CMD_READ_GPS_RAW, &[])
-            .unwrap();
-        assert_ne!(trace_bytes[..24], clean[0].as_bytes().unwrap()[..]);
-        assert_eq!(
-            world.corrupt_stored_object("nope", 0, 1),
-            Err(TeeError::ItemNotFound)
         );
     }
 }

@@ -2,8 +2,9 @@
 //! owners, mixed sampling strategies — the "Amazon Prime Air" setting
 //! the paper's introduction motivates.
 //!
-//! Also demonstrates the two performance extensions of §VII-A1:
-//! per-flight symmetric keys (DH + HMAC) and batch trace signing.
+//! Also demonstrates the two performance extensions of §VII-A1
+//! (per-flight symmetric keys, DH + HMAC, and batch trace signing) and
+//! a polygonal property registered by its enclosing circle (§VII-B2).
 //!
 //! Run: `cargo run --release --example delivery_fleet`
 
@@ -14,6 +15,7 @@ use alidrone::core::symmetric::establish_flight_key;
 use alidrone::core::{Auditor, AuditorConfig, DroneOperator, SamplingStrategy, ZoneOwner};
 use alidrone::crypto::dh::DhGroup;
 use alidrone::crypto::rsa::RsaPrivateKey;
+use alidrone::geo::polygon::PolygonZone;
 use alidrone::geo::trajectory::TrajectoryBuilder;
 use alidrone::geo::{Distance, Duration, GeoPoint, NoFlyZone, Speed};
 use alidrone::gps::{SimClock, SimulatedReceiver};
@@ -42,10 +44,32 @@ fn main() -> Result<(), Box<dyn Error>> {
             ))
         })
         .collect();
+    // §VII-B2 — a fourth owner holds an L-shaped lot north of the
+    // route; the auditor stores its smallest enclosing circle.
+    let lot: Vec<GeoPoint> = [
+        (0.0, 0.0),
+        (60.0, 0.0),
+        (60.0, 30.0),
+        (30.0, 30.0),
+        (30.0, 60.0),
+        (0.0, 60.0),
+    ]
+    .iter()
+    .map(|&(east_m, north_m)| {
+        depot
+            .destination(90.0, Distance::from_meters(1_200.0 + east_m))
+            .destination(0.0, Distance::from_meters(150.0 + north_m))
+    })
+    .collect();
+    owners.push(ZoneOwner::with_polygon(&PolygonZone::new(lot)?)?);
     for o in &mut owners {
         o.register_with(&auditor);
     }
-    println!("{} zones registered", owners.len());
+    println!(
+        "{} zones registered (one covers a polygonal lot, radius {:.1} m)",
+        owners.len(),
+        owners[3].zone().radius().meters()
+    );
 
     // Three delivery drones with different destinations and strategies.
     let deliveries = [

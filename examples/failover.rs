@@ -1,15 +1,15 @@
 //! Replicated auditor failover: kill the primary, keep verifying.
 //!
-//! Boots a 1-primary / 2-follower [`Cluster`]: the primary write-ahead
+//! Boots a primary [`arm`]ed over two followers: it write-ahead
 //! journals every durable mutation and ships each record to both
 //! followers, acknowledging only once a follower holds it durably
 //! (`Quorum(1)`). Then the primary dies mid-flight:
 //!
 //! 1. registrations and a verified PoA land on the primary and
 //!    replicate to both followers,
-//! 2. the primary is killed; [`Cluster::kill_and_promote`] picks the
-//!    most-caught-up follower, *fences* it (epoch bump), finishes
-//!    replaying the shipped log and re-arms it over the survivor,
+//! 2. the primary is killed; [`promote`] picks the most-caught-up
+//!    follower, *fences* it (epoch bump), replays the shipped log and
+//!    re-arms it over the survivor,
 //! 3. the deposed primary's next write is rejected with a typed
 //!    stale-epoch error — no split brain,
 //! 4. the promoted primary keeps verifying PoAs, and the replication
@@ -17,7 +17,10 @@
 //!
 //! Run with: `cargo run --release --offline --example failover`
 
-use alidrone::core::repl::{Cluster, ClusterConfig, ReplicationPolicy};
+use std::sync::Arc;
+
+use alidrone::core::journal::MemBackend;
+use alidrone::core::repl::{arm, promote, Follower, ReplicationPolicy};
 use alidrone::core::{Auditor, AuditorConfig, PoaSubmission, ProofOfAlibi, Submission};
 use alidrone::crypto::rng::XorShift64;
 use alidrone::crypto::rsa::{HashAlg, RsaPrivateKey};
@@ -69,18 +72,23 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let obs = Obs::noop();
     let tee_key = key(0xD201);
     let operator_key = key(0x09E0);
+    let auditor_key = key(0xA0D1);
+    let policy = ReplicationPolicy::Quorum(1);
 
     // ---- 1. A replicated cluster at epoch 1 --------------------------
-    let mut cluster = Cluster::new(
-        ClusterConfig {
-            followers: 2,
-            policy: ReplicationPolicy::Quorum(1),
-        },
+    let mut followers: Vec<(String, Arc<Follower>)> = (0..2)
+        .map(|i| {
+            let follower = Follower::new(Arc::new(MemBackend::new()));
+            (format!("f{i}"), Arc::new(follower))
+        })
+        .collect();
+    let (primary, _) = Auditor::recover_with_obs(
+        Arc::new(MemBackend::new()),
         AuditorConfig::default(),
-        key(0xA0D1),
+        auditor_key.clone(),
         &obs,
     )?;
-    let primary = cluster.primary().clone();
+    arm(&primary, &followers, policy, 1, &obs)?;
     let id = primary.register_drone_durable(
         operator_key.public_key().clone(),
         tee_key.public_key().clone(),
@@ -92,9 +100,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let verdict = submit(&primary, id, &tee_key, 0.0)?;
     println!(
         "epoch {}: drone {id} registered, first PoA verdict: {verdict}",
-        cluster.epoch()
+        primary.current_epoch()
     );
-    for (name, follower) in cluster.followers() {
+    for (name, follower) in &followers {
         println!(
             "  follower {name}: {} records durable at offset {}",
             follower.record_count(),
@@ -104,10 +112,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let state_before_kill = primary.snapshot();
 
     // ---- 2. Kill the primary, promote a follower ---------------------
-    let promoted = cluster.kill_and_promote()?;
+    let promotion = promote(
+        &mut followers,
+        policy,
+        AuditorConfig::default(),
+        auditor_key,
+        &obs,
+    )?;
+    let promoted = promotion.auditor;
     println!(
-        "primary killed; follower promoted, now serving epoch {}",
-        cluster.epoch()
+        "primary killed; follower {} promoted, now serving epoch {}",
+        promotion.follower,
+        promoted.current_epoch()
     );
     assert_eq!(
         promoted.snapshot(),
@@ -127,7 +143,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let verdict = submit(&promoted, id, &tee_key, 100.0)?;
     println!(
         "epoch {}: second PoA verdict on the promoted primary: {verdict}",
-        cluster.epoch()
+        promoted.current_epoch()
     );
     let snap = obs.snapshot();
     println!(

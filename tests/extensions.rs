@@ -5,7 +5,9 @@ use std::sync::{Arc, OnceLock};
 
 use alidrone::core::privacy::{check_sealed_accusation, PrivatePoa};
 use alidrone::core::symmetric::establish_flight_key;
-use alidrone::core::{AccusationOutcome, Auditor, AuditorConfig, DroneOperator, SamplingStrategy};
+use alidrone::core::{
+    AccusationOutcome, Auditor, AuditorConfig, DroneOperator, SamplingStrategy, ZoneOwner,
+};
 use alidrone::crypto::dh::DhGroup;
 use alidrone::crypto::rsa::RsaPrivateKey;
 use alidrone::geo::polygon::PolygonZone;
@@ -56,7 +58,9 @@ fn polygon_zone_registration_end_to_end() {
     })
     .collect();
     let poly = PolygonZone::new(verts.clone()).unwrap();
-    let zid = auditor.register_polygon_zone(&poly).unwrap();
+    let zid = ZoneOwner::with_polygon(&poly)
+        .unwrap()
+        .register_with(&auditor);
     let zone = auditor.zone(zid).unwrap();
     // Every vertex covered.
     for v in &verts {

@@ -23,10 +23,17 @@
 //!    * the deposed primary is **fenced** — its next durable mutation
 //!      fails with a typed error under any policy;
 //!    * **no forked heads**: every signed tree head fetched from the
-//!      dead primary (after each op, and after its fenced write) and
-//!      from the promoted one is consistent with the promoted primary's
-//!      final head, so a client holding any served head never sees the
-//!      auditor equivocate;
+//!      dead primary (after each op, and after its fenced write) is
+//!      extended by the promoted primary's head taken right after
+//!      promotion, before any post-promotion op (under `Quorum(1)` the
+//!      promoted follower holds every committed record), and every
+//!      served head, the promoted one's included, is extended by the
+//!      promoted primary's final head, so a client holding any served
+//!      head never sees the auditor equivocate. The first check matters
+//!      because post-promotion ops re-send the dead primary's unacked
+//!      ops byte for byte: a head over a record no follower held would
+//!      be extended again by an identical leaf, and only the head at
+//!      promotion shows the fork;
 //!    * post-promotion, the surviving follower converges to a journal
 //!      image byte-identical to the new primary's, and the quiesced
 //!      scrape reconciles exactly (zero lag, matching acked offsets,
@@ -42,8 +49,8 @@ use alidrone::chaos::{FaultPlane, FaultyLink, PartitionSwitch};
 use alidrone::core::audit::{verify_consistency, SignedTreeHead};
 use alidrone::core::journal::{MemBackend, StorageBackend, FRAME_OVERHEAD, HEADER_LEN};
 use alidrone::core::repl::{
-    arm, promote, Cluster, ClusterConfig, Follower, InProcessLink, Promotion, ReplAck, ReplError,
-    ReplFrame, ReplLink, ReplicationPolicy, Replicator,
+    arm, promote, Follower, InProcessLink, Promotion, ReplAck, ReplError, ReplFrame, ReplLink,
+    ReplicationPolicy, Replicator,
 };
 use alidrone::core::{Auditor, AuditorConfig, ProtocolError};
 use alidrone::crypto::rng::XorShift64;
@@ -208,6 +215,19 @@ fn reference_checkpoints(plan: &Plan) -> Vec<Vec<u8>> {
     checkpoints
 }
 
+/// `true` when `newer`, served by `auditor`, extends `head`: it is no
+/// smaller, and `auditor`'s consistency proof between the two verifies
+/// offline. An empty head is extended by every head.
+fn extends(auditor: &Auditor, head: &SignedTreeHead, newer: &SignedTreeHead) -> bool {
+    head.size == 0
+        || (head.size <= newer.size
+            && auditor
+                .audit_consistency_proof(head.size, newer.size)
+                .is_ok_and(|p| {
+                    verify_consistency(head.size, newer.size, &p.path, &head.root, &newer.root)
+                }))
+}
+
 /// One full campaign run. Returns an outcome log so failing seeds can
 /// be replayed and compared bit-for-bit.
 fn campaign_run(seed: u64) -> Vec<String> {
@@ -345,11 +365,9 @@ fn campaign_run(seed: u64) -> Vec<String> {
         "seed {seed}: follower received a torn record"
     );
     log.push(format!("replayed {} records", report.records_applied));
-    heads.push(
-        promoted
-            .signed_tree_head()
-            .expect("promoted primary signs its head"),
-    );
+    let at_promotion = promoted
+        .signed_tree_head()
+        .expect("promoted primary signs its head");
 
     // Byte-identical to a crash-free reference checkpoint, and zero
     // acked-then-lost under Quorum(1).
@@ -391,6 +409,19 @@ fn campaign_run(seed: u64) -> Vec<String> {
             .expect("deposed primary signs its head"),
     );
 
+    // No head the dead primary served runs ahead of the promoted
+    // primary's head at promotion, nor forks from it.
+    for head in &heads {
+        assert!(
+            extends(&promoted, head, &at_promotion),
+            "seed {seed}: forked head — the dead primary served a head of size {} that the \
+             promoted head of size {} does not extend",
+            head.size,
+            at_promotion.size
+        );
+    }
+    heads.push(at_promotion);
+
     // The promoted primary keeps serving durable mutations. Resume
     // from checkpoint `m`: ops the dead primary journaled but never
     // got acked by a follower are exactly the ones a client would
@@ -411,18 +442,13 @@ fn campaign_run(seed: u64) -> Vec<String> {
     let last = promoted
         .signed_tree_head()
         .expect("promoted primary signs its head");
-    for head in heads.iter().filter(|h| h.size > 0) {
-        let consistent = head.size <= last.size
-            && promoted
-                .audit_consistency_proof(head.size, last.size)
-                .is_ok_and(|p| {
-                    verify_consistency(head.size, last.size, &p.path, &head.root, &last.root)
-                });
+    for head in &heads {
         assert!(
-            consistent,
+            extends(&promoted, head, &last),
             "seed {seed}: forked head — a served head of size {} is not extended by the \
              final head of size {}",
-            head.size, last.size
+            head.size,
+            last.size
         );
     }
 
@@ -532,29 +558,37 @@ fn failover_seeds_replay_deterministically() {
     }
 }
 
-/// The packaged [`Cluster`] path: ops, kill-and-promote via
-/// [`Cluster::kill_and_promote`], failover metrics on the scrape.
+/// Boot by [`arm`], fail over by [`promote`], as the simulated fleet
+/// does: the promoted primary serves the dead one's state, the deposed
+/// primary is fenced, and the failover shows on the scrape.
 #[test]
-fn packaged_cluster_survives_promotion() {
+fn armed_cluster_survives_promotion() {
     let obs = Obs::noop();
-    let mut cluster = Cluster::new(
-        ClusterConfig {
-            followers: 2,
-            policy: ReplicationPolicy::Quorum(1),
-        },
+    let policy = ReplicationPolicy::Quorum(1);
+    let (_, mut followers) = followers();
+    let (old_primary, _) = Auditor::recover_with_obs(
+        Arc::new(MemBackend::new()),
         AuditorConfig::default(),
         key(0),
         &obs,
     )
     .unwrap();
+    arm(&old_primary, &followers, policy, 1, &obs).unwrap();
     for i in 0..6 {
-        apply_op(cluster.primary(), i).unwrap();
+        apply_op(&old_primary, i).unwrap();
     }
-    let before = cluster.primary().snapshot();
-    let old_primary = Arc::clone(cluster.primary());
-    let promoted = cluster.kill_and_promote().unwrap();
+    let before = old_primary.snapshot();
+    let promoted = promote(
+        &mut followers,
+        policy,
+        AuditorConfig::default(),
+        key(0),
+        &obs,
+    )
+    .unwrap()
+    .auditor;
     assert_eq!(promoted.snapshot(), before);
-    assert_eq!(cluster.epoch(), 2);
+    assert_eq!(promoted.current_epoch(), 2);
     // Old primary fenced, new primary serving.
     assert!(apply_op(&old_primary, 90).is_err());
     for i in 6..9 {
@@ -564,6 +598,7 @@ fn packaged_cluster_survives_promotion() {
     assert_eq!(snap.counter("repl.failovers"), 1);
     assert_eq!(snap.gauges["repl.epoch"], 2);
     assert_eq!(snap.gauges["repl.lag_bytes"], 0);
+    assert_eq!(snap.gauges["repl.lag_records"], 0);
     assert!(
         snap.histograms
             .get("repl.failover_duration_us")

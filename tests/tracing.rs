@@ -147,7 +147,7 @@ fn airport_poa_is_one_stitched_trace() {
 #[test]
 fn malformed_frame_dumps_the_flight_recorder() {
     let (_run, client) = traced_submission();
-    let server = client.transport().server_arc();
+    let server = client.transport().server();
     assert!(server.last_crash_dump().is_none());
     let now = Timestamp::from_secs(1_000.0);
     let _ = server.handle(&[0xDE, 0xAD, 0xBE, 0xEF], now);
