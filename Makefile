@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: check fmt clippy doc build test perfbench-test examples experiments experiments-check trace-smoke tcp-smoke stress chaos overload scrape-smoke soak-smoke failover tamper bench-json bench-diff bench-gate unsafe-check
+.PHONY: check fmt clippy doc build test perfbench-test examples experiments experiments-check trace-smoke tcp-smoke stress chaos overload scrape-smoke soak-smoke failover tamper bench-json bench-diff bench-gate unsafe-check loc
 
 check: fmt clippy unsafe-check doc test perfbench-test examples experiments-check trace-smoke tcp-smoke chaos overload scrape-smoke soak-smoke failover tamper
 
@@ -33,6 +33,17 @@ unsafe-check:
 			exit 1; \
 		fi; \
 	done
+
+# Non-test code lines per crate and in total: each crates/*/src/**/*.rs
+# file up to its first line containing #[cfg(test)], blank and //
+# lines dropped. A size report, not a gate.
+loc:
+	@find crates/*/src -name '*.rs' | sort | xargs awk ' \
+		FNR == 1 { on = 1; split(FILENAME, p, "/"); c = p[2] } \
+		/#\[cfg\(test\)\]/ { on = 0 } \
+		on && !/^[ \t]*(\/\/|$$)/ { n[c]++; total++ } \
+		END { for (c in n) printf "%-8s %6d\n", c, n[c] | "sort"; close("sort"); \
+			printf "%-8s %6d\n", "total", total }'
 
 doc:
 	RUSTDOCFLAGS="-D warnings" $(CARGO) doc --workspace --no-deps --offline
@@ -102,7 +113,9 @@ soak-smoke:
 
 # Kill-the-primary failover gate: tests/failover.rs — a widened
 # replication chaos campaign (400 seeds by default, against the 40 of
-# `cargo test`; FAILOVER_SEEDS overrides) whose served-head invariant
+# `cargo test`; FAILOVER_SEEDS overrides) whose reference replays the
+# ops the primary wrote (every op but those refused unwritten with
+# Overloaded) and whose served-head invariant
 # requires every signed tree head the dead primary served to extend to
 # the promoted primary's head at promotion, and every served head to
 # extend to the final primary's head, the leader-completeness regression
@@ -111,7 +124,9 @@ soak-smoke:
 # promotion_passes_over_a_follower_whose_image_is_corrupt,
 # promotion_passes_over_a_compacted_follower_that_lost_its_snapshot) and
 # armed_cluster_survives_promotion (boot by repl::arm), all promoting
-# through repl::promote — then the replicated soak with its kill-and-promote
+# through repl::promote, and the pending-write tests
+# (a_lost_quorum_holds_one_write_and_refuses_the_rest_unwritten,
+# a_compaction_after_the_link_heals_commits_the_pending_write) — then the replicated soak with its kill-and-promote
 # phase (signature diffed against its golden; report lands in
 # target/SOAK_failover_report.json for CI to archive), and the
 # end-to-end failover example.

@@ -11,11 +11,13 @@
 //! quorum is required — is applied through `apply_record`, the function
 //! recovery replays a journal with; nothing else writes the registries.
 //! So every reader (zone queries, verification, accusations, tree heads
-//! and proofs) sees committed records only. The registries sit behind
-//! their own locks, and the expensive work — RSA signature checks,
-//! reachable-set geometry — runs on snapshots taken under a read lock
-//! and released before verification starts, so verification never
-//! serialises behind writes.
+//! and proofs) sees committed records only. A write answers `Ok` only
+//! once its record commits, at most one write at a time is pending with
+//! an unknown outcome, and a failed append stops every later write.
+//! The registries sit behind their own locks, and the expensive work —
+//! RSA signature checks, reachable-set geometry — runs on snapshots
+//! taken under a read lock and released before verification starts, so
+//! verification never serialises behind writes.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -40,9 +42,10 @@ use crate::journal::{
 };
 use crate::messages::{Accusation, PoaSubmission, Submission, ZoneQuery, ZoneResponse};
 use crate::poa::ProofOfAlibi;
-use crate::repl::Replicator;
+use crate::repl::{ReplError, Replicator};
 use crate::verify_pool::VerifyPool;
 use crate::wire::codec::{Reader, Writer};
+use crate::wire::tcp::QUEUE_FULL_RETRY_AFTER_MS;
 use crate::{DroneId, ProtocolError, ZoneId};
 
 /// Fan a submission's entry checks across the [`VerifyPool`] only at or
@@ -153,13 +156,15 @@ impl AuditState {
     }
 }
 
-/// The write side: the journal (`None` in memory, or once an append
-/// failed) and the records past the commit point, oldest first, each
-/// with the journal offset it ends at, how it moved the chain, and its
-/// decoded change.
+/// The write side: the journal (`None` for an auditor built without
+/// one), the append error that stopped every write, and the records
+/// past the commit point, oldest first — one write's record and at most
+/// one checkpoint — each with the journal offset it ends at, how it
+/// moved the chain, and its decoded change.
 #[derive(Default)]
 struct Log {
     journal: Option<Journal>,
+    failed: Option<JournalError>,
     pending: VecDeque<(u64, Step, Change)>,
 }
 
@@ -450,8 +455,6 @@ pub struct Auditor {
     /// The write-ahead journal and the records pending in it: every
     /// state change takes this lock (see [`write`](Self::write)).
     log: Mutex<Log>,
-    /// The error that disabled journaling, if any.
-    journal_error: Mutex<Option<JournalError>>,
     /// Leadership epoch this auditor writes under (0 = never part of a
     /// cluster). Replayed from [`Record::Epoch`] records; promotion
     /// bumps it via [`begin_epoch`](Self::begin_epoch).
@@ -510,7 +513,6 @@ impl Auditor {
             decrypt_latency: obs.histogram("auditor.decrypt_latency_us"),
             journal_append_latency: obs.histogram("auditor.journal_append_latency_us"),
             log: Mutex::default(),
-            journal_error: Mutex::new(None),
             epoch: AtomicU64::new(0),
             replicator: OnceLock::new(),
             verify_pool: OnceLock::new(),
@@ -658,25 +660,14 @@ impl Auditor {
     }
 
     /// Builds a Merkle checkpoint record over the chain when the
-    /// configured interval has elapsed since the last checkpoint,
-    /// committed or `pending`. A signing failure skips the checkpoint
-    /// (logged; the next audited append retries) rather than failing
-    /// the write that triggered it.
-    fn due_checkpoint(
-        &self,
-        audit: &AuditState,
-        pending: &VecDeque<(u64, Step, Change)>,
-    ) -> Option<(Change, Record)> {
-        let last = pending
-            .iter()
-            .rev()
-            .find_map(|(.., change)| match change {
-                Change::Checkpoint(size) => Some(*size),
-                _ => None,
-            })
-            .unwrap_or(audit.checkpoint_size);
+    /// configured interval has elapsed since the last checkpoint, which
+    /// is committed: a write builds records only once nothing is
+    /// pending. A signing failure skips the checkpoint (logged; the
+    /// next audited append retries) rather than failing the write that
+    /// triggered it.
+    fn due_checkpoint(&self, audit: &AuditState) -> Option<(Change, Record)> {
         let size = audit.chain.size();
-        if size.saturating_sub(last) < self.config.checkpoint_interval.max(1) {
+        if size.saturating_sub(audit.checkpoint_size) < self.config.checkpoint_interval.max(1) {
             return None;
         }
         let root = audit.chain.root();
@@ -801,7 +792,7 @@ impl Auditor {
         if let Some(replicator) = self.replicator.get() {
             replicator.set_epoch(epoch);
         }
-        self.write(|_| Ok(Record::Epoch(epoch)))
+        self.write(|| Ok(Record::Epoch(epoch)))
     }
 
     /// Installs the log shipper: every subsequent write is replicated
@@ -817,86 +808,116 @@ impl Auditor {
         self.replicator.get()
     }
 
-    /// The one write step. Under the journal lock, `build` makes the
-    /// record (issuing any id, or refusing) and it is decoded, so that
-    /// applying it cannot fail; the record is appended, the chain
-    /// advanced over it, a due Merkle checkpoint appended after
-    /// it, and the journal replicated. Then every pending record up to
-    /// the commit point ([`Replicator::commit_offset`], or the journal's
-    /// end) is applied through [`apply_record`](Self::apply_record).
-    /// A failed append *disables* the journal (see
-    /// [`last_journal_error`](Self::last_journal_error)): the auditor
-    /// keeps serving, without durability.
+    /// The one write step; `Ok` means the record committed. Under the
+    /// journal lock, a write the last one left pending commits first;
+    /// if it stays pending, this write is refused before `build` runs,
+    /// so at most one write is ever of unknown outcome. Then `build`
+    /// makes the record (issuing any id, or refusing) and it is
+    /// decoded, so that applying it cannot fail; the record is
+    /// appended, the chain advanced over it, a due Merkle checkpoint
+    /// appended after it, and the commit step run
+    /// ([`commit`](Self::commit)). A failed append stops every later
+    /// write, and compaction, until the process recovers from its
+    /// image; reads keep serving committed state.
     ///
     /// # Errors
     ///
-    /// `build`'s refusal, a record that does not decode (nothing is
-    /// appended then), epoch fencing under any policy, and under
-    /// `Quorum(k)` with `k > 0` an append or replication failure. The
-    /// record then stays pending, and a later round may still commit
-    /// it: its outcome is unknown to the caller.
+    /// Refused with nothing appended: [`ProtocolError::Storage`] once an
+    /// append has failed, or when a quorum is required without a
+    /// journal; [`ProtocolError::Overloaded`] while the last write's
+    /// quorum is still lost (safe to resend); epoch fencing or chain
+    /// divergence keeping it pending; `build`'s refusal; a record that
+    /// does not decode. After the append: the append's
+    /// [`ProtocolError::Storage`], or a replication failure (fencing
+    /// under any policy, a lost quorum under `Quorum(k)` with `k > 0`).
+    /// The record is then pending and its outcome unknown to the
+    /// caller: the next write or compaction commits it if the followers
+    /// hold it by then.
     fn write(
         &self,
-        build: impl FnOnce(&Log) -> Result<Record, ProtocolError>,
+        build: impl FnOnce() -> Result<Record, ProtocolError>,
     ) -> Result<(), ProtocolError> {
         let mut log = lock(&self.log);
-        let record = build(&log)?;
-        let mut next = Some((Change::decode(&record)?, record));
-        let quorum = self.replicator.get().is_some_and(|r| r.requires_quorum());
-        if log.journal.is_none() && quorum {
+        if let Some(err) = &log.failed {
+            return Err(err.clone().into());
+        }
+        if log.journal.is_none() && self.replicator.get().is_some_and(|r| r.requires_quorum()) {
             // Nothing can replicate: acknowledging here would be an
             // acked-then-lost record waiting to happen.
-            return Err(self.last_journal_error().map_or_else(
-                || ProtocolError::Storage("quorum replication requires a journal".into()),
-                ProtocolError::from,
+            return Err(ProtocolError::Storage(
+                "quorum replication requires a journal".into(),
             ));
         }
+        if !log.pending.is_empty() {
+            let committed = self.commit(&mut log);
+            if !log.pending.is_empty() {
+                return Err(match committed {
+                    Ok(()) | Err(ReplError::QuorumLost { .. }) => ProtocolError::Overloaded {
+                        retry_after_ms: QUEUE_FULL_RETRY_AFTER_MS,
+                    },
+                    Err(err) => err.into(),
+                });
+            }
+        }
+        let record = build()?;
+        let mut next = Some((Change::decode(&record)?, record));
+        let mut appended = Ok(());
         while let Some((change, record)) = next.take() {
             // Encoded once: the audit chain hashes the bytes the
             // journal writes.
             let payload = record.to_payload();
             if let Some(journal) = &log.journal {
                 let t0 = Instant::now();
-                let appended = journal.append_payload(&payload);
+                let result = journal.append_payload(&payload);
                 self.journal_append_latency
                     .record_micros(t0.elapsed().as_micros() as u64);
-                if let Err(err) = appended {
+                if let Err(err) = result {
                     self.obs.emit(
                         Level::Error,
                         "auditor.journal",
-                        "append failed; journaling disabled",
+                        "append failed; writes stopped",
                         |f| {
                             f.field("error", err.to_string());
                         },
                     );
                     self.obs.counter("auditor.journal_append_failures").inc();
-                    *lock(&self.journal_error) = Some(err.clone());
-                    log.journal = None;
-                    if quorum {
-                        return Err(err.into());
-                    }
+                    log.failed = Some(err.clone());
+                    appended = Err(err);
+                    break;
                 }
             }
             // The one chain rule recovery's walk applies too. The chain
-            // advances even with journaling disabled, so an in-memory
-            // auditor still serves verifiable tree heads and proofs.
+            // advances without a journal too, so an in-memory auditor
+            // still serves verifiable tree heads and proofs.
             let mut audit = lock(&self.audit);
             let step = advance_chain(&mut audit.chain, &mut 0, &record, &payload)?;
             // A due checkpoint follows the record that made it due, so
             // the chained prefix it covers is exactly the records
             // physically before it in the journal.
             if record.is_audited() && log.journal.is_some() {
-                next = self.due_checkpoint(&audit, &log.pending);
+                next = self.due_checkpoint(&audit);
             }
             drop(audit);
             let end = log.journal.as_ref().map_or(0, Journal::end_offset);
             log.pending.push_back((end, step, change));
         }
+        // What did append (the record, when its checkpoint's append
+        // failed) commits as usual.
+        let committed = self.commit(&mut log);
+        appended?;
+        Ok(committed?)
+    }
+
+    /// The one commit step: ships the journal to the followers, then
+    /// applies every pending record up to the commit point
+    /// ([`Replicator::commit_offset`], or the journal's end) through
+    /// [`apply_record`](Self::apply_record). Shipping under the journal
+    /// lock serializes frames in append order, so follower images are
+    /// always a prefix of the primary's.
+    fn commit(&self, log: &mut Log) -> Result<(), ReplError> {
         let (journal, replicator) = (log.journal.as_ref(), self.replicator.get());
-        // Shipping under the journal lock serializes frames in append
-        // order, so follower images are always a prefix of the primary's.
-        let durable = match (journal, replicator) {
-            (Some(journal), Some(r)) => r.replicate(journal).map_err(ProtocolError::from),
+        let shipped = match (journal, replicator) {
+            (Some(journal), Some(r)) => r.replicate(journal),
             _ => Ok(()),
         };
         // Without a journal every record ends at 0, so it commits at once
@@ -907,30 +928,34 @@ impl Auditor {
             let (_, step, change) = log.pending.pop_front().expect("a pending record");
             self.apply_record(change, step);
         }
-        durable
-    }
-
-    /// The append error that disabled journaling, if one occurred.
-    pub fn last_journal_error(&self) -> Option<JournalError> {
-        lock(&self.journal_error).clone()
+        shipped
     }
 
     /// Compacts the journal to the auditor's current state, written as
     /// ordinary records (see [`snapshot`](Self::snapshot)), bounding
-    /// replay cost at the next [`recover`](Self::recover). No-op
-    /// without a journal, and while any record is pending replication:
+    /// replay cost at the next [`recover`](Self::recover). A write the
+    /// last one left pending commits first if the followers now hold
+    /// it. No-op without a journal, and while that write stays pending:
     /// the state holds committed records only, so compacting then would
-    /// drop the pending ones. That no-op emits one Warn event.
+    /// drop it. That no-op emits one Warn event.
     ///
     /// # Errors
     ///
-    /// [`ProtocolError::Storage`] when the atomic replace fails; the old
-    /// journal image stays intact in that case.
+    /// [`ProtocolError::Storage`] once an append has failed, and when
+    /// the atomic replace fails; the old journal image stays intact in
+    /// that case.
     pub fn compact_journal(&self) -> Result<(), ProtocolError> {
         // The state is read under the journal lock, so the image and
         // its audit section sit at one journal position: every record
         // lands either in the state or after the fresh image.
-        let log = lock(&self.log);
+        let mut log = lock(&self.log);
+        if let Some(err) = &log.failed {
+            return Err(err.clone().into());
+        }
+        if !log.pending.is_empty() {
+            // A replication failure shows in the replicator's metrics.
+            let _ = self.commit(&mut log);
+        }
         let Some(journal) = log.journal.as_ref() else {
             return Ok(());
         };
@@ -938,7 +963,7 @@ impl Auditor {
             self.obs.emit(
                 Level::Warn,
                 "auditor.journal",
-                "compaction skipped: records pending",
+                "compaction skipped: a write is pending",
                 |f| {
                     f.field("pending", log.pending.len());
                 },
@@ -980,64 +1005,61 @@ impl Auditor {
     /// Step 0 — registers a drone: records `(id_drone, D⁺, T⁺)` and
     /// issues the id.
     ///
-    /// Idempotent by construction: resending a registration whose
-    /// response was lost issues a second id for the same key pair, and
-    /// the orphaned record is inert — it never matches a query,
-    /// submission, or accusation, so a retry can never corrupt state.
+    /// Not idempotent: resending a registration whose response was lost
+    /// journals a second record and issues a second id for the same key
+    /// pair.
+    ///
+    /// The write's error is dropped: a failed write returns id 0, which
+    /// names no drone. An auditor that journals or replicates should
+    /// use [`register_drone_durable`](Self::register_drone_durable).
     pub fn register_drone(
         &self,
         operator_public: RsaPublicKey,
         tee_public: RsaPublicKey,
     ) -> DroneId {
-        // Replication-agnostic: the id is issued even when a quorum
-        // failed, and is usable once its write commits.
-        let record = |id| drone_record(id, &operator_public, &tee_public);
-        DroneId::new(self.register(&self.next_drone, record).0)
+        self.register_drone_durable(operator_public, tee_public)
+            .unwrap_or(DroneId::new(0))
     }
 
-    /// [`register_drone`](Self::register_drone), but the response is
-    /// gated on replication durability: under a `Quorum` policy the id
-    /// is only returned once enough followers hold the record. On error
-    /// the record stays pending: its id is usable only once that write
-    /// commits, which a failover may prevent. Retrying is idempotent.
+    /// [`register_drone`](Self::register_drone), but the id is returned
+    /// only once its record is committed: journaled, and under a
+    /// `Quorum` policy held by enough followers.
     ///
     /// # Errors
     ///
-    /// Journal or replication failures under a `Quorum` policy.
+    /// As for any write. After [`ProtocolError::Overloaded`] nothing was
+    /// written and resending is safe. After a failed append or a lost
+    /// quorum the outcome is unknown: the record may still commit, and
+    /// a resend may register the drone a second time.
     pub fn register_drone_durable(
         &self,
         operator_public: RsaPublicKey,
         tee_public: RsaPublicKey,
     ) -> Result<DroneId, ProtocolError> {
         let record = |id| drone_record(id, &operator_public, &tee_public);
-        let (id, durable) = self.register(&self.next_drone, record);
-        durable.map(|()| DroneId::new(id))
+        self.register(&self.next_drone, record).map(DroneId::new)
     }
 
-    /// Step 1 — registers a circular zone, issuing its id. Idempotent
-    /// under retry for the same reason as
-    /// [`register_drone`](Self::register_drone): a duplicate zone is a
-    /// second id over identical geometry, which only *strengthens* what
-    /// a PoA must prove.
+    /// Step 1 — registers a circular zone, issuing its id.
+    ///
+    /// Not idempotent: a resend after a lost response registers a
+    /// second zone over identical geometry, which every later
+    /// verification checks too. A failed write returns id 0, which
+    /// names no zone.
     pub fn register_zone(&self, zone: NoFlyZone) -> ZoneId {
-        // Same replication-agnostic contract as `register_drone`.
-        ZoneId::new(
-            self.register(&self.next_zone, |id| zone_record(id, &zone))
-                .0,
-        )
+        self.register_zone_durable(zone).unwrap_or(ZoneId::new(0))
     }
 
-    /// [`register_zone`](Self::register_zone) gated on replication
-    /// durability, as [`register_drone_durable`](Self::register_drone_durable):
-    /// the id of a write whose quorum failed is usable only once that
-    /// write commits.
+    /// [`register_zone`](Self::register_zone), returning the id only once
+    /// its record is committed, as
+    /// [`register_drone_durable`](Self::register_drone_durable).
     ///
     /// # Errors
     ///
-    /// Journal or replication failures under a `Quorum` policy.
+    /// As for [`register_drone_durable`](Self::register_drone_durable).
     pub fn register_zone_durable(&self, zone: NoFlyZone) -> Result<ZoneId, ProtocolError> {
-        let (id, durable) = self.register(&self.next_zone, |id| zone_record(id, &zone));
-        durable.map(|()| ZoneId::new(id))
+        self.register(&self.next_zone, |id| zone_record(id, &zone))
+            .map(ZoneId::new)
     }
 
     /// Writes `record(id)` for the next id from `next`, issued inside
@@ -1046,13 +1068,13 @@ impl Auditor {
         &self,
         next: &AtomicU64,
         record: impl FnOnce(u64) -> Record,
-    ) -> (u64, Result<(), ProtocolError>) {
+    ) -> Result<u64, ProtocolError> {
         let mut id = 0;
-        let durable = self.write(|_| {
+        self.write(|| {
             id = next.fetch_add(1, Ordering::Relaxed);
             Ok(record(id))
-        });
-        (id, durable)
+        })?;
+        Ok(id)
     }
 
     /// The zone registry as one shared view: the read lock is held
@@ -1110,18 +1132,15 @@ impl Auditor {
         // prepared verifier held in the registration record.
         query.verify_with(record.operator())?;
         let spent = (query.drone_id, query.nonce);
-        // A nonce is spent once any record holding it is appended,
-        // committed or still pending.
-        self.write(|log| {
+        // The write step builds only once nothing is pending, so the
+        // committed set holds every nonce any record spent.
+        self.write(|| {
             let used = self
                 .used_nonces
                 .lock()
                 .map_err(|_| ProtocolError::LockPoisoned("nonce set"))?
                 .contains(&spent);
-            let pending = |(.., change): &(u64, Step, Change)| {
-                matches!(change, Change::Nonce(d, n) if (*d, *n) == spent)
-            };
-            if used || log.pending.iter().any(pending) {
+            if used {
                 return Err(ProtocolError::NonceReplayed);
             }
             let (drone, nonce) = (spent.0.value(), spent.1);
@@ -1143,11 +1162,12 @@ impl Auditor {
     /// arm decrypts with the auditor key first (paper §V-C — the Adapter
     /// persists the PoA encrypted under the server's public key).
     ///
-    /// Idempotent by construction: verification is a pure function of
-    /// the PoA and the zone registry, so a resubmission after a lost
-    /// response receives the same verdict and appends a byte-identical
-    /// [`StoredPoa`]; accusation handling scans for the *latest*
-    /// covering proof, so duplicates cannot change any later outcome.
+    /// Not idempotent: a resubmission after a lost response is verified
+    /// again, against the zone registry as it is then, and appends a
+    /// second [`StoredPoa`] (~9.6 KB for a 60-sample PoA under 1024-bit
+    /// keys). A zone registered after the flight can change the
+    /// resend's verdict, and accusation handling reads the *latest*
+    /// covering proof, so a resend can flip a later accusation.
     ///
     /// # Errors
     ///
@@ -1223,7 +1243,7 @@ impl Auditor {
         // Under a `Quorum` replication policy this gates the verdict
         // response on follower durability — the caller never learns a
         // verdict that a failover could lose.
-        self.write(|_| Ok(record))?;
+        self.write(|| Ok(record))?;
         Ok(report)
     }
 
@@ -1459,7 +1479,7 @@ impl Auditor {
     /// any write.
     pub fn purge_expired(&self, now: Timestamp) -> Result<(), ProtocolError> {
         let before = (now - self.config.retention).secs();
-        self.write(|_| Ok(Record::Purge { before }))
+        self.write(|| Ok(Record::Purge { before }))
     }
 }
 
@@ -2154,7 +2174,6 @@ mod tests {
         let backend = Arc::new(MemBackend::new());
         let (a, rep) = recovered(Arc::clone(&backend));
         assert_eq!(rep.records_applied, 0);
-        assert!(a.last_journal_error().is_none());
         let d = registered(&a);
         let z = a.register_zone(far_zone());
         a.verify(
@@ -2507,19 +2526,71 @@ mod tests {
         assert_eq!(backend.bytes(), image);
     }
 
+    /// Without replication, a write whose append fails and every write
+    /// after it return `Storage`, and the auditor serves exactly what
+    /// recovery from its journal finds.
     #[test]
-    fn failed_append_disables_journal_but_keeps_serving() {
+    fn a_failed_append_serves_what_recovery_finds() {
         let backend = Arc::new(MemBackend::new());
         let (a, _) = recovered(Arc::clone(&backend));
-        registered(&a);
+        a.register_zone_durable(far_zone()).unwrap();
         backend.fail_next_append();
-        let z = a.register_zone(far_zone());
-        assert!(a.zone(z).is_some(), "in-memory state must not be poisoned");
-        assert!(a.last_journal_error().is_some());
+        for _ in 0..2 {
+            let err = a.register_zone_durable(far_zone()).unwrap_err();
+            assert!(matches!(err, ProtocolError::Storage(_)), "got {err}");
+        }
+        assert_eq!(a.zone_count(), 1);
+        let (b, _) = recovered(backend);
+        assert_eq!(b.snapshot(), a.snapshot());
+    }
+
+    /// A failed append stops every later write, of every kind and
+    /// compaction too, before it appends anything, while reads keep
+    /// serving committed state; it shows as one Error event and one
+    /// `auditor.journal_append_failures`.
+    #[test]
+    fn failed_append_stops_every_later_write() {
+        let obs = Obs::noop();
+        let recorder = Arc::new(alidrone_obs::FlightRecorder::new(16));
+        obs.set_subscriber(recorder.clone());
+        let backend = Arc::new(MemBackend::new());
+        let (a, _) = Auditor::recover_with_obs(
+            Arc::clone(&backend) as Arc<dyn StorageBackend>,
+            AuditorConfig::default(),
+            auditor_key().clone(),
+            &obs,
+        )
+        .unwrap();
+        let d = registered(&a);
+        let image = backend.bytes();
+        backend.fail_next_append();
+        let storage = |r: Result<(), ProtocolError>| matches!(r, Err(ProtocolError::Storage(_)));
+        assert!(storage(a.register_zone_durable(far_zone()).map(drop)));
+        assert!(storage(a.register_zone_durable(far_zone()).map(drop)));
+        let query = ZoneQuery::new_signed(d, origin(), origin(), [7; 16], operator_key()).unwrap();
+        assert!(storage(a.handle_zone_query(&query).map(drop)));
+        let submitted = a.verify(
+            &Submission::plain(submission(d, 5)),
+            Timestamp::from_secs(50.0),
+        );
+        assert!(storage(submitted.map(drop)));
+        assert!(storage(a.purge_expired(Timestamp::from_secs(50.0))));
+        assert!(storage(a.compact_journal()));
+        assert_eq!(backend.bytes(), image, "a refused write appended");
+        assert_eq!((a.drone_count(), a.zone_count()), (1, 0));
+        assert_eq!(a.stored_poa_count(), 0);
+        assert!(a.tee_public_key(d).is_some());
+        assert_eq!(obs.snapshot().counter("auditor.journal_append_failures"), 1);
+        let errors = recorder
+            .events()
+            .into_iter()
+            .filter(|e| e.level == Level::Error)
+            .count();
+        assert_eq!(errors, 1);
         // Replay sees only what was durably appended before the fault.
         let (b, rep) = recovered(backend);
         assert_eq!(rep.records_applied, 1);
-        assert_eq!(b.zone_count(), 0);
+        assert_eq!(b.snapshot(), a.snapshot());
     }
 
     // ------------------------------------------------------- gap verdicts

@@ -50,10 +50,12 @@ pub enum ProtocolError {
     /// error, never a torn response.
     LockPoisoned(&'static str),
     /// The server shed the request before executing it — admission queue
-    /// full or the source drone exceeded its token-bucket rate. The
-    /// request was **not** processed; the client may retry after the
-    /// hinted delay (any request kind: shedding happens before any
-    /// state change, so a shed request is never partially applied).
+    /// full, the source drone exceeded its token-bucket rate, or the
+    /// auditor refused a write while its last write's replication
+    /// quorum is still lost. The request was **not** processed; the
+    /// client may retry after the hinted delay (any request kind:
+    /// shedding happens before any state change, so a shed request is
+    /// never partially applied).
     Overloaded {
         /// Server's hint for how long to back off before retrying.
         retry_after_ms: u64,

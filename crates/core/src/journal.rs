@@ -159,9 +159,12 @@ pub trait StorageBackend: Send + Sync {
     fn replace(&self, bytes: &[u8]) -> Result<(), JournalError>;
 }
 
-/// A real filesystem backend. Appends go through `O_APPEND` + flush;
-/// [`replace`](StorageBackend::replace) writes a sibling temp file and
-/// renames it over the journal, the standard atomic-swap idiom.
+/// A real filesystem backend. Appends go through `O_APPEND`, one
+/// `write_all` per record; nothing is fsynced (`flush` on a `File` is a
+/// no-op), so an appended record survives process death, not power
+/// loss. [`replace`](StorageBackend::replace) writes a sibling temp
+/// file and renames it over the journal, the standard atomic-swap
+/// idiom.
 #[derive(Debug)]
 pub struct FsBackend {
     path: PathBuf,

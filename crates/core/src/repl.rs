@@ -29,7 +29,9 @@
 //!   A failed quorum surfaces as a typed error to the caller *before*
 //!   any response is sent, so nothing acknowledged can be lost by a
 //!   fail-stop primary crash. The record stays pending on the primary,
-//!   unserved, until [`Replicator::commit_offset`] passes it.
+//!   unserved, until [`Replicator::commit_offset`] passes it, and the
+//!   primary refuses every later write unwritten (`Overloaded`) while
+//!   it stays pending, so at most one write's outcome is unknown.
 //! * **`Quorum(0)`** — ship best-effort; failures only show up in the
 //!   lag metrics. A primary crash can lose the records appended since
 //!   the slowest follower's last ack.

@@ -451,21 +451,23 @@ const REQ_INCLUSION_PROOF: u8 = 9;
 const REQ_CONSISTENCY_PROOF: u8 = 10;
 
 impl Request {
-    /// `true` when resending this request after a lost response cannot
-    /// corrupt auditor state, so a client may retry it blindly.
+    /// `true` for the request kinds a client resends after a lost
+    /// response. Only the read-only kinds (accusations, health checks,
+    /// tree heads and proofs) are truly idempotent; a resent write is
+    /// applied again:
     ///
-    /// - Registrations issue a fresh id per delivery; an orphaned
-    ///   duplicate never matches any later query, submission, or
-    ///   accusation, so it is inert (idempotent *by construction*, not
-    ///   by deduplication).
-    /// - PoA submissions re-verify to the same verdict (verification is
-    ///   a pure function of the PoA and the zone registry), and
-    ///   accusation handling scans for the latest covering proof, so a
-    ///   duplicate [`StoredPoa`](crate::StoredPoa) changes nothing.
-    /// - Accusations and health checks are read-only.
-    /// - Zone queries are **not** idempotent: each consumes its signed
-    ///   nonce, so a replay is indistinguishable from an attack and is
-    ///   rejected by the anti-replay check.
+    /// - a registration journals a second record and issues a second id
+    ///   for the same key pair or geometry;
+    /// - a PoA submission is verified again, against the zone registry
+    ///   as it is then, and appends a second
+    ///   [`StoredPoa`](crate::StoredPoa) (~9.6 KB for 60 samples under
+    ///   1024-bit keys). A zone registered after the flight can change
+    ///   the resend's verdict, and accusation handling reads the latest
+    ///   covering proof, so the resend can flip a later accusation.
+    ///
+    /// Zone queries are not resent: each consumes its signed nonce, so
+    /// a replay is indistinguishable from an attack and is rejected by
+    /// the anti-replay check.
     pub fn is_idempotent(&self) -> bool {
         !matches!(self, Request::QueryZones(_))
     }

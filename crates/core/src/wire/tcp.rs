@@ -76,8 +76,9 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
 /// accept loop's pause after a failed `accept`).
 const SHUTDOWN_POLL: Duration = Duration::from_millis(10);
 
-/// `retry_after_ms` hint sent with queue-full rejections.
-const QUEUE_FULL_RETRY_AFTER_MS: u64 = 100;
+/// `retry_after_ms` hint sent with queue-full rejections, and with
+/// writes an auditor refuses while its last write's quorum is lost.
+pub(crate) const QUEUE_FULL_RETRY_AFTER_MS: u64 = 100;
 
 fn is_timeout(e: &io::Error) -> bool {
     matches!(

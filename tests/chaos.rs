@@ -10,9 +10,10 @@
 //! 2. **Seeded campaign** — 120 seeds drive transport drops/corruption
 //!    and storage tears/failures/flips through the wire stack; clients
 //!    see only `Ok` or typed [`ProtocolError`]s, server state stays
-//!    coherent, and failing seeds replay bit-for-bit. A smaller sweep
-//!    pushes TEE signing faults, NMEA corruption, GPS dropouts and
-//!    clock jumps through whole flights.
+//!    coherent, a journal that recovers holds every registration and
+//!    verdict answered `Ok`, and failing seeds replay bit-for-bit. A
+//!    smaller sweep pushes TEE signing faults, NMEA corruption, GPS
+//!    dropouts and clock jumps through whole flights.
 //! 3. **Degraded GPS integration** — a fault-plane dropout window mid
 //!    flight must surface as a signed gap marker in the PoA and as a
 //!    measurably reduced sufficiency margin at the auditor.
@@ -147,11 +148,9 @@ fn recovery_is_exact_at_every_crash_offset() {
         );
         // The torn journal was cleaned: the recovered auditor keeps
         // journaling, and a second recovery replays the new record too.
-        recovered.register_zone(NoFlyZone::new(pad(), Distance::from_meters(10.0)));
-        assert!(
-            recovered.last_journal_error().is_none(),
-            "offset {cut}: journal died"
-        );
+        recovered
+            .register_zone_durable(NoFlyZone::new(pad(), Distance::from_meters(10.0)))
+            .unwrap_or_else(|e| panic!("offset {cut}: journal died: {e}"));
         let (reread, _) = Auditor::recover(
             Arc::new(MemBackend::with_bytes(truncated.bytes())) as Arc<dyn StorageBackend>,
             AuditorConfig::default(),
@@ -382,6 +381,7 @@ fn campaign_run(seed: u64) -> Vec<String> {
             None
         }
     };
+    let (mut zones, mut verdict) = (Vec::new(), false);
     for step in 0..3u8 {
         log.push(format!("{:?}", storage.roll(0.10, 0.10, 0.05)));
         match client.register_zone(
@@ -391,7 +391,10 @@ fn campaign_run(seed: u64) -> Vec<String> {
             ),
             now,
         ) {
-            Ok(zid) => log.push(format!("zone {zid}")),
+            Ok(zid) => {
+                log.push(format!("zone {zid}"));
+                zones.push(zid);
+            }
             Err(e) => log.push(format!("zone err {e}")),
         }
     }
@@ -418,7 +421,10 @@ fn campaign_run(seed: u64) -> Vec<String> {
             &poa,
             Timestamp::from_secs(10.0),
         ) {
-            Ok(verdict) => log.push(format!("verdict {verdict}")),
+            Ok(judged) => {
+                log.push(format!("verdict {judged}"));
+                verdict = true;
+            }
             Err(e) => log.push(format!("submit err {e}")),
         }
     }
@@ -440,6 +446,14 @@ fn campaign_run(seed: u64) -> Vec<String> {
                 report.records_applied, report.torn_tail
             ));
             assert!(recovered.drone_count() <= 1, "seed {seed}");
+            // Zero acked-then-lost: every call answered `Ok` committed.
+            if let Some(id) = id {
+                assert!(recovered.tee_public_key(id).is_some(), "seed {seed}");
+            }
+            for zid in zones {
+                assert!(recovered.zone(zid).is_some(), "seed {seed}: zone {zid}");
+            }
+            assert!(!verdict || recovered.stored_poa_count() > 0, "seed {seed}");
         }
         Err(ProtocolError::Storage(e)) => log.push(format!("recovery refused: {e}")),
         Err(ProtocolError::Malformed(e)) => log.push(format!("recovery refused: {e}")),

@@ -7,15 +7,16 @@
 //! append on one follower's backend just before the kill, and an
 //! optional restart of one follower over the backend it kept — then:
 //!
-//! 1. runs a crash-free **reference** auditor over the same op
-//!    schedule, checkpointing state after every op;
-//! 2. runs the **cluster**: a journaled primary shipping to two
+//! 1. runs the **cluster**: a journaled primary shipping to two
 //!    followers under `Quorum(1)` through seeded
 //!    [`FaultyLink`](alidrone::chaos::FaultyLink)s, killing the
-//!    primary at the drawn offset;
-//! 3. promotes through [`promote`], the one promotion rule
-//!    (most-caught-up follower → fence → replay → re-arm → new epoch),
-//!    and asserts:
+//!    primary at the drawn offset. A write that finds the last one's
+//!    quorum still lost is refused unwritten (`Overloaded`);
+//! 2. promotes through [`promote`], the one promotion rule
+//!    (most-caught-up follower → fence → replay → re-arm → new epoch);
+//! 3. runs a crash-free **reference** auditor over the ops the primary
+//!    wrote, in order, then every other op, checkpointing state after
+//!    every op, and asserts:
 //!    * the promoted state is **byte-identical to a reference
 //!      checkpoint** (followers hold whole-record journal prefixes);
 //!    * **zero acked-then-lost records**: every op the dead primary
@@ -30,8 +31,8 @@
 //!      served head, the promoted one's included, is extended by the
 //!      promoted primary's final head, so a client holding any served
 //!      head never sees the auditor equivocate. The first check matters
-//!      because post-promotion ops re-send the dead primary's unacked
-//!      ops byte for byte: a head over a record no follower held would
+//!      because post-promotion ops re-send every op the promoted state
+//!      lacks byte for byte: a head over a record no follower held would
 //!      be extended again by an identical leaf, and only the head at
 //!      promotion shows the fork;
 //!    * post-promotion, the surviving follower converges to a journal
@@ -194,10 +195,10 @@ fn apply_op(auditor: &Auditor, i: usize) -> Result<(), ProtocolError> {
     }
 }
 
-/// The crash-free reference: same ops, no faults, no replication.
-/// Returns state checkpoints; `checkpoints[m]` is the state after the
-/// first `m` ops.
-fn reference_checkpoints(plan: &Plan) -> Vec<Vec<u8>> {
+/// The crash-free reference: the ops in `order`, no faults, no
+/// replication. Returns state checkpoints; `checkpoints[m]` is the
+/// state after the first `m` ops of `order`.
+fn reference_checkpoints(plan: &Plan, order: &[usize]) -> Vec<Vec<u8>> {
     let (auditor, _) = Auditor::recover(
         Arc::new(MemBackend::new()) as Arc<dyn StorageBackend>,
         AuditorConfig::default(),
@@ -205,7 +206,7 @@ fn reference_checkpoints(plan: &Plan) -> Vec<Vec<u8>> {
     )
     .expect("fresh reference recovers");
     let mut checkpoints = vec![auditor.snapshot()];
-    for i in 0..plan.n_ops {
+    for &i in order {
         if plan.compact_at == Some(i) {
             auditor.compact_journal().expect("reference compaction");
         }
@@ -235,7 +236,6 @@ fn campaign_run(seed: u64) -> Vec<String> {
     let plane = FaultPlane::new(seed);
     let plan = Plan::draw(&plane);
     log.push(format!("{plan:?}"));
-    let checkpoints = reference_checkpoints(&plan);
 
     // --- cluster under test ------------------------------------------
     let obs = Obs::noop();
@@ -270,8 +270,10 @@ fn campaign_run(seed: u64) -> Vec<String> {
     assert!(booted, "seed {seed}: epoch 1 never replicated");
 
     // Ops until the kill, toggling the partition window on follower 1.
-    // Every primary's signed head is fetched after each op it runs.
+    // Every primary's signed head is fetched after each op it runs. An
+    // op refused with `Overloaded` was not written.
     let mut acked: Vec<usize> = Vec::new();
+    let mut written: Vec<usize> = Vec::new();
     let mut heads: Vec<SignedTreeHead> = Vec::new();
     for i in 0..plan.kill_at {
         if let Some((start, end)) = plan.partition {
@@ -295,7 +297,11 @@ fn campaign_run(seed: u64) -> Vec<String> {
         if let Some(f) = fault {
             backends[f].fail_next_append();
         }
-        match apply_op(&primary, i) {
+        let result = apply_op(&primary, i);
+        if !result.as_ref().is_err_and(ProtocolError::is_shed) {
+            written.push(i);
+        }
+        match result {
             Ok(()) => {
                 acked.push(i);
                 log.push(format!("op {i}: acked"));
@@ -338,7 +344,12 @@ fn campaign_run(seed: u64) -> Vec<String> {
         primary_backend.tear_next_append(4);
         match apply_op(&primary, plan.kill_at) {
             Ok(()) => panic!("seed {seed}: torn append was acked"),
-            Err(e) => log.push(format!("kill op: torn err {e}")),
+            Err(e) => {
+                if !e.is_shed() {
+                    written.push(plan.kill_at);
+                }
+                log.push(format!("kill op: torn err {e}"));
+            }
         }
         heads.push(primary.signed_tree_head().expect("primary signs its head"));
     }
@@ -369,6 +380,17 @@ fn campaign_run(seed: u64) -> Vec<String> {
         .signed_tree_head()
         .expect("promoted primary signs its head");
 
+    // The reference replays the ops the primary wrote, in order, then
+    // every other op (refused unwritten, or never sent before the
+    // kill): the order a client resending the ops missing from the
+    // promoted state sends them in.
+    let order: Vec<usize> = written
+        .iter()
+        .copied()
+        .chain((0..plan.n_ops).filter(|i| !written.contains(i)))
+        .collect();
+    let checkpoints = reference_checkpoints(&plan, &order);
+
     // Byte-identical to a crash-free reference checkpoint, and zero
     // acked-then-lost under Quorum(1).
     let promoted_state = promoted.snapshot();
@@ -376,10 +398,10 @@ fn campaign_run(seed: u64) -> Vec<String> {
         .find(|&m| checkpoints[m] == promoted_state)
         .unwrap_or_else(|| panic!("seed {seed}: promoted state matches no crash-free checkpoint"));
     log.push(format!("promoted at checkpoint {m}"));
-    if let Some(&last_acked) = acked.last() {
+    for op in &acked {
         assert!(
-            last_acked < m,
-            "seed {seed}: acked-then-lost — op {last_acked} acked but promoted \
+            order[..m].contains(op),
+            "seed {seed}: acked-then-lost — op {op} acked but promoted \
              state only covers {m} ops"
         );
     }
@@ -422,11 +444,10 @@ fn campaign_run(seed: u64) -> Vec<String> {
     }
     heads.push(at_promotion);
 
-    // The promoted primary keeps serving durable mutations. Resume
-    // from checkpoint `m`: ops the dead primary journaled but never
-    // got acked by a follower are exactly the ones a client would
-    // retry against the new primary.
-    for i in m..plan.n_ops {
+    // The promoted primary keeps serving durable mutations. The client
+    // resends every op the promoted state does not hold: written but
+    // never acked by a follower, refused unwritten, or never sent.
+    for &i in &order[m..] {
         apply_op(&promoted, i)
             .unwrap_or_else(|e| panic!("seed {seed}: post-promotion op {i} failed: {e}"));
     }
@@ -882,4 +903,89 @@ fn promotion_passes_over_a_compacted_follower_that_lost_its_snapshot() {
         promotion.auditor.zone(held).is_some(),
         "f0's zone lost at failover"
     );
+}
+
+/// A journaled primary booted at epoch 1 under `Quorum(1)` over one
+/// follower, with its backend, the follower and the switch that cuts
+/// the link.
+fn one_follower_primary() -> (Auditor, Arc<MemBackend>, Arc<Follower>, PartitionSwitch) {
+    let obs = Obs::noop();
+    let backend = Arc::new(MemBackend::new());
+    let (primary, _) = Auditor::recover_with_obs(
+        Arc::clone(&backend) as Arc<dyn StorageBackend>,
+        AuditorConfig::default(),
+        key(0),
+        &obs,
+    )
+    .unwrap();
+    let follower = Arc::new(Follower::new(Arc::new(MemBackend::new())));
+    let link = FaultyLink::new(
+        InProcessLink::new(Arc::clone(&follower)),
+        &FaultPlane::new(0),
+        "repl.f0",
+    );
+    let switch = link.partition_switch();
+    let replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1)).with_follower("f0", link);
+    primary.set_replicator(Arc::new(replicator));
+    primary.begin_epoch(1).unwrap();
+    (primary, backend, follower, switch)
+}
+
+/// While the only follower is cut off, the first write is appended and
+/// left pending (`quorum lost`), and every later one is refused with
+/// `Overloaded` before it is appended, so the journal grows by one
+/// write only. Once the link heals, the next write commits the pending
+/// zone and its own: two zones, not one per refused call.
+#[test]
+fn a_lost_quorum_holds_one_write_and_refuses_the_rest_unwritten() {
+    let (primary, backend, _follower, switch) = one_follower_primary();
+    switch.partition();
+    let before = backend.len();
+    let err = primary.register_zone_durable(zone(0)).unwrap_err();
+    assert!(err.to_string().contains("quorum lost"), "{err}");
+    let one_write = backend.len();
+    assert!(one_write > before, "the first write was not appended");
+    for i in 1..50 {
+        let err = primary.register_zone_durable(zone(i)).unwrap_err();
+        assert!(
+            matches!(err, ProtocolError::Overloaded { .. }),
+            "write {i}: {err}"
+        );
+    }
+    assert_eq!(backend.len(), one_write, "a refused write was appended");
+    assert_eq!(primary.zone_count(), 0);
+    switch.heal();
+    primary.register_zone_durable(zone(50)).unwrap();
+    assert_eq!(primary.zone_count(), 2);
+}
+
+/// A compaction after the link heals commits the write left pending,
+/// with no client write, then compacts: the image starts with a
+/// snapshot, the follower holds it, and it recovers both zones. While
+/// the link is still down, the compaction is skipped.
+#[test]
+fn a_compaction_after_the_link_heals_commits_the_pending_write() {
+    let (primary, backend, follower, switch) = one_follower_primary();
+    primary.register_zone_durable(zone(0)).unwrap();
+    switch.partition();
+    primary.register_zone_durable(zone(1)).unwrap_err();
+    primary.compact_journal().unwrap();
+    assert_eq!(
+        primary.zone_count(),
+        1,
+        "skipped while the write is pending"
+    );
+    switch.heal();
+    primary.compact_journal().unwrap();
+    assert_eq!(primary.zone_count(), 2);
+    assert_eq!(primary.audit_tree_size(), 2);
+    assert_eq!(follower.image().unwrap(), backend.bytes());
+    let (recovered, report) = Auditor::recover(
+        Arc::new(MemBackend::with_bytes(backend.bytes())) as Arc<dyn StorageBackend>,
+        AuditorConfig::default(),
+        key(0),
+    )
+    .unwrap();
+    assert!(report.snapshot_loaded, "the journal was not compacted");
+    assert_eq!(recovered.snapshot(), primary.snapshot());
 }
