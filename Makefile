@@ -13,12 +13,13 @@ fmt:
 clippy:
 	$(CARGO) clippy --workspace --all-targets --offline -- -D warnings
 
-# The workspace's two lint exemptions for unsafe code are the SHA-256
-# dispatch into the SHA-NI kernel and the ADX Montgomery kernel module:
-# fail unless allow(unsafe_code) appears exactly once in each of
-# crates/crypto/src/sha256.rs and crates/crypto/src/bigint.rs and
-# nowhere else under crates/.
-UNSAFE_ALLOWED := crates/crypto/src/sha256.rs crates/crypto/src/bigint.rs
+# The workspace's three lint exemptions for unsafe code are the SHA-256
+# dispatch into the SHA-NI kernel, the ADX Montgomery kernel module and
+# the CRC-32 dispatch into the PCLMULQDQ folding kernel: fail unless
+# allow(unsafe_code) appears exactly once in each of
+# crates/crypto/src/sha256.rs, crates/crypto/src/bigint.rs and
+# crates/crypto/src/crc32.rs and nowhere else under crates/.
+UNSAFE_ALLOWED := crates/crypto/src/sha256.rs crates/crypto/src/bigint.rs crates/crypto/src/crc32.rs
 
 unsafe-check:
 	@outside=$$(grep -rl --include='*.rs' 'allow(unsafe_code)' crates | grep -vxF $(UNSAFE_ALLOWED:%=-e %)); \

@@ -52,6 +52,11 @@ pub struct Machine {
     /// `"sha-ni"` or `"portable"`). Every hashing case moves with it.
     /// `None` for files written before it was recorded.
     pub sha256: Option<String>,
+    /// The CRC-32 kernel in use (`alidrone_crypto::crc32::backend`:
+    /// `"pclmul"` or `"portable"`). `crc32_1mib` and every case that
+    /// walks journal frames move with it. `None` for files written
+    /// before it was recorded.
+    pub crc32: Option<String>,
 }
 
 impl Machine {
@@ -65,6 +70,7 @@ impl Machine {
                 .unwrap_or(0),
             montgomery: Some(alidrone_crypto::bigint::backend().to_string()),
             sha256: Some(alidrone_crypto::sha256::backend().to_string()),
+            crc32: Some(alidrone_crypto::crc32::backend().to_string()),
         }
     }
 }
@@ -73,12 +79,13 @@ impl fmt::Display for Machine {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{}/{}, {} threads, montgomery {}, sha256 {}",
+            "{}/{}, {} threads, montgomery {}, sha256 {}, crc32 {}",
             self.os,
             self.arch,
             self.parallelism,
             self.montgomery.as_deref().unwrap_or("unrecorded"),
-            self.sha256.as_deref().unwrap_or("unrecorded")
+            self.sha256.as_deref().unwrap_or("unrecorded"),
+            self.crc32.as_deref().unwrap_or("unrecorded")
         )
     }
 }
@@ -133,6 +140,7 @@ impl Baseline {
             parallelism: field_u64(machine, "parallelism")?,
             montgomery: optional_str(machine, "montgomery")?,
             sha256: optional_str(machine, "sha256")?,
+            crc32: optional_str(machine, "crc32")?,
         };
         let raw_cases = doc
             .get("cases")
@@ -199,6 +207,7 @@ impl ToJson for Baseline {
                         [
                             ("montgomery", &self.machine.montgomery),
                             ("sha256", &self.machine.sha256),
+                            ("crc32", &self.machine.crc32),
                         ]
                         .into_iter()
                         .filter_map(|(key, backend)| Some((key, Json::str(backend.as_ref()?)))),
@@ -430,7 +439,32 @@ mod tests {
         assert!(!text.contains("sha256"), "{text}");
         let after = Baseline::parse(&text).expect("parse older file");
         assert_eq!(after, before);
-        assert!(after.machine.to_string().ends_with("sha256 unrecorded"));
+        assert!(after.machine.to_string().contains("sha256 unrecorded"));
+    }
+
+    #[test]
+    fn parse_loads_a_machine_without_a_crc32_backend() {
+        let mut before = baseline(vec![case("crc32_1mib", 900.0)]);
+        before.machine.crc32 = None;
+        let text = before.to_json().to_pretty();
+        assert!(!text.contains("\"crc32\""), "{text}");
+        let after = Baseline::parse(&text).expect("parse older file");
+        assert_eq!(after, before);
+        assert!(after.machine.to_string().ends_with("crc32 unrecorded"));
+    }
+
+    #[test]
+    fn machines_on_different_crc32_kernels_differ_by_name() {
+        let mut pclmul = Machine::current();
+        pclmul.crc32 = Some("pclmul".into());
+        let mut portable = pclmul.clone();
+        portable.crc32 = Some("portable".into());
+        assert_ne!(pclmul, portable);
+        assert!(pclmul.to_string().ends_with("crc32 pclmul"), "{pclmul}");
+        assert!(
+            portable.to_string().ends_with("crc32 portable"),
+            "{portable}"
+        );
     }
 
     #[test]

@@ -29,7 +29,8 @@
 //! `merkle_proof_*`, `crc32_*`, `sha256_*`, `audit_append_*`,
 //! `geo_check_alibi_*`, `follower_catchup_*`), which stay stable on
 //! shared runners; the I/O-heavy cases (journal appends, TCP, the
-//! exporter) remain advisory.
+//! exporter) remain advisory, and so does `repl_arm_two_followers_10k`,
+//! whose time depends on the runner's core count.
 
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -147,6 +148,27 @@ fn verdict_record(i: u64) -> Record {
         verdict: vec![0; 7],
         stored_at: i as f64 + 31.0,
     }
+}
+
+/// A journal of 10^4 stored verdicts with a Merkle checkpoint every 32,
+/// as the auditor journals them (~20 MB).
+fn verdict_journal_10k() -> Journal {
+    let journal = Journal::open(Arc::new(MemBackend::new()), &[], 0).expect("open journal");
+    let mut chain = AuditChain::new();
+    for i in 0..10_000u64 {
+        let payload = verdict_record(i).to_payload();
+        chain.append(&payload);
+        journal.append_payload(&payload).expect("append");
+        if chain.size().is_multiple_of(32) {
+            let checkpoint = Record::AuditCheckpoint {
+                size: chain.size(),
+                root: chain.root(),
+                sig: vec![0x5A; 128],
+            };
+            journal.append_record(&checkpoint).expect("append");
+        }
+    }
+    journal
 }
 
 fn case_from(name: &str, b: &Bencher) -> BenchCase {
@@ -526,21 +548,7 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
     // every CRC, extends its audit chain over every record, checks
     // every checkpoint root, then persists the bytes.
     run("follower_catchup_10k", &mut |b| {
-        let journal = Journal::open(Arc::new(MemBackend::new()), &[], 0).expect("open journal");
-        let mut chain = AuditChain::new();
-        for i in 0..10_000u64 {
-            let payload = verdict_record(i).to_payload();
-            chain.append(&payload);
-            journal.append_payload(&payload).expect("append");
-            if chain.size().is_multiple_of(32) {
-                let checkpoint = Record::AuditCheckpoint {
-                    size: chain.size(),
-                    root: chain.root(),
-                    sig: vec![0x5A; 128],
-                };
-                journal.append_record(&checkpoint).expect("append");
-            }
-        }
+        let journal = verdict_journal_10k();
         let image = journal.read_durable().expect("read");
         let frame = ReplFrame::Snapshot {
             epoch: 1,
@@ -556,6 +564,27 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
             }
         );
         b.iter_batched(fresh, |follower| follower.apply(&frame));
+    });
+
+    // --- An arm over the same history: one replication round reads the
+    // image once and ships it to two fresh followers at once, each on
+    // its own core where there are two. It depends on the core count,
+    // so no gate covers it.
+    run("repl_arm_two_followers_10k", &mut |b| {
+        let journal = verdict_journal_10k();
+        let obs = Obs::noop();
+        let arm = || {
+            (0..2).fold(
+                Replicator::new(&obs, ReplicationPolicy::Quorum(2)),
+                |replicator, i| {
+                    let follower = Follower::new(Arc::new(MemBackend::new()));
+                    replicator
+                        .with_follower(format!("f{i}"), InProcessLink::new(Arc::new(follower)))
+                },
+            )
+        };
+        arm().replicate(&journal).expect("both followers ack");
+        b.iter_batched(arm, |replicator| replicator.replicate(&journal));
     });
 
     // --- Compaction and the recovery it bounds: an auditor holding

@@ -783,7 +783,9 @@ impl Auditor {
     /// every frame from now on fences any stale primary that still
     /// holds an older epoch, and records it durably. Called by
     /// promotion — see [`crate::repl`]. [`current_epoch`](Self::current_epoch)
-    /// reads it once the record commits.
+    /// reads it once the record commits, and a retry after that (a boot
+    /// retried after `quorum lost`, whose record the retry's commit step
+    /// committed) answers `Ok` without writing a second one.
     ///
     /// # Errors
     ///
@@ -792,7 +794,9 @@ impl Auditor {
         if let Some(replicator) = self.replicator.get() {
             replicator.set_epoch(epoch);
         }
-        self.write(|| Ok(Record::Epoch(epoch)))
+        // Decided after the write step's commit: a retry whose first
+        // attempt's record has since committed writes nothing.
+        self.write(|| Ok((self.current_epoch() < epoch).then_some(Record::Epoch(epoch))))
     }
 
     /// Installs the log shipper: every subsequent write is replicated
@@ -812,8 +816,9 @@ impl Auditor {
     /// journal lock, a write the last one left pending commits first;
     /// if it stays pending, this write is refused before `build` runs,
     /// so at most one write is ever of unknown outcome. Then `build`
-    /// makes the record (issuing any id, or refusing) and it is
-    /// decoded, so that applying it cannot fail; the record is
+    /// makes the record (issuing any id, or refusing), or finds nothing
+    /// to write and the write answers `Ok`. The record is
+    /// decoded, so that applying it cannot fail; it is
     /// appended, the chain advanced over it, a due Merkle checkpoint
     /// appended after it, and the commit step run
     /// ([`commit`](Self::commit)). A failed append stops every later
@@ -835,7 +840,7 @@ impl Auditor {
     /// hold it by then.
     fn write(
         &self,
-        build: impl FnOnce() -> Result<Record, ProtocolError>,
+        build: impl FnOnce() -> Result<Option<Record>, ProtocolError>,
     ) -> Result<(), ProtocolError> {
         let mut log = lock(&self.log);
         if let Some(err) = &log.failed {
@@ -859,7 +864,9 @@ impl Auditor {
                 });
             }
         }
-        let record = build()?;
+        let Some(record) = build()? else {
+            return Ok(());
+        };
         let mut next = Some((Change::decode(&record)?, record));
         let mut appended = Ok(());
         while let Some((change, record)) = next.take() {
@@ -1072,7 +1079,7 @@ impl Auditor {
         let mut id = 0;
         self.write(|| {
             id = next.fetch_add(1, Ordering::Relaxed);
-            Ok(record(id))
+            Ok(Some(record(id)))
         })?;
         Ok(id)
     }
@@ -1144,7 +1151,7 @@ impl Auditor {
                 return Err(ProtocolError::NonceReplayed);
             }
             let (drone, nonce) = (spent.0.value(), spent.1);
-            Ok(Record::NonceUsed { drone, nonce })
+            Ok(Some(Record::NonceUsed { drone, nonce }))
         })?;
         let zones = self
             .zones()
@@ -1243,7 +1250,7 @@ impl Auditor {
         // Under a `Quorum` replication policy this gates the verdict
         // response on follower durability — the caller never learns a
         // verdict that a failover could lose.
-        self.write(|| Ok(record))?;
+        self.write(|| Ok(Some(record)))?;
         Ok(report)
     }
 
@@ -1479,7 +1486,7 @@ impl Auditor {
     /// any write.
     pub fn purge_expired(&self, now: Timestamp) -> Result<(), ProtocolError> {
         let before = (now - self.config.retention).secs();
-        self.write(|| Ok(Record::Purge { before }))
+        self.write(|| Ok(Some(Record::Purge { before })))
     }
 }
 

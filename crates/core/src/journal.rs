@@ -367,52 +367,10 @@ impl StorageBackend for MemBackend {
 
 // ------------------------------------------------------------------- crc32
 
-/// CRC-32 (IEEE 802.3 polynomial, reflected), slicing-by-8: eight
-/// 256-entry tables fold eight input bytes per step, where a single
-/// table folds one. `TABLES[0]` is the classic byte table, and
-/// `TABLES[k][b]` is the CRC of byte `b` followed by `k` zero bytes.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    static TABLES: std::sync::OnceLock<[[u32; 256]; 8]> = std::sync::OnceLock::new();
-    let t = TABLES.get_or_init(|| {
-        let mut t = [[0u32; 256]; 8];
-        for (i, entry) in t[0].iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *entry = c;
-        }
-        for k in 1..8 {
-            for i in 0..256 {
-                let prev = t[k - 1][i];
-                t[k][i] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
-            }
-        }
-        t
-    });
-    let mut crc = !0u32;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = u32::from_le_bytes([c[0], c[1], c[2], c[3]]) ^ crc;
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][((hi >> 8) & 0xFF) as usize]
-            ^ t[1][((hi >> 16) & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in chunks.remainder() {
-        crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
+/// CRC-32 (IEEE 802.3 polynomial, reflected), the checksum of every
+/// header and frame: a PCLMULQDQ folding kernel where the CPU has one,
+/// slicing-by-8 elsewhere (see [`alidrone_crypto::crc32`]).
+pub use alidrone_crypto::crc32::crc32;
 
 // ----------------------------------------------------------------- records
 
@@ -1262,60 +1220,6 @@ mod tests {
         let (records, clean) = records(&image)?;
         let journal = Journal::open(backend, &image, clean)?;
         Ok((journal, records, clean < image.len()))
-    }
-
-    /// The one-table, byte-at-a-time CRC-32 the sliced one must equal.
-    fn crc32_bytewise(bytes: &[u8]) -> u32 {
-        static TABLE: std::sync::OnceLock<[u32; 256]> = std::sync::OnceLock::new();
-        let table = TABLE.get_or_init(|| {
-            let mut table = [0u32; 256];
-            for (i, entry) in table.iter_mut().enumerate() {
-                let mut c = i as u32;
-                for _ in 0..8 {
-                    c = if c & 1 != 0 {
-                        0xEDB8_8320 ^ (c >> 1)
-                    } else {
-                        c >> 1
-                    };
-                }
-                *entry = c;
-            }
-            table
-        });
-        let mut crc = !0u32;
-        for &b in bytes {
-            crc = table[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-        }
-        !crc
-    }
-
-    #[test]
-    fn crc32_known_vectors() {
-        // IEEE CRC-32 of "123456789" is the classic check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32_bytewise(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
-    fn sliced_crc32_matches_bytewise_at_every_length_and_alignment() {
-        // A fixed pseudo-random buffer; every start offset mod 8 puts
-        // the 8-byte steps and the bytewise remainder on every split.
-        let mut x = 0x2545_F491_4F6C_DD1Du64;
-        let buf: Vec<u8> = (0..4096 + 8)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                (x >> 56) as u8
-            })
-            .collect();
-        for start in 0..8 {
-            for len in 0..=4096 {
-                let data = &buf[start..start + len];
-                assert_eq!(crc32(data), crc32_bytewise(data), "start={start} len={len}");
-            }
-        }
     }
 
     #[test]

@@ -46,10 +46,18 @@ impl DroneOperator {
     }
 
     /// Step 0 — registers with the auditor, submitting `D⁺` and `T⁺`.
-    pub fn register_with(&mut self, auditor: &Auditor) -> DroneId {
-        let id = auditor.register_drone(self.key.public_key().clone(), self.tee.tee_public_key());
+    /// The id is kept only once the registration commits.
+    ///
+    /// # Errors
+    ///
+    /// The auditor's refusal or a failed write, as
+    /// [`Auditor::register_drone_durable`] reports it;
+    /// [`drone_id`](Self::drone_id) then stays as it was.
+    pub fn register_with(&mut self, auditor: &Auditor) -> Result<DroneId, ProtocolError> {
+        let id = auditor
+            .register_drone_durable(self.key.public_key().clone(), self.tee.tee_public_key())?;
         self.drone_id = Some(id);
-        id
+        Ok(id)
     }
 
     /// Steps 2–3 — queries the auditor for zones within the rectangular
@@ -204,12 +212,34 @@ mod tests {
     }
 
     #[test]
+    fn a_failed_registration_keeps_no_id() {
+        let (_, _, mut operator, _) = setup();
+        let backend = Arc::new(crate::journal::MemBackend::new());
+        let (auditor, _) = Auditor::recover(
+            backend.clone(),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+        )
+        .unwrap();
+        backend.fail_next_append();
+        assert!(matches!(
+            operator.register_with(&auditor),
+            Err(ProtocolError::Storage(_))
+        ));
+        assert_eq!(operator.drone_id(), None);
+        // Writes stay stopped after a failed append, so a retry is
+        // refused the same way and still records no id.
+        assert!(operator.register_with(&auditor).is_err());
+        assert_eq!(operator.drone_id(), None);
+    }
+
+    #[test]
     fn full_honest_protocol_run() {
         let (clock, receiver, mut operator, auditor) = setup();
         let mut rng = XorShift64::seed_from_u64(41);
 
         // Registration.
-        let id = operator.register_with(&auditor);
+        let id = operator.register_with(&auditor).unwrap();
         assert_eq!(operator.drone_id(), Some(id));
 
         // A zone near (but off) the flight path.
@@ -249,7 +279,7 @@ mod tests {
     fn encrypted_submission_also_compliant() {
         let (clock, receiver, mut operator, auditor) = setup();
         let mut rng = XorShift64::seed_from_u64(43);
-        operator.register_with(&auditor);
+        operator.register_with(&auditor).unwrap();
         let record = operator
             .fly(
                 &clock,

@@ -70,8 +70,15 @@
 //! A replication round reads the durable image once
 //! ([`Journal::read_durable`]), when the first follower needs bytes;
 //! every follower's frame, its retries and the lag gauges borrow
-//! slices of that one read ([`DurableImage::missing`]). Followers are
-//! shipped to one after another, in follower order.
+//! slices of that one read ([`DurableImage::missing`]). A round whose
+//! frames are tails ships them one after another, in follower order, on
+//! the calling thread. A round that must ship the whole image to two
+//! or more followers (an arm, a re-arm after promotion, a compaction)
+//! ships those images at once, one scoped thread per image but the
+//! last, once the image is large enough to repay a spawn (64 KiB);
+//! each follower checks every record of its image itself, so only more
+//! cores make that wait shorter. Either way the results are counted,
+//! logged and fenced in follower order.
 //!
 //! # Catch-up
 //!
@@ -96,12 +103,12 @@
 //! a compacted image's earlier history lives in its snapshot run.
 
 use std::borrow::Cow;
-use std::cell::OnceCell;
 use std::fmt;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
+use std::{panic, thread};
 
 use alidrone_obs::{Counter, Gauge, Level, Obs};
 
@@ -122,6 +129,12 @@ const MAX_REPL_FRAME: usize = 64 * 1024 * 1024;
 
 /// Ship/ack round-trip timeout for the TCP link.
 const TCP_REPL_TIMEOUT: Duration = Duration::from_secs(5);
+
+/// The smallest image a round ships to several followers at once. A
+/// scoped thread costs ~40 µs to spawn and join, about what a follower
+/// takes to check 64 KiB of history, so a smaller image ships sooner
+/// from the calling thread.
+const CONCURRENT_IMAGE_MIN: usize = 64 * 1024;
 
 // ------------------------------------------------------------------ errors
 
@@ -926,7 +939,10 @@ impl Replicator {
     ///
     /// One round reads the durable image at most once: the first peer
     /// that needs bytes reads it, and every peer, its retries and the
-    /// lag gauges slice that read.
+    /// lag gauges slice that read. A whole image of 64 KiB or more
+    /// bound for two or more peers ships concurrently, one scoped
+    /// thread per image but the last; tails ship on the calling thread,
+    /// without a spawn.
     ///
     /// # Errors
     ///
@@ -944,26 +960,24 @@ impl Replicator {
             });
         }
         let epoch = self.epoch();
-        let image = OnceCell::new();
+        let image = OnceLock::new();
         let mut in_sync = 0usize;
         let mut stale: Option<ReplError> = None;
-        for peer in &self.peers {
-            match self.sync_peer(peer, journal, &image, epoch) {
-                Ok(()) => in_sync += 1,
-                Err(e @ ReplError::StaleEpoch { current, .. }) => {
-                    self.fenced_by.fetch_max(current, Ordering::AcqRel);
-                    stale.get_or_insert(e);
-                }
-                Err(e) => {
-                    peer.ship_failures.inc();
-                    let (name, detail) = (peer.name.clone(), e.to_string());
-                    self.obs.emit(Level::Warn, "repl", "ship failed", |f| {
-                        f.field("follower", name.as_str());
-                        f.field("error", detail.as_str());
-                    });
-                }
+        self.ship_round(journal, &image, epoch, |peer, result| match result {
+            Ok(()) => in_sync += 1,
+            Err(e @ ReplError::StaleEpoch { current, .. }) => {
+                self.fenced_by.fetch_max(current, Ordering::AcqRel);
+                stale.get_or_insert(e);
             }
-        }
+            Err(e) => {
+                peer.ship_failures.inc();
+                let (name, detail) = (peer.name.clone(), e.to_string());
+                self.obs.emit(Level::Warn, "repl", "ship failed", |f| {
+                    f.field("follower", name.as_str());
+                    f.field("error", detail.as_str());
+                });
+            }
+        });
         self.update_lag(journal, &image);
         if let Some(e) = stale {
             // Fencing overrides the policy: a deposed primary must not
@@ -979,6 +993,68 @@ impl Replicator {
                 needed,
             })
         }
+    }
+
+    /// Runs [`sync_peer`](Self::sync_peer) for every peer and hands
+    /// each result to `done` in follower order. Peers whose first frame this
+    /// round is the whole image ship concurrently when there are two or
+    /// more and the image is at least [`CONCURRENT_IMAGE_MIN`]: one
+    /// scoped thread per image but the last, which ships on the calling
+    /// thread with every tail. Every other round, the per-append path
+    /// included, ships in follower order without a spawn.
+    fn ship_round(
+        &self,
+        journal: &Journal,
+        image: &OnceLock<Result<DurableImage, JournalError>>,
+        epoch: u64,
+        mut done: impl FnMut(&Peer, Result<(), ReplError>),
+    ) {
+        let sync = |peer: &Peer| self.sync_peer(peer, journal, image, epoch);
+        let opens_with_large_image = |peer: &Peer| {
+            let from = peer.acked.load(Ordering::Acquire);
+            // A peer that needs bytes reads the image in `sync_peer`
+            // anyway, so this is the round's one read, not another.
+            from != journal.end_offset()
+                && image
+                    .get_or_init(|| journal.read_durable())
+                    .as_ref()
+                    .is_ok_and(|image| {
+                        image.bytes().len() >= CONCURRENT_IMAGE_MIN
+                            && !matches!(image.missing(from), Ok(ShipSource::Tail(_)))
+                    })
+        };
+        let mut spawned: Vec<usize> = (0..self.peers.len())
+            .filter(|&i| opens_with_large_image(&self.peers[i]))
+            .collect();
+        if spawned.len() < 2 {
+            for peer in &self.peers {
+                done(peer, sync(peer));
+            }
+            return;
+        }
+        // The last image ships on the calling thread, with every tail.
+        spawned.pop();
+        thread::scope(|s| {
+            let mut running = spawned
+                .iter()
+                .map(|&i| s.spawn(move || sync(&self.peers[i])))
+                .collect::<Vec<_>>()
+                .into_iter();
+            let inline: Vec<_> = (0..self.peers.len())
+                .map(|i| (!spawned.contains(&i)).then(|| sync(&self.peers[i])))
+                .collect();
+            // Spawned peers come in follower order, so the next handle
+            // is the next peer that did not ship inline.
+            for (peer, shipped) in self.peers.iter().zip(inline) {
+                let result = shipped.unwrap_or_else(|| {
+                    let handle = running.next().expect("one thread per spawned peer");
+                    handle
+                        .join()
+                        .unwrap_or_else(|panic| panic::resume_unwind(panic))
+                });
+                done(peer, result);
+            }
+        });
     }
 
     /// The commit point of a journal whose durable end is `end`: the
@@ -1015,7 +1091,7 @@ impl Replicator {
         &self,
         peer: &Peer,
         journal: &Journal,
-        image: &OnceCell<Result<DurableImage, JournalError>>,
+        image: &OnceLock<Result<DurableImage, JournalError>>,
         epoch: u64,
     ) -> Result<(), ReplError> {
         for _ in 0..4 {
@@ -1067,7 +1143,7 @@ impl Replicator {
     /// from the durable end in bytes, and whole records inside that
     /// distance, counted in the round's shared image. Exactly 0/0 once
     /// every follower acked the end.
-    fn update_lag(&self, journal: &Journal, image: &OnceCell<Result<DurableImage, JournalError>>) {
+    fn update_lag(&self, journal: &Journal, image: &OnceLock<Result<DurableImage, JournalError>>) {
         let end = journal.end_offset();
         let min_acked = self
             .peers
@@ -1438,6 +1514,230 @@ mod tests {
         assert_eq!(snap.gauges["repl.lag_bytes"], behind.len() as i64);
         assert_eq!(snap.gauges["repl.lag_records"], 2);
         assert_eq!(Frames::tail(behind).map_while(Result::ok).count(), 2);
+    }
+
+    /// Two links whose images each wait, up to a timeout, for the
+    /// other's image to arrive: both ship only when they ship at once.
+    #[derive(Default)]
+    struct Rendezvous {
+        arrived: Mutex<usize>,
+        met: std::sync::Condvar,
+    }
+
+    struct RendezvousLink {
+        inner: InProcessLink,
+        meet: Arc<Rendezvous>,
+    }
+
+    impl ReplLink for RendezvousLink {
+        fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
+            if matches!(frame, ReplFrame::Snapshot { .. }) {
+                let mut arrived = self.meet.arrived.lock().unwrap();
+                *arrived += 1;
+                self.meet.met.notify_all();
+                let (arrived, wait) = self
+                    .meet
+                    .met
+                    .wait_timeout_while(arrived, Duration::from_secs(5), |n| *n < 2)
+                    .unwrap();
+                if wait.timed_out() {
+                    return Err(ReplError::Transport(format!(
+                        "{} of 2 images arrived",
+                        *arrived
+                    )));
+                }
+            }
+            self.inner.ship(frame)
+        }
+    }
+
+    /// A primary recovered from a history of `n` zone records (~41
+    /// bytes each), with no replicator yet.
+    fn primary_over(n: u64, obs: &Obs) -> (Auditor, Arc<MemBackend>) {
+        let (_, backend) = journal_with(n);
+        let (primary, _) = Auditor::recover_with_obs(
+            backend.clone(),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+            obs,
+        )
+        .unwrap();
+        (primary, backend)
+    }
+
+    /// Enough zone records for an image past `CONCURRENT_IMAGE_MIN`.
+    const LARGE: u64 = 2_000;
+
+    #[test]
+    fn an_arm_ships_its_images_concurrently() {
+        let obs = Obs::noop();
+        let (primary, backend) = primary_over(LARGE, &obs);
+        assert!(backend.len() >= CONCURRENT_IMAGE_MIN);
+        let meet = Arc::new(Rendezvous::default());
+        let followers: Vec<_> = (0..2)
+            .map(|_| Arc::new(Follower::new(Arc::new(MemBackend::new()))))
+            .collect();
+        let mut replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(2));
+        for (i, follower) in followers.iter().enumerate() {
+            let link = RendezvousLink {
+                inner: InProcessLink::new(Arc::clone(follower)),
+                meet: Arc::clone(&meet),
+            };
+            replicator = replicator.with_follower(format!("f{i}"), link);
+        }
+        primary.set_replicator(Arc::new(replicator));
+        // Shipped one after another, the first image would wait out its
+        // timeout for the second and fail the quorum of two.
+        primary.begin_epoch(1).unwrap();
+        for follower in &followers {
+            assert_eq!(follower.image().unwrap(), backend.bytes());
+        }
+        assert_eq!(obs.snapshot().counters["repl.snapshots_shipped"], 2);
+    }
+
+    /// A link that records the thread every ship ran on.
+    struct ThreadLink {
+        inner: InProcessLink,
+        ships: Arc<Mutex<Vec<thread::ThreadId>>>,
+    }
+
+    impl ReplLink for ThreadLink {
+        fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
+            self.ships.lock().unwrap().push(thread::current().id());
+            self.inner.ship(frame)
+        }
+    }
+
+    /// Arms `primary` over two fresh followers whose links record the
+    /// thread of every ship, and returns those threads for the arm.
+    fn arm_recording(primary: &Auditor, obs: &Obs) -> Arc<Mutex<Vec<thread::ThreadId>>> {
+        let ships = Arc::new(Mutex::new(Vec::new()));
+        let mut replicator = Replicator::new(obs, ReplicationPolicy::Quorum(1));
+        for i in 0..2 {
+            let link = ThreadLink {
+                inner: InProcessLink::new(Arc::new(Follower::new(Arc::new(MemBackend::new())))),
+                ships: Arc::clone(&ships),
+            };
+            replicator = replicator.with_follower(format!("f{i}"), link);
+        }
+        primary.set_replicator(Arc::new(replicator));
+        primary.begin_epoch(1).unwrap();
+        ships
+    }
+
+    #[test]
+    fn a_tail_round_ships_on_the_calling_thread() {
+        let obs = Obs::noop();
+        let caller = thread::current().id();
+        let (primary, _) = primary_over(LARGE, &obs);
+        let ships = arm_recording(&primary, &obs);
+
+        // The arm's two images: the first on a thread of its own, the
+        // last on the caller's.
+        let arm = std::mem::take(&mut *ships.lock().unwrap());
+        assert_eq!(arm.len(), 2);
+        assert_eq!(arm.iter().filter(|&&id| id == caller).count(), 1);
+
+        // Every later round ships tails, each on the calling thread.
+        for i in 0..3 {
+            primary.register_zone_durable(zone(i)).unwrap();
+        }
+        let tails = ships.lock().unwrap().clone();
+        assert_eq!(tails.len(), 6);
+        assert!(tails.iter().all(|&id| id == caller), "{tails:?}");
+    }
+
+    #[test]
+    fn images_under_the_spawn_threshold_ship_on_the_calling_thread() {
+        let obs = Obs::noop();
+        let (primary, backend) = primary_over(10, &obs);
+        assert!(backend.len() < CONCURRENT_IMAGE_MIN);
+        let arm = arm_recording(&primary, &obs).lock().unwrap().clone();
+        assert_eq!(arm, [thread::current().id(); 2]);
+    }
+
+    #[test]
+    fn a_concurrent_image_round_fences_and_reports_in_follower_order() {
+        // f0 and f2 are cut off, f1 already follows a newer primary,
+        // and f3 takes the image: four images, three on threads.
+        let (journal, backend) = journal_with(LARGE);
+        let obs = Obs::noop();
+        let recorder = Arc::new(alidrone_obs::FlightRecorder::new(64));
+        obs.set_subscriber(recorder.clone());
+        let followers: Vec<_> = (0..4)
+            .map(|_| Arc::new(Follower::new(Arc::new(MemBackend::new()))))
+            .collect();
+        followers[1].fence(5);
+        let mut replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1));
+        for (i, follower) in followers.iter().enumerate() {
+            let gate = GateLink::new(Arc::clone(follower));
+            gate.up.store(i % 2 == 1, Ordering::Release);
+            replicator = replicator.with_follower(format!("f{i}"), gate);
+        }
+        replicator.set_epoch(1);
+
+        // Fencing overrides the quorum f3 alone would have met.
+        let stale = Err(ReplError::StaleEpoch {
+            epoch: 1,
+            current: 5,
+        });
+        assert_eq!(replicator.replicate(&journal), stale);
+        assert_eq!(followers[3].image().unwrap(), backend.bytes());
+        assert_eq!(replicator.commit_offset(journal.end_offset()), 0);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counters["repl.snapshots_shipped"], 4);
+        for (name, failures) in [("f0", 1), ("f1", 0), ("f2", 1), ("f3", 0)] {
+            assert_eq!(
+                snap.counters[&format!("repl.ship_failures.{name}")],
+                failures
+            );
+        }
+        assert_eq!(
+            snap.gauges["repl.acked_offset.f3"],
+            journal.end_offset() as i64
+        );
+        assert_eq!(snap.gauges["repl.lag_bytes"], journal.end_offset() as i64);
+        let failed: Vec<_> = recorder
+            .events()
+            .into_iter()
+            .filter(|e| e.message == "ship failed")
+            .map(|e| e.field("follower").cloned())
+            .collect();
+        assert_eq!(failed, [Some("f0".into()), Some("f2".into())]);
+        // A fenced replicator ships nothing more.
+        assert_eq!(replicator.replicate(&journal), stale);
+    }
+
+    #[test]
+    fn a_retried_begin_epoch_writes_one_epoch_record() {
+        let obs = Obs::noop();
+        let backend = Arc::new(MemBackend::new());
+        let (primary, _) = Auditor::recover_with_obs(
+            backend.clone(),
+            AuditorConfig::default(),
+            auditor_key().clone(),
+            &obs,
+        )
+        .unwrap();
+        let gate = GateLink::new(Arc::new(Follower::new(Arc::new(MemBackend::new()))));
+        gate.up.store(false, Ordering::Release);
+        primary.set_replicator(Arc::new(
+            Replicator::new(&obs, ReplicationPolicy::Quorum(1))
+                .with_follower("f0", Arc::clone(&gate)),
+        ));
+        let lost = primary.begin_epoch(1).unwrap_err();
+        assert!(lost.to_string().contains("quorum lost"), "{lost}");
+        assert_eq!(primary.current_epoch(), 0);
+
+        // The retry's commit step commits the first record; the retry
+        // itself writes nothing.
+        gate.up.store(true, Ordering::Release);
+        primary.begin_epoch(1).unwrap();
+        assert_eq!(primary.current_epoch(), 1);
+        let (recovered, report) =
+            Auditor::recover(backend, AuditorConfig::default(), auditor_key().clone()).unwrap();
+        assert_eq!(report.records_applied, 1);
+        assert_eq!(recovered.current_epoch(), 1);
     }
 
     #[test]

@@ -28,6 +28,11 @@
 //!   portable FIPS 180-4 compression otherwise
 //!   ([`sha256::backend`] names which); digests are identical either
 //!   way.
+//! * [`crc32`] — the CRC-32 that frames every journal record. An input
+//!   of 64 bytes or more folds on a PCLMULQDQ kernel when the CPU
+//!   reports PCLMULQDQ and SSE4.1, and everything else runs
+//!   slicing-by-8 ([`crc32::backend`] names which); checksums are
+//!   identical either way.
 //! * [`chacha20`] — the one-time-key cipher for the privacy-preserving
 //!   PoA extension (§VII-B3).
 //! * [`dh`] — ephemeral Diffie–Hellman for per-flight symmetric keys
@@ -44,12 +49,17 @@
 //! reproduction. Do not reuse this crate outside the simulation.
 //!
 //! The crate denies `unsafe` code and documents every `unsafe` block.
-//! There are two exemptions, each entered only after runtime detection
-//! has confirmed the CPU features its kernel uses, and each with its
-//! portable code as the test oracle:
+//! There are three exemptions, each entered only after runtime
+//! detection has confirmed the CPU features its kernel uses, and each
+//! with its portable code as the test oracle:
 //!
 //! * the SHA-256 dispatch calls the `#[target_feature]` SHA-NI kernel,
 //!   which is itself safe code with no raw-pointer access;
+//! * the CRC-32 dispatch calls the `#[target_feature]` PCLMULQDQ
+//!   folding kernel after detecting `pclmulqdq` and `sse4.1`. The
+//!   kernel is safe code too: it reads its input only through checked
+//!   slices of whole 16-byte blocks and builds its vectors with
+//!   `_mm_set_epi64x`;
 //! * the Montgomery kernel for 8-word moduli runs two `asm!` blocks on
 //!   `mulx`/`adcx`/`adox` (BMI2 and ADX), reachable only through a
 //!   token that detection alone creates. Each reads only its fixed
@@ -77,6 +87,7 @@
 
 pub mod bigint;
 pub mod chacha20;
+pub mod crc32;
 pub mod dh;
 mod error;
 pub mod hmac;

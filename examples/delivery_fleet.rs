@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     .collect();
     owners.push(ZoneOwner::with_polygon(&PolygonZone::new(lot)?)?);
     for o in &mut owners {
-        o.register_with(&auditor);
+        o.register_with(&auditor)?;
     }
     println!(
         "{} zones registered (one covers a polygonal lot, radius {:.1} m)",
@@ -96,7 +96,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             .build()?;
         let mut operator =
             DroneOperator::new(RsaPrivateKey::generate(512, &mut rng), world.client());
-        let id = operator.register_with(&auditor);
+        let id = operator.register_with(&auditor)?;
 
         let zones = operator
             .query_zones(

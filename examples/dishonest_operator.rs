@@ -80,7 +80,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let setup = drone(&mut rng, pad, 800.0)?;
     let mut operator =
         DroneOperator::new(RsaPrivateKey::generate(512, &mut rng), setup.tee.clone());
-    operator.register_with(&auditor);
+    operator.register_with(&auditor)?;
     let honest = operator.fly(
         &setup.clock,
         setup.receiver.as_ref(),
@@ -151,7 +151,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let other = drone(&mut rng, pad, 800.0)?;
     let mut other_operator =
         DroneOperator::new(RsaPrivateKey::generate(512, &mut rng), other.tee.clone());
-    other_operator.register_with(&auditor);
+    other_operator.register_with(&auditor)?;
     let other_flight = other_operator.fly(
         &other.clock,
         other.receiver.as_ref(),
@@ -183,7 +183,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     let bad = drone(&mut rng, violating_start, 800.0)?;
     let mut bad_operator =
         DroneOperator::new(RsaPrivateKey::generate(512, &mut rng), bad.tee.clone());
-    bad_operator.register_with(&auditor);
+    bad_operator.register_with(&auditor)?;
     let bad_flight = bad_operator.fly(
         &bad.clock,
         bad.receiver.as_ref(),

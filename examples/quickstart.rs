@@ -61,8 +61,8 @@ fn main() -> Result<(), Box<dyn Error>> {
     let mut neighbour = ZoneOwner::new(NoFlyZone::new(neighbour_home, Distance::from_feet(20.0)));
 
     // Step 0/1 — registration.
-    let drone_id = operator.register_with(&auditor);
-    let zone_id = neighbour.register_with(&auditor);
+    let drone_id = operator.register_with(&auditor)?;
+    let zone_id = neighbour.register_with(&auditor)?;
     println!("registered {drone_id} and {zone_id}");
 
     // Step 2–3 — zone query for the navigation rectangle.

@@ -50,7 +50,7 @@ fn main() -> Result<(), Box<dyn Error>> {
             .build()?;
         let mut operator =
             DroneOperator::new(RsaPrivateKey::generate(512, &mut rng), tmp_world.client());
-        operator.register_with(&auditor);
+        operator.register_with(&auditor)?;
         zones_resp = operator.query_zones(
             &auditor,
             depot.destination(225.0, Distance::from_km(3.0)),
@@ -89,7 +89,7 @@ fn main() -> Result<(), Box<dyn Error>> {
     planning_world = planning_world.with_gps_device(Box::new(Arc::clone(&receiver)));
     let world = planning_world.build()?;
     let mut operator = DroneOperator::new(RsaPrivateKey::generate(512, &mut rng), world.client());
-    operator.register_with(&auditor);
+    operator.register_with(&auditor)?;
     let record = operator.fly(
         &clock,
         receiver.as_ref(),

@@ -68,7 +68,7 @@ fn fixture() -> Fixture {
         Distance::from_meters(30.0),
     ));
     let mut operator = DroneOperator::new(key(52), world.client());
-    let drone_id = operator.register_with(&auditor);
+    let drone_id = operator.register_with(&auditor).unwrap();
     let honest = operator
         .fly(
             &clock,

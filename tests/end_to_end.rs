@@ -78,7 +78,7 @@ fn honest_flight_full_protocol() {
     let r = rig(900.0, 10);
     let auditor = auditor();
     let mut operator = DroneOperator::new(key(2), r.tee.clone());
-    let drone_id = operator.register_with(&auditor);
+    let drone_id = operator.register_with(&auditor).unwrap();
 
     // Zone owner registers a zone beside (not on) the route.
     let mut owner = ZoneOwner::new(NoFlyZone::new(
@@ -87,7 +87,7 @@ fn honest_flight_full_protocol() {
             .destination(0.0, Distance::from_meters(70.0)),
         Distance::from_feet(20.0),
     ));
-    owner.register_with(&auditor);
+    owner.register_with(&auditor).unwrap();
 
     let zones = operator
         .query_zones(
@@ -130,14 +130,14 @@ fn violating_flight_is_caught_and_accusation_upheld() {
     let r = rig(900.0, 11);
     let auditor = auditor();
     let mut operator = DroneOperator::new(key(3), r.tee.clone());
-    let drone_id = operator.register_with(&auditor);
+    let drone_id = operator.register_with(&auditor).unwrap();
 
     // Zone directly on the route.
     let mut owner = ZoneOwner::new(NoFlyZone::new(
         pad().destination(90.0, Distance::from_meters(450.0)),
         Distance::from_feet(25.0),
     ));
-    owner.register_with(&auditor);
+    owner.register_with(&auditor).unwrap();
 
     let zones = auditor.zone_set();
     let record = operator
@@ -175,7 +175,7 @@ fn multiple_drones_one_auditor() {
     for (i, dist) in [600.0, 900.0, 1_200.0].iter().enumerate() {
         let r = rig(*dist, 20 + i as u64);
         let mut operator = DroneOperator::new(key(30 + i as u64), r.tee.clone());
-        let id = operator.register_with(&auditor);
+        let id = operator.register_with(&auditor).unwrap();
         ids.push(id);
         let record = operator
             .fly(
@@ -204,7 +204,7 @@ fn nonce_replay_rejected_across_flights() {
     let r = rig(500.0, 12);
     let auditor = auditor();
     let mut operator = DroneOperator::new(key(4), r.tee.clone());
-    operator.register_with(&auditor);
+    operator.register_with(&auditor).unwrap();
     // Two queries with independent nonces succeed...
     operator
         .query_zones(&auditor, pad(), pad(), &mut rng)
@@ -231,7 +231,7 @@ fn poa_retention_expires() {
     let r = rig(500.0, 13);
     let auditor = auditor();
     let mut operator = DroneOperator::new(key(5), r.tee.clone());
-    let drone_id = operator.register_with(&auditor);
+    let drone_id = operator.register_with(&auditor).unwrap();
     let record = operator
         .fly(
             &r.clock,
@@ -251,7 +251,7 @@ fn poa_retention_expires() {
         pad().destination(0.0, Distance::from_km(5.0)),
         Distance::from_meters(50.0),
     ));
-    owner.register_with(&auditor);
+    owner.register_with(&auditor).unwrap();
     auditor
         .purge_expired(Timestamp::from_secs(3.0 * 86_400.0))
         .unwrap();

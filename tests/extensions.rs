@@ -60,7 +60,8 @@ fn polygon_zone_registration_end_to_end() {
     let poly = PolygonZone::new(verts.clone()).unwrap();
     let zid = ZoneOwner::with_polygon(&poly)
         .unwrap()
-        .register_with(&auditor);
+        .register_with(&auditor)
+        .unwrap();
     let zone = auditor.zone(zid).unwrap();
     // Every vertex covered.
     for v in &verts {
@@ -365,7 +366,7 @@ fn exact_criterion_auditor_accepts_marginal_flights() {
             Distance::from_meters(15.0),
         ));
         let mut operator = DroneOperator::new(key(89), world.client());
-        operator.register_with(&auditor);
+        operator.register_with(&auditor).unwrap();
         // Sample sparsely on purpose (1 Hz): marginal sufficiency.
         let record = operator
             .fly(

@@ -67,7 +67,7 @@ fn planned_detour_flight_is_compliant_but_direct_is_not() {
             .build()
             .unwrap();
         let mut operator = DroneOperator::new(key(tee_seed + 100), world.client());
-        operator.register_with(auditor);
+        operator.register_with(auditor).unwrap();
         let record = operator
             .fly(
                 &clock,
@@ -215,7 +215,7 @@ fn planner_threads_multiple_zones_and_adaptive_poa_verifies() {
         .build()
         .unwrap();
     let mut operator = DroneOperator::new(key(305), world.client());
-    operator.register_with(&auditor);
+    operator.register_with(&auditor).unwrap();
     let record = operator
         .fly(
             &clock,
