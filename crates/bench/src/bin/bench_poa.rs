@@ -448,7 +448,7 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
             "zone query must answer with zones, got {reply:?}"
         );
         b.iter_batched(next_query, |bytes| {
-            server.handle(&bytes, Timestamp::from_secs(0.0))
+            server.handle(bytes, Timestamp::from_secs(0.0))
         });
     });
 
@@ -494,7 +494,7 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
         };
         b.iter_batched(fresh, |(journal, replicator)| {
             journal.append_record(&record).expect("append");
-            replicator.replicate(&journal).expect("replicate");
+            replicator.replicate(journal).expect("replicate");
         });
     });
 
@@ -552,7 +552,7 @@ fn run_cases(samples: usize) -> Vec<BenchCase> {
         let image = journal.read_durable().expect("read");
         let frame = ReplFrame::Snapshot {
             epoch: 1,
-            image: image.bytes().into(),
+            image: image.bytes(),
         };
         let fresh = || Follower::new(Arc::new(MemBackend::new()));
         // Sanity: the whole frame must be accepted before it is timed.

@@ -50,19 +50,21 @@ impl Bencher {
         self.commit(samples_ns);
     }
 
-    /// Times `routine` once per sample over an input built by `setup`
-    /// (setup is untimed).
+    /// Times `routine` once per sample over an input built by `setup`.
+    /// Only the routine is timed: the clock stops when it returns, and
+    /// its output and the input it borrowed are dropped after that.
     pub fn iter_batched<I, O>(
         &mut self,
         mut setup: impl FnMut() -> I,
-        mut routine: impl FnMut(I) -> O,
+        mut routine: impl FnMut(&mut I) -> O,
     ) {
         let mut samples_ns = Vec::with_capacity(self.samples);
         for _ in 0..self.samples {
-            let input = setup();
+            let mut input = setup();
             let t0 = Instant::now();
-            black_box(routine(input));
+            let output = black_box(routine(&mut input));
             samples_ns.push(t0.elapsed().as_nanos() as f64);
+            drop((output, input));
         }
         self.commit(samples_ns);
     }
@@ -120,14 +122,33 @@ mod tests {
         assert!(b.median_ns() > 0.0);
     }
 
+    /// Sleeps for 20 ms when dropped.
+    struct SlowDrop;
+
+    impl Drop for SlowDrop {
+        fn drop(&mut self) {
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
     #[test]
     fn iter_batched_times_routine_only() {
         let mut b = Bencher::with_samples(3);
+        // Setup, the input's drop and the output's drop each take 20 ms;
+        // none of them is the routine.
         b.iter_batched(
-            || vec![1u8; 1024],
-            |v| v.iter().map(|&x| x as u64).sum::<u64>(),
+            || {
+                std::thread::sleep(Duration::from_millis(20));
+                SlowDrop
+            },
+            |_input| SlowDrop,
         );
         assert!(b.median_ns() > 0.0);
+        assert!(
+            b.median_ns() < 20e6,
+            "median {} ns includes a drop",
+            b.median_ns()
+        );
     }
 
     #[test]

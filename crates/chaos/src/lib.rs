@@ -387,10 +387,10 @@ impl<T: Transport> Transport for FaultyTransport<T> {
 /// catch-up scenarios.
 ///
 /// A dropped or partitioned ship surfaces as the typed
-/// [`ReplError::Transport`] the real TCP link would produce; the
-/// follower never sees the frame, so the primary's retry resumes from
-/// the follower's true acked offset — exactly the heal path the
-/// catch-up protocol must survive.
+/// [`ReplError::Transport`] of a lost exchange; the follower never
+/// sees the frame, so the primary's retry resumes from the follower's
+/// true acked offset — exactly the heal path the catch-up protocol
+/// must survive.
 pub struct FaultyLink<L> {
     inner: L,
     stream: FaultStream,

@@ -2388,7 +2388,7 @@ mod tests {
         let err = follower
             .apply(&crate::repl::ReplFrame::Snapshot {
                 epoch: 0,
-                image: image.as_slice().into(),
+                image: &image,
             })
             .expect_err(what);
         assert!(

@@ -20,6 +20,10 @@
 //! a torn frame is refused, not truncated. A restart reads the held
 //! image through the same walker and keeps its verified prefix.
 //!
+//! Followers live in the primary's process ([`InProcessLink`]), each
+//! over its own [`StorageBackend`]: they outlive the primary auditor
+//! and its journal, not the process or the machine.
+//!
 //! # Ack policies
 //!
 //! [`ReplicationPolicy`] decides what "durable" means to callers:
@@ -102,12 +106,9 @@
 //! tail. A prefix with no whole record is held as nothing (offset 0):
 //! a compacted image's earlier history lives in its snapshot run.
 
-use std::borrow::Cow;
 use std::fmt;
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
 use std::{panic, thread};
 
 use alidrone_obs::{Counter, Gauge, Level, Obs};
@@ -117,18 +118,12 @@ use crate::journal::{
     image_base, walk, DurableImage, Frames, Journal, JournalError, ShipSource, Step, Stop,
     StorageBackend,
 };
-use crate::wire::codec::{read_frame, write_frame, Reader, Writer};
 use crate::{Auditor, AuditorConfig, ProtocolError, RecoveryReport};
 use alidrone_crypto::rsa::RsaPrivateKey;
 
-/// Cap on a single replication frame body (a full journal image plus
-/// framing slack) — guards the TCP decoder against hostile lengths, and
-/// the sender refuses a frame over it rather than ship one the
-/// follower would drop.
-const MAX_REPL_FRAME: usize = 64 * 1024 * 1024;
-
-/// Ship/ack round-trip timeout for the TCP link.
-const TCP_REPL_TIMEOUT: Duration = Duration::from_secs(5);
+/// Frames shipped to one follower in one round before its acks count
+/// as [`ReplError::Unconverged`].
+const SHIPS_PER_ROUND: usize = 4;
 
 /// The smallest image a round ships to several followers at once. A
 /// scoped thread costs ~40 µs to spawn and join, about what a follower
@@ -156,13 +151,21 @@ pub enum ReplError {
         /// The policy's requirement.
         needed: usize,
     },
-    /// The link to a follower failed (connect, send, or ack receive).
+    /// The link lost a frame or its ack: the follower may or may not
+    /// have applied it, and the next round ships from the last ack.
     Transport(String),
     /// A storage failure on either side of the link.
     Storage(String),
-    /// A frame or ack that does not decode, or a shipping exchange that
-    /// violated the offset protocol.
-    Malformed(&'static str),
+    /// A follower's acks did not reach the durable end: it was shipped
+    /// four frames in one round and still answered another offset. The
+    /// replicator forgets its ack, so the follower counts toward no
+    /// commit point and its next frame is the whole image.
+    Unconverged {
+        /// The follower's last acked offset.
+        acked: u64,
+        /// The durable end it was shipped toward.
+        end: u64,
+    },
     /// The shipped bytes diverge from the audit chain this follower
     /// recomputed (see [`crate::audit`]): a corrupt frame, an
     /// undecodable record, or a Merkle checkpoint whose root does not
@@ -191,7 +194,11 @@ impl fmt::Display for ReplError {
             }
             ReplError::Transport(what) => write!(f, "replication transport failure: {what}"),
             ReplError::Storage(what) => write!(f, "replication storage failure: {what}"),
-            ReplError::Malformed(what) => write!(f, "malformed replication frame: {what}"),
+            ReplError::Unconverged { acked, end } => write!(
+                f,
+                "follower acked offset {acked}, not the durable end {end}, \
+                 after {SHIPS_PER_ROUND} frames"
+            ),
             ReplError::ChainDivergence { size, reason } => {
                 write!(f, "audit chain divergence at tree size {size}: {reason}")
             }
@@ -230,11 +237,9 @@ pub enum ReplicationPolicy {
 
 // ------------------------------------------------------------------ frames
 
-/// One message on the replication stream, primary → follower. The
-/// bytes are borrowed where they already exist — a primary ships
-/// slices of its one read of the image to every follower, and a TCP
-/// follower applies a frame decoded in place — or owned where they do
-/// not.
+/// One message on the replication stream, primary → follower. Its
+/// bytes borrow the round's one read of the image: every follower's
+/// frame is a slice of it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplFrame<'a> {
     /// Raw journal frame bytes starting at logical `offset` (the
@@ -247,7 +252,7 @@ pub enum ReplFrame<'a> {
         /// Logical offset of the first shipped byte.
         offset: u64,
         /// Raw journal bytes (whole frames; never a torn tail).
-        bytes: Cow<'a, [u8]>,
+        bytes: &'a [u8],
     },
     /// A whole journal image — the first frame to a follower, and the
     /// frame for one whose offset compaction reclaimed or that claims
@@ -258,68 +263,16 @@ pub enum ReplFrame<'a> {
         /// Shipping primary's leadership epoch.
         epoch: u64,
         /// The full journal image (header + frames).
-        image: Cow<'a, [u8]>,
+        image: &'a [u8],
     },
 }
 
-const FRAME_TAG_APPEND: u8 = 1;
-const FRAME_TAG_SNAPSHOT: u8 = 2;
-
-impl<'a> ReplFrame<'a> {
+impl ReplFrame<'_> {
     /// The epoch this frame was shipped under.
     pub fn epoch(&self) -> u64 {
         match self {
             ReplFrame::Append { epoch, .. } | ReplFrame::Snapshot { epoch, .. } => *epoch,
         }
-    }
-
-    /// Encodes the frame body (length framing is the stream's job).
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            ReplFrame::Append {
-                epoch,
-                offset,
-                bytes,
-            } => {
-                w.put_u8(FRAME_TAG_APPEND)
-                    .put_u64(*epoch)
-                    .put_u64(*offset)
-                    .put_bytes(bytes);
-            }
-            ReplFrame::Snapshot { epoch, image } => {
-                w.put_u8(FRAME_TAG_SNAPSHOT)
-                    .put_u64(*epoch)
-                    .put_bytes(image);
-            }
-        }
-        w.into_bytes()
-    }
-
-    /// Decodes a frame body.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplError::Malformed`] for unknown tags or truncated bodies.
-    pub fn from_bytes(bytes: &'a [u8]) -> Result<ReplFrame<'a>, ReplError> {
-        let mut r = Reader::new(bytes);
-        let mal = |_| ReplError::Malformed("truncated replication frame");
-        let tag = r.get_u8().map_err(mal)?;
-        let frame = match tag {
-            FRAME_TAG_APPEND => ReplFrame::Append {
-                epoch: r.get_u64().map_err(mal)?,
-                offset: r.get_u64().map_err(mal)?,
-                bytes: r.get_bytes().map_err(mal)?.into(),
-            },
-            FRAME_TAG_SNAPSHOT => ReplFrame::Snapshot {
-                epoch: r.get_u64().map_err(mal)?,
-                image: r.get_bytes().map_err(mal)?.into(),
-            },
-            _ => return Err(ReplError::Malformed("unknown replication frame tag")),
-        };
-        r.finish()
-            .map_err(|_| ReplError::Malformed("trailing replication frame bytes"))?;
-        Ok(frame)
     }
 }
 
@@ -339,46 +292,6 @@ pub enum ReplAck {
         /// The follower's current epoch.
         current: u64,
     },
-}
-
-// Tag 2 is retired (older builds' offset-mismatch ack) and decodes as
-// unknown: do not reuse it.
-const ACK_TAG_ACKED: u8 = 1;
-const ACK_TAG_STALE: u8 = 3;
-
-impl ReplAck {
-    /// Encodes the ack body.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        match self {
-            ReplAck::Acked { offset } => w.put_u8(ACK_TAG_ACKED).put_u64(*offset),
-            ReplAck::Stale { current } => w.put_u8(ACK_TAG_STALE).put_u64(*current),
-        };
-        w.into_bytes()
-    }
-
-    /// Decodes an ack body.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplError::Malformed`] for unknown tags or truncated bodies.
-    pub fn from_bytes(bytes: &[u8]) -> Result<ReplAck, ReplError> {
-        let mut r = Reader::new(bytes);
-        let mal = |_| ReplError::Malformed("truncated replication ack");
-        let tag = r.get_u8().map_err(mal)?;
-        let ack = match tag {
-            ACK_TAG_ACKED => ReplAck::Acked {
-                offset: r.get_u64().map_err(mal)?,
-            },
-            ACK_TAG_STALE => ReplAck::Stale {
-                current: r.get_u64().map_err(mal)?,
-            },
-            _ => return Err(ReplError::Malformed("unknown replication ack tag")),
-        };
-        r.finish()
-            .map_err(|_| ReplError::Malformed("trailing replication ack bytes"))?;
-        Ok(ack)
-    }
 }
 
 /// How to undo an in-place [`walk`] of a shipped tail: the chain's
@@ -652,8 +565,9 @@ pub trait ReplLink: Send + Sync {
     fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError>;
 }
 
-/// A link to a follower in the same process (tests, examples, and the
-/// simulated fleet).
+/// The library's one link: followers live in the primary's process,
+/// and shipping a frame is a call to [`Follower::apply`]. Test fakes
+/// wrap it to drop frames or swap followers.
 #[derive(Debug, Clone)]
 pub struct InProcessLink {
     follower: Arc<Follower>,
@@ -669,176 +583,6 @@ impl InProcessLink {
 impl ReplLink for InProcessLink {
     fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
         self.follower.apply(frame)
-    }
-}
-
-/// A length-framed TCP link to a remote follower (see
-/// [`FollowerServer`]). Lazily connects; one reconnect-and-resend per
-/// ship (safe: applies are offset-checked).
-pub struct TcpReplLink {
-    addr: SocketAddr,
-    stream: Mutex<Option<TcpStream>>,
-}
-
-impl TcpReplLink {
-    /// A link to the follower serving at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// [`ReplError::Transport`] when `addr` does not resolve.
-    pub fn new(addr: impl ToSocketAddrs) -> Result<TcpReplLink, ReplError> {
-        let addr = addr
-            .to_socket_addrs()
-            .map_err(|e| ReplError::Transport(e.to_string()))?
-            .next()
-            .ok_or(ReplError::Malformed(
-                "replication address resolved to nothing",
-            ))?;
-        Ok(TcpReplLink {
-            addr,
-            stream: Mutex::new(None),
-        })
-    }
-
-    fn exchange(&self, stream: &mut TcpStream, body: &[u8]) -> std::io::Result<Vec<u8>> {
-        write_frame(stream, body, MAX_REPL_FRAME)?;
-        read_frame(stream, MAX_REPL_FRAME)
-    }
-}
-
-impl ReplLink for TcpReplLink {
-    fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
-        let body = frame.to_bytes();
-        let mut guard = self.stream.lock().unwrap_or_else(|p| p.into_inner());
-        let transport = |e: std::io::Error| ReplError::Transport(e.to_string());
-        for attempt in 0..2 {
-            if guard.is_none() {
-                let stream = TcpStream::connect(self.addr).map_err(transport)?;
-                stream
-                    .set_read_timeout(Some(TCP_REPL_TIMEOUT))
-                    .map_err(transport)?;
-                stream
-                    .set_write_timeout(Some(TCP_REPL_TIMEOUT))
-                    .map_err(transport)?;
-                *guard = Some(stream);
-            }
-            // Invariant: the slot was just filled above when empty.
-            let stream = guard.as_mut().expect("stream present after connect");
-            match self.exchange(stream, &body) {
-                Ok(reply) => return ReplAck::from_bytes(&reply),
-                Err(e) => {
-                    // A dead connection from an earlier exchange: drop
-                    // it and resend once on a fresh one.
-                    *guard = None;
-                    if attempt == 1 {
-                        return Err(transport(e));
-                    }
-                }
-            }
-        }
-        unreachable!("loop returns on success or second failure")
-    }
-}
-
-impl fmt::Debug for TcpReplLink {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TcpReplLink")
-            .field("addr", &self.addr)
-            .finish()
-    }
-}
-
-/// Serves one [`Follower`] over length-framed TCP: reads frames,
-/// applies them, writes acks. One connection at a time — a journal has
-/// exactly one shipping primary; a new primary's connection is picked
-/// up when the old one closes.
-pub struct FollowerServer {
-    addr: SocketAddr,
-    stop: Arc<AtomicBool>,
-    handle: Option<std::thread::JoinHandle<()>>,
-}
-
-impl FollowerServer {
-    /// Binds `addr` (e.g. `"127.0.0.1:0"`) and serves `follower` on a
-    /// background thread until [`shutdown`](Self::shutdown).
-    ///
-    /// # Errors
-    ///
-    /// Bind failures.
-    pub fn bind(addr: impl ToSocketAddrs, follower: Arc<Follower>) -> std::io::Result<Self> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            for conn in listener.incoming() {
-                if stop_flag.load(Ordering::Acquire) {
-                    break;
-                }
-                let Ok(mut stream) = conn else { continue };
-                let _ = stream.set_read_timeout(Some(TCP_REPL_TIMEOUT));
-                let _ = stream.set_write_timeout(Some(TCP_REPL_TIMEOUT));
-                loop {
-                    if stop_flag.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let Ok(body) = read_frame(&mut stream, MAX_REPL_FRAME) else {
-                        break;
-                    };
-                    let Ok(frame) = ReplFrame::from_bytes(&body) else {
-                        break;
-                    };
-                    // A local storage failure closes the connection:
-                    // the primary surfaces it as a transport error and
-                    // its retry finds the follower's true offset.
-                    let Ok(ack) = follower.apply(&frame) else {
-                        break;
-                    };
-                    if write_frame(&mut stream, &ack.to_bytes(), MAX_REPL_FRAME).is_err() {
-                        break;
-                    }
-                }
-            }
-        });
-        Ok(FollowerServer {
-            addr,
-            stop,
-            handle: Some(handle),
-        })
-    }
-
-    /// The bound address (connect a [`TcpReplLink`] here).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Stops accepting, wakes the accept loop, and joins the thread.
-    pub fn shutdown(mut self) {
-        self.stop_and_join();
-    }
-
-    fn stop_and_join(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        // Wake the blocking accept (and any idle read) with a no-op
-        // connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for FollowerServer {
-    fn drop(&mut self) {
-        self.stop_and_join();
-    }
-}
-
-impl fmt::Debug for FollowerServer {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FollowerServer")
-            .field("addr", &self.addr)
-            .finish()
     }
 }
 
@@ -1094,7 +838,7 @@ impl Replicator {
         image: &OnceLock<Result<DurableImage, JournalError>>,
         epoch: u64,
     ) -> Result<(), ReplError> {
-        for _ in 0..4 {
+        for _ in 0..SHIPS_PER_ROUND {
             let from = peer.acked.load(Ordering::Acquire);
             if from == journal.end_offset() {
                 return Ok(());
@@ -1112,7 +856,7 @@ impl Replicator {
                     ReplFrame::Append {
                         epoch,
                         offset: from,
-                        bytes: bytes.into(),
+                        bytes,
                     }
                 }
                 // Nothing acked yet, an offset compaction reclaimed, or
@@ -1122,7 +866,7 @@ impl Replicator {
                     self.snapshots_shipped.inc();
                     ReplFrame::Snapshot {
                         epoch,
-                        image: image.bytes().into(),
+                        image: image.bytes(),
                     }
                 }
             };
@@ -1136,7 +880,15 @@ impl Replicator {
                 }
             }
         }
-        Err(ReplError::Malformed("follower offset failed to converge"))
+        // Acks that never reach the end vouch for nothing: forget them,
+        // so the follower holds nothing toward the commit point and its
+        // next round opens with the whole image, as at first contact.
+        let acked = peer.acked.swap(0, Ordering::AcqRel);
+        peer.acked_gauge.set(0);
+        Err(ReplError::Unconverged {
+            acked,
+            end: journal.end_offset(),
+        })
     }
 
     /// Re-derives the lag gauges from the slowest follower: distance
@@ -1305,6 +1057,8 @@ mod tests {
     use crate::journal::{crc32, MemBackend, Record, FRAME_OVERHEAD, HEADER_LEN};
     use crate::test_support::auditor_key;
     use alidrone_geo::{Distance, GeoPoint, NoFlyZone};
+    use std::sync::atomic::AtomicBool;
+    use std::time::Duration;
 
     fn zone(i: u64) -> NoFlyZone {
         NoFlyZone::new(
@@ -1368,43 +1122,6 @@ mod tests {
                 .unwrap();
         }
         (journal, backend)
-    }
-
-    #[test]
-    fn frames_and_acks_round_trip() {
-        let frames = [
-            ReplFrame::Append {
-                epoch: 3,
-                offset: 42,
-                bytes: vec![1, 2, 3].into(),
-            },
-            ReplFrame::Snapshot {
-                epoch: 9,
-                image: vec![0xAB; 17].into(),
-            },
-        ];
-        for f in &frames {
-            assert_eq!(&ReplFrame::from_bytes(&f.to_bytes()).unwrap(), f);
-        }
-        let acks = [ReplAck::Acked { offset: 7 }, ReplAck::Stale { current: 4 }];
-        for a in &acks {
-            assert_eq!(&ReplAck::from_bytes(&a.to_bytes()).unwrap(), a);
-        }
-        assert!(matches!(
-            ReplFrame::from_bytes(&[99]),
-            Err(ReplError::Malformed(_))
-        ));
-        assert!(matches!(
-            ReplAck::from_bytes(&[]),
-            Err(ReplError::Malformed(_))
-        ));
-        // Ack tag 2 is retired: a well-formed body under it is unknown.
-        let mut retired = ReplAck::Acked { offset: 7 }.to_bytes();
-        retired[0] = 2;
-        assert_eq!(
-            ReplAck::from_bytes(&retired),
-            Err(ReplError::Malformed("unknown replication ack tag"))
-        );
     }
 
     #[test]
@@ -2182,7 +1899,7 @@ mod tests {
             follower
                 .apply(&ReplFrame::Snapshot {
                     epoch: 1,
-                    image: longer_backend.bytes().into(),
+                    image: &longer_backend.bytes(),
                 })
                 .unwrap()
         };
@@ -2252,7 +1969,7 @@ mod tests {
         let (_, longer) = journal_with(4);
         let image = ReplFrame::Snapshot {
             epoch: 1,
-            image: longer.bytes().into(),
+            image: &longer.bytes(),
         };
         follower.apply(&image).unwrap();
         journal.append_record(&Record::Epoch(1)).unwrap();
@@ -2272,15 +1989,104 @@ mod tests {
         assert_eq!(replicator.commit_offset(end), end);
     }
 
-    /// A link that records every frame it ships, encoded.
+    /// A link whose follower acks offset 1 to every frame, so no frame
+    /// ever brings it to the durable end.
+    struct StuckLink {
+        ships: AtomicU64,
+    }
+
+    impl ReplLink for Arc<StuckLink> {
+        fn ship(&self, _: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
+            self.ships.fetch_add(1, Ordering::Relaxed);
+            Ok(ReplAck::Acked { offset: 1 })
+        }
+    }
+
+    #[test]
+    fn a_follower_whose_acks_never_reach_the_end_fails_the_round() {
+        let (journal, _) = journal_with(2);
+        let link = Arc::new(StuckLink {
+            ships: AtomicU64::new(0),
+        });
+        let obs = Obs::noop();
+        let recorder = Arc::new(alidrone_obs::FlightRecorder::new(64));
+        obs.set_subscriber(recorder.clone());
+        let replicator = Replicator::new(&obs, ReplicationPolicy::Quorum(1))
+            .with_follower("f0", Arc::clone(&link));
+        replicator.set_epoch(1);
+        let end = journal.end_offset();
+        let unconverged = ReplError::Unconverged { acked: 1, end };
+
+        // The round gives up on the follower after four frames; the
+        // policy then reports the quorum it could not meet.
+        assert_eq!(
+            replicator.replicate(&journal),
+            Err(ReplError::QuorumLost {
+                acked: 0,
+                needed: 1
+            })
+        );
+        assert_eq!(link.ships.load(Ordering::Relaxed), SHIPS_PER_ROUND as u64);
+        assert_eq!(obs.snapshot().counter("repl.ship_failures.f0"), 1);
+        let failed: Vec<_> = recorder
+            .events()
+            .into_iter()
+            .filter(|e| e.message == "ship failed")
+            .collect();
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert_eq!(
+            failed[0].field("error"),
+            Some(&unconverged.to_string().as_str().into())
+        );
+        assert_eq!(replicator.commit_offset(end), 0);
+
+        // The peer's own sync answers that error directly.
+        let peer = &replicator.peers[0];
+        assert_eq!(
+            replicator.sync_peer(peer, &journal, &OnceLock::new(), 1),
+            Err(unconverged)
+        );
+        assert_eq!(replicator.commit_offset(end), 0);
+    }
+
+    /// A shipped frame, its bytes copied out of the round's image.
+    #[derive(Debug, PartialEq)]
+    enum Shipped {
+        Append {
+            epoch: u64,
+            offset: u64,
+            bytes: Vec<u8>,
+        },
+        Snapshot {
+            epoch: u64,
+            image: Vec<u8>,
+        },
+    }
+
+    /// A link that records every frame it ships, by value.
     struct RecordingLink {
         inner: InProcessLink,
-        shipped: Mutex<Vec<Vec<u8>>>,
+        shipped: Mutex<Vec<Shipped>>,
     }
 
     impl ReplLink for Arc<RecordingLink> {
         fn ship(&self, frame: &ReplFrame<'_>) -> Result<ReplAck, ReplError> {
-            self.shipped.lock().unwrap().push(frame.to_bytes());
+            let shipped = match *frame {
+                ReplFrame::Append {
+                    epoch,
+                    offset,
+                    bytes,
+                } => Shipped::Append {
+                    epoch,
+                    offset,
+                    bytes: bytes.to_vec(),
+                },
+                ReplFrame::Snapshot { epoch, image } => Shipped::Snapshot {
+                    epoch,
+                    image: image.to_vec(),
+                },
+            };
+            self.shipped.lock().unwrap().push(shipped);
             self.inner.ship(frame)
         }
     }
@@ -2312,7 +2118,7 @@ mod tests {
         follower
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                image: deposed.bytes().into(),
+                image: &deposed.bytes(),
             })
             .unwrap();
         assert_eq!(follower.acked_offset(), primary.end_offset());
@@ -2330,10 +2136,10 @@ mod tests {
         let shipped = link.shipped.lock().unwrap();
         assert_eq!(shipped.len(), 1, "one frame");
         assert_eq!(
-            ReplFrame::from_bytes(&shipped[0]).unwrap(),
-            ReplFrame::Snapshot {
+            shipped[0],
+            Shipped::Snapshot {
                 epoch: 2,
-                image: primary_store.bytes().into(),
+                image: primary_store.bytes(),
             }
         );
         assert_eq!(follower.image().unwrap(), primary_store.bytes());
@@ -2346,7 +2152,7 @@ mod tests {
             let append = ReplFrame::Append {
                 epoch: 2,
                 offset,
-                bytes: primary_store.bytes().into(),
+                bytes: &primary_store.bytes(),
             };
             assert_eq!(empty.apply(&append), Ok(ReplAck::Acked { offset: 0 }));
             assert_eq!(empty.image().unwrap(), Vec::<u8>::new());
@@ -2382,7 +2188,7 @@ mod tests {
         honest
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                image: clean.as_slice().into(),
+                image: &clean,
             })
             .unwrap();
         assert_eq!(honest.record_count(), 4);
@@ -2412,7 +2218,7 @@ mod tests {
         let err = victim
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                image: tampered.as_slice().into(),
+                image: &tampered,
             })
             .unwrap_err();
         assert!(
@@ -2429,7 +2235,7 @@ mod tests {
         let err = victim
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                image: flipped.into(),
+                image: &flipped,
             })
             .unwrap_err();
         assert!(matches!(err, ReplError::ChainDivergence { .. }), "{err}");
@@ -2443,7 +2249,7 @@ mod tests {
         victim
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                image: clean[..prefix].into(),
+                image: &clean[..prefix],
             })
             .unwrap();
         let state = |f: &Follower| {
@@ -2456,7 +2262,7 @@ mod tests {
             .apply(&ReplFrame::Append {
                 epoch: 1,
                 offset: prefix as u64,
-                bytes: tampered[prefix..].into(),
+                bytes: &tampered[prefix..],
             })
             .unwrap_err();
         assert!(
@@ -2471,7 +2277,7 @@ mod tests {
             .apply(&ReplFrame::Append {
                 epoch: 1,
                 offset: prefix as u64,
-                bytes: clean[prefix..].into(),
+                bytes: &clean[prefix..],
             })
             .unwrap();
         assert_eq!(state(&victim), state(&honest));
@@ -2489,7 +2295,7 @@ mod tests {
             follower
                 .apply(&ReplFrame::Snapshot {
                     epoch: 1,
-                    image: held.into(),
+                    image: held,
                 })
                 .unwrap();
         }
@@ -2532,7 +2338,7 @@ mod tests {
                 &held,
                 &ReplFrame::Snapshot {
                     epoch: 1,
-                    image: image.as_slice().into(),
+                    image: &image,
                 },
             );
         }
@@ -2550,7 +2356,7 @@ mod tests {
         assert!(recovered.is_err());
         let snapshot = ReplFrame::Snapshot {
             epoch: 1,
-            image: bare.as_slice().into(),
+            image: &bare,
         };
         let (_, held) = journal_with(1);
         for held in [Vec::new(), held.bytes()] {
@@ -2562,29 +2368,11 @@ mod tests {
         let append = ReplFrame::Append {
             epoch: 1,
             offset: 0,
-            bytes: bare.as_slice().into(),
+            bytes: &bare,
         };
         assert_eq!(follower.apply(&append), Ok(ReplAck::Acked { offset: 0 }));
         assert_eq!(follower.acked_offset(), 0);
         assert_eq!(follower.image().unwrap(), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn tcp_link_ships_applies_and_survives_reconnect() {
-        let follower = Arc::new(Follower::new(Arc::new(MemBackend::new())));
-        let server = FollowerServer::bind("127.0.0.1:0", follower.clone()).unwrap();
-        let link = TcpReplLink::new(server.local_addr()).unwrap();
-        let (journal, backend) = journal_with(3);
-        let obs = Obs::noop();
-        let replicator =
-            Replicator::new(&obs, ReplicationPolicy::Quorum(1)).with_follower("tcp0", link);
-        replicator.replicate(&journal).unwrap();
-        assert_eq!(follower.image().unwrap(), backend.bytes());
-        // Drop the connection server-side by shipping a frame the
-        // decoder rejects... simplest: open a second replicate after
-        // the server recycled the connection naturally.
-        replicator.replicate(&journal).unwrap();
-        server.shutdown();
     }
 
     #[test]

@@ -606,7 +606,7 @@ fn follower_recovery_parity(image: &[u8], seed: u64) -> usize {
         let accepted = follower
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                image: bytes.as_slice().into(),
+                image: bytes,
             })
             .is_ok();
         assert_eq!(

@@ -315,7 +315,7 @@ fn campaign_run(seed: u64) -> Vec<String> {
         follower
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                image: honest.bytes.as_slice().into(),
+                image: &honest.bytes,
             })
             .expect("honest shipment accepted");
         assert_eq!(follower.acked_offset(), honest.bytes.len() as u64);
@@ -334,7 +334,7 @@ fn campaign_run(seed: u64) -> Vec<String> {
         let err = follower
             .apply(&ReplFrame::Snapshot {
                 epoch: 1,
-                image: tampered.into(),
+                image: &tampered,
             })
             .expect_err("spliced shipment must be refused");
         assert!(
